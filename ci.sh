@@ -12,6 +12,11 @@ cargo clippy --all-targets --workspace -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== cargo test --features proptest"
+# The randomized property proofs (memo order-independence, the three-way
+# prescreen/certificate/evaluate agreement, ...) are feature-gated.
+cargo test --workspace -q --features proptest
+
 echo "== cargo doc --workspace --no-deps"
 # missing_docs is a workspace lint, so the docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
@@ -267,6 +272,25 @@ grep -q '"name":"sim.shard.epochs","value":[1-9]' "$MDIR/shard.trace.jsonl" || {
     exit 1
 }
 rm -rf "$MDIR"
+
+echo "== llc-study all smoke (parallel study determinism + trace sidecar)"
+# The 48 study runs share the work-claiming pool: two runs of the whole
+# paper reproduction must print byte-identical tables, and the trace
+# sidecar must carry the simulator's published counters.
+YDIR=$(mktemp -d)
+for R in 1 2; do
+    $LLC all -n 20000 --trace "$YDIR/study$R.trace.jsonl" \
+        > "$YDIR/study$R.txt" 2>/dev/null
+done
+cmp "$YDIR/study1.txt" "$YDIR/study2.txt" || {
+    echo "llc-study all printed different tables on two runs" >&2
+    exit 1
+}
+grep -q '"name":"sim.loads"' "$YDIR/study1.trace.jsonl" || {
+    echo "llc-study trace sidecar lacks the sim.loads counter" >&2
+    exit 1
+}
+rm -rf "$YDIR"
 
 echo "== sim-throughput bench smoke (--quick)"
 # The serial-vs-sharded bench must run and emit a schema-valid

@@ -4,6 +4,16 @@
 
 use cactid_explore::{audit, explore, AuditVerdict, ExploreConfig, Grid, OptVariant};
 use cactid_tech::{CellTechnology, TechNode};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// `core.solve.calls` is a process-global counter, so a test that reads it
+/// must not overlap a sibling that solves. Every test in this binary that
+/// solves or counts solves holds this lock for its whole body.
+static SOLVE_LOCK: Mutex<()> = Mutex::new(());
+
+fn solve_lock() -> MutexGuard<'static, ()> {
+    SOLVE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A 192-point grid mixing all three verdicts: 48 KB points are invalid
 /// (768 sets), the small capacities are feasible, and the large ones are
@@ -39,6 +49,7 @@ fn status_of(line: &str) -> &'static str {
 
 #[test]
 fn audit_classifies_every_point_without_calling_solve() {
+    let _solves = solve_lock();
     let grid = mixed_grid();
     let solves_before = cactid_obs::snapshot()
         .counter("core.solve.calls")
@@ -72,6 +83,7 @@ fn audit_classifies_every_point_without_calling_solve() {
 
 #[test]
 fn audit_verdicts_match_a_full_engine_run_exactly() {
+    let _solves = solve_lock();
     let grid = mixed_grid();
     let verdicts = audit(&grid).unwrap();
     let run = explore(&grid, &ExploreConfig::default()).unwrap();
@@ -92,6 +104,7 @@ fn audit_verdicts_match_a_full_engine_run_exactly() {
 
 #[test]
 fn audit_skip_is_byte_identical_across_thread_counts() {
+    let _solves = solve_lock();
     let grid = mixed_grid();
     let plain = explore(&grid, &ExploreConfig::default()).unwrap();
     assert!(plain.stats.audit_skipped == 0);
@@ -124,6 +137,7 @@ fn audit_skip_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn audit_skip_with_pareto_and_files_matches_plain_run() {
+    let _solves = solve_lock();
     let dir = std::env::temp_dir().join(format!("cactid-audit-eq-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let grid = mixed_grid();

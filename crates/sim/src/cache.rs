@@ -1,7 +1,14 @@
 //! Set-associative cache tag array with true-LRU replacement and MESI
 //! line states.
+//!
+//! Each way is one packed `u64` slot, `tag << 2 | state`, with 0 meaning
+//! Invalid (8 B per line). A set's slots are kept in recency order — most
+//! recently used first, invalid slots last — so a hit or insert rotates
+//! the line to the front, the LRU victim is always the last way, and
+//! invalidation shifts the less recent lines left. No timestamps are stored.
 
-/// MESI coherence state of a cached line.
+/// MESI coherence state of a cached line. The discriminant is the state's
+/// two-bit code in a packed tag slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineState {
     /// Not present.
@@ -14,11 +21,15 @@ pub enum LineState {
     Modified,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    state: LineState,
-    lru: u32,
+impl LineState {
+    fn of_slot(slot: u64) -> LineState {
+        match slot & 3 {
+            0 => LineState::Invalid,
+            1 => LineState::Shared,
+            2 => LineState::Exclusive,
+            _ => LineState::Modified,
+        }
+    }
 }
 
 /// A set-associative tag array. Addresses are byte addresses; the cache
@@ -26,10 +37,9 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: u64,
-    assoc: u32,
+    assoc: usize,
     line_bytes: u64,
-    lines: Vec<Line>,
-    lru_clock: u32,
+    slots: Vec<u64>,
 }
 
 /// Result of an insertion.
@@ -46,27 +56,22 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if geometry is degenerate (zero sets/ways or non-power-of-two
-    /// line size).
+    /// Panics if geometry is degenerate: zero ways, a line size that is
+    /// not a power of two of at least 4 B (the packed slot needs the two
+    /// low tag bits free), or a set count that is zero or not a power of
+    /// two. [`crate::config::SystemConfig::validate`] reports these as a
+    /// typed error.
     pub fn new(capacity_bytes: u64, line_bytes: u32, associativity: u32) -> SetAssocCache {
-        assert!(line_bytes.is_power_of_two() && line_bytes > 0);
+        assert!(line_bytes.is_power_of_two() && line_bytes >= 4);
         assert!(associativity > 0);
         let sets = capacity_bytes / (u64::from(line_bytes) * u64::from(associativity));
         assert!(sets > 0, "cache smaller than one set");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         SetAssocCache {
             sets,
-            assoc: associativity,
+            assoc: associativity as usize,
             line_bytes: u64::from(line_bytes),
-            lines: vec![
-                Line {
-                    tag: 0,
-                    state: LineState::Invalid,
-                    lru: 0,
-                };
-                (sets * u64::from(associativity)) as usize
-            ],
-            lru_clock: 0,
+            slots: vec![0; (sets * u64::from(associativity)) as usize],
         }
     }
 
@@ -75,145 +80,86 @@ impl SetAssocCache {
         self.sets
     }
 
-    fn line_addr(&self, addr: u64) -> u64 {
-        addr / self.line_bytes
-    }
-
-    fn set_of(&self, addr: u64) -> u64 {
-        self.line_addr(addr) & (self.sets - 1)
-    }
-
-    fn tag_of(&self, addr: u64) -> u64 {
-        self.line_addr(addr) >> self.sets.trailing_zeros()
-    }
-
     /// Set index for an address — exposed for bank/subbank steering.
     pub fn set_index(&self, addr: u64) -> u64 {
-        self.set_of(addr)
+        (addr / self.line_bytes) & (self.sets - 1)
     }
 
-    fn slot_range(&self, set: u64) -> std::ops::Range<usize> {
-        let start = (set * u64::from(self.assoc)) as usize;
-        start..start + self.assoc as usize
+    /// The slot range of `addr`'s set, its tag, and the recency position
+    /// of its line within the set if it is present.
+    fn find(&self, addr: u64) -> (std::ops::Range<usize>, u64, Option<usize>) {
+        let set = self.set_index(addr) as usize;
+        let tag = (addr / self.line_bytes) >> self.sets.trailing_zeros();
+        let range = set * self.assoc..(set + 1) * self.assoc;
+        let pos = self.slots[range.clone()]
+            .iter()
+            .position(|&s| s != 0 && s >> 2 == tag);
+        (range, tag, pos)
     }
 
-    /// Looks up `addr`; on hit returns its state and refreshes LRU.
+    /// Looks up `addr`; on hit returns its state and makes it the MRU line.
     pub fn lookup(&mut self, addr: u64) -> Option<LineState> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        self.lru_clock = self.lru_clock.wrapping_add(1);
-        let clock = self.lru_clock;
-        let range = self.slot_range(set);
-        for line in &mut self.lines[range] {
-            if line.state != LineState::Invalid && line.tag == tag {
-                line.lru = clock;
-                return Some(line.state);
-            }
-        }
-        None
+        let (range, _, pos) = self.find(addr);
+        let ways = &mut self.slots[range];
+        ways[..=pos?].rotate_right(1);
+        Some(LineState::of_slot(ways[0]))
     }
 
     /// Looks up without touching LRU (probe).
     pub fn probe(&self, addr: u64) -> Option<LineState> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        self.lines[self.slot_range(set)]
-            .iter()
-            .find(|l| l.state != LineState::Invalid && l.tag == tag)
-            .map(|l| l.state)
+        let (range, _, pos) = self.find(addr);
+        Some(LineState::of_slot(self.slots[range.start + pos?]))
     }
 
-    /// Inserts `addr` in `state`, evicting the LRU line of the set if
-    /// needed. Returns the eviction, if any.
+    /// Inserts `addr` in `state` as the MRU line, evicting the LRU line of
+    /// the set if needed. Returns the eviction, if any.
     pub fn insert(&mut self, addr: u64, state: LineState) -> Option<Eviction> {
         assert!(state != LineState::Invalid, "cannot insert an invalid line");
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        self.lru_clock = self.lru_clock.wrapping_add(1);
-        let clock = self.lru_clock;
-        let range = self.slot_range(set);
-
-        // Already present: just update state.
-        for line in &mut self.lines[range.clone()] {
-            if line.state != LineState::Invalid && line.tag == tag {
-                line.state = state;
-                line.lru = clock;
-                return None;
-            }
-        }
-        // Free slot?
-        for line in &mut self.lines[range.clone()] {
-            if line.state == LineState::Invalid {
-                *line = Line {
-                    tag,
-                    state,
-                    lru: clock,
-                };
-                return None;
-            }
-        }
-        // Evict the LRU line: the one with the greatest clock distance
-        // (wrapping subtraction keeps this correct across clock wraps).
-        let Some(victim_idx) = range.max_by_key(|&i| clock.wrapping_sub(self.lines[i].lru)) else {
-            unreachable!("a set has at least one way")
-        };
-        let victim = self.lines[victim_idx];
-        self.lines[victim_idx] = Line {
-            tag,
-            state,
-            lru: clock,
-        };
-        let victim_line = (victim.tag << self.sets.trailing_zeros()) | set;
-        Some(Eviction {
-            addr: victim_line * self.line_bytes,
-            state: victim.state,
+        let (range, tag, hit) = self.find(addr);
+        let set = (range.start / self.assoc) as u64;
+        // Already present: rotate it to the front. Otherwise the last way
+        // (an invalid slot, or the LRU line) makes room.
+        let pos = hit.unwrap_or(self.assoc - 1);
+        let ways = &mut self.slots[range];
+        let victim = ways[pos];
+        ways[..=pos].rotate_right(1);
+        ways[0] = tag << 2 | state as u64;
+        (hit.is_none() && victim != 0).then(|| Eviction {
+            addr: ((victim >> 2) << self.sets.trailing_zeros() | set) * self.line_bytes,
+            state: LineState::of_slot(victim),
         })
     }
 
-    /// Changes the state of a present line; no-op if absent.
+    /// Changes the state of a present line without touching LRU; no-op if
+    /// absent. Setting [`LineState::Invalid`] invalidates the line.
     pub fn set_state(&mut self, addr: u64, state: LineState) {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let range = self.slot_range(set);
-        for line in &mut self.lines[range] {
-            if line.state != LineState::Invalid && line.tag == tag {
-                if state == LineState::Invalid {
-                    line.state = LineState::Invalid;
-                } else {
-                    line.state = state;
-                }
-                return;
-            }
+        if state == LineState::Invalid {
+            self.invalidate(addr);
+        } else if let (range, tag, Some(pos)) = self.find(addr) {
+            self.slots[range.start + pos] = tag << 2 | state as u64;
         }
     }
 
     /// Invalidates a line if present; returns its previous state.
     pub fn invalidate(&mut self, addr: u64) -> Option<LineState> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let range = self.slot_range(set);
-        for line in &mut self.lines[range] {
-            if line.state != LineState::Invalid && line.tag == tag {
-                let prev = line.state;
-                line.state = LineState::Invalid;
-                return Some(prev);
-            }
-        }
-        None
+        let (range, _, pos) = self.find(addr);
+        let ways = &mut self.slots[range.start + pos?..range.end];
+        let prev = LineState::of_slot(ways[0]);
+        ways.rotate_left(1);
+        ways[ways.len() - 1] = 0;
+        Some(prev)
     }
 
     /// Number of valid lines (test/diagnostic helper).
     pub fn valid_lines(&self) -> usize {
-        self.lines
-            .iter()
-            .filter(|l| l.state != LineState::Invalid)
-            .count()
+        self.slots.iter().filter(|&&s| s != 0).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::XorShift64Star;
 
     fn small() -> SetAssocCache {
         // 4 sets × 2 ways × 64 B lines = 512 B.
@@ -278,5 +224,133 @@ mod tests {
     #[should_panic(expected = "smaller than one set")]
     fn rejects_degenerate_geometry() {
         SetAssocCache::new(64, 64, 2);
+    }
+
+    /// The previous tag array: one `(tag, state, lru)` per way, victim by
+    /// the oldest `lru` timestamp. Kept as the oracle the packed
+    /// recency-ordered array must match operation for operation.
+    struct Oracle {
+        sets: u64,
+        assoc: usize,
+        line_bytes: u64,
+        lines: Vec<(u64, LineState, u32)>,
+        clock: u32,
+    }
+
+    impl Oracle {
+        fn new(capacity: u64, line_bytes: u32, assoc: u32) -> Oracle {
+            let sets = capacity / (u64::from(line_bytes) * u64::from(assoc));
+            Oracle {
+                sets,
+                assoc: assoc as usize,
+                line_bytes: u64::from(line_bytes),
+                lines: vec![(0, LineState::Invalid, 0); (sets * u64::from(assoc)) as usize],
+                clock: 0,
+            }
+        }
+
+        /// The set's index range, `addr`'s set and tag, and its way if valid.
+        fn find(&self, addr: u64) -> (std::ops::Range<usize>, u64, u64, Option<usize>) {
+            let line = addr / self.line_bytes;
+            let (set, tag) = (line & (self.sets - 1), line >> self.sets.trailing_zeros());
+            let r = set as usize * self.assoc..(set as usize + 1) * self.assoc;
+            let hit = r
+                .clone()
+                .find(|&i| self.lines[i].1 != LineState::Invalid && self.lines[i].0 == tag);
+            (r, set, tag, hit)
+        }
+
+        fn lookup(&mut self, addr: u64) -> Option<LineState> {
+            self.clock += 1;
+            let i = self.find(addr).3?;
+            self.lines[i].2 = self.clock;
+            Some(self.lines[i].1)
+        }
+
+        fn probe(&self, addr: u64) -> Option<LineState> {
+            self.find(addr).3.map(|i| self.lines[i].1)
+        }
+
+        fn insert(&mut self, addr: u64, state: LineState) -> Option<Eviction> {
+            self.clock += 1;
+            let (r, set, tag, hit) = self.find(addr);
+            let free = r.clone().find(|&i| self.lines[i].1 == LineState::Invalid);
+            let clock = self.clock;
+            let i = hit.or(free).unwrap_or_else(|| {
+                r.max_by_key(|&i| clock - self.lines[i].2)
+                    .expect("a set has a way")
+            });
+            let old = std::mem::replace(&mut self.lines[i], (tag, state, clock));
+            (hit.is_none() && free.is_none()).then(|| Eviction {
+                addr: ((old.0 << self.sets.trailing_zeros()) | set) * self.line_bytes,
+                state: old.1,
+            })
+        }
+
+        fn set_state(&mut self, addr: u64, state: LineState) {
+            if let Some(i) = self.find(addr).3 {
+                self.lines[i].1 = state;
+            }
+        }
+
+        fn invalidate(&mut self, addr: u64) -> Option<LineState> {
+            let i = self.find(addr).3?;
+            Some(std::mem::replace(&mut self.lines[i].1, LineState::Invalid))
+        }
+
+        fn valid_lines(&self) -> usize {
+            self.lines
+                .iter()
+                .filter(|l| l.1 != LineState::Invalid)
+                .count()
+        }
+    }
+
+    #[test]
+    fn packed_recency_order_matches_the_timestamp_oracle() {
+        const STATES: [LineState; 4] = [
+            LineState::Invalid,
+            LineState::Shared,
+            LineState::Exclusive,
+            LineState::Modified,
+        ];
+        // (capacity, line bytes, ways): one set, one way, 24 ways, and the
+        // smallest line the packed slot allows.
+        for (seed, &(cap, line, ways)) in [
+            (1 << 10, 64, 16),
+            (64 << 10, 64, 1),
+            (96 << 10, 64, 24),
+            (24 * 4 * 8, 4, 24),
+            (256, 4, 4),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let mut rng = XorShift64Star::new(0x7A6_A77A + seed as u64);
+            let (mut c, mut o) = (
+                SetAssocCache::new(cap, line, ways),
+                Oracle::new(cap, line, ways),
+            );
+            // Four times the capacity in distinct lines keeps every set
+            // under conflict pressure; offsets exercise sub-line bytes.
+            let span = 4 * cap;
+            for step in 0..20_000 {
+                let addr = rng.next_below(span);
+                let state = STATES[1 + rng.next_below(3) as usize];
+                let ctx = format!("{cap}/{line}/{ways} step {step} addr {addr:#x}");
+                match rng.next_below(8) {
+                    0..=2 => assert_eq!(c.lookup(addr), o.lookup(addr), "{ctx}"),
+                    3 => assert_eq!(c.probe(addr), o.probe(addr), "{ctx}"),
+                    4 | 5 => assert_eq!(c.insert(addr, state), o.insert(addr, state), "{ctx}"),
+                    6 => {
+                        let s = STATES[rng.next_below(4) as usize];
+                        c.set_state(addr, s);
+                        o.set_state(addr, s);
+                    }
+                    _ => assert_eq!(c.invalidate(addr), o.invalidate(addr), "{ctx}"),
+                }
+                assert_eq!(c.valid_lines(), o.valid_lines(), "{ctx}");
+            }
+        }
     }
 }

@@ -130,6 +130,14 @@ impl Directory {
         Directory::default()
     }
 
+    /// Creates an empty directory that tracks up to `lines` lines without
+    /// rehashing, so its old and new tables are never live at once.
+    pub fn with_capacity(lines: usize) -> Directory {
+        Directory {
+            entries: HashMap::with_capacity(lines),
+        }
+    }
+
     /// Number of tracked lines (bounded by total L2 capacity).
     pub fn len(&self) -> usize {
         self.entries.len()

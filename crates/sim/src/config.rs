@@ -18,6 +18,27 @@ pub enum ConfigError {
     /// the configuration was handed to (the legacy serial loop speaks MESI
     /// only; write-update needs the sharded engine's epoch boundary).
     ProtocolNeedsShardedEngine,
+    /// A cache level's line size is not a power of two, or is below the
+    /// 4 B minimum of the packed tag slot (`tag << 2 | state`).
+    BadLineSize {
+        /// The level: `"L1"`, `"L2"` or `"L3 bank"`.
+        level: &'static str,
+        /// The offending line size \[bytes\].
+        line_bytes: u32,
+    },
+    /// A cache level has zero ways.
+    ZeroAssociativity {
+        /// The level: `"L1"`, `"L2"` or `"L3 bank"`.
+        level: &'static str,
+    },
+    /// A cache level's set count (capacity / (line × ways)) is zero or not
+    /// a power of two, so addresses cannot be split into set and tag.
+    BadSetCount {
+        /// The level: `"L1"`, `"L2"` or `"L3 bank"`.
+        level: &'static str,
+        /// The set count the geometry works out to.
+        sets: u64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -38,6 +59,18 @@ impl std::fmt::Display for ConfigError {
                 "the Dragon write-update protocol is only implemented by \
                  the sharded engine (memsim::shard::ShardedSimulator); the \
                  legacy serial Simulator speaks MESI only"
+            ),
+            ConfigError::BadLineSize { level, line_bytes } => write!(
+                f,
+                "{level} line size {line_bytes} B must be a power of two of at least 4 B"
+            ),
+            ConfigError::ZeroAssociativity { level } => {
+                write!(f, "{level} associativity must be at least 1")
+            }
+            ConfigError::BadSetCount { level, sets } => write!(
+                f,
+                "{level} geometry gives {sets} sets; capacity / (line × ways) \
+                 must be a nonzero power of two"
             ),
         }
     }
@@ -69,6 +102,28 @@ impl CacheConfig {
     /// Number of sets.
     pub fn sets(&self) -> u64 {
         self.capacity_bytes / (u64::from(self.line_bytes) * u64::from(self.associativity))
+    }
+
+    /// Checks the geometry can be built as a tag array; `level` names the
+    /// level in the error.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::BadLineSize`], [`ConfigError::ZeroAssociativity`] or
+    /// [`ConfigError::BadSetCount`].
+    pub fn validate(&self, level: &'static str) -> Result<(), ConfigError> {
+        let line_bytes = self.line_bytes;
+        if !line_bytes.is_power_of_two() || line_bytes < 4 {
+            return Err(ConfigError::BadLineSize { level, line_bytes });
+        }
+        if self.associativity == 0 {
+            return Err(ConfigError::ZeroAssociativity { level });
+        }
+        let sets = self.sets();
+        if !sets.is_power_of_two() {
+            return Err(ConfigError::BadSetCount { level, sets });
+        }
+        Ok(())
     }
 }
 
@@ -134,12 +189,13 @@ impl L3Config {
     /// # Errors
     ///
     /// [`ConfigError::PageModeWithoutTiming`] when the interface is
-    /// [`L3Interface::PageMode`] but no [`L3PageTiming`] is given.
+    /// [`L3Interface::PageMode`] but no [`L3PageTiming`] is given, or any
+    /// geometry error from [`CacheConfig::validate`] for the bank.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.interface == L3Interface::PageMode && self.page_timing.is_none() {
             return Err(ConfigError::PageModeWithoutTiming);
         }
-        Ok(())
+        self.bank.validate("L3 bank")
     }
 }
 
@@ -222,12 +278,15 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Any [`ConfigError`] from the configured levels (currently the L3;
-    /// see [`L3Config::validate`]).
+    /// [`ConfigError::UnsupportedCoreCount`], or any [`ConfigError`] from
+    /// the configured levels ([`CacheConfig::validate`] for the L1 and L2,
+    /// [`L3Config::validate`] for the L3).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.n_cores == 0 || self.n_cores as usize > crate::coherence::MAX_CORES {
             return Err(ConfigError::UnsupportedCoreCount(self.n_cores));
         }
+        self.l1.validate("L1")?;
+        self.l2.validate("L2")?;
         if let Some(l3) = &self.l3 {
             l3.validate()?;
         }
@@ -354,6 +413,63 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::UnsupportedCoreCount(257)));
         c.n_cores = 256;
         assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_a_non_power_of_two_line() {
+        let mut c = SystemConfig::baseline_no_l3();
+        c.l1.line_bytes = 48;
+        let err = ConfigError::BadLineSize {
+            level: "L1",
+            line_bytes: 48,
+        };
+        assert_eq!(c.validate(), Err(err));
+    }
+
+    #[test]
+    fn validate_rejects_a_line_below_the_packed_slot_minimum() {
+        let mut c = SystemConfig::baseline_no_l3();
+        c.l2.line_bytes = 2;
+        let err = ConfigError::BadLineSize {
+            level: "L2",
+            line_bytes: 2,
+        };
+        assert_eq!(c.validate(), Err(err));
+        c.l2.line_bytes = 4;
+        c.l2.capacity_bytes = 4 * 8 * 1024;
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_zero_ways() {
+        let mut c = SystemConfig::with_sram_l3();
+        c.l3.as_mut().unwrap().bank.associativity = 0;
+        let err = ConfigError::ZeroAssociativity { level: "L3 bank" };
+        assert_eq!(c.validate(), Err(err));
+    }
+
+    #[test]
+    fn validate_rejects_a_cache_smaller_than_one_set() {
+        let mut c = SystemConfig::baseline_no_l3();
+        c.l1.capacity_bytes = 256; // one set needs 64 B × 8 ways
+        let err = ConfigError::BadSetCount {
+            level: "L1",
+            sets: 0,
+        };
+        assert_eq!(c.validate(), Err(err));
+    }
+
+    #[test]
+    fn validate_rejects_a_non_power_of_two_set_count() {
+        // The paper's 24 MB SRAM L3 is 3 MB per bank: 12 ways give 4096
+        // sets, but 8 ways would give 6144.
+        let mut c = SystemConfig::with_sram_l3();
+        c.l3.as_mut().unwrap().bank.associativity = 8;
+        let err = ConfigError::BadSetCount {
+            level: "L3 bank",
+            sets: 6144,
+        };
+        assert_eq!(c.validate(), Err(err));
     }
 
     #[test]

@@ -104,7 +104,11 @@ impl<T: TraceSource> Simulator<T> {
             l1,
             l2,
             l3,
-            dir: Directory::new(),
+            // Every tracked line sits in some L2, so the total L2 line
+            // count bounds the directory.
+            dir: Directory::with_capacity(
+                n_cores * (cfg.l2.capacity_bytes / u64::from(cfg.l2.line_bytes)) as usize,
+            ),
             channels,
             locks: HashMap::new(),
             barrier_count: 0,
@@ -561,6 +565,19 @@ mod tests {
         let trace = StridedSource::new(32, 0.3, 1 << 20);
         let err = Simulator::try_new(cfg, trace).err();
         assert_eq!(err, Some(crate::config::ConfigError::PageModeWithoutTiming));
+    }
+
+    #[test]
+    fn both_engines_reject_bad_cache_geometry_instead_of_panicking() {
+        // Regression: a bad geometry used to pass validate() and panic
+        // inside SetAssocCache::new.
+        let mut cfg = SystemConfig::with_sram_l3();
+        cfg.l2.associativity = 0;
+        let trace = StridedSource::new(32, 0.3, 1 << 20);
+        let want = Some(crate::config::ConfigError::ZeroAssociativity { level: "L2" });
+        assert_eq!(Simulator::try_new(cfg.clone(), trace.clone()).err(), want);
+        let sharded = crate::shard::ShardedSimulator::try_new(cfg, trace, 1);
+        assert_eq!(sharded.err(), want);
     }
 
     #[test]

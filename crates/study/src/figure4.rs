@@ -22,21 +22,34 @@ pub struct AppRun {
 
 /// Runs the full study: every application on every configuration.
 ///
-/// `instructions` is the measured instruction count per run; a quarter of
-/// it is additionally executed first as cache warm-up. The paper runs 10 B
+/// `instructions` is the measured instruction count per run; the same
+/// count is executed first as cache warm-up. The paper runs 10 B
 /// instructions per pair; tens of millions are enough for the synthetic
 /// profiles to reach steady state.
+///
+/// The 48 runs are independent, so they ride the cactid-explore
+/// work-claiming pool at host parallelism. The results are returned
+/// config-major in [`LlcKind::ALL`] × [`NpbApp::ALL`] order whatever the
+/// thread count, and each run is bitwise the serial [`run_one`].
 pub fn run_study(instructions: u64) -> Vec<(StudyConfig, Vec<AppRun>)> {
-    let mut out = Vec::new();
-    for &kind in LlcKind::ALL {
-        let cfg = configs::build(kind);
-        let mut runs = Vec::new();
-        for &app in NpbApp::ALL {
-            runs.push(run_one(&cfg, app, instructions));
-        }
-        out.push((cfg, runs));
+    // Building solves through the process-global solve memo; do it once,
+    // serially, before any simulation starts.
+    let cfgs: Vec<StudyConfig> = LlcKind::ALL.iter().map(|&k| configs::build(k)).collect();
+    // Claim app-major, so concurrently running pairs are almost always
+    // different configurations (the big-L3 tag arrays rarely coincide).
+    let pairs: Vec<(NpbApp, usize)> = NpbApp::ALL
+        .iter()
+        .flat_map(|&app| (0..cfgs.len()).map(move |c| (app, c)))
+        .collect();
+    let runs = cactid_explore::pool::parallel_map(0, &pairs, |_, &(app, c)| {
+        run_one(&cfgs[c], app, instructions)
+    });
+    // Regroup config-major; apps stay in NpbApp::ALL order within each.
+    let mut by_cfg: Vec<Vec<AppRun>> = cfgs.iter().map(|_| Vec::new()).collect();
+    for (run, &(_, c)) in runs.into_iter().zip(&pairs) {
+        by_cfg[c].push(run);
     }
-    out
+    cfgs.into_iter().zip(by_cfg).collect()
 }
 
 /// Runs one (application, configuration) pair.
@@ -142,6 +155,24 @@ mod tests {
         );
         assert!(b.stats.avg_read_latency() < a.stats.avg_read_latency());
         assert!(b.stats.counts.mem_reads < a.stats.counts.mem_reads);
+    }
+
+    #[test]
+    fn parallel_study_matches_the_serial_loop_in_order_and_bits() {
+        let n = 20_000;
+        let study = run_study(n);
+        let kinds: Vec<LlcKind> = study.iter().map(|(c, _)| c.kind).collect();
+        assert_eq!(kinds, LlcKind::ALL);
+        for (cfg, runs) in &study {
+            let serial = configs::build(cfg.kind);
+            let apps: Vec<NpbApp> = runs.iter().map(|r| r.app).collect();
+            assert_eq!(apps, NpbApp::ALL, "{:?}", cfg.kind);
+            for r in runs {
+                assert_eq!(r.kind, cfg.kind);
+                let want = run_one(&serial, r.app, n).stats.digest();
+                assert_eq!(r.stats.digest(), want, "{:?} {:?}", cfg.kind, r.app);
+            }
+        }
     }
 
     #[test]
