@@ -54,6 +54,26 @@ echo "$RESUMED" | grep -q "solved 0," || {
 }
 rm -rf "$(dirname "$OUT")"
 
+echo "== explore sweep-sharing smoke run (three knob variants)"
+# The default/ed/c variants share every sweep input, so the 12-spec grid
+# runs one organization sweep per (size, assoc) pair: 4 sweeps. The JSONL
+# must not depend on the thread count.
+XDIR=$(mktemp -d)
+$CACTID explore --sizes 64K,128K --assocs 4,8 --opts default,ed,c \
+    --threads 1 --out "$XDIR/t1.jsonl" 2>/dev/null
+SHARED=$($CACTID explore --sizes 64K,128K --assocs 4,8 --opts default,ed,c \
+    --threads 2 --out "$XDIR/t2.jsonl" 2>&1 >/dev/null)
+cmp "$XDIR/t1.jsonl" "$XDIR/t2.jsonl" || {
+    echo "sweep-sharing JSONL differs between --threads 1 and 2" >&2
+    exit 1
+}
+echo "$SHARED" | grep -q "sweeps 4," || {
+    echo "the three knob variants did not share their sweeps:" >&2
+    echo "$SHARED" >&2
+    exit 1
+}
+rm -rf "$XDIR"
+
 echo "== --trace smoke run (determinism + sidecar validity)"
 # The result JSONL must be byte-identical with tracing on or off, at any
 # thread count; the sidecar must be non-empty, one JSON object per line,

@@ -668,6 +668,11 @@ pub fn solve_with(
 ///    leakage (+ refresh) power, random cycle time and interleave cycle
 ///    time.
 ///
+/// Of `spec` only the six select-only knobs are read — the overhead caps
+/// and the weights. Every other field went into the sweep that produced
+/// `solutions`, so one sweep of [`MemorySpec::sweep_key`] serves every
+/// knob set that shares the key, with one `select` per knob set.
+///
 /// # Errors
 ///
 /// [`CactiError::NoFeasibleSolution`] if `solutions` is empty, or when no
@@ -934,6 +939,73 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.total(), 4);
         assert_eq!(h.wordline_elmore, 1);
+    }
+
+    /// The paper's three §3.1 knob sets (`default`, `ed`, `c`), as the
+    /// explore grid names them.
+    fn named_knob_sets() -> [OptimizationOptions; 3] {
+        [
+            OptimizationOptions::default(),
+            OptimizationOptions {
+                max_area_overhead: 0.60,
+                max_access_time_overhead: 0.15,
+                weight_dynamic: 1.5,
+                weight_leakage: 0.3,
+                weight_cycle: 2.0,
+                weight_interleave: 1.0,
+                ..OptimizationOptions::default()
+            },
+            OptimizationOptions {
+                max_area_overhead: 0.20,
+                max_access_time_overhead: 1.0,
+                weight_dynamic: 0.5,
+                weight_leakage: 1.0,
+                weight_cycle: 0.3,
+                weight_interleave: 0.3,
+                ..OptimizationOptions::default()
+            },
+        ]
+    }
+
+    #[test]
+    fn sweep_is_bitwise_equal_across_the_named_knob_sets() {
+        let lp_dram = MemorySpec::builder()
+            .capacity_bytes(8 << 20)
+            .block_bytes(64)
+            .associativity(16)
+            .banks(2)
+            .cell_tech(CellTechnology::LpDram)
+            .node(TechNode::N45)
+            .kind(MemoryKind::Cache {
+                access_mode: AccessMode::Sequential,
+            })
+            .build()
+            .unwrap();
+        for base in [l2(), lp_dram] {
+            let key = solve_with_stats(&base.sweep_key(), None);
+            let key_sols = key.result.as_ref().unwrap();
+            let mut picks = Vec::new();
+            for opt in named_knob_sets() {
+                let spec = MemorySpec {
+                    opt,
+                    ..base.clone()
+                };
+                assert_eq!(spec.sweep_key(), base.sweep_key());
+                let out = solve_with_stats(&spec, None);
+                assert_eq!(out.stats, key.stats);
+                // Debug renders every f64 shortest-round-trip (and keeps
+                // the sign of zero), so equal strings mean equal bits.
+                assert_eq!(format!("{:?}", out.result), format!("{:?}", key.result));
+                let own = select(&spec, out.result.as_ref().unwrap()).unwrap();
+                let shared = select(&spec, key_sols).unwrap();
+                assert_eq!(format!("{own:?}"), format!("{shared:?}"));
+                picks.push(own.org);
+            }
+            assert!(
+                picks.windows(2).any(|w| w[0] != w[1]),
+                "the knob sets must actually pick differently: {picks:?}"
+            );
+        }
     }
 
     #[test]

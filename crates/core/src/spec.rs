@@ -52,6 +52,14 @@ impl MemoryKind {
 }
 
 /// Optimization knobs (paper §2.4).
+///
+/// The knobs split by which optimizer step reads them. The organization
+/// sweep ([`crate::solve_with_stats`]) reads only `repeater_relax` and
+/// `sleep_transistors`; the other six — the two overhead caps and the four
+/// objective weights — are read by [`crate::select`] alone. So two specs
+/// that differ only in those six sweep the same organizations to the same
+/// solution set, and a batch engine may run one sweep and select once per
+/// knob set ([`MemorySpec::sweep_key`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizationOptions {
     /// Keep solutions with area within this fraction above the best-area
@@ -147,6 +155,28 @@ impl MemorySpec {
     /// Capacity of one bank \[bytes\].
     pub fn bank_bytes(&self) -> u64 {
         self.capacity_bytes / u64::from(self.n_banks)
+    }
+
+    /// This spec with its six select-only knobs (`max_area_overhead`,
+    /// `max_access_time_overhead` and the four `weight_*` fields) reset to
+    /// [`OptimizationOptions::default`].
+    ///
+    /// Two specs with equal sweep keys have bitwise-identical
+    /// [`crate::solve_with_stats`] outcomes — the same solution set in the
+    /// same order, and the same [`crate::SolveStats`] — because the sweep
+    /// never reads a select-only knob; only [`crate::select`] does. A
+    /// [`crate::SolutionLinter`] passed to the sweep must keep to the same
+    /// rule for the equality to hold with it attached (the analyzer's
+    /// candidate stages read no optimization knob).
+    pub fn sweep_key(&self) -> MemorySpec {
+        MemorySpec {
+            opt: OptimizationOptions {
+                repeater_relax: self.opt.repeater_relax,
+                sleep_transistors: self.opt.sleep_transistors,
+                ..OptimizationOptions::default()
+            },
+            ..self.clone()
+        }
     }
 
     /// Number of sets (whole memory).
@@ -267,11 +297,29 @@ impl MemorySpec {
                 }
             }
         }
-        if self.opt.repeater_relax < 1.0 {
+        // The knob checks mirror lint CD0009's errors and must reject NaN,
+        // which passes every plain `<` test: a NaN knob makes the spec
+        // unequal to itself, so no memo could ever key on it.
+        let o = &self.opt;
+        if o.repeater_relax.is_nan() || o.repeater_relax < 1.0 {
             return err("repeater relaxation must be ≥ 1.0");
         }
-        if self.opt.max_area_overhead < 0.0 || self.opt.max_access_time_overhead < 0.0 {
-            return err("optimization overheads must be non-negative");
+        let finite_non_negative = |v: f64| v.is_finite() && v >= 0.0;
+        if !(finite_non_negative(o.max_area_overhead)
+            && finite_non_negative(o.max_access_time_overhead))
+        {
+            return err("optimization overheads must be finite and non-negative");
+        }
+        if ![
+            o.weight_dynamic,
+            o.weight_leakage,
+            o.weight_cycle,
+            o.weight_interleave,
+        ]
+        .into_iter()
+        .all(finite_non_negative)
+        {
+            return err("objective weights must be finite and non-negative");
         }
         Ok(())
     }
@@ -532,6 +580,119 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(e.to_string().contains("page size"));
+    }
+
+    fn with_opt(edit: impl FnOnce(&mut OptimizationOptions)) -> Result<MemorySpec, CactiError> {
+        let mut opt = OptimizationOptions::default();
+        edit(&mut opt);
+        cache_builder().optimization(opt).build()
+    }
+
+    fn assert_rejected(edit: impl FnOnce(&mut OptimizationOptions), what: &str) {
+        let e = with_opt(edit).unwrap_err();
+        assert!(e.to_string().contains(what), "{e}");
+    }
+
+    #[test]
+    fn rejects_nan_repeater_relax() {
+        assert_rejected(|o| o.repeater_relax = f64::NAN, "repeater relaxation");
+    }
+
+    #[test]
+    fn rejects_repeater_relax_below_one() {
+        assert_rejected(|o| o.repeater_relax = 0.5, "repeater relaxation");
+    }
+
+    #[test]
+    fn rejects_nan_area_overhead() {
+        assert_rejected(|o| o.max_area_overhead = f64::NAN, "overheads");
+    }
+
+    #[test]
+    fn rejects_nan_access_time_overhead() {
+        assert_rejected(|o| o.max_access_time_overhead = f64::NAN, "overheads");
+    }
+
+    #[test]
+    fn rejects_infinite_overhead() {
+        assert_rejected(|o| o.max_area_overhead = f64::INFINITY, "overheads");
+    }
+
+    #[test]
+    fn rejects_negative_overhead() {
+        assert_rejected(|o| o.max_access_time_overhead = -0.1, "overheads");
+    }
+
+    #[test]
+    fn rejects_nan_weight() {
+        assert_rejected(|o| o.weight_dynamic = f64::NAN, "weights");
+    }
+
+    #[test]
+    fn rejects_infinite_weight() {
+        assert_rejected(|o| o.weight_leakage = f64::INFINITY, "weights");
+    }
+
+    #[test]
+    fn rejects_negative_weight() {
+        assert_rejected(|o| o.weight_cycle = -1.0, "weights");
+    }
+
+    #[test]
+    fn rejects_negative_interleave_weight() {
+        assert_rejected(|o| o.weight_interleave = -0.5, "weights");
+    }
+
+    #[test]
+    fn accepts_zero_weights_and_large_relax() {
+        // CD0009 only warns on these, so the builder accepts them.
+        let s = with_opt(|o| {
+            o.weight_dynamic = 0.0;
+            o.weight_leakage = 0.0;
+            o.weight_cycle = 0.0;
+            o.weight_interleave = 0.0;
+            o.repeater_relax = 8.0;
+        })
+        .unwrap();
+        assert_eq!(s, s.clone(), "a valid spec equals itself");
+    }
+
+    #[test]
+    fn sweep_key_resets_only_the_select_knobs() {
+        let s = with_opt(|o| {
+            o.max_area_overhead = 0.2;
+            o.max_access_time_overhead = 1.0;
+            o.weight_dynamic = 0.5;
+            o.weight_leakage = 2.0;
+            o.weight_cycle = 0.3;
+            o.weight_interleave = 0.0;
+            o.repeater_relax = 1.5;
+            o.sleep_transistors = true;
+        })
+        .unwrap();
+        let key = s.sweep_key();
+        assert_eq!(
+            key.opt,
+            OptimizationOptions {
+                repeater_relax: 1.5,
+                sleep_transistors: true,
+                ..OptimizationOptions::default()
+            }
+        );
+        assert_eq!(key.opt, key.sweep_key().opt, "idempotent");
+        assert_eq!(
+            MemorySpec {
+                opt: s.opt.clone(),
+                ..key
+            },
+            s
+        );
+        // The sweep knobs stay in the key.
+        let relaxed = with_opt(|o| o.repeater_relax = 2.0).unwrap();
+        assert_ne!(
+            relaxed.sweep_key(),
+            cache_builder().build().unwrap().sweep_key()
+        );
     }
 
     #[test]

@@ -3,23 +3,31 @@
 //! Exploration grids routinely contain duplicate specs (two opt variants
 //! with identical knobs, overlapping sub-sweeps) and study configurations
 //! re-optimize the same L1/L2 specs many times over. [`SolveCache`] makes
-//! every distinct spec cost one solve: entries are keyed by
+//! every distinct spec cost at most one select: entries are keyed by
 //! [`crate::hash::spec_fingerprint`] and verified by full spec equality on
 //! lookup, so a 64-bit collision degrades to a miss instead of a wrong
 //! answer.
+//!
+//! Specs that differ only in their select-only knobs share one
+//! organization sweep ([`MemorySpec::sweep_key`]): [`SolveCache::solve_group`]
+//! takes such a family, runs at most one [`solve_with_stats`] for its
+//! memo misses and one [`select`] per miss. This is exact, not a
+//! heuristic — the sweep never reads a select-only knob, so every member's
+//! own sweep would return the same bits. [`SolveCache::solve_point`] is the
+//! one-member case.
 //!
 //! The solve itself runs with the mutex *released* — only lookup and
 //! insert take the lock — so concurrent workers memoize without
 //! serializing on each other. Two threads racing on the same cold spec may
 //! both solve it; the first insert wins and both observe the same entry
 //! (solves are deterministic). The exploration engine avoids even that
-//! duplicated work by pre-grouping its points per fingerprint.
+//! duplicated work by pre-grouping its points per sweep key and spec.
 
 use crate::hash::spec_fingerprint;
 use cactid_core::{select, solve_with_stats, CactiError, MemorySpec, Solution};
 use cactid_core::{SolutionLinter, SolveStats};
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// One memoized solve: the §2.4 winner (or why there is none) plus the
 /// sweep counters of producing it.
@@ -31,13 +39,24 @@ pub struct CachedSolve {
     pub stats: SolveStats,
 }
 
+/// What one [`SolveCache::solve_group`] call produced.
+#[derive(Debug, Clone)]
+pub struct GroupSolve {
+    /// One entry per member spec, in member order, each paired with
+    /// whether it was served from the memo.
+    pub members: Vec<(CachedSolve, bool)>,
+    /// The counters of the organization sweep this call ran, or `None`
+    /// when every member was a memo hit and nothing was swept.
+    pub sweep: Option<SolveStats>,
+}
+
 /// A thread-safe solve memo. See the module docs for the locking contract.
 ///
 /// A cache instance must not be shared between *different* linter
 /// configurations: the linter participates in the solve but not in the
 /// key. The exploration engine owns a private cache per run (one fixed
-/// linter), and the process-global cache behind [`optimize_cached`] is
-/// always lint-free.
+/// linter), and callers of [`optimize_cached_in`] with
+/// [`SolveCache::global`] always solve lint-free.
 #[derive(Debug, Default)]
 pub struct SolveCache {
     map: Mutex<HashMap<u64, Vec<(MemorySpec, CachedSolve)>>>,
@@ -49,20 +68,22 @@ impl SolveCache {
         SolveCache::default()
     }
 
-    /// The process-global cache used by [`optimize_cached`].
+    /// The process-global cache, for callers that want process-wide
+    /// sharing (pass it to [`optimize_cached_in`]).
     pub fn global() -> &'static SolveCache {
         static GLOBAL: OnceLock<SolveCache> = OnceLock::new();
         GLOBAL.get_or_init(SolveCache::new)
     }
 
-    /// The number of memoized specs.
-    pub fn len(&self) -> usize {
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, Vec<(MemorySpec, CachedSolve)>>> {
         self.map
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-            .map(Vec::len)
-            .sum()
+    }
+
+    /// The number of memoized specs.
+    pub fn len(&self) -> usize {
+        self.lock().values().map(Vec::len).sum()
     }
 
     /// `true` when nothing is memoized.
@@ -72,70 +93,115 @@ impl SolveCache {
 
     /// Drops every entry (benchmarks use this to re-run cold).
     pub fn clear(&self) {
-        self.map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-    }
-
-    fn lookup(&self, key: u64, spec: &MemorySpec) -> Option<CachedSolve> {
-        let map = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.get(&key)
-            .and_then(|bucket| bucket.iter().find(|(s, _)| s == spec))
-            .map(|(_, entry)| entry.clone())
+        self.lock().clear();
     }
 
     /// Solves `spec` (solve → §2.4 select) through the memo. Returns the
-    /// entry and whether it was served from cache.
+    /// entry and whether it was served from cache. This is
+    /// [`SolveCache::solve_group`] with one member.
     pub fn solve_point(
         &self,
         spec: &MemorySpec,
         linter: Option<&dyn SolutionLinter>,
     ) -> (CachedSolve, bool) {
-        let key = spec_fingerprint(spec);
-        if let Some(hit) = self.lookup(key, spec) {
-            cactid_obs::counter!("explore.cache.hits").inc();
-            return (hit, true);
-        }
-        cactid_obs::counter!("explore.cache.misses").inc();
-        // Solve outside the lock; expensive points must not serialize the
-        // rest of the pool.
-        let outcome = solve_with_stats(spec, linter);
-        let entry = CachedSolve {
-            result: outcome.result.and_then(|sols| select(spec, &sols)),
-            stats: outcome.stats,
+        let Some(member) = self.solve_group(&[spec], linter).members.pop() else {
+            unreachable!("a one-member group answers one member")
         };
-        let mut map = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let bucket = map.entry(key).or_default();
-        if let Some((_, first)) = bucket.iter().find(|(s, _)| s == spec) {
-            // Lost a cold-spec race; keep the first insert so every caller
-            // observes one entry.
-            cactid_obs::counter!("explore.cache.cold_races").inc();
-            return (first.clone(), true);
+        member
+    }
+
+    /// Solves a family of specs that share one [`MemorySpec::sweep_key`]
+    /// through the memo: each member is looked up, and for the misses one
+    /// organization sweep runs (on the first miss's spec, so the linter
+    /// sees a real member) followed by one [`select`] per miss.
+    ///
+    /// Each member's entry is exactly what [`SolveCache::solve_point`]
+    /// alone would have produced for it, stats included. The caller must
+    /// pass distinct members with equal sweep keys.
+    pub fn solve_group(
+        &self,
+        specs: &[&MemorySpec],
+        linter: Option<&dyn SolutionLinter>,
+    ) -> GroupSolve {
+        debug_assert!(
+            specs
+                .windows(2)
+                .all(|w| w[0].sweep_key() == w[1].sweep_key()),
+            "solve_group members must share one sweep key"
+        );
+        let keys: Vec<u64> = specs.iter().map(|s| spec_fingerprint(s)).collect();
+        let mut found: Vec<Option<(CachedSolve, bool)>> = {
+            let map = self.lock();
+            specs
+                .iter()
+                .zip(&keys)
+                .map(|(spec, key)| {
+                    map.get(key)
+                        .and_then(|bucket| bucket.iter().find(|(s, _)| s == *spec))
+                        .map(|(_, entry)| (entry.clone(), true))
+                })
+                .collect()
+        };
+        let misses: Vec<usize> = (0..specs.len()).filter(|&i| found[i].is_none()).collect();
+        if misses.len() < specs.len() {
+            cactid_obs::counter!("explore.cache.hits").add((specs.len() - misses.len()) as u64);
         }
-        if !bucket.is_empty() {
-            // Same 64-bit fingerprint, different spec: equality verification
-            // turned a would-be wrong answer into a plain miss.
-            cactid_obs::counter!("explore.cache.collisions").inc();
+        let Some(&first_miss) = misses.first() else {
+            return GroupSolve {
+                members: found.into_iter().flatten().collect(),
+                sweep: None,
+            };
+        };
+        cactid_obs::counter!("explore.cache.misses").add(misses.len() as u64);
+        // Sweep and select outside the lock; expensive points must not
+        // serialize the rest of the pool.
+        let outcome = solve_with_stats(specs[first_miss], linter);
+        let sweep = outcome.stats;
+        let solved: Vec<CachedSolve> = misses
+            .iter()
+            .map(|&i| CachedSolve {
+                result: match &outcome.result {
+                    Ok(sols) => select(specs[i], sols),
+                    Err(e) => Err(e.clone()),
+                },
+                stats: sweep,
+            })
+            .collect();
+        // Free the solution set before the memo inserts: long-lived entries
+        // allocated around a large dead buffer fragment the heap.
+        drop(outcome);
+        let mut map = self.lock();
+        for (&i, entry) in misses.iter().zip(solved) {
+            let bucket = map.entry(keys[i]).or_default();
+            if let Some((_, first)) = bucket.iter().find(|(s, _)| s == specs[i]) {
+                // Lost a cold-spec race; keep the first insert so every
+                // caller observes one entry.
+                cactid_obs::counter!("explore.cache.cold_races").inc();
+                found[i] = Some((first.clone(), true));
+                continue;
+            }
+            if !bucket.is_empty() {
+                // Same 64-bit fingerprint, different spec: equality
+                // verification turned a would-be wrong answer into a miss.
+                cactid_obs::counter!("explore.cache.collisions").inc();
+            }
+            bucket.push((specs[i].clone(), entry.clone()));
+            found[i] = Some((entry, false));
         }
-        bucket.push((spec.clone(), entry.clone()));
-        (entry, false)
+        GroupSolve {
+            members: found.into_iter().flatten().collect(),
+            sweep: Some(sweep),
+        }
     }
 }
 
 /// [`cactid_core::optimize`] through an explicit, caller-owned memo: the
 /// first call per distinct spec solves, every later call against the same
-/// `cache` is a lookup. This is the injectable form — the exploration
-/// engine ([`crate::ExploreConfig::cache`]), study drivers, and long-lived
+/// `cache` is a lookup. The exploration engine
+/// ([`crate::ExploreConfig::cache`]), study drivers, and long-lived
 /// services each pass the handle they want shared, instead of implicitly
-/// coupling through process state. Pass [`SolveCache::global`] to get the
-/// old process-wide sharing behavior explicitly.
+/// coupling through process state; pass [`SolveCache::global`] for
+/// process-wide sharing.
 ///
 /// The cache must only ever see lint-free solves (this function passes no
 /// linter); see the [`SolveCache`] docs for the sharing contract.
@@ -145,26 +211,6 @@ impl SolveCache {
 /// Exactly those of [`cactid_core::optimize`].
 pub fn optimize_cached_in(cache: &SolveCache, spec: &MemorySpec) -> Result<Solution, CactiError> {
     cache.solve_point(spec, None).0.result
-}
-
-/// [`cactid_core::optimize`] through the process-global memo.
-///
-/// Thin shim over [`optimize_cached_in`] with [`SolveCache::global`];
-/// kept so pre-existing call sites keep compiling and behaving
-/// identically, but new code should take a [`SolveCache`] handle
-/// explicitly — implicit process-global state is impossible to scope,
-/// reset, or share across a service boundary deliberately. No longer
-/// re-exported at the crate root; this shim is slated for removal once
-/// no in-tree caller names it, and is hidden from the rendered docs so
-/// it cannot attract new callers in the meantime.
-///
-/// # Errors
-///
-/// Exactly those of [`cactid_core::optimize`].
-#[doc(hidden)]
-#[deprecated(note = "pass a cache handle: `optimize_cached_in(SolveCache::global(), spec)`")]
-pub fn optimize_cached(spec: &MemorySpec) -> Result<Solution, CactiError> {
-    optimize_cached_in(SolveCache::global(), spec)
 }
 
 #[cfg(test)]
@@ -211,19 +257,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_global_shim_still_routes_through_the_global_memo() {
-        let s = spec(256 << 10);
-        let via_shim = optimize_cached(&s).unwrap();
-        assert_eq!(
-            via_shim,
-            optimize_cached_in(SolveCache::global(), &s).unwrap()
-        );
-        let (_, hit) = SolveCache::global().solve_point(&s, None);
-        assert!(hit, "the shim populated the global cache");
-    }
-
-    #[test]
     fn injectable_handles_are_independent() {
         let a = SolveCache::new();
         let b = SolveCache::new();
@@ -250,6 +283,38 @@ mod tests {
         assert!(cache.is_empty());
         let (_, hit) = cache.solve_point(&s, None);
         assert!(!hit);
+    }
+
+    #[test]
+    fn a_group_sweeps_once_for_its_misses_and_matches_single_solves() {
+        let base = spec(64 << 10);
+        let knobs = |weight_dynamic: f64, max_area_overhead: f64| MemorySpec {
+            opt: cactid_core::OptimizationOptions {
+                weight_dynamic,
+                max_area_overhead,
+                ..base.opt.clone()
+            },
+            ..base.clone()
+        };
+        let members = [base.clone(), knobs(100.0, 1.0), knobs(0.0, 0.1)];
+        let cache = SolveCache::new();
+        cache.solve_point(&members[0], None);
+        let calls = cactid_obs::counter!("core.solve.calls").get();
+        let refs: Vec<&MemorySpec> = members.iter().collect();
+        let group = cache.solve_group(&refs, None);
+        assert!(group.sweep.is_some(), "two members missed");
+        assert!(cactid_obs::counter!("core.solve.calls").get() > calls);
+        let hits: Vec<bool> = group.members.iter().map(|(_, hit)| *hit).collect();
+        assert_eq!(hits, [true, false, false]);
+        for (spec, (entry, _)) in members.iter().zip(&group.members) {
+            let alone = SolveCache::new().solve_point(spec, None).0;
+            assert_eq!(entry.stats, alone.stats);
+            assert_eq!(entry.result, alone.result);
+        }
+        assert_eq!(cache.len(), 3);
+        let again = cache.solve_group(&refs, None);
+        assert!(again.sweep.is_none(), "a warm group runs no sweep");
+        assert!(again.members.iter().all(|(_, hit)| *hit));
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //!    fingerprint ([`crate::grid`]).
 //! 2. **Solve** — completed points are restored from the checkpoint
 //!    sidecars ([`crate::resume`]); the remaining valid points are grouped
-//!    by spec fingerprint so duplicates cost one solve, and the groups are
-//!    drained by the work-claiming pool ([`crate::pool`]). Every finished
-//!    point streams to the sidecars immediately, so an interrupt loses at
-//!    most the points in flight.
+//!    by sweep key ([`cactid_core::MemorySpec::sweep_key`]) so specs that
+//!    differ only in select-only knobs share one organization sweep, and
+//!    within a group by exact spec so duplicates cost nothing. The work-
+//!    claiming pool ([`crate::pool`]) drains one job per sweep group:
+//!    sweep, one select per spec, render. Every finished point streams to
+//!    the sidecars immediately, so an interrupt loses at most the points
+//!    in flight.
 //! 3. **Finalize** — the Pareto frontier is extracted ([`crate::pareto`]),
 //!    `ok` records are annotated, and the final JSONL is written sorted by
 //!    point index via a temp-file rename.
@@ -19,21 +22,22 @@
 //! grid regardless of thread count, completion order, or how many times the
 //! run was interrupted and resumed.
 
-use crate::cache::SolveCache;
+use crate::cache::{CachedSolve, SolveCache};
 use crate::error::ExploreError;
 use crate::grid::Grid;
+use crate::hash::spec_fingerprint;
 use crate::pareto::{frontier, ParetoMetrics, ParetoPoint};
 use crate::pool;
 use crate::record;
 pub use crate::record::PointStatus;
 use crate::resume;
 use crate::stats::EngineStats;
-use cactid_core::{CertifiedBounds, SolutionLinter};
+use cactid_core::{CertifiedBounds, MemorySpec, SolutionLinter};
 use cactid_tech::{CellTechnology, TechNode, Technology};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use std::time::Instant;
 
@@ -56,6 +60,9 @@ pub struct ExploreConfig<'a> {
     /// infeasible point, so output files are unaffected.
     pub audit: bool,
     /// Lint engine consulted on every candidate (shared across workers).
+    /// Specs that share a sweep key share one linted sweep, so the linter
+    /// must not read the select-only knobs of the spec it is given (the
+    /// analyzer's candidate stages read no optimization knob).
     pub linter: Option<&'a (dyn SolutionLinter + Sync)>,
     /// Solve memo to populate and consult. `None` (the default) gives the
     /// run a fresh private cache, preserving the engine's historical
@@ -91,6 +98,24 @@ pub struct ExploreReport {
     pub frontier: Vec<ParetoPoint>,
     /// Stage counters and timing.
     pub stats: EngineStats,
+}
+
+/// One pool job: the distinct specs of the grid that share one
+/// [`MemorySpec::sweep_key`], so one organization sweep answers them all.
+struct SweepJob {
+    /// The shared sweep key.
+    key: MemorySpec,
+    /// Point indices per distinct spec; each member's first point carries
+    /// the spec, the rest are duplicates of it.
+    members: Vec<Vec<usize>>,
+}
+
+/// One job member's answer and its records, rendered on the worker.
+struct Rendered {
+    entry: CachedSolve,
+    was_cached: bool,
+    /// One record per point of the member, in member order.
+    lines: Vec<String>,
 }
 
 struct Sidecars {
@@ -191,11 +216,20 @@ pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport,
     let mut metrics: Vec<Option<ParetoMetrics>> = vec![None; n];
 
     // Place resumed points, render invalid ones, and group the remaining
-    // valid points by spec fingerprint — duplicates ride along with their
-    // group and cost nothing. Group order follows first point index, so
-    // job numbering is deterministic.
-    let mut jobs: Vec<Vec<usize>> = Vec::new();
+    // valid points twice: by sweep key (one pool job per organization
+    // sweep), then within a job by exact spec (duplicates ride along and
+    // cost nothing). Both levels resolve 64-bit collisions by equality,
+    // like the solve memo does. Jobs follow first point index, so job
+    // numbering is deterministic.
+    let spec_at = |idx: usize| -> &MemorySpec {
+        let Ok(spec) = points[idx].spec.as_ref() else {
+            unreachable!("job specs are valid")
+        };
+        spec
+    };
+    let mut jobs: Vec<SweepJob> = Vec::new();
     let mut job_of: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut member_of: HashMap<u64, Vec<(usize, usize)>> = HashMap::new();
     for point in points {
         let idx = point.idx;
         if let Some(r) = resumed.get(&idx) {
@@ -213,20 +247,29 @@ pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport,
         }
         match (&point.spec, point.fingerprint()) {
             (Ok(spec), Some(fp)) => {
-                // Buckets resolve 64-bit collisions by spec equality, like
-                // the solve memo does.
-                let bucket = job_of.entry(fp).or_default();
-                let existing = bucket
+                let members = member_of.entry(fp).or_default();
+                if let Some(&(j, m)) = members
                     .iter()
-                    .copied()
-                    .find(|&j| points[jobs[j][0]].spec.as_ref().ok() == Some(spec));
-                match existing {
-                    Some(j) => jobs[j].push(idx),
-                    None => {
-                        bucket.push(jobs.len());
-                        jobs.push(vec![idx]);
-                    }
+                    .find(|&&(j, m)| spec_at(jobs[j].members[m][0]) == spec)
+                {
+                    jobs[j].members[m].push(idx);
+                    continue;
                 }
+                let key = spec.sweep_key();
+                let sweep = job_of.entry(spec_fingerprint(&key)).or_default();
+                let j = match sweep.iter().copied().find(|&j| jobs[j].key == key) {
+                    Some(j) => j,
+                    None => {
+                        sweep.push(jobs.len());
+                        jobs.push(SweepJob {
+                            key,
+                            members: Vec::new(),
+                        });
+                        jobs.len() - 1
+                    }
+                };
+                members.push((j, jobs[j].members.len()));
+                jobs[j].members.push(vec![idx]);
             }
             _ => {
                 let err = point.spec.as_ref().expect_err("no fingerprint means Err");
@@ -240,13 +283,16 @@ pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport,
             }
         }
     }
-    stats.unique_specs = jobs.len();
+    drop(member_of);
+    drop(job_of);
+    stats.unique_specs = jobs.iter().map(|job| job.members.len()).sum();
 
-    // Optional static screen: prove unique specs infeasible with the exact
-    // closed-form checks the solve itself would apply, and retire their
-    // whole groups without touching the solver. The rendered records carry
-    // the screen's sweep counters, which match a real infeasible solve
-    // exactly, so the output stays byte-identical.
+    // Optional static screen: prove sweep groups infeasible with the exact
+    // closed-form checks the solve itself would apply, and retire every
+    // member without touching the solver. The screen reads no select-only
+    // knob, so one screen per sweep group decides all of its specs. The
+    // rendered records carry the screen's sweep counters, which match a
+    // real infeasible solve exactly, so the output stays byte-identical.
     if config.audit {
         let _audit_span = cactid_obs::span("explore.audit");
         // One interval scan per (node, cell) pair covers every spec that
@@ -255,32 +301,30 @@ pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport,
         // bounds, so the rendered records stay byte-identical.
         let mut proved: HashMap<(TechNode, CellTechnology), CertifiedBounds> = HashMap::new();
         let mut kept = Vec::with_capacity(jobs.len());
-        for group in std::mem::take(&mut jobs) {
-            let Ok(spec) = points[group[0]].spec.as_ref() else {
-                unreachable!("job specs are valid")
-            };
+        for job in std::mem::take(&mut jobs) {
+            let spec = &job.key;
             let bounds = proved
                 .entry((spec.node, spec.cell_tech))
                 .or_insert_with(|| cactid_prove::certified_bounds(spec.node, spec.cell_tech));
             let screen = cactid_core::static_screen_certified(spec, bounds);
             match screen.verdict {
                 cactid_core::ScreenVerdict::Infeasible(err) => {
-                    let solved = crate::cache::CachedSolve {
+                    let solved = CachedSolve {
                         result: Err(err),
                         stats: screen.stats,
                     };
                     let status = record::solved_status(&solved);
-                    for &idx in &group {
+                    for &idx in job.members.iter().flatten() {
                         let line = record::render_solved(&points[idx], &solved);
                         if let Some(s) = sidecars.as_mut() {
                             s.record(idx, &line, status, None)?;
                         }
                         lines[idx] = Some(line);
                         statuses[idx] = Some(status);
+                        stats.audit_skipped += 1;
                     }
-                    stats.audit_skipped += group.len();
                 }
-                cactid_core::ScreenVerdict::MaybeFeasible { .. } => kept.push(group),
+                cactid_core::ScreenVerdict::MaybeFeasible { .. } => kept.push(job),
             }
         }
         jobs = kept;
@@ -303,40 +347,65 @@ pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport,
     pool::run_indexed(
         config.threads,
         jobs.len(),
+        // The worker sweeps, selects and renders; the sink below only
+        // places finished lines, so the lock it runs under stays short.
         |j| {
-            let Ok(spec) = points[jobs[j][0]].spec.as_ref() else {
-                unreachable!("job specs are valid")
-            };
-            cache.solve_point(spec, linter.map(|l| l as &dyn SolutionLinter))
-        },
-        |j, (solved, was_cached)| {
-            let group = &jobs[j];
-            if was_cached {
-                stats.memoized += group.len();
-            } else {
-                stats.solved += 1;
-                stats.memoized += group.len() - 1;
-                stats.orgs_enumerated += solved.stats.orgs_enumerated;
-                stats.bound_pruned += solved.stats.bound_pruned;
-                stats.lint_rejected += solved.stats.lint_rejected;
+            let members = &jobs[j].members;
+            let specs: Vec<&MemorySpec> = members.iter().map(|m| spec_at(m[0])).collect();
+            let solved = cache.solve_group(&specs, linter.map(|l| l as &dyn SolutionLinter));
+            // Move the answers out of the group's buffer before rendering:
+            // records are long-lived, and allocating them while that buffer
+            // is still alive leaves its hole unfilled (about 6 % more peak
+            // RSS on a 28k-point grid, measured on a 2-CPU Linux host).
+            let mut rendered: Vec<Rendered> = solved
+                .members
+                .into_iter()
+                .map(|(entry, was_cached)| Rendered {
+                    entry,
+                    was_cached,
+                    lines: Vec::new(),
+                })
+                .collect();
+            for (r, member) in rendered.iter_mut().zip(members) {
+                r.lines = member
+                    .iter()
+                    .map(|&idx| record::render_solved(&points[idx], &r.entry))
+                    .collect();
             }
-            let status = record::solved_status(&solved);
-            let m = solved.result.as_ref().ok().map(record::solution_metrics);
-            for &idx in group {
-                let line = record::render_solved(&points[idx], &solved);
-                if io_error.is_none() {
-                    if let Some(s) = sidecars.as_mut() {
-                        if let Err(e) = s.record(idx, &line, status, m.as_ref()) {
-                            io_error = Some(e);
+            (rendered, solved.sweep)
+        },
+        |j, (rendered, sweep)| {
+            if let Some(sweep) = sweep {
+                stats.sweeps += 1;
+                stats.orgs_enumerated += sweep.orgs_enumerated;
+                stats.bound_pruned += sweep.bound_pruned;
+                stats.lint_rejected += sweep.lint_rejected;
+            }
+            for (member, r) in jobs[j].members.iter().zip(rendered) {
+                let status = record::solved_status(&r.entry);
+                let m = r.entry.result.as_ref().ok().map(record::solution_metrics);
+                if r.was_cached {
+                    stats.memoized += member.len();
+                } else {
+                    stats.solved += 1;
+                    stats.memoized += member.len() - 1;
+                }
+                for (&idx, line) in member.iter().zip(r.lines) {
+                    if io_error.is_none() {
+                        if let Some(s) = sidecars.as_mut() {
+                            if let Err(e) = s.record(idx, &line, status, m.as_ref()) {
+                                io_error = Some(e);
+                            }
                         }
                     }
+                    lines[idx] = Some(line);
+                    statuses[idx] = Some(status);
+                    metrics[idx] = m;
                 }
-                lines[idx] = Some(line);
-                statuses[idx] = Some(status);
-                metrics[idx] = m;
             }
         },
     );
+    cactid_obs::counter!("explore.engine.sweeps").add(stats.sweeps as u64);
     if let Some(e) = io_error {
         return Err(e);
     }
@@ -383,15 +452,18 @@ pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport,
         .map(|l| l.unwrap_or_else(|| unreachable!("every point is resolved")))
         .collect();
     if let Some(out) = config.out {
-        drop(sidecars); // flushed; keep them on disk so reruns resume free
-        let mut buf = String::new();
-        for l in &lines {
-            buf.push_str(l);
-            buf.push('\n');
-        }
+        // Flushed; keep them on disk so reruns resume free.
+        drop(sidecars);
+        // Stream the lines out rather than joining them first: a joined
+        // copy would double the records' memory at the run's peak.
         let tmp = out.with_extension("jsonl.tmp");
-        std::fs::write(&tmp, buf)
-            .map_err(|e| ExploreError::Io(format!("{}: {e}", tmp.display())))?;
+        let io = |e: std::io::Error| ExploreError::Io(format!("{}: {e}", tmp.display()));
+        let mut file = BufWriter::new(File::create(&tmp).map_err(io)?);
+        for l in &lines {
+            file.write_all(l.as_bytes()).map_err(io)?;
+            file.write_all(b"\n").map_err(io)?;
+        }
+        file.into_inner().map_err(|e| io(e.into_error()))?;
         std::fs::rename(&tmp, out)
             .map_err(|e| ExploreError::Io(format!("{}: {e}", out.display())))?;
     }

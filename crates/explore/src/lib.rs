@@ -11,9 +11,11 @@
 //! * **[`mod@pool`]** — a hermetic `std::thread` pool: workers claim points
 //!   off an atomic cursor (no registry dependencies, in line with the
 //!   workspace's zero-dependency policy).
-//! * **[`mod@cache`]** — a process-wide solve memo keyed by a canonical
-//!   FNV-1a fingerprint of the spec ([`mod@hash`]), so duplicate and
-//!   overlapping grid points are solved once; the underlying
+//! * **[`mod@cache`]** — a solve memo keyed by a canonical FNV-1a
+//!   fingerprint of the spec ([`mod@hash`]), so duplicate and overlapping
+//!   grid points are solved once, and specs that differ only in their
+//!   select-only knobs share one organization sweep
+//!   ([`cactid_core::MemorySpec::sweep_key`]); the underlying
 //!   [`cactid_tech::Technology`] tables are likewise constructed once per
 //!   node ([`cactid_tech::Technology::cached`]).
 //! * **[`explore`]** — the engine: streams one JSONL record per point as it
@@ -29,8 +31,8 @@
 //!   engine's `audit` switch uses the same screen to skip
 //!   statically-doomed points without changing a byte of the output.
 //! * **[`EngineStats`]** — points solved / memoized / resumed / failed,
-//!   organizations enumerated, lint rejections, technology constructions,
-//!   and wall/CPU time per stage.
+//!   sweeps run, organizations enumerated, lint rejections, technology
+//!   constructions, and wall/CPU time per stage.
 //!
 //! # Quickstart
 //!
@@ -64,7 +66,7 @@ pub mod resume;
 mod stats;
 
 pub use audit::{audit, AuditReport, AuditVerdict, PointAudit};
-pub use cache::{optimize_cached_in, SolveCache};
+pub use cache::{optimize_cached_in, GroupSolve, SolveCache};
 pub use engine::{explore, ExploreConfig, ExploreReport, PointStatus};
 pub use error::ExploreError;
 pub use grid::{Grid, GridPoint, OptVariant};

@@ -17,9 +17,17 @@ use std::time::Duration;
 pub struct EngineStats {
     /// Total grid points in the expansion.
     pub points: usize,
-    /// Distinct spec fingerprints among the valid, non-resumed points.
+    /// Distinct specs among the valid, non-resumed points.
     pub unique_specs: usize,
-    /// Points solved fresh this run (one per unique spec actually run).
+    /// Organization sweeps actually run. Specs that differ only in their
+    /// select-only knobs share one sweep
+    /// ([`cactid_core::MemorySpec::sweep_key`]), so this is at most
+    /// `solved`, and a grid with `k` knob variants that all keep the
+    /// default sweep knobs runs `unique_specs / k` sweeps on a cold memo
+    /// without `audit`.
+    pub sweeps: usize,
+    /// Points answered fresh this run (one per unique spec not already in
+    /// the memo), whether or not their sweep was shared.
     pub solved: usize,
     /// Points served from the memo — duplicate specs solved once.
     pub memoized: usize,
@@ -36,11 +44,12 @@ pub struct EngineStats {
     pub ok: usize,
     /// Valid points the solver found no winner for.
     pub infeasible: usize,
-    /// Organizations enumerated across all fresh solves.
+    /// Organizations enumerated, summed over the sweeps run (a shared
+    /// sweep counts once).
     pub orgs_enumerated: usize,
-    /// Candidates the pre-screen bounds pruned across all fresh solves.
+    /// Candidates the pre-screen bounds pruned, summed over the sweeps run.
     pub bound_pruned: usize,
-    /// Candidates the lint engine rejected across all fresh solves.
+    /// Candidates the lint engine rejected, summed over the sweeps run.
     pub lint_rejected: usize,
     /// [`cactid_tech::Technology`] constructions observed during the run
     /// (the per-node memo should hold this at one per distinct node).
@@ -74,7 +83,8 @@ impl EngineStats {
             "cactid-explore: {} points ({} unique specs)\n  \
              solved {}, memoized {}, resumed {}, audit-skipped {}, invalid {}\n  \
              status: {} ok, {} infeasible\n  \
-             orgs enumerated {}, bound-pruned {}, lint-rejected {}, tech constructions {}\n  \
+             sweeps {}, orgs enumerated {}, bound-pruned {}, lint-rejected {}, \
+             tech constructions {}\n  \
              pareto frontier: {} points{}\n  \
              timing: expand {:.1} ms, solve {:.1} ms, finalize {:.1} ms",
             self.points,
@@ -86,6 +96,7 @@ impl EngineStats {
             self.invalid,
             self.ok,
             self.infeasible,
+            self.sweeps,
             self.orgs_enumerated,
             self.bound_pruned,
             self.lint_rejected,
@@ -155,6 +166,20 @@ mod tests {
         };
         assert!(s.render().contains("solved 0,"));
         assert!(s.render().contains("resumed 4"));
+    }
+
+    #[test]
+    fn render_carries_the_sweep_count() {
+        // ci.sh greps for "sweeps 4," on its three-variant smoke grid.
+        let s = EngineStats {
+            points: 12,
+            unique_specs: 12,
+            sweeps: 4,
+            solved: 12,
+            ok: 12,
+            ..EngineStats::default()
+        };
+        assert!(s.render().contains("sweeps 4, orgs enumerated"));
     }
 
     #[test]

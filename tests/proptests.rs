@@ -225,6 +225,75 @@ fn staged_solve_matches_the_unpruned_reference() {
     }
 }
 
+/// The select-only knobs never reach the organization sweep: for random
+/// non-negative overhead caps and weights (exact zeros included), a spec's
+/// `solve_with_stats` outcome is bitwise that of its sweep key, and
+/// `select` over the key's shared solution set picks bitwise what it picks
+/// over the spec's own — the exactness the explore engine's sweep sharing
+/// rests on.
+#[test]
+fn select_knobs_never_change_the_sweep() {
+    use cacti_d::core::{select, solve_with_stats, OptimizationOptions};
+    let mut rng = XorShift64Star::new(0xCAC7_1D0F);
+    // A knob in [0, hi), exactly zero one time in five.
+    let knob = |rng: &mut XorShift64Star, hi: f64| {
+        if rng.next_bool(0.2) {
+            0.0
+        } else {
+            rng.next_f64() * hi
+        }
+    };
+    for _ in 0..CASES / 2 {
+        let cap_shift = rng.next_in_range(14, 19) as u32;
+        let assoc = 1u32 << rng.next_in_range(0, 5) as u32;
+        let cell = CellTechnology::ALL[rng.next_below(3) as usize];
+        let node = [TechNode::N32, TechNode::N45, TechNode::N65, TechNode::N90]
+            [rng.next_below(4) as usize];
+        let Ok(base) = MemorySpec::builder()
+            .capacity_bytes(1u64 << cap_shift)
+            .block_bytes(64)
+            .associativity(assoc)
+            .banks(1)
+            .cell_tech(cell)
+            .node(node)
+            .kind(MemoryKind::Cache {
+                access_mode: AccessMode::Normal,
+            })
+            .build()
+        else {
+            continue;
+        };
+        let key = solve_with_stats(&base.sweep_key(), None);
+        for _ in 0..2 {
+            let opt = OptimizationOptions {
+                max_area_overhead: knob(&mut rng, 3.0),
+                max_access_time_overhead: knob(&mut rng, 3.0),
+                weight_dynamic: knob(&mut rng, 4.0),
+                weight_leakage: knob(&mut rng, 4.0),
+                weight_cycle: knob(&mut rng, 4.0),
+                weight_interleave: knob(&mut rng, 4.0),
+                ..OptimizationOptions::default()
+            };
+            let spec = MemorySpec {
+                opt,
+                ..base.clone()
+            };
+            assert_eq!(spec.sweep_key(), base.sweep_key());
+            let own = solve_with_stats(&spec, None);
+            assert_eq!(own.stats, key.stats);
+            // Debug prints every f64 shortest-round-trip with its sign, so
+            // equal strings mean equal bits.
+            assert_eq!(format!("{:?}", own.result), format!("{:?}", key.result));
+            if let (Ok(own_sols), Ok(key_sols)) = (&own.result, &key.result) {
+                assert_eq!(
+                    format!("{:?}", select(&spec, own_sols)),
+                    format!("{:?}", select(&spec, key_sols))
+                );
+            }
+        }
+    }
+}
+
 /// Three-way verdict agreement on random subarray geometries: the
 /// closed-form pre-screen, the certified fast path (under both the proved
 /// and the conservative certificate), and the full electrical evaluation
