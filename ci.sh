@@ -310,6 +310,14 @@ grep -q '"name":"sim.loads"' "$YDIR/study1.trace.jsonl" || {
     echo "llc-study trace sidecar lacks the sim.loads counter" >&2
     exit 1
 }
+# The simulator counts these two per event and publishes them once per
+# run; the batched totals must still reach the sidecar.
+for NAME in sim.coherence.invalidations sim.mem.refresh_stalls; do
+    grep -q "\"name\":\"$NAME\"" "$YDIR/study1.trace.jsonl" || {
+        echo "llc-study trace sidecar lacks counter $NAME" >&2
+        exit 1
+    }
+done
 rm -rf "$YDIR"
 
 echo "== sim-throughput bench smoke (--quick)"

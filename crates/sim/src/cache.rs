@@ -36,9 +36,13 @@ impl LineState {
 /// derives line/set/tag internally.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: u64,
+    /// `log2(line bytes)`: byte address → line address.
+    line_shift: u32,
+    /// `sets - 1`: line address → set index.
+    set_mask: u64,
+    /// `log2(sets)`: line address → tag.
+    set_shift: u32,
     assoc: usize,
-    line_bytes: u64,
     slots: Vec<u64>,
 }
 
@@ -68,28 +72,31 @@ impl SetAssocCache {
         assert!(sets > 0, "cache smaller than one set");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         SetAssocCache {
-            sets,
+            line_shift: line_bytes.trailing_zeros(),
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
             assoc: associativity as usize,
-            line_bytes: u64::from(line_bytes),
             slots: vec![0; (sets * u64::from(associativity)) as usize],
         }
     }
 
     /// Number of sets.
     pub fn sets(&self) -> u64 {
-        self.sets
+        self.set_mask + 1
     }
 
     /// Set index for an address — exposed for bank/subbank steering.
     pub fn set_index(&self, addr: u64) -> u64 {
-        (addr / self.line_bytes) & (self.sets - 1)
+        (addr >> self.line_shift) & self.set_mask
     }
 
     /// The slot range of `addr`'s set, its tag, and the recency position
-    /// of its line within the set if it is present.
+    /// of its line within the set if it is present. Line size and set
+    /// count are powers of two, so the split is shifts and a mask.
     fn find(&self, addr: u64) -> (std::ops::Range<usize>, u64, Option<usize>) {
-        let set = self.set_index(addr) as usize;
-        let tag = (addr / self.line_bytes) >> self.sets.trailing_zeros();
+        let line = addr >> self.line_shift;
+        let set = (line & self.set_mask) as usize;
+        let tag = line >> self.set_shift;
         let range = set * self.assoc..(set + 1) * self.assoc;
         let pos = self.slots[range.clone()]
             .iter()
@@ -116,7 +123,7 @@ impl SetAssocCache {
     pub fn insert(&mut self, addr: u64, state: LineState) -> Option<Eviction> {
         assert!(state != LineState::Invalid, "cannot insert an invalid line");
         let (range, tag, hit) = self.find(addr);
-        let set = (range.start / self.assoc) as u64;
+        let set = self.set_index(addr);
         // Already present: rotate it to the front. Otherwise the last way
         // (an invalid slot, or the LRU line) makes room.
         let pos = hit.unwrap_or(self.assoc - 1);
@@ -125,7 +132,7 @@ impl SetAssocCache {
         ways[..=pos].rotate_right(1);
         ways[0] = tag << 2 | state as u64;
         (hit.is_none() && victim != 0).then(|| Eviction {
-            addr: ((victim >> 2) << self.sets.trailing_zeros() | set) * self.line_bytes,
+            addr: ((victim >> 2) << self.set_shift | set) << self.line_shift,
             state: LineState::of_slot(victim),
         })
     }

@@ -15,6 +15,7 @@
 //!   does not downgrade it. Only the sharded engine speaks this dialect.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum number of cores a sharer set can track.
 pub const MAX_CORES: usize = 256;
@@ -118,10 +119,34 @@ pub enum ReadSource {
     SharedClean,
 }
 
+/// Hashes a line number with one multiply (Fibonacci hashing). The
+/// directory is keyed by simulated line numbers, never by outside input,
+/// and is never iterated, so the hash affects speed only — not results.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, line: u64) {
+        self.0 = (self.0 ^ line).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits mix every input bit; rotate them down
+        // to where the table takes its bucket index.
+        self.0.rotate_left(26)
+    }
+}
+
 /// The coherence directory.
 #[derive(Debug, Default)]
 pub struct Directory {
-    entries: HashMap<u64, DirEntry>,
+    entries: HashMap<u64, DirEntry, BuildHasherDefault<LineHasher>>,
 }
 
 impl Directory {
@@ -134,7 +159,7 @@ impl Directory {
     /// rehashing, so its old and new tables are never live at once.
     pub fn with_capacity(lines: usize) -> Directory {
         Directory {
-            entries: HashMap::with_capacity(lines),
+            entries: HashMap::with_capacity_and_hasher(lines, BuildHasherDefault::default()),
         }
     }
 

@@ -39,6 +39,18 @@ pub enum ConfigError {
         /// The set count the geometry works out to.
         sets: u64,
     },
+    /// `threads_per_core` is zero, so no core has a thread to issue.
+    ZeroThreadsPerCore,
+    /// An interleave divisor — DRAM channels, banks or page size, L3 bank
+    /// count or subbank count — is zero or not a power of two. The
+    /// simulators split addresses with shifts and masks, so each of these
+    /// must be a nonzero power of two.
+    InterleaveNotPowerOfTwo {
+        /// The field, e.g. `"dram.channels"` or `"l3.bank.n_subbanks"`.
+        field: &'static str,
+        /// The offending value.
+        value: u64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -72,11 +84,28 @@ impl std::fmt::Display for ConfigError {
                 "{level} geometry gives {sets} sets; capacity / (line × ways) \
                  must be a nonzero power of two"
             ),
+            ConfigError::ZeroThreadsPerCore => {
+                write!(f, "threads_per_core must be at least 1")
+            }
+            ConfigError::InterleaveNotPowerOfTwo { field, value } => write!(
+                f,
+                "{field} = {value} must be a nonzero power of two \
+                 (addresses are interleaved with shifts and masks)"
+            ),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
+
+/// Checks one interleave divisor is a nonzero power of two.
+fn interleave(field: &'static str, value: u64) -> Result<(), ConfigError> {
+    if value.is_power_of_two() {
+        Ok(())
+    } else {
+        Err(ConfigError::InterleaveNotPowerOfTwo { field, value })
+    }
+}
 
 /// Geometry + timing of one cache level.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,12 +218,16 @@ impl L3Config {
     /// # Errors
     ///
     /// [`ConfigError::PageModeWithoutTiming`] when the interface is
-    /// [`L3Interface::PageMode`] but no [`L3PageTiming`] is given, or any
-    /// geometry error from [`CacheConfig::validate`] for the bank.
+    /// [`L3Interface::PageMode`] but no [`L3PageTiming`] is given,
+    /// [`ConfigError::InterleaveNotPowerOfTwo`] for the bank or subbank
+    /// count, or any geometry error from [`CacheConfig::validate`] for the
+    /// bank.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.interface == L3Interface::PageMode && self.page_timing.is_none() {
             return Err(ConfigError::PageModeWithoutTiming);
         }
+        interleave("l3.n_banks", u64::from(self.n_banks))?;
+        interleave("l3.bank.n_subbanks", u64::from(self.bank.n_subbanks))?;
         self.bank.validate("L3 bank")
     }
 }
@@ -232,6 +265,21 @@ pub struct DramConfig {
     pub t_burst: u64,
     /// Page policy.
     pub page_policy: PagePolicy,
+}
+
+impl DramConfig {
+    /// Checks the address interleave can be computed with shifts and
+    /// masks.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::InterleaveNotPowerOfTwo`] for `channels`, `banks` or
+    /// `page_bytes`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        interleave("dram.channels", u64::from(self.channels))?;
+        interleave("dram.banks", u64::from(self.banks))?;
+        interleave("dram.page_bytes", self.page_bytes)
+    }
 }
 
 /// Cache-coherence protocol run between the private L2s.
@@ -278,19 +326,24 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::UnsupportedCoreCount`], or any [`ConfigError`] from
+    /// [`ConfigError::UnsupportedCoreCount`],
+    /// [`ConfigError::ZeroThreadsPerCore`], or any [`ConfigError`] from
     /// the configured levels ([`CacheConfig::validate`] for the L1 and L2,
-    /// [`L3Config::validate`] for the L3).
+    /// [`L3Config::validate`] for the L3, [`DramConfig::validate`] for
+    /// main memory).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.n_cores == 0 || self.n_cores as usize > crate::coherence::MAX_CORES {
             return Err(ConfigError::UnsupportedCoreCount(self.n_cores));
+        }
+        if self.threads_per_core == 0 {
+            return Err(ConfigError::ZeroThreadsPerCore);
         }
         self.l1.validate("L1")?;
         self.l2.validate("L2")?;
         if let Some(l3) = &self.l3 {
             l3.validate()?;
         }
-        Ok(())
+        self.dram.validate()
     }
 
     /// The paper's system with no L3 (`nol3` configuration): 8 Niagara-like
@@ -371,7 +424,9 @@ impl SystemConfig {
     /// # Panics
     ///
     /// Panics if `n_cores` is 0 or above 256 (the directory's sharer-set
-    /// width) — use [`SystemConfig::validate`] for a typed error.
+    /// width) — use [`SystemConfig::validate`] for a typed error. A core
+    /// count that is not a power of two builds, but fails
+    /// [`SystemConfig::validate`]: the L3 bank count follows it.
     pub fn many_core(n_cores: u32) -> SystemConfig {
         assert!(
             n_cores >= 1 && n_cores as usize <= crate::coherence::MAX_CORES,

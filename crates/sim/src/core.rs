@@ -53,6 +53,17 @@ impl Thread {
     pub fn ready(&self) -> bool {
         self.state == ThreadState::Ready
     }
+
+    /// The earliest cycle the thread can issue: 0 when it is ready now,
+    /// the end of its stall, or `u64::MAX` when it is parked until another
+    /// thread (or the sharded engine's boundary) wakes it.
+    pub fn wake(&self) -> u64 {
+        match self.state {
+            ThreadState::Ready => 0,
+            ThreadState::StalledUntil(t) => t,
+            _ => u64::MAX,
+        }
+    }
 }
 
 impl Default for Thread {

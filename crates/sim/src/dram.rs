@@ -43,17 +43,36 @@ pub struct DramChannel {
     banks: Vec<Bank>,
     bus_slot_at: u64,
     act_slot_at: u64,
+    /// `log2(page_bytes)`: byte address → page.
+    page_shift: u32,
+    /// `log2(banks)`: page → row.
+    bank_shift: u32,
+    /// Accesses delayed by a refresh window and not yet published; see
+    /// [`publish_refresh_stalls`].
+    refresh_stalls: u64,
 }
 
 impl DramChannel {
     /// Creates an idle channel.
+    ///
+    /// # Panics
+    ///
+    /// If `banks` or `page_bytes` is not a nonzero power of two;
+    /// [`DramConfig::validate`] reports this as a typed error.
     pub fn new(cfg: DramConfig) -> DramChannel {
+        assert!(
+            cfg.banks.is_power_of_two() && cfg.page_bytes.is_power_of_two(),
+            "DRAM banks and page size must be nonzero powers of two"
+        );
         let banks = vec![Bank::default(); cfg.banks as usize];
         DramChannel {
+            page_shift: cfg.page_bytes.trailing_zeros(),
+            bank_shift: cfg.banks.trailing_zeros(),
             cfg,
             banks,
             bus_slot_at: 0,
             act_slot_at: 0,
+            refresh_stalls: 0,
         }
     }
 
@@ -74,11 +93,11 @@ impl DramChannel {
     /// Which bank an address maps to within this channel.
     pub fn bank_of(&self, addr: u64) -> usize {
         // Interleave banks on page-sized granularity for row locality.
-        ((addr / self.cfg.page_bytes) % u64::from(self.cfg.banks)) as usize
+        ((addr >> self.page_shift) & ((1 << self.bank_shift) - 1)) as usize
     }
 
     fn row_of(&self, addr: u64) -> u64 {
-        addr / (self.cfg.page_bytes * u64::from(self.cfg.banks))
+        addr >> self.page_shift >> self.bank_shift
     }
 
     /// Pushes `t` past any refresh window it lands in (all banks refresh
@@ -104,7 +123,7 @@ impl DramChannel {
         let base = now.max(bank_ready);
         let mut t = self.after_refresh(base);
         if t != base {
-            cactid_obs::counter!("sim.mem.refresh_stalls").inc();
+            self.refresh_stalls += 1;
         }
         let (activated, page_hit);
         match (cfg.page_policy, open_row) {
@@ -156,6 +175,19 @@ impl DramChannel {
             activated,
             page_hit,
         }
+    }
+}
+
+/// Publishes the refresh stalls `channels` counted since the last call to
+/// the `sim.mem.refresh_stalls` counter: one atomic add per simulator run
+/// instead of one per stalled access.
+pub(crate) fn publish_refresh_stalls(channels: &mut [DramChannel]) {
+    let n: u64 = channels
+        .iter_mut()
+        .map(|c| std::mem::take(&mut c.refresh_stalls))
+        .sum();
+    if n > 0 {
+        cactid_obs::counter!("sim.mem.refresh_stalls").add(n);
     }
 }
 
@@ -224,5 +256,8 @@ mod tests {
         let t = T_REFI * 5 + 10;
         let a = ch.access(0, t);
         assert!(a.done_at >= T_REFI * 5 + T_RFC + c.t_rcd + c.t_cl + c.t_burst);
+        assert_eq!(ch.refresh_stalls, 1, "counted locally until published");
+        publish_refresh_stalls(std::slice::from_mut(&mut ch));
+        assert_eq!(ch.refresh_stalls, 0);
     }
 }

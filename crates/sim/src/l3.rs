@@ -31,6 +31,38 @@ pub struct L3 {
     cfg: L3Config,
     iface: Interface,
     banks: Vec<L3Bank>,
+    /// Address-split shifts, precomputed from the validated power-of-two
+    /// geometry so the per-access path never divides.
+    geo: Geometry,
+}
+
+/// `log2` shifts of the L3's power-of-two geometry.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    /// `log2(line bytes)`.
+    line_shift: u32,
+    /// `log2(n_banks)`.
+    bank_shift: u32,
+    /// `log2(sets per bank)`.
+    set_shift: u32,
+    /// `log2(n_subbanks)`.
+    sub_shift: u32,
+    /// `log2(max(sets / n_subbanks, 1))`: bank-local line → page-mode row.
+    row_shift: u32,
+}
+
+impl Geometry {
+    fn of(cfg: &L3Config) -> Geometry {
+        let sets = cfg.bank.sets();
+        let subs = u64::from(cfg.bank.n_subbanks);
+        Geometry {
+            line_shift: cfg.bank.line_bytes.trailing_zeros(),
+            bank_shift: cfg.n_banks.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            sub_shift: subs.trailing_zeros(),
+            row_shift: (sets / subs).max(1).trailing_zeros(),
+        }
+    }
 }
 
 impl L3 {
@@ -61,7 +93,12 @@ impl L3 {
                 open_row: vec![None; cfg.bank.n_subbanks as usize],
             })
             .collect();
-        Ok(L3 { banks, iface, cfg })
+        Ok(L3 {
+            banks,
+            iface,
+            geo: Geometry::of(&cfg),
+            cfg,
+        })
     }
 
     /// Builds an idle L3 from its configuration.
@@ -82,7 +119,7 @@ impl L3 {
     /// Bank an address maps to (line-interleaved, as the study's 8 L3 banks
     /// are line-interleaved across the crossbar).
     pub fn bank_of(&self, addr: u64) -> usize {
-        ((addr / u64::from(self.cfg.bank.line_bytes)) % u64::from(self.cfg.n_banks)) as usize
+        ((addr >> self.geo.line_shift) & ((1 << self.geo.bank_shift) - 1)) as usize
     }
 
     /// Subbank a set maps to under the configured set↔page mapping
@@ -90,11 +127,11 @@ impl L3 {
     /// [`SetMapping::SetsPerPage`]; they spread round-robin under
     /// [`SetMapping::StripedWays`].
     pub fn subbank_of(&self, set: u64) -> usize {
-        let n = u64::from(self.cfg.bank.n_subbanks);
-        let sets = self.cfg.bank.sets();
+        // set × n_subbanks / sets and set mod n_subbanks, with both
+        // counts powers of two.
         match self.cfg.set_mapping {
-            SetMapping::SetsPerPage => ((set * n) / sets.max(1)) as usize,
-            SetMapping::StripedWays => (set % n) as usize,
+            SetMapping::SetsPerPage => ((set << self.geo.sub_shift) >> self.geo.set_shift) as usize,
+            SetMapping::StripedWays => (set & ((1 << self.geo.sub_shift) - 1)) as usize,
         }
     }
 
@@ -107,16 +144,22 @@ impl L3 {
     /// bank indexes its sets with the line address *divided by* the bank
     /// count (otherwise only 1/n_banks of the sets would ever be used).
     fn local_addr(&self, addr: u64) -> u64 {
-        let lb = u64::from(self.cfg.bank.line_bytes);
-        let line = addr / lb;
-        (line / u64::from(self.cfg.n_banks)) * lb + addr % lb
+        let Geometry {
+            line_shift,
+            bank_shift,
+            ..
+        } = self.geo;
+        (addr >> line_shift >> bank_shift) << line_shift | addr & ((1 << line_shift) - 1)
     }
 
     /// Maps a bank-local line address back to the global address space.
     fn global_addr(&self, local: u64, bank: usize) -> u64 {
-        let lb = u64::from(self.cfg.bank.line_bytes);
-        let line = local / lb;
-        (line * u64::from(self.cfg.n_banks) + bank as u64) * lb
+        let Geometry {
+            line_shift,
+            bank_shift,
+            ..
+        } = self.geo;
+        ((local >> line_shift) << bank_shift | bank as u64) << line_shift
     }
 
     /// Looks up `addr` in its bank (refreshes LRU).
@@ -174,8 +217,7 @@ impl L3 {
                 // One DRAM row covers the lines the set↔page mapping groups
                 // together; within a subbank the row is identified by the
                 // set-group plus the way bits above it.
-                let row = (local / u64::from(self.cfg.bank.line_bytes))
-                    / (self.cfg.bank.sets() / u64::from(self.cfg.bank.n_subbanks)).max(1);
+                let row = local >> self.geo.line_shift >> self.geo.row_shift;
                 let bank = &mut self.banks[bank_idx];
                 let start = now.max(bank.port_ready);
                 bank.port_ready = start + self.cfg.bank.interleave_cycles;

@@ -129,6 +129,10 @@ struct Boundary {
     l3: Option<L3>,
     dir: Directory,
     channels: Vec<DramChannel>,
+    /// `log2(L1 line bytes)`: byte address → line number.
+    line_shift: u32,
+    /// `channels - 1`: line number → DRAM channel.
+    channel_mask: u64,
     locks: HashMap<u32, LockState>,
     barrier_count: usize,
     stats: SimStats,
@@ -242,6 +246,8 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
             channels: (0..cfg.dram.channels)
                 .map(|_| DramChannel::new(cfg.dram.clone()))
                 .collect(),
+            line_shift: cfg.l1.line_bytes.trailing_zeros(),
+            channel_mask: u64::from(cfg.dram.channels) - 1,
             locks: HashMap::new(),
             barrier_count: 0,
             stats: SimStats::default(),
@@ -406,6 +412,7 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
         cactid_obs::counter!("sim.coherence.invalidations")
             .add(self.info.invalidations - pre.invalidations);
         cactid_obs::counter!("sim.coherence.updates").add(self.info.updates - pre.updates);
+        crate::dram::publish_refresh_stalls(&mut self.boundary.channels);
         self.finalize()
     }
 
@@ -476,28 +483,6 @@ impl<T: TraceSource> CoreActor<T> {
     }
 
     /// Phase A: simulates this core's threads for cycles `[t0, t1)`.
-    /// `true` when some thread in this shard can issue at `cycle`.
-    fn any_issuable(&self, cycle: u64) -> bool {
-        self.threads.iter().any(|t| match t.state {
-            ThreadState::Ready => true,
-            ThreadState::StalledUntil(x) => x <= cycle,
-            _ => false,
-        })
-    }
-
-    /// Earliest local `StalledUntil` expiry, if any. Threads parked on
-    /// the boundary (`WaitingMem`/`WaitingLock`/`AtBarrier`) wake only at
-    /// epoch edges and so never bound an in-window fast-forward.
-    fn next_wake(&self) -> Option<u64> {
-        self.threads
-            .iter()
-            .filter_map(|t| match t.state {
-                ThreadState::StalledUntil(x) => Some(x),
-                _ => None,
-            })
-            .min()
-    }
-
     fn run_window(&mut self, cfg: &SystemConfig, t0: u64, t1: u64) {
         let tpc = self.threads.len();
         let mut cycle = t0;
@@ -508,19 +493,20 @@ impl<T: TraceSource> CoreActor<T> {
             // wake a thread (the epoch quantum is bounded by the minimum
             // cross-shard latency), so the decision depends only on this
             // actor's state and is identical at every worker count.
-            if !self.any_issuable(cycle) {
-                match self.next_wake() {
-                    Some(w) if w > cycle => {
-                        cycle = w.min(t1);
-                        if cycle >= t1 {
-                            break;
-                        }
-                    }
-                    Some(_) => {}
-                    // Everything is parked on the boundary: nothing more
-                    // can happen here until the epoch-edge drain.
-                    None => break,
+            let wake = self
+                .threads
+                .iter()
+                .map(Thread::wake)
+                .min()
+                .unwrap_or(u64::MAX);
+            if wake > cycle {
+                // Everything parked on the boundary (`u64::MAX`) or
+                // stalled past the window: nothing more can happen here
+                // until the epoch-edge drain.
+                if wake >= t1 {
+                    break;
                 }
+                cycle = wake;
             }
             for t in &mut self.threads {
                 t.tick(cycle);
@@ -529,7 +515,10 @@ impl<T: TraceSource> CoreActor<T> {
             let mut other_free = true;
             let mut mem_free = true;
             for k in 0..tpc {
-                let lt = (self.rr + k) % tpc;
+                let mut lt = self.rr + k;
+                if lt >= tpc {
+                    lt -= tpc;
+                }
                 if !self.threads[lt].ready() {
                     continue;
                 }
@@ -612,7 +601,10 @@ impl<T: TraceSource> CoreActor<T> {
                     self.stats.counts.l1i_reads += 1;
                 }
             }
-            self.rr = (self.rr + 1) % tpc;
+            self.rr += 1;
+            if self.rr == tpc {
+                self.rr = 0;
+            }
             cycle += 1;
         }
         // Digest this window's outcome for the coordinator. Stalls set
@@ -691,12 +683,12 @@ impl<T: TraceSource> CoreActor<T> {
 }
 
 impl Boundary {
-    fn channel_of(&self, cfg: &SystemConfig, addr: u64) -> usize {
-        ((addr / u64::from(cfg.l1.line_bytes)) % u64::from(cfg.dram.channels)) as usize
+    fn channel_of(&self, addr: u64) -> usize {
+        ((addr >> self.line_shift) & self.channel_mask) as usize
     }
 
-    fn dram_read(&mut self, cfg: &SystemConfig, addr: u64, t_req: u64) -> u64 {
-        let ch = self.channel_of(cfg, addr);
+    fn dram_read(&mut self, addr: u64, t_req: u64) -> u64 {
+        let ch = self.channel_of(addr);
         let a = self.channels[ch].access(addr, t_req);
         self.stats.counts.mem_reads += 1;
         if a.activated {
@@ -708,8 +700,8 @@ impl Boundary {
         a.done_at
     }
 
-    fn dram_write(&mut self, cfg: &SystemConfig, addr: u64, now: u64) {
-        let ch = self.channel_of(cfg, addr);
+    fn dram_write(&mut self, addr: u64, now: u64) {
+        let ch = self.channel_of(addr);
         let a = self.channels[ch].access(addr, now);
         self.stats.counts.mem_writes += 1;
         if a.activated {
@@ -721,29 +713,29 @@ impl Boundary {
     }
 
     /// Writes a (dirty) line into the L3, or to memory when there is none.
-    fn writeback_below(&mut self, cfg: &SystemConfig, addr: u64, now: u64) {
+    fn writeback_below(&mut self, addr: u64, now: u64) {
         if self.l3.is_some() {
             self.stats.counts.xbar_transfers += 1;
-            self.fill_l3(cfg, addr, LineState::Modified, now);
+            self.fill_l3(addr, LineState::Modified, now);
             self.stats.counts.l3_writes += 1;
         } else {
-            self.dram_write(cfg, addr, now);
+            self.dram_write(addr, now);
         }
     }
 
-    fn fill_l3(&mut self, cfg: &SystemConfig, addr: u64, state: LineState, now: u64) {
+    fn fill_l3(&mut self, addr: u64, state: LineState, now: u64) {
         let Some(l3) = self.l3.as_mut() else { return };
         self.stats.counts.l3_writes += 1;
         if let Some(ev) = l3.insert(addr, state) {
             if ev.state == LineState::Modified {
-                self.dram_write(cfg, ev.addr, now);
+                self.dram_write(ev.addr, now);
             }
         }
     }
 
     /// Fetches a line from the L3 (if present and hit) or main memory;
     /// reserves timing resources from `t_req` onward.
-    fn fetch_below(&mut self, cfg: &SystemConfig, addr: u64, t_req: u64) -> Source {
+    fn fetch_below(&mut self, addr: u64, t_req: u64) -> Source {
         if let Some(l3) = self.l3.as_mut() {
             self.stats.counts.l3_reads += 1;
             if l3.lookup(addr).is_some() {
@@ -752,11 +744,11 @@ impl Boundary {
             }
             // L3 miss: tag check occupied the bank, then go to memory.
             let t_mem = l3.reserve(addr, t_req);
-            let done = self.dram_read(cfg, addr, t_mem);
-            self.fill_l3(cfg, addr, LineState::Shared, t_req);
+            let done = self.dram_read(addr, t_mem);
+            self.fill_l3(addr, LineState::Shared, t_req);
             Source::Memory { data_at: done }
         } else {
-            let done = self.dram_read(cfg, addr, t_req);
+            let done = self.dram_read(addr, t_req);
             Source::Memory { data_at: done }
         }
     }
@@ -815,7 +807,6 @@ fn update_remotes<T>(
 
 /// Downgrades a dirty remote owner to Shared and pushes its data below.
 fn downgrade_remote<T>(
-    cfg: &SystemConfig,
     actors: &[Mutex<CoreActor<T>>],
     b: &mut Boundary,
     owner: usize,
@@ -828,7 +819,7 @@ fn downgrade_remote<T>(
         a.l2.set_state(addr, LineState::Shared);
         a.l1.set_state(addr, LineState::Shared);
     }
-    b.writeback_below(cfg, addr, now);
+    b.writeback_below(addr, now);
 }
 
 fn fold_wake(min_stall: &mut Option<u64>, x: u64) {
@@ -853,7 +844,7 @@ fn process<T: TraceSource>(
     let tpc = cfg.threads_per_core as usize;
     match m.kind {
         MsgKind::Upgrade(addr) => {
-            let line = addr / u64::from(cfg.l1.line_bytes);
+            let line = addr >> b.line_shift;
             match cfg.protocol {
                 CoherenceProtocol::Mesi => {
                     let mask = b.dir.write(line, core);
@@ -935,7 +926,7 @@ fn miss<T: TraceSource>(
 ) {
     let core = m.core as usize;
     let now = m.cycle;
-    let line = addr / u64::from(cfg.l1.line_bytes);
+    let line = addr >> b.line_shift;
     let l2_lat = cfg.l1.access_cycles + cfg.l2.access_cycles;
 
     // Re-probe: an earlier message this epoch (another thread on the same
@@ -999,7 +990,7 @@ fn miss<T: TraceSource>(
             ReadSource::RemoteOwner(owner) => {
                 match cfg.protocol {
                     CoherenceProtocol::Mesi => {
-                        downgrade_remote(cfg, actors, b, owner, addr, now);
+                        downgrade_remote(actors, b, owner, addr, now);
                     }
                     // Dragon: the owner supplies data cache-to-cache but
                     // keeps ownership — no downgrade, no writeback.
@@ -1018,7 +1009,7 @@ fn miss<T: TraceSource>(
     let source = if from_remote {
         Source::RemoteL2
     } else {
-        b.fetch_below(cfg, addr, now + l2_lat + xbar)
+        b.fetch_below(addr, now + l2_lat + xbar)
     };
     let (latency, kind) = match source {
         Source::RemoteL2 => {
@@ -1049,7 +1040,7 @@ fn miss<T: TraceSource>(
     } else {
         LineState::Exclusive
     };
-    fill_l2_boundary(cfg, actors, b, core, addr, fill_state, now);
+    fill_l2_boundary(actors, b, core, addr, fill_state, now);
     lock_actor(actors, core).fill_l1(addr, fill_state);
     if is_store {
         b.stats.counts.l2_writes += 1;
@@ -1080,7 +1071,6 @@ fn miss<T: TraceSource>(
 /// Inserts into the requester's L2, handling the eviction against the
 /// directory and the inclusive L1 exactly like the serial engine.
 fn fill_l2_boundary<T: TraceSource>(
-    cfg: &SystemConfig,
     actors: &[Mutex<CoreActor<T>>],
     b: &mut Boundary,
     core: usize,
@@ -1094,14 +1084,14 @@ fn fill_l2_boundary<T: TraceSource>(
         a.l2.insert(addr, state)
     };
     if let Some(ev) = ev {
-        let ev_line = ev.addr / u64::from(cfg.l1.line_bytes);
+        let ev_line = ev.addr >> b.line_shift;
         let was_owner = b.dir.evict(ev_line, core);
         // Inclusion: the L1 copy must go too.
         let l1_state = lock_actor(actors, core).l1.invalidate(ev.addr);
         let dirty =
             ev.state == LineState::Modified || was_owner || l1_state == Some(LineState::Modified);
         if dirty {
-            b.writeback_below(cfg, ev.addr, now);
+            b.writeback_below(ev.addr, now);
         }
     }
 }

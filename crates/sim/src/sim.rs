@@ -30,6 +30,10 @@ pub struct Simulator<T> {
     cfg: SystemConfig,
     trace: T,
     threads: Vec<Thread>,
+    /// Per core: the earliest cycle one of its threads can issue
+    /// ([`Thread::wake`] minimized over the core), `u64::MAX` when all
+    /// are parked on a barrier or lock.
+    wake: Vec<u64>,
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
     l3: Option<L3>,
@@ -37,7 +41,15 @@ pub struct Simulator<T> {
     channels: Vec<DramChannel>,
     locks: HashMap<u32, LockState>,
     barrier_count: usize,
-    rr: Vec<usize>,
+    /// Round-robin start thread, shared by every core: each step advances
+    /// all of them in lockstep.
+    rr: usize,
+    /// `log2(L1 line bytes)`: byte address → line number.
+    line_shift: u32,
+    /// `channels - 1`: line number → DRAM channel.
+    channel_mask: u64,
+    /// Coherence invalidations not yet published to the obs counter.
+    invalidations: u64,
     cycle: u64,
     stats_epoch: u64,
     stats: SimStats,
@@ -99,8 +111,12 @@ impl<T: TraceSource> Simulator<T> {
             .collect();
         let threads = (0..cfg.n_threads()).map(|_| Thread::new()).collect();
         Ok(Simulator {
-            rr: vec![0; n_cores],
+            rr: 0,
+            line_shift: cfg.l1.line_bytes.trailing_zeros(),
+            channel_mask: u64::from(cfg.dram.channels) - 1,
+            invalidations: 0,
             threads,
+            wake: vec![0; n_cores],
             l1,
             l2,
             l3,
@@ -128,51 +144,42 @@ impl<T: TraceSource> Simulator<T> {
         let target = self.stats.instructions + target_instructions;
         while self.stats.instructions < target && self.cycle < cycle_cap {
             // Fast-forward across stretches where every thread is blocked.
-            if !self.any_issuable() {
-                match self.next_wake() {
-                    Some(w) if w > self.cycle => self.cycle = w,
-                    Some(_) => {}
-                    // Nothing will ever wake: synchronization deadlock in
-                    // the trace — stop rather than spin to the cycle cap.
-                    None => break,
-                }
+            let wake = self.wake.iter().copied().min().unwrap_or(u64::MAX);
+            if wake == u64::MAX {
+                // Nothing will ever wake: synchronization deadlock in the
+                // trace — stop rather than spin to the cycle cap.
+                break;
             }
+            self.cycle = self.cycle.max(wake);
             self.step();
         }
+        self.publish_event_counters();
         self.finalize()
     }
 
-    fn any_issuable(&self) -> bool {
-        self.threads.iter().any(|t| match t.state {
-            ThreadState::Ready => true,
-            ThreadState::StalledUntil(x) => x <= self.cycle,
-            _ => false,
-        })
-    }
-
-    fn next_wake(&self) -> Option<u64> {
-        self.threads
-            .iter()
-            .filter_map(|t| match t.state {
-                ThreadState::StalledUntil(x) => Some(x),
-                _ => None,
-            })
-            .min()
-    }
-
-    /// Advances one cycle.
+    /// Advances one cycle. A core none of whose threads can issue this
+    /// cycle (`wake > cycle`) would only have skipped every thread, so it
+    /// is not visited; its threads are ticked when it next is.
     fn step(&mut self) {
         let cycle = self.cycle;
-        for t in &mut self.threads {
-            t.tick(cycle);
-        }
         let tpc = self.cfg.threads_per_core as usize;
-        for core in 0..self.cfg.n_cores as usize {
+        for core in 0..self.wake.len() {
+            if self.wake[core] > cycle {
+                continue;
+            }
+            let core_threads = core * tpc..(core + 1) * tpc;
+            for t in &mut self.threads[core_threads.clone()] {
+                t.tick(cycle);
+            }
             let mut fp_free = true;
             let mut other_free = true;
             let mut mem_free = true;
             for k in 0..tpc {
-                let tid = core * tpc + (self.rr[core] + k) % tpc;
+                let mut lt = self.rr + k;
+                if lt >= tpc {
+                    lt -= tpc;
+                }
+                let tid = core * tpc + lt;
                 if !self.threads[tid].ready() {
                     continue;
                 }
@@ -257,7 +264,11 @@ impl<T: TraceSource> Simulator<T> {
                     self.stats.counts.l1i_reads += 1;
                 }
             }
-            self.rr[core] = (self.rr[core] + 1) % tpc;
+            self.wake[core] = core_wake(&self.threads[core_threads]);
+        }
+        self.rr += 1;
+        if self.rr == tpc {
+            self.rr = 0;
         }
         self.cycle += 1;
     }
@@ -271,6 +282,11 @@ impl<T: TraceSource> Simulator<T> {
             }
         }
         self.barrier_count = 0;
+        // Every core may have had a thread parked; barriers are rare.
+        let tpc = self.cfg.threads_per_core as usize;
+        for (wake, threads) in self.wake.iter_mut().zip(self.threads.chunks(tpc)) {
+            *wake = core_wake(threads);
+        }
     }
 
     fn unlock(&mut self, id: u32, tid: usize) {
@@ -284,6 +300,10 @@ impl<T: TraceSource> Simulator<T> {
                 self.stats.attribute(StallKind::Lock, cycle - since);
             }
             self.threads[next].state = ThreadState::StalledUntil(cycle + 1);
+            // `next` was parked (no wake of its own), so its core's
+            // earliest wake is the old one or this grant.
+            let core = next / self.cfg.threads_per_core as usize;
+            self.wake[core] = self.wake[core].min(cycle + 1);
         }
     }
 
@@ -291,7 +311,7 @@ impl<T: TraceSource> Simulator<T> {
     /// latency and the level that serviced it.
     fn mem_access(&mut self, core: usize, addr: u64, is_store: bool) -> (u64, StallKind) {
         let now = self.cycle;
-        let line = addr / u64::from(self.cfg.l1.line_bytes);
+        let line = addr >> self.line_shift;
         self.stats.counts.l1_reads += 1;
 
         // ---- L1 ----
@@ -406,7 +426,7 @@ impl<T: TraceSource> Simulator<T> {
     }
 
     fn channel_of(&self, addr: u64) -> usize {
-        ((addr / u64::from(self.cfg.l1.line_bytes)) % u64::from(self.cfg.dram.channels)) as usize
+        ((addr >> self.line_shift) & self.channel_mask) as usize
     }
 
     fn dram_read(&mut self, addr: u64, t_req: u64) -> u64 {
@@ -470,7 +490,7 @@ impl<T: TraceSource> Simulator<T> {
     fn fill_l2(&mut self, core: usize, addr: u64, state: LineState) {
         self.stats.counts.l2_writes += 1;
         if let Some(ev) = self.l2[core].insert(addr, state) {
-            let ev_line = ev.addr / u64::from(self.cfg.l1.line_bytes);
+            let ev_line = ev.addr >> self.line_shift;
             let was_owner = self.dir.evict(ev_line, core);
             // Inclusion: the L1 copy must go too.
             let l1_state = self.l1[core].invalidate(ev.addr);
@@ -492,7 +512,7 @@ impl<T: TraceSource> Simulator<T> {
                 continue;
             }
             self.stats.counts.l2_reads += 1; // probe
-            cactid_obs::counter!("sim.coherence.invalidations").inc();
+            self.invalidations += 1;
             if self.l2[other].invalidate(addr) == Some(LineState::Modified) {
                 dirty = true;
             }
@@ -509,6 +529,16 @@ impl<T: TraceSource> Simulator<T> {
         self.l2[owner].set_state(addr, LineState::Shared);
         self.l1[owner].set_state(addr, LineState::Shared);
         self.writeback_below(addr);
+    }
+
+    /// Publishes the per-event counts gathered during a run — one atomic
+    /// add per counter instead of one per event.
+    fn publish_event_counters(&mut self) {
+        if self.invalidations > 0 {
+            cactid_obs::counter!("sim.coherence.invalidations").add(self.invalidations);
+            self.invalidations = 0;
+        }
+        crate::dram::publish_refresh_stalls(&mut self.channels);
     }
 
     /// Closes out attribution: every unattributed thread-cycle was spent
@@ -550,11 +580,37 @@ impl<T: TraceSource> Simulator<T> {
     }
 }
 
+/// The earliest cycle one of a core's `threads` can issue, or `u64::MAX`
+/// when every one is parked on synchronization.
+fn core_wake(threads: &[Thread]) -> u64 {
+    threads.iter().map(Thread::wake).min().unwrap_or(u64::MAX)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
+    use crate::config::{ConfigError, SystemConfig};
     use crate::trace::StridedSource;
+
+    /// The pinned digests below are the statistics of a plain loop that
+    /// scans every thread each cycle and divides addresses: per-core wake
+    /// times and the shift/mask address split must reproduce them bit
+    /// for bit.
+    const PINNED: &str = "statistics changed from the pinned digest";
+
+    /// Both engines reject `cfg` with `want` instead of panicking mid-run.
+    fn both_engines_reject(cfg: SystemConfig, want: ConfigError) {
+        let trace = StridedSource::new(32, 0.3, 1 << 20);
+        assert_eq!(cfg.validate(), Err(want.clone()));
+        let legacy = Simulator::try_new(cfg.clone(), trace.clone()).err();
+        assert_eq!(legacy, Some(want.clone()));
+        let sharded = crate::shard::ShardedSimulator::try_new(cfg, trace, 1).err();
+        assert_eq!(sharded, Some(want));
+    }
+
+    fn not_pow2(field: &'static str, value: u64) -> ConfigError {
+        ConfigError::InterleaveNotPowerOfTwo { field, value }
+    }
 
     #[test]
     fn try_new_rejects_page_mode_l3_without_timing() {
@@ -573,11 +629,66 @@ mod tests {
         // inside SetAssocCache::new.
         let mut cfg = SystemConfig::with_sram_l3();
         cfg.l2.associativity = 0;
-        let trace = StridedSource::new(32, 0.3, 1 << 20);
-        let want = Some(crate::config::ConfigError::ZeroAssociativity { level: "L2" });
-        assert_eq!(Simulator::try_new(cfg.clone(), trace.clone()).err(), want);
-        let sharded = crate::shard::ShardedSimulator::try_new(cfg, trace, 1);
-        assert_eq!(sharded.err(), want);
+        both_engines_reject(cfg, ConfigError::ZeroAssociativity { level: "L2" });
+    }
+
+    #[test]
+    fn both_engines_reject_zero_threads_per_core() {
+        // Regression: a zero used to panic with a division by zero in the
+        // round-robin `% tpc`.
+        let mut cfg = SystemConfig::with_sram_l3();
+        cfg.threads_per_core = 0;
+        both_engines_reject(cfg, ConfigError::ZeroThreadsPerCore);
+    }
+
+    #[test]
+    fn both_engines_reject_a_bad_dram_channel_count() {
+        // Regression: zero channels panicked in `channel_of`.
+        let mut cfg = SystemConfig::with_sram_l3();
+        cfg.dram.channels = 0;
+        both_engines_reject(cfg.clone(), not_pow2("dram.channels", 0));
+        cfg.dram.channels = 3;
+        both_engines_reject(cfg, not_pow2("dram.channels", 3));
+    }
+
+    #[test]
+    fn both_engines_reject_a_bad_dram_bank_count() {
+        // Regression: zero banks panicked in `DramChannel::bank_of`.
+        let mut cfg = SystemConfig::with_sram_l3();
+        cfg.dram.banks = 0;
+        both_engines_reject(cfg.clone(), not_pow2("dram.banks", 0));
+        cfg.dram.banks = 12;
+        both_engines_reject(cfg, not_pow2("dram.banks", 12));
+    }
+
+    #[test]
+    fn both_engines_reject_a_bad_dram_page_size() {
+        // Regression: a zero page size panicked in `DramChannel::bank_of`.
+        let mut cfg = SystemConfig::with_sram_l3();
+        cfg.dram.page_bytes = 0;
+        both_engines_reject(cfg.clone(), not_pow2("dram.page_bytes", 0));
+        cfg.dram.page_bytes = 6 << 10;
+        both_engines_reject(cfg, not_pow2("dram.page_bytes", 6 << 10));
+    }
+
+    #[test]
+    fn both_engines_reject_a_bad_l3_bank_count() {
+        // Regression: zero banks panicked in `L3::bank_of`.
+        let mut cfg = SystemConfig::with_sram_l3();
+        cfg.l3.as_mut().unwrap().n_banks = 0;
+        both_engines_reject(cfg.clone(), not_pow2("l3.n_banks", 0));
+        cfg.l3.as_mut().unwrap().n_banks = 6;
+        both_engines_reject(cfg, not_pow2("l3.n_banks", 6));
+    }
+
+    #[test]
+    fn both_engines_reject_a_bad_l3_subbank_count() {
+        // Regression: zero subbanks panicked in `L3::subbank_of`.
+        let mut cfg = SystemConfig::with_sram_l3();
+        cfg.l3.as_mut().unwrap().bank.n_subbanks = 0;
+        both_engines_reject(cfg.clone(), not_pow2("l3.bank.n_subbanks", 0));
+        cfg.l3.as_mut().unwrap().bank.n_subbanks = 5;
+        both_engines_reject(cfg, not_pow2("l3.bank.n_subbanks", 5));
     }
 
     #[test]
@@ -652,6 +763,7 @@ mod tests {
         let mut sim = Simulator::new(cfg, BarrierEvery(50, vec![0; 32]));
         let stats = sim.run(50_000);
         assert!(stats.attributed(StallKind::Barrier) > 0);
+        assert_eq!(stats.digest(), 0x627e_1392_38e4_2f78, "{PINNED}");
     }
 
     #[test]
@@ -671,6 +783,7 @@ mod tests {
         let mut sim = Simulator::new(cfg, LockLoop(vec![0; 32]));
         let stats = sim.run(50_000);
         assert!(stats.attributed(StallKind::Lock) > 0);
+        assert_eq!(stats.digest(), 0xcc06_9065_3c53_e701, "{PINNED}");
     }
 
     #[test]
@@ -697,6 +810,7 @@ mod tests {
         let stats = sim.run(100_000);
         assert!(stats.instructions >= 100_000);
         assert!(stats.counts.l2_reads > 0);
+        assert_eq!(stats.digest(), 0x7de5_7fdc_3f3c_d20a, "{PINNED}");
     }
 
     #[test]
@@ -707,6 +821,7 @@ mod tests {
         let stats = sim.run(100_000);
         let total: u64 = stats.cycle_breakdown.iter().sum();
         assert_eq!(total, stats.cycles * 32);
+        assert_eq!(stats.digest(), 0x1c46_2fd2_84b1_e60b, "{PINNED}");
     }
 
     #[test]
@@ -717,6 +832,8 @@ mod tests {
             let mut sim = Simulator::new(cfg, trace);
             sim.run(50_000)
         };
-        assert_eq!(run(), run());
+        let stats = run();
+        assert_eq!(stats, run());
+        assert_eq!(stats.digest(), 0x1c81_4e3d_0c16_b1b1, "{PINNED}");
     }
 }

@@ -150,7 +150,10 @@ fn main() {
             }
             let trace = npbgen::NpbTrace::new(npbgen::NpbApp::FtB, cfg.n_threads());
             eprintln!("sharded run: {cores} cores, {n} instructions...");
-            let mut sim = ShardedSimulator::new(cfg, trace, shards);
+            let mut sim = ShardedSimulator::try_new(cfg, trace, shards).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            });
             let stats = sim.run(n);
             stats.publish_obs();
             let info = sim.info();

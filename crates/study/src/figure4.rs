@@ -163,6 +163,14 @@ mod tests {
         let study = run_study(n);
         let kinds: Vec<LlcKind> = study.iter().map(|(c, _)| c.kind).collect();
         assert_eq!(kinds, LlcKind::ALL);
+        // All 48 digests folded in LlcKind::ALL × NpbApp::ALL order. The
+        // pinned value is what a plain every-thread-scan, dividing loop
+        // produces; the simulator's hot-path shortcuts must match it.
+        let h = study
+            .iter()
+            .flat_map(|(_, runs)| runs)
+            .fold(0u64, |h, r| h.rotate_left(7) ^ r.stats.digest());
+        assert_eq!(h, 0xd600_24ac_7a6f_cd55, "study statistics changed");
         for (cfg, runs) in &study {
             let serial = configs::build(cfg.kind);
             let apps: Vec<NpbApp> = runs.iter().map(|r| r.app).collect();
