@@ -17,6 +17,12 @@ echo "== cargo test --features proptest"
 # prescreen/certificate/evaluate agreement, ...) are feature-gated.
 cargo test --workspace -q --features proptest
 
+echo "== perfbench tests (its own workspace)"
+# perfbench is a separate workspace that times the repository's crates
+# through their public APIs, so the workspace runs above never build it:
+# this catches an API change that would break the benchmark.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== cargo doc --workspace --no-deps"
 # missing_docs is a workspace lint, so the docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -4,7 +4,9 @@
 //! so the map stays bounded); it is consulted on every L2 miss and on every
 //! store that needs ownership. Sharer sets are 256-bit [`CoreSet`]s, so the
 //! same directory serves the paper's 8-core chip and the sharded
-//! simulator's 64–256-core configurations.
+//! simulator's 64–256-core configurations. Each entry stores only the
+//! sharers among cores 0–63, inline as one word next to the owner; cores
+//! 64–255 spill to a side map touched only for lines such a core shares.
 //!
 //! Two protocols share the directory state:
 //! * **MESI** (write-invalidate) — [`Directory::read`] / [`Directory::write`],
@@ -97,16 +99,6 @@ impl CoreSet {
     }
 }
 
-/// Directory entry for one line: which cores' L2s hold it, and whether one
-/// of them owns it dirty.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DirEntry {
-    /// Cores holding the line.
-    pub sharers: CoreSet,
-    /// Core owning the line in Modified state, if any.
-    pub owner: Option<u16>,
-}
-
 /// Outcome of a directory read request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadSource {
@@ -143,10 +135,96 @@ impl Hasher for LineHasher {
     }
 }
 
+type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
+
+/// [`Entry::owner`] when no core owns the line dirty.
+const NO_OWNER: u16 = u16::MAX;
+
+/// One tracked line: the sharers among cores 0–63 as a bitmask, whether
+/// cores 64–255 share it too (their bits then sit in
+/// [`Directory::high`]), and the dirty owner. 16 bytes where a full
+/// [`CoreSet`] entry takes 40, so the table a legacy run presizes is under
+/// half the size and every L2 miss touches less of it.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    low: u64,
+    owner: u16,
+    spilled: bool,
+}
+
+impl Default for Entry {
+    fn default() -> Entry {
+        Entry {
+            low: 0,
+            owner: NO_OWNER,
+            spilled: false,
+        }
+    }
+}
+
+impl Entry {
+    fn owner(&self) -> Option<usize> {
+        (self.owner != NO_OWNER).then_some(usize::from(self.owner))
+    }
+
+    /// The full sharer set; `high` is consulted only when the line spilled.
+    fn sharers(&self, high: &LineMap<[u64; 3]>, line: u64) -> CoreSet {
+        let [a, b, c] = if self.spilled { high[&line] } else { [0; 3] };
+        CoreSet([self.low, a, b, c])
+    }
+
+    /// `true` when some core other than `core` shares the line.
+    fn shared_beyond(&self, high: &LineMap<[u64; 3]>, line: u64, core: usize) -> bool {
+        let low = if core < 64 {
+            self.low & !(1 << core)
+        } else {
+            self.low
+        };
+        low != 0 || (self.spilled && !self.sharers(high, line).without(core).is_empty())
+    }
+
+    fn add(&mut self, high: &mut LineMap<[u64; 3]>, line: u64, core: usize) {
+        if core < 64 {
+            self.low |= 1 << core;
+        } else {
+            high.entry(line).or_default()[core / 64 - 1] |= 1 << (core % 64);
+            self.spilled = true;
+        }
+    }
+
+    fn remove(&mut self, high: &mut LineMap<[u64; 3]>, line: u64, core: usize) {
+        if core < 64 {
+            self.low &= !(1 << core);
+        } else if self.spilled {
+            let words = high
+                .get_mut(&line)
+                .unwrap_or_else(|| unreachable!("a spilled line has high sharers"));
+            words[core / 64 - 1] &= !(1 << (core % 64));
+            if *words == [0; 3] {
+                high.remove(&line);
+                self.spilled = false;
+            }
+        }
+    }
+
+    /// Makes `core` the only sharer.
+    fn set_only(&mut self, high: &mut LineMap<[u64; 3]>, line: u64, core: usize) {
+        if self.spilled {
+            high.remove(&line);
+            self.spilled = false;
+        }
+        self.low = 0;
+        self.add(high, line, core);
+    }
+}
+
 /// The coherence directory.
 #[derive(Debug, Default)]
 pub struct Directory {
-    entries: HashMap<u64, DirEntry, BuildHasherDefault<LineHasher>>,
+    entries: LineMap<Entry>,
+    /// Sharer bits for cores 64–255 (words 1–3 of the [`CoreSet`]) of the
+    /// lines whose entry is `spilled`, and of no others.
+    high: LineMap<[u64; 3]>,
 }
 
 impl Directory {
@@ -160,6 +238,7 @@ impl Directory {
     pub fn with_capacity(lines: usize) -> Directory {
         Directory {
             entries: HashMap::with_capacity_and_hasher(lines, BuildHasherDefault::default()),
+            high: LineMap::default(),
         }
     }
 
@@ -177,40 +256,33 @@ impl Directory {
     /// where the data comes from. MESI semantics — a dirty remote owner
     /// downgrades to Shared.
     pub fn read(&mut self, line: u64, core: usize) -> ReadSource {
-        let e = self.entries.entry(line).or_default();
-        let src = if let Some(owner) = e.owner {
-            if usize::from(owner) != core {
-                e.owner = None; // owner downgrades to Shared
-                ReadSource::RemoteOwner(usize::from(owner))
-            } else {
-                ReadSource::Below // shouldn't happen (owner re-reading)
-            }
-        } else if !e.sharers.without(core).is_empty() {
-            ReadSource::SharedClean
-        } else {
-            ReadSource::Below
-        };
-        e.sharers.insert(core);
-        src
+        self.read_as(line, core, true)
     }
 
     /// Core `core` reads `line` under the write-update protocol: like
     /// [`Directory::read`] but a dirty owner keeps ownership — it supplies
     /// the data cache-to-cache without a downgrade or writeback.
     pub fn read_keep_owner(&mut self, line: u64, core: usize) -> ReadSource {
+        self.read_as(line, core, false)
+    }
+
+    fn read_as(&mut self, line: u64, core: usize, downgrade: bool) -> ReadSource {
         let e = self.entries.entry(line).or_default();
-        let src = if let Some(owner) = e.owner {
-            if usize::from(owner) != core {
-                ReadSource::RemoteOwner(usize::from(owner))
+        let src = if let Some(owner) = e.owner() {
+            if owner != core {
+                if downgrade {
+                    e.owner = NO_OWNER; // owner downgrades to Shared
+                }
+                ReadSource::RemoteOwner(owner)
             } else {
-                ReadSource::Below
+                ReadSource::Below // shouldn't happen (owner re-reading)
             }
-        } else if !e.sharers.without(core).is_empty() {
+        } else if e.shared_beyond(&self.high, line, core) {
             ReadSource::SharedClean
         } else {
             ReadSource::Below
         };
-        e.sharers.insert(core);
+        e.add(&mut self.high, line, core);
         src
     }
 
@@ -219,9 +291,9 @@ impl Directory {
     /// probe.
     pub fn write(&mut self, line: u64, core: usize) -> CoreSet {
         let e = self.entries.entry(line).or_default();
-        let invalidate = e.sharers.without(core);
-        e.sharers = CoreSet::only(core);
-        e.owner = Some(core as u16);
+        let invalidate = e.sharers(&self.high, line).without(core);
+        e.set_only(&mut self.high, line, core);
+        e.owner = core as u16;
         invalidate
     }
 
@@ -232,10 +304,10 @@ impl Directory {
     /// write miss.
     pub fn write_update(&mut self, line: u64, core: usize) -> (CoreSet, Option<usize>) {
         let e = self.entries.entry(line).or_default();
-        let prev_owner = e.owner.map(usize::from).filter(|&o| o != core);
-        let peers = e.sharers.without(core);
-        e.sharers.insert(core);
-        e.owner = Some(core as u16);
+        let prev_owner = e.owner().filter(|&o| o != core);
+        let peers = e.sharers(&self.high, line).without(core);
+        e.add(&mut self.high, line, core);
+        e.owner = core as u16;
         (peers, prev_owner)
     }
 
@@ -245,12 +317,12 @@ impl Directory {
     pub fn evict(&mut self, line: u64, core: usize) -> bool {
         let mut was_owner = false;
         if let Some(e) = self.entries.get_mut(&line) {
-            e.sharers.remove(core);
-            if e.owner == Some(core as u16) {
-                e.owner = None;
+            e.remove(&mut self.high, line, core);
+            if e.owner() == Some(core) {
+                e.owner = NO_OWNER;
                 was_owner = true;
             }
-            if e.sharers.is_empty() {
+            if e.low == 0 && !e.spilled {
                 self.entries.remove(&line);
             }
         }
@@ -261,21 +333,179 @@ impl Directory {
     pub fn sharers(&self, line: u64) -> CoreSet {
         self.entries
             .get(&line)
-            .map_or(CoreSet::EMPTY, |e| e.sharers)
+            .map_or(CoreSet::EMPTY, |e| e.sharers(&self.high, line))
     }
 
     /// Current owner, if dirty-owned.
     pub fn owner(&self, line: u64) -> Option<usize> {
-        self.entries
-            .get(&line)
-            .and_then(|e| e.owner)
-            .map(usize::from)
+        self.entries.get(&line).and_then(Entry::owner)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::XorShift64Star;
+
+    /// The directory before its sharer sets were split: one map entry per
+    /// line holding the full [`CoreSet`]. The differential test drives it
+    /// and [`Directory`] with the same request stream.
+    #[derive(Debug, Default)]
+    struct MapDirectory {
+        entries: HashMap<u64, DirEntry>,
+    }
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct DirEntry {
+        sharers: CoreSet,
+        owner: Option<u16>,
+    }
+
+    impl MapDirectory {
+        fn read(&mut self, line: u64, core: usize) -> ReadSource {
+            let e = self.entries.entry(line).or_default();
+            let src = if let Some(owner) = e.owner {
+                if usize::from(owner) != core {
+                    e.owner = None;
+                    ReadSource::RemoteOwner(usize::from(owner))
+                } else {
+                    ReadSource::Below
+                }
+            } else if !e.sharers.without(core).is_empty() {
+                ReadSource::SharedClean
+            } else {
+                ReadSource::Below
+            };
+            e.sharers.insert(core);
+            src
+        }
+
+        fn read_keep_owner(&mut self, line: u64, core: usize) -> ReadSource {
+            let e = self.entries.entry(line).or_default();
+            let src = if let Some(owner) = e.owner {
+                if usize::from(owner) != core {
+                    ReadSource::RemoteOwner(usize::from(owner))
+                } else {
+                    ReadSource::Below
+                }
+            } else if !e.sharers.without(core).is_empty() {
+                ReadSource::SharedClean
+            } else {
+                ReadSource::Below
+            };
+            e.sharers.insert(core);
+            src
+        }
+
+        fn write(&mut self, line: u64, core: usize) -> CoreSet {
+            let e = self.entries.entry(line).or_default();
+            let invalidate = e.sharers.without(core);
+            e.sharers = CoreSet::only(core);
+            e.owner = Some(core as u16);
+            invalidate
+        }
+
+        fn write_update(&mut self, line: u64, core: usize) -> (CoreSet, Option<usize>) {
+            let e = self.entries.entry(line).or_default();
+            let prev_owner = e.owner.map(usize::from).filter(|&o| o != core);
+            let peers = e.sharers.without(core);
+            e.sharers.insert(core);
+            e.owner = Some(core as u16);
+            (peers, prev_owner)
+        }
+
+        fn evict(&mut self, line: u64, core: usize) -> bool {
+            let mut was_owner = false;
+            if let Some(e) = self.entries.get_mut(&line) {
+                e.sharers.remove(core);
+                if e.owner == Some(core as u16) {
+                    e.owner = None;
+                    was_owner = true;
+                }
+                if e.sharers.is_empty() {
+                    self.entries.remove(&line);
+                }
+            }
+            was_owner
+        }
+
+        fn sharers(&self, line: u64) -> CoreSet {
+            self.entries
+                .get(&line)
+                .map_or(CoreSet::EMPTY, |e| e.sharers)
+        }
+
+        fn owner(&self, line: u64) -> Option<usize> {
+            self.entries
+                .get(&line)
+                .and_then(|e| e.owner)
+                .map(usize::from)
+        }
+    }
+
+    #[test]
+    fn an_entry_is_two_words() {
+        // The table a legacy run presizes holds (line, Entry) buckets:
+        // 24 B each, where a full-CoreSet entry made them 48 B.
+        assert_eq!(std::mem::size_of::<(u64, Entry)>(), 24);
+    }
+
+    #[test]
+    fn split_directory_matches_the_full_set_map() {
+        const LINES: u64 = 32;
+        for (n_cores, seed) in [(8u64, 1u64), (64, 2), (256, 3)] {
+            let mut rng = XorShift64Star::new(seed);
+            let mut dir = Directory::new();
+            let mut map = MapDirectory::default();
+            let (mut spills, mut unspills) = (0, 0);
+            for step in 0..50_000 {
+                let line = rng.next_below(LINES);
+                let mut core = rng.next_below(n_cores) as usize;
+                let spilled_before = dir.high.len();
+                let ctx = format!("{n_cores} cores, step {step}, line {line}, core {core}");
+                match rng.next_below(5) {
+                    0 => assert_eq!(dir.read(line, core), map.read(line, core), "{ctx}"),
+                    1 => assert_eq!(
+                        dir.read_keep_owner(line, core),
+                        map.read_keep_owner(line, core),
+                        "{ctx}"
+                    ),
+                    2 => assert_eq!(dir.write(line, core), map.write(line, core), "{ctx}"),
+                    3 => assert_eq!(
+                        dir.write_update(line, core),
+                        map.write_update(line, core),
+                        "{ctx}"
+                    ),
+                    _ => {
+                        // Mostly evict a real sharer, so sets drain and
+                        // entries (and spills) are dropped, not just grown.
+                        let held: Vec<usize> = map.sharers(line).iter().collect();
+                        if !held.is_empty() && rng.next_below(4) != 0 {
+                            core = held[rng.next_below(held.len() as u64) as usize];
+                        }
+                        assert_eq!(dir.evict(line, core), map.evict(line, core), "{ctx}");
+                    }
+                }
+                assert_eq!(dir.sharers(line), map.sharers(line), "{ctx}");
+                assert_eq!(dir.owner(line), map.owner(line), "{ctx}");
+                assert_eq!(dir.len(), map.entries.len(), "{ctx}");
+                spills += usize::from(dir.high.len() > spilled_before);
+                unspills += usize::from(dir.high.len() < spilled_before);
+            }
+            for line in 0..LINES {
+                assert_eq!(dir.sharers(line), map.sharers(line));
+                assert_eq!(dir.owner(line), map.owner(line));
+            }
+            if n_cores <= 64 {
+                assert_eq!(spills, 0, "cores below 64 never touch the side map");
+            } else {
+                assert!(
+                    spills > 100 && unspills > 100,
+                    "{spills} spills, {unspills} unspills"
+                );
+            }
+        }
+    }
 
     #[test]
     fn single_writer_invariant() {

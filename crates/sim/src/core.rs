@@ -3,11 +3,14 @@
 use crate::trace::Instr;
 
 /// What a hardware thread is doing right now.
+///
+/// A thread stalled until `t` may issue at every cycle `≥ t`, so the
+/// simulators ask [`Thread::wake`] whether it can issue now; no state
+/// changes when a stall merely expires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadState {
-    /// Ready to issue its pending instruction.
-    Ready,
-    /// Blocked until the given cycle (instruction latency or a load miss).
+    /// Blocked until the given cycle (instruction latency or a load miss);
+    /// issuable from that cycle on.
     StalledUntil(u64),
     /// Parked at the global barrier since the given cycle.
     AtBarrier(u64),
@@ -15,7 +18,7 @@ pub enum ThreadState {
     WaitingLock(u32, u64),
     /// Blocked on a cross-shard memory response issued at the given cycle
     /// (sharded engine only; resolved into [`ThreadState::StalledUntil`]
-    /// at the next epoch boundary, never woken by [`Thread::tick`]).
+    /// at the next epoch boundary, never by time alone).
     WaitingMem(u64),
 }
 
@@ -31,35 +34,21 @@ pub struct Thread {
 }
 
 impl Thread {
-    /// A fresh, ready thread.
+    /// A fresh thread, issuable from cycle 0.
     pub fn new() -> Thread {
         Thread {
-            state: ThreadState::Ready,
+            state: ThreadState::StalledUntil(0),
             pending: None,
             retired: 0,
         }
     }
 
-    /// Wakes the thread if its stall has expired at `cycle`.
-    pub fn tick(&mut self, cycle: u64) {
-        if let ThreadState::StalledUntil(t) = self.state {
-            if cycle >= t {
-                self.state = ThreadState::Ready;
-            }
-        }
-    }
-
-    /// `true` when the thread can issue this cycle.
-    pub fn ready(&self) -> bool {
-        self.state == ThreadState::Ready
-    }
-
-    /// The earliest cycle the thread can issue: 0 when it is ready now,
-    /// the end of its stall, or `u64::MAX` when it is parked until another
-    /// thread (or the sharded engine's boundary) wakes it.
+    /// The earliest cycle the thread can issue: the end of its stall, or
+    /// `u64::MAX` when it is parked until another thread (or the sharded
+    /// engine's boundary) wakes it. The thread may issue at `cycle` exactly
+    /// when `wake() <= cycle`.
     pub fn wake(&self) -> u64 {
         match self.state {
-            ThreadState::Ready => 0,
             ThreadState::StalledUntil(t) => t,
             _ => u64::MAX,
         }
@@ -77,20 +66,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stall_expires_exactly_on_time() {
-        let mut t = Thread::new();
-        t.state = ThreadState::StalledUntil(10);
-        t.tick(9);
-        assert!(!t.ready());
-        t.tick(10);
-        assert!(t.ready());
+    fn fresh_thread_issues_at_cycle_zero() {
+        assert_eq!(Thread::new().wake(), 0);
     }
 
     #[test]
-    fn barrier_state_is_not_woken_by_tick() {
+    fn stall_ends_exactly_at_its_end_cycle() {
         let mut t = Thread::new();
-        t.state = ThreadState::AtBarrier(5);
-        t.tick(100);
-        assert!(!t.ready());
+        t.state = ThreadState::StalledUntil(10);
+        assert!(t.wake() > 9, "still stalled one cycle before the end");
+        assert!(t.wake() <= 10, "issuable at the end cycle");
+        assert!(t.wake() <= 11, "and at every later cycle");
+    }
+
+    #[test]
+    fn parked_threads_are_never_issuable_by_time_alone() {
+        for state in [
+            ThreadState::AtBarrier(5),
+            ThreadState::WaitingLock(3, 5),
+            ThreadState::WaitingMem(5),
+        ] {
+            let mut t = Thread::new();
+            t.state = state;
+            // Both engines stop rather than fast-forward to `u64::MAX`.
+            assert_eq!(t.wake(), u64::MAX, "{state:?} must wait for a wake-up");
+        }
     }
 }

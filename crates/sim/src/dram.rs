@@ -116,7 +116,6 @@ impl DramChannel {
     pub fn access(&mut self, addr: u64, now: u64) -> DramAccess {
         let bank_idx = self.bank_of(addr);
         let row = self.row_of(addr);
-        let cfg = self.cfg.clone();
         let bank_ready = self.banks[bank_idx].ready_at;
         let open_row = self.banks[bank_idx].open_row;
 
@@ -126,7 +125,7 @@ impl DramChannel {
             self.refresh_stalls += 1;
         }
         let (activated, page_hit);
-        match (cfg.page_policy, open_row) {
+        match (self.cfg.page_policy, open_row) {
             (PagePolicy::Open, Some(open)) if open == row => {
                 // Row-buffer hit: column access only.
                 activated = false;
@@ -134,31 +133,31 @@ impl DramChannel {
             }
             (PagePolicy::Open, Some(_)) => {
                 // Conflict: precharge, then activate.
-                t += cfg.t_rp;
+                t += self.cfg.t_rp;
                 t = t.max(self.claim_act_slot(now));
-                t += cfg.t_rcd;
+                t += self.cfg.t_rcd;
                 activated = true;
                 page_hit = false;
             }
             _ => {
                 // Closed page (or first touch): activate.
                 t = t.max(self.claim_act_slot(now));
-                t += cfg.t_rcd;
+                t += self.cfg.t_rcd;
                 activated = true;
                 page_hit = false;
             }
         }
         // Column access + burst on the shared data bus.
-        let data_start = (t + cfg.t_cl).max(self.claim_bus_slot(now));
-        let done_at = data_start + cfg.t_burst;
+        let data_start = (t + self.cfg.t_cl).max(self.claim_bus_slot(now));
+        let done_at = data_start + self.cfg.t_burst;
 
         // Bank availability for the *next* activate.
         let bank = &mut self.banks[bank_idx];
-        match cfg.page_policy {
+        match self.cfg.page_policy {
             PagePolicy::Closed => {
                 if activated {
                     // Full row cycle from this activate.
-                    bank.ready_at = (t - cfg.t_rcd) + cfg.t_rc;
+                    bank.ready_at = (t - self.cfg.t_rcd) + self.cfg.t_rc;
                 } else {
                     bank.ready_at = done_at;
                 }

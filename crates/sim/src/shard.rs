@@ -104,8 +104,9 @@ enum MsgKind {
 /// stop/fast-forward decision needs no second scan over every thread.
 #[derive(Debug, Default, Clone, Copy)]
 struct ActorSummary {
-    any_ready: bool,
-    min_stall: Option<u64>,
+    /// The earliest cycle one of the core's threads can issue
+    /// ([`Thread::wake`]); `u64::MAX` when every one is parked.
+    wake: u64,
     instructions: u64,
 }
 
@@ -355,26 +356,22 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
                 // progress digest phase A left behind.
                 msgs.clear();
                 let mut total_instr = 0;
-                let mut any_ready = false;
-                let mut min_stall: Option<u64> = None;
+                let mut wake = u64::MAX;
                 for a in actors {
                     let mut g = a.lock().unwrap_or_else(PoisonError::into_inner);
                     msgs.append(&mut g.outbox);
                     let s = g.summary;
                     total_instr += s.instructions;
-                    any_ready |= s.any_ready;
-                    if let Some(x) = s.min_stall {
-                        min_stall = Some(min_stall.map_or(x, |m: u64| m.min(x)));
-                    }
+                    wake = wake.min(s.wake);
                 }
                 msgs.sort_unstable_by_key(|m| (m.cycle, m.core, m.seq));
                 info.epochs += 1;
                 info.messages += msgs.len() as u64;
                 // Draining resolves blocked threads into StalledUntil;
-                // each such wake folds into min_stall as it happens, so no
-                // post-drain rescan is needed (drains never create Ready).
+                // each such wake folds into `wake` as it happens, so no
+                // post-drain rescan is needed.
                 for m in &msgs {
-                    process(cfg, actors, boundary, info, m, t_end, &mut min_stall);
+                    process(cfg, actors, boundary, info, m, t_end, &mut wake);
                 }
                 let now = std::time::Instant::now();
                 cactid_obs::histogram!("sim.shard.epoch.ns")
@@ -385,19 +382,14 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
                     final_cycle = t_end;
                     return false;
                 }
-                let next = if any_ready {
-                    t_end
-                } else {
-                    match min_stall {
-                        Some(w) if w > t_end => w,
-                        Some(_) => t_end,
-                        // Nothing will ever wake: synchronization deadlock.
-                        None => {
-                            final_cycle = t_end;
-                            return false;
-                        }
-                    }
-                };
+                if wake == u64::MAX {
+                    // Nothing will ever wake: synchronization deadlock.
+                    final_cycle = t_end;
+                    return false;
+                }
+                // A thread that could already issue resumes at the window
+                // edge; otherwise skip ahead to the earliest stall's end.
+                let next = wake.max(t_end);
                 t0.store(next, Ordering::Release);
                 t1.store(next + quantum, Ordering::Release);
                 true
@@ -485,20 +477,23 @@ impl<T: TraceSource> CoreActor<T> {
     /// Phase A: simulates this core's threads for cycles `[t0, t1)`.
     fn run_window(&mut self, cfg: &SystemConfig, t0: u64, t1: u64) {
         let tpc = self.threads.len();
+        // The earliest cycle one of this core's threads can issue. Within
+        // a window no cross-shard event can wake a thread (the epoch
+        // quantum is bounded by the minimum cross-shard latency) and a
+        // turn changes only its own thread, so folding each thread's wake
+        // after its turn keeps this exact without a rescan — and the
+        // fast-forward below depends only on this actor's state, identical
+        // at every worker count.
+        let mut wake = self
+            .threads
+            .iter()
+            .map(Thread::wake)
+            .min()
+            .unwrap_or(u64::MAX);
         let mut cycle = t0;
         while cycle < t1 {
             // Fast-forward across stretches where every thread in this
-            // shard is blocked, exactly like the serial loop — but
-            // shard-locally. Within a window no cross-shard event can
-            // wake a thread (the epoch quantum is bounded by the minimum
-            // cross-shard latency), so the decision depends only on this
-            // actor's state and is identical at every worker count.
-            let wake = self
-                .threads
-                .iter()
-                .map(Thread::wake)
-                .min()
-                .unwrap_or(u64::MAX);
+            // shard is blocked, exactly like the serial loop.
             if wake > cycle {
                 // Everything parked on the boundary (`u64::MAX`) or
                 // stalled past the window: nothing more can happen here
@@ -508,9 +503,7 @@ impl<T: TraceSource> CoreActor<T> {
                 }
                 cycle = wake;
             }
-            for t in &mut self.threads {
-                t.tick(cycle);
-            }
+            let mut next_wake = u64::MAX;
             let mut fp_free = true;
             let mut other_free = true;
             let mut mem_free = true;
@@ -519,7 +512,9 @@ impl<T: TraceSource> CoreActor<T> {
                 if lt >= tpc {
                     lt -= tpc;
                 }
-                if !self.threads[lt].ready() {
+                let thread_wake = self.threads[lt].wake();
+                if thread_wake > cycle {
+                    next_wake = next_wake.min(thread_wake);
                     continue;
                 }
                 if self.threads[lt].pending.is_none() {
@@ -600,31 +595,19 @@ impl<T: TraceSource> CoreActor<T> {
                     self.stats.instructions += 1;
                     self.stats.counts.l1i_reads += 1;
                 }
+                next_wake = next_wake.min(self.threads[lt].wake());
             }
+            wake = next_wake;
             self.rr += 1;
             if self.rr == tpc {
                 self.rr = 0;
             }
             cycle += 1;
         }
-        // Digest this window's outcome for the coordinator. Stalls set
-        // during the window that expire inside it were already cleared by
-        // tick (the fast-forward never jumps past a pending expiry), so
-        // every StalledUntil here is ≥ t1.
-        let mut any_ready = false;
-        let mut min_stall: Option<u64> = None;
-        for t in &self.threads {
-            match t.state {
-                ThreadState::Ready => any_ready = true,
-                ThreadState::StalledUntil(x) => {
-                    min_stall = Some(min_stall.map_or(x, |m: u64| m.min(x)));
-                }
-                _ => {}
-            }
-        }
+        // Digest this window's outcome for the coordinator: a wake below
+        // `t1` means a thread is issuable at the window edge.
         self.summary = ActorSummary {
-            any_ready,
-            min_stall,
+            wake,
             instructions: self.stats.instructions,
         };
     }
@@ -822,13 +805,9 @@ fn downgrade_remote<T>(
     b.writeback_below(addr, now);
 }
 
-fn fold_wake(min_stall: &mut Option<u64>, x: u64) {
-    *min_stall = Some(min_stall.map_or(x, |m| m.min(x)));
-}
-
 /// Phase B: applies one drained message to the boundary. Every thread it
 /// resolves into [`ThreadState::StalledUntil`] is folded into
-/// `min_stall`, keeping the coordinator's fast-forward bound exact
+/// `wake`, keeping the coordinator's fast-forward bound exact
 /// without a post-drain rescan.
 #[allow(clippy::too_many_arguments)]
 fn process<T: TraceSource>(
@@ -838,7 +817,7 @@ fn process<T: TraceSource>(
     info: &mut ShardInfo,
     m: &Msg,
     t_end: u64,
-    min_stall: &mut Option<u64>,
+    wake: &mut u64,
 ) {
     let core = m.core as usize;
     let tpc = cfg.threads_per_core as usize;
@@ -856,8 +835,8 @@ fn process<T: TraceSource>(
                 }
             }
         }
-        MsgKind::LoadMiss(addr) => miss(cfg, actors, b, info, m, addr, false, min_stall),
-        MsgKind::StoreMiss(addr) => miss(cfg, actors, b, info, m, addr, true, min_stall),
+        MsgKind::LoadMiss(addr) => miss(cfg, actors, b, info, m, addr, false, wake),
+        MsgKind::StoreMiss(addr) => miss(cfg, actors, b, info, m, addr, true, wake),
         MsgKind::Lock(id) => {
             let gtid = core * tpc + m.tid;
             let lock = b.locks.entry(id).or_default();
@@ -868,7 +847,7 @@ fn process<T: TraceSource>(
                 info.stall_cycles += wait;
                 lock_actor(actors, core).threads[m.tid].state =
                     ThreadState::StalledUntil(t_end + 1);
-                fold_wake(min_stall, t_end + 1);
+                *wake = (*wake).min(t_end + 1);
             } else {
                 lock.queue.push_back(gtid);
             }
@@ -887,7 +866,7 @@ fn process<T: TraceSource>(
                     info.stall_cycles += wait;
                 }
                 a.threads[next % tpc].state = ThreadState::StalledUntil(t_end + 1);
-                fold_wake(min_stall, t_end + 1);
+                *wake = (*wake).min(t_end + 1);
             }
         }
         MsgKind::BarrierArrive => {
@@ -901,7 +880,7 @@ fn process<T: TraceSource>(
                             b.stats.attribute(StallKind::Barrier, wait);
                             info.stall_cycles += wait;
                             t.state = ThreadState::StalledUntil(t_end + 1);
-                            fold_wake(min_stall, t_end + 1);
+                            *wake = (*wake).min(t_end + 1);
                         }
                     }
                 }
@@ -922,7 +901,7 @@ fn miss<T: TraceSource>(
     m: &Msg,
     addr: u64,
     is_store: bool,
-    min_stall: &mut Option<u64>,
+    wake: &mut u64,
 ) {
     let core = m.core as usize;
     let now = m.cycle;
@@ -963,7 +942,7 @@ fn miss<T: TraceSource>(
             }
             info.stall_cycles += l2_lat;
             a.threads[m.tid].state = ThreadState::StalledUntil(now + l2_lat);
-            fold_wake(min_stall, now + l2_lat);
+            *wake = (*wake).min(now + l2_lat);
         }
         return;
     }
@@ -1064,7 +1043,7 @@ fn miss<T: TraceSource>(
             "a load-miss message must find its thread parked"
         );
         a.threads[m.tid].state = ThreadState::StalledUntil(now + latency);
-        fold_wake(min_stall, now + latency);
+        *wake = (*wake).min(now + latency);
     }
 }
 

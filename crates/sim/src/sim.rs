@@ -159,7 +159,11 @@ impl<T: TraceSource> Simulator<T> {
 
     /// Advances one cycle. A core none of whose threads can issue this
     /// cycle (`wake > cycle`) would only have skipped every thread, so it
-    /// is not visited; its threads are ticked when it next is.
+    /// is not visited. A visited core tests each thread once, `wake() <=
+    /// cycle`, and folds every thread's wake after its turn into the
+    /// core's next wake. Threads a turn parks or wakes elsewhere on the
+    /// core (barrier release, lock grant) land on `cycle + 1`, as the
+    /// issuing thread itself does, so the fold needs no second pass.
     fn step(&mut self) {
         let cycle = self.cycle;
         let tpc = self.cfg.threads_per_core as usize;
@@ -167,10 +171,7 @@ impl<T: TraceSource> Simulator<T> {
             if self.wake[core] > cycle {
                 continue;
             }
-            let core_threads = core * tpc..(core + 1) * tpc;
-            for t in &mut self.threads[core_threads.clone()] {
-                t.tick(cycle);
-            }
+            let mut next_wake = u64::MAX;
             let mut fp_free = true;
             let mut other_free = true;
             let mut mem_free = true;
@@ -180,7 +181,9 @@ impl<T: TraceSource> Simulator<T> {
                     lt -= tpc;
                 }
                 let tid = core * tpc + lt;
-                if !self.threads[tid].ready() {
+                let wake = self.threads[tid].wake();
+                if wake > cycle {
+                    next_wake = next_wake.min(wake);
                     continue;
                 }
                 if self.threads[tid].pending.is_none() {
@@ -263,8 +266,9 @@ impl<T: TraceSource> Simulator<T> {
                     self.stats.instructions += 1;
                     self.stats.counts.l1i_reads += 1;
                 }
+                next_wake = next_wake.min(self.threads[tid].wake());
             }
-            self.wake[core] = core_wake(&self.threads[core_threads]);
+            self.wake[core] = next_wake;
         }
         self.rr += 1;
         if self.rr == tpc {

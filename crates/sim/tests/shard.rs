@@ -8,6 +8,12 @@ use memsim::{
     CoherenceProtocol, ConfigError, ShardedSimulator, SimStats, Simulator, StallKind, SystemConfig,
 };
 
+/// The pinned digests below were taken from an engine that ticked every
+/// thread before each issue scan and kept full 256-bit sharer sets in
+/// every directory entry: the readiness test and the split directory
+/// must reproduce them bit for bit.
+const PINNED: &str = "statistics changed from the pinned digest";
+
 fn run_sharded<T: TraceSource + Clone + Send>(
     cfg: &SystemConfig,
     trace: T,
@@ -32,6 +38,7 @@ fn worker_count_invariance_is_bitwise() {
     assert_eq!(s1, s2);
     assert_eq!(s1, s8);
     assert_eq!(s1.digest(), s8.digest());
+    assert_eq!(s1.digest(), 0x4196_c0ec_485c_d179, "{PINNED}");
     assert!(s1.instructions >= 30_000);
     assert!(s1.counts.mem_reads > 0, "workload must reach memory");
 }
@@ -45,6 +52,7 @@ fn worker_count_invariance_holds_on_small_configs_too() {
     let s1 = run_sharded(&cfg, mk(), 1, 20_000);
     let s4 = run_sharded(&cfg, mk(), 4, 20_000);
     assert_eq!(s1, s4);
+    assert_eq!(s1.digest(), 0xed4f_5e13_0c39_5496, "{PINNED}");
 }
 
 #[test]
@@ -158,6 +166,7 @@ fn dragon_is_also_worker_count_invariant() {
     let s1 = run_sharded(&cfg, SharedTrace::new(n), 1, 15_000);
     let s4 = run_sharded(&cfg, SharedTrace::new(n), 4, 15_000);
     assert_eq!(s1, s4);
+    assert_eq!(s1.digest(), 0xfd5f_5f21_ec55_9e74, "{PINNED}");
 }
 
 #[test]
@@ -213,6 +222,7 @@ fn barriers_synchronize_across_shards() {
     assert_eq!(s1, s4);
     assert!(s1.attributed(StallKind::Barrier) > 0);
     assert!(s1.instructions >= 20_000);
+    assert_eq!(s1.digest(), 0x71cd_6dcf_0fa7_40d0, "{PINNED}");
 }
 
 /// Threads take a global lock, hold it for a few instructions, release.
@@ -238,6 +248,7 @@ fn locks_serialize_across_shards() {
     let s4 = run_sharded(&cfg, LockLoop(vec![0; n]), 4, 10_000);
     assert_eq!(s1, s4);
     assert!(s1.attributed(StallKind::Lock) > 0);
+    assert_eq!(s1.digest(), 0xdaac_5e41_9044_b512, "{PINNED}");
 }
 
 #[test]
@@ -252,4 +263,29 @@ fn many_core_configs_run_at_scale() {
     assert!(stats.instructions >= 50_000);
     assert!(sim.info().epochs > 0);
     assert!(sim.info().messages > 0);
+    assert_eq!(stats.digest(), 0xd33e_0d1e_fb2d_74a3, "{PINNED}");
+}
+
+#[test]
+fn sharers_beyond_core_63_are_tracked_at_full_scale() {
+    // 128 and 256 cores hammering one small shared region: most sharer
+    // sets span cores past the first 64, under both protocols.
+    let pins = [
+        (128, CoherenceProtocol::Mesi, 0xe4b5_e2e6_9f79_7469),
+        (128, CoherenceProtocol::Dragon, 0x78ca_35fd_6c6f_51d7),
+        (256, CoherenceProtocol::Mesi, 0xc85d_ce77_3400_03e8),
+        (256, CoherenceProtocol::Dragon, 0x4cc2_c22a_7ffc_8b26),
+    ];
+    for (cores, protocol, digest) in pins {
+        let mut cfg = SystemConfig::many_core(cores);
+        cfg.protocol = protocol;
+        let n = cfg.n_threads();
+        let stats = run_sharded(&cfg, SharedTrace::new(n), 2, 20_000);
+        assert!(stats.instructions >= 20_000);
+        assert_eq!(
+            stats.digest(),
+            digest,
+            "{cores} cores {protocol:?}: {PINNED}"
+        );
+    }
 }
