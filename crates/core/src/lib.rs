@@ -50,7 +50,6 @@ pub mod spec;
 pub mod tag;
 
 mod optimizer;
-pub mod par;
 
 pub use array::{CertifiedBounds, EvalMemo, PrescreenFailure};
 pub use dimm::{DimmConfig, DimmResult};
@@ -59,9 +58,8 @@ pub use lint::{Diagnostic, Location, Report, Severity, SolutionLinter};
 pub use main_memory::{DramEnergies, DramTiming, MainMemoryResult};
 pub use optimizer::{
     optimize, optimize_with, select, solve, solve_with, solve_with_stats,
-    solve_with_stats_certified, solve_with_stats_parallel, solve_with_stats_reference,
-    static_screen, static_screen_certified, ScreenHistogram, ScreenVerdict, SolveOutcome,
-    SolveStats, StaticScreen, PARALLEL_SERIAL_THRESHOLD,
+    solve_with_stats_certified, solve_with_stats_reference, static_screen, static_screen_certified,
+    ScreenHistogram, ScreenVerdict, SolveOutcome, SolveStats, StaticScreen,
 };
 pub use org::OrgParams;
 pub use solution::Solution;
@@ -90,7 +88,8 @@ mod tests {
     fn concurrent_solves_of_one_spec_agree_bitwise() {
         // Eight threads race the same spec against the resident technology
         // tables; every winner must be identical to the single-threaded
-        // answer (solves are pure given the spec).
+        // answer (solves are pure given the spec). The explore pool and
+        // the serve loop call `optimize` from worker threads like this.
         let spec = MemorySpec::builder()
             .capacity_bytes(256 << 10)
             .block_bytes(64)
@@ -104,10 +103,20 @@ mod tests {
             .build()
             .unwrap();
         let reference = optimize(&spec).unwrap();
-        let winners = par::parallel_map(8, 8, |_| optimize(&spec).unwrap());
-        for w in winners {
-            assert_eq!(w, reference);
-        }
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        optimize(&spec).unwrap()
+                    })
+                })
+                .collect();
+            for racer in racers {
+                assert_eq!(racer.join().unwrap(), reference);
+            }
+        });
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::error::CactiError;
 use crate::lint::{Severity, SolutionLinter};
 use crate::main_memory;
 use crate::org::{self, OrgParams};
-use crate::par;
 use crate::solution::Solution;
 use crate::spec::{MemoryKind, MemorySpec};
 use crate::tag::{self, TagResult};
@@ -73,13 +72,13 @@ impl<'a> SpecCtx<'a> {
 }
 
 /// What the pipeline decided about one enumerated organization. Lint runs
-/// later (serially, in index order), so it is not a candidate outcome.
+/// afterwards ([`admit`]), so it is not a candidate outcome.
 enum CandidateOutcome {
     /// Rejected by the closed-form pre-screen without running the models.
     BoundPruned,
     /// Rejected by the full electrical models.
     ElectricalPruned,
-    /// Survived the models; boxed so the enum stays small for the slots.
+    /// Survived the models; boxed so the enum stays small.
     Feasible(Box<Solution>),
     /// A model error that poisons the whole solve (bad main-memory spec).
     Fatal(CactiError),
@@ -119,7 +118,7 @@ impl Screen<'_> {
 /// conditions `array::evaluate` would check, so pruning here cannot change
 /// the solution set — only skip doomed model evaluations.
 ///
-/// `memo` is the per-solve (or per-worker) incremental-evaluation scratch:
+/// `memo` is the per-solve incremental-evaluation scratch:
 /// screened paths evaluate through it so model slices keyed on unchanged
 /// organization axes are reused across adjacent candidates. The unscreened
 /// reference path deliberately bypasses it — `array::evaluate` runs every
@@ -236,7 +235,7 @@ fn finish_sweep(
 /// locally; this is the single flush per solve. `reuse` is the number of
 /// memo-slice hits the incremental evaluation scored (always zero on the
 /// from-scratch reference path); it lives outside [`SolveStats`] because
-/// the stats are compared bitwise across the staged, parallel and
+/// the stats are compared bitwise across the staged, certified and
 /// reference paths, whose reuse opportunities legitimately differ.
 fn flush_obs(stats: &SolveStats, swept_empty: bool, reuse: u64) {
     cactid_obs::counter!("core.solve.calls").inc();
@@ -348,115 +347,6 @@ pub fn solve_with_stats_certified(
 /// threads.
 pub fn solve_with_stats(spec: &MemorySpec, linter: Option<&dyn SolutionLinter>) -> SolveOutcome {
     solve_inner(spec, linter)
-}
-
-/// Like [`solve_with_stats`], but fans the candidate evaluations out over
-/// `threads` scoped workers (`0` means the machine's available
-/// parallelism). The merge is serial and in organization-index order —
-/// including the lint stage, which the [`SolutionLinter`] trait does not
-/// require to be thread-safe — so the solution set, its ordering, and the
-/// stats are identical to the serial path. A fatal model error reported by
-/// any candidate poisons the solve exactly as it does serially: stats
-/// merge stops at the first fatal index and the full enumeration count is
-/// still reported.
-///
-/// Below this candidate count the parallel entry point evaluates inline on
-/// the calling thread instead of fanning out: scoped-thread spawn and
-/// synchronization cost more than the models save on tiny sweeps. The
-/// solve-throughput bench measured the 70-candidate COMM-DRAM DIMM sweep
-/// at 0.62x serial speed when fanned out; with the fallback the parallel
-/// entry is exactly the serial evaluation (same outcomes, same merge), so
-/// such sweeps can never regress below 1.0x again.
-pub const PARALLEL_SERIAL_THRESHOLD: usize = 128;
-
-/// Worth reaching for only on sweeps whose model time dominates the
-/// per-thread spawn cost — large main-memory or high-capacity cache specs;
-/// sweeps under [`PARALLEL_SERIAL_THRESHOLD`] candidates run inline, as
-/// does any call on a single-core host (where spinning up the pool can
-/// only lose). Either serial fallback is counted in the
-/// `core.solve.parallel_serial_fallback` observability counter.
-pub fn solve_with_stats_parallel(
-    spec: &MemorySpec,
-    linter: Option<&dyn SolutionLinter>,
-    threads: usize,
-) -> SolveOutcome {
-    let _span = cactid_obs::span("core.solve");
-    // Single-core hosts first: `host_parallelism() == 1` means the
-    // fan-out machinery can only lose, so skip even the prefix probe and
-    // run the serial sweep directly. Then the sweep-size probe: tiny
-    // sweeps run the actual serial sweep, not a serialized imitation of
-    // the fan-out — same lazy enumeration, no intermediate outcome
-    // buffer. The prefix count costs at most THRESHOLD cheap geometry
-    // steps, so large sweeps pay nothing noticeable for the probe.
-    let effective_threads = if threads == 0 {
-        par::host_parallelism()
-    } else {
-        threads
-    };
-    let serial = effective_threads <= 1
-        || org::enumerate_lazy(spec)
-            .take(PARALLEL_SERIAL_THRESHOLD)
-            .count()
-            < PARALLEL_SERIAL_THRESHOLD;
-    if serial {
-        cactid_obs::counter!("core.solve.parallel_serial_fallback").inc();
-        let (outcome, swept_empty, reuse) = sweep_serial(spec, linter, Screen::Exact);
-        flush_obs(&outcome.stats, swept_empty, reuse);
-        return outcome;
-    }
-
-    let mut stats = SolveStats::default();
-    let ctx = match SpecCtx::new(spec) {
-        Ok(ctx) => ctx,
-        Err(e) => {
-            flush_obs(&stats, false, 0);
-            return SolveOutcome {
-                result: Err(e),
-                stats,
-            };
-        }
-    };
-
-    let orgs = org::enumerate(spec);
-    stats.orgs_enumerated = orgs.len();
-    // Each worker carries its own memo: slice reuse needs no sharing or
-    // locking, and since every slice is a pure function of its key the
-    // per-worker results — and the index-ordered merge below — stay
-    // bitwise identical to the serial sweep however the atomic cursor
-    // happens to partition the candidates.
-    let (outcomes, memos): (Vec<CandidateOutcome>, Vec<array::EvalMemo>) =
-        par::parallel_map_with(threads, orgs.len(), array::EvalMemo::new, |memo, i| {
-            evaluate_candidate(&ctx, orgs[i], Screen::Exact, memo)
-        });
-    let reuse: u64 = memos.iter().map(array::EvalMemo::reuse_hits).sum();
-
-    let mut out = Vec::new();
-    let mut fatal = None;
-    for outcome in outcomes {
-        match outcome {
-            CandidateOutcome::BoundPruned => stats.bound_pruned += 1,
-            CandidateOutcome::ElectricalPruned => stats.electrical_pruned += 1,
-            CandidateOutcome::Fatal(e) => {
-                fatal = Some(e);
-                break;
-            }
-            CandidateOutcome::Feasible(sol) => {
-                if let Some(sol) = admit(spec, linter, *sol, &mut stats) {
-                    out.push(sol);
-                }
-            }
-        }
-    }
-    if let Some(e) = fatal {
-        flush_obs(&stats, false, reuse);
-        return SolveOutcome {
-            result: Err(e),
-            stats,
-        };
-    }
-    let (result, swept_empty) = finish_sweep(out, &mut stats);
-    flush_obs(&stats, swept_empty, reuse);
-    SolveOutcome { result, stats }
 }
 
 /// Per-reason counts of candidates rejected by the closed-form screen,

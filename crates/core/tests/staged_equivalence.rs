@@ -1,13 +1,12 @@
 //! The staged-pipeline determinism contract (DESIGN.md §14): the pruned
-//! pipeline, the debug-only unpruned reference, and the parallel fan-out
+//! pipeline, the certified screen and the debug-only unpruned reference
 //! must all return exactly the same solution set in the same order, and
 //! the pre-screen must account for precisely the candidates the full
 //! models would have rejected.
 
 use cactid_core::{
-    array, org, solve_with_stats, solve_with_stats_certified, solve_with_stats_parallel,
-    solve_with_stats_reference, AccessMode, MemoryKind, MemorySpec, Solution,
-    PARALLEL_SERIAL_THRESHOLD,
+    array, org, solve_with_stats, solve_with_stats_certified, solve_with_stats_reference,
+    AccessMode, MemoryKind, MemorySpec, Solution,
 };
 use cactid_tech::{CellTechnology, TechNode, Technology};
 
@@ -100,45 +99,6 @@ fn staged_solve_equals_the_unpruned_reference() {
     }
 }
 
-#[test]
-fn parallel_solve_equals_serial_at_every_thread_count() {
-    for (label, spec) in [("sram-l2", sram_l2()), ("comm-dram", comm_dram_smoke())] {
-        let serial = solve_with_stats(&spec, None);
-        for threads in [1, 2, 8] {
-            let par = solve_with_stats_parallel(&spec, None, threads);
-            assert_identical_sets(
-                label,
-                serial.result.as_ref().unwrap(),
-                par.result.as_ref().unwrap(),
-            );
-            assert_eq!(
-                serial.stats, par.stats,
-                "{label}: stats diverge at {threads} threads"
-            );
-        }
-    }
-}
-
-/// The solve-throughput bench's COMM-DRAM DIMM spec (1 GB chip): its
-/// 70-candidate sweep sits under [`PARALLEL_SERIAL_THRESHOLD`], so the
-/// parallel entry point must take the inline serial path.
-fn comm_dram_dimm() -> MemorySpec {
-    MemorySpec::builder()
-        .capacity_bytes(1 << 30)
-        .block_bytes(8)
-        .banks(8)
-        .cell_tech(CellTechnology::CommDram)
-        .node(TechNode::N78)
-        .kind(MemoryKind::MainMemory {
-            io_bits: 8,
-            burst_length: 8,
-            prefetch: 8,
-            page_bits: 8 << 10,
-        })
-        .build()
-        .unwrap()
-}
-
 /// The certified screen with *proved* bounds returns exactly what the
 /// exact staged screen returns — same solutions, same stats, same
 /// rejection accounting. This is the wiring contract for `--certified`:
@@ -162,30 +122,6 @@ fn certified_solve_equals_the_staged_solve_with_proved_bounds() {
             staged.stats, certified.stats,
             "{label}: certified stats diverge"
         );
-    }
-}
-
-/// Small sweeps take the serial path inside the parallel entry point, so
-/// the 0.62x COMM-DRAM DIMM regression the solve bench recorded cannot
-/// recur: below the threshold the two entry points are the same code.
-#[test]
-fn comm_dram_dimm_sweep_falls_back_to_serial() {
-    let spec = comm_dram_dimm();
-    let serial = solve_with_stats(&spec, None);
-    assert!(
-        serial.stats.orgs_enumerated < PARALLEL_SERIAL_THRESHOLD,
-        "the DIMM sweep grew past the serial-fallback threshold: {} >= {}",
-        serial.stats.orgs_enumerated,
-        PARALLEL_SERIAL_THRESHOLD
-    );
-    for threads in [0, 2, 8] {
-        let par = solve_with_stats_parallel(&spec, None, threads);
-        assert_identical_sets(
-            "comm-dram-dimm",
-            serial.result.as_ref().unwrap(),
-            par.result.as_ref().unwrap(),
-        );
-        assert_eq!(serial.stats, par.stats, "threads={threads}");
     }
 }
 

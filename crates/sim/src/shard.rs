@@ -1,32 +1,37 @@
-//! Sharded parallel simulator: deterministic epoch-synchronized actors.
+//! Sharded simulator: deterministic epoch-synchronized actors.
 //!
-//! Each core (with its private L1/L2) is an actor owned by one shard; the
-//! shared fabric — L3 banks, coherence directory, DRAM channels, locks and
-//! the barrier — lives at the *boundary*. Shards advance in lock-step
-//! epochs of a fixed cycle quantum over the hermetic
-//! [`cactid_core::par::run_epochs`] pool:
+//! Each core (with its private L1/L2) is an actor; the shared fabric — L3
+//! banks, coherence directory, DRAM channels, locks and the barrier —
+//! lives at the *boundary*. The engine advances in epochs of a fixed
+//! cycle quantum, each a two-phase step on one thread:
 //!
-//! * **Phase A** (parallel): every actor simulates its own threads for the
-//!   window `[t0, t0 + Q)` touching only shard-local state (L1/L2 hits,
+//! * **Phase A**: every actor in turn simulates its own threads for the
+//!   window `[t0, t0 + Q)` touching only actor-local state (L1/L2 hits,
 //!   FP/other issue, round-robin arbitration). Anything that needs the
 //!   shared fabric is appended to the actor's outbox as a message stamped
 //!   `(cycle, core, seq)`.
-//! * **Phase B** (single-threaded): the coordinator drains all outboxes in
-//!   ascending `(cycle, core, seq)` order and applies them to the
-//!   boundary — directory lookups, invalidations/updates, L3 and DRAM
-//!   reservations, lock grants, barrier release.
+//! * **Phase B**: the outboxes are drained in ascending
+//!   `(cycle, core, seq)` order and applied to the boundary — directory
+//!   lookups, invalidations/updates, L3 and DRAM reservations, lock
+//!   grants, barrier release.
 //!
-//! Because messages are processed in an order that is a pure function of
-//! simulated time (never of host scheduling), the results are **bitwise
-//! identical at any worker count** — 1, 2 or 8 shard workers produce the
-//! same [`SimStats`] and the same per-thread instruction streams.
+//! Messages are processed in an order that is a pure function of
+//! simulated time, so the results do not depend on the order in which
+//! phase A visits the actors: each actor's window reads and writes only
+//! its own state.
 //!
-//! The epoch quantum `Q` is chosen no larger than the minimum cross-shard
+//! The epoch quantum `Q` is chosen no larger than the minimum cross-core
 //! response latency (`l1 + l2 + 2×xbar` cycles): a request issued inside
 //! an epoch cannot receive its answer before the epoch ends, so deferring
 //! all fabric interaction to the boundary loses no simulated-time
-//! precision for remote traffic. Shard-local activity still advances
+//! precision for remote traffic. Actor-local activity still advances
 //! cycle by cycle inside the window.
+//!
+//! The engine runs on one thread. Splitting phase A across worker
+//! threads measured slower: on a 2-CPU host two workers ran a 64-core
+//! ft.B simulation at 0.60x the speed of one (DESIGN.md §18), because the
+//! per-epoch barriers cost more than a window of work. Parallelism lives
+//! at the study level instead, one simulation per pool job.
 //!
 //! This engine intentionally differs from the serial reference
 //! [`crate::Simulator`] in *when* coherence actions land: the legacy loop
@@ -45,15 +50,6 @@ use crate::l3::L3;
 use crate::stats::{SimStats, StallKind};
 use crate::trace::{Instr, TraceSource};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Below this core count the epoch machinery is pure overhead: the auto
-/// worker policy (`workers == 0`) falls back to the inline serial path.
-const MIN_PARALLEL_CORES: usize = 16;
-/// Runs shorter than this retire before the parallel pool amortizes its
-/// barrier crossings; the auto policy stays serial below it.
-const MIN_PARALLEL_INSTRUCTIONS: u64 = 200_000;
 
 #[derive(Debug, Default)]
 struct LockState {
@@ -68,7 +64,7 @@ enum Source {
     Memory { data_at: u64 },
 }
 
-/// A cross-shard request, recorded during phase A and applied in phase B.
+/// A cross-core request, recorded during phase A and applied in phase B.
 ///
 /// The `(cycle, core, seq)` triple is the canonical drain order: `seq` is
 /// a per-actor monotone counter, so messages from one core replay in
@@ -99,10 +95,9 @@ enum MsgKind {
     BarrierArrive,
 }
 
-/// Per-actor progress digest computed at the end of each phase A window
-/// (inside the lock the worker already holds), so the coordinator's
+/// Per-actor progress digest returned by each phase A window, so the
 /// stop/fast-forward decision needs no second scan over every thread.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct ActorSummary {
     /// The earliest cycle one of the core's threads can issue
     /// ([`Thread::wake`]); `u64::MAX` when every one is parked.
@@ -110,8 +105,7 @@ struct ActorSummary {
     instructions: u64,
 }
 
-/// One core plus its private caches and threads — owned by exactly one
-/// shard worker during phase A, and by the coordinator during phase B.
+/// One core plus its private caches and threads.
 struct CoreActor<T> {
     core: usize,
     trace: T,
@@ -122,7 +116,6 @@ struct CoreActor<T> {
     stats: SimStats,
     outbox: Vec<Msg>,
     seq: u64,
-    summary: ActorSummary,
 }
 
 /// Shared-fabric state touched only in phase B.
@@ -145,7 +138,7 @@ struct Boundary {
 pub struct ShardInfo {
     /// Epochs executed (phase A + phase B pairs).
     pub epochs: u64,
-    /// Cross-shard messages drained at epoch boundaries.
+    /// Cross-core messages drained at epoch boundaries.
     pub messages: u64,
     /// Thread-cycles spent blocked on boundary-resolved events (remote
     /// loads, lock waits, barrier waits).
@@ -154,13 +147,15 @@ pub struct ShardInfo {
     pub invalidations: u64,
     /// Remote copies updated in place (Dragon write-update).
     pub updates: u64,
-    /// Runs where the auto worker policy chose the serial inline path.
+    /// Always 0: the engine has no multi-worker path to fall back from.
+    /// Kept so existing readers of the field still build.
     pub serial_fallbacks: u64,
-    /// Worker count used by the most recent [`ShardedSimulator::run`].
+    /// Always 1: the engine runs on one thread. Kept so existing readers
+    /// of the field still build.
     pub last_workers: usize,
 }
 
-/// The epoch-synchronized parallel simulator. Construct with
+/// The epoch-synchronized actor simulator. Construct with
 /// [`ShardedSimulator::try_new`], then call [`ShardedSimulator::run`].
 ///
 /// `T` must be [`Clone`] because each actor owns a clone of the trace
@@ -170,40 +165,29 @@ pub struct ShardInfo {
 pub struct ShardedSimulator<T> {
     cfg: SystemConfig,
     quantum: u64,
-    /// Requested worker count; 0 = auto (host parallelism, with serial
-    /// fallback for small configs/runs).
-    workers: usize,
-    actors: Vec<Mutex<CoreActor<T>>>,
+    actors: Vec<CoreActor<T>>,
     boundary: Boundary,
     cycle: u64,
     stats_epoch: u64,
     info: ShardInfo,
 }
 
-fn lock_actor<'a, T>(
-    actors: &'a [Mutex<CoreActor<T>>],
-    core: usize,
-) -> MutexGuard<'a, CoreActor<T>> {
-    actors[core].lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
-    /// Builds an idle sharded system; see [`ShardedSimulator::try_new`].
+impl<T: TraceSource + Clone> ShardedSimulator<T> {
+    /// Builds an idle system; see [`ShardedSimulator::try_new`].
+    ///
+    /// `_workers` is ignored. It was the worker count of the removed
+    /// multi-worker engine; the parameter stays for the `perfbench`
+    /// package, which still passes one. Other callers use `try_new`.
     ///
     /// # Panics
     ///
     /// On an invalid configuration.
-    pub fn new(cfg: SystemConfig, trace: T, workers: usize) -> ShardedSimulator<T> {
-        ShardedSimulator::try_new(cfg, trace, workers)
+    pub fn new(cfg: SystemConfig, trace: T, _workers: usize) -> ShardedSimulator<T> {
+        ShardedSimulator::try_new(cfg, trace)
             .unwrap_or_else(|e| panic!("invalid system configuration: {e}"))
     }
 
-    /// Builds an idle sharded system. `workers` is the shard worker
-    /// count: `0` selects automatically from
-    /// [`cactid_core::par::host_parallelism`] (falling back to the serial
-    /// inline path for small configs, short runs, or single-core hosts);
-    /// any explicit value is honored, so tests can force the parallel
-    /// drain path on any host.
+    /// Builds an idle system.
     ///
     /// # Errors
     ///
@@ -213,32 +197,28 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
     pub fn try_new(
         cfg: SystemConfig,
         trace: T,
-        workers: usize,
     ) -> Result<ShardedSimulator<T>, crate::config::ConfigError> {
         cfg.validate()?;
         let tpc = cfg.threads_per_core as usize;
         let actors = (0..cfg.n_cores as usize)
-            .map(|core| {
-                Mutex::new(CoreActor {
-                    core,
-                    trace: trace.clone(),
-                    threads: (0..tpc).map(|_| Thread::new()).collect(),
-                    l1: SetAssocCache::new(
-                        cfg.l1.capacity_bytes,
-                        cfg.l1.line_bytes,
-                        cfg.l1.associativity,
-                    ),
-                    l2: SetAssocCache::new(
-                        cfg.l2.capacity_bytes,
-                        cfg.l2.line_bytes,
-                        cfg.l2.associativity,
-                    ),
-                    rr: 0,
-                    stats: SimStats::default(),
-                    outbox: Vec::new(),
-                    seq: 0,
-                    summary: ActorSummary::default(),
-                })
+            .map(|core| CoreActor {
+                core,
+                trace: trace.clone(),
+                threads: (0..tpc).map(|_| Thread::new()).collect(),
+                l1: SetAssocCache::new(
+                    cfg.l1.capacity_bytes,
+                    cfg.l1.line_bytes,
+                    cfg.l1.associativity,
+                ),
+                l2: SetAssocCache::new(
+                    cfg.l2.capacity_bytes,
+                    cfg.l2.line_bytes,
+                    cfg.l2.associativity,
+                ),
+                rr: 0,
+                stats: SimStats::default(),
+                outbox: Vec::new(),
+                seq: 0,
             })
             .collect();
         let boundary = Boundary {
@@ -255,12 +235,14 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
         };
         Ok(ShardedSimulator {
             quantum: epoch_quantum(&cfg),
-            workers,
             actors,
             boundary,
             cycle: 0,
             stats_epoch: 0,
-            info: ShardInfo::default(),
+            info: ShardInfo {
+                last_workers: 1,
+                ..ShardInfo::default()
+            },
             cfg,
         })
     }
@@ -275,126 +257,70 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
         self.cycle
     }
 
-    /// Cumulative shard-engine counters.
+    /// Cumulative engine counters.
     pub fn info(&self) -> &ShardInfo {
         &self.info
     }
 
-    fn effective_workers(&self, target_instructions: u64) -> usize {
-        let n = self.actors.len();
-        match self.workers {
-            0 => {
-                let host = cactid_core::par::host_parallelism();
-                if host < 2
-                    || n < MIN_PARALLEL_CORES
-                    || target_instructions < MIN_PARALLEL_INSTRUCTIONS
-                {
-                    1
-                } else {
-                    host.min(n)
-                }
-            }
-            w => w.min(n),
-        }
-    }
-
     /// Runs until `target_instructions` have retired (or the same safety
     /// cap as the serial engine: 1000 cycles per requested instruction),
-    /// returning the merged statistics. The result is independent of the
-    /// worker count.
+    /// returning the merged statistics.
     pub fn run(&mut self, target_instructions: u64) -> SimStats {
         let _run = cactid_obs::span("sim.shard.run");
-        let workers = self.effective_workers(target_instructions);
-        if self.workers == 0 && workers == 1 {
-            self.info.serial_fallbacks += 1;
-            cactid_obs::counter!("sim.shard.serial_fallback").inc();
-        }
-        self.info.last_workers = workers;
         let pre = self.info.clone();
 
         let start_cycle = self.cycle;
         let cycle_cap = start_cycle + target_instructions.saturating_mul(1000).max(10_000);
-        let start_instr: u64 = self
-            .actors
-            .iter_mut()
-            .map(|a| {
-                a.get_mut()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .stats
-                    .instructions
-            })
-            .sum();
+        let start_instr: u64 = self.actors.iter().map(|a| a.stats.instructions).sum();
         let target = start_instr + target_instructions;
 
-        let quantum = self.quantum;
-        let cfg = &self.cfg;
-        let actors = &self.actors[..];
-        let n_actors = actors.len();
-        let boundary = &mut self.boundary;
-        let info = &mut self.info;
-        // The current epoch window, published by the coordinator before
-        // each phase A and read by every worker after the start barrier.
-        let t0 = AtomicU64::new(start_cycle);
-        let t1 = AtomicU64::new(start_cycle + quantum);
-        let mut final_cycle = start_cycle;
+        let Self {
+            cfg,
+            quantum,
+            actors,
+            boundary,
+            info,
+            ..
+        } = self;
+        let (cfg, quantum) = (&*cfg, *quantum);
+        let mut t0 = start_cycle;
         let mut msgs: Vec<Msg> = Vec::new();
         let mut last_tick = std::time::Instant::now();
+        let final_cycle = loop {
+            let t_end = t0 + quantum;
+            // Phase A, one actor at a time: run its window, take its
+            // outbox and fold in its progress digest.
+            let mut total_instr = 0;
+            let mut wake = u64::MAX;
+            for a in actors.iter_mut() {
+                let s = a.run_window(cfg, t0, t_end);
+                msgs.append(&mut a.outbox);
+                total_instr += s.instructions;
+                wake = wake.min(s.wake);
+            }
+            // Phase B. Draining resolves blocked threads into
+            // StalledUntil; each such wake folds into `wake` as it
+            // happens, so no post-drain rescan is needed.
+            msgs.sort_unstable_by_key(|m| (m.cycle, m.core, m.seq));
+            info.epochs += 1;
+            info.messages += msgs.len() as u64;
+            for m in msgs.drain(..) {
+                process(cfg, actors, boundary, info, &m, t_end, &mut wake);
+            }
+            let now = std::time::Instant::now();
+            cactid_obs::histogram!("sim.shard.epoch.ns")
+                .record(now.duration_since(last_tick).as_nanos() as u64);
+            last_tick = now;
 
-        cactid_core::par::run_epochs(
-            workers,
-            |w, _epoch| {
-                let (a, b) = (t0.load(Ordering::Acquire), t1.load(Ordering::Acquire));
-                let mut i = w;
-                while i < n_actors {
-                    lock_actor(actors, i).run_window(cfg, a, b);
-                    i += workers;
-                }
-            },
-            |_epoch| {
-                let t_end = t1.load(Ordering::Relaxed);
-                // One pass per actor: take its outbox and fold in the
-                // progress digest phase A left behind.
-                msgs.clear();
-                let mut total_instr = 0;
-                let mut wake = u64::MAX;
-                for a in actors {
-                    let mut g = a.lock().unwrap_or_else(PoisonError::into_inner);
-                    msgs.append(&mut g.outbox);
-                    let s = g.summary;
-                    total_instr += s.instructions;
-                    wake = wake.min(s.wake);
-                }
-                msgs.sort_unstable_by_key(|m| (m.cycle, m.core, m.seq));
-                info.epochs += 1;
-                info.messages += msgs.len() as u64;
-                // Draining resolves blocked threads into StalledUntil;
-                // each such wake folds into `wake` as it happens, so no
-                // post-drain rescan is needed.
-                for m in &msgs {
-                    process(cfg, actors, boundary, info, m, t_end, &mut wake);
-                }
-                let now = std::time::Instant::now();
-                cactid_obs::histogram!("sim.shard.epoch.ns")
-                    .record(now.duration_since(last_tick).as_nanos() as u64);
-                last_tick = now;
-
-                if total_instr >= target || t_end >= cycle_cap {
-                    final_cycle = t_end;
-                    return false;
-                }
-                if wake == u64::MAX {
-                    // Nothing will ever wake: synchronization deadlock.
-                    final_cycle = t_end;
-                    return false;
-                }
-                // A thread that could already issue resumes at the window
-                // edge; otherwise skip ahead to the earliest stall's end.
-                let next = wake.max(t_end);
-                t0.store(next, Ordering::Release);
-                t1.store(next + quantum, Ordering::Release);
-                true
-            },
-        );
+            // `wake == u64::MAX`: nothing will ever wake, a
+            // synchronization deadlock.
+            if total_instr >= target || t_end >= cycle_cap || wake == u64::MAX {
+                break t_end;
+            }
+            // A thread that could already issue resumes at the window
+            // edge; otherwise skip ahead to the earliest stall's end.
+            t0 = wake.max(t_end);
+        };
 
         self.cycle = final_cycle;
         cactid_obs::counter!("sim.shard.epochs").add(self.info.epochs - pre.epochs);
@@ -412,8 +338,8 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
     /// unattributed thread-cycle was spent processing instructions.
     fn finalize(&mut self) -> SimStats {
         let mut s = self.boundary.stats.clone();
-        for a in &mut self.actors {
-            s.merge(&a.get_mut().unwrap_or_else(PoisonError::into_inner).stats);
+        for a in &self.actors {
+            s.merge(&a.stats);
         }
         s.cycles = self.cycle - self.stats_epoch;
         let total = s.cycles * self.cfg.n_threads() as u64;
@@ -431,7 +357,7 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
     pub fn reset_stats(&mut self) {
         self.boundary.stats = SimStats::default();
         for a in &mut self.actors {
-            a.get_mut().unwrap_or_else(PoisonError::into_inner).stats = SimStats::default();
+            a.stats = SimStats::default();
         }
         self.stats_epoch = self.cycle;
     }
@@ -440,21 +366,18 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
     /// core order (e.g. [`crate::record::Recorder`] clones whose captures
     /// you want to splice per owning core).
     pub fn into_trace_sources(self) -> Vec<T> {
-        self.actors
-            .into_iter()
-            .map(|a| a.into_inner().unwrap_or_else(PoisonError::into_inner).trace)
-            .collect()
+        self.actors.into_iter().map(|a| a.trace).collect()
     }
 }
 
-/// The epoch quantum: the minimum latency of any cross-shard response.
+/// The epoch quantum: the minimum latency of any cross-core response.
 ///
 /// A remote answer to a request issued at cycle `c` arrives no earlier
 /// than `c + l1 + l2 + 2×xbar` (cache-to-cache is `l2_lat + 2×xbar + l2`;
 /// L3 and memory paths reserve from `c + l2_lat + xbar` and add `xbar` on
 /// the return). With `Q` no larger than that bound, a thread blocked on
 /// the fabric can never need waking *inside* the epoch that issued the
-/// request, so resolving all cross-shard traffic at the boundary is
+/// request, so resolving all cross-core traffic at the boundary is
 /// timing-exact for remote requests.
 fn epoch_quantum(cfg: &SystemConfig) -> u64 {
     let l2_lat = cfg.l1.access_cycles + cfg.l2.access_cycles;
@@ -475,15 +398,14 @@ impl<T: TraceSource> CoreActor<T> {
     }
 
     /// Phase A: simulates this core's threads for cycles `[t0, t1)`.
-    fn run_window(&mut self, cfg: &SystemConfig, t0: u64, t1: u64) {
+    fn run_window(&mut self, cfg: &SystemConfig, t0: u64, t1: u64) -> ActorSummary {
         let tpc = self.threads.len();
         // The earliest cycle one of this core's threads can issue. Within
-        // a window no cross-shard event can wake a thread (the epoch
-        // quantum is bounded by the minimum cross-shard latency) and a
+        // a window no cross-core event can wake a thread (the epoch
+        // quantum is bounded by the minimum cross-core latency) and a
         // turn changes only its own thread, so folding each thread's wake
         // after its turn keeps this exact without a rescan — and the
-        // fast-forward below depends only on this actor's state, identical
-        // at every worker count.
+        // fast-forward below depends only on this actor's state.
         let mut wake = self
             .threads
             .iter()
@@ -493,7 +415,7 @@ impl<T: TraceSource> CoreActor<T> {
         let mut cycle = t0;
         while cycle < t1 {
             // Fast-forward across stretches where every thread in this
-            // shard is blocked, exactly like the serial loop.
+            // core is blocked, exactly like the serial loop.
             if wake > cycle {
                 // Everything parked on the boundary (`u64::MAX`) or
                 // stalled past the window: nothing more can happen here
@@ -604,15 +526,15 @@ impl<T: TraceSource> CoreActor<T> {
             }
             cycle += 1;
         }
-        // Digest this window's outcome for the coordinator: a wake below
+        // Digest this window's outcome for the epoch loop: a wake below
         // `t1` means a thread is issuable at the window edge.
-        self.summary = ActorSummary {
+        ActorSummary {
             wake,
             instructions: self.stats.instructions,
-        };
+        }
     }
 
-    /// The shard-local slice of a memory access: L1 and L2 hits are
+    /// The actor-local slice of a memory access: L1 and L2 hits are
     /// serviced entirely here; `None` means the request must go to the
     /// boundary. Stores that hit a non-Modified line emit an Upgrade
     /// message for phase B.
@@ -740,7 +662,7 @@ impl Boundary {
 /// Invalidates `mask` cores' copies (MESI); returns whether one of them
 /// held the line dirty (cache-to-cache source).
 fn invalidate_remotes<T>(
-    actors: &[Mutex<CoreActor<T>>],
+    actors: &mut [CoreActor<T>],
     b: &mut Boundary,
     info: &mut ShardInfo,
     mask: CoreSet,
@@ -754,7 +676,7 @@ fn invalidate_remotes<T>(
         }
         b.stats.counts.l2_reads += 1; // probe
         info.invalidations += 1;
-        let mut a = lock_actor(actors, other);
+        let a = &mut actors[other];
         if a.l2.invalidate(addr) == Some(LineState::Modified) {
             dirty = true;
         }
@@ -768,7 +690,7 @@ fn invalidate_remotes<T>(
 /// Pushes the written line into `peers`' caches in place (Dragon): their
 /// copies stay valid in Shared state instead of being invalidated.
 fn update_remotes<T>(
-    actors: &[Mutex<CoreActor<T>>],
+    actors: &mut [CoreActor<T>],
     b: &mut Boundary,
     info: &mut ShardInfo,
     peers: CoreSet,
@@ -782,7 +704,7 @@ fn update_remotes<T>(
         info.updates += 1;
         b.stats.counts.l2_writes += 1; // the update lands in the peer's L2
         b.stats.counts.xbar_transfers += 1;
-        let mut a = lock_actor(actors, other);
+        let a = &mut actors[other];
         a.l2.set_state(addr, LineState::Shared);
         a.l1.set_state(addr, LineState::Shared);
     }
@@ -790,7 +712,7 @@ fn update_remotes<T>(
 
 /// Downgrades a dirty remote owner to Shared and pushes its data below.
 fn downgrade_remote<T>(
-    actors: &[Mutex<CoreActor<T>>],
+    actors: &mut [CoreActor<T>],
     b: &mut Boundary,
     owner: usize,
     addr: u64,
@@ -798,7 +720,7 @@ fn downgrade_remote<T>(
 ) {
     b.stats.counts.l2_reads += 1;
     {
-        let mut a = lock_actor(actors, owner);
+        let a = &mut actors[owner];
         a.l2.set_state(addr, LineState::Shared);
         a.l1.set_state(addr, LineState::Shared);
     }
@@ -807,12 +729,12 @@ fn downgrade_remote<T>(
 
 /// Phase B: applies one drained message to the boundary. Every thread it
 /// resolves into [`ThreadState::StalledUntil`] is folded into
-/// `wake`, keeping the coordinator's fast-forward bound exact
+/// `wake`, keeping the epoch loop's fast-forward bound exact
 /// without a post-drain rescan.
 #[allow(clippy::too_many_arguments)]
 fn process<T: TraceSource>(
     cfg: &SystemConfig,
-    actors: &[Mutex<CoreActor<T>>],
+    actors: &mut [CoreActor<T>],
     b: &mut Boundary,
     info: &mut ShardInfo,
     m: &Msg,
@@ -845,8 +767,7 @@ fn process<T: TraceSource>(
                 let wait = t_end - m.cycle;
                 b.stats.attribute(StallKind::Lock, wait);
                 info.stall_cycles += wait;
-                lock_actor(actors, core).threads[m.tid].state =
-                    ThreadState::StalledUntil(t_end + 1);
+                actors[core].threads[m.tid].state = ThreadState::StalledUntil(t_end + 1);
                 *wake = (*wake).min(t_end + 1);
             } else {
                 lock.queue.push_back(gtid);
@@ -859,7 +780,7 @@ fn process<T: TraceSource>(
             lock.holder = None;
             if let Some(next) = lock.queue.pop_front() {
                 lock.holder = Some(next);
-                let mut a = lock_actor(actors, next / tpc);
+                let a = &mut actors[next / tpc];
                 if let ThreadState::WaitingLock(_, since) = a.threads[next % tpc].state {
                     let wait = t_end - since;
                     b.stats.attribute(StallKind::Lock, wait);
@@ -872,8 +793,7 @@ fn process<T: TraceSource>(
         MsgKind::BarrierArrive => {
             b.barrier_count += 1;
             if b.barrier_count == cfg.n_threads() {
-                for actor in actors {
-                    let mut a = actor.lock().unwrap_or_else(PoisonError::into_inner);
+                for a in actors.iter_mut() {
                     for t in &mut a.threads {
                         if let ThreadState::AtBarrier(since) = t.state {
                             let wait = t_end - since;
@@ -895,7 +815,7 @@ fn process<T: TraceSource>(
 #[allow(clippy::too_many_arguments)]
 fn miss<T: TraceSource>(
     cfg: &SystemConfig,
-    actors: &[Mutex<CoreActor<T>>],
+    actors: &mut [CoreActor<T>],
     b: &mut Boundary,
     info: &mut ShardInfo,
     m: &Msg,
@@ -912,7 +832,7 @@ fn miss<T: TraceSource>(
     // core missing the same line) may already have filled the L2. Service
     // it as the L2 hit it now is — mirroring what the serial engine sees
     // when the first miss fills instantly.
-    let refill = lock_actor(actors, core).l2.lookup(addr);
+    let refill = actors[core].l2.lookup(addr);
     if let Some(state) = refill {
         if is_store {
             match cfg.protocol {
@@ -925,12 +845,12 @@ fn miss<T: TraceSource>(
                     update_remotes(actors, b, info, peers, addr, core);
                 }
             }
-            let mut a = lock_actor(actors, core);
+            let a = &mut actors[core];
             a.stats.counts.l2_writes += 1;
             a.l2.set_state(addr, LineState::Modified);
             a.fill_l1(addr, LineState::Modified);
         } else {
-            let mut a = lock_actor(actors, core);
+            let a = &mut actors[core];
             a.l2.set_state(addr, state);
             a.fill_l1(addr, state);
             b.stats.loads += 1;
@@ -1020,7 +940,7 @@ fn miss<T: TraceSource>(
         LineState::Exclusive
     };
     fill_l2_boundary(actors, b, core, addr, fill_state, now);
-    lock_actor(actors, core).fill_l1(addr, fill_state);
+    actors[core].fill_l1(addr, fill_state);
     if is_store {
         b.stats.counts.l2_writes += 1;
     } else {
@@ -1037,7 +957,7 @@ fn miss<T: TraceSource>(
             b.stats.attribute(kind, stall);
         }
         info.stall_cycles += latency;
-        let mut a = lock_actor(actors, core);
+        let a = &mut actors[core];
         debug_assert!(
             matches!(a.threads[m.tid].state, ThreadState::WaitingMem(_)),
             "a load-miss message must find its thread parked"
@@ -1050,7 +970,7 @@ fn miss<T: TraceSource>(
 /// Inserts into the requester's L2, handling the eviction against the
 /// directory and the inclusive L1 exactly like the serial engine.
 fn fill_l2_boundary<T: TraceSource>(
-    actors: &[Mutex<CoreActor<T>>],
+    actors: &mut [CoreActor<T>],
     b: &mut Boundary,
     core: usize,
     addr: u64,
@@ -1058,7 +978,7 @@ fn fill_l2_boundary<T: TraceSource>(
     now: u64,
 ) {
     let ev = {
-        let mut a = lock_actor(actors, core);
+        let a = &mut actors[core];
         a.stats.counts.l2_writes += 1;
         a.l2.insert(addr, state)
     };
@@ -1066,7 +986,7 @@ fn fill_l2_boundary<T: TraceSource>(
         let ev_line = ev.addr >> b.line_shift;
         let was_owner = b.dir.evict(ev_line, core);
         // Inclusion: the L1 copy must go too.
-        let l1_state = lock_actor(actors, core).l1.invalidate(ev.addr);
+        let l1_state = actors[core].l1.invalidate(ev.addr);
         let dirty =
             ev.state == LineState::Modified || was_owner || l1_state == Some(LineState::Modified);
         if dirty {
@@ -1096,31 +1016,10 @@ mod tests {
     }
 
     #[test]
-    fn explicit_worker_counts_are_honored_and_capped() {
-        let cfg = SystemConfig::with_sram_l3();
-        let trace = StridedSource::new(32, 0.2, 1 << 16);
-        let sim = ShardedSimulator::new(cfg, trace, 64);
-        // 8 cores: an explicit request of 64 workers is capped at 8.
-        assert_eq!(sim.effective_workers(1_000_000), 8);
-        assert_eq!(sim.effective_workers(10), 8);
-    }
-
-    #[test]
-    fn auto_policy_falls_back_to_serial_for_small_configs() {
-        let cfg = SystemConfig::with_sram_l3(); // 8 cores < MIN_PARALLEL_CORES
-        let trace = StridedSource::new(32, 0.2, 1 << 16);
-        let mut sim = ShardedSimulator::new(cfg, trace, 0);
-        assert_eq!(sim.effective_workers(1_000_000), 1);
-        sim.run(1_000);
-        assert_eq!(sim.info().serial_fallbacks, 1);
-        assert_eq!(sim.info().last_workers, 1);
-    }
-
-    #[test]
     fn run_makes_progress_and_reports_epochs() {
         let cfg = SystemConfig::with_sram_l3();
         let trace = StridedSource::new(32, 0.3, 1 << 16);
-        let mut sim = ShardedSimulator::new(cfg, trace, 1);
+        let mut sim = ShardedSimulator::try_new(cfg, trace).unwrap();
         let stats = sim.run(20_000);
         assert!(stats.instructions >= 20_000);
         assert!(sim.info().epochs > 0);
@@ -1133,7 +1032,7 @@ mod tests {
     fn reset_stats_starts_a_fresh_measurement_window() {
         let cfg = SystemConfig::with_sram_l3();
         let trace = StridedSource::new(32, 0.3, 1 << 16);
-        let mut sim = ShardedSimulator::new(cfg, trace, 1);
+        let mut sim = ShardedSimulator::try_new(cfg, trace).unwrap();
         sim.run(5_000);
         sim.reset_stats();
         let stats = sim.run(5_000);

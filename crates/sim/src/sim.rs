@@ -608,7 +608,7 @@ mod tests {
         assert_eq!(cfg.validate(), Err(want.clone()));
         let legacy = Simulator::try_new(cfg.clone(), trace.clone()).err();
         assert_eq!(legacy, Some(want.clone()));
-        let sharded = crate::shard::ShardedSimulator::try_new(cfg, trace, 1).err();
+        let sharded = crate::shard::ShardedSimulator::try_new(cfg, trace).err();
         assert_eq!(sharded, Some(want));
     }
 

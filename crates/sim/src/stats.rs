@@ -197,8 +197,8 @@ impl SimStats {
     }
 
     /// FNV-1a digest over every field — a compact checksum for asserting
-    /// bitwise equality of runs (e.g. the sharded engine at different
-    /// worker counts) without printing the whole struct.
+    /// bitwise equality of runs (e.g. against a pinned constant) without
+    /// printing the whole struct.
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -1,6 +1,6 @@
 //! Integration tests for the sharded epoch-synchronized simulator:
-//! worker-count invariance (the determinism contract), trace-stream
-//! invariance, protocol selection, and synchronization under sharding.
+//! pinned statistics digests (the determinism contract), per-core trace
+//! streams, protocol selection, and synchronization across cores.
 
 use memsim::record::Recorder;
 use memsim::trace::{Instr, StridedSource, TraceSource};
@@ -14,86 +14,62 @@ use memsim::{
 /// must reproduce them bit for bit.
 const PINNED: &str = "statistics changed from the pinned digest";
 
-fn run_sharded<T: TraceSource + Clone + Send>(
+fn run_sharded<T: TraceSource + Clone>(
     cfg: &SystemConfig,
     trace: T,
-    workers: usize,
     instructions: u64,
 ) -> SimStats {
-    let mut sim = ShardedSimulator::new(cfg.clone(), trace, workers);
+    let mut sim = ShardedSimulator::try_new(cfg.clone(), trace).unwrap();
     sim.run(instructions)
 }
 
 #[test]
-fn worker_count_invariance_is_bitwise() {
-    // The headline determinism contract: 1, 2 and 8 shard workers produce
-    // the same SimStats bit for bit. Explicit worker counts are honored
-    // regardless of host parallelism, so this exercises the real parallel
-    // drain path even on a single-CPU host.
+fn sixteen_core_stats_are_pinned() {
+    // The headline determinism contract: a 16-core run reproduces its
+    // pinned SimStats digest bit for bit.
     let cfg = SystemConfig::many_core(16);
-    let mk = || StridedSource::with_seed(cfg.n_threads(), 0.3, 256 << 10, 42);
-    let s1 = run_sharded(&cfg, mk(), 1, 30_000);
-    let s2 = run_sharded(&cfg, mk(), 2, 30_000);
-    let s8 = run_sharded(&cfg, mk(), 8, 30_000);
-    assert_eq!(s1, s2);
-    assert_eq!(s1, s8);
-    assert_eq!(s1.digest(), s8.digest());
-    assert_eq!(s1.digest(), 0x4196_c0ec_485c_d179, "{PINNED}");
-    assert!(s1.instructions >= 30_000);
-    assert!(s1.counts.mem_reads > 0, "workload must reach memory");
+    let trace = StridedSource::with_seed(cfg.n_threads(), 0.3, 256 << 10, 42);
+    let s = run_sharded(&cfg, trace, 30_000);
+    assert_eq!(s.digest(), 0x4196_c0ec_485c_d179, "{PINNED}");
+    assert!(s.instructions >= 30_000);
+    assert!(s.counts.mem_reads > 0, "workload must reach memory");
 }
 
 #[test]
-fn worker_count_invariance_holds_on_small_configs_too() {
-    // 8 cores is below the auto-parallel threshold, but explicit worker
-    // counts still shard it — and must still agree with the inline path.
+fn eight_core_stats_are_pinned() {
     let cfg = SystemConfig::with_sram_l3();
-    let mk = || StridedSource::with_seed(cfg.n_threads(), 0.4, 64 << 10, 7);
-    let s1 = run_sharded(&cfg, mk(), 1, 20_000);
-    let s4 = run_sharded(&cfg, mk(), 4, 20_000);
-    assert_eq!(s1, s4);
-    assert_eq!(s1.digest(), 0xed4f_5e13_0c39_5496, "{PINNED}");
+    let trace = StridedSource::with_seed(cfg.n_threads(), 0.4, 64 << 10, 7);
+    let s = run_sharded(&cfg, trace, 20_000);
+    assert_eq!(s.digest(), 0xed4f_5e13_0c39_5496, "{PINNED}");
 }
 
 #[test]
-fn recorded_streams_match_across_worker_counts() {
-    // Satellite regression for per-core rng streams: every thread's
-    // *instruction stream* (not just the aggregate stats) is identical at
-    // 1 and 8 shards. Each actor clones the Recorder, so core c's clone
-    // captures exactly the streams of core c's threads.
+fn each_core_polls_only_its_own_threads() {
+    // Per-core rng streams: each actor clones the Recorder, so core c's
+    // clone captures exactly the streams of core c's threads, and each
+    // captured stream is the one a fresh source yields for that thread.
     let cfg = SystemConfig::many_core(16);
     let n = cfg.n_threads();
     let tpc = n / 16;
-    let mk = || Recorder::new(StridedSource::with_seed(n, 0.3, 64 << 10, 9), n);
-    let mut sim1 = ShardedSimulator::new(cfg.clone(), mk(), 1);
-    sim1.run(20_000);
-    let mut sim8 = ShardedSimulator::new(cfg.clone(), mk(), 8);
-    sim8.run(20_000);
-    let rec1 = sim1.into_trace_sources();
-    let rec8 = sim8.into_trace_sources();
-    assert_eq!(rec1.len(), 16);
+    let mk = || StridedSource::with_seed(n, 0.3, 64 << 10, 9);
+    let mut sim = ShardedSimulator::try_new(cfg.clone(), Recorder::new(mk(), n)).unwrap();
+    sim.run(20_000);
+    let recs = sim.into_trace_sources();
+    assert_eq!(recs.len(), 16);
+    let mut fresh = mk();
     let mut compared = 0usize;
-    for core in 0..16 {
-        let lens: Vec<usize> = (0..n).map(|tid| rec1[core].recorded(tid)).collect();
-        for (tid, &len) in lens.iter().enumerate() {
-            assert_eq!(
-                len,
-                rec8[core].recorded(tid),
-                "stream length diverged for core {core} tid {tid}"
-            );
-            // Only the owning core's threads are ever polled.
+    for (core, rec) in recs.iter().enumerate() {
+        let mut replay = rec.clone().into_trace();
+        for tid in 0..n {
+            let len = rec.recorded(tid);
             if tid / tpc != core {
                 assert_eq!(len, 0, "core {core} polled foreign tid {tid}");
+                continue;
             }
-        }
-        let mut t1 = rec1[core].clone().into_trace();
-        let mut t8 = rec8[core].clone().into_trace();
-        for lt in 0..tpc {
-            let tid = core * tpc + lt;
-            for i in 0..lens[tid] {
+            for i in 0..len {
                 assert_eq!(
-                    t1.next(tid),
-                    t8.next(tid),
+                    replay.next(tid),
+                    fresh.next(tid),
                     "instruction {i} diverged for tid {tid}"
                 );
                 compared += 1;
@@ -147,26 +123,24 @@ fn dragon_updates_where_mesi_invalidates() {
     dragon.protocol = CoherenceProtocol::Dragon;
     let n = mesi.n_threads();
 
-    let mut sim_m = ShardedSimulator::new(mesi, SharedTrace::new(n), 2);
+    let mut sim_m = ShardedSimulator::try_new(mesi, SharedTrace::new(n)).unwrap();
     sim_m.run(20_000);
     assert!(sim_m.info().invalidations > 0, "MESI must invalidate");
     assert_eq!(sim_m.info().updates, 0, "MESI must never update in place");
 
-    let mut sim_d = ShardedSimulator::new(dragon, SharedTrace::new(n), 2);
+    let mut sim_d = ShardedSimulator::try_new(dragon, SharedTrace::new(n)).unwrap();
     sim_d.run(20_000);
     assert!(sim_d.info().updates > 0, "Dragon must push updates");
     assert_eq!(sim_d.info().invalidations, 0, "Dragon must not invalidate");
 }
 
 #[test]
-fn dragon_is_also_worker_count_invariant() {
+fn dragon_stats_are_pinned() {
     let mut cfg = SystemConfig::many_core(16);
     cfg.protocol = CoherenceProtocol::Dragon;
     let n = cfg.n_threads();
-    let s1 = run_sharded(&cfg, SharedTrace::new(n), 1, 15_000);
-    let s4 = run_sharded(&cfg, SharedTrace::new(n), 4, 15_000);
-    assert_eq!(s1, s4);
-    assert_eq!(s1.digest(), 0xfd5f_5f21_ec55_9e74, "{PINNED}");
+    let s = run_sharded(&cfg, SharedTrace::new(n), 15_000);
+    assert_eq!(s.digest(), 0xfd5f_5f21_ec55_9e74, "{PINNED}");
 }
 
 #[test]
@@ -176,7 +150,7 @@ fn serial_engine_rejects_dragon_sharded_accepts_it() {
     let n = cfg.n_threads();
     let err = Simulator::try_new(cfg.clone(), StridedSource::new(n, 0.3, 1 << 20)).err();
     assert_eq!(err, Some(ConfigError::ProtocolNeedsShardedEngine));
-    assert!(ShardedSimulator::try_new(cfg, StridedSource::new(n, 0.3, 1 << 20), 1).is_ok());
+    assert!(ShardedSimulator::try_new(cfg, StridedSource::new(n, 0.3, 1 << 20)).is_ok());
 }
 
 #[test]
@@ -189,7 +163,7 @@ fn sharded_tracks_the_serial_reference_on_compute_only_work() {
     let n = cfg.n_threads();
     let mut legacy = Simulator::new(cfg.clone(), StridedSource::new(n, 0.0, 1 << 20));
     let ref_stats = legacy.run(100_000);
-    let stats = run_sharded(&cfg, StridedSource::new(n, 0.0, 1 << 20), 2, 100_000);
+    let stats = run_sharded(&cfg, StridedSource::new(n, 0.0, 1 << 20), 100_000);
     assert_eq!(stats.counts.mem_reads, 0);
     let (a, b) = (stats.ipc(), ref_stats.ipc());
     assert!(
@@ -217,12 +191,10 @@ impl TraceSource for BarrierEvery {
 fn barriers_synchronize_across_shards() {
     let cfg = SystemConfig::many_core(16);
     let n = cfg.n_threads();
-    let s1 = run_sharded(&cfg, BarrierEvery(vec![0; n]), 1, 20_000);
-    let s4 = run_sharded(&cfg, BarrierEvery(vec![0; n]), 4, 20_000);
-    assert_eq!(s1, s4);
-    assert!(s1.attributed(StallKind::Barrier) > 0);
-    assert!(s1.instructions >= 20_000);
-    assert_eq!(s1.digest(), 0x71cd_6dcf_0fa7_40d0, "{PINNED}");
+    let s = run_sharded(&cfg, BarrierEvery(vec![0; n]), 20_000);
+    assert!(s.attributed(StallKind::Barrier) > 0);
+    assert!(s.instructions >= 20_000);
+    assert_eq!(s.digest(), 0x71cd_6dcf_0fa7_40d0, "{PINNED}");
 }
 
 /// Threads take a global lock, hold it for a few instructions, release.
@@ -244,21 +216,19 @@ impl TraceSource for LockLoop {
 fn locks_serialize_across_shards() {
     let cfg = SystemConfig::many_core(16);
     let n = cfg.n_threads();
-    let s1 = run_sharded(&cfg, LockLoop(vec![0; n]), 1, 10_000);
-    let s4 = run_sharded(&cfg, LockLoop(vec![0; n]), 4, 10_000);
-    assert_eq!(s1, s4);
-    assert!(s1.attributed(StallKind::Lock) > 0);
-    assert_eq!(s1.digest(), 0xdaac_5e41_9044_b512, "{PINNED}");
+    let s = run_sharded(&cfg, LockLoop(vec![0; n]), 10_000);
+    assert!(s.attributed(StallKind::Lock) > 0);
+    assert_eq!(s.digest(), 0xdaac_5e41_9044_b512, "{PINNED}");
 }
 
 #[test]
 fn many_core_configs_run_at_scale() {
-    // 64 cores (256 threads), briefly, at 2 workers: the engine holds up
-    // at the scale the config constructor targets.
+    // 64 cores (256 threads), briefly: the engine holds up at the scale
+    // the config constructor targets.
     let cfg = SystemConfig::many_core(64);
     let n = cfg.n_threads();
     let trace = StridedSource::with_seed(n, 0.2, 32 << 10, 3);
-    let mut sim = ShardedSimulator::new(cfg, trace, 2);
+    let mut sim = ShardedSimulator::try_new(cfg, trace).unwrap();
     let stats = sim.run(50_000);
     assert!(stats.instructions >= 50_000);
     assert!(sim.info().epochs > 0);
@@ -280,7 +250,7 @@ fn sharers_beyond_core_63_are_tracked_at_full_scale() {
         let mut cfg = SystemConfig::many_core(cores);
         cfg.protocol = protocol;
         let n = cfg.n_threads();
-        let stats = run_sharded(&cfg, SharedTrace::new(n), 2, 20_000);
+        let stats = run_sharded(&cfg, SharedTrace::new(n), 20_000);
         assert!(stats.instructions >= 20_000);
         assert_eq!(
             stats.digest(),

@@ -11,7 +11,7 @@
 //! llc-study thermal                # extension: stacked-die temperature
 //! llc-study powerdown [-n INSTR]   # extension: DRAM power-down savings
 //! llc-study sweep [-n INSTR]       # L3 capacity-sensitivity curves
-//! llc-study shard [--cores N] [--shards K] [--dragon] [-n INSTR]
+//! llc-study shard [--cores N] [--dragon] [-n INSTR]
 //!                                  # sharded-simulator run; prints a
 //!                                  # stats digest for determinism checks
 //! ```
@@ -143,14 +143,13 @@ fn main() {
         "shard" => {
             use memsim::{CoherenceProtocol, ShardedSimulator, SystemConfig};
             let cores = parse_flag_u64(&args, "--cores").unwrap_or(64) as u32;
-            let shards = parse_flag_u64(&args, "--shards").unwrap_or(0) as usize;
             let mut cfg = SystemConfig::many_core(cores);
             if args.iter().any(|a| a == "--dragon") {
                 cfg.protocol = CoherenceProtocol::Dragon;
             }
             let trace = npbgen::NpbTrace::new(npbgen::NpbApp::FtB, cfg.n_threads());
             eprintln!("sharded run: {cores} cores, {n} instructions...");
-            let mut sim = ShardedSimulator::try_new(cfg, trace, shards).unwrap_or_else(|e| {
+            let mut sim = ShardedSimulator::try_new(cfg, trace).unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 std::process::exit(2);
             });
@@ -158,12 +157,9 @@ fn main() {
             stats.publish_obs();
             let info = sim.info();
             println!(
-                "shard cores={cores} workers={} epochs={} msgs={} fallbacks={} \
-                 ipc={:.3} digest={:016x}",
-                info.last_workers,
+                "shard cores={cores} epochs={} msgs={} ipc={:.3} digest={:016x}",
                 info.epochs,
                 info.messages,
-                info.serial_fallbacks,
                 stats.ipc(),
                 stats.digest()
             );

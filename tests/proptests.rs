@@ -497,39 +497,3 @@ fn incremental_evaluation_carries_no_enumeration_order_dependence() {
         }
     }
 }
-
-/// `solve_with_stats_parallel` returns the same solutions in the same
-/// order as the serial staged pipeline, at every thread count.
-#[test]
-fn parallel_solve_ordering_equals_serial() {
-    use cacti_d::core::{solve_with_stats, solve_with_stats_parallel};
-    let mut rng = XorShift64Star::new(0xCAC7_1D07);
-    for _ in 0..CASES / 4 {
-        let cap_shift = rng.next_in_range(16, 21) as u32;
-        let cell = CellTechnology::ALL[rng.next_below(3) as usize];
-        let spec = MemorySpec::builder()
-            .capacity_bytes(1u64 << cap_shift)
-            .block_bytes(64)
-            .associativity(8)
-            .banks(1)
-            .cell_tech(cell)
-            .node(TechNode::N32)
-            .kind(MemoryKind::Cache {
-                access_mode: AccessMode::Normal,
-            })
-            .build()
-            .unwrap();
-        let serial = solve_with_stats(&spec, None);
-        let threads = 1 + rng.next_below(8) as usize;
-        let par = solve_with_stats_parallel(&spec, None, threads);
-        assert_eq!(
-            serial.stats, par.stats,
-            "stats diverge at {threads} threads"
-        );
-        match (serial.result, par.result) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "ordering diverges at {threads} threads"),
-            (Err(a), Err(b)) => assert_eq!(a, b),
-            (a, b) => panic!("pipelines disagree on feasibility: {a:?} vs {b:?}"),
-        }
-    }
-}
