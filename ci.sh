@@ -13,8 +13,9 @@ echo "== cargo test"
 cargo test --workspace -q
 
 echo "== cargo test --features proptest"
-# The randomized property proofs (memo order-independence, the three-way
-# prescreen/certificate/evaluate agreement, ...) are feature-gated.
+# The randomized property proofs (memo order-independence, the
+# prescreen/evaluate and static-screen/solve agreements, ...) are
+# feature-gated.
 cargo test --workspace -q --features proptest
 
 echo "== perfbench tests (its own workspace)"
@@ -231,6 +232,25 @@ test "$(sed -n '1s/^{"idx":1,//p' "$SDIR/responses.jsonl")" = \
      "$(sed -n '3s/^{"idx":3,//p' "$SDIR/responses.jsonl")" || {
     echo "duplicate answers differ beyond the idx prefix:" >&2
     cat "$SDIR/responses.jsonl" >&2
+    exit 1
+}
+# A line nested a million brackets deep must be answered in band with one
+# error line, and the loop must go on to answer the next request.
+{
+    printf '{"id":1,"op":"solve","x":'
+    head -c 1048576 /dev/zero | tr '\0' '['
+    echo
+    echo '{"id":2,"op":"stats"}'
+} > "$SDIR/deep.jsonl"
+$CACTID serve --stdio < "$SDIR/deep.jsonl" > "$SDIR/deep.out" 2>/dev/null || {
+    echo "serve died on a deeply nested request line" >&2
+    exit 1
+}
+test "$(wc -l < "$SDIR/deep.out")" = 2 &&
+    sed -n 1p "$SDIR/deep.out" | grep -q '^{"id":0,"error":' &&
+    sed -n 2p "$SDIR/deep.out" | grep -q '^{"id":2,"requests":2,' || {
+    echo "serve did not answer a deep line with one error, then go on:" >&2
+    cat "$SDIR/deep.out" >&2
     exit 1
 }
 rm -rf "$SDIR"

@@ -1,5 +1,5 @@
 //! The [`Analyzer`]: the rule registry plus staged lint passes, severity
-//! overrides, and the linted solve/optimize entry points.
+//! overrides, and the linted optimize entry point.
 
 use crate::context::LintContext;
 use crate::registry::{RuleRegistry, SeverityOverrides};
@@ -13,9 +13,9 @@ use cactid_core::{CactiError, MemorySpec, OrgParams, Solution};
 /// solutions, and completed batch runs.
 ///
 /// `Analyzer` implements [`SolutionLinter`], so it can be plugged into
-/// the optimizer via [`cactid_core::solve_with`] /
-/// [`cactid_core::optimize_with`] — or more conveniently through this
-/// crate's [`solve`] / [`optimize`], which also lint the spec first.
+/// the optimizer via [`cactid_core::solve_with_stats`] — or more
+/// conveniently through this crate's [`optimize`], which also lints the
+/// spec first.
 /// Severity overrides apply to *every* diagnostic the analyzer emits,
 /// including engine-side candidate linting, so `--allow`ing a rule really
 /// does let offending candidates through the sweep.
@@ -130,7 +130,7 @@ impl Default for Analyzer {
 impl SolutionLinter for Analyzer {
     /// Lints one candidate inside the optimizer sweep: organization- and
     /// solution-stage rules only (the spec is constant across the sweep
-    /// and is linted once by [`solve`] / [`optimize`]).
+    /// and is linted once by [`optimize`]).
     fn lint_candidate(&self, spec: &MemorySpec, solution: &Solution) -> Vec<Diagnostic> {
         self.run(
             &LintContext::for_spec(spec).with_solution(solution),
@@ -157,10 +157,11 @@ fn reject_spec_errors(analyzer: &Analyzer, spec: &MemorySpec) -> Result<(), Cact
     )))
 }
 
-/// Linted [`cactid_core::solve`]: lints the spec (erroring out on any
+/// Linted [`cactid_core::optimize`]: lints the spec (erroring out on any
 /// `Error`-severity finding), then sweeps organizations with the engine
-/// attached — candidates violating an `Error` rule are rejected, and the
-/// survivors carry their warnings in [`Solution::warnings`].
+/// attached — candidates violating an `Error` rule are rejected — and
+/// returns the §2.4 staged-optimization winner, which carries its
+/// warnings in [`Solution::warnings`].
 ///
 /// # Errors
 ///
@@ -168,23 +169,11 @@ fn reject_spec_errors(analyzer: &Analyzer, spec: &MemorySpec) -> Result<(), Cact
 /// (the message carries the rule code and location);
 /// [`CactiError::NoFeasibleSolution`] / [`CactiError::LintRejected`] from
 /// the sweep.
-pub fn solve(spec: &MemorySpec) -> Result<Vec<Solution>, CactiError> {
-    let analyzer = Analyzer::new();
-    reject_spec_errors(&analyzer, spec)?;
-    cactid_core::solve_with(spec, &analyzer)
-}
-
-/// Linted [`cactid_core::optimize`]: like [`solve`] but returns the §2.4
-/// staged-optimization winner, guaranteed free of `Error`-severity
-/// diagnostics.
-///
-/// # Errors
-///
-/// Same as [`solve`].
 pub fn optimize(spec: &MemorySpec) -> Result<Solution, CactiError> {
     let analyzer = Analyzer::new();
     reject_spec_errors(&analyzer, spec)?;
-    cactid_core::optimize_with(spec, &analyzer)
+    let all = cactid_core::solve_with_stats(spec, Some(&analyzer)).result?;
+    cactid_core::select(spec, &all)
 }
 
 #[cfg(test)]

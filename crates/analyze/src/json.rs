@@ -1,33 +1,13 @@
-//! Minimal JSON support for the analyze crate: string escaping for the
-//! machine-readable diagnostics emitter ([`crate::render::render_json`])
-//! and a small recursive-descent parser for reading back the JSONL records
-//! the `cactid-explore` engine writes.
+//! Minimal JSON support for the analyze crate: a small recursive-descent
+//! parser for reading back the JSONL records the `cactid-explore` engine
+//! writes and the requests `cactid serve` receives. Strings are escaped
+//! on the way out by [`cactid_obs::escape`].
 //!
 //! Hand-rolled on purpose — the workspace is hermetic (no registry
 //! dependencies), and the subset of JSON the engine emits is tiny: objects,
 //! arrays, strings, finite numbers, booleans and null.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
-/// Escapes `s` as the contents of a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,40 +70,51 @@ impl JsonValue {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. Engine records
+/// and serve requests nest at most three levels; the cap keeps one hostile
+/// line from recursing the parser off the end of its thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one complete JSON value from `text` (surrounding whitespace
 /// allowed, trailing garbage rejected).
 ///
 /// # Errors
 ///
-/// A short human-readable message naming the byte offset of the problem.
+/// A short human-readable message naming the byte offset of the problem,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
-        bytes: text.as_bytes(),
+        text,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The input. `pos` only ever advances over ASCII bytes or whole
+    /// characters, so it always sits on a character boundary.
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect_byte(&mut self, b: u8) -> Result<(), String> {
@@ -136,7 +127,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -146,8 +137,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(JsonValue::Str),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -155,6 +146,24 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, or refuses past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -231,9 +240,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             // Surrogate pairs are absent from the engine's
@@ -246,11 +254,7 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8".to_string())?;
-                    let Some(c) = s.chars().next() else {
+                    let Some(c) = self.text[self.pos..].chars().next() else {
                         unreachable!("peek() saw a byte, so the remainder is non-empty")
                     };
                     out.push(c);
@@ -268,10 +272,8 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let Ok(s) = std::str::from_utf8(&self.bytes[start..self.pos]) else {
-            unreachable!("the number scanner consumes ASCII bytes only")
-        };
-        s.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| format!("invalid number at byte {start}"))
     }
@@ -280,14 +282,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("plain"), "plain");
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
+    use cactid_obs::escape;
 
     #[test]
     fn parses_engine_shaped_records() {
@@ -313,11 +308,32 @@ mod tests {
 
     #[test]
     fn escape_and_parse_round_trip() {
-        for s in ["a\"b", "tab\there", "uni→code", "back\\slash", "nl\n"] {
+        // The long mixed string walks the parser's plain-character path
+        // across one-, two-, three- and four-byte characters.
+        let long = "ascii é → 𝄞 \" ".repeat(5000);
+        for s in [
+            "a\"b",
+            "tab\there",
+            "uni→code",
+            "back\\slash",
+            "nl\n",
+            &long,
+        ] {
             let doc = format!("{{\"k\":\"{}\"}}", escape(s));
             let v = parse(&doc).unwrap();
             assert_eq!(v.get("k").unwrap().as_str(), Some(s), "{doc}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_off_the_stack() {
+        let deep = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64 levels"), "{err}");
+        // One megabyte of open brackets: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1 << 16)).is_err());
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! can be rendered rustc-style with [`render::render`].
 //!
 //! The engine plugs into the optimizer: [`optimize`] (or
-//! [`cactid_core::optimize_with`] with an [`Analyzer`]) never returns a
-//! solution that fails an `Error`-severity rule; surviving warnings ride
+//! [`cactid_core::solve_with_stats`] with an [`Analyzer`], then
+//! [`cactid_core::select`]) never returns a solution that fails an
+//! `Error`-severity rule; surviving warnings ride
 //! along in [`Solution::warnings`](cactid_core::Solution).
 //!
 //! # Example
@@ -67,7 +68,7 @@ pub mod rule;
 pub mod rules;
 pub mod run;
 
-pub use analyzer::{optimize, solve, Analyzer};
+pub use analyzer::{optimize, Analyzer};
 pub use context::LintContext;
 pub use registry::{RuleMeta, RuleRegistry, SeverityAction, SeverityOverrides};
 pub use render::{render_json, summary_line};

@@ -13,8 +13,8 @@
 //! scripts and CI gates.
 
 use crate::analyzer::Analyzer;
-use crate::json::escape;
 use cactid_core::lint::{Diagnostic, Location, Report};
+use cactid_obs::escape;
 use std::fmt::Write as _;
 
 /// Renders a full report in rustc style; rule summaries and paper

@@ -124,7 +124,9 @@ fn corrupted_dram_timing_is_rejected_by_the_optimizer_hook() {
         "{diags:?}"
     );
 
-    let err = cactid_core::optimize_with(&spec, &linter).unwrap_err();
+    let err = cactid_core::solve_with_stats(&spec, Some(&linter))
+        .result
+        .unwrap_err();
     assert!(
         matches!(err, CactiError::LintRejected(n) if n > 0),
         "expected LintRejected, got: {err}"
@@ -135,7 +137,9 @@ fn corrupted_dram_timing_is_rejected_by_the_optimizer_hook() {
 fn optimizer_never_returns_a_solution_failing_an_error_rule() {
     let analyzer = Analyzer::new();
     let spec = main_memory_spec();
-    let sols = cactid_core::solve_with(&spec, &analyzer).expect("main memory solves");
+    let sols = cactid_core::solve_with_stats(&spec, Some(&analyzer))
+        .result
+        .expect("main memory solves");
     assert!(!sols.is_empty());
     for sol in &sols {
         let errors: Vec<_> = analyzer

@@ -253,68 +253,6 @@ impl PrescreenFailure {
 /// constant.
 pub const WORDLINE_ELMORE_BOUND: Seconds = Seconds::from_si(3e-9);
 
-/// Certified prescreen cutoffs for one `(node, cell technology)` pair,
-/// proved sound by `cactid-prove`'s exhaustive interval scan and consumed
-/// by the opt-in fast paths ([`prescreen_verdict_with`],
-/// `solve_with_stats_certified`, `static_screen_certified`).
-///
-/// Each field is a one-sided claim about [`prescreen_explain`]'s verdict
-/// that holds for **every** `(rows, cols)` inside the scanned domain:
-/// columns past `wordline_reject_above` certainly fail the wordline-Elmore
-/// check, columns up to `wordline_pass_upto` certainly pass it, and
-/// likewise for the DRAM sense margin over power-of-two row counts. The
-/// fast paths fall back to the concrete closed forms outside the certified
-/// domain or inside the undecided boundary zone, so their verdict — and
-/// the failure *reason*, which feeds the audit histograms — is identical
-/// to [`prescreen_explain`] whether or not the certificates bite.
-///
-/// [`CertifiedBounds::conservative`] is the no-certificate element: its
-/// fast paths never fire and the behavior degenerates to the concrete
-/// screen. Unsound scans (which would indicate a transcription bug in the
-/// prover) degrade to it rather than ship a wrong cutoff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CertifiedBounds {
-    /// The certificates only speak for `cols <= cols_domain` …
-    pub cols_domain: u64,
-    /// … and for power-of-two `rows <= rows_domain`.
-    pub rows_domain: u64,
-    /// Every `cols <= wordline_pass_upto` certainly passes the wordline
-    /// check (0 when nothing is certified to pass).
-    pub wordline_pass_upto: u64,
-    /// Every `cols > wordline_reject_above` within the domain certainly
-    /// fails the wordline check (`u64::MAX` when nothing is certified to
-    /// reject).
-    pub wordline_reject_above: u64,
-    /// Every power-of-two `rows <= sense_pass_upto` certainly passes the
-    /// DRAM sense-margin check.
-    pub sense_pass_upto: u64,
-    /// Every power-of-two `rows >= sense_reject_from` within the domain
-    /// certainly fails the DRAM sense-margin check.
-    pub sense_reject_from: u64,
-}
-
-impl CertifiedBounds {
-    /// The no-certificate element: every fast path falls through to the
-    /// concrete closed forms.
-    #[must_use]
-    pub const fn conservative() -> Self {
-        Self {
-            cols_domain: 0,
-            rows_domain: 0,
-            wordline_pass_upto: 0,
-            wordline_reject_above: u64::MAX,
-            sense_pass_upto: 0,
-            sense_reject_from: u64::MAX,
-        }
-    }
-}
-
-impl Default for CertifiedBounds {
-    fn default() -> Self {
-        Self::conservative()
-    }
-}
-
 /// The closed-form feasibility screen of [`evaluate`], separated out so the
 /// solver's staged pipeline can reject candidates before paying for the
 /// full circuit evaluation.
@@ -358,56 +296,6 @@ pub fn prescreen_explain(
     } else {
         Ok(cell.v_sense_margin)
     }
-}
-
-/// Verdict-only [`prescreen_explain`] consulting certified cutoffs: where
-/// a [`CertifiedBounds`] certificate already decides a check, the closed
-/// form is skipped; in the boundary zone (or outside the certified domain)
-/// the concrete expression runs unchanged. The check order — subarray
-/// rows, then wordline Elmore, then sense margin — is preserved
-/// structurally, so the verdict *and the failure reason* are identical to
-/// [`prescreen_explain`] for every input, certified or not.
-///
-/// # Errors
-///
-/// Returns the same [`PrescreenFailure`] that [`prescreen_explain`] would
-/// for the same `(cell, rows, cols)`.
-pub fn prescreen_verdict_with(
-    cell: &CellParams,
-    rows: u64,
-    cols: u64,
-    bounds: &CertifiedBounds,
-) -> Result<(), PrescreenFailure> {
-    if rows > cell.max_rows_per_subarray as u64 {
-        return Err(PrescreenFailure::SubarrayRows);
-    }
-    let cols_certified = cols <= bounds.cols_domain;
-    if cols_certified && cols > bounds.wordline_reject_above {
-        return Err(PrescreenFailure::WordlineElmore);
-    }
-    if !(cols_certified && cols <= bounds.wordline_pass_upto) {
-        let wl_rc = 0.38
-            * (cell.r_wordline_per_cell * cols as f64)
-            * (cell.c_wordline_per_cell * cols as f64);
-        if wl_rc > WORDLINE_ELMORE_BOUND {
-            return Err(PrescreenFailure::WordlineElmore);
-        }
-    }
-    if cell.technology.is_dram() {
-        let rows_certified = rows.is_power_of_two() && rows <= bounds.rows_domain;
-        if rows_certified && rows >= bounds.sense_reject_from {
-            return Err(PrescreenFailure::SenseMargin);
-        }
-        if !(rows_certified && rows <= bounds.sense_pass_upto) {
-            let Some(s) = cell.dram_sense_signal(rows as usize) else {
-                unreachable!("dram cell provides a sense signal");
-            };
-            if s < cell.v_sense_margin {
-                return Err(PrescreenFailure::SenseMargin);
-            }
-        }
-    }
-    Ok(())
 }
 
 /// [`prescreen_explain`] with the reason folded into the solver's error

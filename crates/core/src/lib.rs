@@ -51,14 +51,13 @@ pub mod tag;
 
 mod optimizer;
 
-pub use array::{CertifiedBounds, EvalMemo, PrescreenFailure};
+pub use array::{EvalMemo, PrescreenFailure};
 pub use dimm::{DimmConfig, DimmResult};
 pub use error::CactiError;
 pub use lint::{Diagnostic, Location, Report, Severity, SolutionLinter};
 pub use main_memory::{DramEnergies, DramTiming, MainMemoryResult};
 pub use optimizer::{
-    optimize, optimize_with, select, solve, solve_with, solve_with_stats,
-    solve_with_stats_certified, solve_with_stats_reference, static_screen, static_screen_certified,
+    optimize, select, solve, solve_with_stats, solve_with_stats_reference, static_screen,
     ScreenHistogram, ScreenVerdict, SolveOutcome, SolveStats, StaticScreen,
 };
 pub use org::OrgParams;

@@ -86,18 +86,14 @@ enum CandidateOutcome {
 
 /// Which pre-screen the staged pipeline runs before the full models.
 #[derive(Clone, Copy)]
-enum Screen<'b> {
+enum Screen {
     /// No pre-screen: the debug-only reference path.
     Off,
     /// The exact closed-form screen ([`array::prescreen_explain`]).
     Exact,
-    /// The certified fast path ([`array::prescreen_verdict_with`]):
-    /// identical verdicts, with the closed forms skipped wherever the
-    /// certificate already decides them.
-    Certified(&'b array::CertifiedBounds),
 }
 
-impl Screen<'_> {
+impl Screen {
     fn rejects(self, memo: &mut array::EvalMemo, cell: &CellParams, rows: u64, cols: u64) -> bool {
         match self {
             Screen::Off => false,
@@ -108,7 +104,6 @@ impl Screen<'_> {
             // feasible candidate, which made it *slower* than the
             // unpruned reference on low-prune sweeps.
             Screen::Exact => memo.prescreen_cached(cell, rows, cols).is_err(),
-            Screen::Certified(b) => array::prescreen_verdict_with(cell, rows, cols, b).is_err(),
         }
     }
 }
@@ -127,7 +122,7 @@ impl Screen<'_> {
 fn evaluate_candidate(
     ctx: &SpecCtx<'_>,
     org: OrgParams,
-    screen: Screen<'_>,
+    screen: Screen,
     memo: &mut array::EvalMemo,
 ) -> CandidateOutcome {
     if screen.rejects(memo, &ctx.cell, org.rows(ctx.spec), org.cols(ctx.spec)) {
@@ -136,7 +131,7 @@ fn evaluate_candidate(
     let input = ctx.build_input(&org);
     let evaluated = match screen {
         Screen::Off => array::evaluate(ctx.tech, &input),
-        Screen::Exact | Screen::Certified(_) => array::evaluate_incremental(ctx.tech, &input, memo),
+        Screen::Exact => array::evaluate_incremental(ctx.tech, &input, memo),
     };
     let Ok(data) = evaluated else {
         return CandidateOutcome::ElectricalPruned;
@@ -235,8 +230,8 @@ fn finish_sweep(
 /// locally; this is the single flush per solve. `reuse` is the number of
 /// memo-slice hits the incremental evaluation scored (always zero on the
 /// from-scratch reference path); it lives outside [`SolveStats`] because
-/// the stats are compared bitwise across the staged, certified and
-/// reference paths, whose reuse opportunities legitimately differ.
+/// the stats are compared bitwise across the staged and reference
+/// paths, whose reuse opportunities legitimately differ.
 fn flush_obs(stats: &SolveStats, swept_empty: bool, reuse: u64) {
     cactid_obs::counter!("core.solve.calls").inc();
     cactid_obs::counter!("core.solve.orgs_enumerated").add(stats.orgs_enumerated as u64);
@@ -257,7 +252,7 @@ fn flush_obs(stats: &SolveStats, swept_empty: bool, reuse: u64) {
 fn sweep_serial(
     spec: &MemorySpec,
     linter: Option<&dyn SolutionLinter>,
-    screen: Screen<'_>,
+    screen: Screen,
 ) -> (SolveOutcome, bool, u64) {
     let mut stats = SolveStats::default();
     let mut memo = array::EvalMemo::new();
@@ -311,42 +306,25 @@ fn sweep_serial(
     )
 }
 
-fn solve_inner(spec: &MemorySpec, linter: Option<&dyn SolutionLinter>) -> SolveOutcome {
-    let _span = cactid_obs::span("core.solve");
-    let (outcome, swept_empty, reuse) = sweep_serial(spec, linter, Screen::Exact);
-    flush_obs(&outcome.stats, swept_empty, reuse);
-    outcome
-}
-
-/// Like [`solve_with_stats`], but the pre-screen consults the certified
-/// cutoffs in `bounds` (produced and proved sound by `cactid-prove`),
-/// skipping the closed-form arithmetic wherever a certificate already
-/// decides the verdict. This is the opt-in entry behind the `cactid
-/// --certified` flag: with any bounds — sound, conservative, or stale —
-/// the solution set, its ordering, and the stats are byte-for-byte
-/// identical to [`solve_with_stats`], because the certified screen falls
-/// back to the identical concrete expressions outside its certified
-/// domain and `array::evaluate` re-checks feasibility on every survivor.
-pub fn solve_with_stats_certified(
-    spec: &MemorySpec,
-    linter: Option<&dyn SolutionLinter>,
-    bounds: &array::CertifiedBounds,
-) -> SolveOutcome {
-    let _span = cactid_obs::span("core.solve");
-    let (outcome, swept_empty, reuse) = sweep_serial(spec, linter, Screen::Certified(bounds));
-    flush_obs(&outcome.stats, swept_empty, reuse);
-    outcome
-}
-
-/// The batch-oriented solver entry point: like [`solve_with`] (or [`solve`]
-/// when `linter` is `None`), but additionally returns the [`SolveStats`] of
-/// the sweep, and never panics on infeasible specs.
+/// The batch-oriented solver entry point: evaluates every feasible
+/// organization for `spec` through the staged pipeline and returns the
+/// full solution set together with the [`SolveStats`] of the sweep. It
+/// never panics on infeasible specs.
+///
+/// With a `linter`, every assembled candidate is consulted: candidates
+/// with any `Error`-severity diagnostic are rejected from the solution
+/// set (the result is [`CactiError::LintRejected`] when that empties it),
+/// and the survivors carry their non-error diagnostics in
+/// [`Solution::warnings`].
 ///
 /// Both [`MemorySpec`] and the returned [`SolveOutcome`] own all their data
 /// (`Send`), so this is the function batch engines call from worker
 /// threads.
 pub fn solve_with_stats(spec: &MemorySpec, linter: Option<&dyn SolutionLinter>) -> SolveOutcome {
-    solve_inner(spec, linter)
+    let _span = cactid_obs::span("core.solve");
+    let (outcome, swept_empty, reuse) = sweep_serial(spec, linter, Screen::Exact);
+    flush_obs(&outcome.stats, swept_empty, reuse);
+    outcome
 }
 
 /// Per-reason counts of candidates rejected by the closed-form screen,
@@ -448,20 +426,6 @@ pub struct StaticScreen {
 /// be classified in microseconds per point, and statically-doomed points
 /// skipped without changing a byte of the output records.
 pub fn static_screen(spec: &MemorySpec) -> StaticScreen {
-    static_screen_inner(spec, None)
-}
-
-/// [`static_screen`] with the certified fast path: where the
-/// [`array::CertifiedBounds`] certificate already decides a check, the
-/// closed form is skipped. The verdict, stats, and per-reason histogram
-/// are identical to [`static_screen`] for any bounds, sound or
-/// conservative — the fast path preserves the check order and falls back
-/// to the concrete expressions outside its certified domain.
-pub fn static_screen_certified(spec: &MemorySpec, bounds: &array::CertifiedBounds) -> StaticScreen {
-    static_screen_inner(spec, Some(bounds))
-}
-
-fn static_screen_inner(spec: &MemorySpec, bounds: Option<&array::CertifiedBounds>) -> StaticScreen {
     cactid_obs::counter!("core.screen.calls").inc();
     let mut stats = SolveStats::default();
     let mut reasons = ScreenHistogram::default();
@@ -482,12 +446,8 @@ fn static_screen_inner(spec: &MemorySpec, bounds: Option<&array::CertifiedBounds
     let mut survivors = 0usize;
     for org in org::enumerate_lazy(spec) {
         stats.orgs_enumerated += 1;
-        let verdict = match bounds {
-            Some(b) => array::prescreen_verdict_with(&cell, org.rows(spec), org.cols(spec), b),
-            None => array::prescreen_explain(&cell, org.rows(spec), org.cols(spec)).map(|_| ()),
-        };
-        match verdict {
-            Ok(()) => survivors += 1,
+        match array::prescreen_explain(&cell, org.rows(spec), org.cols(spec)) {
+            Ok(_) => survivors += 1,
             Err(failure) => {
                 stats.bound_pruned += 1;
                 reasons.record(failure);
@@ -529,24 +489,7 @@ pub fn solve_with_stats_reference(
 ///
 /// Returns [`CactiError::NoFeasibleSolution`] when nothing is feasible.
 pub fn solve(spec: &MemorySpec) -> Result<Vec<Solution>, CactiError> {
-    solve_inner(spec, None).result
-}
-
-/// Like [`solve`], but consults a lint engine on every assembled candidate:
-/// candidates with any `Error`-severity diagnostic are rejected from the
-/// solution set, and the surviving candidates carry their non-error
-/// diagnostics in [`Solution::warnings`].
-///
-/// # Errors
-///
-/// Returns [`CactiError::NoFeasibleSolution`] when nothing is feasible, or
-/// [`CactiError::LintRejected`] when candidates existed but the linter
-/// rejected every one of them.
-pub fn solve_with(
-    spec: &MemorySpec,
-    linter: &dyn SolutionLinter,
-) -> Result<Vec<Solution>, CactiError> {
-    solve_inner(spec, Some(linter)).result
+    solve_with_stats(spec, None).result
 }
 
 /// Applies the staged optimization of §2.4 to a solution set and returns
@@ -642,21 +585,6 @@ pub fn select(spec: &MemorySpec, solutions: &[Solution]) -> Result<Solution, Cac
 /// Propagates [`CactiError::NoFeasibleSolution`] from the sweep.
 pub fn optimize(spec: &MemorySpec) -> Result<Solution, CactiError> {
     let all = solve(spec)?;
-    select(spec, &all)
-}
-
-/// Convenience: [`solve_with`] then [`select`] — the winner is guaranteed
-/// free of `Error`-severity diagnostics from `linter`.
-///
-/// # Errors
-///
-/// Propagates [`CactiError::NoFeasibleSolution`] or
-/// [`CactiError::LintRejected`] from the sweep.
-pub fn optimize_with(
-    spec: &MemorySpec,
-    linter: &dyn SolutionLinter,
-) -> Result<Solution, CactiError> {
-    let all = solve_with(spec, linter)?;
     select(spec, &all)
 }
 

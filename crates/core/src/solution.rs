@@ -42,7 +42,7 @@ pub struct Solution {
     /// Total refresh power, all banks (0 for SRAM).
     pub refresh_power: Watts,
     /// Non-error diagnostics attached by the lint engine when the solver
-    /// runs with one (see `solve_with`); empty otherwise.
+    /// runs with one (see `solve_with_stats`); empty otherwise.
     pub warnings: Vec<Diagnostic>,
 }
 

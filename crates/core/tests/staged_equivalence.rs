@@ -1,12 +1,12 @@
 //! The staged-pipeline determinism contract (DESIGN.md §14): the pruned
-//! pipeline, the certified screen and the debug-only unpruned reference
-//! must all return exactly the same solution set in the same order, and
+//! pipeline and the debug-only unpruned reference must return exactly
+//! the same solution set in the same order, and
 //! the pre-screen must account for precisely the candidates the full
 //! models would have rejected.
 
 use cactid_core::{
-    array, org, solve_with_stats, solve_with_stats_certified, solve_with_stats_reference,
-    AccessMode, MemoryKind, MemorySpec, Solution,
+    array, org, solve_with_stats, solve_with_stats_reference, AccessMode, MemoryKind, MemorySpec,
+    Solution,
 };
 use cactid_tech::{CellTechnology, TechNode, Technology};
 
@@ -96,32 +96,6 @@ fn staged_solve_equals_the_unpruned_reference() {
         );
         assert_eq!(staged.stats.electrical_pruned, 0, "{label}");
         assert_eq!(reference.stats.bound_pruned, 0, "{label}");
-    }
-}
-
-/// The certified screen with *proved* bounds returns exactly what the
-/// exact staged screen returns — same solutions, same stats, same
-/// rejection accounting. This is the wiring contract for `--certified`:
-/// the proof only licenses skipping closed forms, never changing answers.
-#[test]
-fn certified_solve_equals_the_staged_solve_with_proved_bounds() {
-    for (label, spec) in [
-        ("sram-l2", sram_l2()),
-        ("lp-dram-l3", lp_dram_l3()),
-        ("comm-dram", comm_dram_smoke()),
-    ] {
-        let bounds = cactid_prove::certified_bounds(spec.node, spec.cell_tech);
-        let staged = solve_with_stats(&spec, None);
-        let certified = solve_with_stats_certified(&spec, None, &bounds);
-        assert_identical_sets(
-            label,
-            staged.result.as_ref().unwrap(),
-            certified.result.as_ref().unwrap(),
-        );
-        assert_eq!(
-            staged.stats, certified.stats,
-            "{label}: certified stats diverge"
-        );
     }
 }
 

@@ -32,8 +32,8 @@ use crate::record;
 pub use crate::record::PointStatus;
 use crate::resume;
 use crate::stats::EngineStats;
-use cactid_core::{CertifiedBounds, MemorySpec, SolutionLinter};
-use cactid_tech::{CellTechnology, TechNode, Technology};
+use cactid_core::{MemorySpec, SolutionLinter};
+use cactid_tech::Technology;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -295,18 +295,9 @@ pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport,
     // real infeasible solve exactly, so the output stays byte-identical.
     if config.audit {
         let _audit_span = cactid_obs::span("explore.audit");
-        // One interval scan per (node, cell) pair covers every spec that
-        // shares the technology; the certified screen gives the same
-        // verdicts, stats, and reason histogram as the exact one for any
-        // bounds, so the rendered records stay byte-identical.
-        let mut proved: HashMap<(TechNode, CellTechnology), CertifiedBounds> = HashMap::new();
         let mut kept = Vec::with_capacity(jobs.len());
         for job in std::mem::take(&mut jobs) {
-            let spec = &job.key;
-            let bounds = proved
-                .entry((spec.node, spec.cell_tech))
-                .or_insert_with(|| cactid_prove::certified_bounds(spec.node, spec.cell_tech));
-            let screen = cactid_core::static_screen_certified(spec, bounds);
+            let screen = cactid_core::static_screen(&job.key);
             match screen.verdict {
                 cactid_core::ScreenVerdict::Infeasible(err) => {
                     let solved = CachedSolve {

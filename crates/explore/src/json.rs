@@ -8,26 +8,8 @@
 //! identically across runs — the property the byte-identical-output
 //! guarantee of the engine rests on.
 
+use cactid_obs::escape;
 use std::fmt::Write;
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Formats an `f64` as a JSON number (shortest round-trip decimal);
 /// non-finite values render as `null`, which JSON numbers cannot express.
@@ -127,12 +109,6 @@ mod tests {
             o.finish(),
             "{\"idx\":3,\"status\":\"ok\",\"x\":0.25,\"flag\":true,\"org\":{\"ndwl\":2}}"
         );
-    }
-
-    #[test]
-    fn escapes_specials_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -22,8 +22,11 @@ use std::io::Write as _;
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
+/// Escapes a string for inclusion in a JSON string literal: quotes,
+/// backslashes and every control character. The one escaper of the
+/// workspace — the explore records, the diagnostics JSON and the CLIs
+/// all render strings through it.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

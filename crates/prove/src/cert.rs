@@ -6,7 +6,7 @@
 //! at every node of the domain, so a transcription bug in the abstract
 //! evaluator surfaces as an unsound certificate (and the derived
 //! [`CertifiedBounds`] degrade to the conservative no-op element) instead
-//! of a wrong cutoff reaching the solver.
+//! of a wrong cutoff being reported.
 //!
 //! The scan is genuinely exhaustive over the reachable domain: the
 //! enumeration never emits more than `SWEEP_BOUNDS.max_cols` columns
@@ -19,7 +19,7 @@
 use crate::domain::Domain;
 use crate::iv::{Iv, Verdict};
 use crate::screen::{abs_prescreen, abs_sense_signal, abs_wordline_rc, AbsOutcome};
-use cactid_core::array::{cal, prescreen_explain, CertifiedBounds, WORDLINE_ELMORE_BOUND};
+use cactid_core::array::{cal, prescreen_explain, WORDLINE_ELMORE_BOUND};
 use cactid_core::{org, MemorySpec, PrescreenFailure};
 use cactid_tech::{CellParams, CellTechnology, TechNode, Technology};
 use cactid_units::{Joules, Seconds};
@@ -78,6 +78,57 @@ impl Certificate {
         if contradiction && self.sound {
             self.sound = false;
             self.counterexample = Some(what());
+        }
+    }
+}
+
+/// Certified prescreen cutoffs for one `(node, cell technology)` pair,
+/// extracted from the exhaustive interval scan and reported by `cactid
+/// prove` (`CD0204`).
+///
+/// Each field is a one-sided claim about [`prescreen_explain`]'s verdict
+/// that holds for **every** `(rows, cols)` inside the scanned domain:
+/// columns past `wordline_reject_above` certainly fail the wordline-Elmore
+/// check, columns up to `wordline_pass_upto` certainly pass it, and
+/// likewise for the DRAM sense margin over power-of-two row counts.
+/// Between the two cutoffs lies the undecided boundary zone, where only
+/// the concrete closed form can tell.
+///
+/// [`CertifiedBounds::conservative`] is the no-certificate element: it
+/// claims nothing. Unsound scans (which would indicate a transcription
+/// bug in the prover) degrade to it rather than report a wrong cutoff.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CertifiedBounds {
+    /// The certificates only speak for `cols <= cols_domain` …
+    pub cols_domain: u64,
+    /// … and for power-of-two `rows <= rows_domain`.
+    pub rows_domain: u64,
+    /// Every `cols <= wordline_pass_upto` certainly passes the wordline
+    /// check (0 when nothing is certified to pass).
+    pub wordline_pass_upto: u64,
+    /// Every `cols > wordline_reject_above` within the domain certainly
+    /// fails the wordline check (`u64::MAX` when nothing is certified to
+    /// reject).
+    pub wordline_reject_above: u64,
+    /// Every power-of-two `rows <= sense_pass_upto` certainly passes the
+    /// DRAM sense-margin check.
+    pub sense_pass_upto: u64,
+    /// Every power-of-two `rows >= sense_reject_from` within the domain
+    /// certainly fails the DRAM sense-margin check.
+    pub sense_reject_from: u64,
+}
+
+impl CertifiedBounds {
+    /// The no-certificate element: no cutoff certifies anything.
+    #[must_use]
+    pub const fn conservative() -> Self {
+        Self {
+            cols_domain: 0,
+            rows_domain: 0,
+            wordline_pass_upto: 0,
+            wordline_reject_above: u64::MAX,
+            sense_pass_upto: 0,
+            sense_reject_from: u64::MAX,
         }
     }
 }
@@ -341,10 +392,8 @@ fn extract_bounds(
     }
 }
 
-/// Certified prescreen cutoffs for one `(node, cell)` pair — the
-/// memoizable entry the explore engine and the `--certified` solve path
-/// consume. Conservative (a no-op for the fast paths) when the scan finds
-/// any unsoundness.
+/// Certified prescreen cutoffs for one `(node, cell)` pair.
+/// Conservative (claiming nothing) when the scan finds any unsoundness.
 #[must_use]
 pub fn certified_bounds(node: TechNode, cell_tech: CellTechnology) -> CertifiedBounds {
     certify(&Domain::for_node(node, cell_tech)).bounds
@@ -451,7 +500,6 @@ pub fn certify_spec(spec: &MemorySpec) -> SpecProof {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactid_core::array::prescreen_verdict_with;
 
     #[test]
     fn every_anchor_domain_certifies_sound() {
@@ -477,20 +525,40 @@ mod tests {
 
     #[test]
     fn certified_bounds_agree_with_the_concrete_screen_everywhere() {
-        // The production guarantee behind the `--certified` flag, checked
-        // densely: the certified verdict (and reason) equals the concrete
-        // screen's at every point of a cols × rows grid.
+        // Each one-sided cutoff, checked densely against the concrete
+        // screen over a cols × rows grid. The screen reports the first
+        // failing check (subarray rows, then wordline, then sense), so a
+        // check that "certainly fails" must show up as that failure or an
+        // earlier one.
+        use PrescreenFailure::{SenseMargin, SubarrayRows, WordlineElmore};
         for &(node, tech) in &[
             (TechNode::N32, CellTechnology::Sram),
             (TechNode::N78, CellTechnology::CommDram),
         ] {
-            let bounds = certified_bounds(node, tech);
+            let b = certified_bounds(node, tech);
             let cell = Technology::cached(node).cell(tech);
             for cols in (1..=org::SWEEP_BOUNDS.max_cols).step_by(37) {
                 for rows in [1u64, 2, 16, 128, 512, 1024, 2048] {
-                    let fast = prescreen_verdict_with(&cell, rows, cols, &bounds);
+                    let at = format!("{node} {tech:?} at ({rows},{cols}), {b:?}");
                     let exact = prescreen_explain(&cell, rows, cols).map(|_| ());
-                    assert_eq!(fast, exact, "{node} {tech:?} at ({rows},{cols})");
+                    if cols <= b.wordline_pass_upto {
+                        assert_ne!(exact, Err(WordlineElmore), "{at}");
+                    }
+                    if cols <= b.cols_domain && cols > b.wordline_reject_above {
+                        assert!(
+                            matches!(exact, Err(SubarrayRows | WordlineElmore)),
+                            "{at}: {exact:?}"
+                        );
+                    }
+                    if !tech.is_dram() || rows > b.rows_domain {
+                        continue;
+                    }
+                    if rows <= b.sense_pass_upto {
+                        assert_ne!(exact, Err(SenseMargin), "{at}");
+                    }
+                    if rows >= b.sense_reject_from {
+                        assert!(exact.is_err(), "{at}");
+                    }
                 }
             }
         }

@@ -26,7 +26,7 @@ pub const WINDOW_CODE: &str = "CD0202";
 /// proves no reachable value can ever cross it, so the check never fires.
 pub const DEAD_EDGE_CODE: &str = "CD0203";
 /// `CD0204` (info): certified prescreen bounds were established; the
-/// message carries the cutoffs the `--certified` solve path consumes.
+/// message carries the wordline and sense-margin cutoffs.
 pub const BOUNDS_CODE: &str = "CD0204";
 
 /// Which published metric a window constrains.

@@ -25,12 +25,11 @@
 //!    vacuous, clip the whole reachable range, or have a low edge no
 //!    reachable value can ever cross (`CD0202`/`CD0203`).
 //! 3. **Certified bounds** ([`cert::certified_bounds`]): per-node integer
-//!    cutoffs (`CertifiedBounds`) extracted from the all-pass prefix and
-//!    all-reject suffix of the scan, consumed by the solver's opt-in
-//!    `--certified` fast path — which remains byte-identical by
-//!    construction because unsound scans degrade to the conservative
-//!    element and the fast path falls back to the concrete test anywhere
-//!    outside the certified region.
+//!    cutoffs ([`CertifiedBounds`]) extracted from the all-pass prefix and
+//!    all-reject suffix of the scan, reported as `CD0204`. Unsound scans
+//!    degrade to the conservative element, which certifies nothing. The
+//!    solver does not consume them: a certified fast path measured at
+//!    0.98–1.05x of the exact screen and was removed (DESIGN.md §16).
 //!
 //! The layering is deliberate: `prove` sits **beside** `cactid-analyze`,
 //! not above it — both depend only on `cactid-core`/`-tech`/`-units`.
@@ -53,8 +52,8 @@ pub mod iv;
 pub mod screen;
 
 pub use cert::{
-    certified_bounds, certify, certify_spec, window_enclosures, Certificate, Proof, SpecProof,
-    WindowEnclosures,
+    certified_bounds, certify, certify_spec, window_enclosures, Certificate, CertifiedBounds,
+    Proof, SpecProof, WindowEnclosures,
 };
 pub use diag::{
     diagnostics, text_summary, MetricWindow, WindowMetric, BOUNDS_CODE, DEAD_EDGE_CODE,

@@ -389,6 +389,24 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_is_answered_in_band_and_the_loop_survives() {
+        let svc = memo_only();
+        let input = format!(
+            "{{\"id\":1,\"op\":\"solve\",\"x\":{}\n{{\"id\":2,\"op\":\"stats\"}}\n",
+            "[".repeat(1 << 20)
+        );
+        let mut out = Vec::new();
+        svc.run_lines(input.as_bytes(), &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        assert!(lines[0].starts_with("{\"id\":0,\"error\":"), "{}", lines[0]);
+        assert!(lines[0].contains("nesting deeper than"), "{}", lines[0]);
+        assert!(lines[1].starts_with("{\"id\":2,"), "{}", lines[1]);
+        assert!(lines[1].contains("\"requests\":2"), "{}", lines[1]);
+    }
+
+    #[test]
     fn invalid_specs_render_as_invalid_records() {
         let svc = memo_only();
         let (r, _) = svc.handle_line("{\"id\":9,\"op\":\"solve\",\"size\":49152}");

@@ -28,9 +28,7 @@
 //! spec's technology domain: it checks every shipped prescreen rule
 //! sound on the whole sweep grid, analyzes the CD0021/CD0022
 //! plausibility windows for vacuity and dead edges, and reports the
-//! certified prescreen bounds (`CD0201`–`CD0204`). On the classic path,
-//! `--certified` routes the solve through those proven bounds — the
-//! solution set is byte-identical by construction. The `serve` subcommand
+//! certified prescreen bounds (`CD0201`–`CD0204`). The `serve` subcommand
 //! keeps a solver resident: a JSONL request loop (stdin/stdout or
 //! `--listen` TCP) answering solve/grid queries in the explore record
 //! schema, with an optional `--store` disk-backed solution store so
@@ -45,8 +43,8 @@ use cactid_analyze::rules::sol::{
 };
 use cactid_analyze::{render, Analyzer, RunContext, SeverityAction, SeverityOverrides};
 use cactid_core::{
-    AccessMode, CactiError, Diagnostic, MemoryKind, MemorySpec, OptimizationOptions, Report,
-    Solution, SolutionLinter,
+    AccessMode, Diagnostic, MemoryKind, MemorySpec, OptimizationOptions, Report, Solution,
+    SolutionLinter,
 };
 use cactid_explore::{AuditVerdict, ExploreConfig, Grid, OptVariant};
 use cactid_prove::{MetricWindow, WindowMetric};
@@ -62,7 +60,7 @@ fn usage() -> ! {
          \x20      [--mode normal|sequential|fast] [--ram]\n\
          \x20      [--main-memory --io N --burst N --prefetch N --page <bits|K>]\n\
          \x20      [--max-area PCT] [--max-time PCT] [--relax X] [--sleep]\n\
-         \x20      [--solutions] [--certified]\n\
+         \x20      [--solutions]\n\
          \n\
          subcommands:\n\
          \x20 lint     run the CD0001-CD0022 diagnostics over the spec (and the\n\
@@ -175,7 +173,6 @@ struct Args {
     page_bits: u64,
     opt: OptimizationOptions,
     list_solutions: bool,
-    certified: bool,
     deny_warnings: bool,
     format: OutputFormat,
     overrides: SeverityOverrides,
@@ -229,7 +226,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         page_bits: 8 << 10,
         opt: OptimizationOptions::default(),
         list_solutions: false,
-        certified: false,
         deny_warnings: false,
         format: OutputFormat::Text,
         overrides: SeverityOverrides::new(),
@@ -279,7 +275,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--relax" => a.opt.repeater_relax = parse_num(flag, value(argv, &mut i, flag)?)?,
             "--sleep" => a.opt.sleep_transistors = true,
             "--solutions" => a.list_solutions = true,
-            "--certified" => a.certified = true,
             "--deny-warnings" => a.deny_warnings = true,
             "--format" => {
                 let v = value(argv, &mut i, flag)?;
@@ -627,7 +622,7 @@ fn audit_point_json(p: &cactid_explore::PointAudit, rules: &[&str]) -> String {
     );
     match &p.detail {
         Some(d) => {
-            let _ = write!(s, "\"{}\"", cactid_analyze::json::escape(d));
+            let _ = write!(s, "\"{}\"", cactid_obs::escape(d));
         }
         None => s.push_str("null"),
     }
@@ -870,7 +865,8 @@ fn run_lint(a: &Args) -> ! {
     } else {
         // The spec is structurally sound: lint the optimized solution so
         // the organization- and solution-stage rules get a say as well.
-        match cactid_core::optimize_with(&spec, &analyzer) {
+        let solved = cactid_core::solve_with_stats(&spec, Some(&analyzer)).result;
+        match solved.and_then(|sols| cactid_core::select(&spec, &sols)) {
             Ok(sol) => analyzer.lint_solution(&spec, &sol),
             Err(e) => {
                 print!("{}", render::render(&analyzer, &spec_report));
@@ -930,23 +926,6 @@ fn run_prove(argv: &[String]) -> ! {
         OutputFormat::Json => eprintln!("{}", cactid_prove::text_summary(&proof)),
     }
     finish_lint(&analyzer, &report, a.deny_warnings, a.format)
-}
-
-/// Solves the spec for the classic path: the exact staged screen by
-/// default, or — with `--certified` — through the prover's certified
-/// prescreen bounds. The certified screen only skips checks the proof
-/// shows redundant, so the solution set is identical either way.
-fn solve_classic(
-    a: &Args,
-    spec: &MemorySpec,
-    analyzer: &Analyzer,
-) -> Result<Vec<Solution>, CactiError> {
-    if a.certified {
-        let bounds = cactid_prove::certified_bounds(spec.node, spec.cell_tech);
-        cactid_core::solve_with_stats_certified(spec, Some(analyzer), &bounds).result
-    } else {
-        cactid_core::solve_with(spec, analyzer)
-    }
 }
 
 fn print_warnings(analyzer: &Analyzer, warnings: &[Diagnostic]) {
@@ -1011,11 +990,13 @@ fn main() {
         spec.node
     );
     let analyzer = Analyzer::new();
-    if a.list_solutions {
-        let sols = solve_classic(&a, &spec, &analyzer).unwrap_or_else(|e| {
+    let sols = cactid_core::solve_with_stats(&spec, Some(&analyzer))
+        .result
+        .unwrap_or_else(|e| {
             eprintln!("error: {e}");
             exit(1)
         });
+    if a.list_solutions {
         println!(
             "{:>5} {:>5} {:>5} {:>6} {:>6} {:>9} {:>9} {:>9} {:>9}",
             "ndwl", "ndbl", "nspd", "blmux", "samux", "acc ns", "cyc ns", "mm2", "Erd nJ"
@@ -1036,12 +1017,6 @@ fn main() {
         }
         println!("{} feasible organizations", sols.len());
     } else {
-        // solve + select is exactly optimize_with, split so --certified
-        // can swap the solve stage without touching the selection.
-        let sols = solve_classic(&a, &spec, &analyzer).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            exit(1)
-        });
         let sol = cactid_core::select(&spec, &sols).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             exit(1)

@@ -294,21 +294,15 @@ fn select_knobs_never_change_the_sweep() {
     }
 }
 
-/// Three-way verdict agreement on random subarray geometries: the
-/// closed-form pre-screen, the certified fast path (under both the proved
-/// and the conservative certificate), and the full electrical evaluation
-/// accept/reject exactly the same `(cell, rows, cols)` points — and the
-/// screens name the same failure reason.
+/// Verdict agreement on random subarray geometries: the closed-form
+/// pre-screen and the full electrical evaluation accept/reject exactly
+/// the same `(cell, rows, cols)` points.
 #[test]
-fn prescreen_certificates_and_evaluation_agree_on_random_arrays() {
-    use cacti_d::core::array::{evaluate, prescreen_explain, prescreen_verdict_with, ArrayInput};
-    use cacti_d::core::CertifiedBounds;
+fn prescreen_and_evaluation_agree_on_random_arrays() {
+    use cacti_d::core::array::{evaluate, prescreen_explain, ArrayInput};
 
     let mut rng = XorShift64Star::new(0xCAC7_1D08);
-    let conservative = CertifiedBounds::conservative();
     let nodes = [TechNode::N90, TechNode::N45, TechNode::N32];
-    // The proved certificates are per (node, cell): build each once.
-    let mut proved = std::collections::HashMap::new();
     for _ in 0..CASES {
         let node = nodes[rng.next_below(3) as usize];
         let cell_tech = CellTechnology::ALL[rng.next_below(3) as usize];
@@ -339,35 +333,20 @@ fn prescreen_certificates_and_evaluation_agree_on_random_arrays() {
             evaluated.is_ok(),
             "screen and evaluation disagree for {cell_tech:?}@{node:?} {rows}x{cols}"
         );
-
-        let bounds = proved
-            .entry((node, cell_tech))
-            .or_insert_with(|| cacti_d::prove::certified_bounds(node, cell_tech));
-        for b in [&conservative, &*bounds] {
-            assert_eq!(
-                explained,
-                prescreen_verdict_with(&cell, rows, cols, b),
-                "certified fast path diverges for {cell_tech:?}@{node:?} {rows}x{cols}"
-            );
-        }
     }
 }
 
-/// Three-way agreement on random cache specs: `static_screen`, its
-/// certified variant, and the real staged solve see the same organization
-/// population — identical enumeration and bound-prune counts, a provably
+/// Agreement on random cache specs: `static_screen` and the real staged
+/// solve see the same organization population — identical enumeration and bound-prune counts, a provably
 /// infeasible verdict reproduces the solve's exact error and stats, and a
 /// maybe-feasible verdict never over-counts the survivors.
 #[test]
-fn static_screen_certificates_and_solve_agree_on_random_specs() {
+fn static_screen_and_solve_agree_on_random_specs() {
     use cacti_d::core::array::prescreen_explain;
-    use cacti_d::core::{
-        org, solve_with_stats, static_screen, static_screen_certified, ScreenVerdict,
-    };
+    use cacti_d::core::{org, solve_with_stats, static_screen, ScreenVerdict};
 
     let mut rng = XorShift64Star::new(0xCAC7_1D09);
     let nodes = [TechNode::N90, TechNode::N45, TechNode::N32];
-    let mut proved = std::collections::HashMap::new();
     for _ in 0..CASES / 2 {
         let node = nodes[rng.next_below(3) as usize];
         let cell = CellTechnology::ALL[rng.next_below(3) as usize];
@@ -387,15 +366,6 @@ fn static_screen_certificates_and_solve_agree_on_random_specs() {
             .unwrap();
 
         let screen = static_screen(&spec);
-        let bounds = proved
-            .entry((node, cell))
-            .or_insert_with(|| cacti_d::prove::certified_bounds(node, cell));
-        assert_eq!(
-            screen,
-            static_screen_certified(&spec, bounds),
-            "certified screen diverges for {cell:?}@{node:?} {}B x{assoc}",
-            spec.capacity_bytes
-        );
 
         // The screen's aggregate must restate the per-org closed form.
         let tech = Technology::new(node);
