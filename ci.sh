@@ -63,8 +63,10 @@ rm -rf "$(dirname "$OUT")"
 
 echo "== explore sweep-sharing smoke run (three knob variants)"
 # The default/ed/c variants share every sweep input, so the 12-spec grid
-# runs one organization sweep per (size, assoc) pair: 4 sweeps. The JSONL
-# must not depend on the thread count.
+# runs one organization sweep per (size, assoc) pair: 4 sweeps over 4
+# data-array sweeps (the grep names both, so a lost knob share that
+# leaves `array sweeps 4,` alone still fails). The JSONL must not depend
+# on the thread count.
 XDIR=$(mktemp -d)
 $CACTID explore --sizes 64K,128K --assocs 4,8 --opts default,ed,c \
     --threads 1 --out "$XDIR/t1.jsonl" 2>/dev/null
@@ -74,9 +76,24 @@ cmp "$XDIR/t1.jsonl" "$XDIR/t2.jsonl" || {
     echo "sweep-sharing JSONL differs between --threads 1 and 2" >&2
     exit 1
 }
-echo "$SHARED" | grep -q "sweeps 4," || {
+echo "$SHARED" | grep -q "sweeps 4, array sweeps 4," || {
     echo "the three knob variants did not share their sweeps:" >&2
     echo "$SHARED" >&2
+    exit 1
+}
+# 64K and 128K over 1 and 2 banks have three bank sizes (32K, 64K,
+# 128K): 64K x1 and 128K x2 share one data-array sweep.
+$CACTID explore --sizes 64K,128K --banks 1,2 \
+    --threads 1 --out "$XDIR/b1.jsonl" 2>/dev/null
+BANKED=$($CACTID explore --sizes 64K,128K --banks 1,2 \
+    --threads 2 --out "$XDIR/b2.jsonl" 2>&1 >/dev/null)
+cmp "$XDIR/b1.jsonl" "$XDIR/b2.jsonl" || {
+    echo "bank-sharing JSONL differs between --threads 1 and 2" >&2
+    exit 1
+}
+echo "$BANKED" | grep -q "array sweeps 3," || {
+    echo "equal bank sizes did not share their data-array sweep:" >&2
+    echo "$BANKED" >&2
     exit 1
 }
 rm -rf "$XDIR"
@@ -251,6 +268,19 @@ test "$(wc -l < "$SDIR/deep.out")" = 2 &&
     sed -n 2p "$SDIR/deep.out" | grep -q '^{"id":2,"requests":2,' || {
     echo "serve did not answer a deep line with one error, then go on:" >&2
     cat "$SDIR/deep.out" >&2
+    exit 1
+}
+# A line that is not UTF-8 gets the same in-band answer.
+printf '\xff\xfe\n{"id":2,"op":"stats"}\n' \
+  | $CACTID serve --stdio > "$SDIR/bytes.out" 2>/dev/null || {
+    echo "serve died on a non-UTF-8 request line" >&2
+    exit 1
+}
+test "$(wc -l < "$SDIR/bytes.out")" = 2 &&
+    sed -n 1p "$SDIR/bytes.out" | grep -q '^{"id":0,"error":' &&
+    sed -n 2p "$SDIR/bytes.out" | grep -q '^{"id":2,"requests":2,' || {
+    echo "serve did not answer a non-UTF-8 line with one error, then go on:" >&2
+    cat "$SDIR/bytes.out" >&2
     exit 1
 }
 rm -rf "$SDIR"

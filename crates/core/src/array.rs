@@ -325,9 +325,9 @@ pub fn prescreen(cell: &CellParams, rows: u64, cols: u64) -> Result<Volts, Cacti
 /// A memo is valid for reuse across [`ArrayInput`]s that differ **only**
 /// in the organization axes (`rows`, `cols`, `ndwl`, `ndbl`,
 /// `deg_bl_mux`, `deg_sa_mux`) — exactly what one solve's sweep produces
-/// from a single spec. The solver allocates one per solve (or per worker
-/// on the parallel path); [`evaluate`] itself runs on a fresh memo, which
-/// degenerates to the plain from-scratch evaluation.
+/// from a single spec. The solver allocates one per data-array sweep
+/// ([`crate::ArraySweep`]); [`evaluate`] itself runs on a fresh memo,
+/// which degenerates to the plain from-scratch evaluation.
 ///
 /// [`org::enumerate_lazy`]: crate::org::enumerate_lazy
 #[derive(Debug, Default)]
@@ -432,7 +432,7 @@ impl EvalMemo {
     /// How many slice lookups hit across the memo's lifetime — the work
     /// the incremental evaluation skipped relative to from-scratch
     /// candidates. Flushed to the `core.solve.incremental_reuse` counter
-    /// once per solve.
+    /// once per data-array sweep.
     #[must_use]
     pub fn reuse_hits(&self) -> u64 {
         self.hits

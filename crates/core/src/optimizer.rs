@@ -5,9 +5,11 @@
 //! stream out of [`org::enumerate_lazy`], a closed-form pre-screen
 //! ([`array::prescreen`]) rejects electrically doomed candidates before the
 //! full circuit models run, and per-spec invariants (technology parameters,
-//! the tag design) are hoisted out of the per-candidate loop.
+//! the tag design) are hoisted out of the per-candidate loop. The data-array
+//! half of the sweep reads only one bank's geometry, so an [`ArraySweep`]
+//! runs it once for every spec that shares [`MemorySpec::array_key`].
 
-use crate::array::{self, ArrayInput};
+use crate::array::{self, ArrayInput, ArrayResult};
 use crate::error::CactiError;
 use crate::lint::{Severity, SolutionLinter};
 use crate::main_memory;
@@ -16,6 +18,7 @@ use crate::solution::Solution;
 use crate::spec::{MemoryKind, MemorySpec};
 use crate::tag::{self, TagResult};
 use cactid_tech::{CellParams, DeviceParams, Technology};
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 /// Everything about a solve that is invariant across candidates, computed
@@ -34,22 +37,28 @@ struct SpecCtx<'a> {
 }
 
 impl<'a> SpecCtx<'a> {
-    fn new(spec: &'a MemorySpec) -> Result<Self, CactiError> {
+    /// The data-array context of `spec`: everything but the tag design.
+    fn array(spec: &'a MemorySpec) -> Self {
         let tech = Technology::cached(spec.node);
-        let tag = if spec.kind.is_cache() {
-            Some(Arc::new(tag::design_tag(tech, spec)?))
-        } else {
-            None
-        };
-        Ok(Self {
+        Self {
             spec,
             tech,
             cell: tech.cell(spec.cell_tech),
             periph: tech.peripheral_device(spec.cell_tech),
             output_bits: spec.output_bits(),
             sense_fraction: spec.sense_fraction(),
-            tag,
-        })
+            tag: None,
+        }
+    }
+
+    /// [`SpecCtx::array`] plus the tag design of a cache — the only
+    /// per-spec stage that can fail before the organization sweep.
+    fn new(spec: &'a MemorySpec) -> Result<Self, CactiError> {
+        let mut ctx = Self::array(spec);
+        if spec.kind.is_cache() {
+            ctx.tag = Some(Arc::new(tag::design_tag(ctx.tech, spec)?));
+        }
+        Ok(ctx)
     }
 
     fn build_input(&self, org: &OrgParams) -> ArrayInput {
@@ -71,23 +80,10 @@ impl<'a> SpecCtx<'a> {
     }
 }
 
-/// What the pipeline decided about one enumerated organization. Lint runs
-/// afterwards ([`admit`]), so it is not a candidate outcome.
-enum CandidateOutcome {
-    /// Rejected by the closed-form pre-screen without running the models.
-    BoundPruned,
-    /// Rejected by the full electrical models.
-    ElectricalPruned,
-    /// Survived the models; boxed so the enum stays small.
-    Feasible(Box<Solution>),
-    /// A model error that poisons the whole solve (bad main-memory spec).
-    Fatal(CactiError),
-}
-
 /// Which pre-screen the staged pipeline runs before the full models.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 enum Screen {
-    /// No pre-screen: the debug-only reference path.
+    /// No pre-screen and no memo: the debug-only reference path.
     Off,
     /// The exact closed-form screen ([`array::prescreen_explain`]).
     Exact,
@@ -106,47 +102,6 @@ impl Screen {
             Screen::Exact => memo.prescreen_cached(cell, rows, cols).is_err(),
         }
     }
-}
-
-/// Evaluates one candidate through the staged pipeline. With the screen on,
-/// the closed-form bounds run first; they are the exact feasibility
-/// conditions `array::evaluate` would check, so pruning here cannot change
-/// the solution set — only skip doomed model evaluations.
-///
-/// `memo` is the per-solve incremental-evaluation scratch:
-/// screened paths evaluate through it so model slices keyed on unchanged
-/// organization axes are reused across adjacent candidates. The unscreened
-/// reference path deliberately bypasses it — `array::evaluate` runs every
-/// candidate from scratch, keeping the debug oracle's cost and code path
-/// independent of the memo machinery.
-fn evaluate_candidate(
-    ctx: &SpecCtx<'_>,
-    org: OrgParams,
-    screen: Screen,
-    memo: &mut array::EvalMemo,
-) -> CandidateOutcome {
-    if screen.rejects(memo, &ctx.cell, org.rows(ctx.spec), org.cols(ctx.spec)) {
-        return CandidateOutcome::BoundPruned;
-    }
-    let input = ctx.build_input(&org);
-    let evaluated = match screen {
-        Screen::Off => array::evaluate(ctx.tech, &input),
-        Screen::Exact => array::evaluate_incremental(ctx.tech, &input, memo),
-    };
-    let Ok(data) = evaluated else {
-        return CandidateOutcome::ElectricalPruned;
-    };
-    let mm = match ctx.spec.kind {
-        MemoryKind::MainMemory { .. } => {
-            match main_memory::assemble(ctx.tech, ctx.spec, &input, &data) {
-                Ok(mm) => Some(mm),
-                Err(e) => return CandidateOutcome::Fatal(e),
-            }
-        }
-        _ => None,
-    };
-    let sol = Solution::assemble(ctx.spec, org, &input, data, ctx.tag.clone(), mm);
-    CandidateOutcome::Feasible(Box::new(sol))
 }
 
 /// Applies the lint stage to a surviving candidate; `None` means rejected.
@@ -227,89 +182,191 @@ fn finish_sweep(
 
 /// Publishes one solve's worth of batched counters to the process-global
 /// observability registry. The hot loop accumulates into [`SolveStats`]
-/// locally; this is the single flush per solve. `reuse` is the number of
-/// memo-slice hits the incremental evaluation scored (always zero on the
-/// from-scratch reference path); it lives outside [`SolveStats`] because
-/// the stats are compared bitwise across the staged and reference
-/// paths, whose reuse opportunities legitimately differ.
-fn flush_obs(stats: &SolveStats, swept_empty: bool, reuse: u64) {
+/// locally; this is the single flush per solve. The memo-reuse count is
+/// flushed by the array sweep instead, once per sweep, since one sweep
+/// may serve many solves.
+fn flush_obs(stats: &SolveStats, swept_empty: bool) {
     cactid_obs::counter!("core.solve.calls").inc();
     cactid_obs::counter!("core.solve.orgs_enumerated").add(stats.orgs_enumerated as u64);
     cactid_obs::counter!("core.solve.bound_pruned").add(stats.bound_pruned as u64);
     cactid_obs::counter!("core.solve.electrical_pruned").add(stats.electrical_pruned as u64);
     cactid_obs::counter!("core.solve.lint_rejected").add(stats.lint_rejected as u64);
     cactid_obs::counter!("core.solve.feasible").add(stats.feasible as u64);
-    cactid_obs::counter!("core.solve.incremental_reuse").add(reuse);
     if swept_empty {
         cactid_obs::counter!("core.solve.no_feasible").inc();
     }
 }
 
-/// The serial staged sweep. `screen` selects the pruned pipeline; the
-/// debug-only reference path passes [`Screen::Off`] and pays the full
-/// model cost for every candidate. Returns the outcome, the
-/// exhausted-sweep flag for [`flush_obs`], and the memo-reuse hit count.
-fn sweep_serial(
-    spec: &MemorySpec,
-    linter: Option<&dyn SolutionLinter>,
-    screen: Screen,
-) -> (SolveOutcome, bool, u64) {
-    let mut stats = SolveStats::default();
-    let mut memo = array::EvalMemo::new();
-    let ctx = match SpecCtx::new(spec) {
-        Ok(ctx) => ctx,
-        Err(e) => {
-            return (
-                SolveOutcome {
-                    result: Err(e),
-                    stats,
-                },
-                false,
-                0,
-            )
-        }
-    };
+/// What the bank-level half of a solve found.
+#[derive(Debug)]
+struct Swept {
+    orgs_enumerated: usize,
+    bound_pruned: usize,
+    electrical_pruned: usize,
+    /// The organizations that survived the data-array models.
+    survivors: Vec<(OrgParams, ArrayResult)>,
+}
 
-    let mut iter = org::enumerate_lazy(spec);
-    let mut out = Vec::new();
-    while let Some(org) = iter.next() {
-        stats.orgs_enumerated += 1;
-        match evaluate_candidate(&ctx, org, screen, &mut memo) {
-            CandidateOutcome::BoundPruned => stats.bound_pruned += 1,
-            CandidateOutcome::ElectricalPruned => stats.electrical_pruned += 1,
-            CandidateOutcome::Fatal(e) => {
-                // A fatal error always reported the full enumeration count
-                // in the eager implementation; drain the iterator so the
-                // lazy pipeline keeps that contract.
-                stats.orgs_enumerated += iter.count();
+/// One data-array sweep, shared by every spec with the same bank geometry
+/// ([`MemorySpec::array_key`]).
+///
+/// A solve has two halves. The bank-level half enumerates the
+/// organizations of one bank, pre-screens them and runs the data-array
+/// models through one [`array::EvalMemo`]; it reads only fields the array
+/// key keeps. The per-spec half ([`ArraySweep::solve`]) designs the tag,
+/// assembles main memory, multiplies by the bank count
+/// ([`Solution`]'s assembly), lints and counts. So every spec that shares
+/// the key gets bitwise the [`solve_with_stats`] outcome from one sweep.
+///
+/// The bank-level half runs lazily, on the first [`ArraySweep::solve`]
+/// whose tag design succeeds, and at most once.
+#[derive(Debug)]
+pub struct ArraySweep {
+    key: MemorySpec,
+    screen: Screen,
+    swept: OnceCell<Swept>,
+}
+
+impl ArraySweep {
+    /// A sweep over the bank geometry of `spec` (its
+    /// [`MemorySpec::array_key`]). Nothing is evaluated until the first
+    /// [`ArraySweep::solve`].
+    pub fn new(spec: &MemorySpec) -> ArraySweep {
+        ArraySweep::with_screen(spec, Screen::Exact)
+    }
+
+    fn with_screen(spec: &MemorySpec, screen: Screen) -> ArraySweep {
+        ArraySweep {
+            key: spec.array_key(),
+            screen,
+            swept: OnceCell::new(),
+        }
+    }
+
+    /// `true` once the data-array sweep has run.
+    pub fn has_run(&self) -> bool {
+        self.swept.get().is_some()
+    }
+
+    /// The bank-level half. With the screen on, the closed-form bounds run
+    /// first; they are the exact feasibility conditions `array::evaluate`
+    /// would check, so pruning cannot change the solution set — only skip
+    /// doomed model evaluations. The unscreened reference path evaluates
+    /// every candidate from scratch with [`array::evaluate`], keeping the
+    /// debug oracle independent of the memo machinery.
+    fn sweep(&self) -> &Swept {
+        self.swept.get_or_init(|| {
+            let _span = cactid_obs::span("core.array_sweep");
+            let key = &self.key;
+            let ctx = SpecCtx::array(key);
+            let mut memo = array::EvalMemo::new();
+            let mut swept = Swept {
+                orgs_enumerated: 0,
+                bound_pruned: 0,
+                electrical_pruned: 0,
+                survivors: Vec::new(),
+            };
+            for org in org::enumerate_lazy(key) {
+                swept.orgs_enumerated += 1;
+                if self
+                    .screen
+                    .rejects(&mut memo, &ctx.cell, org.rows(key), org.cols(key))
+                {
+                    swept.bound_pruned += 1;
+                    continue;
+                }
+                let input = ctx.build_input(&org);
+                let evaluated = match self.screen {
+                    Screen::Off => array::evaluate(ctx.tech, &input),
+                    Screen::Exact => array::evaluate_incremental(ctx.tech, &input, &mut memo),
+                };
+                match evaluated {
+                    Ok(data) => swept.survivors.push((org, data)),
+                    Err(_) => swept.electrical_pruned += 1,
+                }
+            }
+            cactid_obs::counter!("core.solve.array_sweeps").inc();
+            cactid_obs::counter!("core.solve.incremental_reuse").add(memo.reuse_hits());
+            swept
+        })
+    }
+
+    /// The per-spec half: solves `spec` from this sweep and returns exactly
+    /// what [`solve_with_stats`] returns for it, stats included. A failed
+    /// tag design returns first, with zeroed stats and without sweeping.
+    ///
+    /// # Panics
+    ///
+    /// If `spec`'s [`MemorySpec::array_key`] is not this sweep's.
+    pub fn solve(&self, spec: &MemorySpec, linter: Option<&dyn SolutionLinter>) -> SolveOutcome {
+        assert!(
+            spec.array_key() == self.key,
+            "ArraySweep::solve: the spec's bank geometry is not this sweep's"
+        );
+        let (outcome, swept_empty) = self.assemble(spec, linter);
+        flush_obs(&outcome.stats, swept_empty);
+        outcome
+    }
+
+    /// [`ArraySweep::solve`] without the counter flush; also returns
+    /// whether the solve ended with nothing feasible.
+    fn assemble(
+        &self,
+        spec: &MemorySpec,
+        linter: Option<&dyn SolutionLinter>,
+    ) -> (SolveOutcome, bool) {
+        let mut stats = SolveStats::default();
+        let ctx = match SpecCtx::new(spec) {
+            Ok(ctx) => ctx,
+            Err(e) => {
                 return (
                     SolveOutcome {
                         result: Err(e),
                         stats,
                     },
                     false,
-                    memo.reuse_hits(),
-                );
+                )
             }
-            CandidateOutcome::Feasible(sol) => {
-                if let Some(sol) = admit(spec, linter, *sol, &mut stats) {
-                    out.push(sol);
+        };
+        let swept = self.sweep();
+        stats.orgs_enumerated = swept.orgs_enumerated;
+        stats.bound_pruned = swept.bound_pruned;
+        stats.electrical_pruned = swept.electrical_pruned;
+        let mut out = Vec::with_capacity(swept.survivors.len());
+        for (org, data) in &swept.survivors {
+            let input = ctx.build_input(org);
+            let mm = match spec.kind {
+                MemoryKind::MainMemory { .. } => {
+                    match main_memory::assemble(ctx.tech, spec, &input, data) {
+                        Ok(mm) => Some(mm),
+                        Err(e) => {
+                            return (
+                                SolveOutcome {
+                                    result: Err(e),
+                                    stats,
+                                },
+                                false,
+                            );
+                        }
+                    }
                 }
+                _ => None,
+            };
+            let sol = Solution::assemble(spec, *org, &input, data.clone(), ctx.tag.clone(), mm);
+            if let Some(sol) = admit(spec, linter, sol, &mut stats) {
+                out.push(sol);
             }
         }
+        let (result, swept_empty) = finish_sweep(out, &mut stats);
+        (SolveOutcome { result, stats }, swept_empty)
     }
-    let (result, swept_empty) = finish_sweep(out, &mut stats);
-    (
-        SolveOutcome { result, stats },
-        swept_empty,
-        memo.reuse_hits(),
-    )
 }
 
 /// The batch-oriented solver entry point: evaluates every feasible
 /// organization for `spec` through the staged pipeline and returns the
 /// full solution set together with the [`SolveStats`] of the sweep. It
-/// never panics on infeasible specs.
+/// never panics on infeasible specs. This is one [`ArraySweep`] used
+/// once; batch engines share one across the specs of a bank geometry.
 ///
 /// With a `linter`, every assembled candidate is consulted: candidates
 /// with any `Error`-severity diagnostic are rejected from the solution
@@ -322,9 +379,7 @@ fn sweep_serial(
 /// threads.
 pub fn solve_with_stats(spec: &MemorySpec, linter: Option<&dyn SolutionLinter>) -> SolveOutcome {
     let _span = cactid_obs::span("core.solve");
-    let (outcome, swept_empty, reuse) = sweep_serial(spec, linter, Screen::Exact);
-    flush_obs(&outcome.stats, swept_empty, reuse);
-    outcome
+    ArraySweep::new(spec).solve(spec, linter)
 }
 
 /// Per-reason counts of candidates rejected by the closed-form screen,
@@ -468,18 +523,17 @@ pub fn static_screen(spec: &MemorySpec) -> StaticScreen {
 }
 
 /// The debug-only unpruned reference path: every enumerated candidate runs
-/// through the full electrical models with the pre-screen disabled. Exists
-/// so equivalence tests can prove the staged/pruned pipeline returns
-/// exactly the same solution set — `bound_pruned` here is always zero and
-/// `electrical_pruned` reports what the staged path prunes by bound.
+/// through the full electrical models from scratch, with the pre-screen
+/// and the memo disabled. Exists so equivalence tests can prove the
+/// staged/pruned pipeline returns exactly the same solution set —
+/// `bound_pruned` here is always zero and `electrical_pruned` reports what
+/// the staged path prunes by bound.
 pub fn solve_with_stats_reference(
     spec: &MemorySpec,
     linter: Option<&dyn SolutionLinter>,
 ) -> SolveOutcome {
     let _span = cactid_obs::span("core.solve");
-    let (outcome, swept_empty, reuse) = sweep_serial(spec, linter, Screen::Off);
-    flush_obs(&outcome.stats, swept_empty, reuse);
-    outcome
+    ArraySweep::with_screen(spec, Screen::Off).solve(spec, linter)
 }
 
 /// Evaluates every feasible organization for `spec` and returns the full

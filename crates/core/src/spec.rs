@@ -179,6 +179,23 @@ impl MemorySpec {
         }
     }
 
+    /// The bank geometry of this spec: its [`MemorySpec::sweep_key`] with
+    /// the capacity of one bank and a bank count of one.
+    ///
+    /// The data-array half of a solve ([`crate::ArraySweep`]) reads no
+    /// field this key drops: the organizations of [`crate::org`] and the
+    /// array models see one bank, and only the per-spec half (tag design,
+    /// main-memory assembly, the bank-count multiply in
+    /// [`crate::Solution`]) reads the whole capacity and bank count. So
+    /// specs with equal array keys share one data-array sweep exactly.
+    pub fn array_key(&self) -> MemorySpec {
+        MemorySpec {
+            capacity_bytes: self.bank_bytes(),
+            n_banks: 1,
+            ..self.sweep_key()
+        }
+    }
+
     /// Number of sets (whole memory).
     pub fn sets(&self) -> u64 {
         self.capacity_bytes / (u64::from(self.block_bytes) * u64::from(self.associativity))

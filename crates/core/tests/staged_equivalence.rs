@@ -2,11 +2,12 @@
 //! pipeline and the debug-only unpruned reference must return exactly
 //! the same solution set in the same order, and
 //! the pre-screen must account for precisely the candidates the full
-//! models would have rejected.
+//! models would have rejected. One data-array sweep shared across a bank
+//! geometry must give every spec of that geometry exactly its own solve.
 
 use cactid_core::{
-    array, org, solve_with_stats, solve_with_stats_reference, AccessMode, MemoryKind, MemorySpec,
-    Solution,
+    array, org, solve_with_stats, solve_with_stats_reference, AccessMode, ArraySweep, Diagnostic,
+    Location, MemoryKind, MemorySpec, OrgParams, Solution, SolutionLinter, SolveOutcome,
 };
 use cactid_tech::{CellTechnology, TechNode, Technology};
 
@@ -180,4 +181,187 @@ fn bound_pruning_fires_on_the_comm_dram_smoke_spec() {
         out.stats
     );
     assert!(out.stats.feasible > 0);
+}
+
+/// The family `(capacity·k, banks k)` for k = 1, 2, 4, 8: one bank
+/// geometry, four sweep keys.
+fn bank_family(base: &MemorySpec) -> Vec<MemorySpec> {
+    [1u32, 2, 4, 8]
+        .into_iter()
+        .map(|k| MemorySpec {
+            capacity_bytes: base.capacity_bytes * u64::from(k),
+            n_banks: k,
+            ..base.clone()
+        })
+        .collect()
+}
+
+/// The input a sweep of `spec`'s own geometry evaluates for `o`: every
+/// field read from the full spec, none from its array key.
+fn own_input(spec: &MemorySpec, o: &OrgParams) -> array::ArrayInput {
+    let tech = Technology::cached(spec.node);
+    array::ArrayInput {
+        rows: o.rows(spec),
+        cols: o.cols(spec),
+        ndwl: o.ndwl,
+        ndbl: o.ndbl,
+        deg_bl_mux: o.deg_bl_mux,
+        deg_sa_mux: o.deg_sa_mux,
+        output_bits: spec.output_bits(),
+        address_bits: spec.address_bits,
+        cell: tech.cell(spec.cell_tech),
+        periph: tech.peripheral_device(spec.cell_tech),
+        repeater_relax: spec.opt.repeater_relax,
+        sleep_transistors: spec.opt.sleep_transistors,
+        sense_fraction: spec.sense_fraction(),
+    }
+}
+
+/// The data half of an unlinted `outcome` is what enumerating and
+/// evaluating `spec`'s own organizations from scratch gives: the same
+/// organizations in the same order with the same data-array bits, and
+/// the same enumeration and pruning counts.
+fn assert_data_half_is_the_specs_own(label: &str, spec: &MemorySpec, outcome: &SolveOutcome) {
+    let tech = Technology::cached(spec.node);
+    let orgs: Vec<OrgParams> = org::enumerate_lazy(spec).collect();
+    let own: Vec<(OrgParams, array::ArrayResult)> = orgs
+        .iter()
+        .filter_map(|o| {
+            array::evaluate(tech, &own_input(spec, o))
+                .ok()
+                .map(|d| (*o, d))
+        })
+        .collect();
+    let sols = outcome.result.as_ref().unwrap();
+    let shared: Vec<(OrgParams, array::ArrayResult)> =
+        sols.iter().map(|s| (s.org, s.data.clone())).collect();
+    assert_eq!(format!("{shared:?}"), format!("{own:?}"), "{label}");
+    assert_eq!(outcome.stats.orgs_enumerated, orgs.len(), "{label}");
+    assert_eq!(
+        outcome.stats.bound_pruned,
+        orgs.len() - own.len(),
+        "{label}"
+    );
+}
+
+/// Solves every member of `base`'s bank family through one shared
+/// [`ArraySweep`], largest bank count first, and checks each outcome is
+/// bitwise the member's own [`solve_with_stats`]. Returns the sweep.
+fn assert_family_shares_one_sweep(
+    label: &str,
+    base: &MemorySpec,
+    linter: Option<&dyn SolutionLinter>,
+) -> ArraySweep {
+    let members = bank_family(base);
+    let sweep = ArraySweep::new(&members[3]);
+    for spec in members.iter().rev() {
+        assert_eq!(spec.array_key(), base.array_key(), "{label}");
+        let shared = sweep.solve(spec, linter);
+        let own = solve_with_stats(spec, linter);
+        let label = format!("{label} x{}", spec.n_banks);
+        assert_eq!(shared.stats, own.stats, "{label}");
+        // Debug renders every f64 shortest-round-trip (and keeps the sign
+        // of zero), so equal strings mean equal bits.
+        assert_eq!(
+            format!("{:?}", shared.result),
+            format!("{:?}", own.result),
+            "{label}"
+        );
+        if linter.is_none() && own.result.is_ok() {
+            assert_data_half_is_the_specs_own(&label, spec, &shared);
+        }
+    }
+    sweep
+}
+
+fn with_mode(spec: MemorySpec, access_mode: AccessMode) -> MemorySpec {
+    MemorySpec {
+        kind: MemoryKind::Cache { access_mode },
+        ..spec
+    }
+}
+
+/// A COMM-DRAM main-memory bank of 16 MB (the smoke chip's bank).
+fn comm_dram_bank() -> MemorySpec {
+    let chip = comm_dram_smoke();
+    MemorySpec {
+        capacity_bytes: chip.bank_bytes(),
+        n_banks: 1,
+        ..chip
+    }
+}
+
+#[test]
+fn one_array_sweep_serves_every_bank_count_of_a_geometry() {
+    let sram = MemorySpec {
+        capacity_bytes: 256 << 10,
+        ..sram_l2()
+    };
+    for (label, base) in [
+        ("sram-normal", sram.clone()),
+        // Sequential SRAM senses one way (`sense_fraction` = 1/assoc).
+        ("sram-sequential", with_mode(sram, AccessMode::Sequential)),
+        ("lp-dram", lp_dram_l3()),
+        ("comm-dram-main-memory", comm_dram_bank()),
+    ] {
+        let sweep = assert_family_shares_one_sweep(label, &base, None);
+        assert!(sweep.has_run(), "{label}");
+    }
+}
+
+/// Rejects wide wordline splits and warns on everything else, so the lint
+/// stage both filters candidates and attaches warnings.
+struct Picky;
+
+impl SolutionLinter for Picky {
+    fn lint_candidate(&self, _spec: &MemorySpec, solution: &Solution) -> Vec<Diagnostic> {
+        let loc = Location::spec("org.ndwl");
+        if solution.org.ndwl >= 16 {
+            vec![Diagnostic::error("CDTEST", loc, "ndwl too wide")]
+        } else {
+            vec![Diagnostic::warn("CDTEST", loc, "linted")]
+        }
+    }
+}
+
+#[test]
+fn a_shared_sweep_lints_each_spec_as_its_own_solve_does() {
+    assert_family_shares_one_sweep("sram-linted", &sram_l2(), Some(&Picky));
+    let out = solve_with_stats(&sram_l2(), Some(&Picky));
+    assert!(out.stats.lint_rejected > 0, "{:?}", out.stats);
+}
+
+#[test]
+fn a_failed_tag_design_returns_first_without_sweeping() {
+    // 8 sets per bank: every tag organization is shorter than 16 rows.
+    let base = MemorySpec::builder()
+        .capacity_bytes(8 << 10)
+        .block_bytes(64)
+        .associativity(16)
+        .cell_tech(CellTechnology::Sram)
+        .node(TechNode::N32)
+        .kind(MemoryKind::Cache {
+            access_mode: AccessMode::Normal,
+        })
+        .build()
+        .unwrap();
+    let sweep = assert_family_shares_one_sweep("tag-failure", &base, None);
+    let out = sweep.solve(&base, None);
+    assert!(out.result.is_err());
+    assert_eq!(out.stats, cactid_core::SolveStats::default());
+    assert!(
+        !sweep.has_run(),
+        "a tag failure must not pay for the data sweep"
+    );
+}
+
+#[test]
+#[should_panic(expected = "bank geometry")]
+fn a_sweep_refuses_a_spec_of_another_geometry() {
+    let sweep = ArraySweep::new(&sram_l2());
+    let other = MemorySpec {
+        n_banks: 2,
+        ..sram_l2()
+    };
+    sweep.solve(&other, None);
 }

@@ -10,11 +10,13 @@
 //!
 //! Specs that differ only in their select-only knobs share one
 //! organization sweep ([`MemorySpec::sweep_key`]): [`SolveCache::solve_group`]
-//! takes such a family, runs at most one [`solve_with_stats`] for its
-//! memo misses and one [`select`] per miss. This is exact, not a
-//! heuristic — the sweep never reads a select-only knob, so every member's
-//! own sweep would return the same bits. [`SolveCache::solve_point`] is the
-//! one-member case.
+//! takes such a family, runs at most one solve for its memo misses and one
+//! [`select`] per miss. That solve draws on a caller-owned [`ArraySweep`],
+//! so families with the same bank geometry ([`MemorySpec::array_key`])
+//! share one data-array sweep too. Both are exact, not heuristics — the
+//! sweep never reads a select-only knob and its data-array half reads only
+//! one bank, so every member's own [`cactid_core::solve_with_stats`] would
+//! return the same bits. [`SolveCache::solve_point`] is the one-member case.
 //!
 //! The solve itself runs with the mutex *released* — only lookup and
 //! insert take the lock — so concurrent workers memoize without
@@ -24,7 +26,7 @@
 //! duplicated work by pre-grouping its points per sweep key and spec.
 
 use crate::hash::spec_fingerprint;
-use cactid_core::{select, solve_with_stats, CactiError, MemorySpec, Solution};
+use cactid_core::{select, ArraySweep, CactiError, MemorySpec, Solution};
 use cactid_core::{SolutionLinter, SolveStats};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -98,13 +100,14 @@ impl SolveCache {
 
     /// Solves `spec` (solve → §2.4 select) through the memo. Returns the
     /// entry and whether it was served from cache. This is
-    /// [`SolveCache::solve_group`] with one member.
+    /// [`SolveCache::solve_group`] with one member and a sweep of its own.
     pub fn solve_point(
         &self,
         spec: &MemorySpec,
         linter: Option<&dyn SolutionLinter>,
     ) -> (CachedSolve, bool) {
-        let Some(member) = self.solve_group(&[spec], linter).members.pop() else {
+        let sweep = ArraySweep::new(spec);
+        let Some(member) = self.solve_group(&[spec], linter, &sweep).members.pop() else {
             unreachable!("a one-member group answers one member")
         };
         member
@@ -112,16 +115,21 @@ impl SolveCache {
 
     /// Solves a family of specs that share one [`MemorySpec::sweep_key`]
     /// through the memo: each member is looked up, and for the misses one
-    /// organization sweep runs (on the first miss's spec, so the linter
-    /// sees a real member) followed by one [`select`] per miss.
+    /// solve runs (on the first miss's spec, so the linter sees a real
+    /// member) followed by one [`select`] per miss. The solve draws on
+    /// `sweep`, which runs its data-array sweep on first use only, so a
+    /// caller that passes one sweep to every family of a bank geometry
+    /// sweeps that geometry at most once, and not at all on a warm memo.
     ///
     /// Each member's entry is exactly what [`SolveCache::solve_point`]
     /// alone would have produced for it, stats included. The caller must
-    /// pass distinct members with equal sweep keys.
+    /// pass distinct members with equal sweep keys, and a `sweep` of their
+    /// bank geometry.
     pub fn solve_group(
         &self,
         specs: &[&MemorySpec],
         linter: Option<&dyn SolutionLinter>,
+        sweep: &ArraySweep,
     ) -> GroupSolve {
         debug_assert!(
             specs
@@ -155,8 +163,8 @@ impl SolveCache {
         cactid_obs::counter!("explore.cache.misses").add(misses.len() as u64);
         // Sweep and select outside the lock; expensive points must not
         // serialize the rest of the pool.
-        let outcome = solve_with_stats(specs[first_miss], linter);
-        let sweep = outcome.stats;
+        let outcome = sweep.solve(specs[first_miss], linter);
+        let stats = outcome.stats;
         let solved: Vec<CachedSolve> = misses
             .iter()
             .map(|&i| CachedSolve {
@@ -164,7 +172,7 @@ impl SolveCache {
                     Ok(sols) => select(specs[i], sols),
                     Err(e) => Err(e.clone()),
                 },
-                stats: sweep,
+                stats,
             })
             .collect();
         // Free the solution set before the memo inserts: long-lived entries
@@ -190,7 +198,7 @@ impl SolveCache {
         }
         GroupSolve {
             members: found.into_iter().flatten().collect(),
-            sweep: Some(sweep),
+            sweep: Some(stats),
         }
     }
 }
@@ -301,7 +309,7 @@ mod tests {
         cache.solve_point(&members[0], None);
         let calls = cactid_obs::counter!("core.solve.calls").get();
         let refs: Vec<&MemorySpec> = members.iter().collect();
-        let group = cache.solve_group(&refs, None);
+        let group = cache.solve_group(&refs, None, &ArraySweep::new(&base));
         assert!(group.sweep.is_some(), "two members missed");
         assert!(cactid_obs::counter!("core.solve.calls").get() > calls);
         let hits: Vec<bool> = group.members.iter().map(|(_, hit)| *hit).collect();
@@ -312,8 +320,10 @@ mod tests {
             assert_eq!(entry.result, alone.result);
         }
         assert_eq!(cache.len(), 3);
-        let again = cache.solve_group(&refs, None);
+        let sweep = ArraySweep::new(&base);
+        let again = cache.solve_group(&refs, None, &sweep);
         assert!(again.sweep.is_none(), "a warm group runs no sweep");
+        assert!(!sweep.has_run(), "nor a data-array sweep");
         assert!(again.members.iter().all(|(_, hit)| *hit));
     }
 

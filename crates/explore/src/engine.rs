@@ -6,13 +6,16 @@
 //!    fingerprint ([`crate::grid`]).
 //! 2. **Solve** — completed points are restored from the checkpoint
 //!    sidecars ([`crate::resume`]); the remaining valid points are grouped
-//!    by sweep key ([`cactid_core::MemorySpec::sweep_key`]) so specs that
-//!    differ only in select-only knobs share one organization sweep, and
-//!    within a group by exact spec so duplicates cost nothing. The work-
-//!    claiming pool ([`crate::pool`]) drains one job per sweep group:
-//!    sweep, one select per spec, render. Every finished point streams to
-//!    the sidecars immediately, so an interrupt loses at most the points
-//!    in flight.
+//!    three times: by bank geometry ([`cactid_core::MemorySpec::array_key`])
+//!    so specs that differ only in capacity and bank count share one
+//!    data-array sweep, within that by sweep key
+//!    ([`cactid_core::MemorySpec::sweep_key`]) so specs that differ only in
+//!    select-only knobs share one solve, and within a sweep group by exact
+//!    spec so duplicates cost nothing. The work-claiming pool
+//!    ([`crate::pool`]) drains one job per bank geometry: one data-array
+//!    sweep, one solve per sweep group, one select per spec, render. Every
+//!    finished job streams its points to the sidecars immediately, so an
+//!    interrupt loses at most the points in flight.
 //! 3. **Finalize** — the Pareto frontier is extracted ([`crate::pareto`]),
 //!    `ok` records are annotated, and the final JSONL is written sorted by
 //!    point index via a temp-file rename.
@@ -32,7 +35,7 @@ use crate::record;
 pub use crate::record::PointStatus;
 use crate::resume;
 use crate::stats::EngineStats;
-use cactid_core::{MemorySpec, SolutionLinter};
+use cactid_core::{ArraySweep, MemorySpec, SolutionLinter, SolveStats};
 use cactid_tech::Technology;
 use std::collections::HashMap;
 use std::fmt;
@@ -100,9 +103,18 @@ pub struct ExploreReport {
     pub stats: EngineStats,
 }
 
-/// One pool job: the distinct specs of the grid that share one
-/// [`MemorySpec::sweep_key`], so one organization sweep answers them all.
-struct SweepJob {
+/// One pool job: the sweep groups of the grid that share one
+/// [`MemorySpec::array_key`], so one data-array sweep answers them all.
+struct ArrayJob {
+    /// The shared bank geometry.
+    key: MemorySpec,
+    /// The sweep groups, in first-point order.
+    groups: Vec<SweepGroup>,
+}
+
+/// The distinct specs of the grid that share one [`MemorySpec::sweep_key`],
+/// so one solve answers them all.
+struct SweepGroup {
     /// The shared sweep key.
     key: MemorySpec,
     /// Point indices per distinct spec; each member's first point carries
@@ -121,6 +133,10 @@ struct Rendered {
 struct Sidecars {
     part: File,
     ckpt: File,
+    /// The `.part` lines recorded since the last [`Sidecars::flush`].
+    part_buf: String,
+    /// The `.ckpt` lines recorded since the last [`Sidecars::flush`].
+    ckpt_buf: String,
 }
 
 impl Sidecars {
@@ -150,23 +166,43 @@ impl Sidecars {
             writeln!(ckpt, "{}", resume::header(fingerprint, points))
                 .map_err(|e| ExploreError::Io(format!("checkpoint header: {e}")))?;
         }
-        Ok(Sidecars { part, ckpt })
+        Ok(Sidecars {
+            part,
+            ckpt,
+            part_buf: String::new(),
+            ckpt_buf: String::new(),
+        })
     }
 
-    /// Records one completed point in both sidecars, flushed so a kill
-    /// right after loses nothing.
+    /// Records one completed point in both sidecars; it reaches the files
+    /// at the next [`Sidecars::flush`].
     fn record(
         &mut self,
         idx: usize,
         line: &str,
         status: PointStatus,
         metrics: Option<&ParetoMetrics>,
-    ) -> Result<(), ExploreError> {
+    ) {
+        self.part_buf.push_str(line);
+        self.part_buf.push('\n');
+        self.ckpt_buf.push_str(&resume::line(idx, status, metrics));
+        self.ckpt_buf.push('\n');
+    }
+
+    /// Writes the recorded points, one write per sidecar, so a kill right
+    /// after loses nothing. The engine flushes once per finished job (and
+    /// once after each batch placed before the pool), not per point: that
+    /// would be four system calls per point, tens of thousands per grid,
+    /// all under the pool's sink lock. A kill between or inside the writes
+    /// leaves points in one sidecar only, or a torn last line, and resume
+    /// re-solves those ([`crate::resume`]).
+    fn flush(&mut self) -> Result<(), ExploreError> {
         let io = |e: std::io::Error| ExploreError::Io(format!("sidecar write: {e}"));
-        writeln!(self.part, "{line}").map_err(io)?;
-        writeln!(self.ckpt, "{}", resume::line(idx, status, metrics)).map_err(io)?;
-        self.part.flush().map_err(io)?;
-        self.ckpt.flush().map_err(io)
+        self.part.write_all(self.part_buf.as_bytes()).map_err(io)?;
+        self.part_buf.clear();
+        self.ckpt.write_all(self.ckpt_buf.as_bytes()).map_err(io)?;
+        self.ckpt_buf.clear();
+        Ok(())
     }
 }
 
@@ -216,20 +252,22 @@ pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport,
     let mut metrics: Vec<Option<ParetoMetrics>> = vec![None; n];
 
     // Place resumed points, render invalid ones, and group the remaining
-    // valid points twice: by sweep key (one pool job per organization
-    // sweep), then within a job by exact spec (duplicates ride along and
-    // cost nothing). Both levels resolve 64-bit collisions by equality,
-    // like the solve memo does. Jobs follow first point index, so job
-    // numbering is deterministic.
+    // valid points three times: by bank geometry (one pool job per
+    // data-array sweep), within a job by sweep key (one solve per group),
+    // then within a group by exact spec (duplicates ride along and cost
+    // nothing). Every level resolves 64-bit collisions by equality, like
+    // the solve memo does. Jobs and groups follow first point index, so
+    // their numbering is deterministic.
     let spec_at = |idx: usize| -> &MemorySpec {
         let Ok(spec) = points[idx].spec.as_ref() else {
             unreachable!("job specs are valid")
         };
         spec
     };
-    let mut jobs: Vec<SweepJob> = Vec::new();
+    let mut jobs: Vec<ArrayJob> = Vec::new();
     let mut job_of: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut member_of: HashMap<u64, Vec<(usize, usize)>> = HashMap::new();
+    let mut group_of: HashMap<u64, Vec<(usize, usize)>> = HashMap::new();
+    let mut member_of: HashMap<u64, Vec<(usize, usize, usize)>> = HashMap::new();
     for point in points {
         let idx = point.idx;
         if let Some(r) = resumed.get(&idx) {
@@ -248,34 +286,53 @@ pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport,
         match (&point.spec, point.fingerprint()) {
             (Ok(spec), Some(fp)) => {
                 let members = member_of.entry(fp).or_default();
-                if let Some(&(j, m)) = members
+                if let Some(&(j, g, m)) = members
                     .iter()
-                    .find(|&&(j, m)| spec_at(jobs[j].members[m][0]) == spec)
+                    .find(|&&(j, g, m)| spec_at(jobs[j].groups[g].members[m][0]) == spec)
                 {
-                    jobs[j].members[m].push(idx);
+                    jobs[j].groups[g].members[m].push(idx);
                     continue;
                 }
                 let key = spec.sweep_key();
-                let sweep = job_of.entry(spec_fingerprint(&key)).or_default();
-                let j = match sweep.iter().copied().find(|&j| jobs[j].key == key) {
-                    Some(j) => j,
-                    None => {
-                        sweep.push(jobs.len());
-                        jobs.push(SweepJob {
-                            key,
-                            members: Vec::new(),
-                        });
-                        jobs.len() - 1
-                    }
-                };
-                members.push((j, jobs[j].members.len()));
-                jobs[j].members.push(vec![idx]);
+                let groups = group_of.entry(spec_fingerprint(&key)).or_default();
+                let found = groups
+                    .iter()
+                    .copied()
+                    .find(|&(j, g)| jobs[j].groups[g].key == key);
+                let (j, g) = found.unwrap_or_else(|| {
+                    let array_key = spec.array_key();
+                    let same_bank = job_of.entry(spec_fingerprint(&array_key)).or_default();
+                    let j = match same_bank
+                        .iter()
+                        .copied()
+                        .find(|&j| jobs[j].key == array_key)
+                    {
+                        Some(j) => j,
+                        None => {
+                            same_bank.push(jobs.len());
+                            jobs.push(ArrayJob {
+                                key: array_key,
+                                groups: Vec::new(),
+                            });
+                            jobs.len() - 1
+                        }
+                    };
+                    jobs[j].groups.push(SweepGroup {
+                        key,
+                        members: Vec::new(),
+                    });
+                    groups.push((j, jobs[j].groups.len() - 1));
+                    (j, jobs[j].groups.len() - 1)
+                });
+                let group = &mut jobs[j].groups[g];
+                members.push((j, g, group.members.len()));
+                group.members.push(vec![idx]);
             }
             _ => {
                 let err = point.spec.as_ref().expect_err("no fingerprint means Err");
                 let line = record::render_invalid(point, err);
                 if let Some(s) = sidecars.as_mut() {
-                    s.record(idx, &line, PointStatus::Invalid, None)?;
+                    s.record(idx, &line, PointStatus::Invalid, None);
                 }
                 lines[idx] = Some(line);
                 statuses[idx] = Some(PointStatus::Invalid);
@@ -283,9 +340,17 @@ pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport,
             }
         }
     }
+    if let Some(s) = sidecars.as_mut() {
+        s.flush()?;
+    }
     drop(member_of);
+    drop(group_of);
     drop(job_of);
-    stats.unique_specs = jobs.iter().map(|job| job.members.len()).sum();
+    stats.unique_specs = jobs
+        .iter()
+        .flat_map(|job| &job.groups)
+        .map(|group| group.members.len())
+        .sum();
 
     // Optional static screen: prove sweep groups infeasible with the exact
     // closed-form checks the solve itself would apply, and retire every
@@ -295,30 +360,36 @@ pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport,
     // real infeasible solve exactly, so the output stays byte-identical.
     if config.audit {
         let _audit_span = cactid_obs::span("explore.audit");
-        let mut kept = Vec::with_capacity(jobs.len());
-        for job in std::mem::take(&mut jobs) {
-            let screen = cactid_core::static_screen(&job.key);
-            match screen.verdict {
-                cactid_core::ScreenVerdict::Infeasible(err) => {
-                    let solved = CachedSolve {
-                        result: Err(err),
-                        stats: screen.stats,
-                    };
-                    let status = record::solved_status(&solved);
-                    for &idx in job.members.iter().flatten() {
-                        let line = record::render_solved(&points[idx], &solved);
-                        if let Some(s) = sidecars.as_mut() {
-                            s.record(idx, &line, status, None)?;
+        for job in &mut jobs {
+            let mut kept = Vec::with_capacity(job.groups.len());
+            for group in std::mem::take(&mut job.groups) {
+                let screen = cactid_core::static_screen(&group.key);
+                match screen.verdict {
+                    cactid_core::ScreenVerdict::Infeasible(err) => {
+                        let solved = CachedSolve {
+                            result: Err(err),
+                            stats: screen.stats,
+                        };
+                        let status = record::solved_status(&solved);
+                        for &idx in group.members.iter().flatten() {
+                            let line = record::render_solved(&points[idx], &solved);
+                            if let Some(s) = sidecars.as_mut() {
+                                s.record(idx, &line, status, None);
+                            }
+                            lines[idx] = Some(line);
+                            statuses[idx] = Some(status);
+                            stats.audit_skipped += 1;
                         }
-                        lines[idx] = Some(line);
-                        statuses[idx] = Some(status);
-                        stats.audit_skipped += 1;
                     }
+                    cactid_core::ScreenVerdict::MaybeFeasible { .. } => kept.push(group),
                 }
-                cactid_core::ScreenVerdict::MaybeFeasible { .. } => kept.push(job),
             }
+            job.groups = kept;
         }
-        jobs = kept;
+        if let Some(s) = sidecars.as_mut() {
+            s.flush()?;
+        }
+        jobs.retain(|job| !job.groups.is_empty());
         cactid_obs::counter!("explore.engine.audit_skipped").add(stats.audit_skipped as u64);
     }
 
@@ -341,57 +412,78 @@ pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport,
         // The worker sweeps, selects and renders; the sink below only
         // places finished lines, so the lock it runs under stays short.
         |j| {
-            let members = &jobs[j].members;
-            let specs: Vec<&MemorySpec> = members.iter().map(|m| spec_at(m[0])).collect();
-            let solved = cache.solve_group(&specs, linter.map(|l| l as &dyn SolutionLinter));
-            // Move the answers out of the group's buffer before rendering:
-            // records are long-lived, and allocating them while that buffer
-            // is still alive leaves its hole unfilled (about 6 % more peak
-            // RSS on a 28k-point grid, measured on a 2-CPU Linux host).
-            let mut rendered: Vec<Rendered> = solved
-                .members
-                .into_iter()
-                .map(|(entry, was_cached)| Rendered {
-                    entry,
-                    was_cached,
-                    lines: Vec::new(),
+            let groups = &jobs[j].groups;
+            let sweep = ArraySweep::new(&jobs[j].key);
+            // Move each group's answers out of its buffer before rendering:
+            // records are long-lived, and allocating them while that
+            // buffer is still alive leaves its hole unfilled (about 6 %
+            // more peak RSS on a 28k-point grid, measured on a 2-CPU Linux
+            // host). The data-array sweep is freed first for the same
+            // reason.
+            let mut solved: Vec<(Vec<Rendered>, Option<SolveStats>)> = groups
+                .iter()
+                .map(|group| {
+                    let specs: Vec<&MemorySpec> =
+                        group.members.iter().map(|m| spec_at(m[0])).collect();
+                    let linter = linter.map(|l| l as &dyn SolutionLinter);
+                    let solved = cache.solve_group(&specs, linter, &sweep);
+                    let rendered = solved
+                        .members
+                        .into_iter()
+                        .map(|(entry, was_cached)| Rendered {
+                            entry,
+                            was_cached,
+                            lines: Vec::new(),
+                        })
+                        .collect();
+                    (rendered, solved.sweep)
                 })
                 .collect();
-            for (r, member) in rendered.iter_mut().zip(members) {
-                r.lines = member
-                    .iter()
-                    .map(|&idx| record::render_solved(&points[idx], &r.entry))
-                    .collect();
-            }
-            (rendered, solved.sweep)
-        },
-        |j, (rendered, sweep)| {
-            if let Some(sweep) = sweep {
-                stats.sweeps += 1;
-                stats.orgs_enumerated += sweep.orgs_enumerated;
-                stats.bound_pruned += sweep.bound_pruned;
-                stats.lint_rejected += sweep.lint_rejected;
-            }
-            for (member, r) in jobs[j].members.iter().zip(rendered) {
-                let status = record::solved_status(&r.entry);
-                let m = r.entry.result.as_ref().ok().map(record::solution_metrics);
-                if r.was_cached {
-                    stats.memoized += member.len();
-                } else {
-                    stats.solved += 1;
-                    stats.memoized += member.len() - 1;
+            let array_swept = sweep.has_run();
+            drop(sweep);
+            for ((rendered, _), group) in solved.iter_mut().zip(groups) {
+                for (r, member) in rendered.iter_mut().zip(&group.members) {
+                    r.lines = member
+                        .iter()
+                        .map(|&idx| record::render_solved(&points[idx], &r.entry))
+                        .collect();
                 }
-                for (&idx, line) in member.iter().zip(r.lines) {
-                    if io_error.is_none() {
-                        if let Some(s) = sidecars.as_mut() {
-                            if let Err(e) = s.record(idx, &line, status, m.as_ref()) {
-                                io_error = Some(e);
-                            }
-                        }
+            }
+            (solved, array_swept)
+        },
+        |j, (solved, array_swept)| {
+            if array_swept {
+                stats.array_sweeps += 1;
+            }
+            for (group, (rendered, sweep)) in jobs[j].groups.iter().zip(solved) {
+                if let Some(sweep) = sweep {
+                    stats.sweeps += 1;
+                    stats.orgs_enumerated += sweep.orgs_enumerated;
+                    stats.bound_pruned += sweep.bound_pruned;
+                    stats.lint_rejected += sweep.lint_rejected;
+                }
+                for (member, r) in group.members.iter().zip(rendered) {
+                    let status = record::solved_status(&r.entry);
+                    let m = r.entry.result.as_ref().ok().map(record::solution_metrics);
+                    if r.was_cached {
+                        stats.memoized += member.len();
+                    } else {
+                        stats.solved += 1;
+                        stats.memoized += member.len() - 1;
                     }
-                    lines[idx] = Some(line);
-                    statuses[idx] = Some(status);
-                    metrics[idx] = m;
+                    for (&idx, line) in member.iter().zip(r.lines) {
+                        if let Some(s) = sidecars.as_mut() {
+                            s.record(idx, &line, status, m.as_ref());
+                        }
+                        lines[idx] = Some(line);
+                        statuses[idx] = Some(status);
+                        metrics[idx] = m;
+                    }
+                }
+            }
+            if io_error.is_none() {
+                if let Some(Err(e)) = sidecars.as_mut().map(Sidecars::flush) {
+                    io_error = Some(e);
                 }
             }
         },

@@ -60,41 +60,51 @@ pub struct ParetoPoint {
 }
 
 /// Extracts the Pareto frontier of `(idx, metrics)` points, returned in
-/// ascending `idx` order. O(n²) pairwise dominance, which at the engine's
-/// grid sizes (≤ [`crate::grid::MAX_POINTS`]) is never the bottleneck next
-/// to the solves themselves.
+/// ascending `idx` order.
+///
+/// The points are first sorted lexicographically by their objectives. A
+/// dominator is no worse on every axis and strictly better on one, so it
+/// sorts strictly before every point it dominates, and every dominated
+/// point has a dominator on the frontier (follow dominators until one is
+/// undominated; dominance is transitive). So one pass in sorted order that
+/// tests each point against the frontier found so far decides membership
+/// exactly, and a member's dominated points all lie after it. That costs
+/// O(n log n + n·f) for f frontier members whatever order the points come
+/// in, so a grid's Pareto step takes the same time for any axis order.
 ///
 /// Points with any non-finite objective ([`ParetoMetrics::is_finite`]) take
 /// no part in the computation: they cannot join the frontier, dominate, or
 /// be dominated. Callers surface them separately (the engine counts them in
 /// its stats and the CD0021/CD0022 lints flag the underlying solutions).
 pub fn frontier(points: &[(usize, ParetoMetrics)]) -> Vec<ParetoPoint> {
-    let points: Vec<&(usize, ParetoMetrics)> =
+    let mut sorted: Vec<&(usize, ParetoMetrics)> =
         points.iter().filter(|(_, m)| m.is_finite()).collect();
-    let mut out = Vec::new();
-    for (i, (idx, m)) in points.iter().enumerate() {
-        let mut dominated = false;
-        let mut dominates = 0usize;
-        for (j, (_, other)) in points.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            if other.dominates(m) {
-                dominated = true;
-                break;
-            }
-            if m.dominates(other) {
-                dominates += 1;
-            }
-        }
-        if !dominated {
-            out.push(ParetoPoint {
-                idx: *idx,
-                dominates,
-                metrics: *m,
-            });
+    // Finite objectives always compare; `-0.0 == 0.0` here as in `dominates`.
+    sorted.sort_by(|(_, a), (_, b)| {
+        a.axes()
+            .partial_cmp(&b.axes())
+            .unwrap_or_else(|| unreachable!("finite objectives are ordered"))
+    });
+    let mut members: Vec<usize> = Vec::new();
+    for (i, (_, m)) in sorted.iter().enumerate() {
+        if !members.iter().any(|&f| sorted[f].1.dominates(m)) {
+            members.push(i);
         }
     }
+    let mut out: Vec<ParetoPoint> = members
+        .into_iter()
+        .map(|f| {
+            let (idx, m) = sorted[f];
+            ParetoPoint {
+                idx: *idx,
+                dominates: sorted[f + 1..]
+                    .iter()
+                    .filter(|(_, other)| m.dominates(other))
+                    .count(),
+                metrics: *m,
+            }
+        })
+        .collect();
     out.sort_by_key(|p| p.idx);
     out
 }
@@ -184,6 +194,55 @@ mod tests {
         ];
         let f = frontier(&pts);
         assert_eq!(f.iter().map(|p| p.idx).collect::<Vec<_>>(), [1]);
+    }
+
+    /// The definition, pair by pair: on the frontier iff no point
+    /// dominates it, with the count of the points it dominates.
+    fn brute_force(points: &[(usize, ParetoMetrics)]) -> Vec<ParetoPoint> {
+        let finite: Vec<_> = points.iter().filter(|(_, m)| m.is_finite()).collect();
+        let mut front: Vec<ParetoPoint> = finite
+            .iter()
+            .filter(|(_, m)| !finite.iter().any(|(_, o)| o.dominates(m)))
+            .map(|&&(idx, m)| ParetoPoint {
+                idx,
+                dominates: finite.iter().filter(|(_, o)| m.dominates(o)).count(),
+                metrics: m,
+            })
+            .collect();
+        front.sort_by_key(|p| p.idx);
+        front
+    }
+
+    #[test]
+    fn frontier_matches_the_definition_in_any_input_order() {
+        // Few distinct values per axis, so ties, duplicates and signed
+        // zeros are common; every input order must give the same answer.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let values = [-0.0, 0.0, 1.0, 2.0, 3.0, f64::NAN];
+        for round in 0..200 {
+            let n = 1 + next(60) as usize;
+            let mut pts: Vec<(usize, ParetoMetrics)> = (0..n)
+                .map(|i| {
+                    let mut v = [0.0; 4];
+                    for x in &mut v {
+                        *x = values[next(if round % 4 == 0 { 6 } else { 5 }) as usize];
+                    }
+                    (i, m(v[0], v[1], v[2], v[3]))
+                })
+                .collect();
+            for _ in 0..3 {
+                assert_eq!(frontier(&pts), brute_force(&pts), "round {round}");
+                for i in (1..pts.len()).rev() {
+                    pts.swap(i, next(i as u64 + 1) as usize);
+                }
+            }
+        }
     }
 
     #[test]

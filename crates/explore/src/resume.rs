@@ -1,7 +1,7 @@
 //! Checkpointing: the sidecar files that make interrupted sweeps resumable.
 //!
 //! A run writing to `out.jsonl` streams two sidecars in completion order,
-//! one line per finished point, flushed line-by-line:
+//! one line per finished point, written as each pool job finishes:
 //!
 //! * `out.jsonl.part` — the raw JSONL records (no Pareto annotations);
 //! * `out.jsonl.ckpt` — a TSV with one header and one metrics line per

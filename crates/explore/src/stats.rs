@@ -26,6 +26,11 @@ pub struct EngineStats {
     /// default sweep knobs runs `unique_specs / k` sweeps on a cold memo
     /// without `audit`.
     pub sweeps: usize,
+    /// Data-array sweeps actually run: at most one per bank geometry
+    /// ([`cactid_core::MemorySpec::array_key`]) with a memo miss, so at
+    /// most `sweeps`. Sweeps whose capacity and bank count differ but
+    /// whose banks are alike share one.
+    pub array_sweeps: usize,
     /// Points answered fresh this run (one per unique spec not already in
     /// the memo), whether or not their sweep was shared.
     pub solved: usize,
@@ -83,8 +88,8 @@ impl EngineStats {
             "cactid-explore: {} points ({} unique specs)\n  \
              solved {}, memoized {}, resumed {}, audit-skipped {}, invalid {}\n  \
              status: {} ok, {} infeasible\n  \
-             sweeps {}, orgs enumerated {}, bound-pruned {}, lint-rejected {}, \
-             tech constructions {}\n  \
+             sweeps {}, array sweeps {}, orgs enumerated {}, bound-pruned {}, \
+             lint-rejected {}, tech constructions {}\n  \
              pareto frontier: {} points{}\n  \
              timing: expand {:.1} ms, solve {:.1} ms, finalize {:.1} ms",
             self.points,
@@ -97,6 +102,7 @@ impl EngineStats {
             self.ok,
             self.infeasible,
             self.sweeps,
+            self.array_sweeps,
             self.orgs_enumerated,
             self.bound_pruned,
             self.lint_rejected,
@@ -170,16 +176,20 @@ mod tests {
 
     #[test]
     fn render_carries_the_sweep_count() {
-        // ci.sh greps for "sweeps 4," on its three-variant smoke grid.
+        // ci.sh greps for "sweeps 4," on its three-variant smoke grid and
+        // for "array sweeps 3," on its banked one.
         let s = EngineStats {
             points: 12,
             unique_specs: 12,
             sweeps: 4,
+            array_sweeps: 3,
             solved: 12,
             ok: 12,
             ..EngineStats::default()
         };
-        assert!(s.render().contains("sweeps 4, orgs enumerated"));
+        assert!(s
+            .render()
+            .contains("sweeps 4, array sweeps 3, orgs enumerated"));
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! The sweep-sharing contract: the engine runs one organization sweep per
-//! sweep key and one select per knob set, and every record it renders is
-//! byte-identical to a fresh, unshared `solve_with_stats` + `select` of
-//! that point alone — with or without a linter, at any thread count.
+//! The sweep-sharing contract: the engine runs one data-array sweep per
+//! bank geometry, one organization sweep per sweep key and one select per
+//! knob set, and every record it renders is byte-identical to a fresh,
+//! unshared `solve_with_stats` + `select` of that point alone — with or
+//! without a linter, at any thread count.
 
 use cactid_core::{
     select, solve_with_stats, Diagnostic, Location, MemorySpec, Solution, SolutionLinter,
@@ -10,6 +11,7 @@ use cactid_explore::cache::CachedSolve;
 use cactid_explore::record::{render_invalid, render_solved};
 use cactid_explore::{explore, ExploreConfig, Grid, OptVariant};
 use cactid_tech::{CellTechnology, TechNode};
+use std::collections::HashSet;
 
 /// 4 sizes (48 KB is invalid) × 2 associativities × 2 cells × the three
 /// named knob variants = 48 points, 36 valid specs, 12 sweep keys.
@@ -138,8 +140,70 @@ fn a_warm_memo_runs_no_sweep_and_sweep_counters_are_per_sweep() {
 
     let warm = explore(&grid, &config).unwrap();
     assert_eq!(warm.stats.sweeps, 0);
+    assert_eq!(warm.stats.array_sweeps, 0);
     assert_eq!(warm.stats.solved, 0);
     assert_eq!(warm.stats.memoized, 36);
     assert_eq!(warm.stats.orgs_enumerated, 0);
     assert_eq!(warm.lines, cold.lines);
+}
+
+/// 64K/128K/256K × banks 1, 2, 4 × 2 cells × 2 knob variants = 36 points
+/// over 18 sweep keys, whose banks come in five sizes per cell: 16K, 32K,
+/// 64K, 128K and 256K.
+fn banked_grid() -> Grid {
+    let mut g = Grid::new();
+    g.capacities = vec![64 << 10, 128 << 10, 256 << 10];
+    g.associativities = vec![8];
+    g.banks = vec![1, 2, 4];
+    g.cells = vec![CellTechnology::Sram, CellTechnology::LpDram];
+    g.nodes = vec![TechNode::N32];
+    g.opts = ["default", "ed"]
+        .iter()
+        .map(|l| OptVariant::named(l).unwrap())
+        .collect();
+    g
+}
+
+fn check_banked(linter: Option<&(dyn SolutionLinter + Sync)>) {
+    let grid = banked_grid();
+    let expected = reference_lines(&grid, linter.map(|l| l as &dyn SolutionLinter));
+    let specs: Vec<MemorySpec> = grid
+        .expand()
+        .unwrap()
+        .points
+        .into_iter()
+        .filter_map(|p| p.spec.ok())
+        .collect();
+    let array_keys: HashSet<String> = specs
+        .iter()
+        .map(|s| format!("{:?}", s.array_key()))
+        .collect();
+    assert_eq!(specs.len(), 36);
+    assert_eq!(array_keys.len(), 10);
+    for threads in [1, 2] {
+        let report = explore(
+            &grid,
+            &ExploreConfig {
+                threads,
+                linter,
+                ..ExploreConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(report.lines, expected, "at {threads} threads");
+        let s = report.stats;
+        assert!(s.balanced(), "{s:?}");
+        assert_eq!(s.sweeps, 18, "{s:?}");
+        assert_eq!(s.array_sweeps, array_keys.len(), "{s:?}");
+    }
+}
+
+#[test]
+fn banks_of_one_size_share_one_data_array_sweep() {
+    check_banked(None);
+}
+
+#[test]
+fn banks_of_one_size_share_one_data_array_sweep_under_a_rejecting_linter() {
+    check_banked(Some(&Picky));
 }

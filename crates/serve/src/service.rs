@@ -34,11 +34,17 @@ use cactid_explore::hash::{spec_canon, spec_fingerprint};
 use cactid_explore::json::JsonObject;
 use cactid_explore::record::{mode_label, render_invalid, render_solved};
 use cactid_explore::{pool, GridPoint, SolveCache};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
+
+/// The longest request line the loops read, newline included. A line
+/// nested a million brackets deep still fits, so it reaches the JSON
+/// parser's nesting cap; a longer line is skipped to its newline and
+/// answered in band with an error.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// Service construction options.
 #[derive(Debug, Clone, Default)]
@@ -140,10 +146,19 @@ impl Service {
         if line.is_empty() {
             return (Vec::new(), false);
         }
+        self.answer(|| parse_request(line))
+    }
+
+    /// Counts, times and answers one request; `parse` yields the request
+    /// or the in-band error to answer it with.
+    fn answer(
+        &self,
+        parse: impl FnOnce() -> Result<Request, (u64, String)>,
+    ) -> (Vec<String>, bool) {
         let t0 = Instant::now();
         cactid_obs::counter!("serve.requests").inc();
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let (responses, shutdown) = match parse_request(line) {
+        let (responses, shutdown) = match parse() {
             Err((id, msg)) => (vec![error_line(id, &msg)], false),
             Ok(Request::Solve { point, .. }) => (vec![self.solve_line(&point)], false),
             Ok(Request::Grid { id, grid }) => (self.grid_lines(id, &grid), false),
@@ -216,7 +231,9 @@ impl Service {
     /// Serves JSONL requests from `reader` until end-of-input or a
     /// `shutdown` request, writing response lines to `writer` (flushed
     /// after every request, so interactive callers see answers
-    /// immediately).
+    /// immediately). A line longer than [`MAX_LINE_BYTES`] or not valid
+    /// UTF-8 is answered in band, like a malformed one, and counted under
+    /// `serve.rejected.*`.
     ///
     /// # Errors
     ///
@@ -231,16 +248,32 @@ impl Service {
             requests: 0,
             shutdown: false,
         };
-        let mut line = String::new();
+        let read = |e: std::io::Error| ServeError::Io(format!("read: {e}"));
+        let mut line = Vec::new();
         loop {
             line.clear();
-            let n = reader
-                .read_line(&mut line)
-                .map_err(|e| ServeError::Io(format!("read: {e}")))?;
+            let n = (&mut reader)
+                .take(MAX_LINE_BYTES as u64)
+                .read_until(b'\n', &mut line)
+                .map_err(read)?;
             if n == 0 {
                 break;
             }
-            let (responses, shutdown) = self.handle_line(&line);
+            // A capped read that stopped short of a newline is over-long
+            // only if anything follows it; at end of input it is whole.
+            let over_long = n == MAX_LINE_BYTES
+                && line.last() != Some(&b'\n')
+                && reader.skip_until(b'\n').map_err(read)? > 0;
+            let (responses, shutdown) = if over_long {
+                cactid_obs::counter!("serve.rejected.line_too_long").inc();
+                let msg = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                self.answer(|| Err((0, msg)))
+            } else if let Ok(line) = std::str::from_utf8(&line) {
+                self.handle_line(line)
+            } else {
+                cactid_obs::counter!("serve.rejected.not_utf8").inc();
+                self.answer(|| Err((0, "request line is not valid UTF-8".to_string())))
+            };
             if !responses.is_empty() {
                 outcome.requests += 1;
             }
@@ -404,6 +437,84 @@ mod tests {
         assert!(lines[0].contains("nesting deeper than"), "{}", lines[0]);
         assert!(lines[1].starts_with("{\"id\":2,"), "{}", lines[1]);
         assert!(lines[1].contains("\"requests\":2"), "{}", lines[1]);
+    }
+
+    /// Runs `input` through the stdio loop and returns its answer lines.
+    fn run(svc: &Service, input: &[u8]) -> Vec<String> {
+        let mut out = Vec::new();
+        svc.run_lines(input, &mut out).unwrap();
+        String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_answered_in_band_and_the_loop_survives() {
+        let svc = memo_only();
+        let rejected = cactid_obs::counter!("serve.rejected.not_utf8").get();
+        let lines = run(&svc, b"\xff\xfe\n{\"id\":2,\"op\":\"stats\"}\n");
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].starts_with("{\"id\":0,\"error\":"), "{}", lines[0]);
+        assert!(lines[0].contains("UTF-8"), "{}", lines[0]);
+        assert!(
+            lines[1].starts_with("{\"id\":2,\"requests\":2,"),
+            "{}",
+            lines[1]
+        );
+        assert!(cactid_obs::counter!("serve.rejected.not_utf8").get() > rejected);
+    }
+
+    #[test]
+    fn an_over_long_line_is_skipped_and_answered_in_band() {
+        let svc = memo_only();
+        let rejected = cactid_obs::counter!("serve.rejected.line_too_long").get();
+        let mut input = b"{\"id\":1,\"op\":\"stats\",\"pad\":\"".to_vec();
+        input.resize(MAX_LINE_BYTES + 4096, b'a');
+        input.extend_from_slice(b"\"}\n{\"id\":2,\"op\":\"stats\"}\n");
+        let lines = run(&svc, &input);
+        assert_eq!(lines.len(), 2, "one answer per line");
+        assert!(lines[0].starts_with("{\"id\":0,\"error\":"), "{}", lines[0]);
+        assert!(lines[0].contains("longer than"), "{}", lines[0]);
+        assert!(
+            lines[1].starts_with("{\"id\":2,\"requests\":2,"),
+            "{}",
+            lines[1]
+        );
+        assert!(cactid_obs::counter!("serve.rejected.line_too_long").get() > rejected);
+
+        // A line of exactly the cap, newline included, is still read.
+        let mut input = b"{\"id\":3,\"op\":\"stats\",\"pad\":\"".to_vec();
+        input.resize(MAX_LINE_BYTES - 3, b'a');
+        input.extend_from_slice(b"\"}\n");
+        let lines = run(&svc, &input);
+        assert!(
+            lines[0].starts_with("{\"id\":3,\"requests\":"),
+            "{}",
+            lines[0]
+        );
+
+        // So is a last line of exactly the cap with no newline at all.
+        let mut input = b"{\"id\":4,\"op\":\"stats\",\"pad\":\"".to_vec();
+        input.resize(MAX_LINE_BYTES - 2, b'a');
+        input.extend_from_slice(b"\"}");
+        assert_eq!(input.len(), MAX_LINE_BYTES);
+        let lines = run(&svc, &input);
+        assert_eq!(lines.len(), 1, "one answer for the last line");
+        assert!(
+            lines[0].starts_with("{\"id\":4,\"requests\":"),
+            "{}",
+            lines[0]
+        );
+
+        // One byte past the cap, even if only the newline, is too long.
+        let mut input = b"{\"id\":5,\"op\":\"stats\",\"pad\":\"".to_vec();
+        input.resize(MAX_LINE_BYTES - 2, b'a');
+        input.extend_from_slice(b"\"}\n");
+        let lines = run(&svc, &input);
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].contains("longer than"), "{}", lines[0]);
     }
 
     #[test]

@@ -401,6 +401,53 @@ fn static_screen_and_solve_agree_on_random_specs() {
     }
 }
 
+/// One data-array sweep serves a whole bank geometry: for a random spec
+/// and bank count `k`, the spec with `k` times the capacity over `k`
+/// banks and the one-bank spec share [`ArraySweep`], and solving both
+/// through it (many banks first) returns bitwise each one's own
+/// `solve_with_stats`, stats included.
+#[test]
+fn one_array_sweep_serves_every_spec_of_its_bank_geometry() {
+    use cacti_d::core::{solve_with_stats, ArraySweep};
+    let mut rng = XorShift64Star::new(0xCAC7_1D10);
+    let modes = [AccessMode::Normal, AccessMode::Sequential, AccessMode::Fast];
+    for _ in 0..CASES / 2 {
+        let cap_shift = rng.next_in_range(14, 21) as u32;
+        let assoc = 1u32 << rng.next_in_range(0, 5) as u32;
+        let cell = CellTechnology::ALL[rng.next_below(3) as usize];
+        let node = [TechNode::N32, TechNode::N45, TechNode::N65, TechNode::N90]
+            [rng.next_below(4) as usize];
+        let access_mode = modes[rng.next_below(3) as usize];
+        let banks = 1u32 << rng.next_in_range(0, 4) as u32;
+        let build = |k: u32| {
+            MemorySpec::builder()
+                .capacity_bytes((1u64 << cap_shift) * u64::from(k))
+                .block_bytes(64)
+                .associativity(assoc)
+                .banks(k)
+                .cell_tech(cell)
+                .node(node)
+                .kind(MemoryKind::Cache { access_mode })
+                .build()
+        };
+        let (Ok(one), Ok(many)) = (build(1), build(banks)) else {
+            continue;
+        };
+        assert_eq!(one.array_key(), many.array_key());
+        let sweep = ArraySweep::new(&many);
+        for spec in [&many, &one] {
+            let shared = sweep.solve(spec, None);
+            let own = solve_with_stats(spec, None);
+            assert_eq!(shared.stats, own.stats, "{spec:?}");
+            assert_eq!(
+                format!("{:?}", shared.result),
+                format!("{:?}", own.result),
+                "{spec:?}"
+            );
+        }
+    }
+}
+
 /// Memo-carrying evaluation is order-independent: evaluating a spec's
 /// candidates in a shuffled order through one shared [`EvalMemo`] returns,
 /// for every candidate, exactly the from-scratch result. Sweep order only
