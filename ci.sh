@@ -283,6 +283,59 @@ test "$(wc -l < "$SDIR/bytes.out")" = 2 &&
     cat "$SDIR/bytes.out" >&2
     exit 1
 }
+# A grid request runs through the explore engine: its records, minus the
+# done line, are the bytes `cactid explore --out` writes for the same grid
+# (48K is an invalid size), cold and again after a restart on the same
+# store. The cold run must count explore's data-array sweeps, and the
+# warm one must solve nothing.
+$CACTID explore --sizes 48K,64K,128K --banks 1,2,4 --cells sram,lp-dram \
+    --opts default,ed,c --threads 2 --out "$SDIR/grid.jsonl" \
+    --trace "$SDIR/grid.trace.jsonl" 2>/dev/null
+GRID='{"id":9,"op":"grid","sizes":[49152,65536,131072],"banks":[1,2,4],'
+GRID=$GRID'"cells":["sram","lp-dram"],"opts":["default","ed","c"]}'
+for RUN in cold warm; do
+    echo "$GRID" | $CACTID serve --stdio --threads 2 \
+        --store "$SDIR/grid.store" --trace "$SDIR/grid.$RUN.trace.jsonl" \
+        > "$SDIR/grid.$RUN.out" 2>/dev/null
+    tail -n 1 "$SDIR/grid.$RUN.out" |
+        grep -qx '{"id":9,"done":true,"points":54}' &&
+        sed '$d' "$SDIR/grid.$RUN.out" | cmp -s - "$SDIR/grid.jsonl" || {
+        echo "the $RUN serve grid differs from cactid explore's records:" >&2
+        diff "$SDIR/grid.$RUN.out" "$SDIR/grid.jsonl" >&2
+        exit 1
+    }
+done
+SWEEPS='"name":"core.solve.array_sweeps","value":[0-9]*'
+test -n "$(grep -o "$SWEEPS" "$SDIR/grid.trace.jsonl")" &&
+    test "$(grep -o "$SWEEPS" "$SDIR/grid.cold.trace.jsonl")" = \
+         "$(grep -o "$SWEEPS" "$SDIR/grid.trace.jsonl")" || {
+    echo "the serve grid did not share data-array sweeps as explore does:" >&2
+    grep -h "$SWEEPS" "$SDIR/grid.trace.jsonl" "$SDIR/grid.cold.trace.jsonl" >&2
+    exit 1
+}
+if grep -q '"name":"core.solve.calls"' "$SDIR/grid.warm.trace.jsonl"; then
+    echo "the restarted serve grid solved instead of reading the store" >&2
+    exit 1
+fi
+# A grid whose four 2^16-entry axes multiply to 2^64 is refused in band,
+# and the loop goes on to answer the next request.
+AXIS=$(yes 1 | head -n 65536 | paste -sd, -)
+{
+    printf '{"id":1,"op":"grid","sizes":[%s],"blocks":[%s],' "$AXIS" "$AXIS"
+    printf '"assocs":[%s],"banks":[%s]}\n' "$AXIS" "$AXIS"
+    echo '{"id":2,"op":"stats"}'
+} > "$SDIR/huge.jsonl"
+$CACTID serve --stdio < "$SDIR/huge.jsonl" > "$SDIR/huge.out" 2>/dev/null || {
+    echo "serve died on a grid whose point count overflows" >&2
+    exit 1
+}
+test "$(wc -l < "$SDIR/huge.out")" = 2 &&
+    sed -n 1p "$SDIR/huge.out" | grep -q '^{"id":1,"error":' &&
+    sed -n 2p "$SDIR/huge.out" | grep -q '^{"id":2,"requests":2,' || {
+    echo "serve did not answer an overflowing grid with one error, then go on:" >&2
+    cat "$SDIR/huge.out" >&2
+    exit 1
+}
 rm -rf "$SDIR"
 
 echo "== solve-throughput bench smoke (--quick)"

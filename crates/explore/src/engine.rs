@@ -3,7 +3,11 @@
 //! A run proceeds in three stages:
 //!
 //! 1. **Expand** — the grid becomes an indexed point list plus a definition
-//!    fingerprint ([`crate::grid`]).
+//!    fingerprint ([`crate::grid`]). [`explore`] runs this stage and then
+//!    hands the [`Expansion`] to [`explore_expansion`], which runs the
+//!    other two; a caller that answers some points itself (the
+//!    `cactid-serve` store) expands the grid, keeps its answers, and passes
+//!    the rest to [`explore_expansion`] renumbered.
 //! 2. **Solve** — completed points are restored from the checkpoint
 //!    sidecars ([`crate::resume`]); the remaining valid points are grouped
 //!    three times: by bank geometry ([`cactid_core::MemorySpec::array_key`])
@@ -27,7 +31,7 @@
 
 use crate::cache::{CachedSolve, SolveCache};
 use crate::error::ExploreError;
-use crate::grid::Grid;
+use crate::grid::{Expansion, Grid};
 use crate::hash::spec_fingerprint;
 use crate::pareto::{frontier, ParetoMetrics, ParetoPoint};
 use crate::pool;
@@ -68,12 +72,13 @@ pub struct ExploreConfig<'a> {
     /// analyzer's candidate stages read no optimization knob).
     pub linter: Option<&'a (dyn SolutionLinter + Sync)>,
     /// Solve memo to populate and consult. `None` (the default) gives the
-    /// run a fresh private cache, preserving the engine's historical
-    /// behavior byte for byte; passing a handle lets long-lived callers
-    /// (the `cactid-serve` service, repeated in-process sweeps) share warm
-    /// results across runs. A shared cache must only ever see one linter
-    /// configuration — the linter participates in the solve but not in
-    /// the cache key (see [`SolveCache`]).
+    /// run a fresh private cache. Passing a handle lets long-lived callers
+    /// share warm results across runs: the `cactid-serve` service passes
+    /// its resident memo to every `grid` request, so a grid and a later
+    /// `solve` of one of its points cost one solve between them. Records
+    /// are the same bytes either way. A shared cache must only ever see
+    /// one linter configuration — the linter participates in the solve but
+    /// not in the cache key (see [`SolveCache`]).
     pub cache: Option<&'a SolveCache>,
 }
 
@@ -206,28 +211,55 @@ impl Sidecars {
     }
 }
 
-/// Runs one exploration. See the module docs for the staging and the
-/// determinism contract.
+/// Runs one exploration: expands `grid`, then runs
+/// [`explore_expansion`] on it. See the module docs for the staging and
+/// the determinism contract.
 ///
 /// # Errors
 ///
 /// [`ExploreError::EmptyAxis`] / [`ExploreError::TooManyPoints`] from
-/// expansion, [`ExploreError::Checkpoint`] when resuming against a changed
-/// grid, and [`ExploreError::Io`] on filesystem failures. Per-point solve
-/// failures are *not* errors — they become `infeasible`/`invalid` records.
+/// expansion, and the errors of [`explore_expansion`].
 pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport, ExploreError> {
     // ---- Stage 1: expand ----
     let t0 = Instant::now();
-    let expand_span = cactid_obs::span("explore.expand");
-    let expansion = grid.expand()?;
+    let expansion = {
+        let _expand_span = cactid_obs::span("explore.expand");
+        grid.expand()?
+    };
+    let expand = t0.elapsed();
+    let mut report = explore_expansion(&expansion, config)?;
+    report.stats.expand = expand;
+    Ok(report)
+}
+
+/// Runs the solve and finalize stages on an expanded point list. Its
+/// points must be numbered `0..n` in order (`points[i].idx == i`), as
+/// [`Grid::expand`] numbers them; a caller that solves part of a grid
+/// renumbers that part first. The report's `stats.expand` is zero.
+///
+/// # Panics
+///
+/// If the points are not numbered `0..n` in order.
+///
+/// # Errors
+///
+/// [`ExploreError::Checkpoint`] when resuming against a changed grid, and
+/// [`ExploreError::Io`] on filesystem failures. Per-point solve failures
+/// are *not* errors — they become `infeasible`/`invalid` records.
+pub fn explore_expansion(
+    expansion: &Expansion,
+    config: &ExploreConfig<'_>,
+) -> Result<ExploreReport, ExploreError> {
     let points = &expansion.points;
     let n = points.len();
+    assert!(
+        points.iter().enumerate().all(|(i, p)| p.idx == i),
+        "expansion points must be numbered 0..n"
+    );
     let mut stats = EngineStats {
         points: n,
         ..EngineStats::default()
     };
-    stats.expand = t0.elapsed();
-    drop(expand_span);
     cactid_obs::counter!("explore.engine.points").add(n as u64);
 
     // ---- Stage 2: solve ----

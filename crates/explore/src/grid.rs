@@ -117,15 +117,21 @@ impl Grid {
         }
     }
 
-    /// The number of points the grid expands to (`0` if any axis is empty).
+    /// The number of points the grid expands to (`0` if any axis is empty),
+    /// saturating at `usize::MAX`: a wrapped product could pass the
+    /// [`MAX_POINTS`] check and send [`Grid::expand`] into an unbounded
+    /// allocation.
     pub fn len(&self) -> usize {
-        self.capacities.len()
-            * self.blocks.len()
-            * self.associativities.len()
-            * self.banks.len()
-            * self.nodes.len()
-            * self.cells.len()
-            * self.opts.len()
+        [
+            self.blocks.len(),
+            self.associativities.len(),
+            self.banks.len(),
+            self.nodes.len(),
+            self.cells.len(),
+            self.opts.len(),
+        ]
+        .into_iter()
+        .fold(self.capacities.len(), usize::saturating_mul)
     }
 
     /// `true` when any axis is empty.
@@ -351,5 +357,24 @@ mod tests {
             g.expand().unwrap_err(),
             ExploreError::TooManyPoints { .. }
         ));
+    }
+
+    #[test]
+    fn an_axis_product_past_usize_saturates_and_is_rejected() {
+        // Four 2^16-entry axes multiply to 2^64, which wraps to 0 unchecked.
+        let mut g = small_grid();
+        g.capacities = (1..=1 << 16).collect();
+        g.blocks = (1..=1 << 16).collect();
+        g.associativities = (1..=1 << 16).collect();
+        g.banks = (1..=1 << 16).collect();
+        assert_eq!(g.len(), usize::MAX);
+        assert!(!g.is_empty());
+        assert_eq!(
+            g.expand().unwrap_err(),
+            ExploreError::TooManyPoints {
+                points: usize::MAX,
+                max: MAX_POINTS
+            }
+        );
     }
 }

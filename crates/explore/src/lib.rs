@@ -22,6 +22,8 @@
 //!   completes, appends a checkpoint line (so an interrupted sweep resumes
 //!   without re-solving completed points), and finalizes a
 //!   thread-count-independent, Pareto-annotated JSONL file in point order.
+//!   [`explore_expansion`] is the same engine on an already expanded point
+//!   list; `cactid-serve` runs its grid requests through it.
 //! * **[`mod@pareto`]** — frontier extraction over (access time, dynamic
 //!   read energy, area, leakage + refresh power) with dominated-point
 //!   counts.
@@ -67,8 +69,8 @@ mod stats;
 
 pub use audit::{audit, AuditReport, AuditVerdict, PointAudit};
 pub use cache::{optimize_cached_in, GroupSolve, SolveCache};
-pub use engine::{explore, ExploreConfig, ExploreReport, PointStatus};
+pub use engine::{explore, explore_expansion, ExploreConfig, ExploreReport, PointStatus};
 pub use error::ExploreError;
-pub use grid::{Grid, GridPoint, OptVariant};
+pub use grid::{Expansion, Grid, GridPoint, OptVariant};
 pub use pareto::{ParetoMetrics, ParetoPoint};
 pub use stats::EngineStats;

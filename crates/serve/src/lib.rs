@@ -3,11 +3,13 @@
 //! One-shot CLI invocations re-pay technology construction and the full
 //! organization sweep on every call, even for specs solved seconds ago.
 //! This crate keeps a solver *resident*: a long-running service that
-//! accepts spec and grid queries as JSONL requests, batches them onto the
-//! exploration crate's work-claiming pool against one resident
-//! [`cactid_tech::Technology`] and one shared solve memo, and answers in
-//! the exploration engine's record schema — a `serve` answer for a spec
-//! is byte-identical to the line `cactid explore` would write for it.
+//! accepts spec and grid queries as JSONL requests, answers them against
+//! one resident [`cactid_tech::Technology`] and one shared solve memo, and
+//! answers in the exploration engine's record schema — a `serve` answer
+//! for a spec is byte-identical to the line `cactid explore` would write
+//! for it. A grid request runs its store misses through the exploration
+//! engine itself ([`cactid_explore::explore_expansion`]), so it shares
+//! sweeps exactly as `cactid explore` does.
 //!
 //! Three layers:
 //!

@@ -44,7 +44,7 @@ pub enum Request {
         /// The point to solve (carries the spec or its validation error).
         point: Box<GridPoint>,
     },
-    /// Solve a whole grid on the service's pool.
+    /// Solve a whole grid through the explore engine.
     Grid {
         /// Client-chosen correlation id, echoed in the `done` line.
         id: u64,

@@ -2,10 +2,10 @@
 //!
 //! One [`Service`] owns an injectable in-process solve memo
 //! ([`SolveCache`]), an optional persistent [`SolutionStore`], and a
-//! thread budget for grid fan-out. Both transports — a stdin/stdout JSONL
-//! loop and a TCP listener — funnel into the same line handler, so they
-//! are byte-for-byte interchangeable and the stdio loop (trivially
-//! testable, no sockets) pins the protocol behavior for both.
+//! thread budget for the explore engine's pool. Both transports — a
+//! stdin/stdout JSONL loop and a TCP listener — funnel into the same line
+//! handler, so they are byte-for-byte interchangeable and the stdio loop
+//! (trivially testable, no sockets) pins the protocol behavior for both.
 //!
 //! # The solve path and byte identity
 //!
@@ -20,6 +20,13 @@
 //! 3. **solve** — the full organization sweep, after which the rendered
 //!    body is appended to the store.
 //!
+//! A `grid` request takes the same stages in bulk: it expands the grid,
+//! answers every store hit, and runs the misses, renumbered `0..m`, through
+//! [`cactid_explore::explore_expansion`] with the resident memo. The
+//! engine groups them by bank geometry and sweep key as it does for
+//! `cactid explore`, so the grid costs what that explore run costs. Each
+//! answer goes back under its grid `idx` and into the store.
+//!
 //! Records carry only deterministic data (the explore JSONL contract), so
 //! the spliced warm answer is byte-identical to a cold in-process solve
 //! by construction: both come from the same
@@ -33,7 +40,7 @@ use cactid_core::MemorySpec;
 use cactid_explore::hash::{spec_canon, spec_fingerprint};
 use cactid_explore::json::JsonObject;
 use cactid_explore::record::{mode_label, render_invalid, render_solved};
-use cactid_explore::{pool, GridPoint, SolveCache};
+use cactid_explore::{explore_expansion, Expansion, ExploreConfig, Grid, GridPoint, SolveCache};
 use std::io::{BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -49,7 +56,8 @@ pub const MAX_LINE_BYTES: usize = 4 << 20;
 /// Service construction options.
 #[derive(Debug, Clone, Default)]
 pub struct ServeConfig {
-    /// Worker threads for `grid` fan-out; `0` means the pool default.
+    /// Worker threads the explore engine uses on `grid` requests; `0`
+    /// means the pool default.
     pub threads: usize,
     /// Path of the persistent solution store; `None` serves memo-only.
     pub store: Option<PathBuf>,
@@ -174,6 +182,29 @@ impl Service {
         (responses, shutdown)
     }
 
+    /// The store's answer for `point`, spliced under its `idx`, or `None`
+    /// on a miss or when no store is configured.
+    fn stored(&self, point: &GridPoint, spec: &MemorySpec) -> Option<String> {
+        let body = self
+            .store
+            .as_ref()?
+            .get(spec_fingerprint(spec), &store_key(point, spec))?;
+        Some(splice_idx(point.idx, &body))
+    }
+
+    /// Appends a freshly solved record for `point` to the store, if one is
+    /// configured.
+    fn remember(&self, point: &GridPoint, spec: &MemorySpec, line: &str) {
+        if let Some(store) = &self.store {
+            let key = store_key(point, spec);
+            if let Err(e) = store.insert(spec_fingerprint(spec), &key, record_body(line)) {
+                // A failing append must not corrupt the answer: serve the
+                // solve, surface the store problem out of band.
+                eprintln!("cactid-serve: {e}");
+            }
+        }
+    }
+
     /// Resolves one point: store hit → memo → full solve (then store
     /// insert). Invalid specs render as `"invalid"` records and never
     /// touch the store.
@@ -182,32 +213,64 @@ impl Service {
             Ok(spec) => spec,
             Err(e) => return render_invalid(point, e),
         };
-        let fp = spec_fingerprint(spec);
-        let key = store_key(point, spec);
-        if let Some(store) = &self.store {
-            if let Some(body) = store.get(fp, &key) {
-                return splice_idx(point.idx, &body);
-            }
+        if let Some(line) = self.stored(point, spec) {
+            return line;
         }
         let (entry, _) = self.cache.solve_point(spec, None);
         let line = render_solved(point, &entry);
-        if let Some(store) = &self.store {
-            if let Err(e) = store.insert(fp, &key, record_body(&line)) {
-                // A failing append must not corrupt the answer: serve the
-                // solve, surface the store problem out of band.
-                eprintln!("cactid-serve: {e}");
-            }
-        }
+        self.remember(point, spec, &line);
         line
     }
 
-    fn grid_lines(&self, id: u64, grid: &cactid_explore::Grid) -> Vec<String> {
+    /// Answers a grid: store hits are spliced in place, and the rest run
+    /// through the explore engine as one renumbered point list, so they
+    /// share organization and data-array sweeps exactly as `cactid
+    /// explore` does. Each answer from the engine goes back under its
+    /// grid `idx` and into the store.
+    fn grid_lines(&self, id: u64, grid: &Grid) -> Vec<String> {
         let expansion = match grid.expand() {
             Ok(e) => e,
             Err(e) => return vec![error_line(id, &e.to_string())],
         };
-        let mut lines =
-            pool::parallel_map(self.threads, &expansion.points, |_, p| self.solve_line(p));
+        let mut lines: Vec<Option<String>> = Vec::with_capacity(expansion.points.len());
+        let mut misses = Vec::new();
+        let mut miss_idx = Vec::new();
+        for mut point in expansion.points {
+            let hit = point
+                .spec
+                .as_ref()
+                .ok()
+                .and_then(|spec| self.stored(&point, spec));
+            if hit.is_none() {
+                miss_idx.push(point.idx);
+                point.idx = misses.len();
+                misses.push(point);
+            }
+            lines.push(hit);
+        }
+        let misses = Expansion {
+            points: misses,
+            fingerprint: expansion.fingerprint,
+        };
+        let config = ExploreConfig {
+            threads: self.threads,
+            cache: Some(&self.cache),
+            ..ExploreConfig::default()
+        };
+        let solved = match explore_expansion(&misses, &config) {
+            Ok(report) => report.lines,
+            Err(e) => return vec![error_line(id, &e.to_string())],
+        };
+        for ((point, line), idx) in misses.points.iter().zip(&solved).zip(miss_idx) {
+            if let Ok(spec) = &point.spec {
+                self.remember(point, spec, line);
+            }
+            lines[idx] = Some(splice_idx(idx, record_body(line)));
+        }
+        let mut lines: Vec<String> = lines
+            .into_iter()
+            .map(|l| l.unwrap_or_else(|| unreachable!("every grid point is answered")))
+            .collect();
         let mut done = JsonObject::new();
         done.u64("id", id)
             .bool("done", true)
@@ -540,6 +603,27 @@ mod tests {
         // the same body without a fresh sweep.
         let (single, _) = svc.handle_line(&solve_req(3));
         assert_eq!(record_body(&single[0]), record_body(&r[0]));
+    }
+
+    #[test]
+    fn an_overflowing_grid_is_answered_in_band_and_the_loop_survives() {
+        // Four 2^16-entry axes in one 512 KiB line: their product, 2^64,
+        // wraps to 0 unless the point count saturates.
+        let svc = memo_only();
+        let axis = vec!["1"; 1 << 16].join(",");
+        let input = format!(
+            "{{\"id\":1,\"op\":\"grid\",\"sizes\":[{axis}],\"blocks\":[{axis}],\
+             \"assocs\":[{axis}],\"banks\":[{axis}]}}\n{{\"id\":2,\"op\":\"stats\"}}\n"
+        );
+        let lines = run(&svc, input.as_bytes());
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].starts_with("{\"id\":1,\"error\":"), "{}", lines[0]);
+        assert!(lines[0].contains("engine cap"), "{}", lines[0]);
+        assert!(
+            lines[1].starts_with("{\"id\":2,\"requests\":2,"),
+            "{}",
+            lines[1]
+        );
     }
 
     #[test]

@@ -304,6 +304,60 @@ mod tests {
     }
 
     #[test]
+    fn a_store_cut_at_any_byte_reopens_to_its_complete_records() {
+        // The third body has a multi-byte character, so some cuts land
+        // inside a UTF-8 sequence.
+        let records: [(u64, &str, &str); 3] = [
+            (0x11, "key-1", "\"a\":1}"),
+            (0x22, "key-2", "\"b\":[2,2.5]}"),
+            (0x33, "key-3", "\"c\":\"\u{3bc}m\"}"),
+        ];
+        let full = tmp("cut-full");
+        std::fs::remove_file(&full).ok();
+        {
+            let s = SolutionStore::open(&full).unwrap();
+            for &(fp, key, body) in &records {
+                s.insert(fp, key, body).unwrap();
+            }
+        }
+        let bytes = std::fs::read(&full).unwrap();
+        // Byte offset just past each record's newline.
+        let ends: Vec<usize> = bytes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .map(|(i, _)| i + 1)
+            .skip(1)
+            .collect();
+        assert_eq!(ends.len(), records.len());
+        let cut_path = tmp("cut");
+        for cut in 0..=bytes.len() {
+            std::fs::write(&cut_path, &bytes[..cut]).unwrap();
+            let complete = ends.iter().filter(|&&end| end <= cut).count();
+            let s = SolutionStore::open(&cut_path).unwrap();
+            assert_eq!(s.len(), complete, "cut at {cut}");
+            for (i, &(fp, key, body)) in records.iter().enumerate() {
+                let want = (i < complete).then_some(body);
+                assert_eq!(s.get(fp, key).as_deref(), want, "cut at {cut}");
+            }
+            // Re-inserting every record appends the lost ones on fresh
+            // lines, so the next open loads all three.
+            for (i, &(fp, key, body)) in records.iter().enumerate() {
+                let lost = i >= complete;
+                assert_eq!(s.insert(fp, key, body).unwrap(), lost, "cut at {cut}");
+            }
+            drop(s);
+            let s = SolutionStore::open(&cut_path).unwrap();
+            assert_eq!(s.len(), records.len(), "reopen after cut at {cut}");
+            for &(fp, key, body) in &records {
+                assert_eq!(s.get(fp, key).as_deref(), Some(body), "cut at {cut}");
+            }
+        }
+        std::fs::remove_file(&full).ok();
+        std::fs::remove_file(&cut_path).ok();
+    }
+
+    #[test]
     fn interior_corruption_fails_the_open_loudly() {
         let p = tmp("corrupt");
         std::fs::write(
