@@ -173,14 +173,22 @@ fn incremental_evaluation_matches_from_scratch_at_every_axis_boundary() {
 
 #[test]
 fn bound_pruning_fires_on_the_comm_dram_smoke_spec() {
-    let out = solve_with_stats(&comm_dram_smoke(), None);
-    assert!(out.result.is_ok());
-    assert!(
-        out.stats.bound_pruned > 0,
-        "the pre-screen stopped firing on the COMM-DRAM smoke spec: {:?}",
-        out.stats
-    );
-    assert!(out.stats.feasible > 0);
+    // The 128 MB smoke chip and the same chip at 1 GB (a DIMM's part).
+    let dimm = MemorySpec {
+        capacity_bytes: 1 << 30,
+        ..comm_dram_smoke()
+    };
+    for spec in [comm_dram_smoke(), dimm] {
+        let out = solve_with_stats(&spec, None);
+        assert!(out.result.is_ok());
+        assert!(
+            out.stats.bound_pruned > 0,
+            "the pre-screen stopped firing on the {} B COMM-DRAM spec: {:?}",
+            spec.capacity_bytes,
+            out.stats
+        );
+        assert!(out.stats.feasible > 0);
+    }
 }
 
 /// The family `(capacity·k, banks k)` for k = 1, 2, 4, 8: one bank

@@ -238,12 +238,6 @@ impl L3 {
             }
         }
     }
-
-    /// Reserves the timing resources for one access to `addr` starting no
-    /// earlier than `now`; returns the cycle at which data is available.
-    pub fn reserve(&mut self, addr: u64, now: u64) -> u64 {
-        self.reserve_detailed(addr, now).0
-    }
 }
 
 #[cfg(test)]
@@ -294,12 +288,12 @@ mod tests {
     fn interleaved_accesses_beat_random_cycle() {
         let mut l3 = dram_l3(SetMapping::StripedWays);
         // Two back-to-back accesses to *different* subbanks of bank 0.
-        let a = l3.reserve(0, 100);
-        let b = l3.reserve(8 * 64, 100); // next set, different subbank
+        let a = l3.reserve_detailed(0, 100).0;
+        let b = l3.reserve_detailed(8 * 64, 100).0; // next set, different subbank
         assert_eq!(a, 100 + 16);
         assert_eq!(b, 101 + 16, "initiation limited by interleave only");
         // Same subbank: limited by the random cycle time.
-        let c = l3.reserve(0, 100);
+        let c = l3.reserve_detailed(0, 100).0;
         assert!(c >= 100 + 5 + 16);
     }
 
@@ -411,7 +405,7 @@ mod tests {
     fn sram_baseline_config_reserves_quickly() {
         let cfg = SystemConfig::with_sram_l3();
         let mut l3 = L3::new(cfg.l3.unwrap());
-        let t = l3.reserve(0x1234_0000, 50);
+        let t = l3.reserve_detailed(0x1234_0000, 50).0;
         assert_eq!(t, 50 + 5);
     }
 }

@@ -414,13 +414,14 @@ impl<T: TraceSource> Simulator<T> {
     fn fetch_below(&mut self, addr: u64, t_req: u64) -> Source {
         if let Some(l3) = self.l3.as_mut() {
             self.stats.counts.l3_reads += 1;
-            if l3.lookup(addr).is_some() {
-                let data_at = l3.reserve(addr, t_req);
-                return Source::L3 { data_at };
+            let hit = l3.lookup(addr).is_some();
+            let (t, page_hit) = l3.reserve_detailed(addr, t_req);
+            self.stats.counts.l3_page_hits += u64::from(page_hit);
+            if hit {
+                return Source::L3 { data_at: t };
             }
             // L3 miss: tag check occupied the bank, then go to memory.
-            let t_mem = l3.reserve(addr, t_req);
-            let done = self.dram_read(addr, t_mem);
+            let done = self.dram_read(addr, t);
             self.fill_l3(addr, LineState::Shared);
             Source::Memory { data_at: done }
         } else {

@@ -111,3 +111,38 @@ fn hit_miss_sequence_matches_golden_schedule() {
         now = done;
     }
 }
+
+#[test]
+fn both_engines_count_page_mode_row_hits() {
+    // The row-buffer outcome must reach `SimStats` on both engines: a
+    // page-mode L3 scores row hits under streaming traffic, and the
+    // SRAM-like interface (which has no open row) scores none.
+    use memsim::trace::StridedSource;
+    use memsim::{ShardedSimulator, Simulator, SystemConfig};
+    for interface in [L3Interface::SramLike, L3Interface::PageMode] {
+        let mut cfg = SystemConfig::with_sram_l3();
+        if let Some(l3) = cfg.l3.as_mut() {
+            l3.interface = interface;
+            l3.page_timing = Some(L3PageTiming {
+                t_rcd: T_RCD,
+                t_cas: T_CAS,
+                t_rp: T_RP,
+            });
+        }
+        let trace = || StridedSource::with_seed(cfg.n_threads(), 0.4, 4 << 20, 3);
+        let legacy = Simulator::try_new(cfg.clone(), trace())
+            .unwrap()
+            .run(40_000);
+        let sharded = ShardedSimulator::try_new(cfg.clone(), trace())
+            .unwrap()
+            .run(40_000);
+        for (engine, stats) in [("legacy", &legacy), ("sharded", &sharded)] {
+            let c = &stats.counts;
+            assert!(c.l3_reads > 0, "{engine} {interface:?}: no L3 traffic");
+            match interface {
+                L3Interface::SramLike => assert_eq!(c.l3_page_hits, 0, "{engine}"),
+                L3Interface::PageMode => assert!(c.l3_page_hits > 0, "{engine}: no row hits"),
+            }
+        }
+    }
+}

@@ -14,6 +14,8 @@
 //! llc-study shard [--cores N] [--dragon] [-n INSTR]
 //!                                  # sharded-simulator run; prints a
 //!                                  # stats digest for determinism checks
+//! llc-study ablations [-n INSTR]   # the paper's design choices, each
+//!                                  # flipped once (2 M instructions at most)
 //! ```
 //!
 //! Every command additionally accepts `--trace FILE`: at exit the process
@@ -24,25 +26,9 @@
 use cactid_tech::TechNode;
 use llc_study::power::MemoryHierarchyPower;
 use llc_study::{
-    configs, figure1, figure4, figure5, powerdown, sweep, table1, table2, table3, thermal,
+    ablations, configs, figure1, figure4, figure5, powerdown, sweep, table1, table2, table3,
+    thermal,
 };
-
-fn parse_instructions(args: &[String]) -> u64 {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "-n" || a == "--instructions" {
-            if let Some(v) = it.next() {
-                return v.replace('_', "").parse().unwrap_or_else(|_| {
-                    eprintln!("bad instruction count {v:?}");
-                    std::process::exit(2)
-                });
-            }
-        }
-    }
-    // Default: enough for the synthetic profiles to reach steady state on
-    // the largest L3s while staying minutes-scale.
-    5_000_000
-}
 
 fn parse_flag_u64(args: &[String], flag: &str) -> Option<u64> {
     let mut it = args.iter();
@@ -122,7 +108,11 @@ fn run_powerdown(instructions: u64) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map_or("all", String::as_str);
-    let n = parse_instructions(&args);
+    // Default: enough for the synthetic profiles to reach steady state on
+    // the largest L3s while staying minutes-scale.
+    let n = parse_flag_u64(&args, "-n")
+        .or_else(|| parse_flag_u64(&args, "--instructions"))
+        .unwrap_or(5_000_000);
     match cmd {
         "table1" => println!("{}", table1::render(TechNode::N32)),
         "table2" => println!("{}", table2::render()),
@@ -132,6 +122,7 @@ fn main() {
         "fig5" => run_figures_4_and_5(n, false, true),
         "thermal" => run_thermal(),
         "powerdown" => run_powerdown(n.min(2_000_000)),
+        "ablations" => print!("{}", ablations::render(n.min(2_000_000))),
         "sweep" => {
             use npbgen::NpbApp;
             eprintln!("capacity sweep: 3 apps x 6 capacities x {n} instructions...");
@@ -142,7 +133,13 @@ fn main() {
         }
         "shard" => {
             use memsim::{CoherenceProtocol, ShardedSimulator, SystemConfig};
-            let cores = parse_flag_u64(&args, "--cores").unwrap_or(64) as u32;
+            let cores = parse_flag_u64(&args, "--cores").unwrap_or(64);
+            let max = memsim::coherence::MAX_CORES as u64;
+            if !(1..=max).contains(&cores) {
+                eprintln!("--cores expects 1..={max}, got {cores}");
+                std::process::exit(2)
+            }
+            let cores = cores as u32;
             let mut cfg = SystemConfig::many_core(cores);
             if args.iter().any(|a| a == "--dragon") {
                 cfg.protocol = CoherenceProtocol::Dragon;
@@ -174,7 +171,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown command {other:?}; try table1|table2|table3|fig1|fig4|fig5|thermal|powerdown|sweep|shard|all"
+                "unknown command {other:?}; try table1|table2|table3|fig1|fig4|fig5|thermal|powerdown|sweep|shard|ablations|all"
             );
             std::process::exit(2);
         }

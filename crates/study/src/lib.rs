@@ -20,7 +20,9 @@
 //! Two extensions go beyond the paper's figures: [`powerdown`] quantifies
 //! the conclusion's suggestion that DRAM power-down modes would cut the
 //! dominant standby power, and [`thermal`] reproduces the §4.3 stacked-die
-//! temperature claim (< 1.5 K between technologies).
+//! temperature claim (< 1.5 K between technologies). [`ablations`] flips
+//! the paper's design choices (page policy, Figure 3 mapping, DRAM-L3
+//! interface, access mode, repeater relaxation) one at a time.
 //!
 //! Run everything from the CLI:
 //!
@@ -28,6 +30,7 @@
 //! cargo run --release -p llc-study -- all
 //! ```
 
+pub mod ablations;
 pub mod configs;
 pub mod figure1;
 pub mod figure4;
