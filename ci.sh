@@ -139,6 +139,26 @@ grep -q '"name":"core.solve.incremental_reuse","value":[1-9]' \
     echo "core.solve.incremental_reuse did not fire on the 1M/8-way sweep" >&2
     exit 1
 }
+# The memo pool must share designs across sweeps: a run must find designs
+# in its memos, and one worker's memo must design fewer circuits for the
+# whole grid than for its two halves run apart (without sharing the two
+# counts are equal).
+memo_designs() {
+    $CACTID explore --sizes "$1" --banks 1,2 --cells sram,lp-dram --threads 1 \
+        --out "$TDIR/memo.jsonl" --trace "$TDIR/memo.trace.jsonl" 2>/dev/null
+    grep -o '"name":"core.memo.designs","value":[0-9]*' \
+        "$TDIR/memo.trace.jsonl" | sed 's/.*://'
+}
+WHOLE=$(memo_designs 64K,128K,1M)
+grep -q '"name":"core.memo.design_hits","value":[1-9]' "$TDIR/memo.trace.jsonl" || {
+    echo "core.memo.design_hits did not fire on the memo-pool grid" >&2
+    exit 1
+}
+HALVES=$(( $(memo_designs 64K,128K) + $(memo_designs 1M) ))
+test "$WHOLE" -lt "$HALVES" || {
+    echo "the memo pool shared no designs: $WHOLE designs whole, $HALVES in halves" >&2
+    exit 1
+}
 rm -rf "$TDIR"
 
 echo "== cactid audit smoke run (static grid analysis + json diagnostics)"

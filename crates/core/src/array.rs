@@ -11,14 +11,18 @@
 //! period.
 
 use crate::error::CactiError;
+use crate::tag::{TagKey, TagResult};
 use cactid_circuit::decoder::Decoder;
 use cactid_circuit::driver::BufferChain;
 use cactid_circuit::mux::PassMux;
 use cactid_circuit::repeater::RepeatedWire;
 use cactid_circuit::sense_amp::SenseAmp;
 use cactid_circuit::BlockResult;
-use cactid_tech::{CellParams, DeviceParams, Technology, WireParams, WireType};
+use cactid_tech::{CellParams, DeviceParams, TechNode, Technology, WireParams, WireType};
 use cactid_units::{Farads, Joules, Meters, Ohms, Seconds, SquareMeters, Volts, Watts};
+use std::collections::HashMap;
+use std::hash::Hash;
+use std::sync::Arc;
 
 /// Tuning constants, grouped so the validation experiments (Tables 2–3,
 /// Figure 1) can be calibrated transparently. Values are physical-order
@@ -309,42 +313,64 @@ pub fn prescreen(cell: &CellParams, rows: u64, cols: u64) -> Result<Volts, Cacti
     prescreen_explain(cell, rows, cols).map_err(|_| CactiError::NoFeasibleSolution)
 }
 
-/// Per-solve scratch memoizing every candidate-invariant or axis-keyed
-/// piece of [`evaluate`], so a sweep over adjacent [`org::enumerate_lazy`]
-/// candidates (which differ in one [`crate::OrgParams`] axis at a time)
-/// recomputes only the slices whose axis actually changed.
+/// Memoizes every candidate-invariant or axis-keyed piece of [`evaluate`],
+/// so a sweep over adjacent [`org::enumerate_lazy`] candidates (which
+/// differ in one [`crate::OrgParams`] axis at a time) recomputes only the
+/// slices whose axis actually changed, and a later sweep in the same
+/// technology reuses the circuits an earlier one designed.
 ///
-/// Each slice is keyed by the *complete* set of inputs its values depend
-/// on — `rows`, `cols`, `(rows, cols)`, a mux degree, or the bit pattern
-/// of a derived float — and is recomputed through the identical
-/// expressions [`evaluate`] uses whenever the key misses. A hit therefore
-/// returns values bitwise equal to a from-scratch evaluation, and the
-/// results carry no dependence on the order candidates arrive in (pinned
-/// by the enumeration-shuffle proptest).
+/// The memo works at two levels:
 ///
-/// A memo is valid for reuse across [`ArrayInput`]s that differ **only**
-/// in the organization axes (`rows`, `cols`, `ndwl`, `ndbl`,
-/// `deg_bl_mux`, `deg_sa_mux`) — exactly what one solve's sweep produces
-/// from a single spec. The solver allocates one per data-array sweep
-/// ([`crate::ArraySweep`]); [`evaluate`] itself runs on a fresh memo,
-/// which degenerates to the plain from-scratch evaluation.
+/// - **Slots** hold the last value of each slice, keyed by the
+///   organization inputs it reads — `rows`, `cols`, `(rows, cols)`, a mux
+///   degree, or the bit pattern of a derived float. Their keys leave out
+///   the *solve context*: the technology node, the cell and peripheral
+///   parameters, the address and output widths, `repeater_relax`,
+///   `sleep_transistors` and the sense fraction. So every slot is emptied
+///   whenever an [`ArrayInput`]'s solve context differs from the last
+///   one's.
+/// - **Design tables** outlive a context change. The memo interns each
+///   *device context* — the technology node, which fixes the wire
+///   parameters, and the bit patterns of the cell and peripheral
+///   parameters — and keys the column slice, decoder, sense-amp,
+///   output-driver and mux designs, and finished tag designs
+///   ([`crate::tag::design_tag`]), by that context plus the slice's own
+///   inputs. A slot miss looks there before designing anything. Each
+///   table holds at most `TABLE_CAP` entries and is emptied when full, so
+///   a memo kept by a long-lived service stays bounded.
+///
+/// Every key covers the complete set of inputs its value depends on, and
+/// a miss recomputes through the identical expressions [`evaluate`] uses.
+/// A hit therefore returns values bitwise equal to a from-scratch
+/// evaluation, for any sequence of inputs, any specs and any candidate
+/// order (pinned by `staged_equivalence` and the enumeration-shuffle
+/// proptest). [`evaluate`] itself runs on a fresh memo, which degenerates
+/// to the plain from-scratch evaluation.
 ///
 /// [`org::enumerate_lazy`]: crate::org::enumerate_lazy
 #[derive(Debug, Default)]
 pub struct EvalMemo {
     hits: u64,
-    consts: Option<SolveConsts>,
-    screen: Option<((u64, u64), Result<Volts, PrescreenFailure>)>,
-    row: Option<(u64, RowSlice)>,
-    col: Option<(u64, ColSlice)>,
-    dec: Option<((u64, u64), DecSlice)>,
-    dec_delay: Option<((u64, u64, u64), Seconds)>,
-    sa: [Option<((u32, u64), SaSlice)>; SA_SLOTS],
-    ht: Option<(u64, HtSlice)>,
-    out: Option<(u64, OutSlice)>,
-    bl_mux: [Option<((u32, u64), BlockResult)>; BL_MUX_SLOTS],
-    sa_mux: [Option<((u32, u64), BlockResult)>; SA_MUX_SLOTS],
+    designs: DesignCounts,
+    /// The solve context the slots were filled under.
+    context: Option<SolveKey>,
+    /// The interned device context of `context`.
+    device: u32,
+    slots: Slots,
+    /// Interned device contexts; a table key names one by its index.
+    devices: Vec<DeviceKey>,
+    tables: Tables,
 }
+
+/// Entries one design table holds before it is emptied. A constant, not a
+/// knob: it bounds the memo of a long-lived `cactid serve` whatever
+/// `repeater_relax` values its requests carry (they reach the output
+/// driver and tag keys). One pass of perfbench's 28 080-point grid designs
+/// about 5 900 distinct decoders, its largest table.
+const TABLE_CAP: usize = 1 << 13;
+/// Device contexts interned before the memo starts over (the model's
+/// nodes and cell technologies make 15).
+const DEVICE_CAP: usize = 64;
 
 /// Sense-amp slots, direct-indexed by `deg_bl_mux.trailing_zeros()`
 /// (enumeration caps the bitline mux at 8 = 2³).
@@ -355,8 +381,209 @@ const BL_MUX_SLOTS: usize = 4;
 /// (enumeration caps the output mux at 1024 = 2¹⁰).
 const SA_MUX_SLOTS: usize = 11;
 
-/// Values every candidate of one solve shares: technology-wide wire and
-/// device terms plus the spec-level spine width.
+/// The last value of each slice under the current solve context.
+#[derive(Debug, Default)]
+struct Slots {
+    consts: Option<SolveConsts>,
+    screen: Option<((u64, u64), Result<Volts, PrescreenFailure>)>,
+    row: Option<(u64, RowSlice)>,
+    col: Option<(u64, ColSlice)>,
+    dec: Option<((u64, u64), Arc<DecSlice>)>,
+    dec_delay: Option<((u64, u64, u64), Seconds)>,
+    sa: [Option<((u32, u64), SaSlice)>; SA_SLOTS],
+    ht: Option<(u64, HtSlice)>,
+    out: Option<(u64, OutSlice)>,
+    bl_mux: [Option<((u32, u64), BlockResult)>; BL_MUX_SLOTS],
+    sa_mux: [Option<((u32, u64), BlockResult)>; SA_MUX_SLOTS],
+}
+
+/// Designs keyed by `(device context, the slice's own inputs)`.
+#[derive(Debug, Default)]
+struct Tables {
+    col: Table<(u32, u64), ColSlice>,
+    dec: Table<(u32, u64, u64), Arc<DecSlice>>,
+    sa: Table<(u32, u32, u64), SaSlice>,
+    out: Table<(u32, u64), OutSlice>,
+    /// Bitline and sense-amp muxes alike: `(degree, load cap bits)`.
+    mux: Table<(u32, u32, u64), BlockResult>,
+    tag: Table<TagKey, Result<Arc<TagResult>, CactiError>>,
+}
+
+/// Design-table lookups that hit, and designs computed on a miss.
+#[derive(Debug, Default, Clone, Copy)]
+struct DesignCounts {
+    designed: u64,
+    hits: u64,
+}
+
+/// One capped design table.
+#[derive(Debug)]
+struct Table<K, V>(HashMap<K, V>);
+
+impl<K, V> Default for Table<K, V> {
+    fn default() -> Self {
+        Table(HashMap::new())
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> Table<K, V> {
+    fn get(&self, key: &K, counts: &mut DesignCounts) -> Option<V> {
+        let v = self.0.get(key).cloned();
+        counts.hits += u64::from(v.is_some());
+        v
+    }
+
+    fn insert(&mut self, key: K, v: V, counts: &mut DesignCounts) {
+        counts.designed += 1;
+        if self.0.len() >= TABLE_CAP {
+            self.0.clear();
+        }
+        self.0.insert(key, v);
+    }
+
+    fn get_or_design(
+        &mut self,
+        key: K,
+        counts: &mut DesignCounts,
+        design: impl FnOnce() -> V,
+    ) -> V {
+        if let Some(v) = self.get(&key, counts) {
+            return v;
+        }
+        let v = design();
+        self.insert(key, v.clone(), counts);
+        v
+    }
+}
+
+/// A device context: the technology node, which fixes the wire
+/// parameters and the feature size (a [`Technology`] is a function of its
+/// node), and the bit patterns of the cell and peripheral parameters.
+#[derive(Debug, Clone, PartialEq)]
+struct DeviceKey {
+    node: TechNode,
+    cell: [u64; 20],
+    periph: [u64; 12],
+}
+
+impl DeviceKey {
+    fn of(tech: &Technology, cell: &CellParams, periph: &DeviceParams) -> DeviceKey {
+        DeviceKey {
+            node: tech.node(),
+            cell: cell_bits(cell),
+            periph: periph_bits(periph),
+        }
+    }
+}
+
+/// A solve context: everything an [`ArrayInput`] carries besides its
+/// organization axes.
+#[derive(Debug, PartialEq)]
+struct SolveKey {
+    device: DeviceKey,
+    address_bits: u32,
+    output_bits: u64,
+    repeater_relax: u64,
+    sleep_transistors: bool,
+    sense_fraction: u64,
+}
+
+impl SolveKey {
+    fn of(tech: &Technology, input: &ArrayInput) -> SolveKey {
+        SolveKey {
+            device: DeviceKey::of(tech, &input.cell, &input.periph),
+            address_bits: input.address_bits,
+            output_bits: input.output_bits,
+            repeater_relax: input.repeater_relax.to_bits(),
+            sleep_transistors: input.sleep_transistors,
+            sense_fraction: input.sense_fraction.to_bits(),
+        }
+    }
+}
+
+// The destructuring patterns below name every field, so a field added to
+// the parameter structs fails to compile here instead of going unkeyed.
+
+fn cell_bits(c: &CellParams) -> [u64; 20] {
+    let CellParams {
+        technology,
+        area_f2,
+        width,
+        height,
+        vdd_cell,
+        c_bitline_per_cell,
+        c_wordline_per_cell,
+        r_wordline_per_cell,
+        r_bitline_per_cell,
+        i_cell_read,
+        leak_per_cell,
+        c_storage,
+        vpp,
+        retention_time,
+        r_access_on,
+        v_sense_margin,
+        max_rows_per_subarray,
+        timing_derate,
+        sense_gm_derate,
+        restore_saturation,
+    } = *c;
+    [
+        technology as u64,
+        area_f2.to_bits(),
+        width.value().to_bits(),
+        height.value().to_bits(),
+        vdd_cell.value().to_bits(),
+        c_bitline_per_cell.value().to_bits(),
+        c_wordline_per_cell.value().to_bits(),
+        r_wordline_per_cell.value().to_bits(),
+        r_bitline_per_cell.value().to_bits(),
+        i_cell_read.value().to_bits(),
+        leak_per_cell.value().to_bits(),
+        c_storage.value().to_bits(),
+        vpp.value().to_bits(),
+        retention_time.value().to_bits(),
+        r_access_on.value().to_bits(),
+        v_sense_margin.value().to_bits(),
+        max_rows_per_subarray as u64,
+        timing_derate.to_bits(),
+        sense_gm_derate.to_bits(),
+        restore_saturation.to_bits(),
+    ]
+}
+
+fn periph_bits(d: &DeviceParams) -> [u64; 12] {
+    let DeviceParams {
+        vdd,
+        vth,
+        l_gate,
+        c_gate,
+        c_drain,
+        r_eff_n,
+        p_to_n_ratio,
+        i_off_n,
+        i_gate,
+        g_m,
+        min_width,
+        i_on_n,
+    } = *d;
+    [
+        vdd.value().to_bits(),
+        vth.value().to_bits(),
+        l_gate.value().to_bits(),
+        c_gate.value().to_bits(),
+        c_drain.value().to_bits(),
+        r_eff_n.value().to_bits(),
+        p_to_n_ratio.to_bits(),
+        i_off_n.value().to_bits(),
+        i_gate.value().to_bits(),
+        g_m.value().to_bits(),
+        min_width.value().to_bits(),
+        i_on_n.value().to_bits(),
+    ]
+}
+
+/// Values every candidate of one solve context shares: technology-wide
+/// wire and device terms plus the spec-level spine width.
 #[derive(Debug, Clone, Copy)]
 struct SolveConsts {
     wire: WireParams,
@@ -413,7 +640,7 @@ struct HtSlice {
 }
 
 /// The output driver chain, keyed by the bit pattern of the H-tree input
-/// capacitance it is sized against (a per-solve constant in practice —
+/// capacitance it is sized against (a per-context constant in practice —
 /// repeater width is independent of span — so this slot hits after the
 /// first candidate).
 #[derive(Debug, Clone, Copy)]
@@ -429,43 +656,92 @@ impl EvalMemo {
         Self::default()
     }
 
-    /// How many slice lookups hit across the memo's lifetime — the work
+    /// How many slot lookups hit across the memo's lifetime — the work
     /// the incremental evaluation skipped relative to from-scratch
-    /// candidates. Flushed to the `core.solve.incremental_reuse` counter
-    /// once per data-array sweep.
+    /// candidates. Each [`crate::ArraySweep::solve`] flushes its delta to
+    /// the `core.solve.incremental_reuse` counter.
     #[must_use]
     pub fn reuse_hits(&self) -> u64 {
         self.hits
     }
 
-    /// Memoized [`prescreen_explain`], keyed by `(rows, cols)`. The staged
-    /// sweep screens each candidate through this, so the screen's verdict
-    /// is computed once and the subsequent [`evaluate_incremental`] of a
-    /// surviving candidate reuses it instead of re-running the closed
-    /// forms.
-    ///
-    /// # Errors
-    ///
-    /// Exactly when [`prescreen_explain`] fails for `(cell, rows, cols)`.
-    pub fn prescreen_cached(
+    /// How many designs the memo computed into its design tables across
+    /// its lifetime (flushed per solve to `core.memo.designs`).
+    #[must_use]
+    pub fn designs(&self) -> u64 {
+        self.designs.designed
+    }
+
+    /// How many design-table lookups found a design computed earlier
+    /// (flushed per solve to `core.memo.design_hits`).
+    #[must_use]
+    pub fn design_hits(&self) -> u64 {
+        self.designs.hits
+    }
+
+    /// Points the slots at `input`'s solve context, emptying them if it
+    /// differs from the one they were filled under.
+    fn enter(&mut self, tech: &Technology, input: &ArrayInput) {
+        let key = SolveKey::of(tech, input);
+        if self.context.as_ref() == Some(&key) {
+            return;
+        }
+        self.device = self.intern(&key.device);
+        self.slots = Slots::default();
+        self.context = Some(key);
+    }
+
+    /// The interned index of the device context of `tech`, `cell` and
+    /// `periph`.
+    pub(crate) fn intern_device(
         &mut self,
+        tech: &Technology,
         cell: &CellParams,
-        rows: u64,
-        cols: u64,
-    ) -> Result<Volts, PrescreenFailure> {
-        if let Some((k, v)) = self.screen {
-            if k == (rows, cols) {
+        periph: &DeviceParams,
+    ) -> u32 {
+        self.intern(&DeviceKey::of(tech, cell, periph))
+    }
+
+    fn intern(&mut self, key: &DeviceKey) -> u32 {
+        if let Some(i) = self.devices.iter().position(|d| d == key) {
+            return i as u32;
+        }
+        if self.devices.len() >= DEVICE_CAP {
+            // Table keys name devices by index: start every table over.
+            self.devices.clear();
+            self.tables = Tables::default();
+            self.context = None;
+        }
+        self.devices.push(key.clone());
+        (self.devices.len() - 1) as u32
+    }
+
+    /// The finished tag design stored under `key`, if any.
+    pub(crate) fn tag(&mut self, key: &TagKey) -> Option<Result<Arc<TagResult>, CactiError>> {
+        self.tables.tag.get(key, &mut self.designs)
+    }
+
+    /// Stores a finished tag design.
+    pub(crate) fn insert_tag(&mut self, key: TagKey, tag: Result<Arc<TagResult>, CactiError>) {
+        self.tables.tag.insert(key, tag, &mut self.designs);
+    }
+
+    /// Memoized [`prescreen_explain`] of `input`'s `(rows, cols)`.
+    fn screen(&mut self, input: &ArrayInput) -> Result<Volts, PrescreenFailure> {
+        let key = (input.rows, input.cols);
+        if let Some((k, v)) = self.slots.screen {
+            if k == key {
                 self.hits += 1;
                 return v;
             }
         }
-        let v = prescreen_explain(cell, rows, cols);
-        self.screen = Some(((rows, cols), v));
+        let v = prescreen_explain(&input.cell, input.rows, input.cols);
+        self.slots.screen = Some((key, v));
         v
     }
 
     fn consts(&mut self, tech: &Technology, input: &ArrayInput) -> SolveConsts {
-        if let Some(c) = self.consts {
+        if let Some(c) = self.slots.consts {
             self.hits += 1;
             return c;
         }
@@ -493,12 +769,12 @@ impl EvalMemo {
             r_pre,
             latch_overhead,
         };
-        self.consts = Some(c);
+        self.slots.consts = Some(c);
         c
     }
 
     fn row_slice(&mut self, input: &ArrayInput, r_pre: Ohms) -> RowSlice {
-        if let Some((k, v)) = self.row {
+        if let Some((k, v)) = self.slots.row {
             if k == input.rows {
                 self.hits += 1;
                 return v;
@@ -537,65 +813,75 @@ impl EvalMemo {
             t_restore,
             t_precharge,
         };
-        self.row = Some((input.rows, v));
+        self.slots.row = Some((input.rows, v));
         v
     }
 
     fn col_slice(&mut self, input: &ArrayInput, k: &SolveConsts) -> ColSlice {
-        if let Some((key, v)) = self.col {
+        if let Some((key, v)) = self.slots.col {
             if key == input.cols {
                 self.hits += 1;
                 return v;
             }
         }
-        let cell = &input.cell;
-        let periph = &input.periph;
-        let c_wl = cell.c_wordline_per_cell * input.cols as f64;
-        let r_wl = cell.r_wordline_per_cell * input.cols as f64;
-        let array_w = input.cols as f64 * cell.width;
-        let predec_wire = k.wire.cap(array_w);
-        // Column-select decode: sized to drive one CSL across the stripe.
-        let csl_load = k.wire.cap(array_w) + 8.0 * periph.c_inv_min();
-        let csl = BufferChain::design(periph, periph.c_inv_min(), csl_load);
-        let csl_eval = csl.evaluate(periph, Seconds::ZERO);
-        let v = ColSlice {
-            c_wl,
-            r_wl,
-            array_w,
-            predec_wire,
-            csl_eval,
-        };
-        self.col = Some((input.cols, v));
+        let key = (self.device, input.cols);
+        let v = self.tables.col.get_or_design(key, &mut self.designs, || {
+            let cell = &input.cell;
+            let periph = &input.periph;
+            let c_wl = cell.c_wordline_per_cell * input.cols as f64;
+            let r_wl = cell.r_wordline_per_cell * input.cols as f64;
+            let array_w = input.cols as f64 * cell.width;
+            let predec_wire = k.wire.cap(array_w);
+            // Column-select decode: sized to drive one CSL across the stripe.
+            let csl_load = k.wire.cap(array_w) + 8.0 * periph.c_inv_min();
+            let csl = BufferChain::design(periph, periph.c_inv_min(), csl_load);
+            let csl_eval = csl.evaluate(periph, Seconds::ZERO);
+            ColSlice {
+                c_wl,
+                r_wl,
+                array_w,
+                predec_wire,
+                csl_eval,
+            }
+        });
+        self.slots.col = Some((input.cols, v));
         v
     }
 
     fn dec_block(&mut self, input: &ArrayInput, col: &ColSlice) -> BlockResult {
         let key = (input.rows, input.cols);
-        if let Some((k, ref v)) = self.dec {
-            if k == key {
+        if let Some((k, v)) = &self.slots.dec {
+            if *k == key {
                 self.hits += 1;
                 return v.dec;
             }
         }
-        let cell = &input.cell;
-        let periph = &input.periph;
-        let decoder = Decoder::design(
-            periph,
-            input.rows.max(2) as usize,
-            col.c_wl,
-            col.r_wl,
-            cell.vpp,
-            col.predec_wire,
-            cell.height,
-        );
-        let dec = decoder.evaluate(periph, Seconds::ZERO);
-        self.dec = Some((key, DecSlice { decoder, dec }));
+        let table_key = (self.device, input.rows, input.cols);
+        let v = self
+            .tables
+            .dec
+            .get_or_design(table_key, &mut self.designs, || {
+                let periph = &input.periph;
+                let decoder = Decoder::design(
+                    periph,
+                    input.rows.max(2) as usize,
+                    col.c_wl,
+                    col.r_wl,
+                    input.cell.vpp,
+                    col.predec_wire,
+                    input.cell.height,
+                );
+                let dec = decoder.evaluate(periph, Seconds::ZERO);
+                Arc::new(DecSlice { decoder, dec })
+            });
+        let dec = v.dec;
+        self.slots.dec = Some((key, v));
         dec
     }
 
     fn dec_delay(&mut self, input: &ArrayInput, ramp: Seconds) -> Seconds {
         let key = (input.rows, input.cols, ramp.value().to_bits());
-        if let Some((k, v)) = self.dec_delay {
+        if let Some((k, v)) = self.slots.dec_delay {
             if k == key {
                 self.hits += 1;
                 return v;
@@ -604,13 +890,13 @@ impl EvalMemo {
         // Re-time the decode path at the real H-tree ramp; area/energy/
         // leakage were captured by the zero-ramp evaluation and are
         // ramp-independent.
-        let t = match &self.dec {
+        let t = match &self.slots.dec {
             Some((k, slice)) if *k == (input.rows, input.cols) => {
                 slice.decoder.delay(&input.periph, ramp)
             }
             _ => unreachable!("the decoder slice is designed before decode re-timing"),
         };
-        self.dec_delay = Some((key, t));
+        self.slots.dec_delay = Some((key, t));
         t
     }
 
@@ -618,31 +904,38 @@ impl EvalMemo {
         let is_dram = input.cell.technology.is_dram();
         let key = (input.deg_bl_mux, if is_dram { input.rows } else { 0 });
         let idx = (input.deg_bl_mux.trailing_zeros() as usize).min(SA_SLOTS - 1);
-        if let Some((k, v)) = self.sa[idx] {
+        if let Some((k, v)) = self.slots.sa[idx] {
             if k == key {
                 self.hits += 1;
                 return v;
             }
         }
-        let cell = &input.cell;
-        let periph = &input.periph;
-        let sa_pitch = 2.0 * cell.width * f64::from(input.deg_bl_mux);
-        // DRAM sense amps must regenerate the whole bitline; SRAM amps
-        // sense onto isolated latch nodes.
-        let sa_c_extra = if is_dram { c_bl } else { Farads::ZERO };
-        let sa = SenseAmp::design_with_load(periph, sa_pitch, sa_c_extra, cell.sense_gm_derate);
-        let sa_eval = sa.evaluate(periph, sense_signal, cell.vdd_cell);
-        let v = SaSlice {
-            sa_eval,
-            w_latch: sa.w_latch,
-        };
-        self.sa[idx] = Some((key, v));
+        let table_key = (self.device, key.0, key.1);
+        let v = self
+            .tables
+            .sa
+            .get_or_design(table_key, &mut self.designs, || {
+                let cell = &input.cell;
+                let periph = &input.periph;
+                let sa_pitch = 2.0 * cell.width * f64::from(input.deg_bl_mux);
+                // DRAM sense amps must regenerate the whole bitline; SRAM amps
+                // sense onto isolated latch nodes.
+                let sa_c_extra = if is_dram { c_bl } else { Farads::ZERO };
+                let sa =
+                    SenseAmp::design_with_load(periph, sa_pitch, sa_c_extra, cell.sense_gm_derate);
+                let sa_eval = sa.evaluate(periph, sense_signal, cell.vdd_cell);
+                SaSlice {
+                    sa_eval,
+                    w_latch: sa.w_latch,
+                }
+            });
+        self.slots.sa[idx] = Some((key, v));
         v
     }
 
     fn ht_slice(&mut self, input: &ArrayInput, k: &SolveConsts, htree_len: Meters) -> HtSlice {
         let key = htree_len.value().to_bits();
-        if let Some((kk, v)) = self.ht {
+        if let Some((kk, v)) = self.slots.ht {
             if kk == key {
                 self.hits += 1;
                 return v;
@@ -660,59 +953,69 @@ impl EvalMemo {
             ht_stage,
             w_rep: ht.w_rep,
         };
-        self.ht = Some((key, v));
+        self.slots.ht = Some((key, v));
         v
     }
 
     fn out_slice(&mut self, input: &ArrayInput, ht_in_cap: Farads) -> OutSlice {
         let key = ht_in_cap.value().to_bits();
-        if let Some((k, v)) = self.out {
+        if let Some((k, v)) = self.slots.out {
             if k == key {
                 self.hits += 1;
                 return v;
             }
         }
-        let periph = &input.periph;
-        let out_drv = BufferChain::design(periph, 4.0 * periph.c_inv_min(), 20.0 * ht_in_cap);
-        let out_eval = out_drv.evaluate(periph, Seconds::ZERO);
-        let v = OutSlice {
-            out_eval,
-            c_first: out_drv.stage_caps[0],
-        };
-        self.out = Some((key, v));
+        let v = self
+            .tables
+            .out
+            .get_or_design((self.device, key), &mut self.designs, || {
+                let periph = &input.periph;
+                let out_drv =
+                    BufferChain::design(periph, 4.0 * periph.c_inv_min(), 20.0 * ht_in_cap);
+                OutSlice {
+                    out_eval: out_drv.evaluate(periph, Seconds::ZERO),
+                    c_first: out_drv.stage_caps[0],
+                }
+            });
+        self.slots.out = Some((key, v));
         v
     }
 
     fn bl_mux_slice(&mut self, input: &ArrayInput, sa_in_cap: Farads) -> BlockResult {
         let key = (input.deg_bl_mux, sa_in_cap.value().to_bits());
         let idx = (input.deg_bl_mux.trailing_zeros() as usize).min(BL_MUX_SLOTS - 1);
-        if let Some((k, v)) = self.bl_mux[idx] {
+        if let Some((k, v)) = self.slots.bl_mux[idx] {
             if k == key {
                 self.hits += 1;
                 return v;
             }
         }
-        let periph = &input.periph;
-        let bl_mux = PassMux::design(periph, input.deg_bl_mux as usize);
-        let v = bl_mux.evaluate(periph, Seconds::ZERO, sa_in_cap);
-        self.bl_mux[idx] = Some((key, v));
+        let v = self.mux(input, key.0, sa_in_cap);
+        self.slots.bl_mux[idx] = Some((key, v));
         v
     }
 
     fn sa_mux_slice(&mut self, input: &ArrayInput, c_first: Farads) -> BlockResult {
         let key = (input.deg_sa_mux, c_first.value().to_bits());
         let idx = (input.deg_sa_mux.trailing_zeros() as usize).min(SA_MUX_SLOTS - 1);
-        if let Some((k, v)) = self.sa_mux[idx] {
+        if let Some((k, v)) = self.slots.sa_mux[idx] {
             if k == key {
                 self.hits += 1;
                 return v;
             }
         }
-        let periph = &input.periph;
-        let sa_mux = PassMux::design(periph, input.deg_sa_mux as usize);
-        let v = sa_mux.evaluate(periph, Seconds::ZERO, c_first);
-        self.sa_mux[idx] = Some((key, v));
+        let v = self.mux(input, key.0, c_first);
+        self.slots.sa_mux[idx] = Some((key, v));
         v
+    }
+
+    /// A pass mux of `degree` driving `c_out`, through the mux table.
+    fn mux(&mut self, input: &ArrayInput, degree: u32, c_out: Farads) -> BlockResult {
+        let key = (self.device, degree, c_out.value().to_bits());
+        self.tables.mux.get_or_design(key, &mut self.designs, || {
+            let periph = &input.periph;
+            PassMux::design(periph, degree as usize).evaluate(periph, Seconds::ZERO, c_out)
+        })
     }
 }
 
@@ -736,10 +1039,12 @@ pub fn evaluate(tech: &Technology, input: &ArrayInput) -> Result<ArrayResult, Ca
 /// depend only on unchanged organization axes are reused from the memo
 /// instead of recomputed, which makes sweeping adjacent
 /// [`crate::org::enumerate_lazy`] candidates (one axis changes per step)
-/// substantially cheaper than from-scratch evaluation. Every reused slice
-/// is keyed by the complete set of inputs it depends on, so the returned
-/// [`ArrayResult`] is bitwise identical to [`evaluate`]'s for any memo
-/// state and any candidate order.
+/// substantially cheaper than from-scratch evaluation, and circuits an
+/// earlier input of the same technology designed are looked up instead of
+/// redesigned. Every reused value is keyed by the complete set of inputs
+/// it depends on, so the returned [`ArrayResult`] is bitwise identical to
+/// [`evaluate`]'s for any memo state, any mix of inputs and any candidate
+/// order.
 ///
 /// # Errors
 ///
@@ -754,7 +1059,8 @@ pub fn evaluate_incremental(
     let periph = &input.periph;
     let is_dram = cell.technology.is_dram();
 
-    let Ok(sense_signal) = memo.prescreen_cached(cell, input.rows, input.cols) else {
+    memo.enter(tech, input);
+    let Ok(sense_signal) = memo.screen(input) else {
         return Err(CactiError::NoFeasibleSolution);
     };
 
@@ -1005,6 +1311,34 @@ mod tests {
         let big = evaluate(&tech, &big_in).unwrap();
         assert!(big.area() > small.area());
         assert!(big.leakage > small.leakage);
+    }
+
+    #[test]
+    fn a_memo_past_its_device_cap_starts_over_and_stays_exact() {
+        let tech = Technology::new(TechNode::N32);
+        let base = mk_input(&tech, CellTechnology::Sram, 128, 256);
+        let mut memo = EvalMemo::new();
+        for i in 0..DEVICE_CAP + 8 {
+            let mut input = base.clone();
+            input.periph.vdd = base.periph.vdd * (1.0 + i as f64 * 1e-3);
+            assert_eq!(
+                format!("{:?}", evaluate_incremental(&tech, &input, &mut memo)),
+                format!("{:?}", evaluate(&tech, &input)),
+                "device {i}"
+            );
+        }
+        assert!(memo.devices.len() <= DEVICE_CAP);
+    }
+
+    #[test]
+    fn a_full_design_table_empties_before_it_grows() {
+        let mut table = Table::default();
+        let mut counts = DesignCounts::default();
+        for k in 0..=TABLE_CAP as u64 {
+            table.insert(k, k, &mut counts);
+        }
+        assert_eq!(table.0.len(), 1);
+        assert_eq!(counts.designed, TABLE_CAP as u64 + 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! half of the sweep reads only one bank's geometry, so an [`ArraySweep`]
 //! runs it once for every spec that shares [`MemorySpec::array_key`].
 
-use crate::array::{self, ArrayInput, ArrayResult};
+use crate::array::{self, ArrayInput, ArrayResult, EvalMemo};
 use crate::error::CactiError;
 use crate::lint::{Severity, SolutionLinter};
 use crate::main_memory;
@@ -25,7 +25,8 @@ use std::sync::Arc;
 /// once per spec: the interned technology, the cell/peripheral parameter
 /// derivations (interpolated nodes re-blend anchor tables on every
 /// `Technology::cell` call, which dominated the per-candidate cost on
-/// small sweeps), and the single tag design shared by `Arc`.
+/// small sweeps), and the single tag design shared by `Arc` with the memo
+/// that designed it.
 struct SpecCtx<'a> {
     spec: &'a MemorySpec,
     tech: &'static Technology,
@@ -53,10 +54,10 @@ impl<'a> SpecCtx<'a> {
 
     /// [`SpecCtx::array`] plus the tag design of a cache — the only
     /// per-spec stage that can fail before the organization sweep.
-    fn new(spec: &'a MemorySpec) -> Result<Self, CactiError> {
+    fn new(spec: &'a MemorySpec, memo: &mut EvalMemo) -> Result<Self, CactiError> {
         let mut ctx = Self::array(spec);
         if spec.kind.is_cache() {
-            ctx.tag = Some(Arc::new(tag::design_tag(ctx.tech, spec)?));
+            ctx.tag = Some(tag::design_tag(ctx.tech, spec, memo)?);
         }
         Ok(ctx)
     }
@@ -85,23 +86,9 @@ impl<'a> SpecCtx<'a> {
 enum Screen {
     /// No pre-screen and no memo: the debug-only reference path.
     Off,
-    /// The exact closed-form screen ([`array::prescreen_explain`]).
+    /// The exact closed-form screen ([`array::prescreen_explain`]), run
+    /// memoized as the first step of [`array::evaluate_incremental`].
     Exact,
-}
-
-impl Screen {
-    fn rejects(self, memo: &mut array::EvalMemo, cell: &CellParams, rows: u64, cols: u64) -> bool {
-        match self {
-            Screen::Off => false,
-            // Memoized: the verdict (and the sense signal behind it) is
-            // stored under (rows, cols), so the evaluation of a surviving
-            // candidate reuses it instead of re-running the closed forms —
-            // the staged path used to pay the pre-screen twice per
-            // feasible candidate, which made it *slower* than the
-            // unpruned reference on low-prune sweeps.
-            Screen::Exact => memo.prescreen_cached(cell, rows, cols).is_err(),
-        }
-    }
 }
 
 /// Applies the lint stage to a surviving candidate; `None` means rejected.
@@ -182,10 +169,11 @@ fn finish_sweep(
 
 /// Publishes one solve's worth of batched counters to the process-global
 /// observability registry. The hot loop accumulates into [`SolveStats`]
-/// locally; this is the single flush per solve. The memo-reuse count is
-/// flushed by the array sweep instead, once per sweep, since one sweep
-/// may serve many solves.
-fn flush_obs(stats: &SolveStats, swept_empty: bool) {
+/// and the memo's lifetime counters; this is the single flush per solve,
+/// and `before` is the memo's `(reuse hits, designs, design hits)` when
+/// the solve began, so a memo that serves many solves counts each hit
+/// once.
+fn flush_obs(stats: &SolveStats, swept_empty: bool, memo: &EvalMemo, before: (u64, u64, u64)) {
     cactid_obs::counter!("core.solve.calls").inc();
     cactid_obs::counter!("core.solve.orgs_enumerated").add(stats.orgs_enumerated as u64);
     cactid_obs::counter!("core.solve.bound_pruned").add(stats.bound_pruned as u64);
@@ -195,6 +183,9 @@ fn flush_obs(stats: &SolveStats, swept_empty: bool) {
     if swept_empty {
         cactid_obs::counter!("core.solve.no_feasible").inc();
     }
+    cactid_obs::counter!("core.solve.incremental_reuse").add(memo.reuse_hits() - before.0);
+    cactid_obs::counter!("core.memo.designs").add(memo.designs() - before.1);
+    cactid_obs::counter!("core.memo.design_hits").add(memo.design_hits() - before.2);
 }
 
 /// What the bank-level half of a solve found.
@@ -212,9 +203,9 @@ struct Swept {
 ///
 /// A solve has two halves. The bank-level half enumerates the
 /// organizations of one bank, pre-screens them and runs the data-array
-/// models through one [`array::EvalMemo`]; it reads only fields the array
-/// key keeps. The per-spec half ([`ArraySweep::solve`]) designs the tag,
-/// assembles main memory, multiplies by the bank count
+/// models through the caller's [`EvalMemo`]; it reads only fields the
+/// array key keeps. The per-spec half ([`ArraySweep::solve`]) designs the
+/// tag, assembles main memory, multiplies by the bank count
 /// ([`Solution`]'s assembly), lints and counts. So every spec that shares
 /// the key gets bitwise the [`solve_with_stats`] outcome from one sweep.
 ///
@@ -254,12 +245,11 @@ impl ArraySweep {
     /// doomed model evaluations. The unscreened reference path evaluates
     /// every candidate from scratch with [`array::evaluate`], keeping the
     /// debug oracle independent of the memo machinery.
-    fn sweep(&self) -> &Swept {
+    fn sweep(&self, memo: &mut EvalMemo) -> &Swept {
         self.swept.get_or_init(|| {
             let _span = cactid_obs::span("core.array_sweep");
             let key = &self.key;
             let ctx = SpecCtx::array(key);
-            let mut memo = array::EvalMemo::new();
             let mut swept = Swept {
                 orgs_enumerated: 0,
                 bound_pruned: 0,
@@ -268,25 +258,25 @@ impl ArraySweep {
             };
             for org in org::enumerate_lazy(key) {
                 swept.orgs_enumerated += 1;
-                if self
-                    .screen
-                    .rejects(&mut memo, &ctx.cell, org.rows(key), org.cols(key))
-                {
-                    swept.bound_pruned += 1;
-                    continue;
-                }
                 let input = ctx.build_input(&org);
-                let evaluated = match self.screen {
-                    Screen::Off => array::evaluate(ctx.tech, &input),
-                    Screen::Exact => array::evaluate_incremental(ctx.tech, &input, &mut memo),
+                // `evaluate_incremental` screens first and fails only on
+                // the screen, so its failures are the bound-pruned ones.
+                let (evaluated, pruned) = match self.screen {
+                    Screen::Off => (
+                        array::evaluate(ctx.tech, &input),
+                        &mut swept.electrical_pruned,
+                    ),
+                    Screen::Exact => (
+                        array::evaluate_incremental(ctx.tech, &input, memo),
+                        &mut swept.bound_pruned,
+                    ),
                 };
                 match evaluated {
                     Ok(data) => swept.survivors.push((org, data)),
-                    Err(_) => swept.electrical_pruned += 1,
+                    Err(_) => *pruned += 1,
                 }
             }
             cactid_obs::counter!("core.solve.array_sweeps").inc();
-            cactid_obs::counter!("core.solve.incremental_reuse").add(memo.reuse_hits());
             swept
         })
     }
@@ -295,16 +285,26 @@ impl ArraySweep {
     /// what [`solve_with_stats`] returns for it, stats included. A failed
     /// tag design returns first, with zeroed stats and without sweeping.
     ///
+    /// The tag design and, on the first call, the bank-level half run
+    /// through `memo`. Any memo gives the same bits; one that earlier
+    /// solves filled saves their designs (see [`EvalMemo`]).
+    ///
     /// # Panics
     ///
     /// If `spec`'s [`MemorySpec::array_key`] is not this sweep's.
-    pub fn solve(&self, spec: &MemorySpec, linter: Option<&dyn SolutionLinter>) -> SolveOutcome {
+    pub fn solve(
+        &self,
+        spec: &MemorySpec,
+        linter: Option<&dyn SolutionLinter>,
+        memo: &mut EvalMemo,
+    ) -> SolveOutcome {
         assert!(
             spec.array_key() == self.key,
             "ArraySweep::solve: the spec's bank geometry is not this sweep's"
         );
-        let (outcome, swept_empty) = self.assemble(spec, linter);
-        flush_obs(&outcome.stats, swept_empty);
+        let before = (memo.reuse_hits(), memo.designs(), memo.design_hits());
+        let (outcome, swept_empty) = self.assemble(spec, linter, memo);
+        flush_obs(&outcome.stats, swept_empty, memo, before);
         outcome
     }
 
@@ -314,9 +314,10 @@ impl ArraySweep {
         &self,
         spec: &MemorySpec,
         linter: Option<&dyn SolutionLinter>,
+        memo: &mut EvalMemo,
     ) -> (SolveOutcome, bool) {
         let mut stats = SolveStats::default();
-        let ctx = match SpecCtx::new(spec) {
+        let ctx = match SpecCtx::new(spec, memo) {
             Ok(ctx) => ctx,
             Err(e) => {
                 return (
@@ -328,7 +329,7 @@ impl ArraySweep {
                 )
             }
         };
-        let swept = self.sweep();
+        let swept = self.sweep(memo);
         stats.orgs_enumerated = swept.orgs_enumerated;
         stats.bound_pruned = swept.bound_pruned;
         stats.electrical_pruned = swept.electrical_pruned;
@@ -366,7 +367,8 @@ impl ArraySweep {
 /// organization for `spec` through the staged pipeline and returns the
 /// full solution set together with the [`SolveStats`] of the sweep. It
 /// never panics on infeasible specs. This is one [`ArraySweep`] used
-/// once; batch engines share one across the specs of a bank geometry.
+/// once, on a fresh [`EvalMemo`]; batch engines share one sweep across the
+/// specs of a bank geometry, and one memo per worker across sweeps.
 ///
 /// With a `linter`, every assembled candidate is consulted: candidates
 /// with any `Error`-severity diagnostic are rejected from the solution
@@ -379,7 +381,7 @@ impl ArraySweep {
 /// threads.
 pub fn solve_with_stats(spec: &MemorySpec, linter: Option<&dyn SolutionLinter>) -> SolveOutcome {
     let _span = cactid_obs::span("core.solve");
-    ArraySweep::new(spec).solve(spec, linter)
+    ArraySweep::new(spec).solve(spec, linter, &mut EvalMemo::new())
 }
 
 /// Per-reason counts of candidates rejected by the closed-form screen,
@@ -488,7 +490,7 @@ pub fn static_screen(spec: &MemorySpec) -> StaticScreen {
     // design is the only per-spec stage that can fail before enumeration.
     let tech = Technology::cached(spec.node);
     if spec.kind.is_cache() {
-        if let Err(e) = tag::design_tag(tech, spec) {
+        if let Err(e) = tag::design_tag(tech, spec, &mut EvalMemo::new()) {
             cactid_obs::counter!("core.screen.infeasible").inc();
             return StaticScreen {
                 verdict: ScreenVerdict::Infeasible(e),
@@ -524,8 +526,9 @@ pub fn static_screen(spec: &MemorySpec) -> StaticScreen {
 
 /// The debug-only unpruned reference path: every enumerated candidate runs
 /// through the full electrical models from scratch, with the pre-screen
-/// and the memo disabled. Exists so equivalence tests can prove the
-/// staged/pruned pipeline returns exactly the same solution set —
+/// and the memo disabled (the tag is designed on a fresh memo). Exists so
+/// equivalence tests can prove the staged/pruned pipeline returns exactly
+/// the same solution set —
 /// `bound_pruned` here is always zero and `electrical_pruned` reports what
 /// the staged path prunes by bound.
 pub fn solve_with_stats_reference(
@@ -533,7 +536,7 @@ pub fn solve_with_stats_reference(
     linter: Option<&dyn SolutionLinter>,
 ) -> SolveOutcome {
     let _span = cactid_obs::span("core.solve");
-    ArraySweep::with_screen(spec, Screen::Off).solve(spec, linter)
+    ArraySweep::with_screen(spec, Screen::Off).solve(spec, linter, &mut EvalMemo::new())
 }
 
 /// Evaluates every feasible organization for `spec` and returns the full

@@ -1,11 +1,12 @@
 //! Tag-array model: a small array evaluated with the same machinery as the
 //! data array, plus the tag comparator.
 
-use crate::array::{self, ArrayInput, ArrayResult};
+use crate::array::{self, ArrayInput, ArrayResult, EvalMemo};
 use crate::error::CactiError;
 use crate::spec::MemorySpec;
-use cactid_tech::{DeviceParams, Technology};
+use cactid_tech::{CellParams, DeviceParams, Technology};
 use cactid_units::{Joules, Seconds};
+use std::sync::Arc;
 
 /// Result of designing the tag array for a cache.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,6 +31,19 @@ impl TagResult {
     }
 }
 
+/// What a finished tag design reads besides the device context: the
+/// bank's tag geometry and the knobs that reach its array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct TagKey {
+    device: u32,
+    sets_per_bank: u64,
+    tag_bits: u32,
+    associativity: u32,
+    address_bits: u32,
+    repeater_relax: u64,
+    sleep_transistors: bool,
+}
+
 fn fo4(dev: &DeviceParams) -> Seconds {
     let cin = (1.0 + dev.p_to_n_ratio) * dev.c_gate;
     let cself = (1.0 + dev.p_to_n_ratio) * dev.c_drain;
@@ -39,16 +53,53 @@ fn fo4(dev: &DeviceParams) -> Seconds {
 /// Designs the per-bank tag array for `spec`, choosing the internal
 /// organization that minimizes tag access time.
 ///
+/// The candidates are evaluated through `memo`, and the finished design
+/// (or its failure) is kept there under the tag geometry: the device
+/// context, sets per bank, tag bits, associativity, address bits,
+/// `repeater_relax` and `sleep_transistors` — everything the design
+/// reads. Another spec with the same tag geometry gets the stored design,
+/// bitwise what a fresh memo would give it.
+///
 /// # Errors
 ///
 /// Returns [`CactiError::NoFeasibleSolution`] if no tag organization is
 /// electrically feasible.
-pub fn design_tag(tech: &Technology, spec: &MemorySpec) -> Result<TagResult, CactiError> {
+pub fn design_tag(
+    tech: &Technology,
+    spec: &MemorySpec,
+    memo: &mut EvalMemo,
+) -> Result<Arc<TagResult>, CactiError> {
+    let cell = tech.cell(spec.cell_tech);
+    let periph = tech.peripheral_device(spec.cell_tech);
+    let key = TagKey {
+        device: memo.intern_device(tech, &cell, &periph),
+        sets_per_bank: spec.sets_per_bank(),
+        tag_bits: spec.tag_bits(),
+        associativity: spec.associativity,
+        address_bits: spec.address_bits,
+        repeater_relax: spec.opt.repeater_relax.to_bits(),
+        sleep_transistors: spec.opt.sleep_transistors,
+    };
+    if let Some(tag) = memo.tag(&key) {
+        return tag;
+    }
+    // Every candidate shares the device interned above, so evaluating
+    // them cannot renumber it before the insert.
+    let tag = design(tech, spec, cell, periph, memo).map(Arc::new);
+    memo.insert_tag(key, tag.clone());
+    tag
+}
+
+fn design(
+    tech: &Technology,
+    spec: &MemorySpec,
+    cell: CellParams,
+    periph: DeviceParams,
+    memo: &mut EvalMemo,
+) -> Result<TagResult, CactiError> {
     let sets = spec.sets_per_bank();
     let tag_bits = u64::from(spec.tag_bits());
     let assoc = u64::from(spec.associativity);
-    let cell = tech.cell(spec.cell_tech);
-    let periph = tech.peripheral_device(spec.cell_tech);
 
     let mut best: Option<ArrayResult> = None;
     for ntspd in [1u64, 2, 4] {
@@ -84,7 +135,7 @@ pub fn design_tag(tech: &Technology, spec: &MemorySpec) -> Result<TagResult, Cac
                         sleep_transistors: spec.opt.sleep_transistors,
                         sense_fraction: 1.0,
                     };
-                    if let Ok(r) = array::evaluate(tech, &input) {
+                    if let Ok(r) = array::evaluate_incremental(tech, &input, memo) {
                         let better = match &best {
                             None => true,
                             Some(b) => r.access_time() < b.access_time(),
@@ -140,7 +191,7 @@ mod tests {
     fn tag_is_much_smaller_and_faster_than_data_capacity_suggests() {
         let tech = Technology::new(TechNode::N32);
         let s = spec(1 << 20, CellTechnology::Sram);
-        let tag = design_tag(&tech, &s).unwrap();
+        let tag = design_tag(&tech, &s, &mut EvalMemo::new()).unwrap();
         // 1 MB / 64 B lines × ~27 tag bits ≈ 54 kbit ≈ 7 kB of tags.
         assert!(
             tag.array.area() < SquareMeters::from_si(1e-6),
@@ -154,15 +205,30 @@ mod tests {
     #[test]
     fn bigger_cache_has_bigger_tag_array() {
         let tech = Technology::new(TechNode::N32);
-        let small = design_tag(&tech, &spec(1 << 20, CellTechnology::Sram)).unwrap();
-        let big = design_tag(&tech, &spec(1 << 24, CellTechnology::Sram)).unwrap();
+        let small = design_tag(
+            &tech,
+            &spec(1 << 20, CellTechnology::Sram),
+            &mut EvalMemo::new(),
+        )
+        .unwrap();
+        let big = design_tag(
+            &tech,
+            &spec(1 << 24, CellTechnology::Sram),
+            &mut EvalMemo::new(),
+        )
+        .unwrap();
         assert!(big.array.area() > small.array.area());
     }
 
     #[test]
     fn dram_tags_work_too() {
         let tech = Technology::new(TechNode::N32);
-        let tag = design_tag(&tech, &spec(8 << 20, CellTechnology::LpDram)).unwrap();
+        let tag = design_tag(
+            &tech,
+            &spec(8 << 20, CellTechnology::LpDram),
+            &mut EvalMemo::new(),
+        )
+        .unwrap();
         assert!(tag.array.refresh_power > Watts::ZERO);
     }
 }

@@ -6,8 +6,9 @@
 //! geometry must give every spec of that geometry exactly its own solve.
 
 use cactid_core::{
-    array, org, solve_with_stats, solve_with_stats_reference, AccessMode, ArraySweep, Diagnostic,
-    Location, MemoryKind, MemorySpec, OrgParams, Solution, SolutionLinter, SolveOutcome,
+    array, org, solve_with_stats, solve_with_stats_reference, tag, AccessMode, ArraySweep,
+    Diagnostic, Location, MemoryKind, MemorySpec, OptimizationOptions, OrgParams, Solution,
+    SolutionLinter, SolveOutcome,
 };
 use cactid_tech::{CellTechnology, TechNode, Technology};
 
@@ -171,6 +172,113 @@ fn incremental_evaluation_matches_from_scratch_at_every_axis_boundary() {
     }
 }
 
+/// A 4 MB COMM-DRAM cache at 45 nm: a node and a cell no other spec here
+/// pairs.
+fn comm_dram_cache_45() -> MemorySpec {
+    MemorySpec::builder()
+        .capacity_bytes(4 << 20)
+        .block_bytes(64)
+        .associativity(8)
+        .banks(1)
+        .cell_tech(CellTechnology::CommDram)
+        .node(TechNode::N45)
+        .kind(MemoryKind::Cache {
+            access_mode: AccessMode::Normal,
+        })
+        .build()
+        .unwrap()
+}
+
+/// One memo carried through specs of different technologies, forward and
+/// then in reverse, gives every candidate bitwise its from-scratch
+/// evaluation and every tag bitwise its from-scratch design. Each
+/// candidate of `sram-l2` is evaluated four times in a row: as is, with
+/// twice the output width, with `repeater_relax` 1.5, and with the same
+/// cell and peripheral tables on the 45 nm wires. The four share every
+/// organization key, so a slot or design that outlived its context (the
+/// spine width in `consts`, the H-tree, the output driver) would return a
+/// stale value and diverge. The reverse pass revisits every context, so
+/// it must find every circuit in the design tables.
+#[test]
+fn one_memo_carried_across_contexts_matches_from_scratch() {
+    let relaxed = MemorySpec {
+        opt: OptimizationOptions {
+            repeater_relax: 1.5,
+            ..OptimizationOptions::default()
+        },
+        ..sram_l2()
+    };
+    // Groups of (label, spec, output-width multiplier, technology) that
+    // enumerate the same organizations, evaluated interleaved candidate by
+    // candidate.
+    let own = |spec: MemorySpec, widen: u64| {
+        let tech = Technology::cached(spec.node);
+        (spec, widen, tech)
+    };
+    let groups = [
+        vec![
+            ("sram-l2", own(sram_l2(), 1)),
+            ("sram-l2-wide", own(sram_l2(), 2)),
+            ("sram-l2-relaxed", own(relaxed, 1)),
+            (
+                "sram-l2-45nm-wires",
+                (sram_l2(), 1, Technology::cached(TechNode::N45)),
+            ),
+        ],
+        vec![("sram-192k-3way", own(sram_odd_assoc(), 1))],
+        vec![("lp-dram-l3", own(lp_dram_l3(), 1))],
+        vec![("comm-dram-45nm", own(comm_dram_cache_45(), 1))],
+    ];
+    let mut memo = array::EvalMemo::new();
+    let mut forward_designs = 0;
+    for pass in ["forward", "reverse"] {
+        let mut order = groups.to_vec();
+        if pass == "reverse" {
+            order.reverse();
+            order.iter_mut().for_each(|group| group.reverse());
+        }
+        for group in &order {
+            let (_, (first, _, _)) = &group[0];
+            let mut feasible = 0u64;
+            for o in org::enumerate_lazy(first) {
+                for (label, (spec, widen, tech)) in group {
+                    let mut input = own_input(spec, &o);
+                    input.output_bits *= widen;
+                    let fresh = array::evaluate(tech, &input);
+                    let shared = array::evaluate_incremental(tech, &input, &mut memo);
+                    assert_eq!(
+                        format!("{shared:?}"),
+                        format!("{fresh:?}"),
+                        "{pass} {label}: divergence at org {o:?}"
+                    );
+                    feasible += u64::from(fresh.is_ok());
+                }
+            }
+            assert!(feasible > 0, "{pass}: nothing evaluated");
+            for (label, (spec, _, tech)) in group {
+                let shared = tag::design_tag(tech, spec, &mut memo);
+                let fresh = tag::design_tag(tech, spec, &mut array::EvalMemo::new());
+                assert!(fresh.is_ok(), "{pass} {label}");
+                assert_eq!(
+                    format!("{shared:?}"),
+                    format!("{fresh:?}"),
+                    "{pass} {label}: tag design"
+                );
+            }
+        }
+        if pass == "forward" {
+            forward_designs = memo.designs();
+        }
+    }
+    assert!(forward_designs > 0);
+    assert_eq!(
+        memo.designs(),
+        forward_designs,
+        "the reverse pass redesigned a circuit the tables hold"
+    );
+    assert!(memo.design_hits() > 0);
+}
+
 #[test]
 fn bound_pruning_fires_on_the_comm_dram_smoke_spec() {
     // The 128 MB smoke chip and the same chip at 1 GB (a DIMM's part).
@@ -262,9 +370,10 @@ fn assert_family_shares_one_sweep(
 ) -> ArraySweep {
     let members = bank_family(base);
     let sweep = ArraySweep::new(&members[3]);
+    let mut memo = array::EvalMemo::new();
     for spec in members.iter().rev() {
         assert_eq!(spec.array_key(), base.array_key(), "{label}");
-        let shared = sweep.solve(spec, linter);
+        let shared = sweep.solve(spec, linter, &mut memo);
         let own = solve_with_stats(spec, linter);
         let label = format!("{label} x{}", spec.n_banks);
         assert_eq!(shared.stats, own.stats, "{label}");
@@ -354,7 +463,7 @@ fn a_failed_tag_design_returns_first_without_sweeping() {
         .build()
         .unwrap();
     let sweep = assert_family_shares_one_sweep("tag-failure", &base, None);
-    let out = sweep.solve(&base, None);
+    let out = sweep.solve(&base, None, &mut array::EvalMemo::new());
     assert!(out.result.is_err());
     assert_eq!(out.stats, cactid_core::SolveStats::default());
     assert!(
@@ -371,5 +480,5 @@ fn a_sweep_refuses_a_spec_of_another_geometry() {
         n_banks: 2,
         ..sram_l2()
     };
-    sweep.solve(&other, None);
+    sweep.solve(&other, None, &mut array::EvalMemo::new());
 }

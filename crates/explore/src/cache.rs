@@ -18,6 +18,11 @@
 //! one bank, so every member's own [`cactid_core::solve_with_stats`] would
 //! return the same bits. [`SolveCache::solve_point`] is the one-member case.
 //!
+//! A cache also lends [`EvalMemo`]s from a small pool, one per concurrent
+//! solve, so every solve through one cache reuses the circuits and tag
+//! designs earlier solves designed in the same technology. A memo keys
+//! each design by everything it reads, so this changes no output bit.
+//!
 //! The solve itself runs with the mutex *released* — only lookup and
 //! insert take the lock — so concurrent workers memoize without
 //! serializing on each other. Two threads racing on the same cold spec may
@@ -26,7 +31,7 @@
 //! duplicated work by pre-grouping its points per sweep key and spec.
 
 use crate::hash::spec_fingerprint;
-use cactid_core::{select, ArraySweep, CactiError, MemorySpec, Solution};
+use cactid_core::{select, ArraySweep, CactiError, EvalMemo, MemorySpec, Solution};
 use cactid_core::{SolutionLinter, SolveStats};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -62,6 +67,9 @@ pub struct GroupSolve {
 #[derive(Debug, Default)]
 pub struct SolveCache {
     map: Mutex<HashMap<u64, Vec<(MemorySpec, CachedSolve)>>>,
+    /// Idle evaluation memos; a solve takes one and puts it back, so the
+    /// pool holds at most one per solve that ever ran concurrently.
+    memos: Mutex<Vec<EvalMemo>>,
 }
 
 impl SolveCache {
@@ -78,9 +86,7 @@ impl SolveCache {
     }
 
     fn lock(&self) -> MutexGuard<'_, HashMap<u64, Vec<(MemorySpec, CachedSolve)>>> {
-        self.map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock(&self.map)
     }
 
     /// The number of memoized specs.
@@ -93,9 +99,11 @@ impl SolveCache {
         self.len() == 0
     }
 
-    /// Drops every entry (benchmarks use this to re-run cold).
+    /// Drops every entry and every pooled memo (benchmarks use this to
+    /// re-run cold).
     pub fn clear(&self) {
         self.lock().clear();
+        lock(&self.memos).clear();
     }
 
     /// Solves `spec` (solve → §2.4 select) through the memo. Returns the
@@ -163,7 +171,9 @@ impl SolveCache {
         cactid_obs::counter!("explore.cache.misses").add(misses.len() as u64);
         // Sweep and select outside the lock; expensive points must not
         // serialize the rest of the pool.
-        let outcome = sweep.solve(specs[first_miss], linter);
+        let mut memo = lock(&self.memos).pop().unwrap_or_default();
+        let outcome = sweep.solve(specs[first_miss], linter, &mut memo);
+        lock(&self.memos).push(memo);
         let stats = outcome.stats;
         let solved: Vec<CachedSolve> = misses
             .iter()
@@ -201,6 +211,12 @@ impl SolveCache {
             sweep: Some(stats),
         }
     }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// [`cactid_core::optimize`] through an explicit, caller-owned memo: the

@@ -405,11 +405,13 @@ fn static_screen_and_solve_agree_on_random_specs() {
 /// and bank count `k`, the spec with `k` times the capacity over `k`
 /// banks and the one-bank spec share [`ArraySweep`], and solving both
 /// through it (many banks first) returns bitwise each one's own
-/// `solve_with_stats`, stats included.
+/// `solve_with_stats`, stats included — with one memo carried through
+/// every case, as a pooled memo is.
 #[test]
 fn one_array_sweep_serves_every_spec_of_its_bank_geometry() {
-    use cacti_d::core::{solve_with_stats, ArraySweep};
+    use cacti_d::core::{solve_with_stats, ArraySweep, EvalMemo};
     let mut rng = XorShift64Star::new(0xCAC7_1D10);
+    let mut memo = EvalMemo::new();
     let modes = [AccessMode::Normal, AccessMode::Sequential, AccessMode::Fast];
     for _ in 0..CASES / 2 {
         let cap_shift = rng.next_in_range(14, 21) as u32;
@@ -436,7 +438,7 @@ fn one_array_sweep_serves_every_spec_of_its_bank_geometry() {
         assert_eq!(one.array_key(), many.array_key());
         let sweep = ArraySweep::new(&many);
         for spec in [&many, &one] {
-            let shared = sweep.solve(spec, None);
+            let shared = sweep.solve(spec, None, &mut memo);
             let own = solve_with_stats(spec, None);
             assert_eq!(shared.stats, own.stats, "{spec:?}");
             assert_eq!(
@@ -448,69 +450,84 @@ fn one_array_sweep_serves_every_spec_of_its_bank_geometry() {
     }
 }
 
-/// Memo-carrying evaluation is order-independent: evaluating a spec's
-/// candidates in a shuffled order through one shared [`EvalMemo`] returns,
-/// for every candidate, exactly the from-scratch result. Sweep order only
-/// changes which slices hit; it can never change what a slice returns,
-/// because every slice is keyed by the complete set of inputs it reads.
+/// Memo-carrying evaluation is independent of order and of context:
+/// evaluating the candidates of two random specs (random cells, nodes and
+/// `repeater_relax`), shuffled together, through one [`EvalMemo`] that
+/// every case shares returns, for every candidate, exactly the
+/// from-scratch result. Sweep order and earlier contexts only change which
+/// slots and design tables hit; they can never change what a lookup
+/// returns, because every key covers the complete set of inputs it reads.
 #[test]
 fn incremental_evaluation_carries_no_enumeration_order_dependence() {
     use cacti_d::core::array::{evaluate, evaluate_incremental, ArrayInput, EvalMemo};
     use cacti_d::core::org;
 
     let mut rng = XorShift64Star::new(0xCAC7_1D0A);
+    let mut memo = EvalMemo::new();
     for _ in 0..CASES / 4 {
-        let cap_shift = rng.next_in_range(16, 21) as u32;
-        let assoc = 1u32 << rng.next_in_range(0, 4) as u32;
-        let cell_tech = CellTechnology::ALL[rng.next_below(3) as usize];
-        let spec = MemorySpec::builder()
-            .capacity_bytes(1u64 << cap_shift)
-            .block_bytes(64)
-            .associativity(assoc)
-            .banks(1)
-            .cell_tech(cell_tech)
-            .node(TechNode::N32)
-            .kind(MemoryKind::Cache {
-                access_mode: AccessMode::Normal,
-            })
-            .build()
-            .unwrap();
-        let tech = Technology::new(TechNode::N32);
-        let cell = tech.cell(cell_tech);
-        let periph = tech.peripheral_device(cell_tech);
-
-        // Fisher–Yates shuffle of the sweep order.
-        let mut orgs: Vec<_> = org::enumerate_lazy(&spec).collect();
-        for i in (1..orgs.len()).rev() {
-            let j = rng.next_below(i as u64 + 1) as usize;
-            orgs.swap(i, j);
+        let mut inputs = Vec::new();
+        for _ in 0..2 {
+            let cap_shift = rng.next_in_range(16, 21) as u32;
+            let assoc = 1u32 << rng.next_in_range(0, 4) as u32;
+            let cell_tech = CellTechnology::ALL[rng.next_below(3) as usize];
+            let node = [TechNode::N32, TechNode::N45, TechNode::N65, TechNode::N90]
+                [rng.next_below(4) as usize];
+            let repeater_relax = [1.0, 1.5][rng.next_below(2) as usize];
+            let Ok(spec) = MemorySpec::builder()
+                .capacity_bytes(1u64 << cap_shift)
+                .block_bytes(64)
+                .associativity(assoc)
+                .banks(1)
+                .cell_tech(cell_tech)
+                .node(node)
+                .kind(MemoryKind::Cache {
+                    access_mode: AccessMode::Normal,
+                })
+                .build()
+            else {
+                continue;
+            };
+            let tech = Technology::cached(node);
+            for o in org::enumerate_lazy(&spec) {
+                let input = ArrayInput {
+                    rows: o.rows(&spec),
+                    cols: o.cols(&spec),
+                    ndwl: o.ndwl,
+                    ndbl: o.ndbl,
+                    deg_bl_mux: o.deg_bl_mux,
+                    deg_sa_mux: o.deg_sa_mux,
+                    output_bits: spec.output_bits(),
+                    address_bits: spec.address_bits,
+                    cell: tech.cell(cell_tech),
+                    periph: tech.peripheral_device(cell_tech),
+                    repeater_relax,
+                    sleep_transistors: spec.opt.sleep_transistors,
+                    sense_fraction: spec.sense_fraction(),
+                };
+                inputs.push((tech, o, input));
+            }
         }
 
-        let mut memo = EvalMemo::new();
-        for o in &orgs {
-            let input = ArrayInput {
-                rows: o.rows(&spec),
-                cols: o.cols(&spec),
-                ndwl: o.ndwl,
-                ndbl: o.ndbl,
-                deg_bl_mux: o.deg_bl_mux,
-                deg_sa_mux: o.deg_sa_mux,
-                output_bits: spec.output_bits(),
-                address_bits: spec.address_bits,
-                cell,
-                periph,
-                repeater_relax: spec.opt.repeater_relax,
-                sleep_transistors: spec.opt.sleep_transistors,
-                sense_fraction: spec.sense_fraction(),
-            };
+        // Fisher–Yates shuffle of the two sweeps together.
+        for i in (1..inputs.len()).rev() {
+            let j = rng.next_below(i as u64 + 1) as usize;
+            inputs.swap(i, j);
+        }
+
+        for (tech, o, input) in &inputs {
             match (
-                evaluate(&tech, &input),
-                evaluate_incremental(&tech, &input, &mut memo),
+                evaluate(tech, input),
+                evaluate_incremental(tech, input, &mut memo),
             ) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "shuffled-order divergence at org {o:?}"),
+                (Ok(a), Ok(b)) => assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "shuffled-order divergence at org {o:?}"
+                ),
                 (Err(_), Err(_)) => {}
                 (a, b) => panic!("feasibility flipped at org {o:?}: {a:?} vs {b:?}"),
             }
         }
     }
+    assert!(memo.design_hits() > 0);
 }
