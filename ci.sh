@@ -159,6 +159,20 @@ test "$WHOLE" -lt "$HALVES" || {
     echo "the memo pool shared no designs: $WHOLE designs whole, $HALVES in halves" >&2
     exit 1
 }
+# Winners only: an unlinted explore builds one Solution per select that
+# found a winner, not one per feasible candidate.
+trace_counter() {
+    V=$(grep -o "\"name\":\"$1\",\"value\":[0-9]*" "$2" | sed 's/.*://')
+    echo "${V:-0}"
+}
+T2="$TDIR/t2.trace.jsonl"
+ASSEMBLED=$(trace_counter core.solve.assembled "$T2")
+WINNERS=$(( $(trace_counter core.select.calls "$T2") - $(trace_counter core.select.no_feasible "$T2") ))
+FEASIBLE=$(trace_counter core.solve.feasible "$T2")
+test "$ASSEMBLED" -eq "$WINNERS" && test "$ASSEMBLED" -lt "$FEASIBLE" || {
+    echo "explore assembled $ASSEMBLED solutions for $WINNERS winners of $FEASIBLE feasible" >&2
+    exit 1
+}
 rm -rf "$TDIR"
 
 echo "== cactid audit smoke run (static grid analysis + json diagnostics)"

@@ -6,7 +6,7 @@ use crate::registry::{RuleRegistry, SeverityOverrides};
 use crate::rule::{Rule, Stage};
 use crate::run::RunContext;
 use cactid_core::lint::{Diagnostic, Report, SolutionLinter};
-use cactid_core::{CactiError, MemorySpec, OrgParams, Solution};
+use cactid_core::{ArraySweep, CactiError, EvalMemo, MemorySpec, OrgParams, Solution};
 
 /// The diagnostics engine: a [`RuleRegistry`] plus a set of
 /// [`SeverityOverrides`], runnable per stage over specs, organizations,
@@ -172,8 +172,9 @@ fn reject_spec_errors(analyzer: &Analyzer, spec: &MemorySpec) -> Result<(), Cact
 pub fn optimize(spec: &MemorySpec) -> Result<Solution, CactiError> {
     let analyzer = Analyzer::new();
     reject_spec_errors(&analyzer, spec)?;
-    let all = cactid_core::solve_with_stats(spec, Some(&analyzer)).result?;
-    cactid_core::select(spec, &all)
+    ArraySweep::new(spec)
+        .select(&[spec], Some(&analyzer), &mut EvalMemo::new())
+        .into_first()
 }
 
 #[cfg(test)]

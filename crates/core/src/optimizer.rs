@@ -7,15 +7,17 @@
 //! full circuit models run, and per-spec invariants (technology parameters,
 //! the tag design) are hoisted out of the per-candidate loop. The data-array
 //! half of the sweep reads only one bank's geometry, so an [`ArraySweep`]
-//! runs it once for every spec that shares [`MemorySpec::array_key`].
+//! runs it once for every spec that shares [`MemorySpec::array_key`]. The
+//! §2.4 ranking reads six numbers per candidate, so a select ranks compact
+//! rows and assembles a [`Solution`] for its winner alone.
 
 use crate::array::{self, ArrayInput, ArrayResult, EvalMemo};
 use crate::error::CactiError;
-use crate::lint::{Severity, SolutionLinter};
-use crate::main_memory;
+use crate::lint::{Diagnostic, Severity, SolutionLinter};
+use crate::main_memory::{self, MainMemoryResult};
 use crate::org::{self, OrgParams};
-use crate::solution::Solution;
-use crate::spec::{MemoryKind, MemorySpec};
+use crate::solution::{Metrics, Solution};
+use crate::spec::{MemoryKind, MemorySpec, OptimizationOptions};
 use crate::tag::{self, TagResult};
 use cactid_tech::{CellParams, DeviceParams, Technology};
 use std::cell::OnceCell;
@@ -79,6 +81,34 @@ impl<'a> SpecCtx<'a> {
             sense_fraction: self.sense_fraction,
         }
     }
+
+    /// The chip-level result of a main-memory candidate; `None` for caches
+    /// and RAM.
+    fn main_memory(
+        &self,
+        org: &OrgParams,
+        data: &ArrayResult,
+    ) -> Result<Option<MainMemoryResult>, CactiError> {
+        match self.spec.kind {
+            MemoryKind::MainMemory { .. } => {
+                main_memory::assemble(self.tech, self.spec, &self.build_input(org), data).map(Some)
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// The [`Solution`] of one surviving candidate.
+    fn solution(&self, (org, data): &(OrgParams, ArrayResult)) -> Result<Solution, CactiError> {
+        let mm = self.main_memory(org, data)?;
+        Ok(Solution::assemble(
+            self.spec,
+            *org,
+            &self.cell,
+            data.clone(),
+            self.tag.clone(),
+            mm,
+        ))
+    }
 }
 
 /// Which pre-screen the staged pipeline runs before the full models.
@@ -89,24 +119,6 @@ enum Screen {
     /// The exact closed-form screen ([`array::prescreen_explain`]), run
     /// memoized as the first step of [`array::evaluate_incremental`].
     Exact,
-}
-
-/// Applies the lint stage to a surviving candidate; `None` means rejected.
-fn admit(
-    spec: &MemorySpec,
-    linter: Option<&dyn SolutionLinter>,
-    mut sol: Solution,
-    stats: &mut SolveStats,
-) -> Option<Solution> {
-    if let Some(linter) = linter {
-        let diags = linter.lint_candidate(spec, &sol);
-        if diags.iter().any(|d| d.severity == Severity::Error) {
-            stats.lint_rejected += 1;
-            return None;
-        }
-        sol.warnings = diags;
-    }
-    Some(sol)
 }
 
 /// Counters describing the work one [`solve_with_stats`] call performed.
@@ -146,46 +158,178 @@ pub struct SolveOutcome {
     pub stats: SolveStats,
 }
 
-/// Wraps a completed sweep's `out` set into the final result and marks
-/// whether the sweep finished with nothing feasible (the only condition
-/// under which the `no_feasible` counter fires — early fatal errors do
-/// not count as an exhausted sweep).
-fn finish_sweep(
-    out: Vec<Solution>,
-    stats: &mut SolveStats,
-) -> (Result<Vec<Solution>, CactiError>, bool) {
-    stats.feasible = out.len();
-    if out.is_empty() {
-        let e = if stats.lint_rejected > 0 {
-            CactiError::LintRejected(stats.lint_rejected)
-        } else {
-            CactiError::NoFeasibleSolution
-        };
-        (Err(e), true)
-    } else {
-        (Ok(out), false)
+/// One solve's counters: its [`SolveStats`], the number of [`Solution`]s
+/// it built, and the memo's lifetime counters `(reuse hits, designs,
+/// design hits)` when it began, so a memo that serves many solves counts
+/// each hit once.
+#[derive(Debug)]
+struct Tally {
+    stats: SolveStats,
+    assembled: u64,
+    memo_before: (u64, u64, u64),
+}
+
+impl Tally {
+    fn start(memo: &EvalMemo) -> Tally {
+        Tally {
+            stats: SolveStats::default(),
+            assembled: 0,
+            memo_before: (memo.reuse_hits(), memo.designs(), memo.design_hits()),
+        }
+    }
+
+    /// Publishes one solve's worth of batched counters to the
+    /// process-global observability registry. The hot loop accumulates
+    /// into the tally and the memo's lifetime counters; this is the single
+    /// flush per solve. `swept_empty` marks a sweep that finished with
+    /// nothing feasible (early fatal errors do not count as an exhausted
+    /// sweep).
+    fn flush(&self, swept_empty: bool, memo: &EvalMemo) {
+        let (stats, before) = (&self.stats, self.memo_before);
+        cactid_obs::counter!("core.solve.calls").inc();
+        cactid_obs::counter!("core.solve.orgs_enumerated").add(stats.orgs_enumerated as u64);
+        cactid_obs::counter!("core.solve.bound_pruned").add(stats.bound_pruned as u64);
+        cactid_obs::counter!("core.solve.electrical_pruned").add(stats.electrical_pruned as u64);
+        cactid_obs::counter!("core.solve.lint_rejected").add(stats.lint_rejected as u64);
+        cactid_obs::counter!("core.solve.feasible").add(stats.feasible as u64);
+        cactid_obs::counter!("core.solve.assembled").add(self.assembled);
+        if swept_empty {
+            cactid_obs::counter!("core.solve.no_feasible").inc();
+        }
+        cactid_obs::counter!("core.solve.incremental_reuse").add(memo.reuse_hits() - before.0);
+        cactid_obs::counter!("core.memo.designs").add(memo.designs() - before.1);
+        cactid_obs::counter!("core.memo.design_hits").add(memo.design_hits() - before.2);
     }
 }
 
-/// Publishes one solve's worth of batched counters to the process-global
-/// observability registry. The hot loop accumulates into [`SolveStats`]
-/// and the memo's lifetime counters; this is the single flush per solve,
-/// and `before` is the memo's `(reuse hits, designs, design hits)` when
-/// the solve began, so a memo that serves many solves counts each hit
-/// once.
-fn flush_obs(stats: &SolveStats, swept_empty: bool, memo: &EvalMemo, before: (u64, u64, u64)) {
-    cactid_obs::counter!("core.solve.calls").inc();
-    cactid_obs::counter!("core.solve.orgs_enumerated").add(stats.orgs_enumerated as u64);
-    cactid_obs::counter!("core.solve.bound_pruned").add(stats.bound_pruned as u64);
-    cactid_obs::counter!("core.solve.electrical_pruned").add(stats.electrical_pruned as u64);
-    cactid_obs::counter!("core.solve.lint_rejected").add(stats.lint_rejected as u64);
-    cactid_obs::counter!("core.solve.feasible").add(stats.feasible as u64);
-    if swept_empty {
-        cactid_obs::counter!("core.solve.no_feasible").inc();
+/// One candidate as §2.4 ranks it: the six metrics the staged
+/// optimization reads, in SI units.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    area: f64,
+    access_time: f64,
+    read_energy: f64,
+    /// Leakage plus refresh power.
+    standby: f64,
+    random_cycle: f64,
+    interleave_cycle: f64,
+}
+
+impl Row {
+    // The ranking is the designated raw-f64 escape hatch: the normalized
+    // weighted objective mixes energy, power and time ratios into one
+    // dimensionless score, so the quantities drop to `.value()` here and
+    // nowhere else in the solver.
+    fn of(m: &Metrics) -> Row {
+        Row {
+            area: m.area.value(),
+            access_time: m.access_time.value(),
+            read_energy: m.read_energy.value(),
+            standby: (m.leakage_power + m.refresh_power).value(),
+            random_cycle: m.random_cycle.value(),
+            interleave_cycle: m.interleave_cycle.value(),
+        }
     }
-    cactid_obs::counter!("core.solve.incremental_reuse").add(memo.reuse_hits() - before.0);
-    cactid_obs::counter!("core.memo.designs").add(memo.designs() - before.1);
-    cactid_obs::counter!("core.memo.design_hits").add(memo.design_hits() - before.2);
+}
+
+/// The staged optimization of §2.4 over ranking rows: the index of the
+/// winner, or `None` when the filters leave nothing (or `rows` is empty).
+/// Every select, full set or winners only, runs through here and counts
+/// the `core.select.*` counters.
+fn rank(opt: &OptimizationOptions, rows: &[Row]) -> Option<usize> {
+    cactid_obs::counter!("core.select.calls").inc();
+    if rows.is_empty() {
+        return None;
+    }
+    // Each minimum folds `f64::min(acc, x)` over its stage in row order,
+    // from +inf; one pass per stage computes them all.
+    let best_area = rows.iter().map(|r| r.area).fold(f64::INFINITY, f64::min);
+    let area_cap = best_area * (1.0 + opt.max_area_overhead);
+    let (mut stage1, mut best_t) = (0, f64::INFINITY);
+    for r in rows.iter().filter(|r| r.area <= area_cap) {
+        stage1 += 1;
+        best_t = f64::min(best_t, r.access_time);
+    }
+    let t_cap = best_t * (1.0 + opt.max_access_time_overhead);
+    let kept = |r: &Row| r.area <= area_cap && r.access_time <= t_cap;
+    let mut stage2 = 0;
+    let [mut e_min, mut l_min, mut c_min, mut i_min] = [f64::INFINITY; 4];
+    for r in rows.iter().filter(|r| kept(r)) {
+        stage2 += 1;
+        e_min = f64::min(e_min, r.read_energy.max(1e-30));
+        l_min = f64::min(l_min, r.standby.max(1e-30));
+        c_min = f64::min(c_min, r.random_cycle.max(1e-30));
+        i_min = f64::min(i_min, r.interleave_cycle.max(1e-30));
+    }
+    cactid_obs::counter!("core.select.area_pruned").add((rows.len() - stage1) as u64);
+    cactid_obs::counter!("core.select.time_pruned").add((stage1 - stage2) as u64);
+
+    let objective = |r: &Row| {
+        opt.weight_dynamic * r.read_energy.max(1e-30) / e_min
+            + opt.weight_leakage * r.standby.max(1e-30) / l_min
+            + opt.weight_cycle * r.random_cycle.max(1e-30) / c_min
+            + opt.weight_interleave * r.interleave_cycle.max(1e-30) / i_min
+    };
+    // `min_by` keeps the first of equal minima.
+    let winner = rows
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| kept(r))
+        .map(|(i, r)| (i, objective(r)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(i, _)| i);
+    if winner.is_none() {
+        cactid_obs::counter!("core.select.no_feasible").inc();
+    }
+    winner
+}
+
+/// The candidates of one spec that survived the data-array models, the
+/// chip assembly and the lint stage, as ranking rows.
+struct Admitted<'a> {
+    ctx: SpecCtx<'a>,
+    survivors: &'a [(OrgParams, ArrayResult)],
+    /// One row per admitted candidate, in sweep order.
+    rows: Vec<Row>,
+    /// Per row: its index in `survivors` and the warnings the linter
+    /// attached to it.
+    origin: Vec<(usize, Vec<Diagnostic>)>,
+}
+
+impl Admitted<'_> {
+    /// Assembles the [`Solution`] of row `k`, warnings included.
+    fn solution(&self, k: usize, tally: &mut Tally) -> Result<Solution, CactiError> {
+        let (i, warnings) = &self.origin[k];
+        let mut sol = self.ctx.solution(&self.survivors[*i])?;
+        tally.assembled += 1;
+        sol.warnings.clone_from(warnings);
+        Ok(sol)
+    }
+}
+
+/// The §2.4 winners of one [`ArraySweep::select`] call.
+#[derive(Debug, Clone)]
+pub struct Winners {
+    /// One winner (or why there is none) per spec, in spec order.
+    pub results: Vec<Result<Solution, CactiError>>,
+    /// Counters of the solve behind them: exactly what
+    /// [`solve_with_stats`] reports for the first spec.
+    pub stats: SolveStats,
+}
+
+impl Winners {
+    /// The first spec's winner: the whole answer of a one-spec select.
+    ///
+    /// # Errors
+    ///
+    /// The first spec's solve or select failure
+    /// ([`CactiError::NoFeasibleSolution`] when there were no specs).
+    pub fn into_first(self) -> Result<Solution, CactiError> {
+        self.results
+            .into_iter()
+            .next()
+            .unwrap_or(Err(CactiError::NoFeasibleSolution))
+    }
 }
 
 /// What the bank-level half of a solve found.
@@ -204,13 +348,15 @@ struct Swept {
 /// A solve has two halves. The bank-level half enumerates the
 /// organizations of one bank, pre-screens them and runs the data-array
 /// models through the caller's [`EvalMemo`]; it reads only fields the
-/// array key keeps. The per-spec half ([`ArraySweep::solve`]) designs the
-/// tag, assembles main memory, multiplies by the bank count
-/// ([`Solution`]'s assembly), lints and counts. So every spec that shares
-/// the key gets bitwise the [`solve_with_stats`] outcome from one sweep.
+/// array key keeps. The per-spec half designs the tag, assembles main
+/// memory, multiplies by the bank count (the metric assembly), lints and
+/// counts. So every spec that shares the key gets bitwise the
+/// [`solve_with_stats`] outcome from one sweep ([`ArraySweep::solve`]),
+/// or bitwise its [`select`] ([`ArraySweep::select`], which builds a
+/// [`Solution`] only for each winner).
 ///
-/// The bank-level half runs lazily, on the first [`ArraySweep::solve`]
-/// whose tag design succeeds, and at most once.
+/// The bank-level half runs lazily, on the first solve or select whose
+/// tag design succeeds, and at most once.
 #[derive(Debug)]
 pub struct ArraySweep {
     key: MemorySpec,
@@ -298,68 +444,139 @@ impl ArraySweep {
         linter: Option<&dyn SolutionLinter>,
         memo: &mut EvalMemo,
     ) -> SolveOutcome {
-        assert!(
-            spec.array_key() == self.key,
-            "ArraySweep::solve: the spec's bank geometry is not this sweep's"
-        );
-        let before = (memo.reuse_hits(), memo.designs(), memo.design_hits());
-        let (outcome, swept_empty) = self.assemble(spec, linter, memo);
-        flush_obs(&outcome.stats, swept_empty, memo, before);
-        outcome
+        let mut tally = Tally::start(memo);
+        let result = self
+            .admit(spec, linter, memo, &mut tally)
+            .and_then(|admitted| {
+                let mut sols = Vec::with_capacity(admitted.rows.len());
+                for k in 0..admitted.rows.len() {
+                    sols.push(admitted.solution(k, &mut tally).map_err(|e| (e, false))?);
+                }
+                Ok(sols)
+            });
+        let swept_empty = matches!(result, Err((_, true)));
+        tally.flush(swept_empty, memo);
+        SolveOutcome {
+            result: result.map_err(|(e, _)| e),
+            stats: tally.stats,
+        }
     }
 
-    /// [`ArraySweep::solve`] without the counter flush; also returns
-    /// whether the solve ended with nothing feasible.
-    fn assemble(
+    /// The winners-only solve: the §2.4 winner of every spec in `specs`,
+    /// each exactly `select(spec, &solve_with_stats(specs[0], linter)?)`,
+    /// with the stats of that solve. The specs must share one
+    /// [`MemorySpec::sweep_key`] (they differ at most in their select-only
+    /// knobs), so one per-spec half, run on the first spec, serves them
+    /// all; each spec then ranks its rows and only its winner becomes a
+    /// [`Solution`]. With a `linter`, every candidate is still assembled
+    /// and linted, and a winner keeps its warnings.
+    ///
+    /// The memo is used as [`ArraySweep::solve`] uses it. No specs, no
+    /// solve.
+    ///
+    /// # Panics
+    ///
+    /// If the specs' [`MemorySpec::array_key`] is not this sweep's.
+    pub fn select(
         &self,
-        spec: &MemorySpec,
+        specs: &[&MemorySpec],
         linter: Option<&dyn SolutionLinter>,
         memo: &mut EvalMemo,
-    ) -> (SolveOutcome, bool) {
-        let mut stats = SolveStats::default();
-        let ctx = match SpecCtx::new(spec, memo) {
-            Ok(ctx) => ctx,
-            Err(e) => {
-                return (
-                    SolveOutcome {
-                        result: Err(e),
-                        stats,
-                    },
-                    false,
-                )
-            }
+    ) -> Winners {
+        let Some(&spec) = specs.first() else {
+            return Winners {
+                results: Vec::new(),
+                stats: SolveStats::default(),
+            };
         };
+        debug_assert!(
+            specs
+                .windows(2)
+                .all(|w| w[0].sweep_key() == w[1].sweep_key()),
+            "ArraySweep::select: the specs must share one sweep key"
+        );
+        let mut tally = Tally::start(memo);
+        let (results, swept_empty) = match self.admit(spec, linter, memo, &mut tally) {
+            Ok(admitted) => {
+                let results = specs
+                    .iter()
+                    .map(|s| match rank(&s.opt, &admitted.rows) {
+                        Some(k) => admitted.solution(k, &mut tally),
+                        None => Err(CactiError::NoFeasibleSolution),
+                    })
+                    .collect();
+                (results, false)
+            }
+            Err((e, swept_empty)) => (specs.iter().map(|_| Err(e.clone())).collect(), swept_empty),
+        };
+        tally.flush(swept_empty, memo);
+        Winners {
+            results,
+            stats: tally.stats,
+        }
+    }
+
+    /// The per-spec half up to the ranking: designs the tag, runs the
+    /// bank-level half if it has not run, then assembles each survivor's
+    /// metrics (through the chip model for main memory) and lints it. The
+    /// error carries whether the sweep ended with nothing feasible.
+    fn admit<'a>(
+        &'a self,
+        spec: &'a MemorySpec,
+        linter: Option<&dyn SolutionLinter>,
+        memo: &mut EvalMemo,
+        tally: &mut Tally,
+    ) -> Result<Admitted<'a>, (CactiError, bool)> {
+        assert!(
+            spec.array_key() == self.key,
+            "ArraySweep: the spec's bank geometry is not this sweep's"
+        );
+        let ctx = SpecCtx::new(spec, memo).map_err(|e| (e, false))?;
         let swept = self.sweep(memo);
+        let stats = &mut tally.stats;
         stats.orgs_enumerated = swept.orgs_enumerated;
         stats.bound_pruned = swept.bound_pruned;
         stats.electrical_pruned = swept.electrical_pruned;
-        let mut out = Vec::with_capacity(swept.survivors.len());
-        for (org, data) in &swept.survivors {
-            let input = ctx.build_input(org);
-            let mm = match spec.kind {
-                MemoryKind::MainMemory { .. } => {
-                    match main_memory::assemble(ctx.tech, spec, &input, data) {
-                        Ok(mm) => Some(mm),
-                        Err(e) => {
-                            return (
-                                SolveOutcome {
-                                    result: Err(e),
-                                    stats,
-                                },
-                                false,
-                            );
-                        }
-                    }
+        let mut rows = Vec::with_capacity(swept.survivors.len());
+        let mut origin = Vec::with_capacity(swept.survivors.len());
+        for (i, candidate) in swept.survivors.iter().enumerate() {
+            let (org, data) = candidate;
+            let (row, warnings) = match linter {
+                None => {
+                    let mm = ctx.main_memory(org, data).map_err(|e| (e, false))?;
+                    let tag = ctx.tag.as_deref();
+                    let metrics = Metrics::of(spec, &ctx.cell, data, tag, mm.as_ref());
+                    (Row::of(&metrics), Vec::new())
                 }
-                _ => None,
+                Some(linter) => {
+                    let sol = ctx.solution(candidate).map_err(|e| (e, false))?;
+                    tally.assembled += 1;
+                    let diags = linter.lint_candidate(spec, &sol);
+                    if diags.iter().any(|d| d.severity == Severity::Error) {
+                        stats.lint_rejected += 1;
+                        continue;
+                    }
+                    (Row::of(&sol.metrics()), diags)
+                }
             };
-            let sol = Solution::assemble(spec, *org, &input, data.clone(), ctx.tag.clone(), mm);
-            if let Some(sol) = admit(spec, linter, sol, &mut stats) {
-                out.push(sol);
-            }
+            rows.push(row);
+            origin.push((i, warnings));
         }
-        let (result, swept_empty) = finish_sweep(out, &mut stats);
-        (SolveOutcome { result, stats }, swept_empty)
+        stats.feasible = rows.len();
+        if rows.is_empty() {
+            let e = if stats.lint_rejected > 0 {
+                CactiError::LintRejected(stats.lint_rejected)
+            } else {
+                CactiError::NoFeasibleSolution
+            };
+            return Err((e, true));
+        }
+        Ok(Admitted {
+            ctx,
+            survivors: &swept.survivors,
+            rows,
+            origin,
+        })
     }
 }
 
@@ -550,7 +767,8 @@ pub fn solve(spec: &MemorySpec) -> Result<Vec<Solution>, CactiError> {
 }
 
 /// Applies the staged optimization of §2.4 to a solution set and returns
-/// the winner.
+/// the winner. [`ArraySweep::select`] runs the same ranking without
+/// building the losers' [`Solution`]s.
 ///
 /// 1. keep solutions with `area ≤ (1 + max_area_overhead) · best_area`;
 /// 2. of those, keep `access_time ≤ (1 + max_access_time_overhead) · best`;
@@ -571,78 +789,23 @@ pub fn solve(spec: &MemorySpec) -> Result<Vec<Solution>, CactiError> {
 /// areas or access times (NaN propagated through a model escape hatch)
 /// fail every `<=` comparison and can empty the stages.
 pub fn select(spec: &MemorySpec, solutions: &[Solution]) -> Result<Solution, CactiError> {
-    cactid_obs::counter!("core.select.calls").inc();
-    if solutions.is_empty() {
-        return Err(CactiError::NoFeasibleSolution);
-    }
-    let opt = &spec.opt;
-
-    // The scoring below is the designated raw-f64 escape hatch: the
-    // normalized weighted objective mixes energy, power and time ratios
-    // into one dimensionless score, so the quantities drop to `.value()`
-    // here and nowhere else in the solver.
-    let best_area = solutions
-        .iter()
-        .map(|s| s.area.value())
-        .fold(f64::INFINITY, f64::min);
-    let area_cap = best_area * (1.0 + opt.max_area_overhead);
-    let stage1: Vec<&Solution> = solutions
-        .iter()
-        .filter(|s| s.area.value() <= area_cap)
-        .collect();
-
-    let best_t = stage1
-        .iter()
-        .map(|s| s.access_time.value())
-        .fold(f64::INFINITY, f64::min);
-    let t_cap = best_t * (1.0 + opt.max_access_time_overhead);
-    let stage2: Vec<&Solution> = stage1
-        .iter()
-        .copied()
-        .filter(|s| s.access_time.value() <= t_cap)
-        .collect();
-
-    let min_of = |f: fn(&Solution) -> f64| {
-        stage2
-            .iter()
-            .map(|s| f(s).max(1e-30))
-            .fold(f64::INFINITY, f64::min)
-    };
-    cactid_obs::counter!("core.select.area_pruned").add((solutions.len() - stage1.len()) as u64);
-    cactid_obs::counter!("core.select.time_pruned").add((stage1.len() - stage2.len()) as u64);
-
-    let e_min = min_of(|s| s.read_energy.value());
-    let l_min = min_of(|s| (s.leakage_power + s.refresh_power).value());
-    let c_min = min_of(|s| s.random_cycle.value());
-    let i_min = min_of(|s| s.interleave_cycle.value());
-
-    stage2
-        .into_iter()
-        .min_by(|a, b| {
-            let obj = |s: &Solution| {
-                opt.weight_dynamic * s.read_energy.value().max(1e-30) / e_min
-                    + opt.weight_leakage * (s.leakage_power + s.refresh_power).value().max(1e-30)
-                        / l_min
-                    + opt.weight_cycle * s.random_cycle.value().max(1e-30) / c_min
-                    + opt.weight_interleave * s.interleave_cycle.value().max(1e-30) / i_min
-            };
-            obj(a).total_cmp(&obj(b))
-        })
-        .cloned()
-        .ok_or_else(|| {
-            cactid_obs::counter!("core.select.no_feasible").inc();
-            CactiError::NoFeasibleSolution
-        })
+    let rows: Vec<Row> = solutions.iter().map(|s| Row::of(&s.metrics())).collect();
+    rank(&spec.opt, &rows)
+        .map(|i| solutions[i].clone())
+        .ok_or(CactiError::NoFeasibleSolution)
 }
 
-/// Convenience: [`solve`] then [`select`].
+/// The §2.4 winner for `spec`: [`select`] over [`solve`], computed by
+/// [`ArraySweep::select`] without assembling the losers.
 ///
 /// # Errors
 ///
 /// Propagates [`CactiError::NoFeasibleSolution`] from the sweep.
 pub fn optimize(spec: &MemorySpec) -> Result<Solution, CactiError> {
-    let all = solve(spec)?;
-    select(spec, &all)
+    let _span = cactid_obs::span("core.solve");
+    ArraySweep::new(spec)
+        .select(&[spec], None, &mut EvalMemo::new())
+        .into_first()
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! Assembled solutions: one evaluated organization with cache-level (tag +
 //! data) and chip-level (main-memory) metrics.
 
-use crate::array::{ArrayInput, ArrayResult};
+use crate::array::ArrayResult;
 use crate::lint::Diagnostic;
 use crate::main_memory::MainMemoryResult;
 use crate::org::OrgParams;
 use crate::spec::{AccessMode, MemoryKind, MemorySpec};
 use crate::tag::TagResult;
+use cactid_tech::CellParams;
 use cactid_units::{Joules, Seconds, SquareMeters, Watts};
 use std::sync::Arc;
 
@@ -46,24 +47,41 @@ pub struct Solution {
     pub warnings: Vec<Diagnostic>,
 }
 
-impl Solution {
-    /// Builds a [`Solution`] from the evaluated parts.
-    pub(crate) fn assemble(
+/// The metrics of one candidate that §2.4 ranks and a [`Solution`]
+/// reports, assembled from its evaluated parts. The solver ranks these
+/// for every candidate and builds a [`Solution`] only for a winner (or a
+/// candidate a linter must see); both go through [`Metrics::of`], so the
+/// two can never disagree by a bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Metrics {
+    pub(crate) access_time: Seconds,
+    pub(crate) random_cycle: Seconds,
+    pub(crate) interleave_cycle: Seconds,
+    pub(crate) area: SquareMeters,
+    pub(crate) area_efficiency: f64,
+    pub(crate) read_energy: Joules,
+    pub(crate) write_energy: Joules,
+    pub(crate) leakage_power: Watts,
+    pub(crate) refresh_power: Watts,
+}
+
+impl Metrics {
+    /// Assembles the cache-level (tag + data) or chip-level (main memory)
+    /// metrics of one data-array evaluation of `spec` with cells `cell`.
+    pub(crate) fn of(
         spec: &MemorySpec,
-        org: OrgParams,
-        input: &ArrayInput,
-        data: ArrayResult,
-        tag: Option<Arc<TagResult>>,
-        main_memory: Option<MainMemoryResult>,
-    ) -> Solution {
+        cell: &CellParams,
+        data: &ArrayResult,
+        tag: Option<&TagResult>,
+        main_memory: Option<&MainMemoryResult>,
+    ) -> Metrics {
         let n_banks = f64::from(spec.n_banks);
-        let cell = &input.cell;
 
         // ---- Access time assembly per access mode ----
         let data_access = data.access_time();
         let access_time = match spec.kind {
             MemoryKind::Cache { access_mode } => {
-                let Some(t) = tag.as_ref() else {
+                let Some(t) = tag else {
                     unreachable!("a cache solution carries a tag array")
                 };
                 match access_mode {
@@ -79,29 +97,29 @@ impl Solution {
             }
             MemoryKind::Ram => data_access,
             MemoryKind::MainMemory { .. } => {
-                let Some(mm) = main_memory.as_ref() else {
+                let Some(mm) = main_memory else {
                     unreachable!("a main-memory solution carries the chip result")
                 };
                 mm.timing.t_rcd + mm.timing.cas_latency
             }
         };
 
-        let random_cycle = match (&spec.kind, &main_memory) {
+        let random_cycle = match (&spec.kind, main_memory) {
             (MemoryKind::MainMemory { .. }, Some(mm)) => mm.timing.t_rc,
             _ => {
-                let tag_cycle = tag.as_ref().map_or(Seconds::ZERO, |t| t.array.random_cycle);
+                let tag_cycle = tag.map_or(Seconds::ZERO, |t| t.array.random_cycle);
                 data.random_cycle.max(tag_cycle)
             }
         };
         let interleave_cycle = data.interleave_cycle;
 
         // ---- Area ----
-        let (area, area_efficiency) = if let Some(mm) = &main_memory {
+        let (area, area_efficiency) = if let Some(mm) = main_memory {
             (mm.chip_area, mm.area_efficiency)
         } else {
-            let tag_area = tag.as_ref().map_or(SquareMeters::ZERO, |t| t.array.area());
+            let tag_area = tag.map_or(SquareMeters::ZERO, |t| t.array.area());
             let total = n_banks * (data.area() + tag_area);
-            let tag_bits_total = tag.as_ref().map_or(0, |_| {
+            let tag_bits_total = tag.map_or(0, |_| {
                 spec.sets() * u64::from(spec.associativity) * u64::from(spec.tag_bits())
             });
             let cells = ((spec.capacity_bytes * 8 + tag_bits_total) as f64) * cell.area();
@@ -109,30 +127,24 @@ impl Solution {
         };
 
         // ---- Energy / power ----
-        let tag_read = tag.as_ref().map_or(Joules::ZERO, |t| t.read_energy());
-        let tag_write = tag
-            .as_ref()
-            .map_or(Joules::ZERO, |t| t.array.write_energy + t.comparator_energy);
+        let tag_read = tag.map_or(Joules::ZERO, TagResult::read_energy);
+        let tag_write = tag.map_or(Joules::ZERO, |t| t.array.write_energy + t.comparator_energy);
         let read_energy = data.read_energy() + tag_read;
         let write_energy = data.write_energy + tag_write;
-        let tag_leak = tag.as_ref().map_or(Watts::ZERO, |t| t.array.leakage);
-        let tag_refresh = tag.as_ref().map_or(Watts::ZERO, |t| t.array.refresh_power);
-        let leakage_power = if let Some(mm) = &main_memory {
+        let tag_leak = tag.map_or(Watts::ZERO, |t| t.array.leakage);
+        let tag_refresh = tag.map_or(Watts::ZERO, |t| t.array.refresh_power);
+        let leakage_power = if let Some(mm) = main_memory {
             mm.energies.standby_power
         } else {
             n_banks * (data.leakage + tag_leak)
         };
-        let refresh_power = if let Some(mm) = &main_memory {
+        let refresh_power = if let Some(mm) = main_memory {
             mm.energies.refresh_power
         } else {
             n_banks * (data.refresh_power + tag_refresh)
         };
 
-        Solution {
-            org,
-            data,
-            tag,
-            main_memory,
+        Metrics {
             access_time,
             random_cycle,
             interleave_cycle,
@@ -142,7 +154,51 @@ impl Solution {
             write_energy,
             leakage_power,
             refresh_power,
+        }
+    }
+}
+
+impl Solution {
+    /// Builds a [`Solution`] from the evaluated parts.
+    pub(crate) fn assemble(
+        spec: &MemorySpec,
+        org: OrgParams,
+        cell: &CellParams,
+        data: ArrayResult,
+        tag: Option<Arc<TagResult>>,
+        main_memory: Option<MainMemoryResult>,
+    ) -> Solution {
+        let m = Metrics::of(spec, cell, &data, tag.as_deref(), main_memory.as_ref());
+        Solution {
+            org,
+            data,
+            tag,
+            main_memory,
+            access_time: m.access_time,
+            random_cycle: m.random_cycle,
+            interleave_cycle: m.interleave_cycle,
+            area: m.area,
+            area_efficiency: m.area_efficiency,
+            read_energy: m.read_energy,
+            write_energy: m.write_energy,
+            leakage_power: m.leakage_power,
+            refresh_power: m.refresh_power,
             warnings: Vec::new(),
+        }
+    }
+
+    /// The assembled metrics this solution reports.
+    pub(crate) fn metrics(&self) -> Metrics {
+        Metrics {
+            access_time: self.access_time,
+            random_cycle: self.random_cycle,
+            interleave_cycle: self.interleave_cycle,
+            area: self.area,
+            area_efficiency: self.area_efficiency,
+            read_energy: self.read_energy,
+            write_energy: self.write_energy,
+            leakage_power: self.leakage_power,
+            refresh_power: self.refresh_power,
         }
     }
 

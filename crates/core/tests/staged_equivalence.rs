@@ -3,14 +3,16 @@
 //! the same solution set in the same order, and
 //! the pre-screen must account for precisely the candidates the full
 //! models would have rejected. One data-array sweep shared across a bank
-//! geometry must give every spec of that geometry exactly its own solve.
+//! geometry must give every spec of that geometry exactly its own solve,
+//! and the winners-only select exactly `select` over that solve.
 
 use cactid_core::{
-    array, org, solve_with_stats, solve_with_stats_reference, tag, AccessMode, ArraySweep,
-    Diagnostic, Location, MemoryKind, MemorySpec, OptimizationOptions, OrgParams, Solution,
-    SolutionLinter, SolveOutcome,
+    array, optimize, org, select, solve_with_stats, solve_with_stats_reference, tag, AccessMode,
+    ArraySweep, CactiError, Diagnostic, Location, MemoryKind, MemorySpec, OptimizationOptions,
+    OrgParams, Solution, SolutionLinter, SolveOutcome,
 };
 use cactid_tech::{CellTechnology, TechNode, Technology};
+use cactid_units::{Seconds, SquareMeters};
 
 fn sram_l2() -> MemorySpec {
     MemorySpec::builder()
@@ -481,4 +483,247 @@ fn a_sweep_refuses_a_spec_of_another_geometry() {
         ..sram_l2()
     };
     sweep.solve(&other, None, &mut array::EvalMemo::new());
+}
+
+/// The study's main-memory chip: 8 Gb x8 COMM-DRAM at 32 nm, 8 banks.
+fn study_main_memory() -> MemorySpec {
+    MemorySpec::builder()
+        .capacity_bytes(1 << 30)
+        .block_bytes(8)
+        .banks(8)
+        .cell_tech(CellTechnology::CommDram)
+        .node(TechNode::N32)
+        .kind(MemoryKind::MainMemory {
+            io_bits: 8,
+            burst_length: 8,
+            prefetch: 8,
+            page_bits: 8 << 10,
+        })
+        .build()
+        .unwrap()
+}
+
+/// The select-only knobs of `base` replaced by each of: the paper's three
+/// §3.1 knob sets (`default`, `ed`, `c`), no area or no access-time
+/// slack, each weight alone, and no weight at all (every objective ties,
+/// so the first candidate past the caps must win).
+fn knob_sets(base: &OptimizationOptions) -> Vec<OptimizationOptions> {
+    let knobs = |caps: [f64; 2], weights: [f64; 4]| OptimizationOptions {
+        max_area_overhead: caps[0],
+        max_access_time_overhead: caps[1],
+        weight_dynamic: weights[0],
+        weight_leakage: weights[1],
+        weight_cycle: weights[2],
+        weight_interleave: weights[3],
+        ..base.clone()
+    };
+    let d = OptimizationOptions::default();
+    let default_caps = [d.max_area_overhead, d.max_access_time_overhead];
+    let default_weights = [
+        d.weight_dynamic,
+        d.weight_leakage,
+        d.weight_cycle,
+        d.weight_interleave,
+    ];
+    let mut sets = vec![
+        knobs(default_caps, default_weights),
+        knobs([0.60, 0.15], [1.5, 0.3, 2.0, 1.0]),
+        knobs([0.20, 1.0], [0.5, 1.0, 0.3, 0.3]),
+        knobs([0.0, default_caps[1]], default_weights),
+        knobs([default_caps[0], 0.0], default_weights),
+        knobs([1.0, 2.0], [0.0; 4]),
+    ];
+    for alone in 0..4 {
+        let mut weights = [0.0; 4];
+        weights[alone] = 1.0;
+        sets.push(knobs([1.0, 2.0], weights));
+    }
+    sets
+}
+
+/// §2.4 written out over a solution set with a buffer per stage, as
+/// `select` first computed it: an oracle that shares no code with the
+/// ranking both select paths run.
+fn staged_select(spec: &MemorySpec, solutions: &[Solution]) -> Result<Solution, CactiError> {
+    let opt = &spec.opt;
+    let best_area = solutions
+        .iter()
+        .map(|s| s.area.value())
+        .fold(f64::INFINITY, f64::min);
+    let area_cap = best_area * (1.0 + opt.max_area_overhead);
+    let stage1: Vec<&Solution> = solutions
+        .iter()
+        .filter(|s| s.area.value() <= area_cap)
+        .collect();
+    let best_t = stage1
+        .iter()
+        .map(|s| s.access_time.value())
+        .fold(f64::INFINITY, f64::min);
+    let t_cap = best_t * (1.0 + opt.max_access_time_overhead);
+    let stage2: Vec<&Solution> = stage1
+        .into_iter()
+        .filter(|s| s.access_time.value() <= t_cap)
+        .collect();
+    let min_of = |f: fn(&Solution) -> f64| {
+        stage2
+            .iter()
+            .map(|s| f(s).max(1e-30))
+            .fold(f64::INFINITY, f64::min)
+    };
+    let e_min = min_of(|s| s.read_energy.value());
+    let l_min = min_of(|s| (s.leakage_power + s.refresh_power).value());
+    let c_min = min_of(|s| s.random_cycle.value());
+    let i_min = min_of(|s| s.interleave_cycle.value());
+    let obj = |s: &Solution| {
+        opt.weight_dynamic * s.read_energy.value().max(1e-30) / e_min
+            + opt.weight_leakage * (s.leakage_power + s.refresh_power).value().max(1e-30) / l_min
+            + opt.weight_cycle * s.random_cycle.value().max(1e-30) / c_min
+            + opt.weight_interleave * s.interleave_cycle.value().max(1e-30) / i_min
+    };
+    stage2
+        .into_iter()
+        .min_by(|a, b| obj(a).total_cmp(&obj(b)))
+        .cloned()
+        .ok_or(CactiError::NoFeasibleSolution)
+}
+
+/// The `core.select.*` counters, in a fixed order.
+fn select_counters() -> [u64; 4] {
+    [
+        cactid_obs::counter!("core.select.calls").get(),
+        cactid_obs::counter!("core.select.area_pruned").get(),
+        cactid_obs::counter!("core.select.time_pruned").get(),
+        cactid_obs::counter!("core.select.no_feasible").get(),
+    ]
+}
+
+/// How much each `core.select.*` counter moved while `f` ran. Nothing
+/// else in this test binary selects, so the deltas are `f`'s own.
+fn select_deltas<T>(f: impl FnOnce() -> T) -> (T, [u64; 4]) {
+    let before = select_counters();
+    let out = f();
+    let after = select_counters();
+    (out, std::array::from_fn(|i| after[i] - before[i]))
+}
+
+#[test]
+fn winners_only_select_matches_select_over_the_full_set() {
+    let mut cases = Vec::new();
+    for (label, base) in [
+        ("sram", sram_l2()),
+        ("lp-dram", lp_dram_l3()),
+        ("comm-dram", comm_dram_cache_45()),
+    ] {
+        for mode in [AccessMode::Normal, AccessMode::Sequential, AccessMode::Fast] {
+            cases.push((format!("{label} {mode:?}"), with_mode(base.clone(), mode)));
+        }
+    }
+    let ram = MemorySpec::builder()
+        .capacity_bytes(1 << 20)
+        .block_bytes(64)
+        .associativity(1)
+        .banks(1)
+        .cell_tech(CellTechnology::Sram)
+        .node(TechNode::N32)
+        .kind(MemoryKind::Ram)
+        .build()
+        .unwrap();
+    cases.push(("ram".into(), ram));
+    cases.push(("study main memory".into(), study_main_memory()));
+    let mut memo = array::EvalMemo::new();
+    let mut picks = Vec::new();
+    let mut warned = false;
+    for (label, base) in &cases {
+        for linter in [None, Some(&Picky as &dyn SolutionLinter)] {
+            let label = format!("{label} linted={}", linter.is_some());
+            let members: Vec<MemorySpec> = knob_sets(&base.opt)
+                .into_iter()
+                .map(|opt| MemorySpec {
+                    opt,
+                    ..base.clone()
+                })
+                .collect();
+            let refs: Vec<&MemorySpec> = members.iter().collect();
+            let full = solve_with_stats(&members[0], linter);
+            let (expected, full_deltas) = select_deltas(|| {
+                members
+                    .iter()
+                    .map(|m| match &full.result {
+                        Ok(sols) => select(m, sols),
+                        Err(e) => Err(e.clone()),
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let (winners, deltas) =
+                select_deltas(|| ArraySweep::new(base).select(&refs, linter, &mut memo));
+            assert_eq!(winners.stats, full.stats, "{label}");
+            // Debug renders every f64 shortest-round-trip (and keeps the
+            // sign of zero), so equal strings mean equal bits.
+            assert_eq!(
+                format!("{:?}", winners.results),
+                format!("{expected:?}"),
+                "{label}"
+            );
+            assert_eq!(
+                deltas, full_deltas,
+                "{label}: core.select.* moved differently"
+            );
+            if let Ok(sols) = &full.result {
+                let oracle: Vec<_> = members.iter().map(|m| staged_select(m, sols)).collect();
+                assert_eq!(
+                    format!("{expected:?}"),
+                    format!("{oracle:?}"),
+                    "{label}: the ranking left §2.4"
+                );
+            }
+            for (m, e) in members.iter().zip(&expected) {
+                let alone = ArraySweep::new(m).select(&[m], linter, &mut array::EvalMemo::new());
+                assert_eq!(alone.stats, full.stats, "{label}");
+                assert_eq!(
+                    format!("{:?}", alone.into_first()),
+                    format!("{e:?}"),
+                    "{label}"
+                );
+                if linter.is_none() {
+                    assert_eq!(format!("{:?}", optimize(m)), format!("{e:?}"), "{label}");
+                }
+            }
+            for sol in expected.iter().flatten() {
+                picks.push(sol.org);
+                warned |= !sol.warnings.is_empty();
+            }
+        }
+    }
+    assert!(warned, "the linted winners must carry their warnings");
+    assert!(
+        picks.windows(2).any(|w| w[0] != w[1]),
+        "the knob sets must pick differently"
+    );
+
+    // Non-finite metrics fail every `<=` cap: the ranking both paths share
+    // empties its stages and reports no winner instead of panicking.
+    let spec = sram_l2();
+    let sols = solve_with_stats(&spec, None).result.unwrap();
+    let n = sols.len() as u64;
+    let poisoned = |f: fn(&mut Solution)| {
+        let mut sols = sols.clone();
+        sols.iter_mut().for_each(f);
+        select_deltas(|| select(&spec, &sols))
+    };
+    let (result, deltas) = poisoned(|s| s.area = SquareMeters::from_si(f64::NAN));
+    assert_eq!(result, Err(CactiError::NoFeasibleSolution));
+    assert_eq!(
+        deltas,
+        [1, n, 0, 1],
+        "NaN areas are all cut by the area cap"
+    );
+    let (result, deltas) = poisoned(|s| s.access_time = Seconds::from_si(f64::NAN));
+    assert_eq!(result, Err(CactiError::NoFeasibleSolution));
+    let [calls, area_cut, time_cut, no_feasible] = deltas;
+    assert!(time_cut > 0, "{deltas:?}");
+    assert_eq!(
+        [calls, area_cut + time_cut, no_feasible],
+        [1, n, 1],
+        "NaN times are all cut by one cap or the other"
+    );
 }

@@ -10,10 +10,11 @@
 //!
 //! Specs that differ only in their select-only knobs share one
 //! organization sweep ([`MemorySpec::sweep_key`]): [`SolveCache::solve_group`]
-//! takes such a family, runs at most one solve for its memo misses and one
-//! [`select`] per miss. That solve draws on a caller-owned [`ArraySweep`],
-//! so families with the same bank geometry ([`MemorySpec::array_key`])
-//! share one data-array sweep too. Both are exact, not heuristics — the
+//! takes such a family and runs one winners-only [`ArraySweep::select`] for
+//! its memo misses: one solve, then one §2.4 ranking per miss, and a
+//! [`Solution`] only for each winner. That solve draws on a caller-owned
+//! [`ArraySweep`], so families with the same bank geometry
+//! ([`MemorySpec::array_key`]) share one data-array sweep too. Both are exact, not heuristics — the
 //! sweep never reads a select-only knob and its data-array half reads only
 //! one bank, so every member's own [`cactid_core::solve_with_stats`] would
 //! return the same bits. [`SolveCache::solve_point`] is the one-member case.
@@ -31,7 +32,7 @@
 //! duplicated work by pre-grouping its points per sweep key and spec.
 
 use crate::hash::spec_fingerprint;
-use cactid_core::{select, ArraySweep, CactiError, EvalMemo, MemorySpec, Solution};
+use cactid_core::{ArraySweep, CactiError, EvalMemo, MemorySpec, Solution};
 use cactid_core::{SolutionLinter, SolveStats};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -122,9 +123,9 @@ impl SolveCache {
     }
 
     /// Solves a family of specs that share one [`MemorySpec::sweep_key`]
-    /// through the memo: each member is looked up, and for the misses one
-    /// solve runs (on the first miss's spec, so the linter sees a real
-    /// member) followed by one [`select`] per miss. The solve draws on
+    /// through the memo: each member is looked up, and the misses go to one
+    /// [`ArraySweep::select`] (which solves the first miss's spec, so the
+    /// linter sees a real member, and ranks once per miss). The solve draws on
     /// `sweep`, which runs its data-array sweep on first use only, so a
     /// caller that passes one sweep to every family of a bank geometry
     /// sweeps that geometry at most once, and not at all on a warm memo.
@@ -162,32 +163,24 @@ impl SolveCache {
         if misses.len() < specs.len() {
             cactid_obs::counter!("explore.cache.hits").add((specs.len() - misses.len()) as u64);
         }
-        let Some(&first_miss) = misses.first() else {
+        if misses.is_empty() {
             return GroupSolve {
                 members: found.into_iter().flatten().collect(),
                 sweep: None,
             };
-        };
+        }
         cactid_obs::counter!("explore.cache.misses").add(misses.len() as u64);
         // Sweep and select outside the lock; expensive points must not
         // serialize the rest of the pool.
+        let miss_specs: Vec<&MemorySpec> = misses.iter().map(|&i| specs[i]).collect();
         let mut memo = lock(&self.memos).pop().unwrap_or_default();
-        let outcome = sweep.solve(specs[first_miss], linter, &mut memo);
+        let winners = sweep.select(&miss_specs, linter, &mut memo);
         lock(&self.memos).push(memo);
-        let stats = outcome.stats;
-        let solved: Vec<CachedSolve> = misses
-            .iter()
-            .map(|&i| CachedSolve {
-                result: match &outcome.result {
-                    Ok(sols) => select(specs[i], sols),
-                    Err(e) => Err(e.clone()),
-                },
-                stats,
-            })
-            .collect();
-        // Free the solution set before the memo inserts: long-lived entries
-        // allocated around a large dead buffer fragment the heap.
-        drop(outcome);
+        let stats = winners.stats;
+        let solved = winners
+            .results
+            .into_iter()
+            .map(|result| CachedSolve { result, stats });
         let mut map = self.lock();
         for (&i, entry) in misses.iter().zip(solved) {
             let bucket = map.entry(keys[i]).or_default();

@@ -11,6 +11,7 @@ use crate::json::JsonObject;
 use crate::pareto::ParetoMetrics;
 use cactid_core::{AccessMode, CactiError, Solution};
 use cactid_tech::CellTechnology;
+use std::fmt::Write;
 
 /// How one grid point ended up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,8 +63,12 @@ pub fn solution_metrics(sol: &Solution) -> ParetoMetrics {
     }
 }
 
+/// The buffer a record is rendered into: an `ok` record with its Pareto
+/// annotation runs to about 600 bytes, so one allocation holds it.
+const RECORD_BYTES: usize = 640;
+
 fn base_object(point: &GridPoint) -> JsonObject {
-    let mut o = JsonObject::new();
+    let mut o = JsonObject::with_capacity(RECORD_BYTES);
     o.u64("idx", point.idx as u64)
         .u64("capacity_bytes", point.capacity_bytes)
         .u64("block_bytes", u64::from(point.block_bytes))
@@ -98,13 +103,13 @@ pub fn render_solved(point: &GridPoint, solve: &CachedSolve) -> String {
                 .f64("area_efficiency", sol.area_efficiency)
                 .f64("leakage_mw", sol.leakage_power.value() * 1e3)
                 .f64("refresh_mw", sol.refresh_power.value() * 1e3);
-            let mut org = JsonObject::new();
-            org.u64("ndwl", u64::from(sol.org.ndwl))
-                .u64("ndbl", u64::from(sol.org.ndbl))
-                .f64("nspd", sol.org.nspd)
-                .u64("deg_bl_mux", u64::from(sol.org.deg_bl_mux))
-                .u64("deg_sa_mux", u64::from(sol.org.deg_sa_mux));
-            o.raw("org", &org.finish());
+            o.object("org", |org| {
+                org.u64("ndwl", u64::from(sol.org.ndwl))
+                    .u64("ndbl", u64::from(sol.org.ndbl))
+                    .f64("nspd", sol.org.nspd)
+                    .u64("deg_bl_mux", u64::from(sol.org.deg_bl_mux))
+                    .u64("deg_sa_mux", u64::from(sol.org.deg_sa_mux));
+            });
         }
         Err(e) => {
             o.str("status", PointStatus::Infeasible.label())
@@ -136,9 +141,10 @@ pub fn annotate_pareto(line: &mut String, dominates: Option<usize>) {
     line.pop();
     match dominates {
         Some(n) => {
-            line.push_str(",\"pareto\":{\"frontier\":true,\"dominates\":");
-            line.push_str(&n.to_string());
-            line.push_str("}}");
+            let _ = write!(
+                line,
+                ",\"pareto\":{{\"frontier\":true,\"dominates\":{n}}}}}"
+            );
         }
         None => line.push_str(",\"pareto\":{\"frontier\":false}}"),
     }

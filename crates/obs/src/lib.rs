@@ -49,7 +49,7 @@ pub use registry::{
     counter, histogram, reset, snapshot, CounterSnapshot, HistogramSnapshot, Snapshot,
 };
 pub use span::{span, Span};
-pub use trace::{escape, render_summary, write_trace};
+pub use trace::{escape, escape_into, render_summary, write_trace};
 
 /// Resolves (once per call site) and returns the [`Counter`] named by the
 /// literal argument. The registry lock is taken only on the first hit of

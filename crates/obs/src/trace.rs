@@ -28,20 +28,33 @@ use std::time::{SystemTime, UNIX_EPOCH};
 /// all render strings through it.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    escape_into(&mut out, s);
+    out
+}
+
+/// [`escape`], appended to `out` in place. Every character to escape is
+/// ASCII, so the runs between them are copied through whole, and a string
+/// with nothing to escape is one copy.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[start..i]);
+        start = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
-    out
+    out.push_str(&s[start..]);
 }
 
 /// Renders one snapshot as the sidecar's JSONL body (no meta line).
@@ -190,6 +203,9 @@ mod tests {
         assert_eq!(escape("plain.name"), "plain.name");
         assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(escape("x\ny\t\u{1}"), "x\\ny\\t\\u0001");
+        let mut out = String::from("k=");
+        escape_into(&mut out, "é\"\u{1f}");
+        assert_eq!(out, "k=é\\\"\\u001f");
     }
 
     #[test]

@@ -40,7 +40,9 @@ use cactid_core::MemorySpec;
 use cactid_explore::hash::{spec_canon, spec_fingerprint};
 use cactid_explore::json::JsonObject;
 use cactid_explore::record::{mode_label, render_invalid, render_solved};
-use cactid_explore::{explore_expansion, Expansion, ExploreConfig, Grid, GridPoint, SolveCache};
+use cactid_explore::{
+    explore_expansion, Expansion, ExploreConfig, ExploreError, Grid, GridPoint, SolveCache,
+};
 use std::io::{BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -230,7 +232,14 @@ impl Service {
     fn grid_lines(&self, id: u64, grid: &Grid) -> Vec<String> {
         let expansion = match grid.expand() {
             Ok(e) => e,
-            Err(e) => return vec![error_line(id, &e.to_string())],
+            Err(e) => {
+                // The protocol refuses empty axes before a grid gets
+                // here, so the point cap is the one expansion failure.
+                if let ExploreError::TooManyPoints { .. } = e {
+                    cactid_obs::counter!("serve.rejected.grid_too_large").inc();
+                }
+                return vec![error_line(id, &e.to_string())];
+            }
         };
         let mut lines: Vec<Option<String>> = Vec::with_capacity(expansion.points.len());
         let mut misses = Vec::new();
@@ -296,7 +305,7 @@ impl Service {
     /// after every request, so interactive callers see answers
     /// immediately). A line longer than [`MAX_LINE_BYTES`] or not valid
     /// UTF-8 is answered in band, like a malformed one, and counted under
-    /// `serve.rejected.*`.
+    /// `serve.rejected.*`, as is a grid past the engine's point cap.
     ///
     /// # Errors
     ///
@@ -610,6 +619,7 @@ mod tests {
         // Four 2^16-entry axes in one 512 KiB line: their product, 2^64,
         // wraps to 0 unless the point count saturates.
         let svc = memo_only();
+        let rejected = cactid_obs::counter!("serve.rejected.grid_too_large").get();
         let axis = vec!["1"; 1 << 16].join(",");
         let input = format!(
             "{{\"id\":1,\"op\":\"grid\",\"sizes\":[{axis}],\"blocks\":[{axis}],\
@@ -619,6 +629,7 @@ mod tests {
         assert_eq!(lines.len(), 2, "{lines:?}");
         assert!(lines[0].starts_with("{\"id\":1,\"error\":"), "{}", lines[0]);
         assert!(lines[0].contains("engine cap"), "{}", lines[0]);
+        assert!(cactid_obs::counter!("serve.rejected.grid_too_large").get() > rejected);
         assert!(
             lines[1].starts_with("{\"id\":2,\"requests\":2,"),
             "{}",

@@ -4,7 +4,7 @@
 //! optimization-knob settings against the published cache.
 
 use crate::report::pct_err;
-use cactid_core::{solve, AccessMode, MemoryKind, MemorySpec, OptimizationOptions, Solution};
+use cactid_core::{optimize, AccessMode, MemoryKind, MemorySpec, OptimizationOptions, Solution};
 use cactid_tech::{CellTechnology, TechNode};
 
 /// Published 65 nm Xeon L3 reference points (paper §2.5 and the CACTI 5.1
@@ -109,10 +109,7 @@ pub fn figure1() -> Vec<Figure1Point> {
             ..OptimizationOptions::default()
         };
         let spec = xeon_spec(opt);
-        let Ok(sols) = solve(&spec) else { continue };
-        let Ok(sol) = cactid_core::select(&spec, &sols) else {
-            continue;
-        };
+        let Ok(sol) = optimize(&spec) else { continue };
         out.push(Figure1Point {
             knobs: format!(
                 "area+{:.0}% time+{:.0}% relax{relax:.1}",
@@ -153,9 +150,7 @@ pub fn sparc_point() -> Figure1Point {
         ..OptimizationOptions::default()
     };
     let spec = sparc_spec(opt);
-    let sols = solve(&spec).unwrap_or_else(|e| panic!("the SPARC spec solves: {e}"));
-    let sol = cactid_core::select(&spec, &sols)
-        .unwrap_or_else(|e| unreachable!("solve returned a non-empty set: {e}"));
+    let sol = optimize(&spec).unwrap_or_else(|e| panic!("the SPARC spec solves: {e}"));
     Figure1Point {
         knobs: "sparc l2 (90nm)".into(),
         access_time: sol.access_time.value(),

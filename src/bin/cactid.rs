@@ -43,8 +43,8 @@ use cactid_analyze::rules::sol::{
 };
 use cactid_analyze::{render, Analyzer, RunContext, SeverityAction, SeverityOverrides};
 use cactid_core::{
-    AccessMode, Diagnostic, MemoryKind, MemorySpec, OptimizationOptions, Report, Solution,
-    SolutionLinter,
+    AccessMode, ArraySweep, CactiError, Diagnostic, EvalMemo, MemoryKind, MemorySpec,
+    OptimizationOptions, Report, Solution, SolutionLinter,
 };
 use cactid_explore::{AuditVerdict, ExploreConfig, Grid, OptVariant};
 use cactid_prove::{MetricWindow, WindowMetric};
@@ -865,8 +865,10 @@ fn run_lint(a: &Args) -> ! {
     } else {
         // The spec is structurally sound: lint the optimized solution so
         // the organization- and solution-stage rules get a say as well.
-        let solved = cactid_core::solve_with_stats(&spec, Some(&analyzer)).result;
-        match solved.and_then(|sols| cactid_core::select(&spec, &sols)) {
+        let winner = ArraySweep::new(&spec)
+            .select(&[&spec], Some(&analyzer), &mut EvalMemo::new())
+            .into_first();
+        match winner {
             Ok(sol) => analyzer.lint_solution(&spec, &sol),
             Err(e) => {
                 print!("{}", render::render(&analyzer, &spec_report));
@@ -990,13 +992,14 @@ fn main() {
         spec.node
     );
     let analyzer = Analyzer::new();
-    let sols = cactid_core::solve_with_stats(&spec, Some(&analyzer))
-        .result
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            exit(1)
-        });
+    let fail = |e: CactiError| -> ! {
+        eprintln!("error: {e}");
+        exit(1)
+    };
     if a.list_solutions {
+        let sols = cactid_core::solve_with_stats(&spec, Some(&analyzer))
+            .result
+            .unwrap_or_else(|e| fail(e));
         println!(
             "{:>5} {:>5} {:>5} {:>6} {:>6} {:>9} {:>9} {:>9} {:>9}",
             "ndwl", "ndbl", "nspd", "blmux", "samux", "acc ns", "cyc ns", "mm2", "Erd nJ"
@@ -1017,10 +1020,10 @@ fn main() {
         }
         println!("{} feasible organizations", sols.len());
     } else {
-        let sol = cactid_core::select(&spec, &sols).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            exit(1)
-        });
+        let sol = ArraySweep::new(&spec)
+            .select(&[&spec], Some(&analyzer), &mut EvalMemo::new())
+            .into_first()
+            .unwrap_or_else(|e| fail(e));
         print_solution(&sol);
         print_warnings(&analyzer, &sol.warnings);
     }

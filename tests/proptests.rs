@@ -406,10 +406,33 @@ fn static_screen_and_solve_agree_on_random_specs() {
 /// banks and the one-bank spec share [`ArraySweep`], and solving both
 /// through it (many banks first) returns bitwise each one's own
 /// `solve_with_stats`, stats included — with one memo carried through
-/// every case, as a pooled memo is.
+/// every case, as a pooled memo is. The winners-only select through the
+/// same sweep gives each of the three named knob sets of either spec
+/// exactly `select` over that spec's own solve.
 #[test]
 fn one_array_sweep_serves_every_spec_of_its_bank_geometry() {
-    use cacti_d::core::{solve_with_stats, ArraySweep, EvalMemo};
+    use cacti_d::core::{select, solve_with_stats, ArraySweep, EvalMemo, OptimizationOptions};
+    let named_knobs = [
+        OptimizationOptions::default(),
+        OptimizationOptions {
+            max_area_overhead: 0.60,
+            max_access_time_overhead: 0.15,
+            weight_dynamic: 1.5,
+            weight_leakage: 0.3,
+            weight_cycle: 2.0,
+            weight_interleave: 1.0,
+            ..OptimizationOptions::default()
+        },
+        OptimizationOptions {
+            max_area_overhead: 0.20,
+            max_access_time_overhead: 1.0,
+            weight_dynamic: 0.5,
+            weight_leakage: 1.0,
+            weight_cycle: 0.3,
+            weight_interleave: 0.3,
+            ..OptimizationOptions::default()
+        },
+    ];
     let mut rng = XorShift64Star::new(0xCAC7_1D10);
     let mut memo = EvalMemo::new();
     let modes = [AccessMode::Normal, AccessMode::Sequential, AccessMode::Fast];
@@ -446,6 +469,23 @@ fn one_array_sweep_serves_every_spec_of_its_bank_geometry() {
                 format!("{:?}", own.result),
                 "{spec:?}"
             );
+            let members: Vec<MemorySpec> = named_knobs
+                .iter()
+                .map(|opt| MemorySpec {
+                    opt: opt.clone(),
+                    ..spec.clone()
+                })
+                .collect();
+            let refs: Vec<&MemorySpec> = members.iter().collect();
+            let winners = sweep.select(&refs, None, &mut memo);
+            assert_eq!(winners.stats, own.stats, "{spec:?}");
+            for (member, winner) in members.iter().zip(&winners.results) {
+                let expected = match &own.result {
+                    Ok(sols) => select(member, sols),
+                    Err(e) => Err(e.clone()),
+                };
+                assert_eq!(format!("{winner:?}"), format!("{expected:?}"), "{member:?}");
+            }
         }
     }
 }
