@@ -61,7 +61,6 @@
 
 pub mod analyzer;
 pub mod context;
-pub mod json;
 pub mod registry;
 pub mod render;
 pub mod rule;

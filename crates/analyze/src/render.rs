@@ -148,8 +148,8 @@ pub fn summary_line(report: &Report) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use cactid_core::lint::{Diagnostic, Location};
+    use cactid_obs::json;
 
     #[test]
     fn renders_code_location_note_and_help() {

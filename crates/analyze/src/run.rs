@@ -8,7 +8,7 @@
 //! perfect shape. The `CD0105` integrity rule reports what the parser
 //! tolerated.
 
-use crate::json::{self, JsonValue};
+use cactid_obs::json::{self, JsonValue};
 
 /// The Pareto annotation of an `ok` record, when present.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -3,9 +3,9 @@
 //! proves every `Severity` and `LintObject` variant survives
 //! `render_json` → `json::parse`.
 
-use cactid_analyze::json::{self, JsonValue};
 use cactid_analyze::{render_json, Analyzer, Diagnostic, Location, Report};
 use cactid_core::{AccessMode, MemoryKind, MemorySpec};
+use cactid_obs::json::{self, JsonValue};
 use cactid_tech::{CellTechnology, TechNode};
 
 /// 1.5 MB capacity, 48 B blocks, 3 banks: trips CD0001 (sets don't split

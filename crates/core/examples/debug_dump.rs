@@ -3,7 +3,7 @@
 //! Used during development; not part of the test suite.
 
 use cactid_core::{
-    optimize, solve, AccessMode, MemoryKind, MemorySpec, OptimizationOptions, Solution,
+    optimize, solve_with_stats, AccessMode, MemoryKind, MemorySpec, OptimizationOptions, Solution,
 };
 use cactid_tech::{CellTechnology, TechNode};
 
@@ -216,6 +216,9 @@ fn main() {
         ),
         ("micron", micron.clone()),
     ] {
-        println!("{n}: {} candidates", solve(&spec).map_or(0, |v| v.len()));
+        println!(
+            "{n}: {} candidates",
+            solve_with_stats(&spec, None).result.map_or(0, |v| v.len())
+        );
     }
 }

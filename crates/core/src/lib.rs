@@ -57,8 +57,8 @@ pub use error::CactiError;
 pub use lint::{Diagnostic, Location, Report, Severity, SolutionLinter};
 pub use main_memory::{DramEnergies, DramTiming, MainMemoryResult};
 pub use optimizer::{
-    optimize, select, solve, solve_with_stats, solve_with_stats_reference, static_screen,
-    ArraySweep, ScreenHistogram, ScreenVerdict, SolveOutcome, SolveStats, StaticScreen, Winners,
+    optimize, select, solve_with_stats, solve_with_stats_reference, static_screen, ArraySweep,
+    ScreenHistogram, ScreenVerdict, SolveOutcome, SolveStats, StaticScreen, Winners,
 };
 pub use org::OrgParams;
 pub use solution::Solution;

@@ -650,9 +650,9 @@ impl ScreenHistogram {
 /// model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScreenVerdict {
-    /// Provably infeasible: [`solve`] is guaranteed to return exactly this
-    /// error for the spec (the screen is exact, so no model evaluation can
-    /// change the outcome).
+    /// Provably infeasible: [`solve_with_stats`] is guaranteed to return
+    /// exactly this error for the spec (the screen is exact, so no model
+    /// evaluation can change the outcome).
     Infeasible(CactiError),
     /// At least `survivors` organizations pass the closed-form screen. The
     /// spec will very likely solve, but later stages the screen cannot see
@@ -697,8 +697,7 @@ pub struct StaticScreen {
 /// [`array::evaluate`] checks first.
 ///
 /// This is the engine behind `cactid audit`: a whole exploration grid can
-/// be classified in microseconds per point, and statically-doomed points
-/// skipped without changing a byte of the output records.
+/// be classified without solving any of it.
 pub fn static_screen(spec: &MemorySpec) -> StaticScreen {
     cactid_obs::counter!("core.screen.calls").inc();
     let mut stats = SolveStats::default();
@@ -756,16 +755,6 @@ pub fn solve_with_stats_reference(
     ArraySweep::with_screen(spec, Screen::Off).solve(spec, linter, &mut EvalMemo::new())
 }
 
-/// Evaluates every feasible organization for `spec` and returns the full
-/// solution set (unfiltered).
-///
-/// # Errors
-///
-/// Returns [`CactiError::NoFeasibleSolution`] when nothing is feasible.
-pub fn solve(spec: &MemorySpec) -> Result<Vec<Solution>, CactiError> {
-    solve_with_stats(spec, None).result
-}
-
 /// Applies the staged optimization of §2.4 to a solution set and returns
 /// the winner. [`ArraySweep::select`] runs the same ranking without
 /// building the losers' [`Solution`]s.
@@ -795,8 +784,8 @@ pub fn select(spec: &MemorySpec, solutions: &[Solution]) -> Result<Solution, Cac
         .ok_or(CactiError::NoFeasibleSolution)
 }
 
-/// The §2.4 winner for `spec`: [`select`] over [`solve`], computed by
-/// [`ArraySweep::select`] without assembling the losers.
+/// The §2.4 winner for `spec`: [`select`] over [`solve_with_stats`],
+/// computed by [`ArraySweep::select`] without assembling the losers.
 ///
 /// # Errors
 ///
@@ -832,7 +821,7 @@ mod tests {
 
     #[test]
     fn l2_solves_with_many_candidates() {
-        let sols = solve(&l2()).unwrap();
+        let sols = solve_with_stats(&l2(), None).result.unwrap();
         assert!(sols.len() > 10, "only {} candidates", sols.len());
         for s in &sols {
             assert!(s.access_time > Seconds::ZERO && s.access_time < Seconds::ns(50.0));
@@ -845,7 +834,7 @@ mod tests {
     #[test]
     fn staged_filters_respect_caps() {
         let spec = l2();
-        let sols = solve(&spec).unwrap();
+        let sols = solve_with_stats(&spec, None).result.unwrap();
         let chosen = select(&spec, &sols).unwrap();
         let best_area = sols
             .iter()
@@ -866,7 +855,7 @@ mod tests {
             max_access_time_overhead: 2.0,
             ..OptimizationOptions::default()
         };
-        let sols = solve(&spec).unwrap();
+        let sols = solve_with_stats(&spec, None).result.unwrap();
         let energy_pick = select(&spec, &sols).unwrap();
         spec.opt.weight_dynamic = 0.0;
         spec.opt.weight_cycle = 100.0;
@@ -885,7 +874,6 @@ mod tests {
         assert_eq!(out.stats.feasible, sols.len());
         assert!(out.stats.orgs_enumerated >= sols.len());
         assert_eq!(out.stats.lint_rejected, 0);
-        assert_eq!(sols, solve(&spec).unwrap(), "stats path changes nothing");
     }
 
     #[test]
@@ -905,7 +893,7 @@ mod tests {
         // the stage-2 `.expect`. NaN areas fail `area <= cap` for every
         // candidate (NaN comparisons are false), emptying both stages.
         let spec = l2();
-        let mut sols = solve(&spec).unwrap();
+        let mut sols = solve_with_stats(&spec, None).result.unwrap();
         for s in &mut sols {
             s.area = SquareMeters::from_si(f64::NAN);
         }
@@ -915,7 +903,7 @@ mod tests {
             "non-finite areas must yield a typed error, not a panic"
         );
         // Same story when the access times are the poisoned axis.
-        let mut sols = solve(&spec).unwrap();
+        let mut sols = solve_with_stats(&spec, None).result.unwrap();
         for s in &mut sols {
             s.access_time = Seconds::from_si(f64::NAN);
         }

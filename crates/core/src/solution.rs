@@ -221,7 +221,7 @@ impl Solution {
 #[cfg(test)]
 mod tests {
     use crate::spec::{AccessMode, MemoryKind, MemorySpec};
-    use crate::{optimize, solve};
+    use crate::{optimize, solve_with_stats};
     use cactid_tech::{CellTechnology, TechNode};
     use cactid_units::Seconds;
 
@@ -306,7 +306,7 @@ mod tests {
             },
             CellTechnology::LpDram,
         );
-        for sol in solve(&s).unwrap() {
+        for sol in solve_with_stats(&s, None).result.unwrap() {
             let tag_cycle = sol.tag.as_ref().unwrap().array.random_cycle;
             assert!(sol.random_cycle >= tag_cycle - Seconds::from_si(1e-15));
             assert!(sol.random_cycle >= sol.data.random_cycle - Seconds::from_si(1e-15));

@@ -10,10 +10,6 @@
 //! would fail, while [`AuditVerdict::MaybeFeasible`] is one-sided: the
 //! solve can still fail for reasons only full evaluation sees (e.g. a
 //! non-finite objective at selection).
-//!
-//! The same screen backs the engine's `audit` switch
-//! ([`crate::ExploreConfig::audit`]), which skips statically-doomed points
-//! without changing a byte of the output JSONL.
 
 use crate::error::ExploreError;
 use crate::grid::Grid;

@@ -61,11 +61,6 @@ pub struct ExploreConfig<'a> {
     pub resume: bool,
     /// Extract the Pareto frontier and annotate `ok` records.
     pub pareto: bool,
-    /// Statically screen unique specs before the solve stage and skip the
-    /// ones proven infeasible ([`cactid_core::static_screen`]). Skipped
-    /// points render byte-identical records to a real solve of an
-    /// infeasible point, so output files are unaffected.
-    pub audit: bool,
     /// Lint engine consulted on every candidate (shared across workers).
     /// Specs that share a sweep key share one linted sweep, so the linter
     /// must not read the select-only knobs of the spec it is given (the
@@ -89,7 +84,6 @@ impl fmt::Debug for ExploreConfig<'_> {
             .field("out", &self.out)
             .field("resume", &self.resume)
             .field("pareto", &self.pareto)
-            .field("audit", &self.audit)
             .field("linter", &self.linter.map(|_| "dyn SolutionLinter"))
             .field("cache", &self.cache.map(|_| "SolveCache"))
             .finish()
@@ -383,47 +377,6 @@ pub fn explore_expansion(
         .flat_map(|job| &job.groups)
         .map(|group| group.members.len())
         .sum();
-
-    // Optional static screen: prove sweep groups infeasible with the exact
-    // closed-form checks the solve itself would apply, and retire every
-    // member without touching the solver. The screen reads no select-only
-    // knob, so one screen per sweep group decides all of its specs. The
-    // rendered records carry the screen's sweep counters, which match a
-    // real infeasible solve exactly, so the output stays byte-identical.
-    if config.audit {
-        let _audit_span = cactid_obs::span("explore.audit");
-        for job in &mut jobs {
-            let mut kept = Vec::with_capacity(job.groups.len());
-            for group in std::mem::take(&mut job.groups) {
-                let screen = cactid_core::static_screen(&group.key);
-                match screen.verdict {
-                    cactid_core::ScreenVerdict::Infeasible(err) => {
-                        let solved = CachedSolve {
-                            result: Err(err),
-                            stats: screen.stats,
-                        };
-                        let status = record::solved_status(&solved);
-                        for &idx in group.members.iter().flatten() {
-                            let line = record::render_solved(&points[idx], &solved);
-                            if let Some(s) = sidecars.as_mut() {
-                                s.record(idx, &line, status, None);
-                            }
-                            lines[idx] = Some(line);
-                            statuses[idx] = Some(status);
-                            stats.audit_skipped += 1;
-                        }
-                    }
-                    cactid_core::ScreenVerdict::MaybeFeasible { .. } => kept.push(group),
-                }
-            }
-            job.groups = kept;
-        }
-        if let Some(s) = sidecars.as_mut() {
-            s.flush()?;
-        }
-        jobs.retain(|job| !job.groups.is_empty());
-        cactid_obs::counter!("explore.engine.audit_skipped").add(stats.audit_skipped as u64);
-    }
 
     // Injected handle or a run-private memo: the run-private default keeps
     // the historical behavior (and the determinism tests' bytes) intact.

@@ -29,9 +29,7 @@
 //!   counts.
 //! * **[`mod@audit`]** — whole-grid static feasibility analysis: every
 //!   point classified (`invalid` / `infeasible` / `maybe-feasible`)
-//!   *before* any solve, with a per-rule infeasibility histogram; the
-//!   engine's `audit` switch uses the same screen to skip
-//!   statically-doomed points without changing a byte of the output.
+//!   *before* any solve, with a per-rule infeasibility histogram.
 //! * **[`EngineStats`]** — points solved / memoized / resumed / failed,
 //!   sweeps run, organizations enumerated, lint rejections, technology
 //!   constructions, and wall/CPU time per stage.
@@ -60,7 +58,6 @@ mod engine;
 mod error;
 pub mod grid;
 pub mod hash;
-pub mod json;
 pub mod pareto;
 pub mod pool;
 pub mod record;

@@ -7,9 +7,9 @@
 
 use crate::cache::CachedSolve;
 use crate::grid::GridPoint;
-use crate::json::JsonObject;
 use crate::pareto::ParetoMetrics;
 use cactid_core::{AccessMode, CactiError, Solution};
+use cactid_obs::json::JsonObject;
 use cactid_tech::CellTechnology;
 use std::fmt::Write;
 
@@ -50,6 +50,27 @@ pub fn mode_label(mode: AccessMode) -> &'static str {
         AccessMode::Normal => "normal",
         AccessMode::Sequential => "sequential",
         AccessMode::Fast => "fast",
+    }
+}
+
+/// The inverse of [`cell_label`], shared by the CLI and the serve
+/// protocol; also accepts the hyphen-less `lpdram` and `commdram`.
+pub fn parse_cell(v: &str) -> Option<CellTechnology> {
+    match v {
+        "sram" => Some(CellTechnology::Sram),
+        "lp-dram" | "lpdram" => Some(CellTechnology::LpDram),
+        "comm-dram" | "commdram" => Some(CellTechnology::CommDram),
+        _ => None,
+    }
+}
+
+/// The inverse of [`mode_label`], shared by the CLI and the serve protocol.
+pub fn parse_mode(v: &str) -> Option<AccessMode> {
+    match v {
+        "normal" => Some(AccessMode::Normal),
+        "sequential" => Some(AccessMode::Sequential),
+        "fast" => Some(AccessMode::Fast),
+        _ => None,
     }
 }
 
@@ -190,6 +211,24 @@ mod tests {
                 lint_rejected: 0,
             },
         }
+    }
+
+    #[test]
+    fn labels_parse_back_to_their_variant() {
+        for cell in [
+            CellTechnology::Sram,
+            CellTechnology::LpDram,
+            CellTechnology::CommDram,
+        ] {
+            assert_eq!(parse_cell(cell_label(cell)), Some(cell));
+        }
+        for mode in [AccessMode::Normal, AccessMode::Sequential, AccessMode::Fast] {
+            assert_eq!(parse_mode(mode_label(mode)), Some(mode));
+        }
+        assert_eq!(parse_cell("lpdram"), Some(CellTechnology::LpDram));
+        assert_eq!(parse_cell("commdram"), Some(CellTechnology::CommDram));
+        assert_eq!(parse_cell("dram"), None);
+        assert_eq!(parse_mode("Fast"), None);
     }
 
     #[test]

@@ -5,14 +5,13 @@ use std::time::Duration;
 /// What one [`crate::explore`] run did, stage by stage.
 ///
 /// The point-accounting invariant is
-/// `solved + memoized + resumed + audit_skipped + invalid == points`:
+/// `solved + memoized + resumed + invalid == points`:
 /// every grid point is either solved fresh, served from the in-run memo
-/// (a duplicate spec), restored from a checkpoint, statically proven
-/// infeasible by the audit screen, or structurally invalid — the five
-/// buckets are disjoint, so an invalid point restored from a checkpoint
-/// counts under `invalid`, not `resumed`. The `ok` / `infeasible` split
-/// then classifies the non-invalid points by whether a winner existed
-/// (audit-skipped points always land under `infeasible`).
+/// (a duplicate spec), restored from a checkpoint, or structurally
+/// invalid — the four buckets are disjoint, so an invalid point restored
+/// from a checkpoint counts under `invalid`, not `resumed`. The `ok` /
+/// `infeasible` split then classifies the non-invalid points by whether a
+/// winner existed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStats {
     /// Total grid points in the expansion.
@@ -23,8 +22,7 @@ pub struct EngineStats {
     /// select-only knobs share one sweep
     /// ([`cactid_core::MemorySpec::sweep_key`]), so this is at most
     /// `solved`, and a grid with `k` knob variants that all keep the
-    /// default sweep knobs runs `unique_specs / k` sweeps on a cold memo
-    /// without `audit`.
+    /// default sweep knobs runs `unique_specs / k` sweeps on a cold memo.
     pub sweeps: usize,
     /// Data-array sweeps actually run: at most one per bank geometry
     /// ([`cactid_core::MemorySpec::array_key`]) with a memo miss, so at
@@ -39,9 +37,6 @@ pub struct EngineStats {
     /// Valid points restored from the checkpoint without re-solving
     /// (restored invalid points count under `invalid` instead).
     pub resumed: usize,
-    /// Points retired by the static audit screen without calling the
-    /// solver ([`crate::ExploreConfig::audit`]).
-    pub audit_skipped: usize,
     /// Points whose axis combination failed spec validation, whether
     /// rendered fresh this run or restored from the checkpoint.
     pub invalid: usize,
@@ -76,8 +71,7 @@ pub struct EngineStats {
 impl EngineStats {
     /// Checks the point-accounting invariant.
     pub fn balanced(&self) -> bool {
-        self.solved + self.memoized + self.resumed + self.audit_skipped + self.invalid
-            == self.points
+        self.solved + self.memoized + self.resumed + self.invalid == self.points
             && self.ok + self.infeasible + self.invalid == self.points
     }
 
@@ -86,7 +80,7 @@ impl EngineStats {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         format!(
             "cactid-explore: {} points ({} unique specs)\n  \
-             solved {}, memoized {}, resumed {}, audit-skipped {}, invalid {}\n  \
+             solved {}, memoized {}, resumed {}, invalid {}\n  \
              status: {} ok, {} infeasible\n  \
              sweeps {}, array sweeps {}, orgs enumerated {}, bound-pruned {}, \
              lint-rejected {}, tech constructions {}\n  \
@@ -97,7 +91,6 @@ impl EngineStats {
             self.solved,
             self.memoized,
             self.resumed,
-            self.audit_skipped,
             self.invalid,
             self.ok,
             self.infeasible,
@@ -142,22 +135,6 @@ mod tests {
         assert!(s.balanced());
         s.ok = 9;
         assert!(!s.balanced());
-    }
-
-    #[test]
-    fn audit_skipped_points_count_in_the_claim_partition() {
-        let s = EngineStats {
-            points: 10,
-            solved: 4,
-            memoized: 1,
-            audit_skipped: 4,
-            invalid: 1,
-            ok: 5,
-            infeasible: 4,
-            ..EngineStats::default()
-        };
-        assert!(s.balanced());
-        assert!(s.render().contains("audit-skipped 4"));
     }
 
     #[test]

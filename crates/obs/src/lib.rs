@@ -38,18 +38,26 @@
 //! line per counter and per histogram, sorted by name. [`render_summary`]
 //! renders the same snapshot as the compact end-of-run table the CLIs
 //! print to stderr. See DESIGN.md §13 for the naming scheme and format.
+//!
+//! ## JSON
+//!
+//! [`mod@json`] is the workspace's one JSON module — escaper, record
+//! emitter and parser — kept here because every crate that reads or
+//! writes JSON already depends on this one.
 
+pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod span;
 pub mod trace;
 
+pub use json::{escape, escape_into};
 pub use metrics::{quantile_from_buckets, Counter, Histogram};
 pub use registry::{
     counter, histogram, reset, snapshot, CounterSnapshot, HistogramSnapshot, Snapshot,
 };
 pub use span::{span, Span};
-pub use trace::{escape, escape_into, render_summary, write_trace};
+pub use trace::{render_summary, write_trace};
 
 /// Resolves (once per call site) and returns the [`Counter`] named by the
 /// literal argument. The registry lock is taken only on the first hit of

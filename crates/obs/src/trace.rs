@@ -16,46 +16,12 @@
 //! host timestamps. Metric lines are sorted by name (counters first), so
 //! diffing two sidecars of the same build is meaningful.
 
+use crate::json::escape;
 use crate::registry::{snapshot, Snapshot};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
-
-/// Escapes a string for inclusion in a JSON string literal: quotes,
-/// backslashes and every control character. The one escaper of the
-/// workspace — the explore records, the diagnostics JSON and the CLIs
-/// all render strings through it.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
-}
-
-/// [`escape`], appended to `out` in place. Every character to escape is
-/// ASCII, so the runs between them are copied through whole, and a string
-/// with nothing to escape is one copy.
-pub fn escape_into(out: &mut String, s: &str) {
-    let mut start = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b != b'"' && b != b'\\' && b >= 0x20 {
-            continue;
-        }
-        out.push_str(&s[start..i]);
-        start = i + 1;
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
-    }
-    out.push_str(&s[start..]);
-}
 
 /// Renders one snapshot as the sidecar's JSONL body (no meta line).
 fn render_jsonl(snap: &Snapshot) -> String {
@@ -164,49 +130,8 @@ pub fn render_summary(snap: &Snapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse, JsonValue};
     use crate::registry::{counter, histogram};
-
-    /// A minimal structural JSON check: balanced braces/brackets outside
-    /// strings, no raw control characters. Not a full parser, but enough to
-    /// catch unescaped quotes and torn lines in the renderer.
-    fn looks_like_json_object(line: &str) -> bool {
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return false;
-        }
-        let (mut depth, mut in_str, mut escaped) = (0i32, false, false);
-        for c in line.chars() {
-            if in_str {
-                match (escaped, c) {
-                    (true, _) => escaped = false,
-                    (false, '\\') => escaped = true,
-                    (false, '"') => in_str = false,
-                    (false, c) if (c as u32) < 0x20 => return false,
-                    _ => {}
-                }
-            } else {
-                match c {
-                    '"' => in_str = true,
-                    '{' | '[' => depth += 1,
-                    '}' | ']' => depth -= 1,
-                    _ => {}
-                }
-                if depth < 0 {
-                    return false;
-                }
-            }
-        }
-        depth == 0 && !in_str
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_control_chars() {
-        assert_eq!(escape("plain.name"), "plain.name");
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("x\ny\t\u{1}"), "x\\ny\\t\\u0001");
-        let mut out = String::from("k=");
-        escape_into(&mut out, "é\"\u{1f}");
-        assert_eq!(out, "k=é\\\"\\u001f");
-    }
 
     #[test]
     fn trace_file_is_nonempty_valid_jsonl() {
@@ -223,7 +148,10 @@ mod tests {
         assert!(lines[0].contains("\"type\":\"meta\""));
         assert!(lines[0].contains("\"unix_ms\":"));
         for line in &lines {
-            assert!(looks_like_json_object(line), "bad JSONL line: {line}");
+            assert!(
+                matches!(parse(line), Ok(JsonValue::Obj(_))),
+                "bad JSONL line: {line}"
+            );
         }
         assert!(body.contains("\"name\":\"trace.test.events\""));
         assert!(body.contains("\"name\":\"trace.test.wait_ns\""));

@@ -581,7 +581,7 @@ mod tests {
 
     #[test]
     fn window_enclosures_cover_a_solved_spec() {
-        use cactid_core::{solve, AccessMode, MemoryKind};
+        use cactid_core::{solve_with_stats, AccessMode, MemoryKind};
         let spec = MemorySpec::builder()
             .capacity_bytes(1 << 20)
             .block_bytes(64)
@@ -602,7 +602,7 @@ mod tests {
         };
         // One-sided soundness: every feasible solution's access time and
         // read energy sit at or above the certified component floor.
-        for sol in solve(&spec).unwrap() {
+        for sol in solve_with_stats(&spec, None).result.unwrap() {
             assert!(
                 sol.access_time >= t.lo(),
                 "{} < {}",

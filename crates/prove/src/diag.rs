@@ -1,14 +1,13 @@
 //! Prover findings as `CD02xx` diagnostics, in the same record types the
 //! lint pipeline renders (`cactid_core::lint`), so `cactid prove --format
-//! json` emits the exact one-object-per-line schema the `lint` and
-//! `--audit` paths already publish.
+//! json` emits the exact one-object-per-line schema `cactid lint` and
+//! `cactid audit` already publish.
 //!
-//! The prover does **not** depend on `cactid-analyze` (the analyzer
-//! depends on nothing above `cactid-core`, and the explore engine pulls
-//! both in — an edge in the other direction would cycle). The metric
-//! windows it analyzes are therefore supplied by the caller as
-//! [`MetricWindow`] values; the CLI passes the analyzer's shipped
-//! `CD0021`/`CD0022` window constants.
+//! The prover does **not** depend on `cactid-analyze`: both sit directly
+//! on `cactid-core`, and only the root facade (with its `cactid` binary)
+//! pulls both in. The metric windows it analyzes are therefore supplied
+//! by the caller as [`MetricWindow`] values; the CLI passes the
+//! analyzer's shipped `CD0021`/`CD0022` window constants.
 
 use crate::cert::SpecProof;
 use crate::iv::Iv;

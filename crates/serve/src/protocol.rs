@@ -29,9 +29,10 @@
 //! Parse failures are not service errors: the caller turns the message
 //! into an `{"id":N,"error":"..."}` response line and keeps serving.
 
-use cactid_analyze::json::{parse, JsonValue};
 use cactid_core::{AccessMode, MemoryKind, MemorySpec};
+use cactid_explore::record::{parse_cell, parse_mode};
 use cactid_explore::{Grid, GridPoint, OptVariant};
+use cactid_obs::json::{parse, JsonValue};
 use cactid_tech::{CellTechnology, TechNode};
 
 /// A parsed request.
@@ -61,24 +62,6 @@ pub enum Request {
         /// Client-chosen correlation id.
         id: u64,
     },
-}
-
-fn parse_cell(v: &str) -> Option<CellTechnology> {
-    match v {
-        "sram" => Some(CellTechnology::Sram),
-        "lp-dram" | "lpdram" => Some(CellTechnology::LpDram),
-        "comm-dram" | "commdram" => Some(CellTechnology::CommDram),
-        _ => None,
-    }
-}
-
-fn parse_mode(v: &str) -> Option<AccessMode> {
-    match v {
-        "normal" => Some(AccessMode::Normal),
-        "sequential" => Some(AccessMode::Sequential),
-        "fast" => Some(AccessMode::Fast),
-        _ => None,
-    }
 }
 
 fn field_u64(v: &JsonValue, key: &str, default: u64) -> Result<u64, String> {

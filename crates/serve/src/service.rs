@@ -38,11 +38,11 @@ use crate::protocol::{parse_request, Request};
 use crate::store::SolutionStore;
 use cactid_core::MemorySpec;
 use cactid_explore::hash::{spec_canon, spec_fingerprint};
-use cactid_explore::json::JsonObject;
 use cactid_explore::record::{mode_label, render_invalid, render_solved};
 use cactid_explore::{
     explore_expansion, Expansion, ExploreConfig, ExploreError, Grid, GridPoint, SolveCache,
 };
+use cactid_obs::json::JsonObject;
 use std::io::{BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;

@@ -19,8 +19,7 @@
 //! severities and `--deny-warnings` turns warnings into a non-zero exit.
 //! The `explore` subcommand expands a grid over comma-separated axes and
 //! runs the `cactid-explore` batch engine (parallel, resumable,
-//! Pareto-annotated JSONL); `--audit` lets it retire statically-doomed
-//! points without solving. The `audit` subcommand statically classifies
+//! Pareto-annotated JSONL). The `audit` subcommand statically classifies
 //! every point of a grid before any solve (`--grid` + axis flags, with a
 //! per-rule infeasibility histogram) or replays the cross-record
 //! `CD0101`–`CD0105` rules over a finished run (`--jsonl FILE`). The
@@ -46,6 +45,7 @@ use cactid_core::{
     AccessMode, ArraySweep, CactiError, Diagnostic, EvalMemo, MemoryKind, MemorySpec,
     OptimizationOptions, Report, Solution, SolutionLinter,
 };
+use cactid_explore::record::{parse_cell, parse_mode};
 use cactid_explore::{AuditVerdict, ExploreConfig, Grid, OptVariant};
 use cactid_prove::{MetricWindow, WindowMetric};
 use cactid_tech::{CellTechnology, TechNode};
@@ -78,8 +78,6 @@ fn usage() -> ! {
          \x20          [--banks LIST] [--nodes LIST] [--cells LIST]\n\
          \x20          [--opts default|ed|c LIST] [--mode M] [--out FILE]\n\
          \x20          [--threads N] [--resume] [--pareto] [--lint]\n\
-         \x20          [--audit]       statically retire infeasible points\n\
-         \x20                          without solving (same output bytes)\n\
          \x20          [--trace FILE]  write a JSONL metrics sidecar and print a\n\
          \x20                          counter/histogram summary to stderr\n\
          \x20 serve    resident solve service speaking a JSONL request protocol\n\
@@ -191,24 +189,6 @@ fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
         .map_err(|_| format!("invalid value {v:?} for {flag}"))
 }
 
-fn parse_cell(v: &str) -> Option<CellTechnology> {
-    match v {
-        "sram" => Some(CellTechnology::Sram),
-        "lp-dram" | "lpdram" => Some(CellTechnology::LpDram),
-        "comm-dram" | "commdram" => Some(CellTechnology::CommDram),
-        _ => None,
-    }
-}
-
-fn parse_mode(v: &str) -> Option<AccessMode> {
-    match v {
-        "normal" => Some(AccessMode::Normal),
-        "sequential" => Some(AccessMode::Sequential),
-        "fast" => Some(AccessMode::Fast),
-        _ => None,
-    }
-}
-
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut a = Args {
         size: 0,
@@ -304,7 +284,6 @@ struct ExploreArgs {
     resume: bool,
     pareto: bool,
     lint: bool,
-    audit: bool,
     trace: Option<PathBuf>,
 }
 
@@ -361,7 +340,6 @@ fn parse_explore_args(argv: &[String]) -> Result<ExploreArgs, String> {
         resume: false,
         pareto: false,
         lint: false,
-        audit: false,
         trace: None,
     };
     let mut i = 0;
@@ -374,7 +352,6 @@ fn parse_explore_args(argv: &[String]) -> Result<ExploreArgs, String> {
             "--resume" => a.resume = true,
             "--pareto" => a.pareto = true,
             "--lint" => a.lint = true,
-            "--audit" => a.audit = true,
             "--help" | "-h" => return Err("help requested".to_string()),
             other => {
                 if !parse_grid_flag(&mut a.grid, other, argv, &mut i)? {
@@ -404,7 +381,6 @@ fn run_explore(argv: &[String]) -> ! {
         out: a.out.as_deref(),
         resume: a.resume,
         pareto: a.pareto,
-        audit: a.audit,
         linter: a.lint.then_some(&analyzer as &(dyn SolutionLinter + Sync)),
         cache: None,
     };
@@ -1126,14 +1102,6 @@ mod tests {
             Some(std::path::Path::new("sweep.trace.jsonl"))
         );
         assert_eq!(a.grid.len(), 3 * 2 * 2 * 2 * 2 * 3);
-    }
-
-    #[test]
-    fn explore_parser_accepts_audit_switch() {
-        let a = parse_explore_args(&args(&["--sizes", "1M", "--audit"])).unwrap();
-        assert!(a.audit);
-        let plain = parse_explore_args(&args(&["--sizes", "1M"])).unwrap();
-        assert!(!plain.audit);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: internal consistency of the CACTI-D
 //! model across technologies, nodes and capacities.
 
-use cacti_d::core::{optimize, solve, AccessMode, MemoryKind, MemorySpec};
+use cacti_d::core::{optimize, solve_with_stats, AccessMode, MemoryKind, MemorySpec};
 use cacti_d::tech::{CellTechnology, TechNode};
 use cacti_d::units::{Joules, Seconds, SquareMeters, Watts};
 
@@ -54,7 +54,7 @@ fn scaling_shrinks_area_across_nodes() {
 fn every_solution_satisfies_basic_physics() {
     for cell in CellTechnology::ALL {
         let spec = cache_spec(2 << 20, *cell, TechNode::N45);
-        for sol in solve(&spec).unwrap() {
+        for sol in solve_with_stats(&spec, None).result.unwrap() {
             assert!(sol.access_time > Seconds::ZERO);
             assert!(sol.random_cycle > Seconds::ZERO);
             assert!(sol.interleave_cycle > Seconds::ZERO);

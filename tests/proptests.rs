@@ -7,7 +7,7 @@
 //! number of cases per property from a fixed seed.
 #![cfg(feature = "proptest")]
 
-use cacti_d::core::{solve, AccessMode, MemoryKind, MemorySpec};
+use cacti_d::core::{solve_with_stats, AccessMode, MemoryKind, MemorySpec};
 use cacti_d::sim::cache::{LineState, SetAssocCache};
 use cacti_d::sim::config::{DramConfig, PagePolicy};
 use cacti_d::sim::dram::DramChannel;
@@ -75,7 +75,7 @@ fn solutions_are_physical() {
             })
             .build()
             .unwrap();
-        if let Ok(sols) = solve(&spec) {
+        if let Ok(sols) = solve_with_stats(&spec, None).result {
             for s in sols {
                 assert!(s.access_time.is_finite() && s.access_time.value() > 0.0);
                 assert!(s.area.is_finite() && s.area.value() > 0.0);
