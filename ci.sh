@@ -175,22 +175,39 @@ test "$ASSEMBLED" -eq "$WINNERS" && test "$ASSEMBLED" -lt "$FEASIBLE" || {
 }
 rm -rf "$TDIR"
 
-echo "== cactid audit smoke run (static grid analysis + json diagnostics)"
-# Whole-grid static feasibility: a mixed grid must classify all three
-# verdicts without solving and print the per-rule infeasibility histogram.
+echo "== prescreen prune counters (explore --trace on a 48K-1G grid)"
+# The solver counts the prescreen's rejections per rule, once per shared
+# data-array sweep. On this grid the subarray-row cap and the wordline
+# Elmore bound both reject organizations, and some points are infeasible.
 ADIR=$(mktemp -d)
-$CACTID audit --grid --sizes 48K,64K,128K,512M,1G --blocks 64,128 \
-    --assocs 4,8 --cells sram,comm-dram --nodes 32,90 \
-    > "$ADIR/audit.txt"
-grep -q "infeasibility histogram" "$ADIR/audit.txt" || {
-    echo "audit summary lacks the infeasibility histogram:" >&2
-    cat "$ADIR/audit.txt" >&2
+$CACTID explore --sizes 48K,64K,128K,512M,1G --blocks 64,128 \
+    --assocs 4,8 --cells sram,comm-dram --nodes 32,90 --threads 2 \
+    --out "$ADIR/grid.jsonl" --trace "$ADIR/grid.trace.jsonl" 2>/dev/null
+for RULE in subarray_rows wordline_elmore sense_margin; do
+    grep -q "\"name\":\"core.solve.pruned.$RULE\"" "$ADIR/grid.trace.jsonl" || {
+        echo "explore trace lacks core.solve.pruned.$RULE" >&2
+        exit 1
+    }
+done
+for RULE in subarray_rows wordline_elmore; do
+    test "$(trace_counter "core.solve.pruned.$RULE" "$ADIR/grid.trace.jsonl")" -gt 0 || {
+        echo "core.solve.pruned.$RULE is zero on the smoke grid" >&2
+        exit 1
+    }
+done
+grep -q '"status":"infeasible"' "$ADIR/grid.jsonl" || {
+    echo "the smoke grid has no infeasible records" >&2
     exit 1
 }
-grep -q "statically infeasible" "$ADIR/audit.txt" || {
-    echo "audit found no statically infeasible points on the smoke grid" >&2
-    exit 1
-}
+# The static grid audit and the interval prover are gone: usage errors.
+for ARGS in "audit --grid --sizes 64K" "prove --size 64K"; do
+    RC=0
+    $CACTID $ARGS >/dev/null 2>&1 || RC=$?
+    test "$RC" -eq 2 || {
+        echo "cactid $ARGS exited $RC, expected the usage error 2" >&2
+        exit 1
+    }
+done
 # Machine-readable diagnostics: every line one JSON object carrying the
 # schema's required keys, and the lint exit contract holds.
 if $CACTID lint --size 1536K --format json > "$ADIR/diag.jsonl"; then
@@ -208,36 +225,6 @@ if grep -vq '^{.*}$' "$ADIR/diag.jsonl"; then
     exit 1
 fi
 rm -rf "$ADIR"
-
-echo "== cactid prove smoke run (soundness certificates + json schema)"
-# The interval prover must certify every shipped rule for each of the
-# three bench specs (an unsound rule is a CD0201 error: exit != 0), and
-# the JSON stream must carry the CD0204 certified-cutoff diagnostic with
-# full rule metadata.
-PDIR=$(mktemp -d)
-$CACTID prove --size 2M --block 64 --assoc 8 --banks 1 --cell sram \
-    --node 32 > "$PDIR/sram.txt"
-$CACTID prove --size 8M --assoc 16 --cell lp-dram --node 32 \
-    --mode sequential >/dev/null
-$CACTID prove --size 128M --banks 8 --block 8 --cell comm-dram --node 78 \
-    --main-memory --io 8 --burst 8 --prefetch 8 --page 8K >/dev/null
-grep -q "sound" "$PDIR/sram.txt" || {
-    echo "prove summary lacks a soundness verdict:" >&2
-    cat "$PDIR/sram.txt" >&2
-    exit 1
-}
-$CACTID prove --size 2M --block 64 --assoc 8 --banks 1 --cell sram \
-    --node 32 --format json > "$PDIR/diag.jsonl" 2>/dev/null
-grep -q '^{"code":"CD0204","severity":"info",.*"rule":{' "$PDIR/diag.jsonl" || {
-    echo "prove json diagnostics missing the CD0204 schema line:" >&2
-    cat "$PDIR/diag.jsonl" >&2
-    exit 1
-}
-if grep -vq '^{.*}$' "$PDIR/diag.jsonl"; then
-    echo "prove json diagnostics contain a non-JSONL line" >&2
-    exit 1
-fi
-rm -rf "$PDIR"
 
 echo "== cactid serve smoke run (stdio JSONL + persistent store)"
 # Drive the resident service end to end over stdio: three requests where

@@ -9,13 +9,10 @@
 //! `Ndwl`/`Ndbl`/mux legality and wordline-RC sanity at the organization
 //! stage, and the §2.3.2 DRAM command-timing inequalities
 //! (`tRCD + CAS ≤ access`, `tRC = tRAS + tRP`, `tRRD > 0`), refresh
-//! consistency, and sense margins at the solution stage. Nine run rules
+//! consistency, and sense margins at the solution stage. Five run rules
 //! check capacity-sweep monotonicity, Pareto annotation consistency,
 //! metric plausibility windows, and record-set integrity across a whole
-//! run (`CD0101`–`CD0105`), plus the `cactid prove` interval-certifier
-//! findings (`CD0201`–`CD0204`: certificate soundness, window
-//! satisfiability, dead window edges, and certified prescreen bounds —
-//! computed out-of-band by the sibling `cactid-prove` crate).
+//! run (`CD0101`–`CD0105`).
 //!
 //! Every rule is registered in the central [`RuleRegistry`] with its
 //! metadata (code, stage, default severity, one-line invariant, paper

@@ -194,7 +194,7 @@ mod tests {
     fn standard_registry_lists_every_rule_once() {
         let reg = RuleRegistry::standard();
         let metas = reg.metas();
-        assert_eq!(metas.len(), 31, "22 object rules + 9 run rules");
+        assert_eq!(metas.len(), 27, "22 object rules + 5 run rules");
         let codes: Vec<&str> = metas.iter().map(|m| m.code).collect();
         let mut sorted = codes.clone();
         sorted.sort_unstable();
@@ -202,7 +202,6 @@ mod tests {
         assert_eq!(codes, sorted, "metas must be unique and code-ordered");
         assert!(reg.contains("CD0001"));
         assert!(reg.contains("CD0105"));
-        assert!(reg.contains("CD0204"));
         assert!(!reg.contains("CD9999"));
     }
 
@@ -216,7 +215,7 @@ mod tests {
         assert_eq!(m.default_severity, Severity::Warn);
         let m = reg.meta("CD0101").expect("run rule");
         assert_eq!(m.stage, Stage::Run);
-        let m = reg.meta("CD0201").expect("prover soundness rule");
+        let m = reg.meta("CD0103").expect("run error rule");
         assert_eq!(m.stage, Stage::Run);
         assert_eq!(m.default_severity, Severity::Error);
     }

@@ -1,5 +1,5 @@
 //! The rule implementations: twenty-two object rules over three pipeline
-//! stages, plus nine cross-record run rules.
+//! stages, plus five cross-record run rules.
 //!
 //! | Codes            | Stage        | Module     |
 //! |------------------|--------------|------------|
@@ -7,10 +7,8 @@
 //! | `CD0010`–`CD0014`| Organization | [`org`]    |
 //! | `CD0015`–`CD0022`| Solution     | [`sol`]    |
 //! | `CD0101`–`CD0105`| Run          | [`run`]    |
-//! | `CD0201`–`CD0204`| Run          | [`prove`]  |
 
 pub mod org;
-pub mod prove;
 pub mod run;
 pub mod sol;
 pub mod spec;
@@ -28,9 +26,7 @@ pub fn all() -> Vec<Box<dyn Rule>> {
 
 /// Builds the full run-rule set, ordered by rule code.
 pub fn all_run() -> Vec<Box<dyn RunRule>> {
-    let mut rules = run::all();
-    rules.extend(prove::all());
-    rules
+    run::all()
 }
 
 /// `a ≥ b` up to floating-point noise (relative 1 ppb plus an absolute
@@ -65,18 +61,16 @@ mod tests {
     }
 
     #[test]
-    fn run_rules_have_unique_sorted_cd01xx_and_cd02xx_codes() {
+    fn run_rules_have_unique_sorted_cd01xx_codes() {
         let rules = all_run();
-        assert_eq!(rules.len(), 9);
+        assert_eq!(rules.len(), 5);
         let codes: Vec<&str> = rules.iter().map(|r| r.code()).collect();
         let unique: BTreeSet<&str> = codes.iter().copied().collect();
         assert_eq!(unique.len(), codes.len(), "duplicate run-rule codes");
         let mut sorted = codes.clone();
         sorted.sort_unstable();
         assert_eq!(codes, sorted, "run rules must be ordered by code");
-        assert!(codes
-            .iter()
-            .all(|c| c.starts_with("CD01") || c.starts_with("CD02")));
+        assert!(codes.iter().all(|c| c.starts_with("CD01")));
     }
 
     #[test]
@@ -106,8 +100,7 @@ mod tests {
         }
         for rule in all_run() {
             let expected = match rule.code() {
-                "CD0103" | "CD0105" | "CD0201" => Severity::Error,
-                "CD0203" | "CD0204" => Severity::Info,
+                "CD0103" | "CD0105" => Severity::Error,
                 _ => Severity::Warn,
             };
             assert_eq!(rule.default_severity(), expected, "{}", rule.code());

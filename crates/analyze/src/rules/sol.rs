@@ -470,10 +470,8 @@ impl Rule for SenseMargin {
 pub struct AccessTimePlausibility;
 
 /// Fastest plausible access for any array the model can build: 1 ps.
-/// Public so the `cactid prove` window analysis can reason about the edge.
 pub const ACCESS_TIME_MIN: Seconds = Seconds::from_si(1.0e-12);
 /// Slowest plausible access before the design is nonsense: 1 ms.
-/// Public so the `cactid prove` window analysis can reason about the edge.
 pub const ACCESS_TIME_MAX: Seconds = Seconds::from_si(1.0e-3);
 
 impl Rule for AccessTimePlausibility {
@@ -542,10 +540,8 @@ impl Rule for AccessTimePlausibility {
 pub struct EnergyPlausibility;
 
 /// Least plausible per-access dynamic energy: 1 fJ.
-/// Public so the `cactid prove` window analysis can reason about the edge.
 pub const DYN_ENERGY_MIN: Joules = Joules::from_si(1.0e-15);
 /// Greatest plausible per-access dynamic energy: 1 µJ.
-/// Public so the `cactid prove` window analysis can reason about the edge.
 pub const DYN_ENERGY_MAX: Joules = Joules::from_si(1.0e-6);
 
 impl Rule for EnergyPlausibility {

@@ -219,8 +219,8 @@ impl ArrayResult {
 }
 
 /// Which of the three closed-form checks rejected a candidate, reported by
-/// [`prescreen_explain`] so static analyses (the `cactid audit` grid
-/// screen) can build per-reason infeasibility histograms.
+/// [`prescreen_explain`] so the solver's sweep and [`crate::static_screen`]
+/// can count rejections per rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrescreenFailure {
     /// The subarray has more rows than the cell's `max_rows_per_subarray`.
@@ -232,29 +232,9 @@ pub enum PrescreenFailure {
     SenseMargin,
 }
 
-impl PrescreenFailure {
-    /// Every failure reason, in check order.
-    pub const ALL: &'static [PrescreenFailure] = &[
-        PrescreenFailure::SubarrayRows,
-        PrescreenFailure::WordlineElmore,
-        PrescreenFailure::SenseMargin,
-    ];
-
-    /// Stable kebab-case label used in histograms and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            PrescreenFailure::SubarrayRows => "subarray-rows",
-            PrescreenFailure::WordlineElmore => "wordline-elmore",
-            PrescreenFailure::SenseMargin => "sense-margin",
-        }
-    }
-}
-
 /// The hierarchical-wordline feasibility bound: a distributed wordline RC
 /// beyond this needs a re-buffered wordline scheme outside the model's
-/// scope, so [`prescreen_explain`] rejects the organization. Named so the
-/// `cactid-prove` abstract evaluator compares against the identical
-/// constant.
+/// scope, so [`prescreen_explain`] rejects the organization.
 pub const WORDLINE_ELMORE_BOUND: Seconds = Seconds::from_si(3e-9);
 
 /// The closed-form feasibility screen of [`evaluate`], separated out so the
@@ -300,17 +280,6 @@ pub fn prescreen_explain(
     } else {
         Ok(cell.v_sense_margin)
     }
-}
-
-/// [`prescreen_explain`] with the reason folded into the solver's error
-/// type.
-///
-/// # Errors
-///
-/// Returns [`CactiError::NoFeasibleSolution`] exactly when [`evaluate`]
-/// would for the same `(cell, rows, cols)`.
-pub fn prescreen(cell: &CellParams, rows: u64, cols: u64) -> Result<Volts, CactiError> {
-    prescreen_explain(cell, rows, cols).map_err(|_| CactiError::NoFeasibleSolution)
 }
 
 /// Memoizes every candidate-invariant or axis-keyed piece of [`evaluate`],
@@ -1029,8 +998,8 @@ impl EvalMemo {
 ///
 /// Returns [`CactiError::NoFeasibleSolution`] when the organization is
 /// electrically infeasible (e.g. a DRAM bitline too long to meet the sense
-/// margin); [`prescreen`] reports the identical verdict without the cost
-/// of the full evaluation.
+/// margin); [`prescreen_explain`] reports the identical verdict, and its
+/// reason, without the cost of the full evaluation.
 pub fn evaluate(tech: &Technology, input: &ArrayInput) -> Result<ArrayResult, CactiError> {
     evaluate_incremental(tech, input, &mut EvalMemo::new())
 }
@@ -1055,14 +1024,23 @@ pub fn evaluate_incremental(
     input: &ArrayInput,
     memo: &mut EvalMemo,
 ) -> Result<ArrayResult, CactiError> {
+    evaluate_screened(tech, input, memo).map_err(|_| CactiError::NoFeasibleSolution)
+}
+
+/// [`evaluate_incremental`] keeping the screen's reason: the screen is the
+/// only way an evaluation fails, so the solver's sweep counts each
+/// rejection by rule from the verdict the memo already holds.
+pub(crate) fn evaluate_screened(
+    tech: &Technology,
+    input: &ArrayInput,
+    memo: &mut EvalMemo,
+) -> Result<ArrayResult, PrescreenFailure> {
     let cell = &input.cell;
     let periph = &input.periph;
     let is_dram = cell.technology.is_dram();
 
     memo.enter(tech, input);
-    let Ok(sense_signal) = memo.screen(input) else {
-        return Err(CactiError::NoFeasibleSolution);
-    };
+    let sense_signal = memo.screen(input)?;
 
     let k = memo.consts(tech, input);
     let f = k.f;

@@ -3,8 +3,9 @@
 //!
 //! The sweep itself is a staged pipeline (DESIGN.md §14): organizations
 //! stream out of [`org::enumerate_lazy`], a closed-form pre-screen
-//! ([`array::prescreen`]) rejects electrically doomed candidates before the
-//! full circuit models run, and per-spec invariants (technology parameters,
+//! ([`array::prescreen_explain`]) rejects electrically doomed candidates
+//! before the full circuit models run (counted per rule), and per-spec
+//! invariants (technology parameters,
 //! the tag design) are hoisted out of the per-candidate loop. The data-array
 //! half of the sweep reads only one bank's geometry, so an [`ArraySweep`]
 //! runs it once for every spec that shares [`MemorySpec::array_key`]. The
@@ -336,7 +337,8 @@ impl Winners {
 #[derive(Debug)]
 struct Swept {
     orgs_enumerated: usize,
-    bound_pruned: usize,
+    /// The screen's rejections by rule; their total is `bound_pruned`.
+    pruned: ScreenHistogram,
     electrical_pruned: usize,
     /// The organizations that survived the data-array models.
     survivors: Vec<(OrgParams, ArrayResult)>,
@@ -398,31 +400,33 @@ impl ArraySweep {
             let ctx = SpecCtx::array(key);
             let mut swept = Swept {
                 orgs_enumerated: 0,
-                bound_pruned: 0,
+                pruned: ScreenHistogram::default(),
                 electrical_pruned: 0,
                 survivors: Vec::new(),
             };
             for org in org::enumerate_lazy(key) {
                 swept.orgs_enumerated += 1;
                 let input = ctx.build_input(&org);
-                // `evaluate_incremental` screens first and fails only on
-                // the screen, so its failures are the bound-pruned ones.
-                let (evaluated, pruned) = match self.screen {
-                    Screen::Off => (
-                        array::evaluate(ctx.tech, &input),
-                        &mut swept.electrical_pruned,
-                    ),
-                    Screen::Exact => (
-                        array::evaluate_incremental(ctx.tech, &input, memo),
-                        &mut swept.bound_pruned,
-                    ),
-                };
-                match evaluated {
-                    Ok(data) => swept.survivors.push((org, data)),
-                    Err(_) => *pruned += 1,
+                // The screen is the only way an evaluation fails, so the
+                // staged path's failures are the bound-pruned ones.
+                match self.screen {
+                    Screen::Off => match array::evaluate(ctx.tech, &input) {
+                        Ok(data) => swept.survivors.push((org, data)),
+                        Err(_) => swept.electrical_pruned += 1,
+                    },
+                    Screen::Exact => match array::evaluate_screened(ctx.tech, &input, memo) {
+                        Ok(data) => swept.survivors.push((org, data)),
+                        Err(failure) => swept.pruned.record(failure),
+                    },
                 }
             }
+            let pruned = &swept.pruned;
             cactid_obs::counter!("core.solve.array_sweeps").inc();
+            cactid_obs::counter!("core.solve.pruned.subarray_rows")
+                .add(pruned.subarray_rows as u64);
+            cactid_obs::counter!("core.solve.pruned.wordline_elmore")
+                .add(pruned.wordline_elmore as u64);
+            cactid_obs::counter!("core.solve.pruned.sense_margin").add(pruned.sense_margin as u64);
             swept
         })
     }
@@ -535,7 +539,7 @@ impl ArraySweep {
         let swept = self.sweep(memo);
         let stats = &mut tally.stats;
         stats.orgs_enumerated = swept.orgs_enumerated;
-        stats.bound_pruned = swept.bound_pruned;
+        stats.bound_pruned = swept.pruned.total();
         stats.electrical_pruned = swept.electrical_pruned;
         let mut rows = Vec::with_capacity(swept.survivors.len());
         let mut origin = Vec::with_capacity(swept.survivors.len());
@@ -602,7 +606,8 @@ pub fn solve_with_stats(spec: &MemorySpec, linter: Option<&dyn SolutionLinter>) 
 }
 
 /// Per-reason counts of candidates rejected by the closed-form screen,
-/// accumulated by [`static_screen`].
+/// accumulated by each data-array sweep (published as the
+/// `core.solve.pruned.*` counters) and by [`static_screen`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScreenHistogram {
     /// Candidates with more subarray rows than the cell allows.
@@ -626,23 +631,6 @@ impl ScreenHistogram {
     /// Total rejections across all reasons.
     pub fn total(&self) -> usize {
         self.subarray_rows + self.wordline_elmore + self.sense_margin
-    }
-
-    /// `(label, count)` pairs in check order, matching
-    /// [`array::PrescreenFailure::ALL`].
-    pub fn entries(&self) -> [(&'static str, usize); 3] {
-        [
-            ("subarray-rows", self.subarray_rows),
-            ("wordline-elmore", self.wordline_elmore),
-            ("sense-margin", self.sense_margin),
-        ]
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &ScreenHistogram) {
-        self.subarray_rows += other.subarray_rows;
-        self.wordline_elmore += other.wordline_elmore;
-        self.sense_margin += other.sense_margin;
     }
 }
 
@@ -696,8 +684,9 @@ pub struct StaticScreen {
 /// because the screen evaluates exactly the feasibility conditions
 /// [`array::evaluate`] checks first.
 ///
-/// This is the engine behind `cactid audit`: a whole exploration grid can
-/// be classified without solving any of it.
+/// A solve counts the same rejections per shared data-array sweep
+/// (`core.solve.pruned.*`); this per-spec answer is what the property
+/// tests check that count against.
 pub fn static_screen(spec: &MemorySpec) -> StaticScreen {
     cactid_obs::counter!("core.screen.calls").inc();
     let mut stats = SolveStats::default();
@@ -945,26 +934,17 @@ mod tests {
     }
 
     #[test]
-    fn screen_histogram_records_and_merges() {
+    fn screen_histogram_counts_by_rule() {
         use crate::array::PrescreenFailure;
         let mut h = ScreenHistogram::default();
         h.record(PrescreenFailure::SubarrayRows);
         h.record(PrescreenFailure::SubarrayRows);
         h.record(PrescreenFailure::SenseMargin);
-        assert_eq!(h.total(), 3);
         assert_eq!(
-            h.entries(),
-            [
-                ("subarray-rows", 2),
-                ("wordline-elmore", 0),
-                ("sense-margin", 1)
-            ]
+            (h.subarray_rows, h.wordline_elmore, h.sense_margin),
+            (2, 0, 1)
         );
-        let mut other = ScreenHistogram::default();
-        other.record(PrescreenFailure::WordlineElmore);
-        h.merge(&other);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.wordline_elmore, 1);
+        assert_eq!(h.total(), 3);
     }
 
     /// The paper's three §3.1 knob sets (`default`, `ed`, `c`), as the

@@ -81,39 +81,6 @@ const MIN_COLS: u64 = 32;
 const MAX_SA_MUX: u32 = 1024;
 const MAX_BL_MUX: u32 = 8;
 
-/// The structural limits [`enumerate_lazy`] sweeps within, published so
-/// static analyses (`cactid-prove`) can bound the reachable organization
-/// space without re-deriving the sweep. The values here are the single
-/// source of truth — the sweep itself reads them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepBounds {
-    /// Largest wordline-direction partitioning swept.
-    pub max_ndwl: u32,
-    /// Largest bitline-direction partitioning swept.
-    pub max_ndbl: u32,
-    /// Smallest subarray row count emitted.
-    pub min_rows: u64,
-    /// Smallest subarray column count emitted.
-    pub min_cols: u64,
-    /// Largest subarray column count emitted.
-    pub max_cols: u64,
-    /// Largest sense-amp mux degree emitted.
-    pub max_sa_mux: u32,
-    /// Largest bitline mux degree emitted (SRAM only; DRAM is fixed at 1).
-    pub max_bl_mux: u32,
-}
-
-/// The sweep limits of [`enumerate_lazy`].
-pub const SWEEP_BOUNDS: SweepBounds = SweepBounds {
-    max_ndwl: MAX_NDWL,
-    max_ndbl: MAX_NDBL,
-    min_rows: MIN_ROWS,
-    min_cols: MIN_COLS,
-    max_cols: MAX_COLS,
-    max_sa_mux: MAX_SA_MUX,
-    max_bl_mux: MAX_BL_MUX,
-};
-
 /// Powers of two `1, 2, 4, …` up to and including `max`.
 fn powers_of_two(max: u32) -> impl Iterator<Item = u32> {
     std::iter::successors(Some(1u32), |&x| x.checked_mul(2)).take_while(move |&x| x <= max)

@@ -27,9 +27,6 @@
 //! * **[`mod@pareto`]** — frontier extraction over (access time, dynamic
 //!   read energy, area, leakage + refresh power) with dominated-point
 //!   counts.
-//! * **[`mod@audit`]** — whole-grid static feasibility analysis: every
-//!   point classified (`invalid` / `infeasible` / `maybe-feasible`)
-//!   *before* any solve, with a per-rule infeasibility histogram.
 //! * **[`EngineStats`]** — points solved / memoized / resumed / failed,
 //!   sweeps run, organizations enumerated, lint rejections, technology
 //!   constructions, and wall/CPU time per stage.
@@ -52,7 +49,6 @@
 //! # }
 //! ```
 
-pub mod audit;
 pub mod cache;
 mod engine;
 mod error;
@@ -64,7 +60,6 @@ pub mod record;
 pub mod resume;
 mod stats;
 
-pub use audit::{audit, AuditReport, AuditVerdict, PointAudit};
 pub use cache::{optimize_cached_in, GroupSolve, SolveCache};
 pub use engine::{explore, explore_expansion, ExploreConfig, ExploreReport, PointStatus};
 pub use error::ExploreError;

@@ -15,6 +15,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+/// The most workers one pool starts. Each worker is an OS thread, so a
+/// mistyped count must not ask for thousands; the CLIs refuse larger
+/// `--threads` values and [`run_indexed`] clamps to this.
+pub const MAX_THREADS: usize = 1024;
+
 /// The number of worker threads to use when the caller does not care:
 /// the machine's available parallelism.
 pub fn default_threads() -> usize {
@@ -25,7 +30,7 @@ pub fn default_threads() -> usize {
 /// result to `sink(i, result)` as it completes.
 ///
 /// * `threads == 0` is taken as [`default_threads`]; the effective count is
-///   clamped to `n`.
+///   clamped to `n` and to [`MAX_THREADS`].
 /// * `work` runs concurrently on the workers; `sink` runs under a mutex,
 ///   one call at a time, in completion order (not index order).
 /// * With one effective thread everything runs on the caller's thread in
@@ -42,7 +47,8 @@ where
     } else {
         threads
     }
-    .min(n.max(1));
+    .min(n.max(1))
+    .min(MAX_THREADS);
     if threads <= 1 {
         for i in 0..n {
             cactid_obs::counter!("explore.pool.claims").inc();

@@ -60,32 +60,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// The behavior every `quantity!` newtype shares, so generic code — the
-/// `cactid-prove` interval algebra in particular — can abstract over the
-/// concrete dimension while the `dim_mul!` legality table still decides
-/// *which* products and quotients exist (via `where A: Mul<B, Output = C>`
-/// bounds on the generic impls).
-///
-/// `f64` implements the trait too, as the dimensionless quantity, so
-/// scalar factors compose with dimensioned ones in generic code.
-pub trait Quantity: Copy + PartialOrd + fmt::Debug {
-    /// The raw value in SI base units.
-    fn si(self) -> f64;
-    /// Wraps a raw SI value.
-    fn of_si(v: f64) -> Self;
-}
-
-impl Quantity for f64 {
-    #[inline]
-    fn si(self) -> f64 {
-        self
-    }
-    #[inline]
-    fn of_si(v: f64) -> Self {
-        v
-    }
-}
-
 // Scale factors, kept as expressions (not decimal literals) so that the
 // constructed values are bit-identical to the historic `units.rs`
 // multiplier constants they replace.
@@ -145,34 +119,6 @@ macro_rules! quantity {
             #[must_use]
             pub fn is_finite(self) -> bool {
                 self.0.is_finite()
-            }
-
-            /// The least quantity strictly greater than `self` — one ulp
-            /// up. Interval analyses (`cactid-prove`) round upper bounds
-            /// outward with this.
-            #[inline]
-            #[must_use]
-            pub fn next_up(self) -> Self {
-                Self(self.0.next_up())
-            }
-
-            /// The greatest quantity strictly less than `self` — one ulp
-            /// down, the outward rounding of a lower bound.
-            #[inline]
-            #[must_use]
-            pub fn next_down(self) -> Self {
-                Self(self.0.next_down())
-            }
-        }
-
-        impl crate::Quantity for $name {
-            #[inline]
-            fn si(self) -> f64 {
-                self.0
-            }
-            #[inline]
-            fn of_si(v: f64) -> Self {
-                Self(v)
             }
         }
 
@@ -753,27 +699,6 @@ mod tests {
             OhmMeters::ohm_um(3300.0).value().to_bits(),
             (3300.0_f64 * 1e-6).to_bits()
         );
-    }
-
-    #[test]
-    fn outward_rounding_steps_one_ulp() {
-        let t = Seconds::ns(1.0);
-        assert!(t.next_up() > t);
-        assert!(t.next_down() < t);
-        // Exactly adjacent: nothing representable lies in between.
-        assert_eq!(t.next_up().value(), t.value().next_up());
-        assert_eq!(t.next_down().value(), t.value().next_down());
-        assert_eq!(t.next_up().next_down(), t);
-    }
-
-    #[test]
-    fn quantity_trait_roundtrips_and_covers_f64() {
-        fn double<Q: Quantity>(q: Q) -> Q {
-            Q::of_si(q.si() * 2.0)
-        }
-        assert_eq!(double(Seconds::ns(1.0)), Seconds::ns(2.0));
-        assert_eq!(double(2.5_f64), 5.0);
-        assert_eq!(Volts::of_si(0.9).si().to_bits(), 0.9_f64.to_bits());
     }
 
     #[test]

@@ -19,15 +19,10 @@
 //! severities and `--deny-warnings` turns warnings into a non-zero exit.
 //! The `explore` subcommand expands a grid over comma-separated axes and
 //! runs the `cactid-explore` batch engine (parallel, resumable,
-//! Pareto-annotated JSONL). The `audit` subcommand statically classifies
-//! every point of a grid before any solve (`--grid` + axis flags, with a
-//! per-rule infeasibility histogram) or replays the cross-record
-//! `CD0101`–`CD0105` rules over a finished run (`--jsonl FILE`). The
-//! `prove` subcommand runs the `cactid-prove` interval certifier over the
-//! spec's technology domain: it checks every shipped prescreen rule
-//! sound on the whole sweep grid, analyzes the CD0021/CD0022
-//! plausibility windows for vacuity and dead edges, and reports the
-//! certified prescreen bounds (`CD0201`–`CD0204`). The `serve` subcommand
+//! Pareto-annotated JSONL); its `--trace` sidecar carries the solver's
+//! per-rule prune counters (`core.solve.pruned.*`). The `audit` subcommand
+//! replays the cross-record `CD0101`–`CD0105` rules over a finished run
+//! (`--jsonl FILE`). The `serve` subcommand
 //! keeps a solver resident: a JSONL request loop (stdin/stdout or
 //! `--listen` TCP) answering solve/grid queries in the explore record
 //! schema, with an optional `--store` disk-backed solution store so
@@ -37,17 +32,14 @@
 //! `lint` subcommand needs `cactid-analyze`, which depends on the core —
 //! a bin inside the core could not see it.
 
-use cactid_analyze::rules::sol::{
-    ACCESS_TIME_MAX, ACCESS_TIME_MIN, DYN_ENERGY_MAX, DYN_ENERGY_MIN,
-};
 use cactid_analyze::{render, Analyzer, RunContext, SeverityAction, SeverityOverrides};
 use cactid_core::{
     AccessMode, ArraySweep, CactiError, Diagnostic, EvalMemo, MemoryKind, MemorySpec,
     OptimizationOptions, Report, Solution, SolutionLinter,
 };
+use cactid_explore::pool::MAX_THREADS;
 use cactid_explore::record::{parse_cell, parse_mode};
-use cactid_explore::{AuditVerdict, ExploreConfig, Grid, OptVariant};
-use cactid_prove::{MetricWindow, WindowMetric};
+use cactid_explore::{ExploreConfig, Grid, OptVariant};
 use cactid_tech::{CellTechnology, TechNode};
 use cactid_units::{Seconds, Watts};
 use std::path::PathBuf;
@@ -68,18 +60,15 @@ fn usage() -> ! {
          \x20          accepts --deny-warnings, --format text|json, and repeatable\n\
          \x20          --allow/--warn/--deny CDxxxx severity overrides;\n\
          \x20          exits non-zero on errors\n\
-         \x20 prove    run the interval-arithmetic certifier over the spec's\n\
-         \x20          technology domain: soundness certificates for every shipped\n\
-         \x20          prescreen rule, CD0021/CD0022 window satisfiability, and\n\
-         \x20          certified prescreen bounds (CD0201-CD0204); accepts the\n\
-         \x20          same lint output/severity flags\n\
          \x20 explore  batch design-space exploration; axes are comma lists:\n\
          \x20          --sizes LIST (required) [--blocks LIST] [--assocs LIST]\n\
          \x20          [--banks LIST] [--nodes LIST] [--cells LIST]\n\
          \x20          [--opts default|ed|c LIST] [--mode M] [--out FILE]\n\
          \x20          [--threads N] [--resume] [--pareto] [--lint]\n\
          \x20          [--trace FILE]  write a JSONL metrics sidecar and print a\n\
-         \x20                          counter/histogram summary to stderr\n\
+         \x20                          counter/histogram summary to stderr; its\n\
+         \x20                          core.solve.pruned.* counters count the\n\
+         \x20                          prescreen's rejections per rule\n\
          \x20 serve    resident solve service speaking a JSONL request protocol\n\
          \x20          (solve/grid/stats/shutdown) in the explore record schema:\n\
          \x20          [--stdio]       serve stdin/stdout (the default)\n\
@@ -88,14 +77,11 @@ fn usage() -> ! {
          \x20                          store; restarts answer duplicates without\n\
          \x20                          re-solving, byte-identical to a cold solve\n\
          \x20          [--threads N] [--trace FILE]\n\
-         \x20 audit    static analysis without solving; one of two modes:\n\
-         \x20          --grid + the explore axis flags  classify every grid point\n\
-         \x20                   (invalid / infeasible / maybe-feasible) and print\n\
-         \x20                   the per-rule infeasibility histogram\n\
-         \x20          --jsonl FILE  run the cross-record CD0101-CD0105 rules over\n\
-         \x20                   a finished explore run\n\
-         \x20          both accept --format text|json, --allow/--warn/--deny\n\
-         \x20          CDxxxx, and --deny-warnings"
+         \x20          --threads N (explore and serve): 0 = one worker per CPU,\n\
+         \x20          at most 1024\n\
+         \x20 audit    --jsonl FILE: run the cross-record CD0101-CD0105 rules\n\
+         \x20          over a finished explore run; accepts --format text|json,\n\
+         \x20          --allow/--warn/--deny CDxxxx, and --deny-warnings"
     );
     exit(2)
 }
@@ -118,12 +104,12 @@ fn parse_list<T>(flag: &str, v: &str, parse: impl Fn(&str) -> Option<T>) -> Resu
         .collect()
 }
 
-/// How diagnostics (and audit verdicts) are written.
+/// How diagnostics are written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OutputFormat {
     /// Rustc-style report (the default).
     Text,
-    /// One JSON object per diagnostic / grid point, one per line.
+    /// One JSON object per diagnostic, one per line.
     Json,
 }
 
@@ -187,6 +173,16 @@ fn value<'a>(argv: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, S
 fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
     v.parse()
         .map_err(|_| format!("invalid value {v:?} for {flag}"))
+}
+
+/// Parses `--threads`: 0 means one worker per CPU. The pool starts one OS
+/// thread per worker, so a count past [`MAX_THREADS`] is a usage error.
+fn parse_threads(v: &str) -> Result<usize, String> {
+    let n: usize = parse_num("--threads", v)?;
+    if n > MAX_THREADS {
+        return Err(format!("--threads expects 0..={MAX_THREADS}, got {n}"));
+    }
+    Ok(n)
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -287,51 +283,6 @@ struct ExploreArgs {
     trace: Option<PathBuf>,
 }
 
-/// The named optimization-knob variants the `--opts` axis accepts:
-/// `default`, plus the paper's `ed` (energy/delay mats) and `c` (capacity)
-/// settings from §3.1. The table lives in [`OptVariant::named`], shared
-/// with the serve protocol.
-fn parse_opt_variant(v: &str) -> Option<OptVariant> {
-    OptVariant::named(v)
-}
-
-/// Parses one comma-list grid-axis flag into `grid`; returns `false` when
-/// `flag` is not a grid axis. Shared by `explore` and `audit --grid`.
-fn parse_grid_flag(
-    grid: &mut Grid,
-    flag: &str,
-    argv: &[String],
-    i: &mut usize,
-) -> Result<bool, String> {
-    match flag {
-        "--sizes" => grid.capacities = parse_list(flag, value(argv, i, flag)?, parse_size)?,
-        "--blocks" => {
-            grid.blocks = parse_list(flag, value(argv, i, flag)?, |v| v.parse::<u32>().ok())?;
-        }
-        "--assocs" => {
-            grid.associativities =
-                parse_list(flag, value(argv, i, flag)?, |v| v.parse::<u32>().ok())?;
-        }
-        "--banks" => {
-            grid.banks = parse_list(flag, value(argv, i, flag)?, |v| v.parse::<u32>().ok())?;
-        }
-        "--nodes" => {
-            grid.nodes = parse_list(flag, value(argv, i, flag)?, |v| {
-                v.parse::<u32>().ok().and_then(TechNode::from_nm)
-            })?;
-        }
-        "--cells" => grid.cells = parse_list(flag, value(argv, i, flag)?, parse_cell)?,
-        "--opts" => grid.opts = parse_list(flag, value(argv, i, flag)?, parse_opt_variant)?,
-        "--mode" => {
-            let v = value(argv, i, flag)?;
-            grid.access_mode =
-                parse_mode(v).ok_or_else(|| format!("invalid value {v:?} for {flag}"))?;
-        }
-        _ => return Ok(false),
-    }
-    Ok(true)
-}
-
 fn parse_explore_args(argv: &[String]) -> Result<ExploreArgs, String> {
     let mut a = ExploreArgs {
         grid: Grid::new(),
@@ -348,16 +299,42 @@ fn parse_explore_args(argv: &[String]) -> Result<ExploreArgs, String> {
         match flag {
             "--out" => a.out = Some(PathBuf::from(value(argv, &mut i, flag)?)),
             "--trace" => a.trace = Some(PathBuf::from(value(argv, &mut i, flag)?)),
-            "--threads" => a.threads = parse_num(flag, value(argv, &mut i, flag)?)?,
+            "--threads" => a.threads = parse_threads(value(argv, &mut i, flag)?)?,
             "--resume" => a.resume = true,
             "--pareto" => a.pareto = true,
             "--lint" => a.lint = true,
-            "--help" | "-h" => return Err("help requested".to_string()),
-            other => {
-                if !parse_grid_flag(&mut a.grid, other, argv, &mut i)? {
-                    return Err(format!("unknown flag {other:?}"));
-                }
+            "--sizes" => {
+                a.grid.capacities = parse_list(flag, value(argv, &mut i, flag)?, parse_size)?;
             }
+            "--blocks" => {
+                a.grid.blocks =
+                    parse_list(flag, value(argv, &mut i, flag)?, |v| v.parse::<u32>().ok())?;
+            }
+            "--assocs" => {
+                a.grid.associativities =
+                    parse_list(flag, value(argv, &mut i, flag)?, |v| v.parse::<u32>().ok())?;
+            }
+            "--banks" => {
+                a.grid.banks =
+                    parse_list(flag, value(argv, &mut i, flag)?, |v| v.parse::<u32>().ok())?;
+            }
+            "--nodes" => {
+                a.grid.nodes = parse_list(flag, value(argv, &mut i, flag)?, |v| {
+                    v.parse::<u32>().ok().and_then(TechNode::from_nm)
+                })?;
+            }
+            "--cells" => a.grid.cells = parse_list(flag, value(argv, &mut i, flag)?, parse_cell)?,
+            "--opts" => {
+                // `default`, plus the paper's §3.1 `ed` and `c` knob sets.
+                a.grid.opts = parse_list(flag, value(argv, &mut i, flag)?, OptVariant::named)?;
+            }
+            "--mode" => {
+                let v = value(argv, &mut i, flag)?;
+                a.grid.access_mode =
+                    parse_mode(v).ok_or_else(|| format!("invalid value {v:?} for {flag}"))?;
+            }
+            "--help" | "-h" => return Err("help requested".to_string()),
+            other => return Err(format!("unknown flag {other:?}")),
         }
         i += 1;
     }
@@ -436,7 +413,7 @@ fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
             "--stdio" => stdio = true,
             "--listen" => a.listen = Some(value(argv, &mut i, flag)?.to_string()),
             "--store" => a.store = Some(PathBuf::from(value(argv, &mut i, flag)?)),
-            "--threads" => a.threads = parse_num(flag, value(argv, &mut i, flag)?)?,
+            "--threads" => a.threads = parse_threads(value(argv, &mut i, flag)?)?,
             "--trace" => a.trace = Some(PathBuf::from(value(argv, &mut i, flag)?)),
             "--help" | "-h" => return Err("help requested".to_string()),
             other => return Err(format!("unknown flag {other:?}")),
@@ -492,151 +469,47 @@ fn run_serve(argv: &[String]) -> ! {
     exit(0)
 }
 
-/// Everything `cactid audit` needs: either a grid (static pre-solve
-/// classification) or a finished run's JSONL (cross-record CD01xx rules).
+/// Everything `cactid audit` needs: a finished run's JSONL for the
+/// cross-record CD01xx rules.
 #[derive(Debug)]
 struct AuditArgs {
-    grid: Option<Grid>,
-    jsonl: Option<PathBuf>,
+    jsonl: PathBuf,
     format: OutputFormat,
     overrides: SeverityOverrides,
     deny_warnings: bool,
 }
 
 fn parse_audit_args(argv: &[String]) -> Result<AuditArgs, String> {
-    let mut a = AuditArgs {
-        grid: None,
-        jsonl: None,
-        format: OutputFormat::Text,
-        overrides: SeverityOverrides::new(),
-        deny_warnings: false,
-    };
-    let mut grid = Grid::new();
-    let mut grid_mode = false;
+    let mut jsonl = None;
+    let mut format = OutputFormat::Text;
+    let mut overrides = SeverityOverrides::new();
+    let mut deny_warnings = false;
     let mut i = 0;
     while i < argv.len() {
         let flag = argv[i].as_str();
         match flag {
-            "--grid" => grid_mode = true,
-            "--jsonl" => a.jsonl = Some(PathBuf::from(value(argv, &mut i, flag)?)),
+            "--jsonl" => jsonl = Some(PathBuf::from(value(argv, &mut i, flag)?)),
             "--format" => {
                 let v = value(argv, &mut i, flag)?;
-                a.format =
+                format =
                     parse_format(v).ok_or_else(|| format!("invalid value {v:?} for {flag}"))?;
             }
-            "--deny-warnings" => a.deny_warnings = true,
+            "--deny-warnings" => deny_warnings = true,
             "--help" | "-h" => return Err("help requested".to_string()),
             other => {
-                if parse_grid_flag(&mut grid, other, argv, &mut i)? {
-                    grid_mode = true;
-                } else if !parse_severity_flag(&mut a.overrides, other, argv, &mut i)? {
+                if !parse_severity_flag(&mut overrides, other, argv, &mut i)? {
                     return Err(format!("unknown flag {other:?}"));
                 }
             }
         }
         i += 1;
     }
-    match (grid_mode, a.jsonl.is_some()) {
-        (true, true) => Err("--grid axes and --jsonl are mutually exclusive".to_string()),
-        (false, false) => {
-            Err("audit needs --grid with axis flags (--sizes ...) or --jsonl FILE".to_string())
-        }
-        (true, false) => {
-            if grid.capacities.is_empty() {
-                return Err("missing required flag --sizes".to_string());
-            }
-            a.grid = Some(grid);
-            Ok(a)
-        }
-        (false, true) => Ok(a),
-    }
-}
-
-/// Rebuilds the raw (unvalidated) spec for a grid point and names the
-/// spec-stage rules it trips — the CD-code attribution for `invalid`
-/// verdicts in `--format json` audit output.
-fn audit_rule_codes(
-    analyzer: &Analyzer,
-    grid: &Grid,
-    point: &cactid_explore::GridPoint,
-) -> Vec<&'static str> {
-    let opt = grid
-        .opts
-        .iter()
-        .find(|o| o.label == point.opt_label)
-        .map(|o| o.opt.clone())
-        .unwrap_or_default();
-    let spec = MemorySpec {
-        capacity_bytes: point.capacity_bytes,
-        block_bytes: point.block_bytes,
-        associativity: point.associativity,
-        n_banks: point.banks,
-        kind: MemoryKind::Cache {
-            access_mode: point.access_mode,
-        },
-        cell_tech: point.cell,
-        node: point.node,
-        address_bits: 40,
-        opt,
-    };
-    let mut codes: Vec<&'static str> = analyzer.lint_spec(&spec).iter().map(|d| d.code).collect();
-    codes.sort_unstable();
-    codes.dedup();
-    codes
-}
-
-/// One audit grid point as a stable JSON object:
-/// `{"idx":N,"verdict":"...","detail":STRING|null,"rules":["CDxxxx",...]}`
-/// (`rules` names the spec-stage diagnostics for `invalid` points and is
-/// empty otherwise).
-fn audit_point_json(p: &cactid_explore::PointAudit, rules: &[&str]) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!(
-        "{{\"idx\":{},\"verdict\":\"{}\",\"detail\":",
-        p.idx,
-        p.verdict.as_str()
-    );
-    match &p.detail {
-        Some(d) => {
-            let _ = write!(s, "\"{}\"", cactid_obs::escape(d));
-        }
-        None => s.push_str("null"),
-    }
-    s.push_str(",\"rules\":[");
-    for (k, code) in rules.iter().enumerate() {
-        if k > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{code}\"");
-    }
-    s.push_str("]}");
-    s
-}
-
-/// Grid mode: classify every point statically, print the verdicts (JSONL
-/// on stdout under `--format json`) and the histogram summary. Always
-/// exits 0 — classification is information, not failure.
-fn run_audit_grid(grid: &Grid, format: OutputFormat, analyzer: &Analyzer) -> ! {
-    let report = cactid_explore::audit(grid).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(1)
-    });
-    match format {
-        OutputFormat::Text => println!("{}", report.render()),
-        OutputFormat::Json => {
-            let expansion = grid.expand().expect("audit already expanded this grid");
-            for p in &report.points {
-                let rules = if p.verdict == AuditVerdict::Invalid {
-                    audit_rule_codes(analyzer, grid, &expansion.points[p.idx])
-                } else {
-                    Vec::new()
-                };
-                println!("{}", audit_point_json(p, &rules));
-            }
-            eprintln!("{}", report.render());
-        }
-    }
-    exit(0)
+    Ok(AuditArgs {
+        jsonl: jsonl.ok_or("missing required flag --jsonl")?,
+        format,
+        overrides,
+        deny_warnings,
+    })
 }
 
 /// Prints a lint report in the requested format and exits with the shared
@@ -668,8 +541,8 @@ fn finish_lint(
     exit(0)
 }
 
-/// The `cactid audit` subcommand: whole-grid static feasibility analysis
-/// (`--grid`) or cross-record run analysis (`--jsonl FILE`).
+/// The `cactid audit` subcommand: cross-record run analysis over a
+/// finished explore run (`--jsonl FILE`).
 fn run_audit(argv: &[String]) -> ! {
     let a = parse_audit_args(argv).unwrap_or_else(|e| {
         eprintln!("error: {e}");
@@ -679,10 +552,7 @@ fn run_audit(argv: &[String]) -> ! {
         eprintln!("error: {e}");
         exit(2)
     });
-    if let Some(grid) = &a.grid {
-        run_audit_grid(grid, a.format, &analyzer);
-    }
-    let path = a.jsonl.expect("parse_audit_args guarantees a mode");
+    let path = a.jsonl;
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("error: reading {}: {e}", path.display());
         exit(1)
@@ -856,56 +726,6 @@ fn run_lint(a: &Args) -> ! {
     finish_lint(&analyzer, &report, a.deny_warnings, a.format)
 }
 
-/// The shipped CD0021/CD0022 plausibility windows, in the shape the
-/// prover's window analysis consumes. Built from the same public
-/// constants the rules themselves compare against, so the analysis can
-/// never drift from the lint.
-fn shipped_windows() -> [MetricWindow; 2] {
-    [
-        MetricWindow {
-            rule_code: "CD0021",
-            metric: WindowMetric::AccessTime,
-            min_si: ACCESS_TIME_MIN.value(),
-            max_si: ACCESS_TIME_MAX.value(),
-        },
-        MetricWindow {
-            rule_code: "CD0022",
-            metric: WindowMetric::ReadEnergy,
-            min_si: DYN_ENERGY_MIN.value(),
-            max_si: DYN_ENERGY_MAX.value(),
-        },
-    ]
-}
-
-/// The `cactid prove` subcommand: certify the prescreen sound over the
-/// spec's whole technology domain, analyze the plausibility windows, and
-/// report via the standard diagnostics pipeline (CD0201-CD0204). The
-/// human-readable proof summary goes to stdout in text mode and stderr in
-/// JSON mode, so piping the JSONL stays clean.
-fn run_prove(argv: &[String]) -> ! {
-    let a = parse_args(argv).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        usage()
-    });
-    // Validates any --allow/--warn/--deny codes against the registry.
-    let analyzer = Analyzer::with_overrides(a.overrides.clone()).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(2)
-    });
-    let spec = spec_from_args(&a);
-    let proof = cactid_prove::certify_spec(&spec);
-    let report: Report = cactid_prove::diagnostics(&proof, &shipped_windows())
-        .into_vec()
-        .into_iter()
-        .filter_map(|d| a.overrides.apply(d))
-        .collect();
-    match a.format {
-        OutputFormat::Text => println!("{}", cactid_prove::text_summary(&proof)),
-        OutputFormat::Json => eprintln!("{}", cactid_prove::text_summary(&proof)),
-    }
-    finish_lint(&analyzer, &report, a.deny_warnings, a.format)
-}
-
 fn print_warnings(analyzer: &Analyzer, warnings: &[Diagnostic]) {
     if warnings.is_empty() {
         return;
@@ -921,9 +741,6 @@ fn main() {
     }
     if argv.first().map(String::as_str) == Some("audit") {
         run_audit(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("prove") {
-        run_prove(&argv[1..]);
     }
     if argv.first().map(String::as_str) == Some("serve") {
         run_serve(&argv[1..]);
@@ -1121,18 +938,7 @@ mod tests {
     }
 
     #[test]
-    fn audit_parser_separates_the_two_modes() {
-        let g =
-            parse_audit_args(&args(&["--grid", "--sizes", "64K,1M", "--assocs", "4,8"])).unwrap();
-        let grid = g.grid.expect("grid mode");
-        assert_eq!(grid.capacities, vec![64 << 10, 1 << 20]);
-        assert_eq!(grid.associativities, vec![4, 8]);
-        assert!(g.jsonl.is_none());
-
-        // Axis flags alone imply grid mode; --grid is just the marker.
-        let implied = parse_audit_args(&args(&["--sizes", "1M"])).unwrap();
-        assert!(implied.grid.is_some());
-
+    fn audit_parser_takes_a_jsonl_file_only() {
         let j = parse_audit_args(&args(&[
             "--jsonl",
             "run.jsonl",
@@ -1143,41 +949,19 @@ mod tests {
             "--deny-warnings",
         ]))
         .unwrap();
-        assert!(j.grid.is_none());
-        assert_eq!(j.jsonl.as_deref(), Some(std::path::Path::new("run.jsonl")));
+        assert_eq!(j.jsonl, std::path::Path::new("run.jsonl"));
         assert_eq!(j.format, OutputFormat::Json);
         assert_eq!(j.overrides.action("CD0104"), Some(SeverityAction::Deny));
         assert!(j.deny_warnings);
 
-        let both = parse_audit_args(&args(&["--sizes", "1M", "--jsonl", "x"])).unwrap_err();
-        assert!(both.contains("mutually exclusive"), "{both}");
         let neither = parse_audit_args(&args(&[])).unwrap_err();
-        assert!(neither.contains("--grid"), "{neither}");
-        let no_sizes = parse_audit_args(&args(&["--grid"])).unwrap_err();
-        assert!(no_sizes.contains("--sizes"), "{no_sizes}");
-    }
-
-    #[test]
-    fn audit_point_json_is_stable() {
-        use cactid_explore::PointAudit;
-        let ok = PointAudit {
-            idx: 3,
-            verdict: AuditVerdict::MaybeFeasible,
-            detail: None,
-        };
-        assert_eq!(
-            audit_point_json(&ok, &[]),
-            r#"{"idx":3,"verdict":"maybe-feasible","detail":null,"rules":[]}"#
-        );
-        let bad = PointAudit {
-            idx: 0,
-            verdict: AuditVerdict::Invalid,
-            detail: Some("768 sets \"bad\"".to_string()),
-        };
-        assert_eq!(
-            audit_point_json(&bad, &["CD0001"]),
-            r#"{"idx":0,"verdict":"invalid","detail":"768 sets \"bad\"","rules":["CD0001"]}"#
-        );
+        assert!(neither.contains("--jsonl"), "{neither}");
+        // The static grid mode is gone: `cactid explore --trace` counts
+        // the prescreen's rejections per rule instead.
+        for gone in [&["--grid"][..], &["--sizes", "64K"]] {
+            let err = parse_audit_args(&args(gone)).unwrap_err();
+            assert!(err.contains("unknown flag"), "{err}");
+        }
     }
 
     #[test]
@@ -1190,6 +974,15 @@ mod tests {
         assert!(bad_opt.contains("fancy"), "{bad_opt}");
         let unknown = parse_explore_args(&args(&["--sizes", "1M", "--bogus"])).unwrap_err();
         assert!(unknown.contains("unknown flag"), "{unknown}");
+        // One OS thread per worker: past the cap is a usage error, checked
+        // before any thread starts.
+        let max = MAX_THREADS.to_string();
+        let ok = parse_explore_args(&args(&["--sizes", "1M", "--threads", &max])).unwrap();
+        assert_eq!(ok.threads, MAX_THREADS);
+        for many in [(MAX_THREADS + 1).to_string(), "100000".to_string()] {
+            let err = parse_explore_args(&args(&["--sizes", "1M", "--threads", &many]));
+            assert!(err.unwrap_err().contains("0..=1024"), "{many}");
+        }
     }
 
     #[test]
@@ -1228,5 +1021,14 @@ mod tests {
         assert!(unknown.contains("unknown flag"), "{unknown}");
         let dangling = parse_serve_args(&args(&["--store"])).unwrap_err();
         assert!(dangling.contains("expects a value"), "{dangling}");
+        let many = parse_serve_args(&args(&["--threads", "100000"])).unwrap_err();
+        assert!(many.contains("0..=1024"), "{many}");
+        let max = MAX_THREADS.to_string();
+        assert_eq!(
+            parse_serve_args(&args(&["--threads", &max]))
+                .unwrap()
+                .threads,
+            MAX_THREADS
+        );
     }
 }

@@ -12,10 +12,6 @@
 //!   models, main-memory chip model and the staged solution optimizer.
 //! * [`analyze`] — the diagnostics engine: twenty-two lint rules over specs,
 //!   organizations and solutions (`cactid lint`, `CD0001`–`CD0022`).
-//! * [`prove`] — interval-arithmetic soundness certificates for the prune
-//!   pipeline: outward-rounded dimensional intervals, an abstract
-//!   prescreen, window/dead-rule analysis and certified prescreen bounds
-//!   (`cactid prove`, `CD0201`–`CD0204`).
 //! * [`sim`] — the cycle-level CMP memory-hierarchy simulator.
 //! * [`workloads`] — synthetic NPB-like workload generators.
 //! * [`study`] — the paper's tables and figures (Tables 1–3, Figures 1,
@@ -38,7 +34,6 @@ pub use cactid_circuit as circuit;
 pub use cactid_core as core;
 pub use cactid_explore as explore;
 pub use cactid_obs as obs;
-pub use cactid_prove as prove;
 pub use cactid_serve as serve;
 pub use cactid_tech as tech;
 pub use cactid_units as units;

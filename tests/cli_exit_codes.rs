@@ -121,39 +121,16 @@ fn warnings_only_exit_zero_unless_denied() {
 }
 
 #[test]
-fn audit_grid_mode_classifies_and_exits_zero() {
-    let out = cactid(&[
-        "audit",
-        "--grid",
-        "--sizes",
-        "48K,64K,512M",
-        "--cells",
-        "sram",
-        "--nodes",
-        "32",
-    ]);
-    assert_eq!(code(&out), 0, "{out:?}");
-    let text = stdout(&out);
-    assert!(text.contains("infeasibility histogram"), "{text}");
-    assert!(text.contains("1 maybe-feasible"), "{text}");
-    assert!(text.contains("1 statically infeasible"), "{text}");
-    assert!(text.contains("1 invalid"), "{text}");
-
-    let json = cactid(&[
-        "audit", "--grid", "--sizes", "48K,64K", "--cells", "sram", "--nodes", "32", "--format",
-        "json",
-    ]);
-    assert_eq!(code(&json), 0, "{json:?}");
-    let lines: Vec<String> = stdout(&json).lines().map(str::to_string).collect();
-    assert_eq!(lines.len(), 2, "one JSON object per grid point");
-    assert!(
-        lines[0].contains("\"verdict\":\"invalid\"") && lines[0].contains("\"CD0001\""),
-        "invalid points name the spec rule: {}",
-        lines[0]
-    );
-    assert!(
-        lines[1].contains("\"verdict\":\"maybe-feasible\""),
-        "{}",
-        lines[1]
-    );
+fn audit_grid_mode_and_prove_are_usage_errors() {
+    // Both static copies of the prescreen are gone; `cactid explore
+    // --trace` reports the solver's own per-rule prune counts instead.
+    for argv in [
+        &["audit", "--grid", "--sizes", "64K"][..],
+        &["audit", "--sizes", "64K"],
+        &["prove", "--size", "64K"],
+    ] {
+        let out = cactid(argv);
+        assert_eq!(code(&out), 2, "{argv:?}: {out:?}");
+        assert!(stdout(&out).is_empty(), "{argv:?}: {out:?}");
+    }
 }

@@ -122,13 +122,17 @@ fn metric_call_sites_and_design_md_inventory_agree() {
 
 #[test]
 fn audit_pipeline_metrics_are_inventoried() {
-    // The audit pipeline's metrics must be present on both sides.
+    // The static-analysis metrics must be present on both sides: the
+    // per-spec screen's, and the solver's per-rule prune counts that
+    // `cactid explore --trace` reports in place of a separate grid audit.
     let sites = call_sites();
     let table = documented();
     for name in [
         "core.screen.calls",
         "core.screen.infeasible",
-        "explore.audit.points",
+        "core.solve.pruned.subarray_rows",
+        "core.solve.pruned.wordline_elmore",
+        "core.solve.pruned.sense_margin",
     ] {
         assert_eq!(sites.get(name), Some(&"counter"), "{name} call site");
         assert_eq!(
