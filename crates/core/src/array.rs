@@ -1270,6 +1270,37 @@ mod tests {
     }
 
     #[test]
+    fn sense_margin_rejects_from_the_first_row_below_it() {
+        // Every real DRAM cell caps its subarrays below the row count where
+        // the margin binds, so lift the cap to reach that boundary.
+        let tech = Technology::new(TechNode::N32);
+        for ty in [CellTechnology::LpDram, CellTechnology::CommDram] {
+            let mut cell = tech.cell(ty);
+            cell.max_rows_per_subarray = usize::MAX;
+            let meets =
+                |rows: u64| cell.dram_sense_signal(rows as usize).unwrap() >= cell.v_sense_margin;
+            // The largest row count whose signal still meets the margin.
+            let (mut lo, mut hi) = (1, 1 << 20);
+            assert!(meets(lo) && !meets(hi), "{ty}");
+            while hi - lo > 1 {
+                let mid = (lo + hi) / 2;
+                if meets(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            assert!(prescreen_explain(&cell, lo, 64).is_ok(), "{ty}: {lo} rows");
+            assert_eq!(
+                prescreen_explain(&cell, lo + 1, 64),
+                Err(PrescreenFailure::SenseMargin),
+                "{ty}: {} rows",
+                lo + 1
+            );
+        }
+    }
+
+    #[test]
     fn sleep_transistors_cut_leakage() {
         let tech = Technology::new(TechNode::N32);
         let mut input = mk_input(&tech, CellTechnology::Sram, 256, 512);

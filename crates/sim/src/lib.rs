@@ -39,6 +39,7 @@ pub mod config;
 pub mod core;
 pub mod dram;
 pub mod l3;
+mod memsys;
 pub mod record;
 pub mod rng;
 pub mod shard;

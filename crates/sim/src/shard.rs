@@ -33,36 +33,21 @@
 //! per-epoch barriers cost more than a window of work. Parallelism lives
 //! at the study level instead, one simulation per pool job.
 //!
-//! This engine intentionally differs from the serial reference
-//! [`crate::Simulator`] in *when* coherence actions land: the legacy loop
-//! applies invalidations and fills instantly mid-cycle, while here they
-//! land at epoch boundaries. Both are valid timing models; the legacy
-//! loop remains the paper-study reference, and this engine is the one
-//! that scales to 64–256 cores (and the only one implementing the Dragon
-//! write-update protocol).
+//! Both engines drive one memory system (`crate::memsys`): the same
+//! private caches, fabric and miss service. This engine differs from the
+//! serial reference [`crate::Simulator`] only in *when* a memory-side
+//! effect lands: the legacy loop applies it at the issuing cycle, while
+//! here it lands at the epoch edge. Both are valid timing models; the
+//! legacy loop remains the paper-study reference, and this engine is the
+//! one that scales to 64–256 cores (and the only one implementing the
+//! Dragon write-update protocol).
 
-use crate::cache::{LineState, SetAssocCache};
-use crate::coherence::{CoreSet, Directory, ReadSource};
-use crate::config::{CoherenceProtocol, SystemConfig};
+use crate::coherence::Directory;
+use crate::config::SystemConfig;
 use crate::core::{Thread, ThreadState};
-use crate::dram::DramChannel;
-use crate::l3::L3;
+use crate::memsys::{CoreCaches, MemSystem};
 use crate::stats::{SimStats, StallKind};
 use crate::trace::{Instr, TraceSource};
-use std::collections::{HashMap, VecDeque};
-
-#[derive(Debug, Default)]
-struct LockState {
-    holder: Option<usize>,
-    queue: VecDeque<usize>,
-}
-
-/// Where an L2 miss was ultimately serviced (boundary-side).
-enum Source {
-    RemoteL2,
-    L3 { data_at: u64 },
-    Memory { data_at: u64 },
-}
 
 /// A cross-core request, recorded during phase A and applied in phase B.
 ///
@@ -105,31 +90,14 @@ struct ActorSummary {
     instructions: u64,
 }
 
-/// One core plus its private caches and threads.
+/// One core's threads; its private caches are `MemSystem::cores[core]`.
 struct CoreActor<T> {
     core: usize,
     trace: T,
     threads: Vec<Thread>,
-    l1: SetAssocCache,
-    l2: SetAssocCache,
     rr: usize,
-    stats: SimStats,
     outbox: Vec<Msg>,
     seq: u64,
-}
-
-/// Shared-fabric state touched only in phase B.
-struct Boundary {
-    l3: Option<L3>,
-    dir: Directory,
-    channels: Vec<DramChannel>,
-    /// `log2(L1 line bytes)`: byte address → line number.
-    line_shift: u32,
-    /// `channels - 1`: line number → DRAM channel.
-    channel_mask: u64,
-    locks: HashMap<u32, LockState>,
-    barrier_count: usize,
-    stats: SimStats,
 }
 
 /// Run counters exposed by [`ShardedSimulator::info`] (cumulative since
@@ -166,7 +134,9 @@ pub struct ShardedSimulator<T> {
     cfg: SystemConfig,
     quantum: u64,
     actors: Vec<CoreActor<T>>,
-    boundary: Boundary,
+    /// Phase A touches only `mem.cores[core]` of each actor; phase B
+    /// touches everything.
+    mem: MemSystem,
     cycle: u64,
     stats_epoch: u64,
     info: ShardInfo,
@@ -205,38 +175,15 @@ impl<T: TraceSource + Clone> ShardedSimulator<T> {
                 core,
                 trace: trace.clone(),
                 threads: (0..tpc).map(|_| Thread::new()).collect(),
-                l1: SetAssocCache::new(
-                    cfg.l1.capacity_bytes,
-                    cfg.l1.line_bytes,
-                    cfg.l1.associativity,
-                ),
-                l2: SetAssocCache::new(
-                    cfg.l2.capacity_bytes,
-                    cfg.l2.line_bytes,
-                    cfg.l2.associativity,
-                ),
                 rr: 0,
-                stats: SimStats::default(),
                 outbox: Vec::new(),
                 seq: 0,
             })
             .collect();
-        let boundary = Boundary {
-            l3: cfg.l3.clone().map(L3::try_new).transpose()?,
-            dir: Directory::new(),
-            channels: (0..cfg.dram.channels)
-                .map(|_| DramChannel::new(cfg.dram.clone()))
-                .collect(),
-            line_shift: cfg.l1.line_bytes.trailing_zeros(),
-            channel_mask: u64::from(cfg.dram.channels) - 1,
-            locks: HashMap::new(),
-            barrier_count: 0,
-            stats: SimStats::default(),
-        };
         Ok(ShardedSimulator {
             quantum: epoch_quantum(&cfg),
             actors,
-            boundary,
+            mem: MemSystem::new(&cfg, Directory::new())?,
             cycle: 0,
             stats_epoch: 0,
             info: ShardInfo {
@@ -271,14 +218,14 @@ impl<T: TraceSource + Clone> ShardedSimulator<T> {
 
         let start_cycle = self.cycle;
         let cycle_cap = start_cycle + target_instructions.saturating_mul(1000).max(10_000);
-        let start_instr: u64 = self.actors.iter().map(|a| a.stats.instructions).sum();
+        let start_instr: u64 = self.mem.cores.iter().map(|c| c.stats.instructions).sum();
         let target = start_instr + target_instructions;
 
         let Self {
             cfg,
             quantum,
             actors,
-            boundary,
+            mem,
             info,
             ..
         } = self;
@@ -292,8 +239,8 @@ impl<T: TraceSource + Clone> ShardedSimulator<T> {
             // outbox and fold in its progress digest.
             let mut total_instr = 0;
             let mut wake = u64::MAX;
-            for a in actors.iter_mut() {
-                let s = a.run_window(cfg, t0, t_end);
+            for (a, caches) in actors.iter_mut().zip(&mut mem.cores) {
+                let s = a.run_window(caches, cfg, t0, t_end);
                 msgs.append(&mut a.outbox);
                 total_instr += s.instructions;
                 wake = wake.min(s.wake);
@@ -305,7 +252,7 @@ impl<T: TraceSource + Clone> ShardedSimulator<T> {
             info.epochs += 1;
             info.messages += msgs.len() as u64;
             for m in msgs.drain(..) {
-                process(cfg, actors, boundary, info, &m, t_end, &mut wake);
+                process(cfg, actors, mem, info, &m, t_end, &mut wake);
             }
             let now = std::time::Instant::now();
             cactid_obs::histogram!("sim.shard.epoch.ns")
@@ -323,42 +270,20 @@ impl<T: TraceSource + Clone> ShardedSimulator<T> {
         };
 
         self.cycle = final_cycle;
+        let (invalidations, updates) = self.mem.publish_event_counters();
+        self.info.invalidations += invalidations;
+        self.info.updates += updates;
         cactid_obs::counter!("sim.shard.epochs").add(self.info.epochs - pre.epochs);
         cactid_obs::counter!("sim.shard.msgs").add(self.info.messages - pre.messages);
         cactid_obs::counter!("sim.shard.stall_cycles")
             .add(self.info.stall_cycles - pre.stall_cycles);
-        cactid_obs::counter!("sim.coherence.invalidations")
-            .add(self.info.invalidations - pre.invalidations);
-        cactid_obs::counter!("sim.coherence.updates").add(self.info.updates - pre.updates);
-        crate::dram::publish_refresh_stalls(&mut self.boundary.channels);
-        self.finalize()
-    }
-
-    /// Closes out attribution exactly like the serial engine: every
-    /// unattributed thread-cycle was spent processing instructions.
-    fn finalize(&mut self) -> SimStats {
-        let mut s = self.boundary.stats.clone();
-        for a in &self.actors {
-            s.merge(&a.stats);
-        }
-        s.cycles = self.cycle - self.stats_epoch;
-        let total = s.cycles * self.cfg.n_threads() as u64;
-        let other: u64 = StallKind::ALL
-            .iter()
-            .skip(1)
-            .map(|&k| s.attributed(k))
-            .sum();
-        s.cycle_breakdown[0] = total.saturating_sub(other);
-        s
+        self.mem.finalize(self.cycle - self.stats_epoch)
     }
 
     /// Discards statistics gathered so far (cache/DRAM state is kept), so
     /// measurement can start after a warm-up phase.
     pub fn reset_stats(&mut self) {
-        self.boundary.stats = SimStats::default();
-        for a in &mut self.actors {
-            a.stats = SimStats::default();
-        }
+        self.mem.reset_stats();
         self.stats_epoch = self.cycle;
     }
 
@@ -397,8 +322,16 @@ impl<T: TraceSource> CoreActor<T> {
         self.seq += 1;
     }
 
-    /// Phase A: simulates this core's threads for cycles `[t0, t1)`.
-    fn run_window(&mut self, cfg: &SystemConfig, t0: u64, t1: u64) -> ActorSummary {
+    /// Phase A: simulates this core's threads, against its own `caches`,
+    /// for cycles `[t0, t1)`. L1 and L2 hits are serviced here; anything
+    /// else goes to the outbox.
+    fn run_window(
+        &mut self,
+        caches: &mut CoreCaches,
+        cfg: &SystemConfig,
+        t0: u64,
+        t1: u64,
+    ) -> ActorSummary {
         let tpc = self.threads.len();
         // The earliest cycle one of this core's threads can issue. Within
         // a window no cross-core event can wake a thread (the epoch
@@ -460,20 +393,11 @@ impl<T: TraceSource> CoreActor<T> {
                     Instr::Load(addr) if other_free && mem_free => {
                         other_free = false;
                         mem_free = false;
-                        match self.local_access(cfg, lt, addr, false, cycle) {
-                            Some((latency, kind)) => {
-                                self.stats.loads += 1;
-                                self.stats.load_latency_sum += latency;
-                                let level = match kind {
-                                    StallKind::Instruction => 0,
-                                    _ => 1,
-                                };
-                                self.stats.load_level_hits[level] += 1;
-                                let stall = latency.saturating_sub(cfg.l1.access_cycles);
-                                if stall > 0 && kind != StallKind::Instruction {
-                                    self.stats.attribute(kind, stall);
-                                }
-                                self.threads[lt].state = ThreadState::StalledUntil(cycle + latency);
+                        match caches.access(addr, false) {
+                            Some(hit) => {
+                                caches.record_load(hit.latency, hit.kind);
+                                self.threads[lt].state =
+                                    ThreadState::StalledUntil(cycle + hit.latency);
                             }
                             None => {
                                 self.push(cycle, lt, MsgKind::LoadMiss(addr));
@@ -485,8 +409,12 @@ impl<T: TraceSource> CoreActor<T> {
                     Instr::Store(addr) if other_free && mem_free => {
                         other_free = false;
                         mem_free = false;
-                        if self.local_access(cfg, lt, addr, true, cycle).is_none() {
-                            self.push(cycle, lt, MsgKind::StoreMiss(addr));
+                        match caches.access(addr, true) {
+                            Some(hit) if hit.upgrade => {
+                                self.push(cycle, lt, MsgKind::Upgrade(addr));
+                            }
+                            Some(_) => {}
+                            None => self.push(cycle, lt, MsgKind::StoreMiss(addr)),
                         }
                         // Posted store: the thread continues next cycle.
                         self.threads[lt].state = ThreadState::StalledUntil(cycle + 1);
@@ -514,8 +442,8 @@ impl<T: TraceSource> CoreActor<T> {
                 if issued {
                     self.threads[lt].pending = None;
                     self.threads[lt].retired += 1;
-                    self.stats.instructions += 1;
-                    self.stats.counts.l1i_reads += 1;
+                    caches.stats.instructions += 1;
+                    caches.stats.counts.l1i_reads += 1;
                 }
                 next_wake = next_wake.min(self.threads[lt].wake());
             }
@@ -530,213 +458,19 @@ impl<T: TraceSource> CoreActor<T> {
         // `t1` means a thread is issuable at the window edge.
         ActorSummary {
             wake,
-            instructions: self.stats.instructions,
-        }
-    }
-
-    /// The actor-local slice of a memory access: L1 and L2 hits are
-    /// serviced entirely here; `None` means the request must go to the
-    /// boundary. Stores that hit a non-Modified line emit an Upgrade
-    /// message for phase B.
-    fn local_access(
-        &mut self,
-        cfg: &SystemConfig,
-        lt: usize,
-        addr: u64,
-        is_store: bool,
-        cycle: u64,
-    ) -> Option<(u64, StallKind)> {
-        self.stats.counts.l1_reads += 1;
-        if let Some(state) = self.l1.lookup(addr) {
-            if is_store {
-                self.stats.counts.l1_writes += 1;
-                if state != LineState::Modified {
-                    self.push(cycle, lt, MsgKind::Upgrade(addr));
-                    self.l1.set_state(addr, LineState::Modified);
-                    self.l2.set_state(addr, LineState::Modified);
-                }
-            }
-            return Some((cfg.l1.access_cycles, StallKind::Instruction));
-        }
-        self.stats.counts.l2_reads += 1;
-        let l2_lat = cfg.l1.access_cycles + cfg.l2.access_cycles;
-        if let Some(state) = self.l2.lookup(addr) {
-            let new_state = if is_store {
-                self.push(cycle, lt, MsgKind::Upgrade(addr));
-                self.stats.counts.l2_writes += 1;
-                LineState::Modified
-            } else {
-                state
-            };
-            self.l2.set_state(addr, new_state);
-            self.fill_l1(addr, new_state);
-            return Some((l2_lat, StallKind::L2Access));
-        }
-        None
-    }
-
-    fn fill_l1(&mut self, addr: u64, state: LineState) {
-        self.stats.counts.l1_writes += 1;
-        if let Some(ev) = self.l1.insert(addr, state) {
-            if ev.state == LineState::Modified {
-                // Write the dirty L1 victim back into the (inclusive) L2.
-                self.stats.counts.l2_writes += 1;
-                self.l2.set_state(ev.addr, LineState::Modified);
-            }
+            instructions: caches.stats.instructions,
         }
     }
 }
 
-impl Boundary {
-    fn channel_of(&self, addr: u64) -> usize {
-        ((addr >> self.line_shift) & self.channel_mask) as usize
-    }
-
-    fn dram_read(&mut self, addr: u64, t_req: u64) -> u64 {
-        let ch = self.channel_of(addr);
-        let a = self.channels[ch].access(addr, t_req);
-        self.stats.counts.mem_reads += 1;
-        if a.activated {
-            self.stats.counts.mem_activates += 1;
-        }
-        if a.page_hit {
-            self.stats.counts.mem_page_hits += 1;
-        }
-        a.done_at
-    }
-
-    fn dram_write(&mut self, addr: u64, now: u64) {
-        let ch = self.channel_of(addr);
-        let a = self.channels[ch].access(addr, now);
-        self.stats.counts.mem_writes += 1;
-        if a.activated {
-            self.stats.counts.mem_activates += 1;
-        }
-        if a.page_hit {
-            self.stats.counts.mem_page_hits += 1;
-        }
-    }
-
-    /// Writes a (dirty) line into the L3, or to memory when there is none.
-    fn writeback_below(&mut self, addr: u64, now: u64) {
-        if self.l3.is_some() {
-            self.stats.counts.xbar_transfers += 1;
-            self.fill_l3(addr, LineState::Modified, now);
-            self.stats.counts.l3_writes += 1;
-        } else {
-            self.dram_write(addr, now);
-        }
-    }
-
-    fn fill_l3(&mut self, addr: u64, state: LineState, now: u64) {
-        let Some(l3) = self.l3.as_mut() else { return };
-        self.stats.counts.l3_writes += 1;
-        if let Some(ev) = l3.insert(addr, state) {
-            if ev.state == LineState::Modified {
-                self.dram_write(ev.addr, now);
-            }
-        }
-    }
-
-    /// Fetches a line from the L3 (if present and hit) or main memory;
-    /// reserves timing resources from `t_req` onward.
-    fn fetch_below(&mut self, addr: u64, t_req: u64) -> Source {
-        if let Some(l3) = self.l3.as_mut() {
-            self.stats.counts.l3_reads += 1;
-            let hit = l3.lookup(addr).is_some();
-            let (t, page_hit) = l3.reserve_detailed(addr, t_req);
-            self.stats.counts.l3_page_hits += u64::from(page_hit);
-            if hit {
-                return Source::L3 { data_at: t };
-            }
-            // L3 miss: tag check occupied the bank, then go to memory.
-            let done = self.dram_read(addr, t);
-            self.fill_l3(addr, LineState::Shared, t_req);
-            Source::Memory { data_at: done }
-        } else {
-            let done = self.dram_read(addr, t_req);
-            Source::Memory { data_at: done }
-        }
-    }
-}
-
-/// Invalidates `mask` cores' copies (MESI); returns whether one of them
-/// held the line dirty (cache-to-cache source).
-fn invalidate_remotes<T>(
-    actors: &mut [CoreActor<T>],
-    b: &mut Boundary,
-    info: &mut ShardInfo,
-    mask: CoreSet,
-    addr: u64,
-    requester: usize,
-) -> bool {
-    let mut dirty = false;
-    for other in mask.iter() {
-        if other == requester {
-            continue;
-        }
-        b.stats.counts.l2_reads += 1; // probe
-        info.invalidations += 1;
-        let a = &mut actors[other];
-        if a.l2.invalidate(addr) == Some(LineState::Modified) {
-            dirty = true;
-        }
-        if a.l1.invalidate(addr) == Some(LineState::Modified) {
-            dirty = true;
-        }
-    }
-    dirty
-}
-
-/// Pushes the written line into `peers`' caches in place (Dragon): their
-/// copies stay valid in Shared state instead of being invalidated.
-fn update_remotes<T>(
-    actors: &mut [CoreActor<T>],
-    b: &mut Boundary,
-    info: &mut ShardInfo,
-    peers: CoreSet,
-    addr: u64,
-    requester: usize,
-) {
-    for other in peers.iter() {
-        if other == requester {
-            continue;
-        }
-        info.updates += 1;
-        b.stats.counts.l2_writes += 1; // the update lands in the peer's L2
-        b.stats.counts.xbar_transfers += 1;
-        let a = &mut actors[other];
-        a.l2.set_state(addr, LineState::Shared);
-        a.l1.set_state(addr, LineState::Shared);
-    }
-}
-
-/// Downgrades a dirty remote owner to Shared and pushes its data below.
-fn downgrade_remote<T>(
-    actors: &mut [CoreActor<T>],
-    b: &mut Boundary,
-    owner: usize,
-    addr: u64,
-    now: u64,
-) {
-    b.stats.counts.l2_reads += 1;
-    {
-        let a = &mut actors[owner];
-        a.l2.set_state(addr, LineState::Shared);
-        a.l1.set_state(addr, LineState::Shared);
-    }
-    b.writeback_below(addr, now);
-}
-
-/// Phase B: applies one drained message to the boundary. Every thread it
-/// resolves into [`ThreadState::StalledUntil`] is folded into
-/// `wake`, keeping the epoch loop's fast-forward bound exact
-/// without a post-drain rescan.
-#[allow(clippy::too_many_arguments)]
+/// Phase B: applies one drained message at the epoch edge `t_end`. Every
+/// thread it resolves into [`ThreadState::StalledUntil`] is folded into
+/// `wake`, keeping the epoch loop's fast-forward bound exact without a
+/// post-drain rescan.
 fn process<T: TraceSource>(
     cfg: &SystemConfig,
     actors: &mut [CoreActor<T>],
-    b: &mut Boundary,
+    mem: &mut MemSystem,
     info: &mut ShardInfo,
     m: &Msg,
     t_end: u64,
@@ -744,255 +478,64 @@ fn process<T: TraceSource>(
 ) {
     let core = m.core as usize;
     let tpc = cfg.threads_per_core as usize;
-    match m.kind {
+    let gtid = core * tpc + m.tid;
+    // The cycle a thread this message resolves may issue again.
+    let resumed = match m.kind {
         MsgKind::Upgrade(addr) => {
-            let line = addr >> b.line_shift;
-            match cfg.protocol {
-                CoherenceProtocol::Mesi => {
-                    let mask = b.dir.write(line, core);
-                    invalidate_remotes(actors, b, info, mask, addr, core);
-                }
-                CoherenceProtocol::Dragon => {
-                    let (peers, _) = b.dir.write_update(line, core);
-                    update_remotes(actors, b, info, peers, addr, core);
-                }
-            }
+            mem.upgrade(core, addr);
+            None
         }
-        MsgKind::LoadMiss(addr) => miss(cfg, actors, b, info, m, addr, false, wake),
-        MsgKind::StoreMiss(addr) => miss(cfg, actors, b, info, m, addr, true, wake),
-        MsgKind::Lock(id) => {
-            let gtid = core * tpc + m.tid;
-            let lock = b.locks.entry(id).or_default();
-            if lock.holder.is_none() {
-                lock.holder = Some(gtid);
-                let wait = t_end - m.cycle;
-                b.stats.attribute(StallKind::Lock, wait);
-                info.stall_cycles += wait;
-                actors[core].threads[m.tid].state = ThreadState::StalledUntil(t_end + 1);
-                *wake = (*wake).min(t_end + 1);
-            } else {
-                lock.queue.push_back(gtid);
-            }
+        MsgKind::StoreMiss(addr) => {
+            miss(mem, core, addr, true, m.cycle);
+            None
         }
-        MsgKind::Unlock(id) => {
-            let gtid = core * tpc + m.tid;
-            let lock = b.locks.entry(id).or_default();
-            debug_assert_eq!(lock.holder, Some(gtid), "unlock by non-holder");
-            lock.holder = None;
-            if let Some(next) = lock.queue.pop_front() {
-                lock.holder = Some(next);
-                let a = &mut actors[next / tpc];
-                if let ThreadState::WaitingLock(_, since) = a.threads[next % tpc].state {
-                    let wait = t_end - since;
-                    b.stats.attribute(StallKind::Lock, wait);
-                    info.stall_cycles += wait;
-                }
-                a.threads[next % tpc].state = ThreadState::StalledUntil(t_end + 1);
-                *wake = (*wake).min(t_end + 1);
-            }
+        MsgKind::LoadMiss(addr) => {
+            let (latency, kind) = miss(mem, core, addr, false, m.cycle);
+            mem.cores[core].record_load(latency, kind);
+            let t = &mut actors[core].threads[m.tid];
+            debug_assert!(
+                matches!(t.state, ThreadState::WaitingMem(_)),
+                "a load-miss message must find its thread parked"
+            );
+            t.state = ThreadState::StalledUntil(m.cycle + latency);
+            info.stall_cycles += latency;
+            Some(m.cycle + latency)
         }
-        MsgKind::BarrierArrive => {
-            b.barrier_count += 1;
-            if b.barrier_count == cfg.n_threads() {
-                for a in actors.iter_mut() {
-                    for t in &mut a.threads {
-                        if let ThreadState::AtBarrier(since) = t.state {
-                            let wait = t_end - since;
-                            b.stats.attribute(StallKind::Barrier, wait);
-                            info.stall_cycles += wait;
-                            t.state = ThreadState::StalledUntil(t_end + 1);
-                            *wake = (*wake).min(t_end + 1);
-                        }
-                    }
-                }
-                b.barrier_count = 0;
-            }
-        }
+        MsgKind::Lock(id) => mem.lock(id, gtid).then(|| {
+            info.stall_cycles += mem.grant_lock(&mut actors[core].threads[m.tid], t_end);
+            t_end + 1
+        }),
+        MsgKind::Unlock(id) => mem.unlock(id, gtid).map(|next| {
+            let t = &mut actors[next / tpc].threads[next % tpc];
+            info.stall_cycles += mem.grant_lock(t, t_end);
+            t_end + 1
+        }),
+        MsgKind::BarrierArrive => mem.arrive_at_barrier().then(|| {
+            let threads = actors.iter_mut().flat_map(|a| &mut a.threads);
+            info.stall_cycles += mem.release_barrier(threads, t_end);
+            t_end + 1
+        }),
+    };
+    if let Some(at) = resumed {
+        *wake = (*wake).min(at);
     }
 }
 
-/// Phase B handling of an L2 miss — the boundary-side tail of the serial
-/// engine's `mem_access`, anchored at the message's issue cycle.
-#[allow(clippy::too_many_arguments)]
-fn miss<T: TraceSource>(
-    cfg: &SystemConfig,
-    actors: &mut [CoreActor<T>],
-    b: &mut Boundary,
-    info: &mut ShardInfo,
-    m: &Msg,
-    addr: u64,
-    is_store: bool,
-    wake: &mut u64,
-) {
-    let core = m.core as usize;
-    let now = m.cycle;
-    let line = addr >> b.line_shift;
-    let l2_lat = cfg.l1.access_cycles + cfg.l2.access_cycles;
-
-    // Re-probe: an earlier message this epoch (another thread on the same
-    // core missing the same line) may already have filled the L2. Service
-    // it as the L2 hit it now is — mirroring what the serial engine sees
-    // when the first miss fills instantly.
-    let refill = actors[core].l2.lookup(addr);
-    if let Some(state) = refill {
-        if is_store {
-            match cfg.protocol {
-                CoherenceProtocol::Mesi => {
-                    let mask = b.dir.write(line, core);
-                    invalidate_remotes(actors, b, info, mask, addr, core);
-                }
-                CoherenceProtocol::Dragon => {
-                    let (peers, _) = b.dir.write_update(line, core);
-                    update_remotes(actors, b, info, peers, addr, core);
-                }
+/// Services an L2 miss issued at `now`. An earlier message this epoch
+/// (another thread on the same core missing the same line) may already
+/// have filled the L2, so it is re-probed first and a hit is serviced as
+/// the L2 hit it now is — what the serial engine sees when the first miss
+/// fills instantly. A dirty L3 victim is written to memory at the fetch's
+/// request cycle.
+fn miss(mem: &mut MemSystem, core: usize, addr: u64, is_store: bool, now: u64) -> (u64, StallKind) {
+    match mem.cores[core].l2_hit(addr, is_store) {
+        Some(hit) => {
+            if hit.upgrade {
+                mem.upgrade(core, addr);
             }
-            let a = &mut actors[core];
-            a.stats.counts.l2_writes += 1;
-            a.l2.set_state(addr, LineState::Modified);
-            a.fill_l1(addr, LineState::Modified);
-        } else {
-            let a = &mut actors[core];
-            a.l2.set_state(addr, state);
-            a.fill_l1(addr, state);
-            b.stats.loads += 1;
-            b.stats.load_latency_sum += l2_lat;
-            b.stats.load_level_hits[1] += 1;
-            let stall = l2_lat.saturating_sub(cfg.l1.access_cycles);
-            if stall > 0 {
-                b.stats.attribute(StallKind::L2Access, stall);
-            }
-            info.stall_cycles += l2_lat;
-            a.threads[m.tid].state = ThreadState::StalledUntil(now + l2_lat);
-            *wake = (*wake).min(now + l2_lat);
+            (hit.latency, hit.kind)
         }
-        return;
-    }
-
-    let (from_remote, shared) = if is_store {
-        match cfg.protocol {
-            CoherenceProtocol::Mesi => {
-                let mask = b.dir.write(line, core);
-                let dirty = invalidate_remotes(actors, b, info, mask, addr, core);
-                (dirty, false)
-            }
-            CoherenceProtocol::Dragon => {
-                let (peers, prev) = b.dir.write_update(line, core);
-                update_remotes(actors, b, info, peers, addr, core);
-                (prev.is_some_and(|o| o != core), false)
-            }
-        }
-    } else {
-        let src = match cfg.protocol {
-            CoherenceProtocol::Mesi => b.dir.read(line, core),
-            CoherenceProtocol::Dragon => b.dir.read_keep_owner(line, core),
-        };
-        match src {
-            ReadSource::RemoteOwner(owner) => {
-                match cfg.protocol {
-                    CoherenceProtocol::Mesi => {
-                        downgrade_remote(actors, b, owner, addr, now);
-                    }
-                    // Dragon: the owner supplies data cache-to-cache but
-                    // keeps ownership — no downgrade, no writeback.
-                    CoherenceProtocol::Dragon => {
-                        b.stats.counts.l2_reads += 1;
-                    }
-                }
-                (true, true)
-            }
-            ReadSource::SharedClean => (false, true),
-            ReadSource::Below => (false, false),
-        }
-    };
-
-    let xbar = cfg.l3.as_ref().map_or(2, |l| l.xbar_cycles);
-    let source = if from_remote {
-        Source::RemoteL2
-    } else {
-        b.fetch_below(addr, now + l2_lat + xbar)
-    };
-    let (latency, kind) = match source {
-        Source::RemoteL2 => {
-            // Cache-to-cache transfer over the crossbar.
-            b.stats.counts.l2_reads += 1;
-            b.stats.counts.xbar_transfers += 2;
-            (
-                l2_lat + 2 * xbar + cfg.l2.access_cycles,
-                StallKind::L2Access,
-            )
-        }
-        Source::L3 { data_at } => {
-            b.stats.counts.xbar_transfers += 2;
-            (data_at.saturating_sub(now) + xbar, StallKind::L3Access)
-        }
-        Source::Memory { data_at } => {
-            if b.l3.is_some() {
-                b.stats.counts.xbar_transfers += 2;
-            }
-            (data_at.saturating_sub(now) + xbar, StallKind::MemoryAccess)
-        }
-    };
-
-    let fill_state = if is_store {
-        LineState::Modified
-    } else if shared {
-        LineState::Shared
-    } else {
-        LineState::Exclusive
-    };
-    fill_l2_boundary(actors, b, core, addr, fill_state, now);
-    actors[core].fill_l1(addr, fill_state);
-    if is_store {
-        b.stats.counts.l2_writes += 1;
-    } else {
-        b.stats.loads += 1;
-        b.stats.load_latency_sum += latency;
-        let level = match kind {
-            StallKind::L2Access => 1,
-            StallKind::L3Access => 2,
-            _ => 3,
-        };
-        b.stats.load_level_hits[level] += 1;
-        let stall = latency.saturating_sub(cfg.l1.access_cycles);
-        if stall > 0 {
-            b.stats.attribute(kind, stall);
-        }
-        info.stall_cycles += latency;
-        let a = &mut actors[core];
-        debug_assert!(
-            matches!(a.threads[m.tid].state, ThreadState::WaitingMem(_)),
-            "a load-miss message must find its thread parked"
-        );
-        a.threads[m.tid].state = ThreadState::StalledUntil(now + latency);
-        *wake = (*wake).min(now + latency);
-    }
-}
-
-/// Inserts into the requester's L2, handling the eviction against the
-/// directory and the inclusive L1 exactly like the serial engine.
-fn fill_l2_boundary<T: TraceSource>(
-    actors: &mut [CoreActor<T>],
-    b: &mut Boundary,
-    core: usize,
-    addr: u64,
-    state: LineState,
-    now: u64,
-) {
-    let ev = {
-        let a = &mut actors[core];
-        a.stats.counts.l2_writes += 1;
-        a.l2.insert(addr, state)
-    };
-    if let Some(ev) = ev {
-        let ev_line = ev.addr >> b.line_shift;
-        let was_owner = b.dir.evict(ev_line, core);
-        // Inclusion: the L1 copy must go too.
-        let l1_state = actors[core].l1.invalidate(ev.addr);
-        let dirty =
-            ev.state == LineState::Modified || was_owner || l1_state == Some(LineState::Modified);
-        if dirty {
-            b.writeback_below(ev.addr, now);
-        }
+        None => mem.miss(core, addr, is_store, now, mem.request_cycle(now)),
     }
 }
 

@@ -1,31 +1,19 @@
 //! The simulator: fine-grained multithreaded cores driving the coherent
 //! memory hierarchy.
 
-use crate::cache::{LineState, SetAssocCache};
-use crate::coherence::{CoreSet, Directory, ReadSource};
+use crate::coherence::Directory;
 use crate::config::SystemConfig;
 use crate::core::{Thread, ThreadState};
-use crate::dram::DramChannel;
-use crate::l3::L3;
+use crate::memsys::MemSystem;
 use crate::stats::{SimStats, StallKind};
 use crate::trace::{Instr, TraceSource};
-use std::collections::{HashMap, VecDeque};
-
-#[derive(Debug, Default)]
-struct LockState {
-    holder: Option<usize>,
-    queue: VecDeque<usize>,
-}
-
-/// Where an L2 miss was ultimately serviced.
-enum Source {
-    RemoteL2,
-    L3 { data_at: u64 },
-    Memory { data_at: u64 },
-}
 
 /// The chip-level simulator. Construct with a [`SystemConfig`] and a
 /// [`TraceSource`], then call [`Simulator::run`].
+///
+/// Every memory-side effect of an instruction (coherence actions, fills,
+/// L3 and DRAM reservations, lock grants, barrier release) lands at the
+/// cycle the instruction issues.
 pub struct Simulator<T> {
     cfg: SystemConfig,
     trace: T,
@@ -34,25 +22,14 @@ pub struct Simulator<T> {
     /// ([`Thread::wake`] minimized over the core), `u64::MAX` when all
     /// are parked on a barrier or lock.
     wake: Vec<u64>,
-    l1: Vec<SetAssocCache>,
-    l2: Vec<SetAssocCache>,
-    l3: Option<L3>,
-    dir: Directory,
-    channels: Vec<DramChannel>,
-    locks: HashMap<u32, LockState>,
-    barrier_count: usize,
+    /// Issued instructions are counted in `mem.stats`, whose total the
+    /// run loop polls.
+    mem: MemSystem,
     /// Round-robin start thread, shared by every core: each step advances
     /// all of them in lockstep.
     rr: usize,
-    /// `log2(L1 line bytes)`: byte address → line number.
-    line_shift: u32,
-    /// `channels - 1`: line number → DRAM channel.
-    channel_mask: u64,
-    /// Coherence invalidations not yet published to the obs counter.
-    invalidations: u64,
     cycle: u64,
     stats_epoch: u64,
-    stats: SimStats,
 }
 
 impl<T: TraceSource> Simulator<T> {
@@ -87,50 +64,18 @@ impl<T: TraceSource> Simulator<T> {
             return Err(crate::config::ConfigError::ProtocolNeedsShardedEngine);
         }
         let n_cores = cfg.n_cores as usize;
-        let l1 = (0..n_cores)
-            .map(|_| {
-                SetAssocCache::new(
-                    cfg.l1.capacity_bytes,
-                    cfg.l1.line_bytes,
-                    cfg.l1.associativity,
-                )
-            })
-            .collect();
-        let l2 = (0..n_cores)
-            .map(|_| {
-                SetAssocCache::new(
-                    cfg.l2.capacity_bytes,
-                    cfg.l2.line_bytes,
-                    cfg.l2.associativity,
-                )
-            })
-            .collect();
-        let l3 = cfg.l3.clone().map(L3::try_new).transpose()?;
-        let channels = (0..cfg.dram.channels)
-            .map(|_| DramChannel::new(cfg.dram.clone()))
-            .collect();
-        let threads = (0..cfg.n_threads()).map(|_| Thread::new()).collect();
+        // Every tracked line sits in some L2, so the total L2 line count
+        // bounds the directory.
+        let dir = Directory::with_capacity(
+            n_cores * (cfg.l2.capacity_bytes / u64::from(cfg.l2.line_bytes)) as usize,
+        );
         Ok(Simulator {
             rr: 0,
-            line_shift: cfg.l1.line_bytes.trailing_zeros(),
-            channel_mask: u64::from(cfg.dram.channels) - 1,
-            invalidations: 0,
-            threads,
+            threads: (0..cfg.n_threads()).map(|_| Thread::new()).collect(),
             wake: vec![0; n_cores],
-            l1,
-            l2,
-            l3,
-            // Every tracked line sits in some L2, so the total L2 line
-            // count bounds the directory.
-            dir: Directory::with_capacity(
-                n_cores * (cfg.l2.capacity_bytes / u64::from(cfg.l2.line_bytes)) as usize,
-            ),
-            channels,
-            locks: HashMap::new(),
-            barrier_count: 0,
+            mem: MemSystem::new(&cfg, dir)?,
             cycle: 0,
             stats_epoch: 0,
-            stats: SimStats::default(),
             cfg,
             trace,
         })
@@ -141,8 +86,8 @@ impl<T: TraceSource> Simulator<T> {
     /// statistics.
     pub fn run(&mut self, target_instructions: u64) -> SimStats {
         let cycle_cap = self.cycle + target_instructions.saturating_mul(1000).max(10_000);
-        let target = self.stats.instructions + target_instructions;
-        while self.stats.instructions < target && self.cycle < cycle_cap {
+        let target = self.mem.stats.instructions + target_instructions;
+        while self.mem.stats.instructions < target && self.cycle < cycle_cap {
             // Fast-forward across stretches where every thread is blocked.
             let wake = self.wake.iter().copied().min().unwrap_or(u64::MAX);
             if wake == u64::MAX {
@@ -153,8 +98,8 @@ impl<T: TraceSource> Simulator<T> {
             self.cycle = self.cycle.max(wake);
             self.step();
         }
-        self.publish_event_counters();
-        self.finalize()
+        self.mem.publish_event_counters();
+        self.mem.finalize(self.cycle - self.stats_epoch)
     }
 
     /// Advances one cycle. A core none of whose threads can issue this
@@ -207,19 +152,7 @@ impl<T: TraceSource> Simulator<T> {
                         other_free = false;
                         mem_free = false;
                         let (latency, kind) = self.mem_access(core, addr, false);
-                        self.stats.loads += 1;
-                        self.stats.load_latency_sum += latency;
-                        let level = match kind {
-                            StallKind::Instruction => 0,
-                            StallKind::L2Access => 1,
-                            StallKind::L3Access => 2,
-                            _ => 3,
-                        };
-                        self.stats.load_level_hits[level] += 1;
-                        let stall = latency.saturating_sub(self.cfg.l1.access_cycles);
-                        if stall > 0 && kind != StallKind::Instruction {
-                            self.stats.attribute(kind, stall);
-                        }
+                        self.mem.cores[core].record_load(latency, kind);
                         self.threads[tid].state = ThreadState::StalledUntil(cycle + latency);
                         true
                     }
@@ -234,27 +167,30 @@ impl<T: TraceSource> Simulator<T> {
                     }
                     Instr::Barrier => {
                         self.threads[tid].state = ThreadState::AtBarrier(cycle);
-                        self.barrier_count += 1;
-                        if self.barrier_count == self.threads.len() {
+                        if self.mem.arrive_at_barrier() {
                             self.release_barrier();
                         }
                         true
                     }
                     Instr::Lock(id) if other_free => {
                         other_free = false;
-                        let lock = self.locks.entry(id).or_default();
-                        if lock.holder.is_none() {
-                            lock.holder = Some(tid);
-                            self.threads[tid].state = ThreadState::StalledUntil(cycle + 1);
+                        self.threads[tid].state = if self.mem.lock(id, tid) {
+                            ThreadState::StalledUntil(cycle + 1)
                         } else {
-                            lock.queue.push_back(tid);
-                            self.threads[tid].state = ThreadState::WaitingLock(id, cycle);
-                        }
+                            ThreadState::WaitingLock(id, cycle)
+                        };
                         true
                     }
                     Instr::Unlock(id) if other_free => {
                         other_free = false;
-                        self.unlock(id, tid);
+                        if let Some(next) = self.mem.unlock(id, tid) {
+                            self.mem.grant_lock(&mut self.threads[next], cycle);
+                            // `next` was parked (no wake of its own), so its
+                            // core's earliest wake is the old one or this
+                            // grant.
+                            let core = next / tpc;
+                            self.wake[core] = self.wake[core].min(cycle + 1);
+                        }
                         self.threads[tid].state = ThreadState::StalledUntil(cycle + 1);
                         true
                     }
@@ -263,8 +199,8 @@ impl<T: TraceSource> Simulator<T> {
                 if issued {
                     self.threads[tid].pending = None;
                     self.threads[tid].retired += 1;
-                    self.stats.instructions += 1;
-                    self.stats.counts.l1i_reads += 1;
+                    self.mem.stats.instructions += 1;
+                    self.mem.stats.counts.l1i_reads += 1;
                 }
                 next_wake = next_wake.min(self.threads[tid].wake());
             }
@@ -278,14 +214,7 @@ impl<T: TraceSource> Simulator<T> {
     }
 
     fn release_barrier(&mut self) {
-        let cycle = self.cycle;
-        for t in &mut self.threads {
-            if let ThreadState::AtBarrier(since) = t.state {
-                self.stats.attribute(StallKind::Barrier, cycle - since);
-                t.state = ThreadState::StalledUntil(cycle + 1);
-            }
-        }
-        self.barrier_count = 0;
+        self.mem.release_barrier(&mut self.threads, self.cycle);
         // Every core may have had a thread parked; barriers are rare.
         let tpc = self.cfg.threads_per_core as usize;
         for (wake, threads) in self.wake.iter_mut().zip(self.threads.chunks(tpc)) {
@@ -293,289 +222,31 @@ impl<T: TraceSource> Simulator<T> {
         }
     }
 
-    fn unlock(&mut self, id: u32, tid: usize) {
-        let cycle = self.cycle;
-        let lock = self.locks.entry(id).or_default();
-        debug_assert_eq!(lock.holder, Some(tid), "unlock by non-holder");
-        lock.holder = None;
-        if let Some(next) = lock.queue.pop_front() {
-            lock.holder = Some(next);
-            if let ThreadState::WaitingLock(_, since) = self.threads[next].state {
-                self.stats.attribute(StallKind::Lock, cycle - since);
-            }
-            self.threads[next].state = ThreadState::StalledUntil(cycle + 1);
-            // `next` was parked (no wake of its own), so its core's
-            // earliest wake is the old one or this grant.
-            let core = next / self.cfg.threads_per_core as usize;
-            self.wake[core] = self.wake[core].min(cycle + 1);
-        }
-    }
-
-    /// One memory operation through the hierarchy; returns the load-to-use
-    /// latency and the level that serviced it.
+    /// One memory operation through the hierarchy, every effect landing
+    /// now; returns the load-to-use latency and the level that serviced
+    /// it.
     fn mem_access(&mut self, core: usize, addr: u64, is_store: bool) -> (u64, StallKind) {
-        let now = self.cycle;
-        let line = addr >> self.line_shift;
-        self.stats.counts.l1_reads += 1;
-
-        // ---- L1 ----
-        if let Some(state) = self.l1[core].lookup(addr) {
-            if is_store {
-                self.stats.counts.l1_writes += 1;
-                if state != LineState::Modified {
-                    let mask = self.dir.write(line, core);
-                    self.invalidate_remotes(mask, addr, core);
-                    self.l1[core].set_state(addr, LineState::Modified);
-                    self.l2[core].set_state(addr, LineState::Modified);
+        match self.mem.cores[core].access(addr, is_store) {
+            Some(hit) => {
+                if hit.upgrade {
+                    self.mem.upgrade(core, addr);
                 }
+                (hit.latency, hit.kind)
             }
-            return (self.cfg.l1.access_cycles, StallKind::Instruction);
+            None => self.mem.miss(core, addr, is_store, self.cycle, self.cycle),
         }
-
-        // ---- L2 ----
-        self.stats.counts.l2_reads += 1;
-        let l2_lat = self.cfg.l1.access_cycles + self.cfg.l2.access_cycles;
-        if let Some(state) = self.l2[core].lookup(addr) {
-            let new_state = if is_store {
-                let mask = self.dir.write(line, core);
-                self.invalidate_remotes(mask, addr, core);
-                self.stats.counts.l2_writes += 1;
-                LineState::Modified
-            } else {
-                state
-            };
-            self.l2[core].set_state(addr, new_state);
-            self.fill_l1(core, addr, new_state);
-            return (l2_lat, StallKind::L2Access);
-        }
-
-        // ---- L2 miss: consult the directory ----
-        let (from_remote, shared) = if is_store {
-            let mask = self.dir.write(line, core);
-            let dirty = self.invalidate_remotes(mask, addr, core);
-            (dirty, false)
-        } else {
-            match self.dir.read(line, core) {
-                ReadSource::RemoteOwner(owner) => {
-                    self.downgrade_remote(owner, addr);
-                    (true, true)
-                }
-                ReadSource::SharedClean => (false, true),
-                ReadSource::Below => (false, false),
-            }
-        };
-
-        let xbar = self.cfg.l3.as_ref().map_or(2, |l| l.xbar_cycles);
-        let source = if from_remote {
-            Source::RemoteL2
-        } else {
-            self.fetch_below(addr, now + l2_lat + xbar)
-        };
-
-        let (latency, kind) = match source {
-            Source::RemoteL2 => {
-                // Cache-to-cache transfer over the crossbar.
-                self.stats.counts.l2_reads += 1;
-                self.stats.counts.xbar_transfers += 2;
-                (
-                    l2_lat + 2 * xbar + self.cfg.l2.access_cycles,
-                    StallKind::L2Access,
-                )
-            }
-            Source::L3 { data_at } => {
-                self.stats.counts.xbar_transfers += 2;
-                (data_at.saturating_sub(now) + xbar, StallKind::L3Access)
-            }
-            Source::Memory { data_at } => {
-                if self.l3.is_some() {
-                    self.stats.counts.xbar_transfers += 2;
-                }
-                (data_at.saturating_sub(now) + xbar, StallKind::MemoryAccess)
-            }
-        };
-
-        let fill_state = if is_store {
-            LineState::Modified
-        } else if shared {
-            LineState::Shared
-        } else {
-            LineState::Exclusive
-        };
-        self.fill_l2(core, addr, fill_state);
-        self.fill_l1(core, addr, fill_state);
-        if is_store {
-            self.stats.counts.l2_writes += 1;
-        }
-        (latency, kind)
-    }
-
-    /// Fetches a line from the L3 (if present and hit) or main memory;
-    /// reserves timing resources from `t_req` onward.
-    fn fetch_below(&mut self, addr: u64, t_req: u64) -> Source {
-        if let Some(l3) = self.l3.as_mut() {
-            self.stats.counts.l3_reads += 1;
-            let hit = l3.lookup(addr).is_some();
-            let (t, page_hit) = l3.reserve_detailed(addr, t_req);
-            self.stats.counts.l3_page_hits += u64::from(page_hit);
-            if hit {
-                return Source::L3 { data_at: t };
-            }
-            // L3 miss: tag check occupied the bank, then go to memory.
-            let done = self.dram_read(addr, t);
-            self.fill_l3(addr, LineState::Shared);
-            Source::Memory { data_at: done }
-        } else {
-            let done = self.dram_read(addr, t_req);
-            Source::Memory { data_at: done }
-        }
-    }
-
-    fn channel_of(&self, addr: u64) -> usize {
-        ((addr >> self.line_shift) & self.channel_mask) as usize
-    }
-
-    fn dram_read(&mut self, addr: u64, t_req: u64) -> u64 {
-        let ch = self.channel_of(addr);
-        let a = self.channels[ch].access(addr, t_req);
-        self.stats.counts.mem_reads += 1;
-        if a.activated {
-            self.stats.counts.mem_activates += 1;
-        }
-        if a.page_hit {
-            self.stats.counts.mem_page_hits += 1;
-        }
-        a.done_at
-    }
-
-    fn dram_write(&mut self, addr: u64) {
-        let ch = self.channel_of(addr);
-        let t = self.cycle;
-        let a = self.channels[ch].access(addr, t);
-        self.stats.counts.mem_writes += 1;
-        if a.activated {
-            self.stats.counts.mem_activates += 1;
-        }
-        if a.page_hit {
-            self.stats.counts.mem_page_hits += 1;
-        }
-    }
-
-    /// Writes a (dirty) line into the L3, or to memory when there is none.
-    fn writeback_below(&mut self, addr: u64) {
-        if self.l3.is_some() {
-            self.stats.counts.xbar_transfers += 1;
-            self.fill_l3(addr, LineState::Modified);
-            self.stats.counts.l3_writes += 1;
-        } else {
-            self.dram_write(addr);
-        }
-    }
-
-    fn fill_l3(&mut self, addr: u64, state: LineState) {
-        let Some(l3) = self.l3.as_mut() else { return };
-        self.stats.counts.l3_writes += 1;
-        if let Some(ev) = l3.insert(addr, state) {
-            if ev.state == LineState::Modified {
-                self.dram_write(ev.addr);
-            }
-        }
-    }
-
-    fn fill_l1(&mut self, core: usize, addr: u64, state: LineState) {
-        self.stats.counts.l1_writes += 1;
-        if let Some(ev) = self.l1[core].insert(addr, state) {
-            if ev.state == LineState::Modified {
-                // Write the dirty L1 victim back into the (inclusive) L2.
-                self.stats.counts.l2_writes += 1;
-                self.l2[core].set_state(ev.addr, LineState::Modified);
-            }
-        }
-    }
-
-    fn fill_l2(&mut self, core: usize, addr: u64, state: LineState) {
-        self.stats.counts.l2_writes += 1;
-        if let Some(ev) = self.l2[core].insert(addr, state) {
-            let ev_line = ev.addr >> self.line_shift;
-            let was_owner = self.dir.evict(ev_line, core);
-            // Inclusion: the L1 copy must go too.
-            let l1_state = self.l1[core].invalidate(ev.addr);
-            let dirty = ev.state == LineState::Modified
-                || was_owner
-                || l1_state == Some(LineState::Modified);
-            if dirty {
-                self.writeback_below(ev.addr);
-            }
-        }
-    }
-
-    /// Invalidates `mask` cores' copies; returns whether one of them held
-    /// the line dirty (cache-to-cache source).
-    fn invalidate_remotes(&mut self, mask: CoreSet, addr: u64, requester: usize) -> bool {
-        let mut dirty = false;
-        for other in mask.iter() {
-            if other == requester {
-                continue;
-            }
-            self.stats.counts.l2_reads += 1; // probe
-            self.invalidations += 1;
-            if self.l2[other].invalidate(addr) == Some(LineState::Modified) {
-                dirty = true;
-            }
-            if self.l1[other].invalidate(addr) == Some(LineState::Modified) {
-                dirty = true;
-            }
-        }
-        dirty
-    }
-
-    /// Downgrades a dirty remote owner to Shared and pushes its data below.
-    fn downgrade_remote(&mut self, owner: usize, addr: u64) {
-        self.stats.counts.l2_reads += 1;
-        self.l2[owner].set_state(addr, LineState::Shared);
-        self.l1[owner].set_state(addr, LineState::Shared);
-        self.writeback_below(addr);
-    }
-
-    /// Publishes the per-event counts gathered during a run — one atomic
-    /// add per counter instead of one per event.
-    fn publish_event_counters(&mut self) {
-        if self.invalidations > 0 {
-            cactid_obs::counter!("sim.coherence.invalidations").add(self.invalidations);
-            self.invalidations = 0;
-        }
-        crate::dram::publish_refresh_stalls(&mut self.channels);
-    }
-
-    /// Closes out attribution: every unattributed thread-cycle was spent
-    /// processing instructions.
-    fn finalize(&mut self) -> SimStats {
-        let mut s = self.stats.clone();
-        s.cycles = self.cycle - self.stats_epoch;
-        let total = s.cycles * self.threads.len() as u64;
-        let other: u64 = StallKind::ALL
-            .iter()
-            .skip(1)
-            .map(|&k| s.attributed(k))
-            .sum();
-        s.cycle_breakdown[0] = total.saturating_sub(other);
-        s
     }
 
     /// Discards statistics gathered so far (cache/DRAM state is kept),
     /// so measurement can start after a warm-up phase.
     pub fn reset_stats(&mut self) {
-        self.stats = SimStats::default();
+        self.mem.reset_stats();
         self.stats_epoch = self.cycle;
     }
 
     /// Current cycle (diagnostics).
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// Statistics so far without finalization (diagnostics).
-    pub fn raw_stats(&self) -> &SimStats {
-        &self.stats
     }
 
     /// Consumes the simulator and hands back its trace source (e.g. a

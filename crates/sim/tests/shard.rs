@@ -2,6 +2,7 @@
 //! pinned statistics digests (the determinism contract), per-core trace
 //! streams, protocol selection, and synchronization across cores.
 
+use memsim::config::{L3Interface, L3PageTiming};
 use memsim::record::Recorder;
 use memsim::trace::{Instr, StridedSource, TraceSource};
 use memsim::{
@@ -41,6 +42,33 @@ fn eight_core_stats_are_pinned() {
     let trace = StridedSource::with_seed(cfg.n_threads(), 0.4, 64 << 10, 7);
     let s = run_sharded(&cfg, trace, 20_000);
     assert_eq!(s.digest(), 0xed4f_5e13_0c39_5496, "{PINNED}");
+}
+
+#[test]
+fn no_l3_stats_are_pinned() {
+    // Without an L3 every miss goes to memory, and every dirty line a
+    // remote read downgrades is written straight to DRAM.
+    let cfg = SystemConfig::baseline_no_l3();
+    let s = run_sharded(&cfg, SharedTrace::new(cfg.n_threads()), 20_000);
+    assert!(s.counts.mem_reads > 0 && s.counts.mem_writes > 0);
+    assert_eq!(s.digest(), 0x9fcd_40a1_bed0_7c2d, "{PINNED}");
+}
+
+#[test]
+fn page_mode_l3_stats_are_pinned() {
+    let mut cfg = SystemConfig::with_sram_l3();
+    if let Some(l3) = cfg.l3.as_mut() {
+        l3.interface = L3Interface::PageMode;
+        l3.page_timing = Some(L3PageTiming {
+            t_rcd: 8,
+            t_cas: 6,
+            t_rp: 7,
+        });
+    }
+    let trace = StridedSource::with_seed(cfg.n_threads(), 0.4, 4 << 20, 3);
+    let s = run_sharded(&cfg, trace, 40_000);
+    assert!(s.counts.l3_page_hits > 0, "no open-row hit");
+    assert_eq!(s.digest(), 0xc780_26c2_320f_f2dc, "{PINNED}");
 }
 
 #[test]
