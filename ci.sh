@@ -351,23 +351,43 @@ test "$(wc -l < "$SDIR/huge.out")" = 2 &&
 }
 rm -rf "$SDIR"
 
-echo "== sharded-sim smoke (run-to-run determinism + obs counters)"
-# Two 64-core runs through the sharded engine must print the same stats
-# digest line, and the trace sidecar must show the epoch machinery
-# actually ran (sim.shard.epochs > 0).
+echo "== sharded-sim smoke (determinism, coherence traffic, obs counters)"
+# Two 64-core MESI runs through the actor engine must print the same
+# stats digest line, and the trace sidecar must show the epoch machinery
+# actually ran (sim.shard.epochs > 0). At 200 000 instructions ft.B
+# shares lines across cores, so the MESI run must invalidate, the Dragon
+# run must update, and the two protocols' digests must differ; at 20 000
+# neither protocol took a coherence action and both printed one digest.
 MDIR=$(mktemp -d)
 cargo build --release --quiet -p llc-study --bin llc-study
 LLC=target/release/llc-study
-$LLC shard --cores 64 -n 20000 > "$MDIR/r1.txt" 2>/dev/null
-$LLC shard --cores 64 -n 20000 --trace "$MDIR/shard.trace.jsonl" \
+$LLC shard --cores 64 -n 200000 > "$MDIR/r1.txt" 2>/dev/null
+$LLC shard --cores 64 -n 200000 --trace "$MDIR/mesi.trace.jsonl" \
     > "$MDIR/r2.txt" 2>/dev/null
 grep -q 'digest=' "$MDIR/r1.txt" && cmp "$MDIR/r1.txt" "$MDIR/r2.txt" || {
     echo "sharded digest lines differ between two runs:" >&2
     cat "$MDIR/r1.txt" "$MDIR/r2.txt" >&2
     exit 1
 }
-grep -q '"name":"sim.shard.epochs","value":[1-9]' "$MDIR/shard.trace.jsonl" || {
+$LLC shard --cores 64 -n 200000 --dragon --trace "$MDIR/dragon.trace.jsonl" \
+    > "$MDIR/d.txt" 2>/dev/null
+MESI_DIGEST=$(grep -o 'digest=[0-9a-f]*' "$MDIR/r1.txt")
+DRAGON_DIGEST=$(grep -o 'digest=[0-9a-f]*' "$MDIR/d.txt")
+test -n "$DRAGON_DIGEST" && test "$MESI_DIGEST" != "$DRAGON_DIGEST" || {
+    echo "MESI and Dragon runs printed the same digest: no coherence action was exercised" >&2
+    cat "$MDIR/r1.txt" "$MDIR/d.txt" >&2
+    exit 1
+}
+grep -q '"name":"sim.shard.epochs","value":[1-9]' "$MDIR/mesi.trace.jsonl" || {
     echo "trace sidecar lacks a nonzero sim.shard.epochs counter" >&2
+    exit 1
+}
+grep -q '"name":"sim.coherence.invalidations","value":[1-9]' "$MDIR/mesi.trace.jsonl" || {
+    echo "the MESI run's trace sidecar lacks a nonzero sim.coherence.invalidations" >&2
+    exit 1
+}
+grep -q '"name":"sim.coherence.updates","value":[1-9]' "$MDIR/dragon.trace.jsonl" || {
+    echo "the Dragon run's trace sidecar lacks a nonzero sim.coherence.updates" >&2
     exit 1
 }
 rm -rf "$MDIR"

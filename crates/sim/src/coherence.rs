@@ -3,18 +3,18 @@
 //! The directory covers only lines resident in some L2 (the L2s are small,
 //! so the map stays bounded); it is consulted on every L2 miss and on every
 //! store that needs ownership. Sharer sets are 256-bit [`CoreSet`]s, so the
-//! same directory serves the paper's 8-core chip and the sharded
-//! simulator's 64–256-core configurations. Each entry stores only the
+//! same directory serves the paper's 8-core chip and the engine's
+//! 64–256-core configurations. Each entry stores only the
 //! sharers among cores 0–63, inline as one word next to the owner; cores
 //! 64–255 spill to a side map touched only for lines such a core shares.
 //!
 //! Two protocols share the directory state:
 //! * **MESI** (write-invalidate) — [`Directory::read`] / [`Directory::write`],
-//!   the legacy serial simulator's protocol.
+//!   the paper's protocol.
 //! * **Dragon-style write-update** — [`Directory::read_keep_owner`] /
 //!   [`Directory::write_update`]: a write pushes the new data to the other
 //!   sharers instead of invalidating them, and a read from a dirty owner
-//!   does not downgrade it. Only the sharded engine speaks this dialect.
+//!   does not downgrade it.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -143,7 +143,7 @@ const NO_OWNER: u16 = u16::MAX;
 /// One tracked line: the sharers among cores 0–63 as a bitmask, whether
 /// cores 64–255 share it too (their bits then sit in
 /// [`Directory::high`]), and the dirty owner. 16 bytes where a full
-/// [`CoreSet`] entry takes 40, so the table a legacy run presizes is under
+/// [`CoreSet`] entry takes 40, so the table an Issue-timing run presizes is under
 /// half the size and every L2 miss touches less of it.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -445,7 +445,7 @@ mod tests {
 
     #[test]
     fn an_entry_is_two_words() {
-        // The table a legacy run presizes holds (line, Entry) buckets:
+        // The table an Issue-timing run presizes holds (line, Entry) buckets:
         // 24 B each, where a full-CoreSet entry made them 48 B.
         assert_eq!(std::mem::size_of::<(u64, Entry)>(), 24);
     }

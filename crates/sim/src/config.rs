@@ -14,10 +14,6 @@ pub enum ConfigError {
     /// `n_cores` is zero or exceeds the 256-core ceiling of the coherence
     /// directory's sharer sets ([`crate::coherence::MAX_CORES`]).
     UnsupportedCoreCount(u32),
-    /// The selected [`CoherenceProtocol`] is not implemented by the engine
-    /// the configuration was handed to (the legacy serial loop speaks MESI
-    /// only; write-update needs the sharded engine's epoch boundary).
-    ProtocolNeedsShardedEngine,
     /// A cache level's line size is not a power of two, or is below the
     /// 4 B minimum of the packed tag slot (`tag << 2 | state`).
     BadLineSize {
@@ -65,12 +61,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "n_cores = {n} is outside the supported 1..=256 range \
                  of the coherence directory's sharer sets"
-            ),
-            ConfigError::ProtocolNeedsShardedEngine => write!(
-                f,
-                "the Dragon write-update protocol is only implemented by \
-                 the sharded engine (memsim::shard::ShardedSimulator); the \
-                 legacy serial Simulator speaks MESI only"
             ),
             ConfigError::BadLineSize { level, line_bytes } => write!(
                 f,
@@ -285,11 +275,11 @@ impl DramConfig {
 /// Cache-coherence protocol run between the private L2s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoherenceProtocol {
-    /// MESI write-invalidate (the paper's system; both engines).
+    /// MESI write-invalidate (the paper's system).
     #[default]
     Mesi,
     /// Dragon-style write-update: stores push data to the other sharers
-    /// instead of invalidating them (sharded engine only).
+    /// instead of invalidating them.
     Dragon,
 }
 

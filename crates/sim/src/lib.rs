@@ -9,7 +9,8 @@
 //! 4-wide SIMD FPU per core — an FP instruction can issue every cycle,
 //! other instructions take 4 cycles, at most one memory request per core
 //! per cycle), private SRAM L1 and L2 caches kept coherent with a MESI
-//! protocol, an optional shared banked L3 reached through an 8×8 crossbar,
+//! (or Dragon write-update) protocol, an optional shared banked L3
+//! reached through an 8×8 crossbar,
 //! and a DDR-style main memory with channels, banks, and
 //! tRCD/CL/tRP/tRC/tRRD timing under an open- or closed-page policy.
 //!
@@ -20,6 +21,12 @@
 //! block on loads, synchronize at barriers and locks, and every stall
 //! cycle is attributed to the level that serviced the miss — exactly the
 //! categories of the paper's Figure 4(b).
+//!
+//! One engine ([`shard`]) runs every simulation, under a timing policy
+//! its constructor fixes: [`Simulator`] lands each memory-side effect at
+//! the cycle its instruction issues (the paper study's timing), and
+//! [`ShardedSimulator`] at the edge of an epoch of cycles, which scales
+//! to 64–256 cores.
 //!
 //! # Example
 //!

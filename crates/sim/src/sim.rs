@@ -1,36 +1,21 @@
-//! The simulator: fine-grained multithreaded cores driving the coherent
-//! memory hierarchy.
+//! The paper-study simulator: the one engine of [`crate::shard`] under
+//! Issue timing.
+//!
+//! Fine-grained multithreaded cores drive the coherent memory hierarchy,
+//! and every memory-side effect of an instruction (coherence actions,
+//! fills, L3 and DRAM reservations, lock grants, barrier release) lands
+//! at the cycle the instruction issues. The issue stage, the memory
+//! system and the run loop are the actor engine's; DESIGN.md §8 lists
+//! how this timing differs from its Epoch timing.
 
-use crate::coherence::Directory;
 use crate::config::SystemConfig;
-use crate::core::{Thread, ThreadState};
-use crate::memsys::MemSystem;
-use crate::stats::{SimStats, StallKind};
-use crate::trace::{Instr, TraceSource};
+use crate::shard::{ShardedSimulator, Timing};
+use crate::stats::SimStats;
+use crate::trace::TraceSource;
 
 /// The chip-level simulator. Construct with a [`SystemConfig`] and a
 /// [`TraceSource`], then call [`Simulator::run`].
-///
-/// Every memory-side effect of an instruction (coherence actions, fills,
-/// L3 and DRAM reservations, lock grants, barrier release) lands at the
-/// cycle the instruction issues.
-pub struct Simulator<T> {
-    cfg: SystemConfig,
-    trace: T,
-    threads: Vec<Thread>,
-    /// Per core: the earliest cycle one of its threads can issue
-    /// ([`Thread::wake`] minimized over the core), `u64::MAX` when all
-    /// are parked on a barrier or lock.
-    wake: Vec<u64>,
-    /// Issued instructions are counted in `mem.stats`, whose total the
-    /// run loop polls.
-    mem: MemSystem,
-    /// Round-robin start thread, shared by every core: each step advances
-    /// all of them in lockstep.
-    rr: usize,
-    cycle: u64,
-    stats_epoch: u64,
-}
+pub struct Simulator<T>(ShardedSimulator<T>);
 
 impl<T: TraceSource> Simulator<T> {
     /// Builds an idle system.
@@ -50,223 +35,47 @@ impl<T: TraceSource> Simulator<T> {
     ///
     /// Any [`crate::config::ConfigError`] from
     /// [`SystemConfig::validate`] — e.g. a page-mode L3 without row
-    /// timing, which previously panicked mid-simulation — plus
-    /// [`crate::config::ConfigError::ProtocolNeedsShardedEngine`] for a
-    /// non-MESI protocol: this serial loop resolves coherence actions
-    /// instantly and only implements write-invalidate; write-update lives
-    /// in [`crate::shard::ShardedSimulator`].
+    /// timing, which previously panicked mid-simulation. Both coherence
+    /// protocols (MESI and Dragon) are accepted.
     pub fn try_new(
         cfg: SystemConfig,
         trace: T,
     ) -> Result<Simulator<T>, crate::config::ConfigError> {
-        cfg.validate()?;
-        if cfg.protocol != crate::config::CoherenceProtocol::Mesi {
-            return Err(crate::config::ConfigError::ProtocolNeedsShardedEngine);
-        }
-        let n_cores = cfg.n_cores as usize;
-        // Every tracked line sits in some L2, so the total L2 line count
-        // bounds the directory.
-        let dir = Directory::with_capacity(
-            n_cores * (cfg.l2.capacity_bytes / u64::from(cfg.l2.line_bytes)) as usize,
-        );
-        Ok(Simulator {
-            rr: 0,
-            threads: (0..cfg.n_threads()).map(|_| Thread::new()).collect(),
-            wake: vec![0; n_cores],
-            mem: MemSystem::new(&cfg, dir)?,
-            cycle: 0,
-            stats_epoch: 0,
-            cfg,
-            trace,
-        })
+        ShardedSimulator::with_timing(cfg, trace, Timing::Issue).map(Simulator)
     }
 
     /// Runs until `target_instructions` have retired (or a safety cap of
     /// 1000 cycles per requested instruction is hit), returning the
-    /// statistics.
+    /// statistics. A synchronization deadlock in the trace stops the run
+    /// early.
     pub fn run(&mut self, target_instructions: u64) -> SimStats {
-        let cycle_cap = self.cycle + target_instructions.saturating_mul(1000).max(10_000);
-        let target = self.mem.stats.instructions + target_instructions;
-        while self.mem.stats.instructions < target && self.cycle < cycle_cap {
-            // Fast-forward across stretches where every thread is blocked.
-            let wake = self.wake.iter().copied().min().unwrap_or(u64::MAX);
-            if wake == u64::MAX {
-                // Nothing will ever wake: synchronization deadlock in the
-                // trace — stop rather than spin to the cycle cap.
-                break;
-            }
-            self.cycle = self.cycle.max(wake);
-            self.step();
-        }
-        self.mem.publish_event_counters();
-        self.mem.finalize(self.cycle - self.stats_epoch)
-    }
-
-    /// Advances one cycle. A core none of whose threads can issue this
-    /// cycle (`wake > cycle`) would only have skipped every thread, so it
-    /// is not visited. A visited core tests each thread once, `wake() <=
-    /// cycle`, and folds every thread's wake after its turn into the
-    /// core's next wake. Threads a turn parks or wakes elsewhere on the
-    /// core (barrier release, lock grant) land on `cycle + 1`, as the
-    /// issuing thread itself does, so the fold needs no second pass.
-    fn step(&mut self) {
-        let cycle = self.cycle;
-        let tpc = self.cfg.threads_per_core as usize;
-        for core in 0..self.wake.len() {
-            if self.wake[core] > cycle {
-                continue;
-            }
-            let mut next_wake = u64::MAX;
-            let mut fp_free = true;
-            let mut other_free = true;
-            let mut mem_free = true;
-            for k in 0..tpc {
-                let mut lt = self.rr + k;
-                if lt >= tpc {
-                    lt -= tpc;
-                }
-                let tid = core * tpc + lt;
-                let wake = self.threads[tid].wake();
-                if wake > cycle {
-                    next_wake = next_wake.min(wake);
-                    continue;
-                }
-                if self.threads[tid].pending.is_none() {
-                    self.threads[tid].pending = Some(self.trace.next(tid));
-                }
-                let Some(instr) = self.threads[tid].pending else {
-                    unreachable!("a pending instruction was fetched just above")
-                };
-                let issued = match instr {
-                    Instr::Fp if fp_free => {
-                        fp_free = false;
-                        true
-                    }
-                    Instr::Other if other_free => {
-                        other_free = false;
-                        self.threads[tid].state =
-                            ThreadState::StalledUntil(cycle + self.cfg.other_instr_cycles);
-                        true
-                    }
-                    Instr::Load(addr) if other_free && mem_free => {
-                        other_free = false;
-                        mem_free = false;
-                        let (latency, kind) = self.mem_access(core, addr, false);
-                        self.mem.cores[core].record_load(latency, kind);
-                        self.threads[tid].state = ThreadState::StalledUntil(cycle + latency);
-                        true
-                    }
-                    Instr::Store(addr) if other_free && mem_free => {
-                        other_free = false;
-                        mem_free = false;
-                        // Posted store: resources are reserved and state is
-                        // updated, but the thread continues next cycle.
-                        let _ = self.mem_access(core, addr, true);
-                        self.threads[tid].state = ThreadState::StalledUntil(cycle + 1);
-                        true
-                    }
-                    Instr::Barrier => {
-                        self.threads[tid].state = ThreadState::AtBarrier(cycle);
-                        if self.mem.arrive_at_barrier() {
-                            self.release_barrier();
-                        }
-                        true
-                    }
-                    Instr::Lock(id) if other_free => {
-                        other_free = false;
-                        self.threads[tid].state = if self.mem.lock(id, tid) {
-                            ThreadState::StalledUntil(cycle + 1)
-                        } else {
-                            ThreadState::WaitingLock(id, cycle)
-                        };
-                        true
-                    }
-                    Instr::Unlock(id) if other_free => {
-                        other_free = false;
-                        if let Some(next) = self.mem.unlock(id, tid) {
-                            self.mem.grant_lock(&mut self.threads[next], cycle);
-                            // `next` was parked (no wake of its own), so its
-                            // core's earliest wake is the old one or this
-                            // grant.
-                            let core = next / tpc;
-                            self.wake[core] = self.wake[core].min(cycle + 1);
-                        }
-                        self.threads[tid].state = ThreadState::StalledUntil(cycle + 1);
-                        true
-                    }
-                    _ => false,
-                };
-                if issued {
-                    self.threads[tid].pending = None;
-                    self.threads[tid].retired += 1;
-                    self.mem.stats.instructions += 1;
-                    self.mem.stats.counts.l1i_reads += 1;
-                }
-                next_wake = next_wake.min(self.threads[tid].wake());
-            }
-            self.wake[core] = next_wake;
-        }
-        self.rr += 1;
-        if self.rr == tpc {
-            self.rr = 0;
-        }
-        self.cycle += 1;
-    }
-
-    fn release_barrier(&mut self) {
-        self.mem.release_barrier(&mut self.threads, self.cycle);
-        // Every core may have had a thread parked; barriers are rare.
-        let tpc = self.cfg.threads_per_core as usize;
-        for (wake, threads) in self.wake.iter_mut().zip(self.threads.chunks(tpc)) {
-            *wake = core_wake(threads);
-        }
-    }
-
-    /// One memory operation through the hierarchy, every effect landing
-    /// now; returns the load-to-use latency and the level that serviced
-    /// it.
-    fn mem_access(&mut self, core: usize, addr: u64, is_store: bool) -> (u64, StallKind) {
-        match self.mem.cores[core].access(addr, is_store) {
-            Some(hit) => {
-                if hit.upgrade {
-                    self.mem.upgrade(core, addr);
-                }
-                (hit.latency, hit.kind)
-            }
-            None => self.mem.miss(core, addr, is_store, self.cycle, self.cycle),
-        }
+        self.0.run(target_instructions)
     }
 
     /// Discards statistics gathered so far (cache/DRAM state is kept),
     /// so measurement can start after a warm-up phase.
     pub fn reset_stats(&mut self) {
-        self.mem.reset_stats();
-        self.stats_epoch = self.cycle;
+        self.0.reset_stats();
     }
 
     /// Current cycle (diagnostics).
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.0.cycle()
     }
 
     /// Consumes the simulator and hands back its trace source (e.g. a
     /// [`crate::record::Recorder`] whose capture you want).
     pub fn into_trace_source(self) -> T {
-        self.trace
+        self.0.into_trace_source()
     }
-}
-
-/// The earliest cycle one of a core's `threads` can issue, or `u64::MAX`
-/// when every one is parked on synchronization.
-fn core_wake(threads: &[Thread]) -> u64 {
-    threads.iter().map(Thread::wake).min().unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ConfigError, SystemConfig};
-    use crate::trace::StridedSource;
+    use crate::config::ConfigError;
+    use crate::stats::StallKind;
+    use crate::trace::{Instr, StridedSource};
 
     /// The pinned digests below are the statistics of a plain loop that
     /// scans every thread each cycle and divides addresses: per-core wake

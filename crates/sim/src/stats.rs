@@ -166,8 +166,8 @@ impl SimStats {
     }
 
     /// Accumulates `other` into `self`, field by field — used by the
-    /// sharded simulator to combine per-shard statistics with the
-    /// boundary-side statistics. `cycles` is *not* summed (it is wall
+    /// engine to combine per-core statistics with the boundary-side
+    /// statistics. `cycles` is *not* summed (it is wall
     /// simulated time, identical across shards, not additive); the caller
     /// sets it from the engine clock.
     pub fn merge(&mut self, other: &SimStats) {

@@ -56,8 +56,8 @@ impl StridedSource {
     /// streams are derived as `(seed, tid)` splitmix expansions
     /// ([`crate::rng::XorShift64Star::for_stream`]), so each thread's
     /// stream is a pure function of the pair — independent of the order
-    /// threads are polled in, and therefore identical whether the
-    /// simulator runs serially or sharded.
+    /// threads are polled in, and therefore identical under either of
+    /// the simulator's timing policies.
     ///
     /// # Panics
     ///
@@ -142,8 +142,8 @@ mod tests {
     fn thread_streams_are_order_independent() {
         // Polling tid 1 must not perturb tid 0's stream: the per-thread
         // states are pure functions of (seed, tid). This is the property
-        // the sharded simulator relies on when each shard clones the
-        // source and only polls its own threads.
+        // the engine relies on when each actor's window polls the one
+        // source for its own threads only.
         let mut solo = StridedSource::new(2, 0.5, 1 << 20);
         let mut interleaved = StridedSource::new(2, 0.5, 1 << 20);
         for _ in 0..100 {

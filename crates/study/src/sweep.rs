@@ -8,7 +8,6 @@
 //! miss ratio at each size — the curves that explain Figure 4.
 
 use crate::configs::{self, LlcKind, StudyConfig};
-use memsim::Simulator;
 use npbgen::{NpbApp, NpbClass, NpbTrace};
 
 /// One point of the sensitivity curve.
@@ -42,17 +41,13 @@ pub fn capacity_sweep(
     // pool; results come back in capacity order regardless of which
     // worker finished first.
     cactid_explore::pool::parallel_map(0, capacities, |_, &cap| {
-        let mut cfg = base.clone();
-        let Some(l3) = cfg.system.l3.as_mut() else {
+        let mut system = base.system.clone();
+        let Some(l3) = system.l3.as_mut() else {
             unreachable!("the sweep base config carries an L3")
         };
         l3.bank.capacity_bytes = cap / u64::from(l3.n_banks);
-        let trace = NpbTrace::with_class(app, class, cfg.system.n_threads());
-        let mut sim = Simulator::new(cfg.system.clone(), trace);
-        sim.run(instructions);
-        sim.reset_stats();
-        let stats = sim.run(instructions);
-        stats.publish_obs();
+        let trace = NpbTrace::with_class(app, class, system.n_threads());
+        let stats = crate::figure4::simulate(&system, trace, instructions);
         let c = &stats.counts;
         let reached = stats.load_level_hits[2] + stats.load_level_hits[3];
         SweepPoint {

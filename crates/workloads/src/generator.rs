@@ -71,8 +71,8 @@ impl NpbTrace {
     /// `(tid + 1) × golden-ratio` seeding whose streams were linearly
     /// related. Each thread's stream is a pure function of the pair, so
     /// workload generation is independent of thread polling order —
-    /// bitwise identical between the serial and sharded simulators at any
-    /// shard count.
+    /// bitwise identical under both of the simulator's timing policies,
+    /// whatever order its cores poll in.
     ///
     /// # Panics
     ///
@@ -244,9 +244,10 @@ mod tests {
 
     #[test]
     fn thread_streams_are_polling_order_independent() {
-        // A shard that only polls its own threads must see the same
-        // streams as the serial simulator polling everyone: each thread's
-        // stream depends only on (seed, tid).
+        // A core that polls only its own threads, in whatever order the
+        // engine runs the cores, must see the same streams as one
+        // polling everyone: each thread's stream depends only on
+        // (seed, tid).
         let mut solo = NpbTrace::new(NpbApp::FtB, 8);
         let mut interleaved = NpbTrace::new(NpbApp::FtB, 8);
         for step in 0..2000 {
