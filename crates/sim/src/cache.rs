@@ -108,7 +108,7 @@ impl SetAssocCache {
     pub fn lookup(&mut self, addr: u64) -> Option<LineState> {
         let (range, _, pos) = self.find(addr);
         let ways = &mut self.slots[range];
-        ways[..=pos?].rotate_right(1);
+        to_front(ways, pos?);
         Some(LineState::of_slot(ways[0]))
     }
 
@@ -129,7 +129,7 @@ impl SetAssocCache {
         let pos = hit.unwrap_or(self.assoc - 1);
         let ways = &mut self.slots[range];
         let victim = ways[pos];
-        ways[..=pos].rotate_right(1);
+        to_front(ways, pos);
         ways[0] = tag << 2 | state as u64;
         (hit.is_none() && victim != 0).then(|| Eviction {
             addr: ((victim >> 2) << self.set_shift | set) << self.line_shift,
@@ -160,6 +160,17 @@ impl SetAssocCache {
     /// Number of valid lines (test/diagnostic helper).
     pub fn valid_lines(&self) -> usize {
         self.slots.iter().filter(|&&s| s != 0).count()
+    }
+}
+
+/// `ways[..=pos].rotate_right(1)`: way `pos` moves to the front and the
+/// more recent ways shift back by one. The value is carried in a register
+/// from way to way; the library rotate calls `memmove` for every shift,
+/// and most shifts here are a few ways long.
+fn to_front(ways: &mut [u64], pos: usize) {
+    let mut carry = ways[pos];
+    for way in &mut ways[..=pos] {
+        carry = std::mem::replace(way, carry);
     }
 }
 
