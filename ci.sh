@@ -351,10 +351,10 @@ test "$(wc -l < "$SDIR/huge.out")" = 2 &&
 }
 rm -rf "$SDIR"
 
-echo "== sharded-sim smoke (determinism, coherence traffic, obs counters)"
-# Two 64-core MESI runs through the actor engine must print the same
-# stats digest line, and the trace sidecar must show the epoch machinery
-# actually ran (sim.shard.epochs > 0). At 200 000 instructions ft.B
+echo "== many-core sim smoke (determinism, coherence traffic, obs counters)"
+# Two 64-core MESI runs of `llc-study shard` must print the same stats
+# digest line, and the trace sidecar must show the engine stepped its
+# issuing cycles (sim.shard.epochs > 0). At 200 000 instructions ft.B
 # shares lines across cores, so the MESI run must invalidate, the Dragon
 # run must update, and the two protocols' digests must differ; at 20 000
 # neither protocol took a coherence action and both printed one digest.
@@ -365,7 +365,7 @@ $LLC shard --cores 64 -n 200000 > "$MDIR/r1.txt" 2>/dev/null
 $LLC shard --cores 64 -n 200000 --trace "$MDIR/mesi.trace.jsonl" \
     > "$MDIR/r2.txt" 2>/dev/null
 grep -q 'digest=' "$MDIR/r1.txt" && cmp "$MDIR/r1.txt" "$MDIR/r2.txt" || {
-    echo "sharded digest lines differ between two runs:" >&2
+    echo "many-core digest lines differ between two runs:" >&2
     cat "$MDIR/r1.txt" "$MDIR/r2.txt" >&2
     exit 1
 }
@@ -439,9 +439,11 @@ grep -q 'PageMode: .*row-hit rate 0\.0*[1-9]' "$ZDIR/abl1.txt" || {
 rm -rf "$ZDIR"
 
 echo "== llc-study integer flags (bad values exit 2)"
-# A flag with no value, a core count the directory cannot hold and one
-# that overflows u32 are usage errors, not a default run, panic or wrap.
-for ARGS in "shard --cores 8 -n" "shard --cores 0" "shard --cores 4294967297"; do
+# A flag with no value, a core count the directory cannot hold, one that
+# overflows u32 and a zero instruction count are usage errors, not a
+# default run, panic, wrap or empty study.
+for ARGS in "shard --cores 8 -n" "shard --cores 0" "shard --cores 4294967297" \
+    "all -n 0" "shard --cores 8 -n 0"; do
     if $LLC $ARGS >/dev/null 2>&1; then CODE=0; else CODE=$?; fi
     test "$CODE" = 2 || {
         echo "llc-study $ARGS exited $CODE, not 2" >&2

@@ -22,7 +22,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Maximum number of cores a sharer set can track.
 pub const MAX_CORES: usize = 256;
 
-/// A set of core ids, fixed 256-bit bitset — wide enough for the sharded
+/// A set of core ids, fixed 256-bit bitset — wide enough for the
 /// simulator's largest configuration, four words instead of a heap
 /// allocation per directory entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

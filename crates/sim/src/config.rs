@@ -404,7 +404,7 @@ impl SystemConfig {
         c
     }
 
-    /// A scaled-up chip for the sharded simulator's 64–256-core studies:
+    /// A scaled-up chip for the simulator's 64–256-core studies:
     /// [`SystemConfig::with_sram_l3`] geometry per core, one L3 bank per
     /// core, crossbar latency growing logarithmically with the core count
     /// (2 cycles at the paper's 8 cores, +2 per doubling), and one DRAM

@@ -5,7 +5,7 @@ use crate::trace::Instr;
 /// What a hardware thread is doing right now.
 ///
 /// A thread stalled until `t` may issue at every cycle `≥ t`, so the
-/// simulators ask [`Thread::wake`] whether it can issue now; no state
+/// simulator asks [`Thread::wake`] whether it can issue now; no state
 /// changes when a stall merely expires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadState {
@@ -16,11 +16,6 @@ pub enum ThreadState {
     AtBarrier(u64),
     /// Queued on a lock since the given cycle.
     WaitingLock(u32, u64),
-    /// Blocked on an L2 miss issued at the given cycle, until the epoch
-    /// edge drains its message and resolves it into
-    /// [`ThreadState::StalledUntil`]; never woken by time alone. Issue
-    /// timing services a miss as it issues and never parks a thread here.
-    WaitingMem(u64),
 }
 
 /// One hardware thread.
@@ -42,8 +37,8 @@ impl Thread {
     }
 
     /// The earliest cycle the thread can issue: the end of its stall, or
-    /// `u64::MAX` when it is parked until another thread (or the engine's
-    /// drain) wakes it. The thread may issue at `cycle` exactly
+    /// `u64::MAX` when it is parked until another thread's lock release or
+    /// barrier arrival wakes it. The thread may issue at `cycle` exactly
     /// when `wake() <= cycle`.
     pub fn wake(&self) -> u64 {
         match self.state {
@@ -79,14 +74,10 @@ mod tests {
 
     #[test]
     fn parked_threads_are_never_issuable_by_time_alone() {
-        for state in [
-            ThreadState::AtBarrier(5),
-            ThreadState::WaitingLock(3, 5),
-            ThreadState::WaitingMem(5),
-        ] {
+        for state in [ThreadState::AtBarrier(5), ThreadState::WaitingLock(3, 5)] {
             let mut t = Thread::new();
             t.state = state;
-            // Both timings stop rather than fast-forward to `u64::MAX`.
+            // The engine stops rather than fast-forward to `u64::MAX`.
             assert_eq!(t.wake(), u64::MAX, "{state:?} must wait for a wake-up");
         }
     }

@@ -22,11 +22,11 @@
 //! cycle is attributed to the level that serviced the miss — exactly the
 //! categories of the paper's Figure 4(b).
 //!
-//! One engine ([`shard`]) runs every simulation, under a timing policy
-//! its constructor fixes: [`Simulator`] lands each memory-side effect at
-//! the cycle its instruction issues (the paper study's timing), and
-//! [`ShardedSimulator`] at the edge of an epoch of cycles, which scales
-//! to 64–256 cores.
+//! One engine, [`Simulator`], runs every simulation, from the paper's
+//! 8-core study to the 64–256-core configurations: it steps only the
+//! cycles where some thread can issue, and lands each memory-side effect
+//! at the cycle its instruction issues. [`ShardedSimulator`] is a thin
+//! wrapper around it that keeps an older constructor.
 //!
 //! # Example
 //!
@@ -57,7 +57,7 @@ pub mod trace;
 pub use config::{
     CacheConfig, CoherenceProtocol, ConfigError, DramConfig, L3Config, PagePolicy, SystemConfig,
 };
-pub use shard::{ShardInfo, ShardedSimulator};
-pub use sim::Simulator;
+pub use shard::ShardedSimulator;
+pub use sim::{ShardInfo, Simulator};
 pub use stats::{SimStats, StallKind};
 pub use trace::{Instr, TraceSource};

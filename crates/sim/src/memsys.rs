@@ -2,14 +2,11 @@
 //! L1/L2 pair, the shared fabric (L3, coherence directory, DRAM channels,
 //! locks and the barrier) and the L2-miss service between them.
 //!
-//! The engine's two timing policies differ only in *when* an effect
-//! lands, always in `(cycle, core, issue order)`: Issue timing
-//! ([`crate::Simulator`]) calls in at the issuing cycle, from the issue
-//! stage for a miss or upgrade and right after the core's window for
-//! locks and the barrier; Epoch timing ([`crate::ShardedSimulator`])
-//! calls in at the epoch edge. Every function here takes the cycles it
-//! needs as arguments, and the coherence protocol comes from the
-//! configuration, so nothing here depends on which timing called.
+//! The engine calls in from the issue stage at the issuing cycle, in
+//! `(cycle, core, issue order)`: for a miss or upgrade, a lock operation
+//! or a barrier arrival. Every function here takes the cycles it needs
+//! as arguments, and the coherence protocol comes from the
+//! configuration.
 
 use crate::cache::{LineState, SetAssocCache};
 use crate::coherence::{CoreSet, Directory, ReadSource};
@@ -82,7 +79,7 @@ impl CoreCaches {
     }
 
     /// The L2 half of [`CoreCaches::access`]: a hit refills the L1.
-    pub(crate) fn l2_hit(&mut self, addr: u64, is_store: bool) -> Option<LocalHit> {
+    fn l2_hit(&mut self, addr: u64, is_store: bool) -> Option<LocalHit> {
         let state = self.l2.lookup(addr)?;
         let new_state = if is_store {
             self.stats.counts.l2_writes += 1;
@@ -158,9 +155,9 @@ pub(crate) struct MemSystem {
 }
 
 impl MemSystem {
-    /// Builds cold caches and an idle fabric around `dir`, for a `cfg`
-    /// that has passed [`SystemConfig::validate`].
-    pub(crate) fn new(cfg: &SystemConfig, dir: Directory) -> Result<MemSystem, ConfigError> {
+    /// Builds cold caches and an idle fabric, for a `cfg` that has passed
+    /// [`SystemConfig::validate`].
+    pub(crate) fn new(cfg: &SystemConfig) -> Result<MemSystem, ConfigError> {
         let cache = |c: &crate::config::CacheConfig| {
             SetAssocCache::new(c.capacity_bytes, c.line_bytes, c.associativity)
         };
@@ -173,10 +170,13 @@ impl MemSystem {
                 stats: SimStats::default(),
             })
             .collect();
+        // Every tracked line sits in some L2, so the total L2 line count
+        // bounds the directory; presized, it never rehashes.
+        let l2_lines = cfg.l2.capacity_bytes / u64::from(cfg.l2.line_bytes);
         Ok(MemSystem {
             cores,
             l3: cfg.l3.clone().map(L3::try_new).transpose()?,
-            dir,
+            dir: Directory::with_capacity(cfg.n_cores as usize * l2_lines as usize),
             channels: (0..cfg.dram.channels)
                 .map(|_| DramChannel::new(cfg.dram.clone()))
                 .collect(),
@@ -193,12 +193,6 @@ impl MemSystem {
             updates: 0,
             stats: SimStats::default(),
         })
-    }
-
-    /// The cycle an L2 miss issued at `now` reaches the L3 or memory:
-    /// after the L1 and L2 lookups and one crossbar hop.
-    pub(crate) fn request_cycle(&self, now: u64) -> u64 {
-        now + self.l2_lat + self.xbar
     }
 
     fn channel_of(&self, addr: u64) -> usize {
@@ -354,15 +348,14 @@ impl MemSystem {
     /// Services `core`'s L2 miss on `addr`, issued at `now`: consults the
     /// directory, fetches from a remote L2, the L3 or memory, and fills
     /// the L2 and L1. Returns the load-to-use latency and the level that
-    /// serviced it. Dirty L2 victims and downgraded lines are written
-    /// below at `now`, a dirty L3 victim at `l3_victim_at`.
+    /// serviced it. Dirty victims and downgraded lines are written below
+    /// at `now`.
     pub(crate) fn miss(
         &mut self,
         core: usize,
         addr: u64,
         is_store: bool,
         now: u64,
-        l3_victim_at: u64,
     ) -> (u64, StallKind) {
         let (from_remote, shared) = if is_store {
             (self.upgrade(core, addr), false)
@@ -391,7 +384,9 @@ impl MemSystem {
         let source = if from_remote {
             Source::RemoteL2
         } else {
-            self.fetch_below(addr, self.request_cycle(now), l3_victim_at)
+            // The request reaches the L3 or memory after the L1 and L2
+            // lookups and one crossbar hop.
+            self.fetch_below(addr, now + l2_lat + xbar, now)
         };
         let (latency, kind) = match source {
             Source::RemoteL2 => {

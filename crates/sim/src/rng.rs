@@ -56,8 +56,8 @@ impl XorShift64Star {
     /// every `(seed, stream)` combination gets a statistically independent
     /// sequence. This is how per-core workload streams are derived —
     /// stream = core/thread id — making trace generation independent of
-    /// the order in which cores consume randomness (each of the engine's
-    /// actors polls the one source for its own threads only).
+    /// the order in which cores consume randomness (each core's issue
+    /// stage polls the one source for its own threads only).
     pub fn for_stream(seed: u64, stream: u64) -> Self {
         XorShift64Star::new(splitmix64(splitmix64(seed) ^ stream))
     }

@@ -1,21 +1,87 @@
-//! The paper-study simulator: the one engine of [`crate::shard`] under
-//! Issue timing.
+//! The simulator engine: one issue loop over the cycles where some
+//! thread can issue, every memory-side effect landing at its issuing
+//! cycle.
 //!
-//! Fine-grained multithreaded cores drive the coherent memory hierarchy,
-//! and every memory-side effect of an instruction (coherence actions,
-//! fills, L3 and DRAM reservations, lock grants, barrier release) lands
-//! at the cycle the instruction issues. The issue stage, the memory
-//! system and the run loop are the actor engine's; DESIGN.md §8 lists
-//! how this timing differs from its Epoch timing.
+//! Fine-grained multithreaded cores drive the coherent memory hierarchy
+//! of `memsys.rs`. At each issuing cycle the engine runs the issue
+//! stage of every core with an issuable thread, in core order, and each
+//! core's threads in round-robin order from one start shared by every
+//! core. An instruction's effects — L1/L2 hits, the L2-miss service
+//! (coherence actions, fills, L3 and DRAM reservations), lock grants and
+//! barrier release — are applied as it issues, so they land in
+//! `(cycle, core, issue order)`. Cycles where no thread can issue are
+//! skipped: each core keeps its exact next wake, and the loop jumps to
+//! the soonest.
+//!
+//! The engine runs on one thread. Parallelism lives at the study level,
+//! one simulation per pool job: DESIGN.md §18 records why the
+//! multi-worker engine and its epoch-edge timing were deleted.
 
 use crate::config::SystemConfig;
-use crate::shard::{ShardedSimulator, Timing};
+use crate::core::{Thread, ThreadState};
+use crate::memsys::MemSystem;
 use crate::stats::SimStats;
-use crate::trace::TraceSource;
+use crate::trace::{Instr, TraceSource};
+
+/// When each core can next issue.
+struct Wakes {
+    /// Per core: the earliest cycle one of its threads can issue
+    /// ([`Thread::wake`] minimized over the core), `u64::MAX` when all are
+    /// parked. Kept exact, not a lower bound: a visited cycle with no
+    /// issuable thread would still advance the round-robin start.
+    core: Vec<u64>,
+    /// The minimum of `core`, exact between steps. A step folds it in a
+    /// local as it passes each core; a lock grant or barrier release
+    /// lowers it with every thread it wakes.
+    soonest: u64,
+}
+
+impl Wakes {
+    /// A thread of `core` was woken to issue from `at`.
+    fn lower(&mut self, core: usize, at: u64) {
+        self.core[core] = self.core[core].min(at);
+        self.soonest = self.soonest.min(at);
+    }
+}
+
+/// Run counters exposed by [`Simulator::info`] (cumulative since
+/// construction).
+#[derive(Debug, Default, Clone)]
+pub struct ShardInfo {
+    /// Issuing cycles stepped.
+    pub epochs: u64,
+    /// Lock, unlock and barrier operations applied.
+    pub messages: u64,
+    /// Thread-cycles spent waiting for a lock or at the barrier.
+    pub stall_cycles: u64,
+    /// Remote copies invalidated (MESI write-invalidate).
+    pub invalidations: u64,
+    /// Remote copies updated in place (Dragon write-update).
+    pub updates: u64,
+    /// Always 0: the engine has no multi-worker path to fall back from.
+    /// Kept so existing readers of the field still build.
+    pub serial_fallbacks: u64,
+    /// Always 1: the engine runs on one thread. Kept so existing readers
+    /// of the field still build.
+    pub last_workers: usize,
+}
 
 /// The chip-level simulator. Construct with a [`SystemConfig`] and a
 /// [`TraceSource`], then call [`Simulator::run`].
-pub struct Simulator<T>(ShardedSimulator<T>);
+pub struct Simulator<T> {
+    trace: T,
+    /// Indexed by global thread id: core `c` owns `c * tpc..(c + 1) * tpc`.
+    threads: Vec<Thread>,
+    tpc: usize,
+    other_cycles: u64,
+    wakes: Wakes,
+    /// Round-robin start thread, shared by every core.
+    rr: usize,
+    mem: MemSystem,
+    cycle: u64,
+    stats_epoch: u64,
+    info: ShardInfo,
+}
 
 impl<T: TraceSource> Simulator<T> {
     /// Builds an idle system.
@@ -41,32 +107,237 @@ impl<T: TraceSource> Simulator<T> {
         cfg: SystemConfig,
         trace: T,
     ) -> Result<Simulator<T>, crate::config::ConfigError> {
-        ShardedSimulator::with_timing(cfg, trace, Timing::Issue).map(Simulator)
-    }
-
-    /// Runs until `target_instructions` have retired (or a safety cap of
-    /// 1000 cycles per requested instruction is hit), returning the
-    /// statistics. A synchronization deadlock in the trace stops the run
-    /// early.
-    pub fn run(&mut self, target_instructions: u64) -> SimStats {
-        self.0.run(target_instructions)
-    }
-
-    /// Discards statistics gathered so far (cache/DRAM state is kept),
-    /// so measurement can start after a warm-up phase.
-    pub fn reset_stats(&mut self) {
-        self.0.reset_stats();
+        cfg.validate()?;
+        Ok(Simulator {
+            trace,
+            threads: (0..cfg.n_threads()).map(|_| Thread::new()).collect(),
+            tpc: cfg.threads_per_core as usize,
+            other_cycles: cfg.other_instr_cycles,
+            wakes: Wakes {
+                core: vec![0; cfg.n_cores as usize],
+                soonest: 0,
+            },
+            rr: 0,
+            mem: MemSystem::new(&cfg)?,
+            cycle: 0,
+            stats_epoch: 0,
+            info: ShardInfo {
+                last_workers: 1,
+                ..ShardInfo::default()
+            },
+        })
     }
 
     /// Current cycle (diagnostics).
     pub fn cycle(&self) -> u64 {
-        self.0.cycle()
+        self.cycle
+    }
+
+    /// Cumulative engine counters.
+    pub fn info(&self) -> &ShardInfo {
+        &self.info
+    }
+
+    /// Runs until `target_instructions` have retired (or a safety cap of
+    /// 1000 cycles per requested instruction is hit), returning the
+    /// statistics since construction or the last
+    /// [`Simulator::reset_stats`]. A synchronization deadlock in the
+    /// trace — every thread parked, so nothing will ever wake — stops the
+    /// run early.
+    pub fn run(&mut self, target_instructions: u64) -> SimStats {
+        let _run = cactid_obs::span("sim.shard.run");
+        let pre = self.info.clone();
+        self.advance(target_instructions);
+        let (invalidations, updates) = self.mem.publish_event_counters();
+        self.info.invalidations += invalidations;
+        self.info.updates += updates;
+        cactid_obs::counter!("sim.shard.epochs").add(self.info.epochs - pre.epochs);
+        cactid_obs::counter!("sim.shard.msgs").add(self.info.messages - pre.messages);
+        cactid_obs::counter!("sim.shard.stall_cycles")
+            .add(self.info.stall_cycles - pre.stall_cycles);
+        self.mem.finalize(self.cycle - self.stats_epoch)
+    }
+
+    /// Steps the issuing cycles until `target_instructions` have issued,
+    /// the cycle cap is reached or nothing can ever wake.
+    fn advance(&mut self, target_instructions: u64) {
+        if target_instructions == 0 || self.wakes.soonest == u64::MAX {
+            // Nothing to issue, or a synchronization deadlock.
+            return;
+        }
+        let cycle_cap = self.cycle + target_instructions.saturating_mul(1000).max(10_000);
+        let mut left = target_instructions;
+        // The first step of a run is an issuing cycle too.
+        let mut cycle = self.cycle.max(self.wakes.soonest);
+        let mut steps = 0;
+        self.cycle = loop {
+            left = left.saturating_sub(self.step(cycle));
+            steps += 1;
+            let wake = self.wakes.soonest;
+            if left == 0 || cycle + 1 >= cycle_cap || wake == u64::MAX {
+                break cycle + 1;
+            }
+            cycle = wake.max(cycle + 1);
+        };
+        self.info.epochs += steps;
+    }
+
+    /// One issuing cycle: every core with an issuable thread runs its
+    /// issue stage. Returns the instructions issued.
+    fn step(&mut self, cycle: u64) -> u64 {
+        let mut issued = 0;
+        // Folded in a local; the field collects the wakes of threads that
+        // a lock grant or barrier release woke on an already-folded core.
+        let mut soonest = u64::MAX;
+        self.wakes.soonest = u64::MAX;
+        for core in 0..self.wakes.core.len() {
+            if self.wakes.core[core] <= cycle {
+                issued += self.issue(core, cycle);
+            }
+            soonest = soonest.min(self.wakes.core[core]);
+        }
+        self.wakes.soonest = self.wakes.soonest.min(soonest);
+        self.rr = if self.rr + 1 == self.tpc {
+            0
+        } else {
+            self.rr + 1
+        };
+        issued
+    }
+
+    /// One core's issue stage for one cycle: its threads in round-robin
+    /// order, at most one FP, one other and one memory instruction
+    /// issued, each one's effects applied at `cycle`. Sets the core's
+    /// wake and returns the instructions issued.
+    ///
+    /// A turn changes only its own thread, unless it grants a lock or
+    /// releases the barrier, which lower the woken threads' cores; so
+    /// folding each thread's wake after its turn gives the core's next
+    /// wake without a rescan.
+    #[inline(never)]
+    fn issue(&mut self, core: usize, cycle: u64) -> u64 {
+        let tpc = self.tpc;
+        self.wakes.core[core] = u64::MAX;
+        let mut next_wake = u64::MAX;
+        let mut issued = 0;
+        let mut fp_free = true;
+        let mut other_free = true;
+        let mut mem_free = true;
+        for k in 0..tpc {
+            let mut lt = self.rr + k;
+            if lt >= tpc {
+                lt -= tpc;
+            }
+            let tid = core * tpc + lt;
+            let t = &mut self.threads[tid];
+            let thread_wake = t.wake();
+            if thread_wake > cycle {
+                next_wake = next_wake.min(thread_wake);
+                continue;
+            }
+            let instr = *t.pending.get_or_insert_with(|| self.trace.next(tid));
+            let issues = match instr {
+                Instr::Fp if fp_free => {
+                    fp_free = false;
+                    true
+                }
+                Instr::Other if other_free => {
+                    other_free = false;
+                    t.state = ThreadState::StalledUntil(cycle + self.other_cycles);
+                    true
+                }
+                Instr::Load(addr) if other_free && mem_free => {
+                    other_free = false;
+                    mem_free = false;
+                    let mem = &mut self.mem;
+                    let (latency, kind) = match mem.cores[core].access(addr, false) {
+                        Some(hit) => (hit.latency, hit.kind),
+                        None => mem.miss(core, addr, false, cycle),
+                    };
+                    mem.cores[core].record_load(latency, kind);
+                    t.state = ThreadState::StalledUntil(cycle + latency);
+                    true
+                }
+                Instr::Store(addr) if other_free && mem_free => {
+                    other_free = false;
+                    mem_free = false;
+                    let mem = &mut self.mem;
+                    match mem.cores[core].access(addr, true) {
+                        Some(hit) => {
+                            if hit.upgrade {
+                                mem.upgrade(core, addr);
+                            }
+                        }
+                        None => {
+                            mem.miss(core, addr, true, cycle);
+                        }
+                    }
+                    // Posted store: the thread continues next cycle.
+                    t.state = ThreadState::StalledUntil(cycle + 1);
+                    true
+                }
+                Instr::Barrier => {
+                    t.state = ThreadState::AtBarrier(cycle);
+                    self.info.messages += 1;
+                    if self.mem.arrive_at_barrier() {
+                        // The last arrival releases every thread.
+                        self.info.stall_cycles +=
+                            self.mem.release_barrier(self.threads.iter_mut(), cycle);
+                        for c in 0..self.wakes.core.len() {
+                            self.wakes.lower(c, cycle + 1);
+                        }
+                    }
+                    true
+                }
+                Instr::Lock(id) if other_free => {
+                    other_free = false;
+                    self.info.messages += 1;
+                    // A free lock is granted at once, with no wait.
+                    t.state = if self.mem.lock(id, tid) {
+                        ThreadState::StalledUntil(cycle + 1)
+                    } else {
+                        ThreadState::WaitingLock(id, cycle)
+                    };
+                    true
+                }
+                Instr::Unlock(id) if other_free => {
+                    other_free = false;
+                    t.state = ThreadState::StalledUntil(cycle + 1);
+                    self.info.messages += 1;
+                    if let Some(next) = self.mem.unlock(id, tid) {
+                        self.info.stall_cycles +=
+                            self.mem.grant_lock(&mut self.threads[next], cycle);
+                        self.wakes.lower(next / tpc, cycle + 1);
+                    }
+                    true
+                }
+                _ => false,
+            };
+            let t = &mut self.threads[tid];
+            if issues {
+                t.pending = None;
+                issued += 1;
+            }
+            next_wake = next_wake.min(t.wake());
+        }
+        self.wakes.core[core] = self.wakes.core[core].min(next_wake);
+        let stats = &mut self.mem.cores[core].stats;
+        stats.instructions += issued;
+        stats.counts.l1i_reads += issued;
+        issued
+    }
+
+    /// Discards statistics gathered so far (cache/DRAM state is kept), so
+    /// measurement can start after a warm-up phase.
+    pub fn reset_stats(&mut self) {
+        self.mem.reset_stats();
+        self.stats_epoch = self.cycle;
     }
 
     /// Consumes the simulator and hands back its trace source (e.g. a
     /// [`crate::record::Recorder`] whose capture you want).
     pub fn into_trace_source(self) -> T {
-        self.0.into_trace_source()
+        self.trace
     }
 }
 
@@ -83,14 +354,12 @@ mod tests {
     /// for bit.
     const PINNED: &str = "statistics changed from the pinned digest";
 
-    /// Both engines reject `cfg` with `want` instead of panicking mid-run.
-    fn both_engines_reject(cfg: SystemConfig, want: ConfigError) {
+    /// The validator and the engine reject `cfg` with `want` instead of
+    /// panicking mid-run.
+    fn rejects(cfg: SystemConfig, want: ConfigError) {
         let trace = StridedSource::new(32, 0.3, 1 << 20);
         assert_eq!(cfg.validate(), Err(want.clone()));
-        let legacy = Simulator::try_new(cfg.clone(), trace.clone()).err();
-        assert_eq!(legacy, Some(want.clone()));
-        let sharded = crate::shard::ShardedSimulator::try_new(cfg, trace).err();
-        assert_eq!(sharded, Some(want));
+        assert_eq!(Simulator::try_new(cfg, trace).err(), Some(want));
     }
 
     fn not_pow2(field: &'static str, value: u64) -> ConfigError {
@@ -114,7 +383,7 @@ mod tests {
         // inside SetAssocCache::new.
         let mut cfg = SystemConfig::with_sram_l3();
         cfg.l2.associativity = 0;
-        both_engines_reject(cfg, ConfigError::ZeroAssociativity { level: "L2" });
+        rejects(cfg, ConfigError::ZeroAssociativity { level: "L2" });
     }
 
     #[test]
@@ -123,7 +392,7 @@ mod tests {
         // round-robin `% tpc`.
         let mut cfg = SystemConfig::with_sram_l3();
         cfg.threads_per_core = 0;
-        both_engines_reject(cfg, ConfigError::ZeroThreadsPerCore);
+        rejects(cfg, ConfigError::ZeroThreadsPerCore);
     }
 
     #[test]
@@ -131,9 +400,9 @@ mod tests {
         // Regression: zero channels panicked in `channel_of`.
         let mut cfg = SystemConfig::with_sram_l3();
         cfg.dram.channels = 0;
-        both_engines_reject(cfg.clone(), not_pow2("dram.channels", 0));
+        rejects(cfg.clone(), not_pow2("dram.channels", 0));
         cfg.dram.channels = 3;
-        both_engines_reject(cfg, not_pow2("dram.channels", 3));
+        rejects(cfg, not_pow2("dram.channels", 3));
     }
 
     #[test]
@@ -141,9 +410,9 @@ mod tests {
         // Regression: zero banks panicked in `DramChannel::bank_of`.
         let mut cfg = SystemConfig::with_sram_l3();
         cfg.dram.banks = 0;
-        both_engines_reject(cfg.clone(), not_pow2("dram.banks", 0));
+        rejects(cfg.clone(), not_pow2("dram.banks", 0));
         cfg.dram.banks = 12;
-        both_engines_reject(cfg, not_pow2("dram.banks", 12));
+        rejects(cfg, not_pow2("dram.banks", 12));
     }
 
     #[test]
@@ -151,9 +420,9 @@ mod tests {
         // Regression: a zero page size panicked in `DramChannel::bank_of`.
         let mut cfg = SystemConfig::with_sram_l3();
         cfg.dram.page_bytes = 0;
-        both_engines_reject(cfg.clone(), not_pow2("dram.page_bytes", 0));
+        rejects(cfg.clone(), not_pow2("dram.page_bytes", 0));
         cfg.dram.page_bytes = 6 << 10;
-        both_engines_reject(cfg, not_pow2("dram.page_bytes", 6 << 10));
+        rejects(cfg, not_pow2("dram.page_bytes", 6 << 10));
     }
 
     #[test]
@@ -161,9 +430,9 @@ mod tests {
         // Regression: zero banks panicked in `L3::bank_of`.
         let mut cfg = SystemConfig::with_sram_l3();
         cfg.l3.as_mut().unwrap().n_banks = 0;
-        both_engines_reject(cfg.clone(), not_pow2("l3.n_banks", 0));
+        rejects(cfg.clone(), not_pow2("l3.n_banks", 0));
         cfg.l3.as_mut().unwrap().n_banks = 6;
-        both_engines_reject(cfg, not_pow2("l3.n_banks", 6));
+        rejects(cfg, not_pow2("l3.n_banks", 6));
     }
 
     #[test]
@@ -171,9 +440,9 @@ mod tests {
         // Regression: zero subbanks panicked in `L3::subbank_of`.
         let mut cfg = SystemConfig::with_sram_l3();
         cfg.l3.as_mut().unwrap().bank.n_subbanks = 0;
-        both_engines_reject(cfg.clone(), not_pow2("l3.bank.n_subbanks", 0));
+        rejects(cfg.clone(), not_pow2("l3.bank.n_subbanks", 0));
         cfg.l3.as_mut().unwrap().bank.n_subbanks = 5;
-        both_engines_reject(cfg, not_pow2("l3.bank.n_subbanks", 5));
+        rejects(cfg, not_pow2("l3.bank.n_subbanks", 5));
     }
 
     #[test]
@@ -307,6 +576,18 @@ mod tests {
         let total: u64 = stats.cycle_breakdown.iter().sum();
         assert_eq!(total, stats.cycles * 32);
         assert_eq!(stats.digest(), 0x1c46_2fd2_84b1_e60b, "{PINNED}");
+    }
+
+    #[test]
+    fn run_zero_changes_nothing() {
+        let cfg = SystemConfig::with_sram_l3();
+        let mut sim = Simulator::new(cfg, StridedSource::new(32, 0.4, 4 << 20));
+        let stats = sim.run(20_000);
+        let cycle = sim.cycle();
+        let info = sim.info().clone();
+        assert_eq!(sim.run(0).digest(), stats.digest());
+        assert_eq!(sim.cycle(), cycle);
+        assert_eq!(sim.info().epochs, info.epochs);
     }
 
     #[test]

@@ -142,7 +142,7 @@ mod tests {
     fn thread_streams_are_order_independent() {
         // Polling tid 1 must not perturb tid 0's stream: the per-thread
         // states are pure functions of (seed, tid). This is the property
-        // the engine relies on when each actor's window polls the one
+        // the engine relies on when each core's issue stage polls the one
         // source for its own threads only.
         let mut solo = StridedSource::new(2, 0.5, 1 << 20);
         let mut interleaved = StridedSource::new(2, 0.5, 1 << 20);

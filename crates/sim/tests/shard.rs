@@ -1,22 +1,22 @@
-//! Integration tests for the simulator engine under Epoch timing
-//! (`ShardedSimulator`) and Issue timing (`Simulator`): pinned statistics
-//! digests (the determinism contract), per-thread trace streams, protocol
-//! selection, and synchronization across cores.
+//! Integration tests for the simulator engine on the 8- to 256-core
+//! configurations: pinned statistics digests (the determinism contract),
+//! per-thread trace streams, protocol selection, and synchronization
+//! across cores.
 
 use memsim::config::{L3Interface, L3PageTiming};
 use memsim::record::Recorder;
 use memsim::trace::{Instr, StridedSource, TraceSource};
 use memsim::{CoherenceProtocol, ShardedSimulator, SimStats, Simulator, StallKind, SystemConfig};
 
-/// The pinned digests below were taken from an engine that ticked every
-/// thread before each issue scan and kept full 256-bit sharer sets in
-/// every directory entry: the readiness test and the split directory
-/// must reproduce them bit for bit.
+/// The pinned digests below were taken from the engine before its
+/// epoch-edge timing was deleted, running each effect at its issuing
+/// cycle as it does now.
 const PINNED: &str = "statistics changed from the pinned digest";
 
-fn run_sharded<T: TraceSource>(cfg: &SystemConfig, trace: T, instructions: u64) -> SimStats {
-    let mut sim = ShardedSimulator::try_new(cfg.clone(), trace).unwrap();
-    sim.run(instructions)
+fn run<T: TraceSource>(cfg: &SystemConfig, trace: T, instructions: u64) -> SimStats {
+    Simulator::try_new(cfg.clone(), trace)
+        .unwrap()
+        .run(instructions)
 }
 
 #[test]
@@ -25,8 +25,8 @@ fn sixteen_core_stats_are_pinned() {
     // pinned SimStats digest bit for bit.
     let cfg = SystemConfig::many_core(16);
     let trace = StridedSource::with_seed(cfg.n_threads(), 0.3, 256 << 10, 42);
-    let s = run_sharded(&cfg, trace, 30_000);
-    assert_eq!(s.digest(), 0x4196_c0ec_485c_d179, "{PINNED}");
+    let s = run(&cfg, trace, 30_000);
+    assert_eq!(s.digest(), 0x40ad_b260_8b03_1a8b, "{PINNED}");
     assert!(s.instructions >= 30_000);
     assert!(s.counts.mem_reads > 0, "workload must reach memory");
 }
@@ -35,8 +35,8 @@ fn sixteen_core_stats_are_pinned() {
 fn eight_core_stats_are_pinned() {
     let cfg = SystemConfig::with_sram_l3();
     let trace = StridedSource::with_seed(cfg.n_threads(), 0.4, 64 << 10, 7);
-    let s = run_sharded(&cfg, trace, 20_000);
-    assert_eq!(s.digest(), 0xed4f_5e13_0c39_5496, "{PINNED}");
+    let s = run(&cfg, trace, 20_000);
+    assert_eq!(s.digest(), 0x2b48_4317_6e45_7a4c, "{PINNED}");
 }
 
 #[test]
@@ -44,9 +44,9 @@ fn no_l3_stats_are_pinned() {
     // Without an L3 every miss goes to memory, and every dirty line a
     // remote read downgrades is written straight to DRAM.
     let cfg = SystemConfig::baseline_no_l3();
-    let s = run_sharded(&cfg, SharedTrace::new(cfg.n_threads()), 20_000);
+    let s = run(&cfg, SharedTrace::new(cfg.n_threads()), 20_000);
     assert!(s.counts.mem_reads > 0 && s.counts.mem_writes > 0);
-    assert_eq!(s.digest(), 0x9fcd_40a1_bed0_7c2d, "{PINNED}");
+    assert_eq!(s.digest(), 0x5075_47bb_c75d_8cea, "{PINNED}");
 }
 
 #[test]
@@ -61,9 +61,9 @@ fn page_mode_l3_stats_are_pinned() {
         });
     }
     let trace = StridedSource::with_seed(cfg.n_threads(), 0.4, 4 << 20, 3);
-    let s = run_sharded(&cfg, trace, 40_000);
+    let s = run(&cfg, trace, 40_000);
     assert!(s.counts.l3_page_hits > 0, "no open-row hit");
-    assert_eq!(s.digest(), 0xc780_26c2_320f_f2dc, "{PINNED}");
+    assert_eq!(s.digest(), 0xa663_3929_cd71_d848, "{PINNED}");
 }
 
 #[test]
@@ -74,7 +74,7 @@ fn every_thread_sees_its_own_stream() {
     let cfg = SystemConfig::many_core(16);
     let n = cfg.n_threads();
     let mk = || StridedSource::with_seed(n, 0.3, 64 << 10, 9);
-    let mut sim = ShardedSimulator::try_new(cfg.clone(), Recorder::new(mk(), n)).unwrap();
+    let mut sim = Simulator::try_new(cfg.clone(), Recorder::new(mk(), n)).unwrap();
     sim.run(20_000);
     let rec = sim.into_trace_source();
     let mut replay = rec.clone().into_trace();
@@ -137,12 +137,12 @@ fn dragon_updates_where_mesi_invalidates() {
     dragon.protocol = CoherenceProtocol::Dragon;
     let n = mesi.n_threads();
 
-    let mut sim_m = ShardedSimulator::try_new(mesi, SharedTrace::new(n)).unwrap();
+    let mut sim_m = Simulator::try_new(mesi, SharedTrace::new(n)).unwrap();
     sim_m.run(20_000);
     assert!(sim_m.info().invalidations > 0, "MESI must invalidate");
     assert_eq!(sim_m.info().updates, 0, "MESI must never update in place");
 
-    let mut sim_d = ShardedSimulator::try_new(dragon, SharedTrace::new(n)).unwrap();
+    let mut sim_d = Simulator::try_new(dragon, SharedTrace::new(n)).unwrap();
     sim_d.run(20_000);
     assert!(sim_d.info().updates > 0, "Dragon must push updates");
     assert_eq!(sim_d.info().invalidations, 0, "Dragon must not invalidate");
@@ -153,46 +153,26 @@ fn dragon_stats_are_pinned() {
     let mut cfg = SystemConfig::many_core(16);
     cfg.protocol = CoherenceProtocol::Dragon;
     let n = cfg.n_threads();
-    let s = run_sharded(&cfg, SharedTrace::new(n), 15_000);
-    assert_eq!(s.digest(), 0xfd5f_5f21_ec55_9e74, "{PINNED}");
+    let s = run(&cfg, SharedTrace::new(n), 15_000);
+    assert_eq!(s.digest(), 0xf9e8_2721_1db8_cf3a, "{PINNED}");
 }
 
 #[test]
-fn both_engines_accept_dragon() {
-    // Issue timing runs Dragon through the same protocol branches as
-    // Epoch timing: a shared-store trace diverges from its MESI run. The
-    // MESI digest is the one the serial loop produced before the engines
-    // shared an issue stage.
+fn paper_config_runs_dragon() {
+    // The paper's 8-core config runs Dragon too: a shared-store trace
+    // diverges from its MESI run. The MESI digest is the one the serial
+    // loop produced before the engines shared an issue stage.
     let mut cfg = SystemConfig::with_sram_l3();
     let n = cfg.n_threads();
     let mesi = Simulator::new(cfg.clone(), SharedTrace::new(n)).run(50_000);
     cfg.protocol = CoherenceProtocol::Dragon;
-    assert!(ShardedSimulator::try_new(cfg.clone(), StridedSource::new(n, 0.3, 1 << 20)).is_ok());
+    assert!(Simulator::try_new(cfg.clone(), StridedSource::new(n, 0.3, 1 << 20)).is_ok());
     let dragon = Simulator::try_new(cfg, SharedTrace::new(n))
         .unwrap()
         .run(50_000);
     assert_ne!(mesi.digest(), dragon.digest());
     assert_eq!(mesi.digest(), 0xc2ad_2c11_5257_4c4e, "{PINNED}");
     assert_eq!(dragon.digest(), 0xd874_d1c2_61cf_28ff, "{PINNED}");
-}
-
-#[test]
-fn sharded_tracks_the_serial_reference_on_compute_only_work() {
-    // With no memory operations there is no cross-shard traffic at all:
-    // phase A is cycle-for-cycle the serial engine's issue logic, so IPC
-    // must land within a whisker of the reference (stopping granularity —
-    // epoch boundary vs. cycle — accounts for the slack).
-    let cfg = SystemConfig::with_sram_l3();
-    let n = cfg.n_threads();
-    let mut legacy = Simulator::new(cfg.clone(), StridedSource::new(n, 0.0, 1 << 20));
-    let ref_stats = legacy.run(100_000);
-    let stats = run_sharded(&cfg, StridedSource::new(n, 0.0, 1 << 20), 100_000);
-    assert_eq!(stats.counts.mem_reads, 0);
-    let (a, b) = (stats.ipc(), ref_stats.ipc());
-    assert!(
-        (a - b).abs() / b < 0.05,
-        "sharded ipc {a} vs serial ipc {b}"
-    );
 }
 
 /// Every thread hits the global barrier every 40 instructions.
@@ -214,10 +194,10 @@ impl TraceSource for BarrierEvery {
 fn barriers_synchronize_across_shards() {
     let cfg = SystemConfig::many_core(16);
     let n = cfg.n_threads();
-    let s = run_sharded(&cfg, BarrierEvery(vec![0; n]), 20_000);
+    let s = run(&cfg, BarrierEvery(vec![0; n]), 20_000);
     assert!(s.attributed(StallKind::Barrier) > 0);
     assert!(s.instructions >= 20_000);
-    assert_eq!(s.digest(), 0x71cd_6dcf_0fa7_40d0, "{PINNED}");
+    assert_eq!(s.digest(), 0x0b5b_70c4_398e_5eeb, "{PINNED}");
 }
 
 /// Threads take a global lock, hold it for a few instructions, release.
@@ -239,9 +219,14 @@ impl TraceSource for LockLoop {
 fn locks_serialize_across_shards() {
     let cfg = SystemConfig::many_core(16);
     let n = cfg.n_threads();
-    let s = run_sharded(&cfg, LockLoop(vec![0; n]), 10_000);
+    let mut sim = Simulator::new(cfg, LockLoop(vec![0; n]));
+    let s = sim.run(10_000);
     assert!(s.attributed(StallKind::Lock) > 0);
-    assert_eq!(s.digest(), 0xdaac_5e41_9044_b512, "{PINNED}");
+    // Two of every 16 instructions a thread issues are lock operations,
+    // and every stalled cycle is a lock wait.
+    assert!(sim.info().messages > 1_000, "{:?}", sim.info());
+    assert_eq!(sim.info().stall_cycles, s.attributed(StallKind::Lock));
+    assert_eq!(s.digest(), 0x321a_d1f8_1898_9d1f, "{PINNED}");
 }
 
 #[test]
@@ -251,12 +236,14 @@ fn many_core_configs_run_at_scale() {
     let cfg = SystemConfig::many_core(64);
     let n = cfg.n_threads();
     let trace = StridedSource::with_seed(n, 0.2, 32 << 10, 3);
-    let mut sim = ShardedSimulator::try_new(cfg, trace).unwrap();
+    let mut sim = Simulator::try_new(cfg, trace).unwrap();
     let stats = sim.run(50_000);
     assert!(stats.instructions >= 50_000);
     assert!(sim.info().epochs > 0);
-    assert!(sim.info().messages > 0);
-    assert_eq!(stats.digest(), 0xd33e_0d1e_fb2d_74a3, "{PINNED}");
+    // Only lock, unlock and barrier operations count, and a strided
+    // trace has none.
+    assert_eq!(sim.info().messages, 0);
+    assert_eq!(stats.digest(), 0xbe29_d5f5_0cea_a066, "{PINNED}");
 }
 
 #[test]
@@ -264,16 +251,16 @@ fn sharers_beyond_core_63_are_tracked_at_full_scale() {
     // 128 and 256 cores hammering one small shared region: most sharer
     // sets span cores past the first 64, under both protocols.
     let pins = [
-        (128, CoherenceProtocol::Mesi, 0xe4b5_e2e6_9f79_7469),
-        (128, CoherenceProtocol::Dragon, 0x78ca_35fd_6c6f_51d7),
-        (256, CoherenceProtocol::Mesi, 0xc85d_ce77_3400_03e8),
-        (256, CoherenceProtocol::Dragon, 0x4cc2_c22a_7ffc_8b26),
+        (128, CoherenceProtocol::Mesi, 0xee20_e3a6_e5f1_ef40),
+        (128, CoherenceProtocol::Dragon, 0x168f_5a6f_c986_0958),
+        (256, CoherenceProtocol::Mesi, 0x848f_7584_9a3e_d032),
+        (256, CoherenceProtocol::Dragon, 0xd470_406f_7cbe_dcef),
     ];
     for (cores, protocol, digest) in pins {
         let mut cfg = SystemConfig::many_core(cores);
         cfg.protocol = protocol;
         let n = cfg.n_threads();
-        let stats = run_sharded(&cfg, SharedTrace::new(n), 20_000);
+        let stats = run(&cfg, SharedTrace::new(n), 20_000);
         assert!(stats.instructions >= 20_000);
         assert_eq!(
             stats.digest(),
@@ -308,36 +295,33 @@ impl TraceSource for LockedBarrier {
 fn synchronization_deadlock_stops_both_engines() {
     // Every thread parks, so nothing will ever wake: `run` stops long
     // before the cycle cap instead of spinning to it, and a second `run`
-    // returns at once under either timing.
+    // returns at once. The perfbench wrapper stops at the same digest.
     let cfg = SystemConfig::with_sram_l3();
     let n = cfg.n_threads();
-    let mut issue = Simulator::new(cfg.clone(), LockedBarrier(vec![0; n]));
-    let first = issue.run(10_000);
+    let mut sim = Simulator::new(cfg.clone(), LockedBarrier(vec![0; n]));
+    let first = sim.run(10_000);
     assert_eq!(first.instructions, 67);
     assert_eq!(
-        (issue.cycle(), first.digest()),
+        (sim.cycle(), first.digest()),
         (16, 0xe5e2_42ad_5c43_6783),
         "{PINNED}"
     );
-    let again = issue.run(10_000);
+    let again = sim.run(10_000);
     assert_eq!(
-        (issue.cycle(), again.digest()),
+        (sim.cycle(), again.digest()),
         (16, 0xe5e2_42ad_5c43_6783),
         "{PINNED}"
     );
 
-    let mut epoch = ShardedSimulator::try_new(cfg, LockedBarrier(vec![0; n])).unwrap();
-    let first = epoch.run(10_000);
-    assert_eq!(first.instructions, 67);
+    let mut wrapped = ShardedSimulator::new(cfg, LockedBarrier(vec![0; n]), 2);
     assert_eq!(
-        (epoch.cycle(), first.digest()),
-        (31, 0x5d42_c2c1_6ef0_2119),
+        wrapped.run(10_000).digest(),
+        0xe5e2_42ad_5c43_6783,
         "{PINNED}"
     );
-    let again = epoch.run(10_000);
     assert_eq!(
-        (epoch.cycle(), again.digest()),
-        (31, 0x5d42_c2c1_6ef0_2119),
+        wrapped.run(10_000).digest(),
+        0xe5e2_42ad_5c43_6783,
         "{PINNED}"
     );
 }

@@ -12,7 +12,7 @@
 //! llc-study powerdown [-n INSTR]   # extension: DRAM power-down savings
 //! llc-study sweep [-n INSTR]       # L3 capacity-sensitivity curves
 //! llc-study shard [--cores N] [--dragon] [-n INSTR]
-//!                                  # sharded-simulator run; prints a
+//!                                  # many-core simulator run; prints a
 //!                                  # stats digest for determinism checks
 //! llc-study ablations [-n INSTR]   # the paper's design choices, each
 //!                                  # flipped once (2 M instructions at most)
@@ -113,6 +113,10 @@ fn main() {
     let n = parse_flag_u64(&args, "-n")
         .or_else(|| parse_flag_u64(&args, "--instructions"))
         .unwrap_or(5_000_000);
+    if n == 0 {
+        eprintln!("-n/--instructions expects a positive instruction count");
+        std::process::exit(2)
+    }
     match cmd {
         "table1" => println!("{}", table1::render(TechNode::N32)),
         "table2" => println!("{}", table2::render()),
@@ -132,7 +136,7 @@ fn main() {
             );
         }
         "shard" => {
-            use memsim::{CoherenceProtocol, ShardedSimulator, SystemConfig};
+            use memsim::{CoherenceProtocol, Simulator, SystemConfig};
             let cores = parse_flag_u64(&args, "--cores").unwrap_or(64);
             let max = memsim::coherence::MAX_CORES as u64;
             if !(1..=max).contains(&cores) {
@@ -145,8 +149,8 @@ fn main() {
                 cfg.protocol = CoherenceProtocol::Dragon;
             }
             let trace = npbgen::NpbTrace::new(npbgen::NpbApp::FtB, cfg.n_threads());
-            eprintln!("sharded run: {cores} cores, {n} instructions...");
-            let mut sim = ShardedSimulator::try_new(cfg, trace).unwrap_or_else(|e| {
+            eprintln!("many-core run: {cores} cores, {n} instructions...");
+            let mut sim = Simulator::try_new(cfg, trace).unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 std::process::exit(2);
             });

@@ -372,4 +372,21 @@ mod tests {
             "covered {covered_mb} MB of {declared_mb} MB"
         );
     }
+
+    #[test]
+    fn perfbench_wrapper_is_the_engine() {
+        // perfbench's many-core workload builds `ShardedSimulator` with a
+        // worker count and checks its digest against a 1-worker run; both
+        // are `Simulator`'s, whatever the count.
+        use memsim::{ShardedSimulator, Simulator, SystemConfig};
+        let cfg = SystemConfig::many_core(64);
+        let trace = NpbTrace::new(NpbApp::FtB, cfg.n_threads());
+        let want = Simulator::new(cfg.clone(), trace.clone())
+            .run(20_000)
+            .digest();
+        for workers in [0, 1, 8] {
+            let mut sim = ShardedSimulator::new(cfg.clone(), trace.clone(), workers);
+            assert_eq!(sim.run(20_000).digest(), want, "{workers} workers");
+        }
+    }
 }
