@@ -49,15 +49,35 @@ echo "== cactid-explore tests + explore smoke run"
 cargo test -q -p cactid-explore
 OUT=$(mktemp -d)/sweep.jsonl
 # A 4-point sweep, then the same sweep resumed: the second run must find
-# every point in the checkpoint sidecars and re-solve nothing — its
-# stderr stats report "solved 0,".
-$CACTID explore --sizes 64K,128K --assocs 4,8 --threads 2 --pareto \
-    --out "$OUT" 2>/dev/null
-RESUMED=$($CACTID explore --sizes 64K,128K --assocs 4,8 --threads 2 \
-    --pareto --out "$OUT" --resume 2>&1 >/dev/null)
-echo "$RESUMED" | grep -q "solved 0," || {
-    echo "explore --resume re-solved completed points:" >&2
-    echo "$RESUMED" >&2
+# every point in the checkpoint sidecar and re-solve nothing — its stderr
+# stats report "solved 0,". The run leaves one sidecar, "$OUT.ckpt".
+explore_smoke() {
+    $CACTID explore --sizes 64K,128K --assocs 4,8 --threads 2 --pareto \
+        --out "$OUT" "$@" 2>&1 >/dev/null
+}
+expect_solved() {
+    RESUMED=$(explore_smoke --resume)
+    echo "$RESUMED" | grep -q "solved $1," || {
+        echo "explore --resume did not report \"solved $1,\" ($2):" >&2
+        echo "$RESUMED" >&2
+        exit 1
+    }
+}
+explore_smoke >/dev/null
+cp "$OUT" "$OUT.ref"
+expect_solved 0 "complete checkpoint"
+test ! -e "$OUT.part" || {
+    echo "explore left a second sidecar, $OUT.part" >&2
+    exit 1
+}
+# Tear the checkpoint's last line as a kill mid-write would: the next
+# resume re-solves that one point and repairs the file, so the one after
+# re-solves nothing, and the output is the uninterrupted run's.
+truncate -s -5 "$OUT.ckpt"
+expect_solved 1 "torn checkpoint"
+expect_solved 0 "repaired checkpoint"
+cmp "$OUT.ref" "$OUT" || {
+    echo "resumed explore JSONL differs from the uninterrupted run's" >&2
     exit 1
 }
 rm -rf "$(dirname "$OUT")"

@@ -41,15 +41,6 @@ impl RuleRegistry {
         }
     }
 
-    /// A registry with only the given object rules (no run rules); used to
-    /// build analyzers with a custom rule set.
-    pub fn from_object_rules(object_rules: Vec<Box<dyn Rule>>) -> RuleRegistry {
-        RuleRegistry {
-            object_rules,
-            run_rules: Vec::new(),
-        }
-    }
-
     /// The object-stage rules, in code order.
     pub fn object_rules(&self) -> &[Box<dyn Rule>] {
         &self.object_rules

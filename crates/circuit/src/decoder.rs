@@ -173,13 +173,6 @@ impl Decoder {
         let d_wire = 0.38 * self.r_wordline * self.c_wordline;
         d_pnand + pd_delay + d_fnand + wl_delay + d_wire
     }
-
-    /// The horizontal width the decode strip adds to a subarray:
-    /// area divided by the array height it runs along.
-    pub fn strip_width(&self, dev: &DeviceParams) -> Meters {
-        let r = self.evaluate(dev, Seconds::ZERO);
-        r.area / (self.n_rows as f64 * self.wl_pitch)
-    }
 }
 
 #[cfg(test)]

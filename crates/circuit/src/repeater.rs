@@ -104,13 +104,6 @@ impl RepeatedWire {
             area,
         }
     }
-
-    /// Delay of one pipeline segment — the minimum initiation interval of a
-    /// wave-pipelined H-tree built from this wire.
-    pub fn stage_delay(&self, dev: &DeviceParams, wire: &WireParams) -> Seconds {
-        let per = self.evaluate(dev, wire, Seconds::ZERO);
-        per.delay / self.n_seg as f64
-    }
 }
 
 #[cfg(test)]

@@ -913,9 +913,8 @@ impl EvalMemo {
         let periph = &input.periph;
         let ht = RepeatedWire::design(periph, &k.wire, htree_len, input.repeater_relax);
         let ht_in = ht.evaluate(periph, &k.wire, Seconds::ZERO);
-        // `RepeatedWire::stage_delay` is its zero-ramp evaluation divided
-        // by the segment count, and `ht_in` *is* that evaluation — divide
-        // instead of walking the repeater chain a second time.
+        // One pipeline stage is the zero-ramp evaluation divided by the
+        // segment count, and `ht_in` *is* that evaluation.
         let ht_stage = ht_in.delay / ht.n_seg as f64;
         let v = HtSlice {
             ht_in,

@@ -652,13 +652,6 @@ pub enum ScreenVerdict {
     },
 }
 
-impl ScreenVerdict {
-    /// `true` for the provably-infeasible verdict.
-    pub fn is_infeasible(&self) -> bool {
-        matches!(self, ScreenVerdict::Infeasible(_))
-    }
-}
-
 /// The result of statically screening one spec: the verdict, the
 /// [`SolveStats`] a real solve of an infeasible spec would report, and the
 /// per-reason rejection histogram.

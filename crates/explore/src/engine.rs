@@ -9,7 +9,7 @@
 //!    `cactid-serve` store) expands the grid, keeps its answers, and passes
 //!    the rest to [`explore_expansion`] renumbered.
 //! 2. **Solve** — completed points are restored from the checkpoint
-//!    sidecars ([`crate::resume`]); the remaining valid points are grouped
+//!    sidecar ([`crate::resume`]); the remaining valid points are grouped
 //!    three times: by bank geometry ([`cactid_core::MemorySpec::array_key`])
 //!    so specs that differ only in capacity and bank count share one
 //!    data-array sweep, within that by sweep key
@@ -18,7 +18,7 @@
 //!    spec so duplicates cost nothing. The work-claiming pool
 //!    ([`crate::pool`]) drains one job per bank geometry: one data-array
 //!    sweep, one solve per sweep group, one select per spec, render. Every
-//!    finished job streams its points to the sidecars immediately, so an
+//!    finished job streams its points to the sidecar immediately, so an
 //!    interrupt loses at most the points in flight.
 //! 3. **Finalize** — the Pareto frontier is extracted ([`crate::pareto`]),
 //!    `ok` records are annotated, and the final JSONL is written sorted by
@@ -33,6 +33,7 @@ use crate::cache::{CachedSolve, SolveCache};
 use crate::error::ExploreError;
 use crate::grid::{Expansion, Grid};
 use crate::hash::spec_fingerprint;
+use crate::log::Log;
 use crate::pareto::{frontier, ParetoMetrics, ParetoPoint};
 use crate::pool;
 use crate::record;
@@ -43,7 +44,7 @@ use cactid_core::{ArraySweep, MemorySpec, SolutionLinter, SolveStats};
 use cactid_tech::Technology;
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use std::time::Instant;
@@ -53,11 +54,11 @@ use std::time::Instant;
 pub struct ExploreConfig<'a> {
     /// Worker threads; `0` means the machine's available parallelism.
     pub threads: usize,
-    /// Output JSONL path. `None` runs fully in memory — no sidecars, no
+    /// Output JSONL path. `None` runs fully in memory — no checkpoint, no
     /// resume.
     pub out: Option<&'a Path>,
-    /// Restore completed points from the sidecars of a previous run
-    /// against the same grid.
+    /// Restore completed points from the checkpoint sidecar of a previous
+    /// run against the same grid.
     pub resume: bool,
     /// Extract the Pareto frontier and annotate `ok` records.
     pub pareto: bool,
@@ -129,82 +130,6 @@ struct Rendered {
     lines: Vec<String>,
 }
 
-struct Sidecars {
-    part: File,
-    ckpt: File,
-    /// The `.part` lines recorded since the last [`Sidecars::flush`].
-    part_buf: String,
-    /// The `.ckpt` lines recorded since the last [`Sidecars::flush`].
-    ckpt_buf: String,
-}
-
-impl Sidecars {
-    fn open(
-        out: &Path,
-        fingerprint: u64,
-        points: usize,
-        append: bool,
-    ) -> Result<Self, ExploreError> {
-        let open = |p: &Path| -> Result<File, ExploreError> {
-            let mut opts = OpenOptions::new();
-            opts.create(true);
-            if append {
-                // A kill mid-write leaves a newline-less fragment; cut it
-                // before appending so lines never merge.
-                resume::trim_torn_tail(p)?;
-                opts.append(true);
-            } else {
-                opts.write(true).truncate(true);
-            }
-            opts.open(p)
-                .map_err(|e| ExploreError::Io(format!("{}: {e}", p.display())))
-        };
-        let part = open(&resume::part_path(out))?;
-        let mut ckpt = open(&resume::ckpt_path(out))?;
-        if !append {
-            writeln!(ckpt, "{}", resume::header(fingerprint, points))
-                .map_err(|e| ExploreError::Io(format!("checkpoint header: {e}")))?;
-        }
-        Ok(Sidecars {
-            part,
-            ckpt,
-            part_buf: String::new(),
-            ckpt_buf: String::new(),
-        })
-    }
-
-    /// Records one completed point in both sidecars; it reaches the files
-    /// at the next [`Sidecars::flush`].
-    fn record(
-        &mut self,
-        idx: usize,
-        line: &str,
-        status: PointStatus,
-        metrics: Option<&ParetoMetrics>,
-    ) {
-        self.part_buf.push_str(line);
-        self.part_buf.push('\n');
-        self.ckpt_buf.push_str(&resume::line(idx, status, metrics));
-        self.ckpt_buf.push('\n');
-    }
-
-    /// Writes the recorded points, one write per sidecar, so a kill right
-    /// after loses nothing. The engine flushes once per finished job (and
-    /// once after each batch placed before the pool), not per point: that
-    /// would be four system calls per point, tens of thousands per grid,
-    /// all under the pool's sink lock. A kill between or inside the writes
-    /// leaves points in one sidecar only, or a torn last line, and resume
-    /// re-solves those ([`crate::resume`]).
-    fn flush(&mut self) -> Result<(), ExploreError> {
-        let io = |e: std::io::Error| ExploreError::Io(format!("sidecar write: {e}"));
-        self.part.write_all(self.part_buf.as_bytes()).map_err(io)?;
-        self.part_buf.clear();
-        self.ckpt.write_all(self.ckpt_buf.as_bytes()).map_err(io)?;
-        self.ckpt_buf.clear();
-        Ok(())
-    }
-}
-
 /// Runs one exploration: expands `grid`, then runs
 /// [`explore_expansion`] on it. See the module docs for the staging and
 /// the determinism contract.
@@ -259,18 +184,12 @@ pub fn explore_expansion(
     // ---- Stage 2: solve ----
     let t1 = Instant::now();
     let solve_span = cactid_obs::span("explore.solve");
-    let resumed = match config.out {
-        Some(out) if config.resume => resume::load(out, expansion.fingerprint, n)?,
-        _ => HashMap::new(),
-    };
-    let mut sidecars = match config.out {
-        Some(out) => Some(Sidecars::open(
-            out,
-            expansion.fingerprint,
-            n,
-            !resumed.is_empty(),
-        )?),
-        None => None,
+    let (mut ckpt, mut resumed) = match config.out {
+        Some(out) => {
+            let (log, resumed) = resume::open(out, expansion.fingerprint, n, config.resume)?;
+            (Some(log), resumed)
+        }
+        None => (None, HashMap::new()),
     };
 
     let mut lines: Vec<Option<String>> = vec![None; n];
@@ -296,7 +215,7 @@ pub fn explore_expansion(
     let mut member_of: HashMap<u64, Vec<(usize, usize, usize)>> = HashMap::new();
     for point in points {
         let idx = point.idx;
-        if let Some(r) = resumed.get(&idx) {
+        if let Some(r) = resumed.remove(&idx) {
             // A restored invalid point counts under `invalid`, not
             // `resumed`, so the accounting partition stays disjoint.
             if r.status == PointStatus::Invalid {
@@ -304,7 +223,7 @@ pub fn explore_expansion(
             } else {
                 stats.resumed += 1;
             }
-            lines[idx] = Some(r.line.clone());
+            lines[idx] = Some(r.line);
             statuses[idx] = Some(r.status);
             metrics[idx] = r.metrics;
             continue;
@@ -357,8 +276,8 @@ pub fn explore_expansion(
             _ => {
                 let err = point.spec.as_ref().expect_err("no fingerprint means Err");
                 let line = record::render_invalid(point, err);
-                if let Some(s) = sidecars.as_mut() {
-                    s.record(idx, &line, PointStatus::Invalid, None);
+                if let Some(log) = ckpt.as_mut() {
+                    resume::push(log, idx, &line, PointStatus::Invalid, None);
                 }
                 lines[idx] = Some(line);
                 statuses[idx] = Some(PointStatus::Invalid);
@@ -366,8 +285,8 @@ pub fn explore_expansion(
             }
         }
     }
-    if let Some(s) = sidecars.as_mut() {
-        s.flush()?;
+    if let Some(log) = ckpt.as_mut() {
+        log.flush().map_err(|e| ExploreError::Io(e.to_string()))?;
     }
     drop(member_of);
     drop(group_of);
@@ -457,8 +376,8 @@ pub fn explore_expansion(
                         stats.memoized += member.len() - 1;
                     }
                     for (&idx, line) in member.iter().zip(r.lines) {
-                        if let Some(s) = sidecars.as_mut() {
-                            s.record(idx, &line, status, m.as_ref());
+                        if let Some(log) = ckpt.as_mut() {
+                            resume::push(log, idx, &line, status, m.as_ref());
                         }
                         lines[idx] = Some(line);
                         statuses[idx] = Some(status);
@@ -466,9 +385,13 @@ pub fn explore_expansion(
                     }
                 }
             }
+            // One write per finished job, not per point: per point would
+            // be tens of thousands of system calls per grid, all under the
+            // pool's sink lock. A kill mid-write leaves at most a torn last
+            // line, and resume re-solves that point.
             if io_error.is_none() {
-                if let Some(Err(e)) = sidecars.as_mut().map(Sidecars::flush) {
-                    io_error = Some(e);
+                if let Some(Err(e)) = ckpt.as_mut().map(Log::flush) {
+                    io_error = Some(ExploreError::Io(e.to_string()));
                 }
             }
         },
@@ -520,8 +443,8 @@ pub fn explore_expansion(
         .map(|l| l.unwrap_or_else(|| unreachable!("every point is resolved")))
         .collect();
     if let Some(out) = config.out {
-        // Flushed; keep them on disk so reruns resume free.
-        drop(sidecars);
+        // Flushed; keep it on disk so reruns resume free.
+        drop(ckpt);
         // Stream the lines out rather than joining them first: a joined
         // copy would double the records' memory at the run's peak.
         let tmp = out.with_extension("jsonl.tmp");

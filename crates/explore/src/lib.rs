@@ -18,12 +18,15 @@
 //!   ([`cactid_core::MemorySpec::sweep_key`]); the underlying
 //!   [`cactid_tech::Technology`] tables are likewise constructed once per
 //!   node ([`cactid_tech::Technology::cached`]).
-//! * **[`explore`]** — the engine: streams one JSONL record per point as it
-//!   completes, appends a checkpoint line (so an interrupted sweep resumes
-//!   without re-solving completed points), and finalizes a
-//!   thread-count-independent, Pareto-annotated JSONL file in point order.
+//! * **[`explore`]** — the engine: appends one checkpoint line per point as
+//!   it completes, the point's JSONL record included, to one sidecar (so an
+//!   interrupted sweep resumes without re-solving completed points), and
+//!   finalizes a thread-count-independent, Pareto-annotated JSONL file in
+//!   point order.
 //!   [`explore_expansion`] is the same engine on an already expanded point
 //!   list; `cactid-serve` runs its grid requests through it.
+//! * **[`mod@log`]** — the append-only, crash-safe line log that the
+//!   checkpoint and the `cactid-serve` solution store share.
 //! * **[`mod@pareto`]** — frontier extraction over (access time, dynamic
 //!   read energy, area, leakage + refresh power) with dominated-point
 //!   counts.
@@ -54,10 +57,11 @@ mod engine;
 mod error;
 pub mod grid;
 pub mod hash;
+pub mod log;
 pub mod pareto;
 pub mod pool;
 pub mod record;
-pub mod resume;
+mod resume;
 mod stats;
 
 pub use cache::{optimize_cached_in, GroupSolve, SolveCache};

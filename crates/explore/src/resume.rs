@@ -1,110 +1,156 @@
-//! Checkpointing: the sidecar files that make interrupted sweeps resumable.
+//! Checkpointing: the sidecar that makes interrupted sweeps resumable.
 //!
-//! A run writing to `out.jsonl` streams two sidecars in completion order,
-//! one line per finished point, written as each pool job finishes:
-//!
-//! * `out.jsonl.part` — the raw JSONL records (no Pareto annotations);
-//! * `out.jsonl.ckpt` — a TSV with one header and one metrics line per
-//!   point:
+//! A run writing to `out.jsonl` streams one sidecar, `out.jsonl.ckpt`, in
+//! completion order, one line per finished point, written as each pool
+//! job finishes. It is a [`crate::log`] file: a header, then one
+//! TAB-separated line per point closed by the `.` sentinel:
 //!
 //! ```text
-//! #cactid-explore-ckpt v2 grid=6c62272e07bb0142 points=100
-//! 0<TAB>ok<TAB>1.23e-9<TAB>4.5e-11<TAB>2.1e-7<TAB>0.013<TAB>.
-//! 7<TAB>infeasible<TAB>-<TAB>-<TAB>-<TAB>-<TAB>.
+//! #cactid-explore-ckpt v3 grid=6c62272e07bb0142 points=100
+//! 0<TAB>ok<TAB>1.23e-9<TAB>4.5e-11<TAB>2.1e-7<TAB>0.013<TAB>{"idx":0,...}<TAB>.
+//! 7<TAB>infeasible<TAB>-<TAB>-<TAB>-<TAB>-<TAB>{"idx":7,...}<TAB>.
 //! ```
 //!
 //! The header pins the grid fingerprint and point count, so a resume
 //! against an edited grid fails loudly instead of stitching mismatched
-//! points together. The ckpt carries the four Pareto objectives (f64
-//! `Display`, which round-trips exactly) so a resumed run can extract the
-//! frontier without parsing JSON. The trailing `.` is a completeness
-//! sentinel: no field starts with `.`, so no truncation of a line can
-//! still parse — a cut inside the last float (`0.013` → `0.01`) can never
-//! be mistaken for a complete record with a different metric.
-//!
-//! A point counts as completed only when present in **both** sidecars,
-//! and only **newline-terminated** lines count at all: a trailing
-//! fragment left by a kill mid-write is ignored on load (the point
-//! re-solves) and truncated away by [`trim_torn_tail`] before the resumed
-//! run appends, so it can never merge with the next record. A malformed
-//! *interior* line, by contrast, is real corruption and fails the load
-//! loudly — tolerating it would silently discard every checkpoint written
-//! after it.
+//! points together. Each line carries the point's status, its four Pareto
+//! objectives (f64 `Display`, which round-trips exactly) so a resumed run
+//! can extract the frontier without parsing JSON, and its JSONL record
+//! without Pareto annotations (JSON escaping keeps it free of TABs and
+//! newlines). Torn tails, interior corruption and the header check before
+//! any cut follow the log's rules ([`crate::log`]).
 
 use crate::error::ExploreError;
+use crate::log::{Log, LogError};
 use crate::pareto::ParetoMetrics;
-use crate::record::{line_idx, strip_pareto, PointStatus};
+use crate::record::{line_idx, PointStatus};
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of the checkpoint header line.
-pub const CKPT_MAGIC: &str = "#cactid-explore-ckpt v2";
-
-/// Terminal field of every checkpoint [`line`]. No other field can start
-/// with `.`, so a truncated line can never end in `<TAB>.` and pass as
-/// complete.
-const SENTINEL: &str = ".";
-
-/// The streaming-records sidecar path for an output file.
-pub fn part_path(out: &Path) -> PathBuf {
-    sidecar(out, "part")
-}
+pub const CKPT_MAGIC: &str = "#cactid-explore-ckpt v3";
 
 /// The checkpoint sidecar path for an output file.
 pub fn ckpt_path(out: &Path) -> PathBuf {
-    sidecar(out, "ckpt")
-}
-
-fn sidecar(out: &Path, ext: &str) -> PathBuf {
     let mut name = out.as_os_str().to_os_string();
-    name.push(".");
-    name.push(ext);
+    name.push(".ckpt");
     PathBuf::from(name)
 }
 
-/// Renders the checkpoint header for a grid.
-pub fn header(fingerprint: u64, points: usize) -> String {
-    format!("{CKPT_MAGIC} grid={fingerprint:016x} points={points}")
+/// One point restored from the checkpoint.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResumedPoint {
+    /// The stored record line, without Pareto annotation.
+    pub line: String,
+    /// The point's status.
+    pub status: PointStatus,
+    /// The Pareto objectives, for `ok` points.
+    pub metrics: Option<ParetoMetrics>,
 }
 
-/// Renders one checkpoint line.
-pub fn line(idx: usize, status: PointStatus, metrics: Option<&ParetoMetrics>) -> String {
-    let mut s = format!("{idx}\t{}", status.label());
+/// Opens the checkpoint of `out` for a run over a grid of `points` points
+/// with definition `fingerprint`, returning its append handle and, when
+/// `resume` is set, the points a previous run completed. Without `resume`
+/// the checkpoint starts afresh; with it, a missing checkpoint is a fresh
+/// start too.
+///
+/// # Errors
+///
+/// [`ExploreError::Checkpoint`] when the checkpoint belongs to another grid
+/// or format or holds a corrupt line (the file is left as it was), and
+/// [`ExploreError::Io`] when it cannot be read or written.
+pub fn open(
+    out: &Path,
+    fingerprint: u64,
+    points: usize,
+    resume: bool,
+) -> Result<(Log, HashMap<usize, ResumedPoint>), ExploreError> {
+    let path = ckpt_path(out);
+    let head = format!("{CKPT_MAGIC} grid={fingerprint:016x} points={points}");
+    let mut resumed = HashMap::new();
+    let log = if resume {
+        Log::open(
+            &path,
+            &head,
+            |[idx, status, access, read, area, leak, line]| {
+                let idx = idx.parse().ok().filter(|&i| i < points)?;
+                let status = parse_status(status)?;
+                let metrics = match [access, read, area, leak] {
+                    ["-", "-", "-", "-"] => None,
+                    v => {
+                        let [access_s, read_j, area_m2, leakage_w] = v.map(str::parse::<f64>);
+                        Some(ParetoMetrics {
+                            access_s: access_s.ok()?,
+                            read_j: read_j.ok()?,
+                            area_m2: area_m2.ok()?,
+                            leakage_w: leakage_w.ok()?,
+                        })
+                    }
+                };
+                (line_idx(line) == Some(idx)).then_some(())?;
+                let line = line.to_string();
+                resumed.insert(
+                    idx,
+                    ResumedPoint {
+                        line,
+                        status,
+                        metrics,
+                    },
+                );
+                Some(())
+            },
+        )
+    } else {
+        Log::create(&path, &head)
+    };
+    let log = log.map_err(|e| match e {
+        LogError::Io(msg) => ExploreError::Io(msg),
+        LogError::Header(found) => {
+            let what = if found.starts_with(CKPT_MAGIC) {
+                "is for a different grid"
+            } else if found.starts_with("#cactid-explore-ckpt ") {
+                "is in an older format"
+            } else {
+                "is not a cactid-explore checkpoint"
+            };
+            ExploreError::Checkpoint(format!(
+                "{} {what} (header {found:?}, expected {head:?}); \
+                 delete the sidecars or change --out",
+                path.display()
+            ))
+        }
+        LogError::Corrupt(n) => ExploreError::Checkpoint(format!(
+            "{}: corrupt checkpoint line {n}; delete the sidecars or change --out",
+            path.display()
+        )),
+    })?;
+    Ok((log, resumed))
+}
+
+/// Queues one finished point's checkpoint line on `log`.
+pub fn push(
+    log: &mut Log,
+    idx: usize,
+    line: &str,
+    status: PointStatus,
+    metrics: Option<&ParetoMetrics>,
+) {
+    let label = status.label();
     match metrics {
-        Some(m) => {
-            for v in [m.access_s, m.read_j, m.area_m2, m.leakage_w] {
-                let _ = write!(s, "\t{v}");
-            }
+        Some(m) => log.push(&[
+            &idx,
+            &label,
+            &m.access_s,
+            &m.read_j,
+            &m.area_m2,
+            &m.leakage_w,
+            &line,
+        ]),
+        None => {
+            let none: &dyn Display = &"-";
+            log.push(&[&idx, &label, none, none, none, none, &line]);
         }
-        None => s.push_str("\t-\t-\t-\t-"),
-    }
-    s.push('\t');
-    s.push_str(SENTINEL);
-    s
-}
-
-fn bad(msg: impl Into<String>) -> ExploreError {
-    ExploreError::Checkpoint(msg.into())
-}
-
-/// Parses [`header`] back into `(fingerprint, points)`.
-pub fn parse_header(line: &str) -> Result<(u64, usize), ExploreError> {
-    let rest = line
-        .strip_prefix(CKPT_MAGIC)
-        .ok_or_else(|| bad(format!("not a cactid-explore checkpoint: {line:?}")))?;
-    let mut grid = None;
-    let mut points = None;
-    for field in rest.split_whitespace() {
-        if let Some(v) = field.strip_prefix("grid=") {
-            grid = u64::from_str_radix(v, 16).ok();
-        } else if let Some(v) = field.strip_prefix("points=") {
-            points = v.parse().ok();
-        }
-    }
-    match (grid, points) {
-        (Some(g), Some(p)) => Ok((g, p)),
-        _ => Err(bad(format!("malformed checkpoint header: {line:?}"))),
     }
 }
 
@@ -115,158 +161,6 @@ fn parse_status(s: &str) -> Option<PointStatus> {
         "invalid" => Some(PointStatus::Invalid),
         _ => None,
     }
-}
-
-/// Parses one checkpoint [`line()`].
-pub fn parse_line(text: &str) -> Result<(usize, PointStatus, Option<ParetoMetrics>), ExploreError> {
-    let fields: Vec<&str> = text.split('\t').collect();
-    let [idx, status, access, read, area, leak, SENTINEL] = fields[..] else {
-        return Err(bad(format!("incomplete checkpoint line: {text:?}")));
-    };
-    let idx = idx
-        .parse()
-        .map_err(|_| bad(format!("bad checkpoint index: {text:?}")))?;
-    let status =
-        parse_status(status).ok_or_else(|| bad(format!("bad checkpoint status: {text:?}")))?;
-    let metrics = if access == "-" {
-        None
-    } else {
-        let f = |s: &str| {
-            s.parse::<f64>()
-                .map_err(|_| bad(format!("bad checkpoint metric: {text:?}")))
-        };
-        Some(ParetoMetrics {
-            access_s: f(access)?,
-            read_j: f(read)?,
-            area_m2: f(area)?,
-            leakage_w: f(leak)?,
-        })
-    };
-    Ok((idx, status, metrics))
-}
-
-/// One point restored from the sidecars.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResumedPoint {
-    /// The stored record line, Pareto annotation stripped.
-    pub line: String,
-    /// The point's status.
-    pub status: PointStatus,
-    /// The Pareto objectives, for `ok` points.
-    pub metrics: Option<ParetoMetrics>,
-}
-
-/// Returns the newline-terminated lines of `s`, dropping a trailing
-/// fragment torn by a kill mid-write.
-fn complete_lines(s: &str) -> std::str::Lines<'_> {
-    let end = s.rfind('\n').map_or(0, |i| i + 1);
-    s[..end].lines()
-}
-
-/// Truncates a trailing newline-less fragment left by an interrupted
-/// write, so that lines appended afterwards never merge with it. A
-/// missing file is a no-op.
-///
-/// # Errors
-///
-/// [`ExploreError::Io`] when the file exists but cannot be read or
-/// truncated.
-pub fn trim_torn_tail(p: &Path) -> Result<(), ExploreError> {
-    let io = |e: std::io::Error| ExploreError::Io(format!("{}: {e}", p.display()));
-    let bytes = match std::fs::read(p) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(io(e)),
-    };
-    match bytes.last() {
-        None | Some(b'\n') => return Ok(()),
-        Some(_) => {}
-    }
-    let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-    let f = std::fs::OpenOptions::new()
-        .write(true)
-        .open(p)
-        .map_err(io)?;
-    f.set_len(keep as u64).map_err(io)
-}
-
-/// Loads the completed points of a previous run against the same grid.
-///
-/// Missing sidecars mean a fresh start (empty map). A present checkpoint
-/// whose header disagrees with `fingerprint`/`points` is an error — the
-/// grid definition changed under the output file. Only newline-terminated
-/// lines count, so a trailing torn fragment in either sidecar is ignored
-/// (that point re-solves); a malformed interior checkpoint line is
-/// corruption and fails loudly. Only points recorded in both sidecars are
-/// resumed.
-///
-/// # Errors
-///
-/// [`ExploreError::Checkpoint`] on a header mismatch or corrupt line, and
-/// [`ExploreError::Io`] if a sidecar exists but cannot be read.
-pub fn load(
-    out: &Path,
-    fingerprint: u64,
-    points: usize,
-) -> Result<HashMap<usize, ResumedPoint>, ExploreError> {
-    let read = |p: &Path| -> Result<Option<String>, ExploreError> {
-        match std::fs::read_to_string(p) {
-            Ok(s) => Ok(Some(s)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(ExploreError::Io(format!("{}: {e}", p.display()))),
-        }
-    };
-    let (Some(ckpt), Some(part)) = (read(&ckpt_path(out))?, read(&part_path(out))?) else {
-        return Ok(HashMap::new());
-    };
-
-    let mut ckpt_lines = complete_lines(&ckpt);
-    let head = ckpt_lines
-        .next()
-        .ok_or_else(|| bad("empty checkpoint file"))?;
-    let (got_grid, got_points) = parse_header(head)?;
-    if got_grid != fingerprint || got_points != points {
-        return Err(bad(format!(
-            "checkpoint is for a different grid \
-             (grid {got_grid:016x}/{got_points} points, expected \
-             {fingerprint:016x}/{points}); delete the sidecars or change --out"
-        )));
-    }
-
-    let mut statuses = HashMap::new();
-    for l in ckpt_lines {
-        // Newline-terminated lines were written whole, so a parse failure
-        // here is corruption, not a torn tail.
-        let (idx, status, metrics) = parse_line(l).map_err(|e| match e {
-            ExploreError::Checkpoint(msg) => {
-                bad(format!("{msg}; delete the sidecars or change --out"))
-            }
-            other => other,
-        })?;
-        if idx >= points {
-            return Err(bad(format!("checkpoint index {idx} out of range")));
-        }
-        statuses.insert(idx, (status, metrics));
-    }
-
-    let mut out_map = HashMap::new();
-    for l in complete_lines(&part) {
-        let Some(idx) = line_idx(l) else { continue };
-        let Some(&(status, metrics)) = statuses.get(&idx) else {
-            continue;
-        };
-        let mut line = l.to_string();
-        strip_pareto(&mut line);
-        out_map.insert(
-            idx,
-            ResumedPoint {
-                line,
-                status,
-                metrics,
-            },
-        );
-    }
-    Ok(out_map)
 }
 
 #[cfg(test)]
@@ -282,129 +176,185 @@ mod tests {
         }
     }
 
+    fn record(idx: usize) -> String {
+        format!("{{\"idx\":{idx},\"status\":\"ok\"}}")
+    }
+
+    /// A fresh checkpoint of `out` holding `done` as ok points.
+    fn write(out: &Path, fp: u64, points: usize, done: &[usize]) {
+        let (mut log, _) = open(out, fp, points, false).unwrap();
+        for &idx in done {
+            push(
+                &mut log,
+                idx,
+                &record(idx),
+                PointStatus::Ok,
+                Some(&metrics()),
+            );
+        }
+        log.flush().unwrap();
+    }
+
+    fn tmp_out(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cactid-explore-ckpt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{name}.jsonl"))
+    }
+
+    fn checkpoint_error(r: Result<(Log, HashMap<usize, ResumedPoint>), ExploreError>) -> String {
+        match r {
+            Err(ExploreError::Checkpoint(msg)) => msg,
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn header_round_trips() {
-        let h = header(0x6c62_272e_07bb_0142, 100);
-        assert_eq!(parse_header(&h).unwrap(), (0x6c62_272e_07bb_0142, 100));
-        assert!(parse_header("#something-else").is_err());
+        let out = tmp_out("header");
+        write(&out, 0x6c62_272e_07bb_0142, 100, &[]);
+        let text = std::fs::read_to_string(ckpt_path(&out)).unwrap();
+        assert_eq!(
+            text,
+            "#cactid-explore-ckpt v3 grid=6c62272e07bb0142 points=100\n"
+        );
+        let (_, resumed) = open(&out, 0x6c62_272e_07bb_0142, 100, true).unwrap();
+        assert!(resumed.is_empty());
+        assert_eq!(std::fs::read_to_string(ckpt_path(&out)).unwrap(), text);
+        std::fs::remove_file(ckpt_path(&out)).ok();
     }
 
     #[test]
     fn line_round_trips_metrics_exactly() {
-        let m = metrics();
-        let (idx, status, parsed) = parse_line(&line(7, PointStatus::Ok, Some(&m))).unwrap();
-        assert_eq!((idx, status), (7, PointStatus::Ok));
-        let p = parsed.unwrap();
-        assert_eq!(p.access_s.to_bits(), m.access_s.to_bits());
-        assert_eq!(p.leakage_w.to_bits(), m.leakage_w.to_bits());
+        let out = tmp_out("round-trip");
+        let (mut log, _) = open(&out, 1, 10, false).unwrap();
+        push(&mut log, 7, &record(7), PointStatus::Ok, Some(&metrics()));
+        let infeasible = "{\"idx\":3,\"status\":\"infeasible\"}";
+        push(&mut log, 3, infeasible, PointStatus::Infeasible, None);
+        log.flush().unwrap();
+        let (_, resumed) = open(&out, 1, 10, true).unwrap();
 
-        let (idx, status, parsed) = parse_line(&line(3, PointStatus::Infeasible, None)).unwrap();
-        assert_eq!((idx, status), (3, PointStatus::Infeasible));
-        assert!(parsed.is_none());
+        let p = resumed[&7].metrics.unwrap();
+        assert_eq!(resumed[&7].status, PointStatus::Ok);
+        assert_eq!(resumed[&7].line, record(7));
+        assert_eq!(p.access_s.to_bits(), metrics().access_s.to_bits());
+        assert_eq!(p.leakage_w.to_bits(), metrics().leakage_w.to_bits());
+        assert_eq!(resumed[&3].status, PointStatus::Infeasible);
+        assert_eq!(resumed[&3].line, infeasible);
+        assert!(resumed[&3].metrics.is_none());
+        std::fs::remove_file(ckpt_path(&out)).ok();
     }
 
     #[test]
     fn no_truncation_of_a_line_parses() {
-        // The sentinel makes completeness self-evident: every proper
-        // prefix must fail, including cuts inside the last float that
-        // would otherwise parse as a different metric ("0.013" -> "0.01").
-        let full = line(7, PointStatus::Ok, Some(&metrics()));
-        for cut in 0..full.len() {
-            assert!(parse_line(&full[..cut]).is_err(), "prefix {cut} parsed");
+        // Every proper prefix of a checkpoint line, newline-terminated as
+        // if it had been written whole, must fail the open: a cut inside
+        // the last float would otherwise restore a different metric
+        // ("0.013" -> "0.01"), a cut inside the record a different line.
+        let out = tmp_out("truncation");
+        let (mut log, _) = open(&out, 5, 10, false).unwrap();
+        let record = "{\"idx\":7,\"status\":\"ok\",\"cell\":\"\u{3bc}\"}";
+        push(&mut log, 7, record, PointStatus::Ok, Some(&metrics()));
+        log.flush().unwrap();
+        let whole = std::fs::read_to_string(ckpt_path(&out)).unwrap();
+        let (head, line) = whole.trim_end().split_once('\n').unwrap();
+        assert_eq!(open(&out, 5, 10, true).unwrap().1[&7].line, record);
+        for cut in (0..line.len()).filter(|&c| line.is_char_boundary(c)) {
+            std::fs::write(ckpt_path(&out), format!("{head}\n{}\n", &line[..cut])).unwrap();
+            let msg = checkpoint_error(open(&out, 5, 10, true));
+            assert!(
+                msg.contains("corrupt checkpoint line 2"),
+                "prefix {cut}: {msg}"
+            );
         }
-        // A v1-era line (no sentinel) is incomplete, not a shorter arity.
-        assert!(parse_line("5\tok\t1e-9\t4e-11\t2e-7\t0.01").is_err());
+        std::fs::remove_file(ckpt_path(&out)).ok();
     }
 
     #[test]
     fn torn_tail_is_ignored_but_interior_corruption_is_loud() {
-        let dir = std::env::temp_dir().join("cactid-explore-torn-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("sweep.jsonl");
-        let fp = 0x1234u64;
-        let l0 = line(0, PointStatus::Ok, Some(&metrics()));
-        let l1 = line(1, PointStatus::Ok, Some(&metrics()));
-        std::fs::write(
-            part_path(&out),
-            "{\"idx\":0,\"status\":\"ok\"}\n{\"idx\":1,\"status\":\"ok\"}\n",
-        )
-        .unwrap();
+        let out = tmp_out("torn");
+        write(&out, 0x1234, 10, &[0, 1]);
+        let whole = std::fs::read_to_string(ckpt_path(&out)).unwrap();
 
         // Torn trailing fragment (no newline): ignored, point 1 not resumed.
-        let torn = format!("{}\n{l0}\n{}", header(fp, 10), &l1[..l1.len() - 3]);
-        std::fs::write(ckpt_path(&out), &torn).unwrap();
-        let m = load(&out, fp, 10).unwrap();
-        assert_eq!(m.len(), 1);
-        assert!(m.contains_key(&0));
+        std::fs::write(ckpt_path(&out), &whole[..whole.len() - 3]).unwrap();
+        let (_, resumed) = open(&out, 0x1234, 10, true).unwrap();
+        assert_eq!(resumed.len(), 1);
+        assert!(resumed.contains_key(&0));
 
-        // The same bad line newline-terminated mid-file: corruption.
-        let corrupt = format!("{}\n{}\n{l1}\n", header(fp, 10), &l0[..l0.len() - 3]);
+        // The same bad line newline-terminated mid-file: corruption, and
+        // the torn tail after it is not cut either.
+        let lines: Vec<&str> = whole.lines().collect();
+        let cut = &lines[1][..lines[1].len() - 3];
+        let corrupt = format!("{}\n{cut}\n{}\n{cut}", lines[0], lines[2]);
         std::fs::write(ckpt_path(&out), &corrupt).unwrap();
-        match load(&out, fp, 10) {
-            Err(ExploreError::Checkpoint(msg)) => {
-                assert!(msg.contains("delete the sidecars"), "{msg}");
-            }
-            other => panic!("expected checkpoint corruption, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        let msg = checkpoint_error(open(&out, 0x1234, 10, true));
+        assert!(msg.contains("delete the sidecars"), "{msg}");
+        assert_eq!(std::fs::read_to_string(ckpt_path(&out)).unwrap(), corrupt);
+
+        // So is invalid UTF-8 in a complete line.
+        let mut bad = whole.clone().into_bytes();
+        bad[lines[0].len() + 3] = 0xff;
+        std::fs::write(ckpt_path(&out), &bad).unwrap();
+        checkpoint_error(open(&out, 0x1234, 10, true));
+
+        // A line whose record names another point is corrupt too.
+        let swapped = whole.replacen("{\"idx\":1,", "{\"idx\":2,", 1);
+        std::fs::write(ckpt_path(&out), swapped).unwrap();
+        checkpoint_error(open(&out, 0x1234, 10, true));
+        // So is an index outside the grid.
+        write(&out, 0x1234, 10, &[10]);
+        checkpoint_error(open(&out, 0x1234, 10, true));
+        std::fs::remove_file(ckpt_path(&out)).ok();
     }
 
     #[test]
     fn trim_torn_tail_cuts_only_the_fragment() {
-        let dir = std::env::temp_dir().join("cactid-explore-trim-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("sidecar");
-
-        std::fs::write(&p, "complete\ntorn-fragm").unwrap();
-        trim_torn_tail(&p).unwrap();
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "complete\n");
-
-        // Already clean (or missing): untouched.
-        trim_torn_tail(&p).unwrap();
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "complete\n");
-        trim_torn_tail(&dir.join("absent")).unwrap();
-
-        // All fragment, no newline: emptied.
-        std::fs::write(&p, "torn").unwrap();
-        trim_torn_tail(&p).unwrap();
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "");
-        std::fs::remove_dir_all(&dir).ok();
+        let out = tmp_out("trim");
+        write(&out, 0x99, 10, &[0, 1]);
+        let whole = std::fs::read_to_string(ckpt_path(&out)).unwrap();
+        let kept = whole.len() - whole.lines().last().unwrap().len() - 1;
+        for torn in [kept + 1, whole.len() - 1] {
+            std::fs::write(ckpt_path(&out), &whole[..torn]).unwrap();
+            open(&out, 0x99, 10, true).unwrap();
+            assert_eq!(
+                std::fs::read_to_string(ckpt_path(&out)).unwrap(),
+                whole[..kept]
+            );
+        }
+        // Already clean: untouched.
+        std::fs::write(ckpt_path(&out), &whole).unwrap();
+        open(&out, 0x99, 10, true).unwrap();
+        assert_eq!(std::fs::read_to_string(ckpt_path(&out)).unwrap(), whole);
+        std::fs::remove_file(ckpt_path(&out)).ok();
     }
 
     #[test]
-    fn load_joins_both_sidecars() {
-        let dir = std::env::temp_dir().join("cactid-explore-resume-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("sweep.jsonl");
-        let fp = 0xabcdu64;
-        let mut ckpt = header(fp, 10);
-        ckpt.push('\n');
-        ckpt.push_str(&line(0, PointStatus::Ok, Some(&metrics())));
-        ckpt.push('\n');
-        ckpt.push_str(&line(1, PointStatus::Ok, Some(&metrics())));
-        ckpt.push('\n');
-        std::fs::write(ckpt_path(&out), ckpt).unwrap();
-        // Point 1 missing from the part file (torn write): not resumed.
-        // The stored pareto annotation on point 0 is stripped on load.
-        std::fs::write(
-            part_path(&out),
-            "{\"idx\":0,\"status\":\"ok\",\"pareto\":{\"frontier\":false}}\n",
-        )
-        .unwrap();
+    fn open_restores_points_from_the_one_sidecar() {
+        let out = tmp_out("restore");
+        let fp = 0xabcd;
+        write(&out, fp, 10, &[0, 1]);
+        let (_, resumed) = open(&out, fp, 10, true).unwrap();
+        assert_eq!(resumed.len(), 2);
+        assert_eq!(resumed[&0].line, "{\"idx\":0,\"status\":\"ok\"}");
+        assert_eq!(resumed[&0].status, PointStatus::Ok);
+        assert!(resumed[&0].metrics.is_some());
 
-        let m = load(&out, fp, 10).unwrap();
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[&0].line, "{\"idx\":0,\"status\":\"ok\"}");
-        assert_eq!(m[&0].status, PointStatus::Ok);
-        assert!(m[&0].metrics.is_some());
-
-        // Wrong fingerprint: loud failure.
-        assert!(matches!(
-            load(&out, fp + 1, 10),
-            Err(ExploreError::Checkpoint(_))
-        ));
-        // Missing sidecars: fresh start.
-        assert!(load(&dir.join("absent.jsonl"), fp, 10).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).ok();
+        // Wrong fingerprint or point count: loud failure, file untouched.
+        let before = std::fs::read(ckpt_path(&out)).unwrap();
+        for (fp, n) in [(fp + 1, 10), (fp, 11)] {
+            let msg = checkpoint_error(open(&out, fp, n, true));
+            assert!(msg.contains("different grid"), "{msg}");
+        }
+        assert_eq!(std::fs::read(ckpt_path(&out)).unwrap(), before);
+        // Without resume the checkpoint starts afresh.
+        let (_, resumed) = open(&out, fp, 10, false).unwrap();
+        assert!(resumed.is_empty());
+        assert!(open(&out, fp, 10, true).unwrap().1.is_empty());
+        // Missing checkpoint: fresh start.
+        let absent = tmp_out("absent");
+        std::fs::remove_file(ckpt_path(&absent)).ok();
+        assert!(open(&absent, fp, 10, true).unwrap().1.is_empty());
+        std::fs::remove_file(ckpt_path(&out)).ok();
+        std::fs::remove_file(ckpt_path(&absent)).ok();
     }
 }

@@ -38,16 +38,17 @@ fn interrupted_run_resumes_without_resolving_completed_points() {
     assert_eq!(full.stats.solved, 6);
     let reference = std::fs::read_to_string(&out).unwrap();
 
-    // Simulate an interrupt: keep only the first two streamed records.
+    // Simulate an interrupt: keep the header and the first two streamed
+    // points of the checkpoint.
     std::fs::remove_file(&out).unwrap();
-    let part = dir.join("sweep.jsonl.part");
-    let kept: String = std::fs::read_to_string(&part)
+    let ckpt = dir.join("sweep.jsonl.ckpt");
+    let kept: String = std::fs::read_to_string(&ckpt)
         .unwrap()
         .lines()
-        .take(2)
+        .take(3)
         .map(|l| format!("{l}\n"))
         .collect();
-    std::fs::write(&part, kept).unwrap();
+    std::fs::write(&ckpt, kept).unwrap();
 
     let resumed = explore(&grid(), &config(&out, true)).unwrap();
     assert_eq!(resumed.stats.resumed, 2);
@@ -111,7 +112,7 @@ fn torn_checkpoint_tail_re_solves_one_point_and_repairs_the_file() {
     assert_eq!(first.stats.solved, 1);
     assert_eq!(std::fs::read_to_string(&out).unwrap(), reference);
 
-    // The fragment was truncated before appending, so the sidecars are
+    // The fragment was truncated before appending, so the checkpoint is
     // whole again: a second resume re-solves nothing.
     let second = explore(&grid(), &config(&out, true)).unwrap();
     assert_eq!(second.stats.solved, 0);
@@ -143,4 +144,38 @@ fn without_resume_the_sidecars_are_overwritten_not_joined() {
     let rerun = explore(&grid(), &config(&out, false)).unwrap();
     assert_eq!(rerun.stats.resumed, 0);
     assert_eq!(rerun.stats.solved, 6);
+}
+
+#[test]
+fn a_run_leaves_only_the_output_and_its_checkpoint() {
+    let dir = tmp_dir("files");
+    let out = dir.join("sweep.jsonl");
+    explore(&grid(), &config(&out, false)).unwrap();
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["sweep.jsonl", "sweep.jsonl.ckpt"]);
+}
+
+#[test]
+fn an_older_format_checkpoint_asks_to_delete_the_sidecars() {
+    // A checkpoint as the two-sidecar format wrote it: v2 header, no
+    // record field.
+    let dir = tmp_dir("v2");
+    let out = dir.join("sweep.jsonl");
+    let ckpt = dir.join("sweep.jsonl.ckpt");
+    let v2 = "#cactid-explore-ckpt v2 grid=6c62272e07bb0142 points=6\n\
+              0\tok\t1.23e-9\t4.5e-11\t2.1e-7\t0.013\t.\n";
+    std::fs::write(&ckpt, v2).unwrap();
+    match explore(&grid(), &config(&out, true)) {
+        Err(ExploreError::Checkpoint(msg)) => {
+            assert!(msg.contains("older format"), "{msg}");
+            assert!(msg.contains("delete the sidecars"), "{msg}");
+        }
+        other => panic!("expected an older-format checkpoint error, got {other:?}"),
+    }
+    assert_eq!(std::fs::read_to_string(&ckpt).unwrap(), v2);
+    assert!(!out.exists());
 }

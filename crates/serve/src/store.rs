@@ -22,43 +22,29 @@
 //! `key` is the canonical spec encoding (tab- and newline-free by
 //! construction) prefixed with the opt label and access-mode label the
 //! record was rendered under; `body` is the record line minus its leading
-//! `{"idx":N,` (JSON string escaping keeps it tab-free). The trailing `.`
-//! is the same completeness sentinel as the explore checkpoint format: no
-//! other field ends a line with `<TAB>.`, so no truncation of a line can
-//! still parse.
+//! `{"idx":N,` (JSON string escaping keeps it tab-free).
 //!
-//! # Crash safety
-//!
-//! The load discipline is borrowed from
-//! [`cactid_explore::resume`]: only newline-terminated lines count, a
-//! trailing newline-less fragment left by a kill mid-append is truncated
-//! away ([`cactid_explore::resume::trim_torn_tail`]) before the store
-//! appends again, and a malformed *interior* line fails the open loudly —
-//! tolerating it would silently discard every record written after it.
-//! Each insert is a single buffered write of one full line followed by a
-//! flush, so the file only ever grows by whole records plus at most one
-//! torn tail.
+//! The file is a [`cactid_explore::log`] file, read and appended by the
+//! same code as explore's checkpoint, and crash-safe by its rules: a torn
+//! tail is cut and its record re-solved by whoever needs it next, while a
+//! wrong header or a malformed interior line fails the open loudly with
+//! the file left as it was.
 
 use crate::error::ServeError;
-use cactid_explore::resume::trim_torn_tail;
+use cactid_explore::log::{Log, LogError};
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Magic first line of a store file; bumps when the record format does.
 pub const STORE_MAGIC: &str = "#cactid-serve-store v1";
 
-/// Terminal field of every record line. No key or body field can end a
-/// line with `<TAB>.`, so a truncated line can never pass as complete.
-const SENTINEL: &str = ".";
-
 #[derive(Debug, Default)]
 struct Inner {
     /// fp → `[(key, body)]`; buckets are tiny (collisions are rare).
     index: HashMap<u64, Vec<(String, String)>>,
     /// Append handle; `None` for in-memory stores.
-    file: Option<std::fs::File>,
+    log: Option<Log>,
 }
 
 /// A thread-safe content-addressed store of rendered solution bodies,
@@ -68,10 +54,6 @@ struct Inner {
 pub struct SolutionStore {
     inner: Mutex<Inner>,
     path: Option<PathBuf>,
-}
-
-fn io_err(path: &Path, e: &std::io::Error) -> ServeError {
-    ServeError::Io(format!("{}: {e}", path.display()))
 }
 
 impl SolutionStore {
@@ -93,53 +75,38 @@ impl SolutionStore {
     ///
     /// [`ServeError::Io`] if the file cannot be read, truncated or opened
     /// for append, and [`ServeError::Store`] if it exists but has the
-    /// wrong magic or a malformed interior line.
+    /// wrong magic or a malformed interior line; the file is then left as
+    /// it was.
     pub fn open(path: &Path) -> Result<Self, ServeError> {
-        trim_torn_tail(path).map_err(|e| ServeError::Io(e.to_string()))?;
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(io_err(path, &e)),
-        };
         let mut index: HashMap<u64, Vec<(String, String)>> = HashMap::new();
-        let mut lines = text.lines().enumerate();
-        if let Some((_, head)) = lines.next() {
-            if head != STORE_MAGIC {
-                return Err(ServeError::Store(format!(
-                    "{}: not a cactid-serve store (header {head:?})",
-                    path.display()
-                )));
+        let log = Log::open(path, STORE_MAGIC, |[fp, key, body]| {
+            if fp.len() != 16 || key.is_empty() || body.is_empty() {
+                return None;
             }
-            for (n, line) in lines {
-                let (fp, key, body) = parse_record(line).ok_or_else(|| {
-                    ServeError::Store(format!(
-                        "{}: malformed record at line {}; the file is corrupt — \
-                         delete it or pick another --store path",
-                        path.display(),
-                        n + 1
-                    ))
-                })?;
-                let bucket = index.entry(fp).or_default();
-                // First write wins, matching the in-process memo: a
-                // duplicate append (two racing services) is harmless.
-                if !bucket.iter().any(|(k, _)| k == key) {
-                    bucket.push((key.to_string(), body.to_string()));
-                }
+            let bucket = index.entry(u64::from_str_radix(fp, 16).ok()?).or_default();
+            // First write wins, matching the in-process memo: a duplicate
+            // append (two racing services) is harmless.
+            if !bucket.iter().any(|(k, _)| k == key) {
+                bucket.push((key.to_string(), body.to_string()));
             }
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| io_err(path, &e))?;
-        if text.is_empty() {
-            writeln!(file, "{STORE_MAGIC}").map_err(|e| io_err(path, &e))?;
-            file.flush().map_err(|e| io_err(path, &e))?;
-        }
+            Some(())
+        })
+        .map_err(|e| match e {
+            LogError::Io(msg) => ServeError::Io(msg),
+            LogError::Header(head) => ServeError::Store(format!(
+                "{}: not a cactid-serve store (header {head:?})",
+                path.display()
+            )),
+            LogError::Corrupt(n) => ServeError::Store(format!(
+                "{}: malformed record at line {n}; the file is corrupt — \
+                 delete it or pick another --store path",
+                path.display()
+            )),
+        })?;
         Ok(SolutionStore {
             inner: Mutex::new(Inner {
                 index,
-                file: Some(file),
+                log: Some(log),
             }),
             path: Some(path.to_path_buf()),
         })
@@ -205,40 +172,19 @@ impl SolutionStore {
             return Ok(false);
         }
         bucket.push((key.to_string(), body.to_string()));
-        if let Some(file) = inner.file.as_mut() {
-            let path = self.path.as_deref().unwrap_or_else(|| Path::new("store"));
-            writeln!(file, "{fp:016x}\t{key}\t{body}\t{SENTINEL}")
-                .and_then(|()| file.flush())
-                .map_err(|e| io_err(path, &e))?;
+        if let Some(log) = inner.log.as_mut() {
+            log.push(&[&format_args!("{fp:016x}"), &key, &body]);
+            log.flush().map_err(|e| ServeError::Io(e.to_string()))?;
         }
         cactid_obs::counter!("serve.store.inserts").inc();
         Ok(true)
     }
 }
 
-/// Parses one record line into `(fp, key, body)`; `None` on any
-/// malformation (wrong arity, bad hex, missing sentinel).
-fn parse_record(line: &str) -> Option<(u64, &str, &str)> {
-    let mut fields = line.split('\t');
-    let (fp, key, body, sentinel) = (
-        fields.next()?,
-        fields.next()?,
-        fields.next()?,
-        fields.next()?,
-    );
-    if fields.next().is_some() || sentinel != SENTINEL || fp.len() != 16 {
-        return None;
-    }
-    let fp = u64::from_str_radix(fp, 16).ok()?;
-    if key.is_empty() || body.is_empty() {
-        return None;
-    }
-    Some((fp, key, body))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write as _;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cactid-serve-store-{}", std::process::id()));
@@ -358,6 +304,39 @@ mod tests {
     }
 
     #[test]
+    fn no_truncation_of_a_record_line_parses() {
+        // Every proper prefix of a record line, newline-terminated as if
+        // it had been written whole, must fail the open rather than load
+        // a shorter key or body.
+        let p = tmp("truncation");
+        std::fs::remove_file(&p).ok();
+        SolutionStore::open(&p)
+            .unwrap()
+            .insert(0xff, "key", "\"a\":1}")
+            .unwrap();
+        let whole = std::fs::read_to_string(&p).unwrap();
+        let (head, line) = whole.trim_end().split_once('\n').unwrap();
+        assert_eq!(line, "00000000000000ff\tkey\t\"a\":1}\t.");
+        assert_eq!(
+            SolutionStore::open(&p).unwrap().get(0xff, "key").as_deref(),
+            Some("\"a\":1}")
+        );
+        for cut in 0..line.len() {
+            std::fs::write(&p, format!("{head}\n{}\n", &line[..cut])).unwrap();
+            match SolutionStore::open(&p) {
+                Err(ServeError::Store(msg)) => {
+                    assert!(
+                        msg.contains("malformed record at line 2"),
+                        "prefix {cut}: {msg}"
+                    );
+                }
+                other => panic!("prefix {cut} opened: {other:?}"),
+            }
+        }
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
     fn interior_corruption_fails_the_open_loudly() {
         let p = tmp("corrupt");
         std::fs::write(
@@ -377,15 +356,17 @@ mod tests {
         let p = tmp("magic");
         std::fs::write(&p, "#something-else v9\n").unwrap();
         assert!(matches!(SolutionStore::open(&p), Err(ServeError::Store(_))));
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn no_truncation_of_a_record_line_parses() {
-        let full = "00000000000000ff\tkey\t\"a\":1}\t.";
-        assert!(parse_record(full).is_some());
-        for cut in 0..full.len() {
-            assert!(parse_record(&full[..cut]).is_none(), "prefix {cut} parsed");
+        // A file that is not a store is refused before its torn-looking
+        // last line is cut: every byte stays.
+        let notes = "shopping list\nmilk, eggs, bread, coffee";
+        std::fs::write(&p, notes).unwrap();
+        match SolutionStore::open(&p) {
+            Err(ServeError::Store(msg)) => {
+                assert!(msg.contains("not a cactid-serve store"), "{msg}");
+            }
+            other => panic!("expected a wrong-magic error, got {other:?}"),
         }
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), notes);
+        std::fs::remove_file(&p).ok();
     }
 }

@@ -17,6 +17,10 @@ use crate::l3::L3;
 use crate::stats::{SimStats, StallKind};
 use std::collections::{HashMap, VecDeque};
 
+/// The core count whose whole L2 capacity the coherence directory is
+/// presized for: the paper system's 8 cores.
+const PRESIZED_CORES: u32 = 8;
+
 #[derive(Debug, Default)]
 struct LockState {
     holder: Option<usize>,
@@ -171,12 +175,16 @@ impl MemSystem {
             })
             .collect();
         // Every tracked line sits in some L2, so the total L2 line count
-        // bounds the directory; presized, it never rehashes.
+        // bounds the directory. Presized to that bound, the paper's system
+        // never rehashes; a larger one presizes as many lines and grows on
+        // demand, since its full bound holds far more lines than a run
+        // tracks at once.
         let l2_lines = cfg.l2.capacity_bytes / u64::from(cfg.l2.line_bytes);
+        let presized_cores = cfg.n_cores.min(PRESIZED_CORES);
         Ok(MemSystem {
             cores,
             l3: cfg.l3.clone().map(L3::try_new).transpose()?,
-            dir: Directory::with_capacity(cfg.n_cores as usize * l2_lines as usize),
+            dir: Directory::with_capacity(presized_cores as usize * l2_lines as usize),
             channels: (0..cfg.dram.channels)
                 .map(|_| DramChannel::new(cfg.dram.clone()))
                 .collect(),

@@ -56,14 +56,6 @@ pub struct RecordedTrace {
 }
 
 impl RecordedTrace {
-    /// Builds a trace directly from per-thread streams.
-    pub fn from_streams(streams: Vec<Vec<Instr>>) -> RecordedTrace {
-        RecordedTrace {
-            streams,
-            cursors: Vec::new(),
-        }
-    }
-
     /// Number of threads captured.
     pub fn n_threads(&self) -> usize {
         self.streams.len()

@@ -136,14 +136,6 @@ pub fn find(study: &[(StudyConfig, Vec<AppRun>)], app: NpbApp, kind: LlcKind) ->
         .unwrap_or_else(|| panic!("no run for {app:?} on {kind:?}"))
 }
 
-/// Relative execution-time reduction of `kind` vs. no-L3 for one app
-/// (positive = faster).
-pub fn speedup_vs_nol3(study: &[(StudyConfig, Vec<AppRun>)], app: NpbApp, kind: LlcKind) -> f64 {
-    let base = find(study, app, LlcKind::NoL3).seconds;
-    let t = find(study, app, kind).seconds;
-    1.0 - t / base
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

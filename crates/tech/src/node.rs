@@ -54,18 +54,6 @@ impl TechNode {
         }
     }
 
-    /// The ITRS calendar year this node corresponds to (paper §2.2 maps the
-    /// four nodes to years 2004–2013).
-    pub fn itrs_year(self) -> u32 {
-        match self {
-            TechNode::N90 => 2004,
-            TechNode::N78 => 2006,
-            TechNode::N65 => 2007,
-            TechNode::N45 => 2010,
-            TechNode::N32 => 2013,
-        }
-    }
-
     /// For an interpolated half-node, the pair of anchor nodes bracketing it
     /// plus the interpolation fraction in log-feature-size space; `None` for
     /// anchor nodes.

@@ -134,3 +134,32 @@ fn audit_grid_mode_and_prove_are_usage_errors() {
         assert!(stdout(&out).is_empty(), "{argv:?}: {out:?}");
     }
 }
+
+#[test]
+fn explore_resume_refuses_a_foreign_checkpoint_untouched() {
+    // A file that is not a checkpoint, without a final newline, where the
+    // sidecar would be: resume fails before cutting its last line.
+    let dir = std::env::temp_dir().join(format!("cactid-cli-ckpt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("sweep.jsonl");
+    let ckpt = dir.join("sweep.jsonl.ckpt");
+    let notes = "meeting notes\nsizes to try: 64K, 128K, 256K";
+    std::fs::write(&ckpt, notes).unwrap();
+    let run = cactid(&[
+        "explore",
+        "--sizes",
+        "64K",
+        "--out",
+        out.to_str().unwrap(),
+        "--resume",
+    ]);
+    assert_eq!(code(&run), 1, "{run:?}");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(
+        stderr.contains("not a cactid-explore checkpoint"),
+        "{stderr}"
+    );
+    assert_eq!(std::fs::read_to_string(&ckpt).unwrap(), notes);
+    assert!(!out.exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
