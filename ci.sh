@@ -32,16 +32,23 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== cactid lint smoke run (example specs)"
 # Exercise the CD0001-CD0022 analyzer end to end, not just in unit tests.
 # Each spec mirrors one examples/ configuration; lint must exit 0 with no
-# diagnostics for all of them (--deny-warnings makes warnings fatal).
+# diagnostics for all of them (--deny-warnings makes warnings fatal), and
+# the plain report, which lints its winner after the solve, must print
+# nothing on stderr.
 cargo build --release --quiet --bin cactid
 CACTID=target/release/cactid
-$CACTID lint --deny-warnings --size 2M --block 64 --assoc 8 --banks 1 \
-    --cell sram --node 32 >/dev/null
-$CACTID lint --deny-warnings --size 8M --assoc 16 --cell lp-dram --node 32 \
-    --mode sequential >/dev/null
-$CACTID lint --deny-warnings --size 128M --banks 8 --block 8 \
-    --cell comm-dram --node 78 --main-memory --io 8 --burst 8 \
-    --prefetch 8 --page 8K >/dev/null
+for SPEC in "--size 2M --block 64 --assoc 8 --banks 1 --cell sram --node 32" \
+    "--size 8M --assoc 16 --cell lp-dram --node 32 --mode sequential" \
+    "--size 128M --banks 8 --block 8 --cell comm-dram --node 78 --main-memory \
+        --io 8 --burst 8 --prefetch 8 --page 8K"; do
+    $CACTID lint --deny-warnings $SPEC >/dev/null
+    ERR=$($CACTID $SPEC 2>&1 >/dev/null)
+    test -z "$ERR" || {
+        echo "cactid $SPEC printed diagnostics for its winner:" >&2
+        echo "$ERR" >&2
+        exit 1
+    }
+done
 
 echo "== cactid-explore tests + explore smoke run"
 # Belt and braces: the workspace run above covers these, but the explore
@@ -179,7 +186,7 @@ test "$WHOLE" -lt "$HALVES" || {
     echo "the memo pool shared no designs: $WHOLE designs whole, $HALVES in halves" >&2
     exit 1
 }
-# Winners only: an unlinted explore builds one Solution per select that
+# Winners only: an explore builds one Solution per select that
 # found a winner, not one per feasible candidate.
 trace_counter() {
     V=$(grep -o "\"name\":\"$1\",\"value\":[0-9]*" "$2" | sed 's/.*://')
@@ -219,8 +226,10 @@ grep -q '"status":"infeasible"' "$ADIR/grid.jsonl" || {
     echo "the smoke grid has no infeasible records" >&2
     exit 1
 }
-# The static grid audit and the interval prover are gone: usage errors.
-for ARGS in "audit --grid --sizes 64K" "prove --size 64K"; do
+# The static grid audit, the interval prover and the in-solve linter are
+# gone: usage errors.
+for ARGS in "audit --grid --sizes 64K" "prove --size 64K" \
+    "explore --sizes 64K --lint"; do
     RC=0
     $CACTID $ARGS >/dev/null 2>&1 || RC=$?
     test "$RC" -eq 2 || {

@@ -1,24 +1,21 @@
-//! The [`Analyzer`]: the rule registry plus staged lint passes, severity
-//! overrides, and the linted optimize entry point.
+//! The [`Analyzer`]: the rule registry plus staged lint passes and
+//! severity overrides.
 
 use crate::context::LintContext;
+use crate::lint::Report;
 use crate::registry::{RuleRegistry, SeverityOverrides};
 use crate::rule::{Rule, Stage};
 use crate::run::RunContext;
-use cactid_core::lint::{Diagnostic, Report, SolutionLinter};
-use cactid_core::{ArraySweep, CactiError, EvalMemo, MemorySpec, OrgParams, Solution};
+use cactid_core::{MemorySpec, OrgParams, Solution};
 
 /// The diagnostics engine: a [`RuleRegistry`] plus a set of
 /// [`SeverityOverrides`], runnable per stage over specs, organizations,
 /// solutions, and completed batch runs.
 ///
-/// `Analyzer` implements [`SolutionLinter`], so it can be plugged into
-/// the optimizer via [`cactid_core::solve_with_stats`] — or more
-/// conveniently through this crate's [`optimize`], which also lints the
-/// spec first.
-/// Severity overrides apply to *every* diagnostic the analyzer emits,
-/// including engine-side candidate linting, so `--allow`ing a rule really
-/// does let offending candidates through the sweep.
+/// The analyzer never runs inside a solve: callers lint the spec before
+/// it and the winner after it. Severity overrides apply to every
+/// diagnostic the analyzer emits, so they reshape reports only and never
+/// change which design wins.
 #[derive(Debug)]
 pub struct Analyzer {
     registry: RuleRegistry,
@@ -111,6 +108,16 @@ impl Analyzer {
         )
     }
 
+    /// Runs the organization- and solution-stage rules over a solved
+    /// design: [`Analyzer::lint_solution`] without the spec stage, for a
+    /// spec that was linted on its own before the solve.
+    pub fn lint_candidate(&self, spec: &MemorySpec, solution: &Solution) -> Report {
+        self.run(
+            &LintContext::for_spec(spec).with_solution(solution),
+            &[Stage::Organization, Stage::Solution],
+        )
+    }
+
     /// Runs the `CD01xx` cross-record rules over a completed batch run.
     pub fn lint_run(&self, run: &RunContext) -> Report {
         let mut report = Report::new();
@@ -127,61 +134,12 @@ impl Default for Analyzer {
     }
 }
 
-impl SolutionLinter for Analyzer {
-    /// Lints one candidate inside the optimizer sweep: organization- and
-    /// solution-stage rules only (the spec is constant across the sweep
-    /// and is linted once by [`optimize`]).
-    fn lint_candidate(&self, spec: &MemorySpec, solution: &Solution) -> Vec<Diagnostic> {
-        self.run(
-            &LintContext::for_spec(spec).with_solution(solution),
-            &[Stage::Organization, Stage::Solution],
-        )
-        .into_vec()
-    }
-}
-
-fn reject_spec_errors(analyzer: &Analyzer, spec: &MemorySpec) -> Result<(), CactiError> {
-    let report = analyzer.lint_spec(spec);
-    if report.is_clean() {
-        return Ok(());
-    }
-    let Some(first) = report
-        .iter()
-        .find(|d| d.severity == cactid_core::Severity::Error)
-    else {
-        unreachable!("a non-clean report contains an error diagnostic")
-    };
-    Err(CactiError::InvalidSpec(format!(
-        "[{}] {} (at {})",
-        first.code, first.message, first.location
-    )))
-}
-
-/// Linted [`cactid_core::optimize`]: lints the spec (erroring out on any
-/// `Error`-severity finding), then sweeps organizations with the engine
-/// attached — candidates violating an `Error` rule are rejected — and
-/// returns the §2.4 staged-optimization winner, which carries its
-/// warnings in [`Solution::warnings`].
-///
-/// # Errors
-///
-/// [`CactiError::InvalidSpec`] when a spec rule fires at `Error` severity
-/// (the message carries the rule code and location);
-/// [`CactiError::NoFeasibleSolution`] / [`CactiError::LintRejected`] from
-/// the sweep.
-pub fn optimize(spec: &MemorySpec) -> Result<Solution, CactiError> {
-    let analyzer = Analyzer::new();
-    reject_spec_errors(&analyzer, spec)?;
-    ArraySweep::new(spec)
-        .select(&[spec], Some(&analyzer), &mut EvalMemo::new())
-        .into_first()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint::Severity;
     use crate::registry::SeverityAction;
-    use cactid_core::{AccessMode, MemoryKind, Severity};
+    use cactid_core::{AccessMode, MemoryKind};
     use cactid_tech::{CellTechnology, TechNode};
 
     fn l2() -> MemorySpec {
@@ -202,27 +160,22 @@ mod tests {
     #[test]
     fn valid_spec_lints_clean_and_solves() {
         let spec = l2();
-        assert!(Analyzer::new().lint_spec(&spec).is_empty());
-        let sol = optimize(&spec).unwrap();
-        assert!(sol.warnings.is_empty(), "{:?}", sol.warnings);
+        let analyzer = Analyzer::new();
+        assert!(analyzer.lint_spec(&spec).is_empty());
+        let sol = cactid_core::optimize(&spec).unwrap();
+        let report = analyzer.lint_candidate(&spec, &sol);
+        assert!(report.is_empty(), "{report:?}");
     }
 
     #[test]
     fn hand_built_broken_spec_is_rejected_with_rule_code() {
         let mut spec = l2();
         spec.capacity_bytes = 3 << 19; // bypasses the builder: 3072 sets
-        let err = optimize(&spec).unwrap_err();
-        let msg = err.to_string();
+        let report = Analyzer::new().lint_spec(&spec);
+        let first = report.iter().find(|d| d.severity == Severity::Error);
+        let msg = first.expect("a spec-stage error").to_string();
         assert!(msg.contains("CD0001"), "{msg}");
         assert!(msg.contains("spec.capacity_bytes"), "{msg}");
-    }
-
-    #[test]
-    fn winner_agrees_with_unlinted_optimizer_on_valid_specs() {
-        let spec = l2();
-        let linted = optimize(&spec).unwrap();
-        let plain = cactid_core::optimize(&spec).unwrap();
-        assert_eq!(linted.org, plain.org);
     }
 
     #[test]
@@ -280,7 +233,7 @@ mod tests {
         let mut ov = SeverityOverrides::new();
         ov.set("CD0001", SeverityAction::Allow);
         let analyzer = Analyzer::with_overrides(ov).unwrap();
-        // The spec gate sees no error; the sweep itself decides.
+        // The spec gate sees no error; the solver itself decides.
         assert!(analyzer.lint_spec(&spec).is_clean());
     }
 

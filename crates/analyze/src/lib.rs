@@ -6,10 +6,10 @@
 //! over completed `cactid-explore` JSONL runs. Twenty-two object rules
 //! (`CD0001`–`CD0022`) each enforce one invariant from the paper:
 //! power-of-two geometry and Table-1 parameter bounds at the spec stage,
-//! `Ndwl`/`Ndbl`/mux legality and wordline-RC sanity at the organization
-//! stage, and the §2.3.2 DRAM command-timing inequalities
-//! (`tRCD + CAS ≤ access`, `tRC = tRAS + tRP`, `tRRD > 0`), refresh
-//! consistency, and sense margins at the solution stage. Five run rules
+//! `Ndwl`/`Ndbl`/mux legality, wordline-RC sanity and sense margins at
+//! the organization stage, and the §2.3.2 DRAM command-timing
+//! inequalities (`tRCD + CAS ≤ access`, `tRC = tRAS + tRP`, `tRRD > 0`)
+//! and refresh consistency at the solution stage. Five run rules
 //! check capacity-sweep monotonicity, Pareto annotation consistency,
 //! metric plausibility windows, and record-set integrity across a whole
 //! run (`CD0101`–`CD0105`).
@@ -24,11 +24,10 @@
 //! with the actual numbers, and a machine-readable suggested fix — and
 //! can be rendered rustc-style with [`render::render`].
 //!
-//! The engine plugs into the optimizer: [`optimize`] (or
-//! [`cactid_core::solve_with_stats`] with an [`Analyzer`], then
-//! [`cactid_core::select`]) never returns a solution that fails an
-//! `Error`-severity rule; surviving warnings ride
-//! along in [`Solution::warnings`](cactid_core::Solution).
+//! The engine stays outside the solve: the CLI lints the spec, runs the
+//! winners-only solve, then lints the winner ([`Analyzer::lint_candidate`]).
+//! Severity overrides reshape reports only; they never change which
+//! design wins.
 //!
 //! # Example
 //!
@@ -58,22 +57,17 @@
 
 pub mod analyzer;
 pub mod context;
+pub mod lint;
 pub mod registry;
 pub mod render;
 pub mod rule;
 pub mod rules;
 pub mod run;
 
-pub use analyzer::{optimize, Analyzer};
+pub use analyzer::Analyzer;
 pub use context::LintContext;
+pub use lint::{Diagnostic, LintObject, Location, Report, Severity, Suggestion};
 pub use registry::{RuleMeta, RuleRegistry, SeverityAction, SeverityOverrides};
 pub use render::{render_json, summary_line};
 pub use rule::{Rule, RunRule, Stage};
 pub use run::{RunContext, RunRecord};
-
-// The record types live in cactid-core (so the optimizer can consume
-// diagnostics without a dependency cycle); re-export them as this crate's
-// public vocabulary.
-pub use cactid_core::lint::{
-    Diagnostic, LintObject, Location, Report, Severity, SolutionLinter, Suggestion,
-};

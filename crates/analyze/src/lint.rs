@@ -1,26 +1,17 @@
-//! Structured diagnostic records for the static-validation subsystem.
-//!
-//! This module holds only the *record types* — [`Diagnostic`], [`Severity`],
-//! [`Location`], [`Report`] — and the [`SolutionLinter`] hook through which
-//! the optimizer consults an external rule engine. The rules themselves
-//! (codes `CD0001`–`CD0022`) live in the `cactid-analyze` crate, which
-//! depends on this one; keeping the records here lets the optimizer reject
-//! candidates that violate Error-severity invariants without a dependency
-//! cycle.
+//! Structured diagnostic records: [`Diagnostic`], [`Severity`],
+//! [`Location`] and [`Report`]. The rules that emit them live in
+//! [`crate::rules`].
 
 use std::fmt;
 
-use crate::solution::Solution;
-use crate::spec::MemorySpec;
-
 /// How serious a diagnostic is.
 ///
-/// `Error` means the object violates a model invariant and must not be used
-/// (the optimizer drops such candidates); `Warn` flags suspicious but legal
+/// `Error` means the object violates a model invariant and must not be
+/// used; `Warn` flags suspicious but legal
 /// configurations; `Info` is advisory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Advisory note; never affects exit status or solution acceptance.
+    /// Advisory note; never affects the exit status.
     Info,
     /// Suspicious but legal; rejected only under `--deny-warnings`.
     Warn,
@@ -57,13 +48,13 @@ impl fmt::Display for Severity {
 /// Which model object a diagnostic points into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LintObject {
-    /// The user-supplied [`MemorySpec`].
+    /// The user-supplied [`cactid_core::MemorySpec`].
     Spec,
     /// The resolved Table-1 cell parameters for the spec's technology.
     Cell,
     /// An array organization (`Ndwl`/`Ndbl`/`Nspd`/mux degrees).
     Organization,
-    /// An assembled [`Solution`].
+    /// An assembled [`cactid_core::Solution`].
     Solution,
     /// The DRAM chip-level result inside a main-memory solution.
     MainMemory,
@@ -119,7 +110,7 @@ pub struct Location {
 }
 
 impl Location {
-    /// Location of a [`MemorySpec`] field.
+    /// Location of a [`cactid_core::MemorySpec`] field.
     pub fn spec(field: &'static str) -> Self {
         Location {
             object: LintObject::Spec,
@@ -334,17 +325,6 @@ impl Extend<Diagnostic> for Report {
     fn extend<T: IntoIterator<Item = Diagnostic>>(&mut self, iter: T) {
         self.diagnostics.extend(iter);
     }
-}
-
-/// Hook through which the optimizer consults a rule engine on every
-/// assembled candidate.
-///
-/// Implemented by `cactid_analyze::Analyzer`; the optimizer drops
-/// candidates whose diagnostics include an `Error` and attaches the
-/// remaining warnings to the returned [`Solution`] (`Solution::warnings`).
-pub trait SolutionLinter {
-    /// Lints one assembled candidate solution against `spec`.
-    fn lint_candidate(&self, spec: &MemorySpec, solution: &Solution) -> Vec<Diagnostic>;
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //! overrides are validated against it, and a meta-lint test cross-checks
 //! it against both the `rules/` source tree and the DESIGN.md rule tables.
 
+use crate::lint::{Diagnostic, Severity};
 use crate::rule::{Rule, RunRule, Stage};
-use cactid_core::lint::{Diagnostic, Severity};
 use std::collections::BTreeMap;
 
 /// Per-rule metadata, identical in shape for object and run rules.
@@ -115,9 +115,8 @@ pub enum SeverityAction {
 /// A set of per-rule severity overrides (`--allow`/`--warn`/`--deny`).
 ///
 /// Overrides apply to every diagnostic a rule emits, wherever the rule
-/// runs — including the engine-side candidate linting a
-/// [`crate::Analyzer`] performs during `solve`, so `--allow CD0016` (for
-/// example) really does let non-finite solutions through.
+/// runs. They reshape reports only: no rule runs inside a solve, so no
+/// override changes which design wins.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeverityOverrides {
     actions: BTreeMap<String, SeverityAction>,
@@ -179,7 +178,7 @@ impl SeverityOverrides {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactid_core::lint::Location;
+    use crate::lint::Location;
 
     #[test]
     fn standard_registry_lists_every_rule_once() {

@@ -13,7 +13,7 @@
 //! scripts and CI gates.
 
 use crate::analyzer::Analyzer;
-use cactid_core::lint::{Diagnostic, Location, Report};
+use crate::lint::{Diagnostic, Location, Report};
 use cactid_obs::escape;
 use std::fmt::Write as _;
 
@@ -107,8 +107,8 @@ fn diagnostic_json(analyzer: &Analyzer, d: &Diagnostic) -> String {
 /// ```
 ///
 /// `severity` and `rule.default_severity` take the
-/// [`cactid_core::Severity`] names (`info`/`warning`/`error`);
-/// `location.object` the [`cactid_core::lint::LintObject`] names
+/// [`crate::Severity`] names (`info`/`warning`/`error`);
+/// `location.object` the [`crate::lint::LintObject`] names
 /// (`spec`/`organization`/`solution`/`run`); `rule` is `null` only for
 /// diagnostics whose code is absent from the registry.
 pub fn render_json(analyzer: &Analyzer, report: &Report) -> String {
@@ -148,7 +148,7 @@ pub fn summary_line(report: &Report) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactid_core::lint::{Diagnostic, Location};
+    use crate::lint::{Diagnostic, Location};
     use cactid_obs::json;
 
     #[test]

@@ -3,8 +3,8 @@
 //! [`crate::registry::RuleRegistry`].
 
 use crate::context::LintContext;
+use crate::lint::{Report, Severity};
 use crate::run::RunContext;
-use cactid_core::lint::{Report, Severity};
 
 /// The validation stage a rule belongs to.
 ///
@@ -59,8 +59,7 @@ impl Stage {
 /// (e.g. a solution rule run without a solution), the rule emits nothing.
 ///
 /// Rules are `Send + Sync` so one [`crate::Analyzer`] can be shared across
-/// the worker threads of a batch sweep (the `cactid-explore` engine lints
-/// candidates from every thread through a single shared reference).
+/// threads.
 pub trait Rule: Send + Sync {
     /// Stable diagnostic code, `CD0001`–`CD0022`.
     fn code(&self) -> &'static str;

@@ -1,12 +1,12 @@
 //! The rule implementations: twenty-two object rules over three pipeline
 //! stages, plus five cross-record run rules.
 //!
-//! | Codes            | Stage        | Module     |
-//! |------------------|--------------|------------|
-//! | `CD0001`–`CD0009`| Spec         | [`spec`]   |
-//! | `CD0010`–`CD0014`| Organization | [`org`]    |
-//! | `CD0015`–`CD0022`| Solution     | [`sol`]    |
-//! | `CD0101`–`CD0105`| Run          | [`run`]    |
+//! | Codes                                | Stage        | Module   |
+//! |--------------------------------------|--------------|----------|
+//! | `CD0001`–`CD0009`                    | Spec         | [`spec`] |
+//! | `CD0010`–`CD0014`, `CD0020`          | Organization | [`org`]  |
+//! | `CD0015`–`CD0019`, `CD0021`–`CD0022` | Solution     | [`sol`]  |
+//! | `CD0101`–`CD0105`                    | Run          | [`run`]  |
 
 pub mod org;
 pub mod run;
@@ -21,6 +21,7 @@ pub fn all() -> Vec<Box<dyn Rule>> {
     rules.extend(spec::all());
     rules.extend(org::all());
     rules.extend(sol::all());
+    rules.sort_by_key(|r| r.code());
     rules
 }
 
@@ -43,7 +44,7 @@ pub(crate) fn approx_eq(a: f64, b: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactid_core::lint::Severity;
+    use crate::lint::Severity;
     use std::collections::BTreeSet;
 
     #[test]
@@ -100,6 +101,7 @@ mod tests {
         }
         for rule in all_run() {
             let expected = match rule.code() {
+                "CD0101" => Severity::Info,
                 "CD0103" | "CD0105" => Severity::Error,
                 _ => Severity::Warn,
             };

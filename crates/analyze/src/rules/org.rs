@@ -1,14 +1,17 @@
-//! Organization-stage rules `CD0010`–`CD0014`: partitioning legality,
-//! capacity conservation, mux consistency, subarray dimensions in SI
-//! units, and wordline RC sanity.
+//! Organization-stage rules `CD0010`–`CD0014` and `CD0020`: partitioning
+//! legality, capacity conservation, mux consistency, subarray dimensions
+//! in SI units, wordline RC sanity, and the sense margin. The rows, RC and
+//! margin errors take their verdict from the solver's own closed-form
+//! screen, [`array::prescreen_explain`], so they fire exactly on the
+//! organizations the solver rejects.
 
 use crate::context::LintContext;
+use crate::lint::{Diagnostic, Location, Report, Severity};
 use crate::rule::{Rule, Stage};
-use cactid_core::lint::{Diagnostic, Location, Report, Severity};
-use cactid_core::MemoryKind;
-use cactid_units::Seconds;
+use cactid_core::array::{self, PrescreenFailure, WORDLINE_ELMORE_BOUND};
+use cactid_core::{MemoryKind, OrgParams};
 
-/// All five organization-stage rules, ordered by code.
+/// All six organization-stage rules, ordered by code.
 pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(Partitioning),
@@ -16,7 +19,24 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(MuxLegality),
         Box::new(SubarrayDims),
         Box::new(WordlineRc),
+        Box::new(SenseMargin),
     ]
+}
+
+/// An organization, its subarray `(rows, cols)` and the solver's screen
+/// verdict on them.
+type Screened<'a> = (&'a OrgParams, u64, u64, Result<(), PrescreenFailure>);
+
+/// The context's organization as the screen sees it, or `None` without an
+/// organization or with a zero split (CD0010 reports those).
+fn screened<'a>(ctx: &LintContext<'a>) -> Option<Screened<'a>> {
+    let org = ctx.org?;
+    if org.ndwl == 0 || org.ndbl == 0 || ctx.spec.n_banks == 0 {
+        return None;
+    }
+    let (rows, cols) = (org.rows(ctx.spec), org.cols(ctx.spec));
+    let verdict = array::prescreen_explain(&ctx.cell, rows, cols).map(|_| ());
+    Some((org, rows, cols, verdict))
 }
 
 /// The §2.4 sweep bounds, mirrored from `cactid_core::org` (private there;
@@ -278,14 +298,11 @@ impl Rule for SubarrayDims {
     }
 
     fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let Some(org) = ctx.org else { return };
-        if org.ndwl == 0 || org.ndbl == 0 || ctx.spec.n_banks == 0 {
+        let Some((org, rows, cols, verdict)) = screened(ctx) else {
             return;
-        }
-        let rows = org.rows(ctx.spec);
-        let cols = org.cols(ctx.spec);
+        };
         let max_rows = ctx.cell.max_rows_per_subarray as u64;
-        if rows > max_rows {
+        if verdict == Err(PrescreenFailure::SubarrayRows) {
             let total_rows = rows * u64::from(org.ndbl);
             report.push(
                 Diagnostic::error(
@@ -359,19 +376,6 @@ impl Rule for SubarrayDims {
 /// pitch — so their RC delay bounds the subarray width).
 pub struct WordlineRc;
 
-/// Hard feasibility cap on `0.38·R·C` of the wordline, matching the array
-/// model's gate.
-const WL_RC_LIMIT: Seconds = Seconds::from_si(3.0e-9);
-
-impl WordlineRc {
-    /// Distributed-RC delay (`0.38·R·C`) of a wordline spanning `cols`
-    /// cells.
-    fn wl_rc(ctx: &LintContext<'_>, cols: u64) -> Seconds {
-        0.38 * (ctx.cell.r_wordline_per_cell * cols as f64)
-            * (ctx.cell.c_wordline_per_cell * cols as f64)
-    }
-}
-
 impl Rule for WordlineRc {
     fn code(&self) -> &'static str {
         "CD0014"
@@ -390,13 +394,11 @@ impl Rule for WordlineRc {
     }
 
     fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let Some(org) = ctx.org else { return };
-        if org.ndwl == 0 || org.ndbl == 0 || ctx.spec.n_banks == 0 {
+        let Some((org, _, cols, verdict)) = screened(ctx) else {
             return;
-        }
-        let cols = org.cols(ctx.spec);
-        let rc = Self::wl_rc(ctx, cols);
-        if rc > WL_RC_LIMIT {
+        };
+        let rc = array::wordline_elmore(&ctx.cell, cols);
+        if verdict == Err(PrescreenFailure::WordlineElmore) {
             report.push(
                 Diagnostic::error(
                     self.code(),
@@ -406,29 +408,72 @@ impl Rule for WordlineRc {
                          unrepeatered-wire budget; unlike the H-tree, a wordline cannot be \
                          repeatered at the cell pitch",
                         rc.value() * 1e9,
-                        WL_RC_LIMIT.value() * 1e9
+                        WORDLINE_ELMORE_BOUND.value() * 1e9
                     ),
                 )
                 .with_suggestion(Location::org("ndwl"), (org.ndwl.max(1) * 2).to_string()),
             );
-        } else if rc > 0.8 * WL_RC_LIMIT {
+        } else if rc > 0.8 * WORDLINE_ELMORE_BOUND && rc <= WORDLINE_ELMORE_BOUND {
             report.push(Diagnostic::warn(
                 self.code(),
                 Location::org("ndwl"),
                 format!(
                     "wordline RC of {:.2} ns is within 20% of the {:.0} ns budget",
                     rc.value() * 1e9,
-                    WL_RC_LIMIT.value() * 1e9
+                    WORDLINE_ELMORE_BOUND.value() * 1e9
                 ),
             ));
         }
     }
 }
 
+/// `CD0020`: the sense amplifiers actually get the differential they
+/// need — the signal a DRAM subarray's bitline develops meets the cell's
+/// sense margin.
+pub struct SenseMargin;
+
+impl Rule for SenseMargin {
+    fn code(&self) -> &'static str {
+        "CD0020"
+    }
+    fn stage(&self) -> Stage {
+        Stage::Organization
+    }
+    fn summary(&self) -> &'static str {
+        "developed bitline signal must meet the cell's sense margin"
+    }
+    fn paper_ref(&self) -> &'static str {
+        "§2.3.1"
+    }
+    fn default_severity(&self) -> Severity {
+        Severity::Error
+    }
+
+    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
+        let Some((_, rows, _, Err(PrescreenFailure::SenseMargin))) = screened(ctx) else {
+            return;
+        };
+        let Some(signal) = ctx.cell.dram_sense_signal(rows as usize) else {
+            unreachable!("only a DRAM cell misses the sense margin");
+        };
+        report.push(Diagnostic::error(
+            self.code(),
+            Location::org("ndbl"),
+            format!(
+                "a bitline of {rows} rows develops {:.0} mV but the {} sense amplifier needs \
+                 {:.0} mV — reads would be nondeterministic",
+                signal.value() * 1e3,
+                ctx.spec.cell_tech,
+                ctx.cell.v_sense_margin.value() * 1e3
+            ),
+        ));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactid_core::{AccessMode, MemorySpec, OrgParams};
+    use cactid_core::{AccessMode, MemorySpec};
     use cactid_tech::{CellTechnology, TechNode};
 
     fn cache_spec(cell: CellTechnology) -> MemorySpec {
@@ -559,16 +604,37 @@ mod tests {
             deg_sa_mux: 64,
         };
         let ctx = LintContext::for_spec(&spec).with_org(&wide);
-        let rc = WordlineRc::wl_rc(&ctx, wide.cols(&spec));
+        let rc = array::wordline_elmore(&ctx.cell, wide.cols(&spec));
         let mut report = Report::new();
         WordlineRc.check(&ctx, &mut report);
-        if rc > WL_RC_LIMIT {
+        if rc > WORDLINE_ELMORE_BOUND {
             assert!(!report.is_clean());
         } else {
             // The 32 nm wire tables are mild; verify the rule's threshold
             // logic directly instead.
             assert!(report.error_count() == 0);
-            assert!(WordlineRc::wl_rc(&ctx, wide.cols(&spec) * 100) > WL_RC_LIMIT);
+            let wider = array::wordline_elmore(&ctx.cell, wide.cols(&spec) * 100);
+            assert!(wider > WORDLINE_ELMORE_BOUND);
         }
+    }
+
+    #[test]
+    fn cd0020_triggers_when_signal_misses_margin() {
+        // Every real DRAM cell caps its subarrays below the row count where
+        // the margin binds, so lift the cap: 8192 rows per subarray.
+        let spec = cache_spec(CellTechnology::LpDram);
+        let tall = OrgParams {
+            ndwl: 1,
+            ndbl: 1,
+            nspd: 0.25,
+            deg_bl_mux: 1,
+            deg_sa_mux: 2,
+        };
+        let mut ctx = LintContext::for_spec(&spec).with_org(&tall);
+        ctx.cell.max_rows_per_subarray = usize::MAX;
+        let mut report = Report::new();
+        SenseMargin.check(&ctx, &mut report);
+        assert_eq!(report.error_count(), 1, "{:?}", report.as_slice());
+        assert!(report.iter().next().unwrap().message.contains("mV"));
     }
 }

@@ -1,15 +1,15 @@
-//! Solution-stage rules `CD0015`–`CD0022`: DRAM command-timing
-//! inequalities, metric sanity, refresh/structure consistency, sense
-//! margins, and physical-plausibility windows on assembled solutions.
+//! Solution-stage rules `CD0015`–`CD0019`, `CD0021` and `CD0022`: DRAM
+//! command-timing inequalities, metric sanity, refresh/structure
+//! consistency, and physical-plausibility windows on assembled solutions.
 
 use crate::context::LintContext;
+use crate::lint::{Diagnostic, Location, Report, Severity};
 use crate::rule::{Rule, Stage};
 use crate::rules::{approx_eq, approx_ge};
-use cactid_core::lint::{Diagnostic, Location, Report, Severity};
 use cactid_core::{main_memory, MemoryKind};
 use cactid_units::{Joules, Seconds, Watts};
 
-/// All eight solution-stage rules, ordered by code.
+/// All seven solution-stage rules, ordered by code.
 pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(DramTimingInequalities),
@@ -17,7 +17,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(RefreshConsistency),
         Box::new(AreaEfficiency),
         Box::new(EnergyOrdering),
-        Box::new(SenseMargin),
         Box::new(AccessTimePlausibility),
         Box::new(EnergyPlausibility),
     ]
@@ -404,64 +403,6 @@ impl Rule for EnergyOrdering {
     }
 }
 
-/// `CD0020`: the sense amplifiers actually get the differential they
-/// need — the developed bitline signal meets the cell's sense margin.
-pub struct SenseMargin;
-
-impl Rule for SenseMargin {
-    fn code(&self) -> &'static str {
-        "CD0020"
-    }
-    fn stage(&self) -> Stage {
-        Stage::Solution
-    }
-    fn summary(&self) -> &'static str {
-        "developed bitline signal must meet the cell's sense margin"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.3.1"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let Some(sol) = ctx.solution else { return };
-        let signal = sol.data.sense_signal.value();
-        if !(signal.is_finite() && signal > 0.0) {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::solution("data.sense_signal"),
-                format!("sense signal {signal:.3e} V must be positive and finite"),
-            ));
-        } else if !approx_ge(signal, ctx.cell.v_sense_margin.value()) {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::solution("data.sense_signal"),
-                format!(
-                    "bitline develops {:.0} mV but the {} sense amplifier needs \
-                     {:.0} mV — reads would be nondeterministic",
-                    signal * 1e3,
-                    ctx.spec.cell_tech,
-                    ctx.cell.v_sense_margin.value() * 1e3
-                ),
-            ));
-        }
-        if let Some(tag) = &sol.tag {
-            let tag_signal = tag.array.sense_signal.value();
-            if !(tag_signal.is_finite() && tag_signal > 0.0) {
-                report.push(Diagnostic::error(
-                    self.code(),
-                    Location::solution("tag.array.sense_signal"),
-                    format!(
-                        "tag array sense signal {tag_signal:.3e} V must be positive and finite"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
 /// `CD0021`: the reported access and cycle times land inside the window
 /// any on-chip memory at these nodes can physically occupy — [1 ps, 1 ms].
 /// Values outside it are dimensionally valid `Seconds` but betray a unit
@@ -800,14 +741,5 @@ mod tests {
         }
         let r = run(&EnergyPlausibility, &spec, &sol);
         assert_eq!(r.warn_count(), 2, "{:?}", r.as_slice());
-    }
-
-    #[test]
-    fn cd0020_triggers_when_signal_misses_margin() {
-        let (spec, mut sol) = cache_solution(CellTechnology::LpDram);
-        sol.data.sense_signal /= 100.0;
-        let r = run(&SenseMargin, &spec, &sol);
-        assert!(!r.is_clean());
-        assert!(r.iter().next().unwrap().message.contains("mV"));
     }
 }

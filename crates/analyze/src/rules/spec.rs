@@ -3,8 +3,8 @@
 //! interface invariants.
 
 use crate::context::LintContext;
+use crate::lint::{Diagnostic, Location, Report, Severity};
 use crate::rule::{Rule, Stage};
-use cactid_core::lint::{Diagnostic, Location, Report, Severity};
 use cactid_core::MemoryKind;
 use cactid_tech::{CellTechnology, TechNode};
 use cactid_units::{Amperes, Farads, Ohms, Seconds, Volts};

@@ -155,7 +155,7 @@ impl RunContext {
 mod tests {
     use super::*;
 
-    const OK: &str = r#"{"idx":0,"capacity_bytes":65536,"block_bytes":64,"associativity":4,"banks":1,"node_nm":32,"cell":"sram","mode":"normal","opt":"default","status":"ok","access_ns":0.9,"random_cycle_ns":0.5,"read_nj":0.02,"write_nj":0.02,"area_mm2":0.3,"area_efficiency":0.6,"leakage_mw":12.5,"refresh_mw":0,"orgs_enumerated":200,"bound_pruned":10,"feasible":190,"lint_rejected":0,"pareto":{"frontier":true,"dominates":3}}"#;
+    const OK: &str = r#"{"idx":0,"capacity_bytes":65536,"block_bytes":64,"associativity":4,"banks":1,"node_nm":32,"cell":"sram","mode":"normal","opt":"default","status":"ok","access_ns":0.9,"random_cycle_ns":0.5,"read_nj":0.02,"write_nj":0.02,"area_mm2":0.3,"area_efficiency":0.6,"leakage_mw":12.5,"refresh_mw":0,"orgs_enumerated":200,"bound_pruned":10,"feasible":190,"pareto":{"frontier":true,"dominates":3}}"#;
 
     #[test]
     fn parses_an_engine_record() {

@@ -1,12 +1,13 @@
 //! Integration tests: the diagnostics engine against the paper's own
-//! configurations (Table 3 / §3.1) and against the optimizer hook.
+//! configurations (Table 3 / §3.1) and against the solver's full
+//! solution set.
 
-use cactid_analyze::{Analyzer, Severity, SolutionLinter};
-use cactid_core::{
-    AccessMode, CactiError, Diagnostic, MemoryKind, MemorySpec, OptimizationOptions, Solution,
-};
-use cactid_tech::{CellTechnology, TechNode};
+use cactid_analyze::{Analyzer, Severity};
+use cactid_core::array::{self, PrescreenFailure};
+use cactid_core::{org, AccessMode, MemoryKind, MemorySpec, OptimizationOptions};
+use cactid_tech::{CellTechnology, TechNode, Technology};
 use llc_study::configs::{c_options, ed_options, main_memory_spec, LlcKind};
+use std::collections::HashSet;
 
 /// Rebuilds the study's cache spec exactly as `llc_study::configs::build`
 /// does (its helper is private): 64 B blocks, 32 nm, normal access.
@@ -84,60 +85,18 @@ fn table3_specs_lint_clean() {
 fn table3_solutions_lint_clean() {
     let analyzer = Analyzer::new();
     for (name, spec) in table3_specs() {
-        let sol = cactid_analyze::optimize(&spec)
-            .unwrap_or_else(|e| panic!("{name} does not solve: {e}"));
-        assert!(sol.warnings.is_empty(), "{name}: {:?}", sol.warnings);
+        let sol =
+            cactid_core::optimize(&spec).unwrap_or_else(|e| panic!("{name} does not solve: {e}"));
         let report = analyzer.lint_solution(&spec, &sol);
         assert!(report.is_empty(), "{name}: {:?}", report.as_slice());
     }
-}
-
-/// A linter that sabotages every candidate before judging it: it corrupts
-/// the CAS latency so that `tRCD + CAS > access_time`, then runs the real
-/// engine. Every candidate must therefore trip `CD0015` and be rejected,
-/// and the optimizer must surface `CactiError::LintRejected` instead of
-/// returning a solution that failed an Error-severity rule.
-struct CorruptingLinter(Analyzer);
-
-impl SolutionLinter for CorruptingLinter {
-    fn lint_candidate(&self, spec: &MemorySpec, solution: &Solution) -> Vec<Diagnostic> {
-        let mut corrupted = solution.clone();
-        if let Some(mm) = &mut corrupted.main_memory {
-            mm.timing.cas_latency = 2.0 * corrupted.access_time;
-        }
-        self.0.lint_candidate(spec, &corrupted)
-    }
-}
-
-#[test]
-fn corrupted_dram_timing_is_rejected_by_the_optimizer_hook() {
-    let spec = main_memory_spec();
-    let linter = CorruptingLinter(Analyzer::new());
-
-    // Sanity: the corruption really does produce a CD0015 error.
-    let good = cactid_core::optimize(&spec).expect("main memory solves");
-    let diags = linter.lint_candidate(&spec, &good);
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.code == "CD0015" && d.severity == Severity::Error),
-        "{diags:?}"
-    );
-
-    let err = cactid_core::solve_with_stats(&spec, Some(&linter))
-        .result
-        .unwrap_err();
-    assert!(
-        matches!(err, CactiError::LintRejected(n) if n > 0),
-        "expected LintRejected, got: {err}"
-    );
 }
 
 #[test]
 fn optimizer_never_returns_a_solution_failing_an_error_rule() {
     let analyzer = Analyzer::new();
     let spec = main_memory_spec();
-    let sols = cactid_core::solve_with_stats(&spec, Some(&analyzer))
+    let sols = cactid_core::solve_with_stats(&spec, None)
         .result
         .expect("main memory solves");
     assert!(!sols.is_empty());
@@ -150,4 +109,61 @@ fn optimizer_never_returns_a_solution_failing_an_error_rule() {
             .collect();
         assert!(errors.is_empty(), "{:?}: {errors:?}", sol.org);
     }
+}
+
+/// CD0013, CD0014 and CD0020 are the solver's closed-form screen seen
+/// from the analyzer: over every organization the solver enumerates,
+/// `lint_org` reports an error from one of them exactly when
+/// `prescreen_explain` rejects the organization, from the rule that
+/// matches the failure.
+#[test]
+fn screen_rules_fire_exactly_where_the_prescreen_rejects() {
+    let analyzer = Analyzer::new();
+    let mut seen = HashSet::new();
+    let specs = [
+        study_cache_spec(
+            4 << 20,
+            16,
+            1,
+            CellTechnology::Sram,
+            OptimizationOptions::default(),
+        ),
+        study_cache_spec(
+            16 << 20,
+            8,
+            1,
+            CellTechnology::LpDram,
+            OptimizationOptions::default(),
+        ),
+        main_memory_spec(),
+    ];
+    for spec in &specs {
+        let cell = Technology::cached(spec.node).cell(spec.cell_tech);
+        for org in org::enumerate(spec) {
+            let verdict = array::prescreen_explain(&cell, org.rows(spec), org.cols(spec));
+            let expected: &[&str] = match verdict {
+                Ok(_) => &[],
+                Err(PrescreenFailure::SubarrayRows) => &["CD0013"],
+                Err(PrescreenFailure::WordlineElmore) => &["CD0014"],
+                Err(PrescreenFailure::SenseMargin) => &["CD0020"],
+            };
+            seen.extend(verdict.err());
+            let fired: Vec<&str> = analyzer
+                .lint_org(spec, &org)
+                .iter()
+                .filter(|d| d.severity == Severity::Error)
+                .map(|d| d.code)
+                .filter(|code| ["CD0013", "CD0014", "CD0020"].contains(code))
+                .collect();
+            assert_eq!(fired, expected, "{} {org:?}", spec.cell_tech);
+        }
+    }
+    // Both reachable rules were exercised; the sense margin binds on no
+    // real cell (both DRAM cells cap their subarrays first), so CD0020's
+    // positive case is `rules::org`'s unit test.
+    assert!(
+        seen.contains(&PrescreenFailure::SubarrayRows)
+            && seen.contains(&PrescreenFailure::WordlineElmore),
+        "{seen:?}"
+    );
 }

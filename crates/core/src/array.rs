@@ -237,6 +237,13 @@ pub enum PrescreenFailure {
 /// scope, so [`prescreen_explain`] rejects the organization.
 pub const WORDLINE_ELMORE_BOUND: Seconds = Seconds::from_si(3e-9);
 
+/// The distributed RC (Elmore) delay `0.38·R·C` of a wordline across
+/// `cols` cells, which [`prescreen_explain`] holds to
+/// [`WORDLINE_ELMORE_BOUND`].
+pub fn wordline_elmore(cell: &CellParams, cols: u64) -> Seconds {
+    0.38 * (cell.r_wordline_per_cell * cols as f64) * (cell.c_wordline_per_cell * cols as f64)
+}
+
 /// The closed-form feasibility screen of [`evaluate`], separated out so the
 /// solver's staged pipeline can reject candidates before paying for the
 /// full circuit evaluation.
@@ -264,9 +271,7 @@ pub fn prescreen_explain(
     // Wordlines are driven from one end without hierarchical re-buffering;
     // beyond a few ns of distributed RC the organization needs a
     // hierarchical wordline scheme outside this model's scope.
-    let wl_rc =
-        0.38 * (cell.r_wordline_per_cell * cols as f64) * (cell.c_wordline_per_cell * cols as f64);
-    if wl_rc > WORDLINE_ELMORE_BOUND {
+    if wordline_elmore(cell, cols) > WORDLINE_ELMORE_BOUND {
         return Err(PrescreenFailure::WordlineElmore);
     }
     if cell.technology.is_dram() {

@@ -11,10 +11,6 @@ pub enum CactiError {
     InvalidSpec(String),
     /// The organization sweep found no feasible solution for the spec.
     NoFeasibleSolution,
-    /// Every feasible candidate was rejected by the diagnostics engine
-    /// (an `Error`-severity lint rule fired on each one); carries the
-    /// number of candidates rejected.
-    LintRejected(usize),
 }
 
 impl fmt::Display for CactiError {
@@ -24,10 +20,6 @@ impl fmt::Display for CactiError {
             CactiError::NoFeasibleSolution => {
                 f.write_str("no feasible array organization for this specification")
             }
-            CactiError::LintRejected(n) => write!(
-                f,
-                "all {n} feasible candidate(s) were rejected by the diagnostics engine"
-            ),
         }
     }
 }

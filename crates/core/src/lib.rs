@@ -42,7 +42,6 @@
 pub mod array;
 pub mod dimm;
 pub mod error;
-pub mod lint;
 pub mod main_memory;
 pub mod org;
 pub mod solution;
@@ -54,7 +53,6 @@ mod optimizer;
 pub use array::{EvalMemo, PrescreenFailure};
 pub use dimm::{DimmConfig, DimmResult};
 pub use error::CactiError;
-pub use lint::{Diagnostic, Location, Report, Severity, SolutionLinter};
 pub use main_memory::{DramEnergies, DramTiming, MainMemoryResult};
 pub use optimizer::{
     optimize, select, solve_with_stats, solve_with_stats_reference, static_screen, ArraySweep,

@@ -14,7 +14,6 @@
 
 use crate::array::{self, ArrayInput, ArrayResult, EvalMemo};
 use crate::error::CactiError;
-use crate::lint::{Diagnostic, Severity, SolutionLinter};
 use crate::main_memory::{self, MainMemoryResult};
 use crate::org::{self, OrgParams};
 use crate::solution::{Metrics, Solution};
@@ -126,9 +125,8 @@ enum Screen {
 ///
 /// Batch drivers (the `cactid-explore` engine) aggregate these across a
 /// sweep to report how much of the organization space was enumerated, how
-/// much the cheap pre-screen rejected before the circuit models ran, how
-/// much survived the electrical models, and how much the lint engine
-/// rejected.
+/// much the cheap pre-screen rejected before the circuit models ran, and
+/// how much survived the electrical models.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Structurally feasible organizations enumerated for the spec.
@@ -140,17 +138,15 @@ pub struct SolveStats {
     /// pre-screen on this is zero (the screen is exact); the reference
     /// path reports here what the staged path reports as `bound_pruned`.
     pub electrical_pruned: usize,
-    /// Organizations that survived the electrical models and (if a linter
-    /// ran) the `Error`-severity rules — the size of the solution set.
+    /// Organizations that survived the electrical models — the size of
+    /// the solution set.
     pub feasible: usize,
-    /// Candidates dropped because an `Error`-severity diagnostic fired.
-    pub lint_rejected: usize,
 }
 
 /// A solution set together with the [`SolveStats`] of producing it.
 ///
 /// The stats are populated even when `result` is an error, so sweep
-/// engines can account for exhausted or lint-rejected points.
+/// engines can account for exhausted points.
 #[derive(Debug, Clone)]
 pub struct SolveOutcome {
     /// The full feasible solution set, or why there is none.
@@ -191,7 +187,6 @@ impl Tally {
         cactid_obs::counter!("core.solve.orgs_enumerated").add(stats.orgs_enumerated as u64);
         cactid_obs::counter!("core.solve.bound_pruned").add(stats.bound_pruned as u64);
         cactid_obs::counter!("core.solve.electrical_pruned").add(stats.electrical_pruned as u64);
-        cactid_obs::counter!("core.solve.lint_rejected").add(stats.lint_rejected as u64);
         cactid_obs::counter!("core.solve.feasible").add(stats.feasible as u64);
         cactid_obs::counter!("core.solve.assembled").add(self.assembled);
         if swept_empty {
@@ -285,25 +280,20 @@ fn rank(opt: &OptimizationOptions, rows: &[Row]) -> Option<usize> {
     winner
 }
 
-/// The candidates of one spec that survived the data-array models, the
-/// chip assembly and the lint stage, as ranking rows.
+/// The candidates of one spec that survived the data-array models and
+/// the chip assembly, as ranking rows.
 struct Admitted<'a> {
     ctx: SpecCtx<'a>,
     survivors: &'a [(OrgParams, ArrayResult)],
-    /// One row per admitted candidate, in sweep order.
+    /// One row per survivor, in sweep order.
     rows: Vec<Row>,
-    /// Per row: its index in `survivors` and the warnings the linter
-    /// attached to it.
-    origin: Vec<(usize, Vec<Diagnostic>)>,
 }
 
 impl Admitted<'_> {
-    /// Assembles the [`Solution`] of row `k`, warnings included.
+    /// Assembles the [`Solution`] of row `k`.
     fn solution(&self, k: usize, tally: &mut Tally) -> Result<Solution, CactiError> {
-        let (i, warnings) = &self.origin[k];
-        let mut sol = self.ctx.solution(&self.survivors[*i])?;
+        let sol = self.ctx.solution(&self.survivors[k])?;
         tally.assembled += 1;
-        sol.warnings.clone_from(warnings);
         Ok(sol)
     }
 }
@@ -351,7 +341,7 @@ struct Swept {
 /// organizations of one bank, pre-screens them and runs the data-array
 /// models through the caller's [`EvalMemo`]; it reads only fields the
 /// array key keeps. The per-spec half designs the tag, assembles main
-/// memory, multiplies by the bank count (the metric assembly), lints and
+/// memory, multiplies by the bank count (the metric assembly) and
 /// counts. So every spec that shares the key gets bitwise the
 /// [`solve_with_stats`] outcome from one sweep ([`ArraySweep::solve`]),
 /// or bitwise its [`select`] ([`ArraySweep::select`], which builds a
@@ -442,22 +432,15 @@ impl ArraySweep {
     /// # Panics
     ///
     /// If `spec`'s [`MemorySpec::array_key`] is not this sweep's.
-    pub fn solve(
-        &self,
-        spec: &MemorySpec,
-        linter: Option<&dyn SolutionLinter>,
-        memo: &mut EvalMemo,
-    ) -> SolveOutcome {
+    pub fn solve(&self, spec: &MemorySpec, memo: &mut EvalMemo) -> SolveOutcome {
         let mut tally = Tally::start(memo);
-        let result = self
-            .admit(spec, linter, memo, &mut tally)
-            .and_then(|admitted| {
-                let mut sols = Vec::with_capacity(admitted.rows.len());
-                for k in 0..admitted.rows.len() {
-                    sols.push(admitted.solution(k, &mut tally).map_err(|e| (e, false))?);
-                }
-                Ok(sols)
-            });
+        let result = self.admit(spec, memo, &mut tally).and_then(|admitted| {
+            let mut sols = Vec::with_capacity(admitted.rows.len());
+            for k in 0..admitted.rows.len() {
+                sols.push(admitted.solution(k, &mut tally).map_err(|e| (e, false))?);
+            }
+            Ok(sols)
+        });
         let swept_empty = matches!(result, Err((_, true)));
         tally.flush(swept_empty, memo);
         SolveOutcome {
@@ -467,13 +450,12 @@ impl ArraySweep {
     }
 
     /// The winners-only solve: the §2.4 winner of every spec in `specs`,
-    /// each exactly `select(spec, &solve_with_stats(specs[0], linter)?)`,
+    /// each exactly `select(spec, &solve_with_stats(specs[0], None)?)`,
     /// with the stats of that solve. The specs must share one
     /// [`MemorySpec::sweep_key`] (they differ at most in their select-only
     /// knobs), so one per-spec half, run on the first spec, serves them
     /// all; each spec then ranks its rows and only its winner becomes a
-    /// [`Solution`]. With a `linter`, every candidate is still assembled
-    /// and linted, and a winner keeps its warnings.
+    /// [`Solution`].
     ///
     /// The memo is used as [`ArraySweep::solve`] uses it. No specs, no
     /// solve.
@@ -481,12 +463,7 @@ impl ArraySweep {
     /// # Panics
     ///
     /// If the specs' [`MemorySpec::array_key`] is not this sweep's.
-    pub fn select(
-        &self,
-        specs: &[&MemorySpec],
-        linter: Option<&dyn SolutionLinter>,
-        memo: &mut EvalMemo,
-    ) -> Winners {
+    pub fn select(&self, specs: &[&MemorySpec], memo: &mut EvalMemo) -> Winners {
         let Some(&spec) = specs.first() else {
             return Winners {
                 results: Vec::new(),
@@ -500,7 +477,7 @@ impl ArraySweep {
             "ArraySweep::select: the specs must share one sweep key"
         );
         let mut tally = Tally::start(memo);
-        let (results, swept_empty) = match self.admit(spec, linter, memo, &mut tally) {
+        let (results, swept_empty) = match self.admit(spec, memo, &mut tally) {
             Ok(admitted) => {
                 let results = specs
                     .iter()
@@ -522,12 +499,11 @@ impl ArraySweep {
 
     /// The per-spec half up to the ranking: designs the tag, runs the
     /// bank-level half if it has not run, then assembles each survivor's
-    /// metrics (through the chip model for main memory) and lints it. The
-    /// error carries whether the sweep ended with nothing feasible.
+    /// metrics (through the chip model for main memory). The error carries
+    /// whether the sweep ended with nothing feasible.
     fn admit<'a>(
         &'a self,
         spec: &'a MemorySpec,
-        linter: Option<&dyn SolutionLinter>,
         memo: &mut EvalMemo,
         tally: &mut Tally,
     ) -> Result<Admitted<'a>, (CactiError, bool)> {
@@ -542,44 +518,20 @@ impl ArraySweep {
         stats.bound_pruned = swept.pruned.total();
         stats.electrical_pruned = swept.electrical_pruned;
         let mut rows = Vec::with_capacity(swept.survivors.len());
-        let mut origin = Vec::with_capacity(swept.survivors.len());
-        for (i, candidate) in swept.survivors.iter().enumerate() {
-            let (org, data) = candidate;
-            let (row, warnings) = match linter {
-                None => {
-                    let mm = ctx.main_memory(org, data).map_err(|e| (e, false))?;
-                    let tag = ctx.tag.as_deref();
-                    let metrics = Metrics::of(spec, &ctx.cell, data, tag, mm.as_ref());
-                    (Row::of(&metrics), Vec::new())
-                }
-                Some(linter) => {
-                    let sol = ctx.solution(candidate).map_err(|e| (e, false))?;
-                    tally.assembled += 1;
-                    let diags = linter.lint_candidate(spec, &sol);
-                    if diags.iter().any(|d| d.severity == Severity::Error) {
-                        stats.lint_rejected += 1;
-                        continue;
-                    }
-                    (Row::of(&sol.metrics()), diags)
-                }
-            };
-            rows.push(row);
-            origin.push((i, warnings));
+        for (org, data) in &swept.survivors {
+            let mm = ctx.main_memory(org, data).map_err(|e| (e, false))?;
+            let tag = ctx.tag.as_deref();
+            let metrics = Metrics::of(spec, &ctx.cell, data, tag, mm.as_ref());
+            rows.push(Row::of(&metrics));
         }
         stats.feasible = rows.len();
         if rows.is_empty() {
-            let e = if stats.lint_rejected > 0 {
-                CactiError::LintRejected(stats.lint_rejected)
-            } else {
-                CactiError::NoFeasibleSolution
-            };
-            return Err((e, true));
+            return Err((CactiError::NoFeasibleSolution, true));
         }
         Ok(Admitted {
             ctx,
             survivors: &swept.survivors,
             rows,
-            origin,
         })
     }
 }
@@ -591,18 +543,16 @@ impl ArraySweep {
 /// once, on a fresh [`EvalMemo`]; batch engines share one sweep across the
 /// specs of a bank geometry, and one memo per worker across sweeps.
 ///
-/// With a `linter`, every assembled candidate is consulted: candidates
-/// with any `Error`-severity diagnostic are rejected from the solution
-/// set (the result is [`CactiError::LintRejected`] when that empties it),
-/// and the survivors carry their non-error diagnostics in
-/// [`Solution::warnings`].
+/// The second parameter takes no value: it stays only so that
+/// perfbench's `solve_with_stats(spec, None)` calls keep compiling, and
+/// goes when they drop it (ROADMAP item 6).
 ///
 /// Both [`MemorySpec`] and the returned [`SolveOutcome`] own all their data
 /// (`Send`), so this is the function batch engines call from worker
 /// threads.
-pub fn solve_with_stats(spec: &MemorySpec, linter: Option<&dyn SolutionLinter>) -> SolveOutcome {
+pub fn solve_with_stats(spec: &MemorySpec, _: Option<std::convert::Infallible>) -> SolveOutcome {
     let _span = cactid_obs::span("core.solve");
-    ArraySweep::new(spec).solve(spec, linter, &mut EvalMemo::new())
+    ArraySweep::new(spec).solve(spec, &mut EvalMemo::new())
 }
 
 /// Per-reason counts of candidates rejected by the closed-form screen,
@@ -643,9 +593,9 @@ pub enum ScreenVerdict {
     /// evaluation can change the outcome).
     Infeasible(CactiError),
     /// At least `survivors` organizations pass the closed-form screen. The
-    /// spec will very likely solve, but later stages the screen cannot see
-    /// (lint rejection, non-finite metrics in [`select`]) may still fail
-    /// it — the verdict is one-sided by design.
+    /// spec will very likely solve, but a later stage the screen cannot
+    /// see (non-finite metrics in [`select`]) may still fail it — the
+    /// verdict is one-sided by design.
     MaybeFeasible {
         /// Organizations that pass the closed-form screen.
         survivors: usize,
@@ -729,12 +679,9 @@ pub fn static_screen(spec: &MemorySpec) -> StaticScreen {
 /// the same solution set —
 /// `bound_pruned` here is always zero and `electrical_pruned` reports what
 /// the staged path prunes by bound.
-pub fn solve_with_stats_reference(
-    spec: &MemorySpec,
-    linter: Option<&dyn SolutionLinter>,
-) -> SolveOutcome {
+pub fn solve_with_stats_reference(spec: &MemorySpec) -> SolveOutcome {
     let _span = cactid_obs::span("core.solve");
-    ArraySweep::with_screen(spec, Screen::Off).solve(spec, linter, &mut EvalMemo::new())
+    ArraySweep::with_screen(spec, Screen::Off).solve(spec, &mut EvalMemo::new())
 }
 
 /// Applies the staged optimization of §2.4 to a solution set and returns
@@ -775,7 +722,7 @@ pub fn select(spec: &MemorySpec, solutions: &[Solution]) -> Result<Solution, Cac
 pub fn optimize(spec: &MemorySpec) -> Result<Solution, CactiError> {
     let _span = cactid_obs::span("core.solve");
     ArraySweep::new(spec)
-        .select(&[spec], None, &mut EvalMemo::new())
+        .select(&[spec], &mut EvalMemo::new())
         .into_first()
 }
 
@@ -855,7 +802,6 @@ mod tests {
         let sols = out.result.unwrap();
         assert_eq!(out.stats.feasible, sols.len());
         assert!(out.stats.orgs_enumerated >= sols.len());
-        assert_eq!(out.stats.lint_rejected, 0);
     }
 
     #[test]

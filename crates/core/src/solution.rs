@@ -2,7 +2,6 @@
 //! data) and chip-level (main-memory) metrics.
 
 use crate::array::ArrayResult;
-use crate::lint::Diagnostic;
 use crate::main_memory::MainMemoryResult;
 use crate::org::OrgParams;
 use crate::spec::{AccessMode, MemoryKind, MemorySpec};
@@ -42,16 +41,12 @@ pub struct Solution {
     pub leakage_power: Watts,
     /// Total refresh power, all banks (0 for SRAM).
     pub refresh_power: Watts,
-    /// Non-error diagnostics attached by the lint engine when the solver
-    /// runs with one (see `solve_with_stats`); empty otherwise.
-    pub warnings: Vec<Diagnostic>,
 }
 
 /// The metrics of one candidate that §2.4 ranks and a [`Solution`]
 /// reports, assembled from its evaluated parts. The solver ranks these
-/// for every candidate and builds a [`Solution`] only for a winner (or a
-/// candidate a linter must see); both go through [`Metrics::of`], so the
-/// two can never disagree by a bit.
+/// for every candidate and builds a [`Solution`] only for a winner; both
+/// go through [`Metrics::of`], so the two can never disagree by a bit.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Metrics {
     pub(crate) access_time: Seconds,
@@ -183,7 +178,6 @@ impl Solution {
             write_energy: m.write_energy,
             leakage_power: m.leakage_power,
             refresh_power: m.refresh_power,
-            warnings: Vec::new(),
         }
     }
 

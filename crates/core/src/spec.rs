@@ -164,10 +164,7 @@ impl MemorySpec {
     /// Two specs with equal sweep keys have bitwise-identical
     /// [`crate::solve_with_stats`] outcomes — the same solution set in the
     /// same order, and the same [`crate::SolveStats`] — because the sweep
-    /// never reads a select-only knob; only [`crate::select`] does. A
-    /// [`crate::SolutionLinter`] passed to the sweep must keep to the same
-    /// rule for the equality to hold with it attached (the analyzer's
-    /// candidate stages read no optimization knob).
+    /// never reads a select-only knob; only [`crate::select`] does.
     pub fn sweep_key(&self) -> MemorySpec {
         MemorySpec {
             opt: OptimizationOptions {

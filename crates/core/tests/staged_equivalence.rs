@@ -8,8 +8,8 @@
 
 use cactid_core::{
     array, optimize, org, select, solve_with_stats, solve_with_stats_reference, tag, AccessMode,
-    ArraySweep, CactiError, Diagnostic, Location, MemoryKind, MemorySpec, OptimizationOptions,
-    OrgParams, Solution, SolutionLinter, SolveOutcome,
+    ArraySweep, CactiError, MemoryKind, MemorySpec, OptimizationOptions, OrgParams, Solution,
+    SolveOutcome,
 };
 use cactid_tech::{CellTechnology, TechNode, Technology};
 use cactid_units::{Seconds, SquareMeters};
@@ -77,7 +77,7 @@ fn staged_solve_equals_the_unpruned_reference() {
         ("comm-dram", comm_dram_smoke()),
     ] {
         let staged = solve_with_stats(&spec, None);
-        let reference = solve_with_stats_reference(&spec, None);
+        let reference = solve_with_stats_reference(&spec);
         assert_identical_sets(
             label,
             staged.result.as_ref().unwrap(),
@@ -335,7 +335,7 @@ fn own_input(spec: &MemorySpec, o: &OrgParams) -> array::ArrayInput {
     }
 }
 
-/// The data half of an unlinted `outcome` is what enumerating and
+/// The data half of `outcome` is what enumerating and
 /// evaluating `spec`'s own organizations from scratch gives: the same
 /// organizations in the same order with the same data-array bits, and
 /// the same enumeration and pruning counts.
@@ -365,18 +365,14 @@ fn assert_data_half_is_the_specs_own(label: &str, spec: &MemorySpec, outcome: &S
 /// Solves every member of `base`'s bank family through one shared
 /// [`ArraySweep`], largest bank count first, and checks each outcome is
 /// bitwise the member's own [`solve_with_stats`]. Returns the sweep.
-fn assert_family_shares_one_sweep(
-    label: &str,
-    base: &MemorySpec,
-    linter: Option<&dyn SolutionLinter>,
-) -> ArraySweep {
+fn assert_family_shares_one_sweep(label: &str, base: &MemorySpec) -> ArraySweep {
     let members = bank_family(base);
     let sweep = ArraySweep::new(&members[3]);
     let mut memo = array::EvalMemo::new();
     for spec in members.iter().rev() {
         assert_eq!(spec.array_key(), base.array_key(), "{label}");
-        let shared = sweep.solve(spec, linter, &mut memo);
-        let own = solve_with_stats(spec, linter);
+        let shared = sweep.solve(spec, &mut memo);
+        let own = solve_with_stats(spec, None);
         let label = format!("{label} x{}", spec.n_banks);
         assert_eq!(shared.stats, own.stats, "{label}");
         // Debug renders every f64 shortest-round-trip (and keeps the sign
@@ -386,7 +382,7 @@ fn assert_family_shares_one_sweep(
             format!("{:?}", own.result),
             "{label}"
         );
-        if linter.is_none() && own.result.is_ok() {
+        if own.result.is_ok() {
             assert_data_half_is_the_specs_own(&label, spec, &shared);
         }
     }
@@ -418,36 +414,15 @@ fn one_array_sweep_serves_every_bank_count_of_a_geometry() {
     };
     for (label, base) in [
         ("sram-normal", sram.clone()),
+        ("sram-l2", sram_l2()),
         // Sequential SRAM senses one way (`sense_fraction` = 1/assoc).
         ("sram-sequential", with_mode(sram, AccessMode::Sequential)),
         ("lp-dram", lp_dram_l3()),
         ("comm-dram-main-memory", comm_dram_bank()),
     ] {
-        let sweep = assert_family_shares_one_sweep(label, &base, None);
+        let sweep = assert_family_shares_one_sweep(label, &base);
         assert!(sweep.has_run(), "{label}");
     }
-}
-
-/// Rejects wide wordline splits and warns on everything else, so the lint
-/// stage both filters candidates and attaches warnings.
-struct Picky;
-
-impl SolutionLinter for Picky {
-    fn lint_candidate(&self, _spec: &MemorySpec, solution: &Solution) -> Vec<Diagnostic> {
-        let loc = Location::spec("org.ndwl");
-        if solution.org.ndwl >= 16 {
-            vec![Diagnostic::error("CDTEST", loc, "ndwl too wide")]
-        } else {
-            vec![Diagnostic::warn("CDTEST", loc, "linted")]
-        }
-    }
-}
-
-#[test]
-fn a_shared_sweep_lints_each_spec_as_its_own_solve_does() {
-    assert_family_shares_one_sweep("sram-linted", &sram_l2(), Some(&Picky));
-    let out = solve_with_stats(&sram_l2(), Some(&Picky));
-    assert!(out.stats.lint_rejected > 0, "{:?}", out.stats);
 }
 
 #[test]
@@ -464,8 +439,8 @@ fn a_failed_tag_design_returns_first_without_sweeping() {
         })
         .build()
         .unwrap();
-    let sweep = assert_family_shares_one_sweep("tag-failure", &base, None);
-    let out = sweep.solve(&base, None, &mut array::EvalMemo::new());
+    let sweep = assert_family_shares_one_sweep("tag-failure", &base);
+    let out = sweep.solve(&base, &mut array::EvalMemo::new());
     assert!(out.result.is_err());
     assert_eq!(out.stats, cactid_core::SolveStats::default());
     assert!(
@@ -482,7 +457,7 @@ fn a_sweep_refuses_a_spec_of_another_geometry() {
         n_banks: 2,
         ..sram_l2()
     };
-    sweep.solve(&other, None, &mut array::EvalMemo::new());
+    sweep.solve(&other, &mut array::EvalMemo::new());
 }
 
 /// The study's main-memory chip: 8 Gb x8 COMM-DRAM at 32 nm, 8 banks.
@@ -632,69 +607,58 @@ fn winners_only_select_matches_select_over_the_full_set() {
     cases.push(("study main memory".into(), study_main_memory()));
     let mut memo = array::EvalMemo::new();
     let mut picks = Vec::new();
-    let mut warned = false;
     for (label, base) in &cases {
-        for linter in [None, Some(&Picky as &dyn SolutionLinter)] {
-            let label = format!("{label} linted={}", linter.is_some());
-            let members: Vec<MemorySpec> = knob_sets(&base.opt)
-                .into_iter()
-                .map(|opt| MemorySpec {
-                    opt,
-                    ..base.clone()
+        let members: Vec<MemorySpec> = knob_sets(&base.opt)
+            .into_iter()
+            .map(|opt| MemorySpec {
+                opt,
+                ..base.clone()
+            })
+            .collect();
+        let refs: Vec<&MemorySpec> = members.iter().collect();
+        let full = solve_with_stats(&members[0], None);
+        let (expected, full_deltas) = select_deltas(|| {
+            members
+                .iter()
+                .map(|m| match &full.result {
+                    Ok(sols) => select(m, sols),
+                    Err(e) => Err(e.clone()),
                 })
-                .collect();
-            let refs: Vec<&MemorySpec> = members.iter().collect();
-            let full = solve_with_stats(&members[0], linter);
-            let (expected, full_deltas) = select_deltas(|| {
-                members
-                    .iter()
-                    .map(|m| match &full.result {
-                        Ok(sols) => select(m, sols),
-                        Err(e) => Err(e.clone()),
-                    })
-                    .collect::<Vec<_>>()
-            });
-            let (winners, deltas) =
-                select_deltas(|| ArraySweep::new(base).select(&refs, linter, &mut memo));
-            assert_eq!(winners.stats, full.stats, "{label}");
-            // Debug renders every f64 shortest-round-trip (and keeps the
-            // sign of zero), so equal strings mean equal bits.
+                .collect::<Vec<_>>()
+        });
+        let (winners, deltas) = select_deltas(|| ArraySweep::new(base).select(&refs, &mut memo));
+        assert_eq!(winners.stats, full.stats, "{label}");
+        // Debug renders every f64 shortest-round-trip (and keeps the
+        // sign of zero), so equal strings mean equal bits.
+        assert_eq!(
+            format!("{:?}", winners.results),
+            format!("{expected:?}"),
+            "{label}"
+        );
+        assert_eq!(
+            deltas, full_deltas,
+            "{label}: core.select.* moved differently"
+        );
+        if let Ok(sols) = &full.result {
+            let oracle: Vec<_> = members.iter().map(|m| staged_select(m, sols)).collect();
             assert_eq!(
-                format!("{:?}", winners.results),
                 format!("{expected:?}"),
+                format!("{oracle:?}"),
+                "{label}: the ranking left §2.4"
+            );
+        }
+        for (m, e) in members.iter().zip(&expected) {
+            let alone = ArraySweep::new(m).select(&[m], &mut array::EvalMemo::new());
+            assert_eq!(alone.stats, full.stats, "{label}");
+            assert_eq!(
+                format!("{:?}", alone.into_first()),
+                format!("{e:?}"),
                 "{label}"
             );
-            assert_eq!(
-                deltas, full_deltas,
-                "{label}: core.select.* moved differently"
-            );
-            if let Ok(sols) = &full.result {
-                let oracle: Vec<_> = members.iter().map(|m| staged_select(m, sols)).collect();
-                assert_eq!(
-                    format!("{expected:?}"),
-                    format!("{oracle:?}"),
-                    "{label}: the ranking left §2.4"
-                );
-            }
-            for (m, e) in members.iter().zip(&expected) {
-                let alone = ArraySweep::new(m).select(&[m], linter, &mut array::EvalMemo::new());
-                assert_eq!(alone.stats, full.stats, "{label}");
-                assert_eq!(
-                    format!("{:?}", alone.into_first()),
-                    format!("{e:?}"),
-                    "{label}"
-                );
-                if linter.is_none() {
-                    assert_eq!(format!("{:?}", optimize(m)), format!("{e:?}"), "{label}");
-                }
-            }
-            for sol in expected.iter().flatten() {
-                picks.push(sol.org);
-                warned |= !sol.warnings.is_empty();
-            }
+            assert_eq!(format!("{:?}", optimize(m)), format!("{e:?}"), "{label}");
         }
+        picks.extend(expected.iter().flatten().map(|sol| sol.org));
     }
-    assert!(warned, "the linted winners must carry their warnings");
     assert!(
         picks.windows(2).any(|w| w[0] != w[1]),
         "the knob sets must pick differently"

@@ -32,8 +32,7 @@
 //! duplicated work by pre-grouping its points per sweep key and spec.
 
 use crate::hash::spec_fingerprint;
-use cactid_core::{ArraySweep, CactiError, EvalMemo, MemorySpec, Solution};
-use cactid_core::{SolutionLinter, SolveStats};
+use cactid_core::{ArraySweep, CactiError, EvalMemo, MemorySpec, Solution, SolveStats};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -59,12 +58,6 @@ pub struct GroupSolve {
 }
 
 /// A thread-safe solve memo. See the module docs for the locking contract.
-///
-/// A cache instance must not be shared between *different* linter
-/// configurations: the linter participates in the solve but not in the
-/// key. The exploration engine owns a private cache per run (one fixed
-/// linter), and callers of [`optimize_cached_in`] with
-/// [`SolveCache::global`] always solve lint-free.
 #[derive(Debug, Default)]
 pub struct SolveCache {
     map: Mutex<HashMap<u64, Vec<(MemorySpec, CachedSolve)>>>,
@@ -110,13 +103,9 @@ impl SolveCache {
     /// Solves `spec` (solve → §2.4 select) through the memo. Returns the
     /// entry and whether it was served from cache. This is
     /// [`SolveCache::solve_group`] with one member and a sweep of its own.
-    pub fn solve_point(
-        &self,
-        spec: &MemorySpec,
-        linter: Option<&dyn SolutionLinter>,
-    ) -> (CachedSolve, bool) {
+    pub fn solve_point(&self, spec: &MemorySpec) -> (CachedSolve, bool) {
         let sweep = ArraySweep::new(spec);
-        let Some(member) = self.solve_group(&[spec], linter, &sweep).members.pop() else {
+        let Some(member) = self.solve_group(&[spec], &sweep).members.pop() else {
             unreachable!("a one-member group answers one member")
         };
         member
@@ -124,22 +113,17 @@ impl SolveCache {
 
     /// Solves a family of specs that share one [`MemorySpec::sweep_key`]
     /// through the memo: each member is looked up, and the misses go to one
-    /// [`ArraySweep::select`] (which solves the first miss's spec, so the
-    /// linter sees a real member, and ranks once per miss). The solve draws on
-    /// `sweep`, which runs its data-array sweep on first use only, so a
-    /// caller that passes one sweep to every family of a bank geometry
-    /// sweeps that geometry at most once, and not at all on a warm memo.
+    /// [`ArraySweep::select`] (which solves the first miss's spec and ranks
+    /// once per miss). The solve draws on `sweep`, which runs its
+    /// data-array sweep on first use only, so a caller that passes one
+    /// sweep to every family of a bank geometry sweeps that geometry at
+    /// most once, and not at all on a warm memo.
     ///
     /// Each member's entry is exactly what [`SolveCache::solve_point`]
     /// alone would have produced for it, stats included. The caller must
     /// pass distinct members with equal sweep keys, and a `sweep` of their
     /// bank geometry.
-    pub fn solve_group(
-        &self,
-        specs: &[&MemorySpec],
-        linter: Option<&dyn SolutionLinter>,
-        sweep: &ArraySweep,
-    ) -> GroupSolve {
+    pub fn solve_group(&self, specs: &[&MemorySpec], sweep: &ArraySweep) -> GroupSolve {
         debug_assert!(
             specs
                 .windows(2)
@@ -174,7 +158,7 @@ impl SolveCache {
         // serialize the rest of the pool.
         let miss_specs: Vec<&MemorySpec> = misses.iter().map(|&i| specs[i]).collect();
         let mut memo = lock(&self.memos).pop().unwrap_or_default();
-        let winners = sweep.select(&miss_specs, linter, &mut memo);
+        let winners = sweep.select(&miss_specs, &mut memo);
         lock(&self.memos).push(memo);
         let stats = winners.stats;
         let solved = winners
@@ -220,14 +204,11 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// coupling through process state; pass [`SolveCache::global`] for
 /// process-wide sharing.
 ///
-/// The cache must only ever see lint-free solves (this function passes no
-/// linter); see the [`SolveCache`] docs for the sharing contract.
-///
 /// # Errors
 ///
 /// Exactly those of [`cactid_core::optimize`].
 pub fn optimize_cached_in(cache: &SolveCache, spec: &MemorySpec) -> Result<Solution, CactiError> {
-    cache.solve_point(spec, None).0.result
+    cache.solve_point(spec).0.result
 }
 
 #[cfg(test)]
@@ -255,8 +236,8 @@ mod tests {
     fn second_solve_is_a_hit_with_identical_result() {
         let cache = SolveCache::new();
         let s = spec(64 << 10);
-        let (a, hit_a) = cache.solve_point(&s, None);
-        let (b, hit_b) = cache.solve_point(&s, None);
+        let (a, hit_a) = cache.solve_point(&s);
+        let (b, hit_b) = cache.solve_point(&s);
         assert!(!hit_a && hit_b);
         assert_eq!(cache.len(), 1);
         assert_eq!(a.result.unwrap(), b.result.unwrap());
@@ -269,7 +250,7 @@ mod tests {
         let via_cache = optimize_cached_in(SolveCache::global(), &s).unwrap();
         assert_eq!(via_cache, optimize(&s).unwrap());
         // And the global memo now serves it without re-solving.
-        let (_, hit) = SolveCache::global().solve_point(&s, None);
+        let (_, hit) = SolveCache::global().solve_point(&s);
         assert!(hit);
     }
 
@@ -281,7 +262,7 @@ mod tests {
         optimize_cached_in(&a, &s).unwrap();
         assert_eq!(a.len(), 1);
         assert!(b.is_empty(), "separate handles share nothing");
-        let (_, hit) = b.solve_point(&s, None);
+        let (_, hit) = b.solve_point(&s);
         assert!(!hit);
     }
 
@@ -295,10 +276,10 @@ mod tests {
     fn clear_makes_the_next_solve_cold() {
         let cache = SolveCache::new();
         let s = spec(64 << 10);
-        cache.solve_point(&s, None);
+        cache.solve_point(&s);
         cache.clear();
         assert!(cache.is_empty());
-        let (_, hit) = cache.solve_point(&s, None);
+        let (_, hit) = cache.solve_point(&s);
         assert!(!hit);
     }
 
@@ -315,22 +296,22 @@ mod tests {
         };
         let members = [base.clone(), knobs(100.0, 1.0), knobs(0.0, 0.1)];
         let cache = SolveCache::new();
-        cache.solve_point(&members[0], None);
+        cache.solve_point(&members[0]);
         let calls = cactid_obs::counter!("core.solve.calls").get();
         let refs: Vec<&MemorySpec> = members.iter().collect();
-        let group = cache.solve_group(&refs, None, &ArraySweep::new(&base));
+        let group = cache.solve_group(&refs, &ArraySweep::new(&base));
         assert!(group.sweep.is_some(), "two members missed");
         assert!(cactid_obs::counter!("core.solve.calls").get() > calls);
         let hits: Vec<bool> = group.members.iter().map(|(_, hit)| *hit).collect();
         assert_eq!(hits, [true, false, false]);
         for (spec, (entry, _)) in members.iter().zip(&group.members) {
-            let alone = SolveCache::new().solve_point(spec, None).0;
+            let alone = SolveCache::new().solve_point(spec).0;
             assert_eq!(entry.stats, alone.stats);
             assert_eq!(entry.result, alone.result);
         }
         assert_eq!(cache.len(), 3);
         let sweep = ArraySweep::new(&base);
-        let again = cache.solve_group(&refs, None, &sweep);
+        let again = cache.solve_group(&refs, &sweep);
         assert!(again.sweep.is_none(), "a warm group runs no sweep");
         assert!(!sweep.has_run(), "nor a data-array sweep");
         assert!(again.members.iter().all(|(_, hit)| *hit));
@@ -339,8 +320,8 @@ mod tests {
     #[test]
     fn distinct_specs_get_distinct_entries() {
         let cache = SolveCache::new();
-        let (a, _) = cache.solve_point(&spec(64 << 10), None);
-        let (b, _) = cache.solve_point(&spec(128 << 10), None);
+        let (a, _) = cache.solve_point(&spec(64 << 10));
+        let (b, _) = cache.solve_point(&spec(128 << 10));
         assert_eq!(cache.len(), 2);
         assert_ne!(a.result.unwrap().area, b.result.unwrap().area);
     }

@@ -40,7 +40,7 @@ use crate::record;
 pub use crate::record::PointStatus;
 use crate::resume;
 use crate::stats::EngineStats;
-use cactid_core::{ArraySweep, MemorySpec, SolutionLinter, SolveStats};
+use cactid_core::{ArraySweep, MemorySpec, SolveStats};
 use cactid_tech::Technology;
 use std::collections::HashMap;
 use std::fmt;
@@ -62,19 +62,12 @@ pub struct ExploreConfig<'a> {
     pub resume: bool,
     /// Extract the Pareto frontier and annotate `ok` records.
     pub pareto: bool,
-    /// Lint engine consulted on every candidate (shared across workers).
-    /// Specs that share a sweep key share one linted sweep, so the linter
-    /// must not read the select-only knobs of the spec it is given (the
-    /// analyzer's candidate stages read no optimization knob).
-    pub linter: Option<&'a (dyn SolutionLinter + Sync)>,
     /// Solve memo to populate and consult. `None` (the default) gives the
     /// run a fresh private cache. Passing a handle lets long-lived callers
     /// share warm results across runs: the `cactid-serve` service passes
     /// its resident memo to every `grid` request, so a grid and a later
     /// `solve` of one of its points cost one solve between them. Records
-    /// are the same bytes either way. A shared cache must only ever see
-    /// one linter configuration — the linter participates in the solve but
-    /// not in the cache key (see [`SolveCache`]).
+    /// are the same bytes either way.
     pub cache: Option<&'a SolveCache>,
 }
 
@@ -85,7 +78,6 @@ impl fmt::Debug for ExploreConfig<'_> {
             .field("out", &self.out)
             .field("resume", &self.resume)
             .field("pareto", &self.pareto)
-            .field("linter", &self.linter.map(|_| "dyn SolutionLinter"))
             .field("cache", &self.cache.map(|_| "SolveCache"))
             .finish()
     }
@@ -307,7 +299,6 @@ pub fn explore_expansion(
             &private_cache
         }
     };
-    let linter = config.linter;
     let tech_before = Technology::constructions();
     let mut io_error: Option<ExploreError> = None;
     pool::run_indexed(
@@ -329,8 +320,7 @@ pub fn explore_expansion(
                 .map(|group| {
                     let specs: Vec<&MemorySpec> =
                         group.members.iter().map(|m| spec_at(m[0])).collect();
-                    let linter = linter.map(|l| l as &dyn SolutionLinter);
-                    let solved = cache.solve_group(&specs, linter, &sweep);
+                    let solved = cache.solve_group(&specs, &sweep);
                     let rendered = solved
                         .members
                         .into_iter()
@@ -364,7 +354,6 @@ pub fn explore_expansion(
                     stats.sweeps += 1;
                     stats.orgs_enumerated += sweep.orgs_enumerated;
                     stats.bound_pruned += sweep.bound_pruned;
-                    stats.lint_rejected += sweep.lint_rejected;
                 }
                 for (member, r) in group.members.iter().zip(rendered) {
                     let status = record::solved_status(&r.entry);

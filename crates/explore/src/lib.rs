@@ -31,8 +31,8 @@
 //!   read energy, area, leakage + refresh power) with dominated-point
 //!   counts.
 //! * **[`EngineStats`]** — points solved / memoized / resumed / failed,
-//!   sweeps run, organizations enumerated, lint rejections, technology
-//!   constructions, and wall/CPU time per stage.
+//!   sweeps run, organizations enumerated, technology constructions, and
+//!   wall/CPU time per stage.
 //!
 //! # Quickstart
 //!

@@ -139,8 +139,7 @@ pub fn render_solved(point: &GridPoint, solve: &CachedSolve) -> String {
     }
     o.u64("orgs_enumerated", solve.stats.orgs_enumerated as u64)
         .u64("bound_pruned", solve.stats.bound_pruned as u64)
-        .u64("feasible", solve.stats.feasible as u64)
-        .u64("lint_rejected", solve.stats.lint_rejected as u64);
+        .u64("feasible", solve.stats.feasible as u64);
     o.finish()
 }
 
@@ -208,7 +207,6 @@ mod tests {
                 bound_pruned: 11,
                 electrical_pruned: 0,
                 feasible: 7,
-                lint_rejected: 0,
             },
         }
     }

@@ -6,7 +6,7 @@
 //! TAB-separated line per point closed by the `.` sentinel:
 //!
 //! ```text
-//! #cactid-explore-ckpt v3 grid=6c62272e07bb0142 points=100
+//! #cactid-explore-ckpt v4 grid=6c62272e07bb0142 points=100
 //! 0<TAB>ok<TAB>1.23e-9<TAB>4.5e-11<TAB>2.1e-7<TAB>0.013<TAB>{"idx":0,...}<TAB>.
 //! 7<TAB>infeasible<TAB>-<TAB>-<TAB>-<TAB>-<TAB>{"idx":7,...}<TAB>.
 //! ```
@@ -29,7 +29,7 @@ use std::fmt::Display;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of the checkpoint header line.
-pub const CKPT_MAGIC: &str = "#cactid-explore-ckpt v3";
+pub const CKPT_MAGIC: &str = "#cactid-explore-ckpt v4";
 
 /// The checkpoint sidecar path for an output file.
 pub fn ckpt_path(out: &Path) -> PathBuf {
@@ -215,7 +215,7 @@ mod tests {
         let text = std::fs::read_to_string(ckpt_path(&out)).unwrap();
         assert_eq!(
             text,
-            "#cactid-explore-ckpt v3 grid=6c62272e07bb0142 points=100\n"
+            "#cactid-explore-ckpt v4 grid=6c62272e07bb0142 points=100\n"
         );
         let (_, resumed) = open(&out, 0x6c62_272e_07bb_0142, 100, true).unwrap();
         assert!(resumed.is_empty());

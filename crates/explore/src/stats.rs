@@ -49,8 +49,6 @@ pub struct EngineStats {
     pub orgs_enumerated: usize,
     /// Candidates the pre-screen bounds pruned, summed over the sweeps run.
     pub bound_pruned: usize,
-    /// Candidates the lint engine rejected, summed over the sweeps run.
-    pub lint_rejected: usize,
     /// [`cactid_tech::Technology`] constructions observed during the run
     /// (the per-node memo should hold this at one per distinct node).
     pub tech_constructions: u64,
@@ -83,7 +81,7 @@ impl EngineStats {
              solved {}, memoized {}, resumed {}, invalid {}\n  \
              status: {} ok, {} infeasible\n  \
              sweeps {}, array sweeps {}, orgs enumerated {}, bound-pruned {}, \
-             lint-rejected {}, tech constructions {}\n  \
+             tech constructions {}\n  \
              pareto frontier: {} points{}\n  \
              timing: expand {:.1} ms, solve {:.1} ms, finalize {:.1} ms",
             self.points,
@@ -98,7 +96,6 @@ impl EngineStats {
             self.array_sweeps,
             self.orgs_enumerated,
             self.bound_pruned,
-            self.lint_rejected,
             self.tech_constructions,
             self.pareto_points,
             if self.non_finite > 0 {

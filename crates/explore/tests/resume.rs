@@ -161,21 +161,32 @@ fn a_run_leaves_only_the_output_and_its_checkpoint() {
 
 #[test]
 fn an_older_format_checkpoint_asks_to_delete_the_sidecars() {
-    // A checkpoint as the two-sidecar format wrote it: v2 header, no
-    // record field.
-    let dir = tmp_dir("v2");
+    // Two older formats: the two-sidecar v2 (no record field), and a v3
+    // checkpoint of this very grid, whose records still carry the
+    // `lint_rejected` field.
+    let dir = tmp_dir("older");
     let out = dir.join("sweep.jsonl");
     let ckpt = dir.join("sweep.jsonl.ckpt");
     let v2 = "#cactid-explore-ckpt v2 grid=6c62272e07bb0142 points=6\n\
               0\tok\t1.23e-9\t4.5e-11\t2.1e-7\t0.013\t.\n";
-    std::fs::write(&ckpt, v2).unwrap();
-    match explore(&grid(), &config(&out, true)) {
-        Err(ExploreError::Checkpoint(msg)) => {
-            assert!(msg.contains("older format"), "{msg}");
-            assert!(msg.contains("delete the sidecars"), "{msg}");
+    explore(&grid(), &config(&out, false)).unwrap();
+    let v3 = std::fs::read_to_string(&ckpt)
+        .unwrap()
+        .replacen("#cactid-explore-ckpt v4 ", "#cactid-explore-ckpt v3 ", 1)
+        .replace("}\t.\n", ",\"lint_rejected\":0}\t.\n");
+    assert!(v3.starts_with("#cactid-explore-ckpt v3 grid="), "{v3}");
+    assert_eq!(v3.matches("\"lint_rejected\":0}").count(), 6, "{v3}");
+    std::fs::remove_file(&out).unwrap();
+    for old in [v2, v3.as_str()] {
+        std::fs::write(&ckpt, old).unwrap();
+        match explore(&grid(), &config(&out, true)) {
+            Err(ExploreError::Checkpoint(msg)) => {
+                assert!(msg.contains("older format"), "{msg}");
+                assert!(msg.contains("delete the sidecars"), "{msg}");
+            }
+            other => panic!("expected an older-format checkpoint error, got {other:?}"),
         }
-        other => panic!("expected an older-format checkpoint error, got {other:?}"),
+        assert_eq!(std::fs::read_to_string(&ckpt).unwrap(), old);
+        assert!(!out.exists());
     }
-    assert_eq!(std::fs::read_to_string(&ckpt).unwrap(), v2);
-    assert!(!out.exists());
 }

@@ -1,12 +1,10 @@
 //! The sweep-sharing contract: the engine runs one data-array sweep per
 //! bank geometry, one organization sweep per sweep key and one select per
 //! knob set, and every record it renders is byte-identical to a fresh,
-//! unshared `solve_with_stats` + `select` of that point alone — with or
-//! without a linter, at any thread count.
+//! unshared `solve_with_stats` + `select` of that point alone, at any
+//! thread count.
 
-use cactid_core::{
-    select, solve_with_stats, Diagnostic, Location, MemorySpec, Solution, SolutionLinter,
-};
+use cactid_core::{select, solve_with_stats, MemorySpec};
 use cactid_explore::cache::CachedSolve;
 use cactid_explore::record::{render_invalid, render_solved};
 use cactid_explore::{explore, ExploreConfig, Grid, OptVariant};
@@ -28,23 +26,8 @@ fn three_variant_grid() -> Grid {
     g
 }
 
-/// Rejects wide wordline splits and warns on everything else, so the
-/// sweep's lint stage both filters candidates and attaches warnings.
-struct Picky;
-
-impl SolutionLinter for Picky {
-    fn lint_candidate(&self, _spec: &MemorySpec, solution: &Solution) -> Vec<Diagnostic> {
-        let loc = Location::spec("org.ndwl");
-        if solution.org.ndwl >= 16 {
-            vec![Diagnostic::error("CDTEST", loc, "ndwl too wide")]
-        } else {
-            vec![Diagnostic::warn("CDTEST", loc, "linted")]
-        }
-    }
-}
-
 /// Every record as a fresh, per-point solve would render it.
-fn reference_lines(grid: &Grid, linter: Option<&dyn SolutionLinter>) -> Vec<String> {
+fn reference_lines(grid: &Grid) -> Vec<String> {
     grid.expand()
         .unwrap()
         .points
@@ -52,7 +35,7 @@ fn reference_lines(grid: &Grid, linter: Option<&dyn SolutionLinter>) -> Vec<Stri
         .map(|point| match &point.spec {
             Err(e) => render_invalid(point, e),
             Ok(spec) => {
-                let outcome = solve_with_stats(spec, linter);
+                let outcome = solve_with_stats(spec, None);
                 let fresh = CachedSolve {
                     result: outcome.result.and_then(|sols| select(spec, &sols)),
                     stats: outcome.stats,
@@ -63,16 +46,16 @@ fn reference_lines(grid: &Grid, linter: Option<&dyn SolutionLinter>) -> Vec<Stri
         .collect()
 }
 
-fn check(linter: Option<&(dyn SolutionLinter + Sync)>) {
+#[test]
+fn shared_sweeps_render_what_per_point_solves_render() {
     let grid = three_variant_grid();
-    let expected = reference_lines(&grid, linter.map(|l| l as &dyn SolutionLinter));
+    let expected = reference_lines(&grid);
     assert_eq!(expected.len(), 48);
     for threads in [1, 2, 8] {
         let report = explore(
             &grid,
             &ExploreConfig {
                 threads,
-                linter,
                 ..ExploreConfig::default()
             },
         )
@@ -89,34 +72,6 @@ fn check(linter: Option<&(dyn SolutionLinter + Sync)>) {
         assert_eq!(s.memoized, 0);
         assert_eq!(s.sweeps, s.unique_specs / 3, "{s:?}");
     }
-}
-
-#[test]
-fn shared_sweeps_render_what_per_point_solves_render() {
-    check(None);
-}
-
-#[test]
-fn shared_sweeps_match_per_point_solves_under_the_analyzer() {
-    let analyzer = cactid_analyze::Analyzer::new();
-    check(Some(&analyzer));
-}
-
-#[test]
-fn shared_sweeps_match_per_point_solves_under_a_rejecting_linter() {
-    check(Some(&Picky));
-    // The linter really filtered candidates, so the selects ran over
-    // lint-filtered solution sets.
-    let report = explore(
-        &three_variant_grid(),
-        &ExploreConfig {
-            linter: Some(&Picky),
-            ..ExploreConfig::default()
-        },
-    )
-    .unwrap();
-    assert!(report.stats.lint_rejected > 0, "{:?}", report.stats);
-    assert!(report.stats.ok > 0, "{:?}", report.stats);
 }
 
 #[test]
@@ -164,9 +119,10 @@ fn banked_grid() -> Grid {
     g
 }
 
-fn check_banked(linter: Option<&(dyn SolutionLinter + Sync)>) {
+#[test]
+fn banks_of_one_size_share_one_data_array_sweep() {
     let grid = banked_grid();
-    let expected = reference_lines(&grid, linter.map(|l| l as &dyn SolutionLinter));
+    let expected = reference_lines(&grid);
     let specs: Vec<MemorySpec> = grid
         .expand()
         .unwrap()
@@ -185,7 +141,6 @@ fn check_banked(linter: Option<&(dyn SolutionLinter + Sync)>) {
             &grid,
             &ExploreConfig {
                 threads,
-                linter,
                 ..ExploreConfig::default()
             },
         )
@@ -196,14 +151,4 @@ fn check_banked(linter: Option<&(dyn SolutionLinter + Sync)>) {
         assert_eq!(s.sweeps, 18, "{s:?}");
         assert_eq!(s.array_sweeps, array_keys.len(), "{s:?}");
     }
-}
-
-#[test]
-fn banks_of_one_size_share_one_data_array_sweep() {
-    check_banked(None);
-}
-
-#[test]
-fn banks_of_one_size_share_one_data_array_sweep_under_a_rejecting_linter() {
-    check_banked(Some(&Picky));
 }

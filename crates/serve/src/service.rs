@@ -218,7 +218,7 @@ impl Service {
         if let Some(line) = self.stored(point, spec) {
             return line;
         }
-        let (entry, _) = self.cache.solve_point(spec, None);
+        let (entry, _) = self.cache.solve_point(spec);
         let line = render_solved(point, &entry);
         self.remember(point, spec, &line);
         line

@@ -15,7 +15,7 @@
 //! line per stored solution:
 //!
 //! ```text
-//! #cactid-serve-store v1
+//! #cactid-serve-store v2
 //! <fp:016x><TAB><key><TAB><body><TAB>.
 //! ```
 //!
@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Magic first line of a store file; bumps when the record format does.
-pub const STORE_MAGIC: &str = "#cactid-serve-store v1";
+pub const STORE_MAGIC: &str = "#cactid-serve-store v2";
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -94,7 +94,8 @@ impl SolutionStore {
         .map_err(|e| match e {
             LogError::Io(msg) => ServeError::Io(msg),
             LogError::Header(head) => ServeError::Store(format!(
-                "{}: not a cactid-serve store (header {head:?})",
+                "{}: not a cactid-serve store of this format (header {head:?}, \
+                 expected {STORE_MAGIC:?}); delete it or pick another --store path",
                 path.display()
             )),
             LogError::Corrupt(n) => ServeError::Store(format!(
@@ -367,6 +368,14 @@ mod tests {
             other => panic!("expected a wrong-magic error, got {other:?}"),
         }
         assert_eq!(std::fs::read_to_string(&p).unwrap(), notes);
+        // A store an older record format wrote is refused whole too.
+        let v1 = "#cactid-serve-store v1\n00000000000000ff\tkey\t\"a\":1,\"lint_rejected\":0}\t.\n";
+        std::fs::write(&p, v1).unwrap();
+        match SolutionStore::open(&p) {
+            Err(ServeError::Store(msg)) => assert!(msg.contains("v1"), "{msg}"),
+            other => panic!("expected a wrong-magic error, got {other:?}"),
+        }
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), v1);
         std::fs::remove_file(&p).ok();
     }
 }

@@ -32,11 +32,8 @@
 //! `lint` subcommand needs `cactid-analyze`, which depends on the core —
 //! a bin inside the core could not see it.
 
-use cactid_analyze::{render, Analyzer, RunContext, SeverityAction, SeverityOverrides};
-use cactid_core::{
-    AccessMode, ArraySweep, CactiError, Diagnostic, EvalMemo, MemoryKind, MemorySpec,
-    OptimizationOptions, Report, Solution, SolutionLinter,
-};
+use cactid_analyze::{render, Analyzer, Report, RunContext, SeverityAction, SeverityOverrides};
+use cactid_core::{AccessMode, CactiError, MemoryKind, MemorySpec, OptimizationOptions, Solution};
 use cactid_explore::pool::MAX_THREADS;
 use cactid_explore::record::{parse_cell, parse_mode};
 use cactid_explore::{ExploreConfig, Grid, OptVariant};
@@ -64,7 +61,7 @@ fn usage() -> ! {
          \x20          --sizes LIST (required) [--blocks LIST] [--assocs LIST]\n\
          \x20          [--banks LIST] [--nodes LIST] [--cells LIST]\n\
          \x20          [--opts default|ed|c LIST] [--mode M] [--out FILE]\n\
-         \x20          [--threads N] [--resume] [--pareto] [--lint]\n\
+         \x20          [--threads N] [--resume] [--pareto]\n\
          \x20          [--trace FILE]  write a JSONL metrics sidecar and print a\n\
          \x20                          counter/histogram summary to stderr; its\n\
          \x20                          core.solve.pruned.* counters count the\n\
@@ -279,7 +276,6 @@ struct ExploreArgs {
     out: Option<PathBuf>,
     resume: bool,
     pareto: bool,
-    lint: bool,
     trace: Option<PathBuf>,
 }
 
@@ -290,7 +286,6 @@ fn parse_explore_args(argv: &[String]) -> Result<ExploreArgs, String> {
         out: None,
         resume: false,
         pareto: false,
-        lint: false,
         trace: None,
     };
     let mut i = 0;
@@ -302,7 +297,6 @@ fn parse_explore_args(argv: &[String]) -> Result<ExploreArgs, String> {
             "--threads" => a.threads = parse_threads(value(argv, &mut i, flag)?)?,
             "--resume" => a.resume = true,
             "--pareto" => a.pareto = true,
-            "--lint" => a.lint = true,
             "--sizes" => {
                 a.grid.capacities = parse_list(flag, value(argv, &mut i, flag)?, parse_size)?;
             }
@@ -352,13 +346,11 @@ fn run_explore(argv: &[String]) -> ! {
         eprintln!("error: {e}");
         usage()
     });
-    let analyzer = Analyzer::new();
     let config = ExploreConfig {
         threads: a.threads,
         out: a.out.as_deref(),
         resume: a.resume,
         pareto: a.pareto,
-        linter: a.lint.then_some(&analyzer as &(dyn SolutionLinter + Sync)),
         cache: None,
     };
     match cactid_explore::explore(&a.grid, &config) {
@@ -711,10 +703,7 @@ fn run_lint(a: &Args) -> ! {
     } else {
         // The spec is structurally sound: lint the optimized solution so
         // the organization- and solution-stage rules get a say as well.
-        let winner = ArraySweep::new(&spec)
-            .select(&[&spec], Some(&analyzer), &mut EvalMemo::new())
-            .into_first();
-        match winner {
+        match cactid_core::optimize(&spec) {
             Ok(sol) => analyzer.lint_solution(&spec, &sol),
             Err(e) => {
                 print!("{}", render::render(&analyzer, &spec_report));
@@ -726,12 +715,14 @@ fn run_lint(a: &Args) -> ! {
     finish_lint(&analyzer, &report, a.deny_warnings, a.format)
 }
 
-fn print_warnings(analyzer: &Analyzer, warnings: &[Diagnostic]) {
-    if warnings.is_empty() {
-        return;
+/// Prints the winner's organization- and solution-stage diagnostics on
+/// stderr, if it has any.
+fn print_diagnostics(spec: &MemorySpec, sol: &Solution) {
+    let analyzer = Analyzer::new();
+    let report = analyzer.lint_candidate(spec, sol);
+    if !report.is_empty() {
+        eprint!("{}", render::render(&analyzer, &report));
     }
-    let report: Report = warnings.iter().cloned().collect();
-    eprint!("{}", render::render(analyzer, &report));
 }
 
 fn main() {
@@ -784,13 +775,12 @@ fn main() {
         spec.cell_tech,
         spec.node
     );
-    let analyzer = Analyzer::new();
     let fail = |e: CactiError| -> ! {
         eprintln!("error: {e}");
         exit(1)
     };
     if a.list_solutions {
-        let sols = cactid_core::solve_with_stats(&spec, Some(&analyzer))
+        let sols = cactid_core::solve_with_stats(&spec, None)
             .result
             .unwrap_or_else(|e| fail(e));
         println!(
@@ -813,12 +803,9 @@ fn main() {
         }
         println!("{} feasible organizations", sols.len());
     } else {
-        let sol = ArraySweep::new(&spec)
-            .select(&[&spec], Some(&analyzer), &mut EvalMemo::new())
-            .into_first()
-            .unwrap_or_else(|e| fail(e));
+        let sol = cactid_core::optimize(&spec).unwrap_or_else(|e| fail(e));
         print_solution(&sol);
-        print_warnings(&analyzer, &sol.warnings);
+        print_diagnostics(&spec, &sol);
     }
 }
 
@@ -912,7 +899,7 @@ mod tests {
         let labels: Vec<&str> = a.grid.opts.iter().map(|o| o.label.as_str()).collect();
         assert_eq!(labels, ["default", "ed", "c"]);
         assert_eq!(a.threads, 4);
-        assert!(a.pareto && a.resume && !a.lint);
+        assert!(a.pareto && a.resume);
         assert_eq!(a.out.as_deref(), Some(std::path::Path::new("sweep.jsonl")));
         assert_eq!(
             a.trace.as_deref(),
@@ -972,8 +959,10 @@ mod tests {
         assert!(bad_item.contains("oops"), "{bad_item}");
         let bad_opt = parse_explore_args(&args(&["--sizes", "1M", "--opts", "fancy"])).unwrap_err();
         assert!(bad_opt.contains("fancy"), "{bad_opt}");
-        let unknown = parse_explore_args(&args(&["--sizes", "1M", "--bogus"])).unwrap_err();
-        assert!(unknown.contains("unknown flag"), "{unknown}");
+        for flag in ["--bogus", "--lint"] {
+            let unknown = parse_explore_args(&args(&["--sizes", "1M", flag])).unwrap_err();
+            assert!(unknown.contains("unknown flag"), "{unknown}");
+        }
         // One OS thread per worker: past the cap is a usage error, checked
         // before any thread starts.
         let max = MAX_THREADS.to_string();

@@ -24,27 +24,43 @@ fn stdout(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("stdout is UTF-8")
 }
 
-/// A two-record run whose larger capacity is *faster* — a CD0101
-/// monotonicity warning, and nothing else.
-fn inversion_jsonl() -> PathBuf {
+/// A two-record run, 64 KB then 128 KB on the same axes, with the given
+/// `(access ns, area mm²)` per record.
+fn pair_jsonl(name: &str, small: (f64, f64), big: (f64, f64)) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cactid-cli-exit-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("inversion.jsonl");
-    let record = |idx: u64, cap: u64, ns: f64| {
+    let path = dir.join(name);
+    let record = |idx: u64, cap: u64, (ns, mm2): (f64, f64)| {
         format!(
             "{{\"idx\":{idx},\"capacity_bytes\":{cap},\"block_bytes\":64,\
              \"associativity\":8,\"banks\":1,\"node_nm\":32.0,\"cell\":\"sram\",\
              \"mode\":\"normal\",\"opt\":\"default\",\"status\":\"ok\",\
              \"access_ns\":{ns},\"random_cycle_ns\":{ns},\"read_nj\":0.1,\
-             \"write_nj\":0.1,\"area_mm2\":1.0,\"leakage_mw\":10.0}}\n"
+             \"write_nj\":0.1,\"area_mm2\":{mm2},\"leakage_mw\":10.0}}\n"
         )
     };
     std::fs::write(
         &path,
-        format!("{}{}", record(0, 64 << 10, 2.0), record(1, 128 << 10, 1.0)),
+        format!(
+            "{}{}",
+            record(0, 64 << 10, small),
+            record(1, 128 << 10, big)
+        ),
     )
     .unwrap();
     path
+}
+
+/// A run whose larger capacity is *smaller* — a CD0102 monotonicity
+/// warning, and nothing else.
+fn shrink_jsonl() -> PathBuf {
+    pair_jsonl("shrink.jsonl", (1.0, 2.0), (1.5, 1.0))
+}
+
+/// A run whose larger capacity is *faster* — a CD0101 note, which the
+/// weighted §2.4 objective allows, and nothing else.
+fn inversion_jsonl() -> PathBuf {
+    pair_jsonl("inversion.jsonl", (2.0, 1.0), (1.0, 1.0))
 }
 
 #[test]
@@ -85,22 +101,22 @@ fn lint_format_json_emits_parseable_diagnostics() {
 
 #[test]
 fn warnings_only_exit_zero_unless_denied() {
-    let path = inversion_jsonl();
+    let path = shrink_jsonl();
     let jsonl = path.to_str().unwrap();
 
     // A warning-only report exits 0...
     let out = cactid(&["audit", "--jsonl", jsonl]);
     assert_eq!(code(&out), 0, "{out:?}");
-    assert!(stdout(&out).contains("warning[CD0101]"), "{out:?}");
+    assert!(stdout(&out).contains("warning[CD0102]"), "{out:?}");
 
     // ...fails under --deny-warnings...
     let denied = cactid(&["audit", "--jsonl", jsonl, "--deny-warnings"]);
     assert_eq!(code(&denied), 1, "{denied:?}");
 
     // ...fails when the rule itself is promoted to deny...
-    let promoted = cactid(&["audit", "--jsonl", jsonl, "--deny", "CD0101"]);
+    let promoted = cactid(&["audit", "--jsonl", jsonl, "--deny", "CD0102"]);
     assert_eq!(code(&promoted), 1, "{promoted:?}");
-    assert!(stdout(&promoted).contains("error[CD0101]"), "{promoted:?}");
+    assert!(stdout(&promoted).contains("error[CD0102]"), "{promoted:?}");
 
     // ...and passes again when the rule is allowed away, leaving an
     // empty machine-readable report.
@@ -109,13 +125,33 @@ fn warnings_only_exit_zero_unless_denied() {
         "--jsonl",
         jsonl,
         "--allow",
-        "CD0101",
+        "CD0102",
         "--deny-warnings",
         "--format",
         "json",
     ]);
     assert_eq!(code(&allowed), 0, "{allowed:?}");
     assert!(stdout(&allowed).is_empty(), "{allowed:?}");
+
+    // A faster larger design is only a note: it passes --deny-warnings.
+    let inversion = inversion_jsonl();
+    let noted = cactid(&[
+        "audit",
+        "--jsonl",
+        inversion.to_str().unwrap(),
+        "--deny-warnings",
+    ]);
+    assert_eq!(code(&noted), 0, "{noted:?}");
+    assert!(stdout(&noted).contains("info[CD0101]"), "{noted:?}");
+    let denied = cactid(&[
+        "audit",
+        "--jsonl",
+        inversion.to_str().unwrap(),
+        "--deny",
+        "CD0101",
+    ]);
+    assert_eq!(code(&denied), 1, "{denied:?}");
+    assert!(stdout(&denied).contains("error[CD0101]"), "{denied:?}");
 
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
@@ -128,6 +164,8 @@ fn audit_grid_mode_and_prove_are_usage_errors() {
         &["audit", "--grid", "--sizes", "64K"][..],
         &["audit", "--sizes", "64K"],
         &["prove", "--size", "64K"],
+        // Lint runs on the spec and the winner, never inside a solve.
+        &["explore", "--sizes", "64K", "--lint"],
     ] {
         let out = cactid(argv);
         assert_eq!(code(&out), 2, "{argv:?}: {out:?}");

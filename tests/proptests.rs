@@ -204,7 +204,7 @@ fn staged_solve_matches_the_unpruned_reference() {
             .build()
             .unwrap();
         let staged = solve_with_stats(&spec, None);
-        let reference = solve_with_stats_reference(&spec, None);
+        let reference = solve_with_stats_reference(&spec);
         assert_eq!(
             staged.stats.bound_pruned, reference.stats.electrical_pruned,
             "pre-screen does not account for the model rejections"
@@ -461,7 +461,7 @@ fn one_array_sweep_serves_every_spec_of_its_bank_geometry() {
         assert_eq!(one.array_key(), many.array_key());
         let sweep = ArraySweep::new(&many);
         for spec in [&many, &one] {
-            let shared = sweep.solve(spec, None, &mut memo);
+            let shared = sweep.solve(spec, &mut memo);
             let own = solve_with_stats(spec, None);
             assert_eq!(shared.stats, own.stats, "{spec:?}");
             assert_eq!(
@@ -477,7 +477,7 @@ fn one_array_sweep_serves_every_spec_of_its_bank_geometry() {
                 })
                 .collect();
             let refs: Vec<&MemorySpec> = members.iter().collect();
-            let winners = sweep.select(&refs, None, &mut memo);
+            let winners = sweep.select(&refs, &mut memo);
             assert_eq!(winners.stats, own.stats, "{spec:?}");
             for (member, winner) in members.iter().zip(&winners.results) {
                 let expected = match &own.result {
