@@ -129,7 +129,7 @@ rm -rf "$XDIR"
 echo "== --trace smoke run (determinism + sidecar validity)"
 # The result JSONL must be byte-identical with tracing on or off, at any
 # thread count; the sidecar must be non-empty, one JSON object per line,
-# and carry optimizer/pool/cache counters.
+# and carry optimizer/pool/engine counters.
 TDIR=$(mktemp -d)
 $CACTID explore --sizes 64K,128K --assocs 4,8 --threads 1 --pareto \
     --out "$TDIR/ref.jsonl" 2>/dev/null
@@ -150,7 +150,7 @@ for T in 1 2 8; do
         exit 1
     fi
 done
-for NAME in core.solve.calls explore.pool.claims explore.cache.misses; do
+for NAME in core.solve.calls explore.pool.claims explore.engine.sweeps; do
     grep -q "\"name\":\"$NAME\"" "$TDIR/t2.trace.jsonl" || {
         echo "trace sidecar lacks counter $NAME" >&2
         exit 1
@@ -291,6 +291,20 @@ test "$(sed -n '1s/^{"idx":1,//p' "$SDIR/responses.jsonl")" = \
      "$(sed -n '3s/^{"idx":3,//p' "$SDIR/responses.jsonl")" || {
     echo "duplicate answers differ beyond the idx prefix:" >&2
     cat "$SDIR/responses.jsonl" >&2
+    exit 1
+}
+# Without --store the service answers from an in-memory store, so a
+# duplicate solve is a store hit there too, with the same bytes.
+sed -n '1p;3p' "$SDIR/responses.jsonl" > "$SDIR/stored.jsonl"
+printf '%s\n' \
+  '{"id":1,"op":"solve","size":1048576,"assoc":8,"cell":"sram","node":32}' \
+  '{"id":3,"op":"solve","size":1048576,"assoc":8,"cell":"sram","node":32}' \
+  | $CACTID serve --stdio --trace "$SDIR/memory.trace.jsonl" \
+      > "$SDIR/memory.jsonl" 2>/dev/null
+grep -q '"name":"serve.store.hits","value":[1-9]' "$SDIR/memory.trace.jsonl" &&
+    cmp -s "$SDIR/memory.jsonl" "$SDIR/stored.jsonl" || {
+    echo "a store-less duplicate solve was not answered from the in-memory store:" >&2
+    cat "$SDIR/memory.jsonl" >&2
     exit 1
 }
 # A line nested a million brackets deep must be answered in band with one

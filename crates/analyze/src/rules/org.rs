@@ -9,6 +9,7 @@ use crate::context::LintContext;
 use crate::lint::{Diagnostic, Location, Report, Severity};
 use crate::rule::{Rule, Stage};
 use cactid_core::array::{self, PrescreenFailure, WORDLINE_ELMORE_BOUND};
+use cactid_core::org::{MAX_BL_MUX, MAX_COLS, MAX_NDBL, MAX_NDWL, MIN_COLS, MIN_ROWS};
 use cactid_core::{MemoryKind, OrgParams};
 
 /// All six organization-stage rules, ordered by code.
@@ -39,19 +40,10 @@ fn screened<'a>(ctx: &LintContext<'a>) -> Option<Screened<'a>> {
     Some((org, rows, cols, verdict))
 }
 
-/// The §2.4 sweep bounds, mirrored from `cactid_core::org` (private there;
-/// exceeding them is a warning, not an error — the array model itself
-/// judges electrical feasibility).
-const MAX_NDWL: u32 = 64;
-/// Upper sweep bound on `ndbl`.
-const MAX_NDBL: u32 = 512;
-/// Smallest subarray the sweep considers.
-const MIN_ROWS: u64 = 16;
-/// Column-count band of the sweep.
-const COL_RANGE: std::ops::RangeInclusive<u64> = 32..=8192;
-
 /// `CD0010`: `Ndwl`/`Ndbl` are powers of two within the sweep bounds and
-/// `Nspd` is a positive (power-of-two-ish) stripe scale.
+/// `Nspd` is a positive (power-of-two-ish) stripe scale. The bounds are
+/// the solver's own ([`cactid_core::org`]); exceeding them is a warning,
+/// not an error — the array model itself judges electrical feasibility.
 pub struct Partitioning;
 
 impl Rule for Partitioning {
@@ -262,12 +254,12 @@ impl Rule for MuxLegality {
                 ),
             );
         }
-        if org.deg_bl_mux > 8 {
+        if org.deg_bl_mux > MAX_BL_MUX {
             report.push(Diagnostic::warn(
                 self.code(),
                 Location::org("deg_bl_mux"),
                 format!(
-                    "bitline mux of {} exceeds the modeled maximum of 8",
+                    "bitline mux of {} exceeds the modeled maximum of {MAX_BL_MUX}",
                     org.deg_bl_mux
                 ),
             ));
@@ -332,14 +324,12 @@ impl Rule for SubarrayDims {
                 ),
             ));
         }
-        if !COL_RANGE.contains(&cols) {
+        if !(MIN_COLS..=MAX_COLS).contains(&cols) {
             report.push(Diagnostic::warn(
                 self.code(),
                 Location::org("ndwl"),
                 format!(
-                    "{cols} columns per subarray is outside the {}–{} sweep band",
-                    COL_RANGE.start(),
-                    COL_RANGE.end()
+                    "{cols} columns per subarray is outside the {MIN_COLS}–{MAX_COLS} sweep band"
                 ),
             ));
         }

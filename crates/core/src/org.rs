@@ -71,15 +71,20 @@ impl OrgParams {
     }
 }
 
-/// Limits of the candidate sweep.
-const MAX_NDWL: u32 = 64;
-const MAX_NDBL: u32 = 512;
-const MIN_ROWS: u64 = 16;
-const MAX_COLS: u64 = 8192;
-const MIN_COLS: u64 = 32;
+/// Upper sweep bound on `ndwl`.
+pub const MAX_NDWL: u32 = 64;
+/// Upper sweep bound on `ndbl`.
+pub const MAX_NDBL: u32 = 512;
+/// Fewest rows per subarray the sweep considers.
+pub const MIN_ROWS: u64 = 16;
+/// Most columns per subarray the sweep considers.
+pub const MAX_COLS: u64 = 8192;
+/// Fewest columns per subarray the sweep considers.
+pub const MIN_COLS: u64 = 32;
 /// Maximum sense-amp mux degree (column-select fan-in) we model.
 const MAX_SA_MUX: u32 = 1024;
-const MAX_BL_MUX: u32 = 8;
+/// Maximum bitline-mux degree we model.
+pub const MAX_BL_MUX: u32 = 8;
 
 /// Powers of two `1, 2, 4, …` up to and including `max`.
 fn powers_of_two(max: u32) -> impl Iterator<Item = u32> {

@@ -237,7 +237,13 @@ impl MemorySpec {
         }
     }
 
-    fn validate(&self) -> Result<(), CactiError> {
+    /// Checks every structural invariant [`MemorySpecBuilder::build`]
+    /// enforces, for a spec assembled field by field.
+    ///
+    /// # Errors
+    ///
+    /// [`CactiError::InvalidSpec`] naming the first invariant broken.
+    pub fn validate(&self) -> Result<(), CactiError> {
         let err = |m: &str| Err(CactiError::InvalidSpec(m.to_string()));
         if self.capacity_bytes == 0 {
             return err("capacity must be nonzero");
@@ -305,6 +311,9 @@ impl MemorySpec {
                 }
                 if page_bits == 0 || !page_bits.is_power_of_two() {
                     return err("page size must be a nonzero power of two");
+                }
+                if u64::from(io_bits) * u64::from(prefetch) > page_bits {
+                    return err("one burst (io width × prefetch) must fit in the page");
                 }
                 if page_bits * 2 > self.bank_bytes() * 8 {
                     return err("page size larger than half a bank");
@@ -575,6 +584,25 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(s.output_bits(), 64);
+    }
+
+    #[test]
+    fn rejects_a_burst_wider_than_its_page() {
+        let e = MemorySpec::builder()
+            .capacity_bytes(1 << 30)
+            .block_bytes(64)
+            .banks(8)
+            .cell_tech(CellTechnology::CommDram)
+            .node(TechNode::N32)
+            .kind(MemoryKind::MainMemory {
+                io_bits: 32,
+                burst_length: 16,
+                prefetch: 16,
+                page_bits: 256, // a 512-bit burst
+            })
+            .build()
+            .unwrap_err();
+        assert!(e.to_string().contains("fit in the page"), "{e}");
     }
 
     #[test]

@@ -1,42 +1,30 @@
-//! A solve memo keyed by canonical spec fingerprints.
+//! Evaluation-memo pooling, and the solve memo the study drivers share.
 //!
-//! Exploration grids routinely contain duplicate specs (two opt variants
-//! with identical knobs, overlapping sub-sweeps) and study configurations
-//! re-optimize the same L1/L2 specs many times over. [`SolveCache`] makes
-//! every distinct spec cost at most one select: entries are keyed by
+//! A [`MemoPool`] lends [`EvalMemo`]s, one per concurrent solve, and takes
+//! each back afterwards, so every solve through one pool reuses the
+//! circuits and tag designs earlier solves designed in the same
+//! technology. A memo keys each design by everything it reads, so this
+//! changes no output bit. The exploration engine and `cactid-serve` solve
+//! through a pool and keep no answers of their own: the engine folds
+//! duplicate specs before it solves, and the service answers from its one
+//! solution store.
+//!
+//! [`SolveCache`] adds an answer memo on top of a pool for callers that
+//! re-optimize the same specs many times over, as the study's
+//! configurations do with their L1/L2 specs. Its entries are keyed by
 //! [`crate::hash::spec_fingerprint`] and verified by full spec equality on
 //! lookup, so a 64-bit collision degrades to a miss instead of a wrong
-//! answer.
-//!
-//! Specs that differ only in their select-only knobs share one
-//! organization sweep ([`MemorySpec::sweep_key`]): [`SolveCache::solve_group`]
-//! takes such a family and runs one winners-only [`ArraySweep::select`] for
-//! its memo misses: one solve, then one §2.4 ranking per miss, and a
-//! [`Solution`] only for each winner. That solve draws on a caller-owned
-//! [`ArraySweep`], so families with the same bank geometry
-//! ([`MemorySpec::array_key`]) share one data-array sweep too. Both are exact, not heuristics — the
-//! sweep never reads a select-only knob and its data-array half reads only
-//! one bank, so every member's own [`cactid_core::solve_with_stats`] would
-//! return the same bits. [`SolveCache::solve_point`] is the one-member case.
-//!
-//! A cache also lends [`EvalMemo`]s from a small pool, one per concurrent
-//! solve, so every solve through one cache reuses the circuits and tag
-//! designs earlier solves designed in the same technology. A memo keys
-//! each design by everything it reads, so this changes no output bit.
-//!
-//! The solve itself runs with the mutex *released* — only lookup and
-//! insert take the lock — so concurrent workers memoize without
-//! serializing on each other. Two threads racing on the same cold spec may
-//! both solve it; the first insert wins and both observe the same entry
-//! (solves are deterministic). The exploration engine avoids even that
-//! duplicated work by pre-grouping its points per sweep key and spec.
+//! answer. The solve itself runs with the mutex *released*, so concurrent
+//! callers do not serialize on each other; two threads racing on the same
+//! cold spec may both solve it, and the first insert wins (solves are
+//! deterministic).
 
 use crate::hash::spec_fingerprint;
 use cactid_core::{ArraySweep, CactiError, EvalMemo, MemorySpec, Solution, SolveStats};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// One memoized solve: the §2.4 winner (or why there is none) plus the
+/// One solve's answer: the §2.4 winner (or why there is none) plus the
 /// sweep counters of producing it.
 #[derive(Debug, Clone)]
 pub struct CachedSolve {
@@ -46,24 +34,53 @@ pub struct CachedSolve {
     pub stats: SolveStats,
 }
 
-/// What one [`SolveCache::solve_group`] call produced.
-#[derive(Debug, Clone)]
-pub struct GroupSolve {
-    /// One entry per member spec, in member order, each paired with
-    /// whether it was served from the memo.
-    pub members: Vec<(CachedSolve, bool)>,
-    /// The counters of the organization sweep this call ran, or `None`
-    /// when every member was a memo hit and nothing was swept.
-    pub sweep: Option<SolveStats>,
+/// A thread-safe pool of idle evaluation memos. See the module docs.
+#[derive(Debug, Default)]
+pub struct MemoPool {
+    /// A solve takes one and puts it back, so the pool holds at most one
+    /// per solve that ever ran concurrently.
+    memos: Mutex<Vec<EvalMemo>>,
 }
 
-/// A thread-safe solve memo. See the module docs for the locking contract.
+impl MemoPool {
+    /// An empty pool: its first solve starts from a cold memo.
+    pub fn new() -> Self {
+        MemoPool::default()
+    }
+
+    /// Runs `f` on an idle memo, or a fresh one when all are lent out, and
+    /// takes the memo back afterwards.
+    pub fn with<R>(&self, f: impl FnOnce(&mut EvalMemo) -> R) -> R {
+        let mut memo = lock(&self.memos).pop().unwrap_or_default();
+        let out = f(&mut memo);
+        lock(&self.memos).push(memo);
+        out
+    }
+
+    /// Solves `spec` (solve → §2.4 select) with one one-spec
+    /// [`ArraySweep::select`] on a pooled memo.
+    pub fn solve(&self, spec: &MemorySpec) -> CachedSolve {
+        let winners = self.with(|memo| ArraySweep::new(spec).select(&[spec], memo));
+        let stats = winners.stats;
+        CachedSolve {
+            result: winners.into_first(),
+            stats,
+        }
+    }
+
+    /// Drops every idle memo, so the next solve starts cold (benchmarks
+    /// use this to re-run cold).
+    pub fn clear(&self) {
+        lock(&self.memos).clear();
+    }
+}
+
+/// A thread-safe solve memo over a [`MemoPool`]. See the module docs for
+/// the locking contract.
 #[derive(Debug, Default)]
 pub struct SolveCache {
     map: Mutex<HashMap<u64, Vec<(MemorySpec, CachedSolve)>>>,
-    /// Idle evaluation memos; a solve takes one and puts it back, so the
-    /// pool holds at most one per solve that ever ran concurrently.
-    memos: Mutex<Vec<EvalMemo>>,
+    memos: MemoPool,
 }
 
 impl SolveCache {
@@ -97,96 +114,42 @@ impl SolveCache {
     /// re-run cold).
     pub fn clear(&self) {
         self.lock().clear();
-        lock(&self.memos).clear();
+        self.memos.clear();
     }
 
     /// Solves `spec` (solve → §2.4 select) through the memo. Returns the
-    /// entry and whether it was served from cache. This is
-    /// [`SolveCache::solve_group`] with one member and a sweep of its own.
+    /// entry and whether it was served from cache; a miss runs
+    /// [`MemoPool::solve`].
     pub fn solve_point(&self, spec: &MemorySpec) -> (CachedSolve, bool) {
-        let sweep = ArraySweep::new(spec);
-        let Some(member) = self.solve_group(&[spec], &sweep).members.pop() else {
-            unreachable!("a one-member group answers one member")
-        };
-        member
-    }
-
-    /// Solves a family of specs that share one [`MemorySpec::sweep_key`]
-    /// through the memo: each member is looked up, and the misses go to one
-    /// [`ArraySweep::select`] (which solves the first miss's spec and ranks
-    /// once per miss). The solve draws on `sweep`, which runs its
-    /// data-array sweep on first use only, so a caller that passes one
-    /// sweep to every family of a bank geometry sweeps that geometry at
-    /// most once, and not at all on a warm memo.
-    ///
-    /// Each member's entry is exactly what [`SolveCache::solve_point`]
-    /// alone would have produced for it, stats included. The caller must
-    /// pass distinct members with equal sweep keys, and a `sweep` of their
-    /// bank geometry.
-    pub fn solve_group(&self, specs: &[&MemorySpec], sweep: &ArraySweep) -> GroupSolve {
-        debug_assert!(
-            specs
-                .windows(2)
-                .all(|w| w[0].sweep_key() == w[1].sweep_key()),
-            "solve_group members must share one sweep key"
-        );
-        let keys: Vec<u64> = specs.iter().map(|s| spec_fingerprint(s)).collect();
-        let mut found: Vec<Option<(CachedSolve, bool)>> = {
-            let map = self.lock();
-            specs
-                .iter()
-                .zip(&keys)
-                .map(|(spec, key)| {
-                    map.get(key)
-                        .and_then(|bucket| bucket.iter().find(|(s, _)| s == *spec))
-                        .map(|(_, entry)| (entry.clone(), true))
-                })
-                .collect()
-        };
-        let misses: Vec<usize> = (0..specs.len()).filter(|&i| found[i].is_none()).collect();
-        if misses.len() < specs.len() {
-            cactid_obs::counter!("explore.cache.hits").add((specs.len() - misses.len()) as u64);
+        let key = spec_fingerprint(spec);
+        let found = self
+            .lock()
+            .get(&key)
+            .and_then(|bucket| bucket.iter().find(|(s, _)| s == spec))
+            .map(|(_, entry)| entry.clone());
+        if let Some(entry) = found {
+            cactid_obs::counter!("explore.cache.hits").inc();
+            return (entry, true);
         }
-        if misses.is_empty() {
-            return GroupSolve {
-                members: found.into_iter().flatten().collect(),
-                sweep: None,
-            };
-        }
-        cactid_obs::counter!("explore.cache.misses").add(misses.len() as u64);
-        // Sweep and select outside the lock; expensive points must not
-        // serialize the rest of the pool.
-        let miss_specs: Vec<&MemorySpec> = misses.iter().map(|&i| specs[i]).collect();
-        let mut memo = lock(&self.memos).pop().unwrap_or_default();
-        let winners = sweep.select(&miss_specs, &mut memo);
-        lock(&self.memos).push(memo);
-        let stats = winners.stats;
-        let solved = winners
-            .results
-            .into_iter()
-            .map(|result| CachedSolve { result, stats });
+        cactid_obs::counter!("explore.cache.misses").inc();
+        // Sweep and select outside the lock; an expensive spec must not
+        // serialize the other callers.
+        let entry = self.memos.solve(spec);
         let mut map = self.lock();
-        for (&i, entry) in misses.iter().zip(solved) {
-            let bucket = map.entry(keys[i]).or_default();
-            if let Some((_, first)) = bucket.iter().find(|(s, _)| s == specs[i]) {
-                // Lost a cold-spec race; keep the first insert so every
-                // caller observes one entry.
-                cactid_obs::counter!("explore.cache.cold_races").inc();
-                found[i] = Some((first.clone(), true));
-                continue;
-            }
-            if !bucket.is_empty() {
-                // Same 64-bit fingerprint, different spec: equality
-                // verification turned a would-be wrong answer into a miss.
-                cactid_obs::counter!("explore.cache.collisions").inc();
-            }
-            bucket.push((specs[i].clone(), entry.clone()));
-            found[i] = Some((entry, false));
+        let bucket = map.entry(key).or_default();
+        if let Some((_, first)) = bucket.iter().find(|(s, _)| s == spec) {
+            // Lost a cold-spec race; keep the first insert so every
+            // caller observes one entry.
+            cactid_obs::counter!("explore.cache.cold_races").inc();
+            return (first.clone(), true);
         }
-        GroupSolve {
-            members: found.into_iter().flatten().collect(),
-            sweep: Some(stats),
+        if !bucket.is_empty() {
+            // Same 64-bit fingerprint, different spec: equality
+            // verification turned a would-be wrong answer into a miss.
+            cactid_obs::counter!("explore.cache.collisions").inc();
         }
+        bucket.push((spec.clone(), entry.clone()));
+        (entry, false)
     }
 }
 
@@ -198,11 +161,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// [`cactid_core::optimize`] through an explicit, caller-owned memo: the
 /// first call per distinct spec solves, every later call against the same
-/// `cache` is a lookup. The exploration engine
-/// ([`crate::ExploreConfig::cache`]), study drivers, and long-lived
-/// services each pass the handle they want shared, instead of implicitly
-/// coupling through process state; pass [`SolveCache::global`] for
-/// process-wide sharing.
+/// `cache` is a lookup. Study drivers pass the handle they want shared
+/// instead of implicitly coupling through process state; pass
+/// [`SolveCache::global`] for process-wide sharing.
 ///
 /// # Errors
 ///
@@ -270,6 +231,7 @@ mod tests {
     fn cache_handle_is_shareable_across_threads() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SolveCache>();
+        assert_send_sync::<MemoPool>();
     }
 
     #[test]
@@ -284,37 +246,19 @@ mod tests {
     }
 
     #[test]
-    fn a_group_sweeps_once_for_its_misses_and_matches_single_solves() {
-        let base = spec(64 << 10);
-        let knobs = |weight_dynamic: f64, max_area_overhead: f64| MemorySpec {
-            opt: cactid_core::OptimizationOptions {
-                weight_dynamic,
-                max_area_overhead,
-                ..base.opt.clone()
-            },
-            ..base.clone()
-        };
-        let members = [base.clone(), knobs(100.0, 1.0), knobs(0.0, 0.1)];
-        let cache = SolveCache::new();
-        cache.solve_point(&members[0]);
-        let calls = cactid_obs::counter!("core.solve.calls").get();
-        let refs: Vec<&MemorySpec> = members.iter().collect();
-        let group = cache.solve_group(&refs, &ArraySweep::new(&base));
-        assert!(group.sweep.is_some(), "two members missed");
-        assert!(cactid_obs::counter!("core.solve.calls").get() > calls);
-        let hits: Vec<bool> = group.members.iter().map(|(_, hit)| *hit).collect();
-        assert_eq!(hits, [true, false, false]);
-        for (spec, (entry, _)) in members.iter().zip(&group.members) {
-            let alone = SolveCache::new().solve_point(spec).0;
-            assert_eq!(entry.stats, alone.stats);
-            assert_eq!(entry.result, alone.result);
-        }
-        assert_eq!(cache.len(), 3);
-        let sweep = ArraySweep::new(&base);
-        let again = cache.solve_group(&refs, &sweep);
-        assert!(again.sweep.is_none(), "a warm group runs no sweep");
-        assert!(!sweep.has_run(), "nor a data-array sweep");
-        assert!(again.members.iter().all(|(_, hit)| *hit));
+    fn a_pool_takes_its_memo_back_and_clear_drops_it() {
+        let pool = MemoPool::new();
+        let s = spec(64 << 10);
+        assert_eq!(pool.solve(&s).result.unwrap(), optimize(&s).unwrap());
+        let designs = pool.with(|memo| memo.designs());
+        assert!(designs > 0);
+        // The same memo comes back: a repeat solve designs nothing new.
+        pool.solve(&s);
+        assert_eq!(pool.with(|memo| memo.designs()), designs);
+        // While that memo is lent out, a second borrower gets a cold one.
+        pool.with(|_| pool.with(|inner| assert_eq!(inner.designs(), 0)));
+        pool.clear();
+        pool.with(|memo| assert_eq!(memo.designs(), 0));
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //!    select-only knobs share one solve, and within a sweep group by exact
 //!    spec so duplicates cost nothing. The work-claiming pool
 //!    ([`crate::pool`]) drains one job per bank geometry: one data-array
-//!    sweep, one solve per sweep group, one select per spec, render. Every
-//!    finished job streams its points to the sidecar immediately, so an
-//!    interrupt loses at most the points in flight.
+//!    sweep, one winners-only [`ArraySweep::select`] per sweep group on a
+//!    pooled evaluation memo ([`MemoPool`]), render. The engine keeps no
+//!    answer memo: the grouping already gives every distinct spec exactly
+//!    one select. Every finished job streams its points to the sidecar
+//!    immediately, so an interrupt loses at most the points in flight.
 //! 3. **Finalize** — the Pareto frontier is extracted ([`crate::pareto`]),
 //!    `ok` records are annotated, and the final JSONL is written sorted by
 //!    point index via a temp-file rename.
@@ -29,7 +31,7 @@
 //! grid regardless of thread count, completion order, or how many times the
 //! run was interrupted and resumed.
 
-use crate::cache::{CachedSolve, SolveCache};
+use crate::cache::{CachedSolve, MemoPool};
 use crate::error::ExploreError;
 use crate::grid::{Expansion, Grid};
 use crate::hash::spec_fingerprint;
@@ -62,13 +64,12 @@ pub struct ExploreConfig<'a> {
     pub resume: bool,
     /// Extract the Pareto frontier and annotate `ok` records.
     pub pareto: bool,
-    /// Solve memo to populate and consult. `None` (the default) gives the
-    /// run a fresh private cache. Passing a handle lets long-lived callers
-    /// share warm results across runs: the `cactid-serve` service passes
-    /// its resident memo to every `grid` request, so a grid and a later
-    /// `solve` of one of its points cost one solve between them. Records
+    /// Evaluation memos to solve with. `None` (the default) gives the run
+    /// a private, cold pool. Passing a handle lets long-lived callers keep
+    /// their circuit and tag designs warm across runs: the `cactid-serve`
+    /// service passes its resident pool to every `grid` request. Records
     /// are the same bytes either way.
-    pub cache: Option<&'a SolveCache>,
+    pub memos: Option<&'a MemoPool>,
 }
 
 impl fmt::Debug for ExploreConfig<'_> {
@@ -78,7 +79,7 @@ impl fmt::Debug for ExploreConfig<'_> {
             .field("out", &self.out)
             .field("resume", &self.resume)
             .field("pareto", &self.pareto)
-            .field("cache", &self.cache.map(|_| "SolveCache"))
+            .field("memos", &self.memos.map(|_| "MemoPool"))
             .finish()
     }
 }
@@ -117,7 +118,6 @@ struct SweepGroup {
 /// One job member's answer and its records, rendered on the worker.
 struct Rendered {
     entry: CachedSolve,
-    was_cached: bool,
     /// One record per point of the member, in member order.
     lines: Vec<String>,
 }
@@ -192,9 +192,9 @@ pub fn explore_expansion(
     // valid points three times: by bank geometry (one pool job per
     // data-array sweep), within a job by sweep key (one solve per group),
     // then within a group by exact spec (duplicates ride along and cost
-    // nothing). Every level resolves 64-bit collisions by equality, like
-    // the solve memo does. Jobs and groups follow first point index, so
-    // their numbering is deterministic.
+    // nothing). Every level resolves 64-bit collisions by equality. Jobs
+    // and groups follow first point index, so their numbering is
+    // deterministic.
     let spec_at = |idx: usize| -> &MemorySpec {
         let Ok(spec) = points[idx].spec.as_ref() else {
             unreachable!("job specs are valid")
@@ -289,16 +289,8 @@ pub fn explore_expansion(
         .map(|group| group.members.len())
         .sum();
 
-    // Injected handle or a run-private memo: the run-private default keeps
-    // the historical behavior (and the determinism tests' bytes) intact.
-    let private_cache;
-    let cache = match config.cache {
-        Some(shared) => shared,
-        None => {
-            private_cache = SolveCache::new();
-            &private_cache
-        }
-    };
+    let private_memos = MemoPool::new();
+    let memos = config.memos.unwrap_or(&private_memos);
     let tech_before = Technology::constructions();
     let mut io_error: Option<ExploreError> = None;
     pool::run_indexed(
@@ -315,22 +307,22 @@ pub fn explore_expansion(
             // more peak RSS on a 28k-point grid, measured on a 2-CPU Linux
             // host). The data-array sweep is freed first for the same
             // reason.
-            let mut solved: Vec<(Vec<Rendered>, Option<SolveStats>)> = groups
+            let mut solved: Vec<(Vec<Rendered>, SolveStats)> = groups
                 .iter()
                 .map(|group| {
                     let specs: Vec<&MemorySpec> =
                         group.members.iter().map(|m| spec_at(m[0])).collect();
-                    let solved = cache.solve_group(&specs, &sweep);
-                    let rendered = solved
-                        .members
+                    let winners = memos.with(|memo| sweep.select(&specs, memo));
+                    let stats = winners.stats;
+                    let rendered = winners
+                        .results
                         .into_iter()
-                        .map(|(entry, was_cached)| Rendered {
-                            entry,
-                            was_cached,
+                        .map(|result| Rendered {
+                            entry: CachedSolve { result, stats },
                             lines: Vec::new(),
                         })
                         .collect();
-                    (rendered, solved.sweep)
+                    (rendered, stats)
                 })
                 .collect();
             let array_swept = sweep.has_run();
@@ -350,20 +342,14 @@ pub fn explore_expansion(
                 stats.array_sweeps += 1;
             }
             for (group, (rendered, sweep)) in jobs[j].groups.iter().zip(solved) {
-                if let Some(sweep) = sweep {
-                    stats.sweeps += 1;
-                    stats.orgs_enumerated += sweep.orgs_enumerated;
-                    stats.bound_pruned += sweep.bound_pruned;
-                }
+                stats.sweeps += 1;
+                stats.orgs_enumerated += sweep.orgs_enumerated;
+                stats.bound_pruned += sweep.bound_pruned;
                 for (member, r) in group.members.iter().zip(rendered) {
                     let status = record::solved_status(&r.entry);
                     let m = r.entry.result.as_ref().ok().map(record::solution_metrics);
-                    if r.was_cached {
-                        stats.memoized += member.len();
-                    } else {
-                        stats.solved += 1;
-                        stats.memoized += member.len() - 1;
-                    }
+                    stats.solved += 1;
+                    stats.memoized += member.len() - 1;
                     for (&idx, line) in member.iter().zip(r.lines) {
                         if let Some(log) = ckpt.as_mut() {
                             resume::push(log, idx, &line, status, m.as_ref());
@@ -530,14 +516,14 @@ mod tests {
         let before = cactid_obs::snapshot();
         let points0 = before.counter("explore.engine.points").unwrap_or(0);
         let claims0 = before.counter("explore.pool.claims").unwrap_or(0);
-        let misses0 = before.counter("explore.cache.misses").unwrap_or(0);
+        let sweeps0 = before.counter("explore.engine.sweeps").unwrap_or(0);
         let report = explore(&grid(), &ExploreConfig::default()).unwrap();
         assert_eq!(report.stats.points, 4);
         // Deltas, not absolutes: other tests share the process registry.
         let after = cactid_obs::snapshot();
         assert!(after.counter("explore.engine.points").unwrap() >= points0 + 4);
         assert!(after.counter("explore.pool.claims").unwrap() >= claims0 + 4);
-        assert!(after.counter("explore.cache.misses").unwrap() >= misses0 + 4);
+        assert!(after.counter("explore.engine.sweeps").unwrap() >= sweeps0 + 4);
         for span in ["expand", "solve", "finalize"] {
             let h = after.histogram(&format!("span.explore.{span}.ns"));
             assert!(h.is_some_and(|h| h.count >= 1), "missing stage span {span}");
@@ -553,25 +539,29 @@ mod tests {
     }
 
     #[test]
-    fn injected_cache_is_shared_across_runs_with_identical_output() {
-        let cache = SolveCache::new();
+    fn injected_memo_pool_is_shared_across_runs_with_identical_output() {
+        let pool = MemoPool::new();
         let config = ExploreConfig {
-            cache: Some(&cache),
+            threads: 1,
+            memos: Some(&pool),
             ..ExploreConfig::default()
         };
         let cold = explore(&grid(), &config).unwrap();
         assert_eq!(cold.stats.solved, 4);
-        assert_eq!(cache.len(), 4);
-        // Second run over the same grid: every point served from the
-        // injected memo, not re-solved — and the bytes don't move.
+        let designs = pool.with(|memo| memo.designs());
+        assert!(designs > 0, "the run handed its memo back to the pool");
+        // Second run over the same grid: every point solves again, through
+        // the warm memo, which designs nothing new — and the bytes don't
+        // move.
         let warm = explore(&grid(), &config).unwrap();
-        assert_eq!(warm.stats.solved, 0);
-        assert_eq!(warm.stats.memoized, 4);
+        assert_eq!(warm.stats.solved, 4);
+        assert_eq!(pool.with(|memo| memo.designs()), designs);
         assert_eq!(warm.lines, cold.lines);
-        // A default-config run still gets a private cache: it re-solves.
+        // A default-config run gets a private pool and leaves this one be.
         let private = explore(&grid(), &ExploreConfig::default()).unwrap();
         assert_eq!(private.stats.solved, 4);
         assert_eq!(private.lines, cold.lines);
+        assert_eq!(pool.with(|memo| memo.designs()), designs);
     }
 
     #[test]

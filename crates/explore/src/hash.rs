@@ -1,7 +1,8 @@
 //! Canonical FNV-1a fingerprints of memory specifications.
 //!
-//! The solve memo ([`crate::cache`]) and the checkpoint format key on a
-//! stable 64-bit fingerprint of the full [`MemorySpec`]. FNV-1a is used
+//! The engine's spec grouping, the study's solve memo ([`crate::cache`])
+//! and the `cactid-serve` store key on a stable 64-bit fingerprint of the
+//! full [`MemorySpec`]. FNV-1a is used
 //! because it is tiny, dependency-free and byte-order-explicit: every field
 //! is serialized little-endian into the hash in a fixed order, so the
 //! fingerprint is identical across runs, thread counts and platforms.

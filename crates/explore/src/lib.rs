@@ -11,13 +11,15 @@
 //! * **[`mod@pool`]** — a hermetic `std::thread` pool: workers claim points
 //!   off an atomic cursor (no registry dependencies, in line with the
 //!   workspace's zero-dependency policy).
-//! * **[`mod@cache`]** — a solve memo keyed by a canonical FNV-1a
-//!   fingerprint of the spec ([`mod@hash`]), so duplicate and overlapping
-//!   grid points are solved once, and specs that differ only in their
-//!   select-only knobs share one organization sweep
-//!   ([`cactid_core::MemorySpec::sweep_key`]); the underlying
-//!   [`cactid_tech::Technology`] tables are likewise constructed once per
-//!   node ([`cactid_tech::Technology::cached`]).
+//! * **[`mod@cache`]** — the [`MemoPool`] of evaluation memos every
+//!   solve borrows from, so circuit and tag designs carry across sweeps,
+//!   and the [`SolveCache`] answer memo the study drivers share. The
+//!   engine itself groups points by a canonical FNV-1a fingerprint of the
+//!   spec ([`mod@hash`]), so duplicate grid points are solved once and
+//!   specs that differ only in their select-only knobs share one
+//!   organization sweep ([`cactid_core::MemorySpec::sweep_key`]); the
+//!   underlying [`cactid_tech::Technology`] tables are likewise
+//!   constructed once per node ([`cactid_tech::Technology::cached`]).
 //! * **[`explore`]** — the engine: appends one checkpoint line per point as
 //!   it completes, the point's JSONL record included, to one sidecar (so an
 //!   interrupted sweep resumes without re-solving completed points), and
@@ -64,7 +66,7 @@ pub mod record;
 mod resume;
 mod stats;
 
-pub use cache::{optimize_cached_in, GroupSolve, SolveCache};
+pub use cache::{optimize_cached_in, MemoPool, SolveCache};
 pub use engine::{explore, explore_expansion, ExploreConfig, ExploreReport, PointStatus};
 pub use error::ExploreError;
 pub use grid::{Expansion, Grid, GridPoint, OptVariant};

@@ -6,10 +6,11 @@ use std::time::Duration;
 ///
 /// The point-accounting invariant is
 /// `solved + memoized + resumed + invalid == points`:
-/// every grid point is either solved fresh, served from the in-run memo
-/// (a duplicate spec), restored from a checkpoint, or structurally
-/// invalid — the four buckets are disjoint, so an invalid point restored
-/// from a checkpoint counts under `invalid`, not `resumed`. The `ok` /
+/// every grid point is either solved fresh, a duplicate of an earlier
+/// point's spec sharing its answer, restored from a checkpoint, or
+/// structurally invalid — the four buckets are disjoint, so an invalid
+/// point restored from a checkpoint counts under `invalid`, not
+/// `resumed`. The `ok` /
 /// `infeasible` split then classifies the non-invalid points by whether a
 /// winner existed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -22,17 +23,16 @@ pub struct EngineStats {
     /// select-only knobs share one sweep
     /// ([`cactid_core::MemorySpec::sweep_key`]), so this is at most
     /// `solved`, and a grid with `k` knob variants that all keep the
-    /// default sweep knobs runs `unique_specs / k` sweeps on a cold memo.
+    /// default sweep knobs runs `unique_specs / k` sweeps.
     pub sweeps: usize,
     /// Data-array sweeps actually run: at most one per bank geometry
-    /// ([`cactid_core::MemorySpec::array_key`]) with a memo miss, so at
-    /// most `sweeps`. Sweeps whose capacity and bank count differ but
+    /// ([`cactid_core::MemorySpec::array_key`]), so at most `sweeps`. Sweeps whose capacity and bank count differ but
     /// whose banks are alike share one.
     pub array_sweeps: usize,
-    /// Points answered fresh this run (one per unique spec not already in
-    /// the memo), whether or not their sweep was shared.
+    /// Points answered fresh this run (one per unique spec), whether or
+    /// not their sweep was shared.
     pub solved: usize,
-    /// Points served from the memo — duplicate specs solved once.
+    /// Points that duplicate an earlier point's spec and share its answer.
     pub memoized: usize,
     /// Valid points restored from the checkpoint without re-solving
     /// (restored invalid points count under `invalid` instead).

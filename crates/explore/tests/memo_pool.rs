@@ -1,8 +1,8 @@
-//! The memo-pool contract: a `SolveCache` lends one evaluation memo per
+//! The memo-pool contract: a `MemoPool` lends one evaluation memo per
 //! concurrent solve and keeps it for later solves, so designs cross sweeps,
 //! technologies and runs. Every record must still be byte-identical to a
 //! fresh `optimize` + `solve_with_stats` of that point alone, and
-//! `SolveCache::clear` must start the memos over.
+//! `MemoPool::clear` must start the memos over.
 //!
 //! This file holds one test so the process-wide `core.memo.*` counters it
 //! reads move only for its own runs.
@@ -10,7 +10,7 @@
 use cactid_core::{optimize, solve_with_stats, OptimizationOptions};
 use cactid_explore::cache::CachedSolve;
 use cactid_explore::record::render_solved;
-use cactid_explore::{explore, ExploreConfig, Grid, OptVariant, SolveCache};
+use cactid_explore::{explore, ExploreConfig, Grid, MemoPool, OptVariant};
 use cactid_tech::{CellTechnology, TechNode};
 
 /// 2 capacities × banks {1, 2, 4} × 2 nodes × 3 cells × 2 variants
@@ -61,11 +61,11 @@ fn design_hits() -> u64 {
 
 #[test]
 fn a_pooled_cache_renders_fresh_bytes_and_clear_starts_its_memos_over() {
-    let cache = SolveCache::new();
+    let pool = MemoPool::new();
     let run = |grid: &Grid, threads: usize| {
         let config = ExploreConfig {
             threads,
-            cache: Some(&cache),
+            memos: Some(&pool),
             ..ExploreConfig::default()
         };
         let (designs_before, hits_before) = (designs(), design_hits());
@@ -87,22 +87,21 @@ fn a_pooled_cache_renders_fresh_bytes_and_clear_starts_its_memos_over() {
     assert_eq!(lines, expected);
     assert!(cold_designs > 0 && cold_hits > 0);
 
-    // Other knobs miss the solve memo, so every spec solves again, now
-    // through the warm pooled memo: it finds every design it needs.
+    // Other knobs solve every spec again, now through the warm pooled
+    // memo: it finds every design it needs.
     let (lines, designs, hits) = run(&other_knobs, 1);
     assert_eq!(lines, expected_other);
     assert_eq!(designs, 0, "the pooled memo lost designs between runs");
     assert!(hits > 0);
 
     // After `clear` the same cold run designs everything again.
-    cache.clear();
-    assert!(cache.is_empty());
+    pool.clear();
     let (lines, designs, _) = run(&grid, 1);
     assert_eq!(lines, expected);
     assert_eq!(designs, cold_designs, "clear kept a pooled memo");
 
     // Two workers borrow two memos; the bytes do not change.
-    cache.clear();
+    pool.clear();
     let (lines, designs, _) = run(&other_knobs, 2);
     assert_eq!(lines, expected_other);
     assert!(designs > 0);

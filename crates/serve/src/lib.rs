@@ -4,22 +4,23 @@
 //! organization sweep on every call, even for specs solved seconds ago.
 //! This crate keeps a solver *resident*: a long-running service that
 //! accepts spec and grid queries as JSONL requests, answers them against
-//! one resident [`cactid_tech::Technology`] and one shared solve memo, and
-//! answers in the exploration engine's record schema — a `serve` answer
-//! for a spec is byte-identical to the line `cactid explore` would write
-//! for it. A grid request runs its store misses through the exploration
-//! engine itself ([`cactid_explore::explore_expansion`]), so it shares
-//! sweeps exactly as `cactid explore` does.
+//! one resident [`cactid_tech::Technology`], one pool of evaluation memos
+//! and one solution store, and answers in the exploration engine's record
+//! schema — a `serve` answer for a spec is byte-identical to the line
+//! `cactid explore` would write for it. A grid request runs its store
+//! misses through the exploration engine itself
+//! ([`cactid_explore::explore_expansion`]), so it shares sweeps exactly as
+//! `cactid explore` does.
 //!
 //! Three layers:
 //!
-//! * **[`mod@store`]** — a disk-backed, content-addressed
-//!   [`SolutionStore`]: solutions keyed by the spec's FNV-1a fingerprint,
-//!   guarded by the injective canonical encoding
-//!   ([`cactid_explore::hash::spec_canon`]), spilled to an append-only
-//!   file with the torn-tail-safe load discipline of the exploration
-//!   checkpoint format — so restarts share warm results, and a warm
-//!   answer is bitwise equal to the cold solve it replaced.
+//! * **[`mod@store`]** — the content-addressed [`SolutionStore`], the
+//!   service's one answer table: solutions keyed by the spec's FNV-1a
+//!   fingerprint, guarded by the injective canonical encoding
+//!   ([`cactid_explore::hash::spec_canon`]), and with `--store` spilled to
+//!   an append-only file with the torn-tail-safe load discipline of the
+//!   exploration checkpoint format — so restarts share warm results, and
+//!   a warm answer is bitwise equal to the cold solve it replaced.
 //! * **[`mod@protocol`]** — the JSONL [`Request`] grammar
 //!   (`solve`/`grid`/`stats`/`shutdown`), parsed with the workspace's own
 //!   hermetic JSON parser; malformed lines become in-band error
@@ -35,7 +36,7 @@
 //! use cactid_serve::{Service, ServeConfig};
 //!
 //! # fn main() -> Result<(), cactid_serve::ServeError> {
-//! let svc = Service::new(&ServeConfig::default())?; // memo-only, no disk
+//! let svc = Service::new(&ServeConfig::default())?; // in-memory store, no disk
 //! let input = "{\"id\":1,\"op\":\"solve\",\"size\":65536}\n";
 //! let mut out = Vec::new();
 //! svc.run_lines(input.as_bytes(), &mut out)?;

@@ -1,28 +1,30 @@
 //! The service: request dispatch, the solve path, and the two transports.
 //!
-//! One [`Service`] owns an injectable in-process solve memo
-//! ([`SolveCache`]), an optional persistent [`SolutionStore`], and a
-//! thread budget for the explore engine's pool. Both transports — a
+//! One [`Service`] owns one [`SolutionStore`] (a file with `--store`, in
+//! memory without), a [`MemoPool`] of evaluation memos, and a thread
+//! budget for the explore engine's pool. Both transports — a
 //! stdin/stdout JSONL loop and a TCP listener — funnel into the same line
 //! handler, so they are byte-for-byte interchangeable and the stdio loop
 //! (trivially testable, no sockets) pins the protocol behavior for both.
 //!
 //! # The solve path and byte identity
 //!
-//! A `solve` request resolves in three stages, cheapest first:
+//! A `solve` request resolves in two stages, cheapest first:
 //!
-//! 1. **store** — fingerprint + canonical-key lookup in the persistent
-//!    store; a hit splices the stored body under the request's `id`
-//!    without any model evaluation.
-//! 2. **memo** — the in-process [`SolveCache`] (shared across requests
-//!    and grid points; the resident [`cactid_tech::Technology`] tables
-//!    are likewise constructed once per node).
-//! 3. **solve** — the full organization sweep, after which the rendered
-//!    body is appended to the store.
+//! 1. **store** — fingerprint + canonical-key lookup in the store; a hit
+//!    splices the stored body under the request's `id` without any model
+//!    evaluation.
+//! 2. **solve** — the full organization sweep on a pooled memo (the
+//!    resident [`cactid_tech::Technology`] tables are likewise constructed
+//!    once per node), after which the rendered body goes into the store.
+//!
+//! The store is the service's only answer table, so a spec answered once
+//! is answered from it for the rest of the session under the same opt and
+//! access-mode labels, whether or not a file backs it.
 //!
 //! A `grid` request takes the same stages in bulk: it expands the grid,
 //! answers every store hit, and runs the misses, renumbered `0..m`, through
-//! [`cactid_explore::explore_expansion`] with the resident memo. The
+//! [`cactid_explore::explore_expansion`] with the resident memo pool. The
 //! engine groups them by bank geometry and sweep key as it does for
 //! `cactid explore`, so the grid costs what that explore run costs. Each
 //! answer goes back under its grid `idx` and into the store.
@@ -40,7 +42,7 @@ use cactid_core::MemorySpec;
 use cactid_explore::hash::{spec_canon, spec_fingerprint};
 use cactid_explore::record::{mode_label, render_invalid, render_solved};
 use cactid_explore::{
-    explore_expansion, Expansion, ExploreConfig, ExploreError, Grid, GridPoint, SolveCache,
+    explore_expansion, Expansion, ExploreConfig, ExploreError, Grid, GridPoint, MemoPool,
 };
 use cactid_obs::json::JsonObject;
 use std::io::{BufRead, Read, Write};
@@ -61,7 +63,8 @@ pub struct ServeConfig {
     /// Worker threads the explore engine uses on `grid` requests; `0`
     /// means the pool default.
     pub threads: usize,
-    /// Path of the persistent solution store; `None` serves memo-only.
+    /// Path of the persistent solution store; `None` keeps the store in
+    /// memory for the session.
     pub store: Option<PathBuf>,
 }
 
@@ -78,10 +81,11 @@ pub struct ServeOutcome {
 /// A resident solve service. See the module docs for the solve path.
 #[derive(Debug)]
 pub struct Service {
-    cache: SolveCache,
-    store: Option<SolutionStore>,
+    store: SolutionStore,
+    memos: MemoPool,
     threads: usize,
     requests: AtomicU64,
+    solved: AtomicU64,
 }
 
 /// The store lookup key: everything besides the spec that shapes the
@@ -115,37 +119,39 @@ fn error_line(id: u64, msg: &str) -> String {
 
 impl Service {
     /// Builds a service: opens (or creates) the persistent store when
-    /// configured, with an empty solve memo.
+    /// configured, or starts an in-memory one, with a cold memo pool.
     ///
     /// # Errors
     ///
     /// Store open failures; see [`SolutionStore::open`].
     pub fn new(config: &ServeConfig) -> Result<Self, ServeError> {
         let store = match &config.store {
-            Some(p) => Some(SolutionStore::open(p)?),
-            None => None,
+            Some(p) => SolutionStore::open(p)?,
+            None => SolutionStore::in_memory(),
         };
         Ok(Service {
-            cache: SolveCache::new(),
             store,
+            memos: MemoPool::new(),
             threads: config.threads,
             requests: AtomicU64::new(0),
+            solved: AtomicU64::new(0),
         })
     }
 
-    /// The persistent store, when one is configured.
-    pub fn store(&self) -> Option<&SolutionStore> {
-        self.store.as_ref()
-    }
-
-    /// The in-process solve memo.
-    pub fn cache(&self) -> &SolveCache {
-        &self.cache
+    /// The solution store: file-backed when configured, else in memory.
+    pub fn store(&self) -> &SolutionStore {
+        &self.store
     }
 
     /// Requests handled over the service's lifetime (all transports).
     pub fn requests_served(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
+    }
+
+    /// Specs solved over the service's lifetime; store hits and
+    /// duplicates within one grid do not count.
+    pub fn solved(&self) -> u64 {
+        self.solved.load(Ordering::Relaxed)
     }
 
     /// Answers one request line. Returns the response lines plus whether
@@ -185,31 +191,30 @@ impl Service {
     }
 
     /// The store's answer for `point`, spliced under its `idx`, or `None`
-    /// on a miss or when no store is configured.
+    /// on a miss.
     fn stored(&self, point: &GridPoint, spec: &MemorySpec) -> Option<String> {
         let body = self
             .store
-            .as_ref()?
             .get(spec_fingerprint(spec), &store_key(point, spec))?;
         Some(splice_idx(point.idx, &body))
     }
 
-    /// Appends a freshly solved record for `point` to the store, if one is
-    /// configured.
+    /// Inserts a freshly solved record for `point` into the store.
     fn remember(&self, point: &GridPoint, spec: &MemorySpec, line: &str) {
-        if let Some(store) = &self.store {
-            let key = store_key(point, spec);
-            if let Err(e) = store.insert(spec_fingerprint(spec), &key, record_body(line)) {
-                // A failing append must not corrupt the answer: serve the
-                // solve, surface the store problem out of band.
-                eprintln!("cactid-serve: {e}");
-            }
+        let key = store_key(point, spec);
+        if let Err(e) = self
+            .store
+            .insert(spec_fingerprint(spec), &key, record_body(line))
+        {
+            // A failing append must not corrupt the answer: serve the
+            // solve, surface the store problem out of band.
+            eprintln!("cactid-serve: {e}");
         }
     }
 
-    /// Resolves one point: store hit → memo → full solve (then store
-    /// insert). Invalid specs render as `"invalid"` records and never
-    /// touch the store.
+    /// Resolves one point: store hit, else a full solve on a pooled memo
+    /// (then store insert). Invalid specs render as `"invalid"` records
+    /// and never touch the store.
     fn solve_line(&self, point: &GridPoint) -> String {
         let spec = match &point.spec {
             Ok(spec) => spec,
@@ -218,8 +223,8 @@ impl Service {
         if let Some(line) = self.stored(point, spec) {
             return line;
         }
-        let (entry, _) = self.cache.solve_point(spec);
-        let line = render_solved(point, &entry);
+        let line = render_solved(point, &self.memos.solve(spec));
+        self.solved.fetch_add(1, Ordering::Relaxed);
         self.remember(point, spec, &line);
         line
     }
@@ -263,11 +268,15 @@ impl Service {
         };
         let config = ExploreConfig {
             threads: self.threads,
-            cache: Some(&self.cache),
+            memos: Some(&self.memos),
             ..ExploreConfig::default()
         };
         let solved = match explore_expansion(&misses, &config) {
-            Ok(report) => report.lines,
+            Ok(report) => {
+                self.solved
+                    .fetch_add(report.stats.solved as u64, Ordering::Relaxed);
+                report.lines
+            }
             Err(e) => return vec![error_line(id, &e.to_string())],
         };
         for ((point, line), idx) in misses.points.iter().zip(&solved).zip(miss_idx) {
@@ -292,11 +301,8 @@ impl Service {
         let mut o = JsonObject::new();
         o.u64("id", id)
             .u64("requests", self.requests_served())
-            .u64("cache_entries", self.cache.len() as u64)
-            .u64(
-                "store_entries",
-                self.store.as_ref().map_or(0, |s| s.len() as u64),
-            );
+            .u64("solved", self.solved())
+            .u64("store_entries", self.store.len() as u64);
         o.finish()
     }
 
@@ -377,7 +383,7 @@ impl Service {
 
     /// Accepts TCP connections until a `shutdown` request arrives on any
     /// of them, serving each connection on its own scoped thread (they
-    /// all share this service's memo and store). Connections open at
+    /// all share this service's memo pool and store). Connections open at
     /// shutdown finish their current request loop when their client
     /// closes.
     ///
@@ -439,7 +445,7 @@ impl Service {
 mod tests {
     use super::*;
 
-    fn memo_only() -> Service {
+    fn store_less() -> Service {
         Service::new(&ServeConfig::default()).unwrap()
     }
 
@@ -449,7 +455,7 @@ mod tests {
 
     #[test]
     fn stdio_loop_answers_and_stops_on_shutdown() {
-        let svc = memo_only();
+        let svc = store_less();
         let input = format!(
             "{}\n\n{}\n{{\"id\":5,\"op\":\"stats\"}}\n{{\"id\":6,\"op\":\"shutdown\"}}\nignored after shutdown\n",
             solve_req(1),
@@ -467,8 +473,8 @@ mod tests {
         assert!(lines[1].starts_with("{\"idx\":2,"));
         assert!(lines[2].contains("\"requests\":3"));
         assert!(
-            lines[2].contains("\"cache_entries\":1"),
-            "memo shared: {}",
+            lines[2].contains("\"solved\":1"),
+            "store shared: {}",
             lines[2]
         );
         assert_eq!(lines[3], "{\"id\":6,\"ok\":true}");
@@ -476,7 +482,7 @@ mod tests {
 
     #[test]
     fn duplicate_requests_differ_only_in_idx() {
-        let svc = memo_only();
+        let svc = store_less();
         let (a, _) = svc.handle_line(&solve_req(1));
         let (b, _) = svc.handle_line(&solve_req(42));
         assert_eq!(record_body(&a[0]), record_body(&b[0]));
@@ -485,7 +491,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_answered_in_band() {
-        let svc = memo_only();
+        let svc = store_less();
         let (r, shutdown) = svc.handle_line("{\"id\":3,\"op\":\"fly\"}");
         assert!(!shutdown);
         assert!(r[0].starts_with("{\"id\":3,\"error\":"));
@@ -495,7 +501,7 @@ mod tests {
 
     #[test]
     fn a_deeply_nested_line_is_answered_in_band_and_the_loop_survives() {
-        let svc = memo_only();
+        let svc = store_less();
         let input = format!(
             "{{\"id\":1,\"op\":\"solve\",\"x\":{}\n{{\"id\":2,\"op\":\"stats\"}}\n",
             "[".repeat(1 << 20)
@@ -524,7 +530,7 @@ mod tests {
 
     #[test]
     fn a_non_utf8_line_is_answered_in_band_and_the_loop_survives() {
-        let svc = memo_only();
+        let svc = store_less();
         let rejected = cactid_obs::counter!("serve.rejected.not_utf8").get();
         let lines = run(&svc, b"\xff\xfe\n{\"id\":2,\"op\":\"stats\"}\n");
         assert_eq!(lines.len(), 2, "{lines:?}");
@@ -540,7 +546,7 @@ mod tests {
 
     #[test]
     fn an_over_long_line_is_skipped_and_answered_in_band() {
-        let svc = memo_only();
+        let svc = store_less();
         let rejected = cactid_obs::counter!("serve.rejected.line_too_long").get();
         let mut input = b"{\"id\":1,\"op\":\"stats\",\"pad\":\"".to_vec();
         input.resize(MAX_LINE_BYTES + 4096, b'a');
@@ -591,15 +597,28 @@ mod tests {
 
     #[test]
     fn invalid_specs_render_as_invalid_records() {
-        let svc = memo_only();
+        let svc = store_less();
         let (r, _) = svc.handle_line("{\"id\":9,\"op\":\"solve\",\"size\":49152}");
         assert!(r[0].starts_with("{\"idx\":9,"));
         assert!(r[0].contains("\"status\":\"invalid\""));
     }
 
     #[test]
+    fn a_burst_wider_than_its_page_is_invalid() {
+        let svc = store_less();
+        let (r, _) = svc.handle_line(
+            "{\"id\":4,\"op\":\"solve\",\"size\":1073741824,\"banks\":8,\"cell\":\"comm-dram\",\
+             \"node\":32,\"main_memory\":{\"io\":32,\"burst\":16,\"prefetch\":16,\"page\":256}}",
+        );
+        assert!(r[0].contains("\"status\":\"invalid\""), "{}", r[0]);
+        assert!(r[0].contains("fit in the page"), "{}", r[0]);
+        assert_eq!(svc.solved(), 0);
+        assert!(svc.store().is_empty());
+    }
+
+    #[test]
     fn grid_op_streams_points_then_a_done_line() {
-        let svc = memo_only();
+        let svc = store_less();
         let (r, _) =
             svc.handle_line("{\"id\":7,\"op\":\"grid\",\"sizes\":[65536,131072],\"assocs\":[4,8]}");
         assert_eq!(r.len(), 5);
@@ -608,17 +627,46 @@ mod tests {
             assert!(line.contains("\"status\":\"ok\""));
         }
         assert_eq!(r[4], "{\"id\":7,\"done\":true,\"points\":4}");
-        // The grid populated the shared memo; a matching solve re-renders
+        // The grid populated the shared store; a matching solve re-renders
         // the same body without a fresh sweep.
         let (single, _) = svc.handle_line(&solve_req(3));
         assert_eq!(record_body(&single[0]), record_body(&r[0]));
     }
 
     #[test]
+    fn a_store_less_service_answers_repeats_from_its_store() {
+        let grid = "{\"id\":7,\"op\":\"grid\",\"sizes\":[65536,131072],\"assocs\":[4,8]}";
+        let svc = store_less();
+        let hits = cactid_obs::counter!("serve.store.hits").get();
+
+        // A repeated solve.
+        let (first, _) = svc.handle_line(&solve_req(1));
+        assert_eq!(svc.solved(), 1);
+        let (again, _) = svc.handle_line(&solve_req(1));
+        assert_eq!(again, first);
+        assert_eq!(svc.solved(), 1, "the repeat was not solved again");
+        assert!(cactid_obs::counter!("serve.store.hits").get() > hits);
+
+        // A solve of a point an earlier grid answered.
+        let svc = store_less();
+        let (points, _) = svc.handle_line(grid);
+        assert_eq!(svc.solved(), 4);
+        let (single, _) = svc.handle_line(&solve_req(0));
+        assert_eq!(single[0], points[0]);
+        assert_eq!(svc.solved(), 4, "the grid's answer was reused");
+
+        // The same grid twice.
+        let (again, _) = svc.handle_line(grid);
+        assert_eq!(again, points);
+        assert_eq!(svc.solved(), 4, "the second grid was not solved again");
+        assert_eq!(svc.store().len(), 4);
+    }
+
+    #[test]
     fn an_overflowing_grid_is_answered_in_band_and_the_loop_survives() {
         // Four 2^16-entry axes in one 512 KiB line: their product, 2^64,
         // wraps to 0 unless the point count saturates.
-        let svc = memo_only();
+        let svc = store_less();
         let rejected = cactid_obs::counter!("serve.rejected.grid_too_large").get();
         let axis = vec!["1"; 1 << 16].join(",");
         let input = format!(
@@ -639,7 +687,7 @@ mod tests {
 
     #[test]
     fn tcp_round_trip_and_shutdown() {
-        let svc = memo_only();
+        let svc = store_less();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::scope(|scope| {

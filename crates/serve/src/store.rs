@@ -1,4 +1,5 @@
-//! The disk-backed, content-addressed solution store.
+//! The content-addressed solution store: the service's one answer table,
+//! disk-backed with `--store` and in memory without.
 //!
 //! The store maps a solved spec to the rendered body of its JSONL record,
 //! keyed by the spec's 64-bit FNV-1a fingerprint
@@ -6,7 +7,7 @@
 //! fingerprint collisions by the injective canonical encoding
 //! ([`cactid_explore::hash::spec_canon`]): lookups compare the full
 //! canonical key, so a 64-bit collision degrades to a miss instead of a
-//! wrong answer — the same discipline as the in-process
+//! wrong answer — the same discipline as the study's
 //! [`cactid_explore::SolveCache`].
 //!
 //! # On-disk format
@@ -84,8 +85,8 @@ impl SolutionStore {
                 return None;
             }
             let bucket = index.entry(u64::from_str_radix(fp, 16).ok()?).or_default();
-            // First write wins, matching the in-process memo: a duplicate
-            // append (two racing services) is harmless.
+            // First write wins, as in `insert`: a duplicate append (two
+            // racing services) is harmless.
             if !bucket.iter().any(|(k, _)| k == key) {
                 bucket.push((key.to_string(), body.to_string()));
             }

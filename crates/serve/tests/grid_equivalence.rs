@@ -1,6 +1,6 @@
 //! The one-grid-path contract: a `grid` request answers exactly the
 //! records `cactid explore` writes for the same grid, in grid order, then
-//! its `done` line — memo-only, on a cold store, after a restart on a warm
+//! its `done` line — store-less, on a cold store, after a restart on a warm
 //! one, and on a store that already holds part of the grid — at one and
 //! two threads.
 
@@ -100,8 +100,9 @@ fn cold_and_restarted_warm_grids_answer_the_explore_records() {
             expected,
             "warm, threads {threads}"
         );
-        assert!(
-            svc.cache().is_empty(),
+        assert_eq!(
+            svc.solved(),
+            0,
             "every warm point came from the store, threads {threads}"
         );
         drop(svc);
@@ -125,14 +126,14 @@ fn a_half_warm_store_answers_the_explore_records_in_grid_order() {
             assert_eq!(sub.len(), 7, "six points and a done line");
         }
         let svc = Service::new(&config).unwrap();
-        assert_eq!(svc.store().unwrap().len(), 6);
+        assert_eq!(svc.store().len(), 6);
         assert_eq!(
             answer(&svc, &full_request(5)),
             expected,
             "threads {threads}"
         );
         assert_eq!(
-            svc.cache().len(),
+            svc.solved(),
             36 - 6,
             "only the store misses were solved, threads {threads}"
         );

@@ -30,8 +30,8 @@ fn warm_restart_answers_are_byte_identical_to_cold_solves() {
     let cold: Vec<String> = {
         let svc = Service::new(&config).unwrap();
         let cold = requests.iter().map(|r| answer(&svc, r)).collect();
-        assert_eq!(svc.store().unwrap().len(), 3);
-        assert_eq!(svc.cache().len(), 3, "cold answers went through the memo");
+        assert_eq!(svc.store().len(), 3);
+        assert_eq!(svc.solved(), 3, "cold answers were solved");
         cold
     };
     for line in &cold {
@@ -40,14 +40,15 @@ fn warm_restart_answers_are_byte_identical_to_cold_solves() {
 
     // Restart: a new process-equivalent service reopens the same file.
     let svc = Service::new(&config).unwrap();
-    assert_eq!(svc.store().unwrap().len(), 3, "the store reloaded warm");
+    assert_eq!(svc.store().len(), 3, "the store reloaded warm");
     for (request, cold_line) in requests.iter().zip(&cold) {
         let warm = answer(&svc, request);
         assert_eq!(&warm, cold_line, "warm answer must be bitwise cold");
     }
-    assert!(
-        svc.cache().is_empty(),
-        "every warm answer came from the store — the memo never saw a solve"
+    assert_eq!(
+        svc.solved(),
+        0,
+        "every warm answer came from the store — nothing was solved"
     );
 
     // A duplicate under a different id differs only in the idx prefix.
@@ -58,13 +59,13 @@ fn warm_restart_answers_are_byte_identical_to_cold_solves() {
     assert!(relabeled.starts_with("{\"idx\":99,"));
     let body = |l: &str| l.split_once(',').map(|(_, b)| b.to_string()).unwrap();
     assert_eq!(body(&relabeled), body(&cold[0]));
-    assert!(svc.cache().is_empty());
+    assert_eq!(svc.solved(), 0);
 
     // Cross-check against a store-less service: the cold in-process solve
     // path and the warm spliced path agree byte-for-byte.
-    let memo_only = Service::new(&ServeConfig::default()).unwrap();
+    let store_less = Service::new(&ServeConfig::default()).unwrap();
     for (request, cold_line) in requests.iter().zip(&cold) {
-        assert_eq!(&answer(&memo_only, request), cold_line);
+        assert_eq!(&answer(&store_less, request), cold_line);
     }
 
     std::fs::remove_dir_all(&dir).ok();

@@ -351,7 +351,7 @@ fn run_explore(argv: &[String]) -> ! {
         out: a.out.as_deref(),
         resume: a.resume,
         pareto: a.pareto,
-        cache: None,
+        memos: None,
     };
     match cactid_explore::explore(&a.grid, &config) {
         Ok(report) => {
@@ -749,18 +749,8 @@ fn main() {
     }
 
     let spec = spec_from_args(&a);
-    // The classic path still validates eagerly, like the builder would.
-    if let Err(e) = MemorySpec::builder()
-        .capacity_bytes(spec.capacity_bytes)
-        .block_bytes(spec.block_bytes)
-        .associativity(spec.associativity)
-        .banks(spec.n_banks)
-        .cell_tech(spec.cell_tech)
-        .node(spec.node)
-        .kind(spec.kind)
-        .optimization(spec.opt.clone())
-        .build()
-    {
+    // The classic path validates eagerly, as the builder does.
+    if let Err(e) = spec.validate() {
         eprintln!("error: {e}");
         eprintln!("hint: run `cactid lint` with the same flags for a full diagnosis");
         exit(1)
