@@ -23,7 +23,21 @@ echo "== perfbench tests (its own workspace)"
 # perfbench is a separate workspace that times the repository's crates
 # through their public APIs, so the workspace runs above never build it:
 # this catches an API change that would break the benchmark.
+# Building perfbench rewrites its stale Cargo.lock, so the step runs
+# between a copy of the lock and its restore, which a trap also runs when
+# the step fails or is interrupted: a run leaves the checkout clean.
+LOCK_COPY=$(mktemp)
+cp perfbench/Cargo.lock "$LOCK_COPY"
+restore_perfbench_lock() {
+  if [ -f "$LOCK_COPY" ]; then
+    cp "$LOCK_COPY" perfbench/Cargo.lock && rm -f "$LOCK_COPY"
+  fi
+}
+trap restore_perfbench_lock EXIT
+trap 'exit 130' INT TERM
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+restore_perfbench_lock
+trap - EXIT INT TERM
 
 echo "== cargo doc --workspace --no-deps"
 # missing_docs is a workspace lint, so the docs must build warning-free.

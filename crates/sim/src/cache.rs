@@ -1,11 +1,16 @@
 //! Set-associative cache tag array with true-LRU replacement and MESI
 //! line states.
 //!
-//! Each way is one packed `u64` slot, `tag << 2 | state`, with 0 meaning
-//! Invalid (8 B per line). A set's slots are kept in recency order — most
+//! Each way is one packed `u32` slot, `tag << 2 | state`, with 0 meaning
+//! Invalid (4 B per line). A set's slots are kept in recency order — most
 //! recently used first, invalid slots last — so a hit or insert rotates
 //! the line to the front, the LRU victim is always the last way, and
 //! invalidation shifts the less recent lines left. No timestamps are stored.
+//!
+//! The slot leaves [`TAG_BITS`] bits for the tag, so a cache holds byte
+//! addresses below `2^(TAG_BITS + log2 sets + log2 line bytes)`: 4 TiB for
+//! a 64-set cache of 64 B lines. An address past that limit panics rather
+//! than alias another line's tag.
 
 /// MESI coherence state of a cached line. The discriminant is the state's
 /// two-bit code in a packed tag slot.
@@ -21,8 +26,11 @@ pub enum LineState {
     Modified,
 }
 
+/// Tag bits of a packed slot: a `u32` less the two state bits.
+pub const TAG_BITS: u32 = u32::BITS - 2;
+
 impl LineState {
-    fn of_slot(slot: u64) -> LineState {
+    fn of_slot(slot: u32) -> LineState {
         match slot & 3 {
             0 => LineState::Invalid,
             1 => LineState::Shared,
@@ -33,7 +41,9 @@ impl LineState {
 }
 
 /// A set-associative tag array. Addresses are byte addresses; the cache
-/// derives line/set/tag internally.
+/// derives line/set/tag internally. Every method that takes an address
+/// panics if the address is at or past the cache's limit of
+/// `2^(TAG_BITS + log2 sets + log2 line bytes)` bytes.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     /// `log2(line bytes)`: byte address → line address.
@@ -43,7 +53,7 @@ pub struct SetAssocCache {
     /// `log2(sets)`: line address → tag.
     set_shift: u32,
     assoc: usize,
-    slots: Vec<u64>,
+    slots: Vec<u32>,
 }
 
 /// Result of an insertion.
@@ -93,10 +103,16 @@ impl SetAssocCache {
     /// The slot range of `addr`'s set, its tag, and the recency position
     /// of its line within the set if it is present. Line size and set
     /// count are powers of two, so the split is shifts and a mask.
-    fn find(&self, addr: u64) -> (std::ops::Range<usize>, u64, Option<usize>) {
+    fn find(&self, addr: u64) -> (std::ops::Range<usize>, u32, Option<usize>) {
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
         let tag = line >> self.set_shift;
+        assert!(
+            tag >> TAG_BITS == 0,
+            "address {addr:#x} is past this cache's limit of 2^{} bytes",
+            TAG_BITS + self.set_shift + self.line_shift
+        );
+        let tag = tag as u32;
         let range = set * self.assoc..(set + 1) * self.assoc;
         let pos = self.slots[range.clone()]
             .iter()
@@ -130,9 +146,9 @@ impl SetAssocCache {
         let ways = &mut self.slots[range];
         let victim = ways[pos];
         to_front(ways, pos);
-        ways[0] = tag << 2 | state as u64;
+        ways[0] = tag << 2 | state as u32;
         (hit.is_none() && victim != 0).then(|| Eviction {
-            addr: ((victim >> 2) << self.set_shift | set) << self.line_shift,
+            addr: (u64::from(victim >> 2) << self.set_shift | set) << self.line_shift,
             state: LineState::of_slot(victim),
         })
     }
@@ -143,7 +159,7 @@ impl SetAssocCache {
         if state == LineState::Invalid {
             self.invalidate(addr);
         } else if let (range, tag, Some(pos)) = self.find(addr) {
-            self.slots[range.start + pos] = tag << 2 | state as u64;
+            self.slots[range.start + pos] = tag << 2 | state as u32;
         }
     }
 
@@ -167,7 +183,7 @@ impl SetAssocCache {
 /// more recent ways shift back by one. The value is carried in a register
 /// from way to way; the library rotate calls `memmove` for every shift,
 /// and most shifts here are a few ways long.
-fn to_front(ways: &mut [u64], pos: usize) {
+fn to_front(ways: &mut [u32], pos: usize) {
     let mut carry = ways[pos];
     for way in &mut ways[..=pos] {
         carry = std::mem::replace(way, carry);
@@ -236,6 +252,27 @@ mod tests {
         assert_eq!(c.invalidate(0x3000), Some(LineState::Exclusive));
         assert_eq!(c.probe(0x3000), None);
         assert_eq!(c.invalidate(0x3000), None);
+    }
+
+    #[test]
+    fn a_slot_is_four_bytes() {
+        assert_eq!(std::mem::size_of_val(&small().slots[0]), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "address 0x4000000000 is past this cache's limit of 2^38 bytes")]
+    fn the_first_line_past_the_limit_is_refused() {
+        // 4 sets × 64 B lines: 30 tag bits reach 2^(30 + 2 + 6) bytes.
+        // The last line below the limit is held, and its eviction is
+        // reported at its full address.
+        let mut c = small();
+        let limit = 1 << 38;
+        c.insert(limit - 64, LineState::Modified);
+        c.insert(limit - 64 - 256, LineState::Shared);
+        let ev = c.insert(limit - 64 - 512, LineState::Shared);
+        let ev = ev.map(|e| (e.addr, e.state));
+        assert_eq!(ev, Some((limit - 64, LineState::Modified)));
+        c.probe(limit);
     }
 
     #[test]
@@ -332,14 +369,20 @@ mod tests {
             LineState::Exclusive,
             LineState::Modified,
         ];
-        // (capacity, line bytes, ways): one set, one way, 24 ways, and the
-        // smallest line the packed slot allows.
-        for (seed, &(cap, line, ways)) in [
-            (1 << 10, 64, 16),
-            (64 << 10, 64, 1),
-            (96 << 10, 64, 24),
-            (24 * 4 * 8, 4, 24),
-            (256, 4, 4),
+        // (capacity, line bytes, ways, top): one set, one way, 24 ways, the
+        // smallest line the packed slot allows, and the paper's L1 geometry
+        // (64 sets × 64 B lines). With `top`, half the addresses fall in
+        // the last `span` bytes below the cache's limit, so tags reach bit
+        // 29 and share sets with low tags; evicting one rebuilds a 36- or
+        // 42-bit address from its 30-bit tag.
+        for (seed, &(cap, line, ways, top)) in [
+            (1 << 10, 64, 16, false),
+            (64 << 10, 64, 1, false),
+            (96 << 10, 64, 24, false),
+            (24 * 4 * 8, 4, 24, false),
+            (256, 4, 4, false),
+            (256, 4, 4, true),
+            (32 << 10, 64, 8, true),
         ]
         .iter()
         .enumerate()
@@ -352,8 +395,14 @@ mod tests {
             // Four times the capacity in distinct lines keeps every set
             // under conflict pressure; offsets exercise sub-line bytes.
             let span = 4 * cap;
+            let limit = 1 << (TAG_BITS + c.set_shift + c.line_shift);
             for step in 0..20_000 {
-                let addr = rng.next_below(span);
+                let high = if top && rng.next_below(2) == 1 {
+                    limit - span
+                } else {
+                    0
+                };
+                let addr = high + rng.next_below(span);
                 let state = STATES[1 + rng.next_below(3) as usize];
                 let ctx = format!("{cap}/{line}/{ways} step {step} addr {addr:#x}");
                 match rng.next_below(8) {

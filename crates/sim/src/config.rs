@@ -15,7 +15,11 @@ pub enum ConfigError {
     /// directory's sharer sets ([`crate::coherence::MAX_CORES`]).
     UnsupportedCoreCount(u32),
     /// A cache level's line size is not a power of two, or is below the
-    /// 4 B minimum of the packed tag slot (`tag << 2 | state`).
+    /// 4 B minimum of the packed `u32` tag slot (`tag << 2 | state`). The
+    /// slot's [`TAG_BITS`](crate::cache::TAG_BITS)-bit tag also bounds the
+    /// addresses a level holds, to `2^(TAG_BITS + log2 sets + log2 line bytes)`;
+    /// validation cannot see trace addresses, so the cache checks that
+    /// bound on every access and panics past it.
     BadLineSize {
         /// The level: `"L1"`, `"L2"` or `"L3 bank"`.
         level: &'static str,

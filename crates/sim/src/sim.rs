@@ -165,7 +165,9 @@ impl<T: TraceSource> Simulator<T> {
             // Nothing to issue, or a synchronization deadlock.
             return;
         }
-        let cycle_cap = self.cycle + target_instructions.saturating_mul(1000).max(10_000);
+        let cycle_cap = self
+            .cycle
+            .saturating_add(target_instructions.saturating_mul(1000).max(10_000));
         let mut left = target_instructions;
         // The first step of a run is an issuing cycle too.
         let mut cycle = self.cycle.max(self.wakes.soonest);

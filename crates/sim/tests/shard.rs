@@ -325,3 +325,22 @@ fn synchronization_deadlock_stops_both_engines() {
         "{PINNED}"
     );
 }
+
+#[test]
+fn an_unbounded_budget_after_a_run_still_reaches_the_deadlock() {
+    // The cycle cap is the current cycle plus 1 000 cycles per
+    // instruction; for a budget near `u64::MAX` on a simulator that has
+    // already run, that sum saturates instead of wrapping to a cap that
+    // stops the run after one step.
+    let cfg = SystemConfig::with_sram_l3();
+    let n = cfg.n_threads();
+    let mut sim = Simulator::new(cfg, LockedBarrier(vec![0; n]));
+    sim.run(10);
+    let end = sim.run(u64::MAX);
+    assert_eq!(end.instructions, 67);
+    assert_eq!(
+        (sim.cycle(), end.digest()),
+        (16, 0xe5e2_42ad_5c43_6783),
+        "{PINNED}"
+    );
+}

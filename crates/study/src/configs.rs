@@ -355,4 +355,27 @@ mod tests {
         assert_eq!(l3.bank.access_cycles % ratio, 0);
         assert_eq!(l3.bank.cycle_cycles % ratio, 0);
     }
+
+    #[test]
+    fn every_cache_holds_the_whole_npbgen_address_layout() {
+        // A tag array panics on an address past its 30-bit tag range, so
+        // the last byte of the traces' highest region must fit the L1, the
+        // L2 and (through the bank interleave) every L3 bank.
+        use memsim::cache::{LineState, SetAssocCache};
+        use memsim::l3::L3;
+        let last = npbgen::generator::SHARED_BASE + npbgen::profile::SHARED_BYTES - 1;
+        for &kind in LlcKind::ALL {
+            let system = build(kind).system;
+            for c in [system.l1, system.l2] {
+                let mut tags = SetAssocCache::new(c.capacity_bytes, c.line_bytes, c.associativity);
+                tags.insert(last, LineState::Shared);
+                assert_eq!(tags.probe(last), Some(LineState::Shared), "{kind:?}");
+            }
+            if let Some(l3) = system.l3 {
+                let mut l3 = L3::new(l3);
+                l3.insert(last, LineState::Shared);
+                assert_eq!(l3.lookup(last), Some(LineState::Shared), "{kind:?}");
+            }
+        }
+    }
 }

@@ -11,7 +11,9 @@ const HOT_BASE: u64 = 0;
 const HOT_STRIDE: u64 = 32 << 20; // 32 MB per thread slot
 const WARM_BASE: u64 = 1 << 30; // 1 GB
 const COLD_BASE: u64 = 8 << 30; // 8 GB
-const SHARED_BASE: u64 = 15 << 30; // 15 GB
+/// Base of the shared region, the highest region of the layout; it ends
+/// at `SHARED_BASE + SHARED_BYTES` (15 GB + 4 MB).
+pub const SHARED_BASE: u64 = 15 << 30;
 const LINE: u64 = 64;
 
 #[derive(Debug, Clone)]
