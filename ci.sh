@@ -476,6 +476,16 @@ for NAME in sim.coherence.invalidations sim.mem.refresh_stalls; do
 done
 rm -rf "$YDIR"
 
+echo "== llc-study all at 400 000 instructions per pair (pinned tables)"
+# perfbench's paper-study runs the study at this budget. Its stdout is
+# pinned byte for byte, so a simulator change that moves any statistic
+# there fails here; a change meant to move the numbers re-pins
+# tests/goldens/llc_study_400k.txt and says why in CHANGES.md.
+$LLC all -n 400000 2>/dev/null | cmp - tests/goldens/llc_study_400k.txt || {
+    echo "llc-study all -n 400000 differs from tests/goldens/llc_study_400k.txt" >&2
+    exit 1
+}
+
 echo "== llc-study ablations smoke (determinism + L3 row hits)"
 # The five design-choice studies must print the same bytes twice, and the
 # page-mode DRAM L3 must report a nonzero row-hit rate (the engines count

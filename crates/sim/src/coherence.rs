@@ -1,20 +1,29 @@
 //! Coherence directory tracking which private L2s hold each line.
 //!
-//! The directory covers only lines resident in some L2 (the L2s are small,
-//! so the map stays bounded); it is consulted on every L2 miss and on every
-//! store that needs ownership. Sharer sets are 256-bit [`CoreSet`]s, so the
-//! same directory serves the paper's 8-core chip and the engine's
-//! 64–256-core configurations. Each entry stores only the
-//! sharers among cores 0–63, inline as one word next to the owner; cores
-//! 64–255 spill to a side map touched only for lines such a core shares.
+//! The directory is shaped like the L2 tag arrays it covers. It has one
+//! set per L2 set, indexed by the same line bits and tagged with the L2's
+//! own tag, and each set has room for every line the L2s can hold there at
+//! once: `n_cores × L2 ways`, plus one for the line an L2 miss records
+//! before its fill evicts the victim. The live entries of a set are packed
+//! at its front. The table is allocated once and never grows.
 //!
-//! Two protocols share the directory state:
-//! * **MESI** (write-invalidate) — [`Directory::read`] / [`Directory::write`],
-//!   the paper's protocol.
-//! * **Dragon-style write-update** — [`Directory::read_keep_owner`] /
-//!   [`Directory::write_update`]: a write pushes the new data to the other
-//!   sharers instead of invalidating them, and a read from a dirty owner
-//!   does not downgrade it.
+//! An entry records only which L2s hold the line, as a [`CoreSet`]: the
+//! holders among cores 0–63 sit inline as one word next to the tag, and
+//! cores 64–255 spill to a side map touched only for lines such a core
+//! holds, so the same directory serves the paper's 8-core chip and the
+//! 64–256-core configurations. There is no owner and no line state: the
+//! L2 tags keep those, and the dirty owner of a line is the holder whose
+//! L2 copy is Modified (at most one under either protocol).
+//!
+//! Three operations, each one set lookup, serve both protocols:
+//! * [`Directory::join`] — an L2 miss reads the line, or a write-update
+//!   (Dragon) store pushes new data to the other holders;
+//! * [`Directory::claim`] — a write-invalidate (MESI) store makes the
+//!   writer the only holder;
+//! * [`Directory::leave`] — an L2 evicts the line.
+//!
+//! `join` and `claim` return the other holders: the L2s a read probes for
+//! a dirty copy, or that a store invalidates or updates.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -99,21 +108,9 @@ impl CoreSet {
     }
 }
 
-/// Outcome of a directory read request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadSource {
-    /// No L2 holds it — fetch from L3/memory.
-    Below,
-    /// A peer L2 holds it dirty; cache-to-cache transfer.
-    RemoteOwner(usize),
-    /// One or more peers hold it clean; data still comes from below, the
-    /// requester joins the sharers.
-    SharedClean,
-}
-
-/// Hashes a line number with one multiply (Fibonacci hashing). The
-/// directory is keyed by simulated line numbers, never by outside input,
-/// and is never iterated, so the hash affects speed only — not results.
+/// Hashes a line number with one multiply (Fibonacci hashing). The side
+/// map is keyed by simulated line numbers, never by outside input, and is
+/// never iterated, so the hash affects speed only — not results.
 #[derive(Debug, Default, Clone, Copy)]
 struct LineHasher(u64);
 
@@ -137,208 +134,176 @@ impl Hasher for LineHasher {
 
 type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
 
-/// [`Entry::owner`] when no core owns the line dirty.
-const NO_OWNER: u16 = u16::MAX;
+/// `Directory::tags` bit marking an entry whose line is also held by
+/// some of cores 64–255; the tag itself fits below it.
+const SPILLED: u32 = 1 << 31;
 
-/// One tracked line: the sharers among cores 0–63 as a bitmask, whether
-/// cores 64–255 share it too (their bits then sit in
-/// [`Directory::high`]), and the dirty owner. 16 bytes where a full
-/// [`CoreSet`] entry takes 40, so the table an Issue-timing run presizes is under
-/// half the size and every L2 miss touches less of it.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    low: u64,
-    owner: u16,
-    spilled: bool,
-}
-
-impl Default for Entry {
-    fn default() -> Entry {
-        Entry {
-            low: 0,
-            owner: NO_OWNER,
-            spilled: false,
-        }
-    }
-}
-
-impl Entry {
-    fn owner(&self) -> Option<usize> {
-        (self.owner != NO_OWNER).then_some(usize::from(self.owner))
-    }
-
-    /// The full sharer set; `high` is consulted only when the line spilled.
-    fn sharers(&self, high: &LineMap<[u64; 3]>, line: u64) -> CoreSet {
-        let [a, b, c] = if self.spilled { high[&line] } else { [0; 3] };
-        CoreSet([self.low, a, b, c])
-    }
-
-    /// `true` when some core other than `core` shares the line.
-    fn shared_beyond(&self, high: &LineMap<[u64; 3]>, line: u64, core: usize) -> bool {
-        let low = if core < 64 {
-            self.low & !(1 << core)
-        } else {
-            self.low
-        };
-        low != 0 || (self.spilled && !self.sharers(high, line).without(core).is_empty())
-    }
-
-    fn add(&mut self, high: &mut LineMap<[u64; 3]>, line: u64, core: usize) {
-        if core < 64 {
-            self.low |= 1 << core;
-        } else {
-            high.entry(line).or_default()[core / 64 - 1] |= 1 << (core % 64);
-            self.spilled = true;
-        }
-    }
-
-    fn remove(&mut self, high: &mut LineMap<[u64; 3]>, line: u64, core: usize) {
-        if core < 64 {
-            self.low &= !(1 << core);
-        } else if self.spilled {
-            let words = high
-                .get_mut(&line)
-                .unwrap_or_else(|| unreachable!("a spilled line has high sharers"));
-            words[core / 64 - 1] &= !(1 << (core % 64));
-            if *words == [0; 3] {
-                high.remove(&line);
-                self.spilled = false;
-            }
-        }
-    }
-
-    /// Makes `core` the only sharer.
-    fn set_only(&mut self, high: &mut LineMap<[u64; 3]>, line: u64, core: usize) {
-        if self.spilled {
-            high.remove(&line);
-            self.spilled = false;
-        }
-        self.low = 0;
-        self.add(high, line, core);
-    }
-}
-
-/// The coherence directory.
-#[derive(Debug, Default)]
+/// The coherence directory: which private L2s hold each line.
+#[derive(Debug)]
 pub struct Directory {
-    entries: LineMap<Entry>,
-    /// Sharer bits for cores 64–255 (words 1–3 of the [`CoreSet`]) of the
-    /// lines whose entry is `spilled`, and of no others.
+    /// `sets - 1`: line number → set index, as in the L2.
+    set_mask: u64,
+    /// `log2(sets)`: line number → tag, as in the L2.
+    set_shift: u32,
+    /// Entries per set.
+    ways: usize,
+    /// Per set: its live entries, packed at the front of the set.
+    live: Vec<u32>,
+    /// Per entry: the line's tag, with [`SPILLED`] set when one of cores
+    /// 64–255 holds it.
+    tags: Vec<u32>,
+    /// Per entry: the holders among cores 0–63.
+    low: Vec<u64>,
+    /// Holder bits for cores 64–255 (words 1–3 of the [`CoreSet`]) of the
+    /// lines whose entry is spilled, and of no others.
     high: LineMap<[u64; 3]>,
 }
 
 impl Directory {
-    /// Creates an empty directory.
-    pub fn new() -> Directory {
-        Directory::default()
-    }
-
-    /// Creates an empty directory that tracks up to `lines` lines without
-    /// rehashing, so its old and new tables are never live at once.
-    pub fn with_capacity(lines: usize) -> Directory {
+    /// An empty directory indexed like an L2 of `sets` sets, with room
+    /// for `ways` lines in each set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sets` is not a power of two.
+    pub fn new(sets: u64, ways: usize) -> Directory {
+        assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let entries = sets as usize * ways;
         Directory {
-            entries: HashMap::with_capacity_and_hasher(lines, BuildHasherDefault::default()),
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
+            ways,
+            live: vec![0; sets as usize],
+            tags: vec![0; entries],
+            low: vec![0; entries],
             high: LineMap::default(),
         }
     }
 
-    /// Number of tracked lines (bounded by total L2 capacity).
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// `line`'s set, its tag, and its entry if the line is tracked.
+    fn find(&self, line: u64) -> (usize, u32, Option<usize>) {
+        let set = (line & self.set_mask) as usize;
+        let tag = line >> self.set_shift;
+        debug_assert!(
+            tag >> crate::cache::TAG_BITS == 0,
+            "line {line:#x} past the L2 tags"
+        );
+        let tag = tag as u32;
+        let base = set * self.ways;
+        let live = &self.tags[base..base + self.live[set] as usize];
+        let hit = live.iter().position(|&t| t & !SPILLED == tag);
+        (set, tag, hit.map(|i| base + i))
     }
 
-    /// `true` when no lines are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// `line`'s entry, appended to its set when the line is not tracked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set is full: the L2s hold more lines of one set than
+    /// the directory was built for.
+    fn entry(&mut self, line: u64) -> usize {
+        let (set, tag, hit) = self.find(line);
+        if let Some(i) = hit {
+            return i;
+        }
+        let live = self.live[set] as usize;
+        assert!(live < self.ways, "directory set overflow at line {line:#x}");
+        let i = set * self.ways + live;
+        self.tags[i] = tag;
+        self.low[i] = 0;
+        self.live[set] += 1;
+        i
     }
 
-    /// Core `core` reads `line` (L2 miss): updates sharers and reports
-    /// where the data comes from. MESI semantics — a dirty remote owner
-    /// downgrades to Shared.
-    pub fn read(&mut self, line: u64, core: usize) -> ReadSource {
-        self.read_as(line, core, true)
-    }
-
-    /// Core `core` reads `line` under the write-update protocol: like
-    /// [`Directory::read`] but a dirty owner keeps ownership — it supplies
-    /// the data cache-to-cache without a downgrade or writeback.
-    pub fn read_keep_owner(&mut self, line: u64, core: usize) -> ReadSource {
-        self.read_as(line, core, false)
-    }
-
-    fn read_as(&mut self, line: u64, core: usize, downgrade: bool) -> ReadSource {
-        let e = self.entries.entry(line).or_default();
-        let src = if let Some(owner) = e.owner() {
-            if owner != core {
-                if downgrade {
-                    e.owner = NO_OWNER; // owner downgrades to Shared
-                }
-                ReadSource::RemoteOwner(owner)
-            } else {
-                ReadSource::Below // shouldn't happen (owner re-reading)
-            }
-        } else if e.shared_beyond(&self.high, line, core) {
-            ReadSource::SharedClean
+    /// The holders of entry `i`, which tracks `line`.
+    fn holders_at(&self, i: usize, line: u64) -> CoreSet {
+        let [a, b, c] = if self.tags[i] & SPILLED != 0 {
+            self.high[&line]
         } else {
-            ReadSource::Below
+            [0; 3]
         };
-        e.add(&mut self.high, line, core);
-        src
+        CoreSet([self.low[i], a, b, c])
     }
 
-    /// Core `core` writes `line` (MESI): all other sharers must be
-    /// invalidated. Returns the set of cores that need an invalidation
-    /// probe.
-    pub fn write(&mut self, line: u64, core: usize) -> CoreSet {
-        let e = self.entries.entry(line).or_default();
-        let invalidate = e.sharers(&self.high, line).without(core);
-        e.set_only(&mut self.high, line, core);
-        e.owner = core as u16;
-        invalidate
+    fn add(&mut self, i: usize, line: u64, core: usize) {
+        if core < 64 {
+            self.low[i] |= 1 << core;
+        } else {
+            self.high.entry(line).or_default()[core / 64 - 1] |= 1 << (core % 64);
+            self.tags[i] |= SPILLED;
+        }
     }
 
-    /// Core `core` writes `line` under the write-update protocol: the
-    /// other sharers receive the new data and *stay* sharers. Returns
-    /// `(peers_to_update, previous_dirty_owner)` — the previous owner (if
-    /// any, and not the writer) sources the line cache-to-cache on a
-    /// write miss.
-    pub fn write_update(&mut self, line: u64, core: usize) -> (CoreSet, Option<usize>) {
-        let e = self.entries.entry(line).or_default();
-        let prev_owner = e.owner().filter(|&o| o != core);
-        let peers = e.sharers(&self.high, line).without(core);
-        e.add(&mut self.high, line, core);
-        e.owner = core as u16;
-        (peers, prev_owner)
+    /// Core `core` comes to hold `line`: an L2 miss that reads it, or a
+    /// write-update (Dragon) store. Returns the other holders, whose L2s
+    /// may hold the line dirty or take the update.
+    pub fn join(&mut self, line: u64, core: usize) -> CoreSet {
+        let i = self.entry(line);
+        let others = self.holders_at(i, line).without(core);
+        self.add(i, line, core);
+        others
     }
 
-    /// Core `core` evicted `line` from its L2: drop it from the sharers and
-    /// forget the line when nobody holds it. Returns `true` if the evicting
-    /// core was the dirty owner (writeback needed).
-    pub fn evict(&mut self, line: u64, core: usize) -> bool {
-        let mut was_owner = false;
-        if let Some(e) = self.entries.get_mut(&line) {
-            e.remove(&mut self.high, line, core);
-            if e.owner() == Some(core) {
-                e.owner = NO_OWNER;
-                was_owner = true;
-            }
-            if e.low == 0 && !e.spilled {
-                self.entries.remove(&line);
+    /// Core `core` becomes the only holder of `line`: a write-invalidate
+    /// (MESI) store. Returns the other holders, whose copies must be
+    /// invalidated.
+    pub fn claim(&mut self, line: u64, core: usize) -> CoreSet {
+        let i = self.entry(line);
+        let others = self.holders_at(i, line).without(core);
+        if self.tags[i] & SPILLED != 0 {
+            self.high.remove(&line);
+            self.tags[i] &= !SPILLED;
+        }
+        self.low[i] = 0;
+        self.add(i, line, core);
+        others
+    }
+
+    /// Core `core` no longer holds `line` (its L2 evicted it); the line is
+    /// forgotten when nobody holds it. A core that does not hold the line
+    /// changes nothing.
+    pub fn leave(&mut self, line: u64, core: usize) {
+        let (set, _, Some(i)) = self.find(line) else {
+            return;
+        };
+        if core < 64 {
+            self.low[i] &= !(1 << core);
+        } else if self.tags[i] & SPILLED != 0 {
+            let words = self
+                .high
+                .get_mut(&line)
+                .unwrap_or_else(|| unreachable!("a spilled line has high holders"));
+            words[core / 64 - 1] &= !(1 << (core % 64));
+            if *words == [0; 3] {
+                self.high.remove(&line);
+                self.tags[i] &= !SPILLED;
             }
         }
-        was_owner
+        if self.low[i] == 0 && self.tags[i] & SPILLED == 0 {
+            // Keep the live entries packed: the set's last one fills the gap.
+            self.live[set] -= 1;
+            let last = set * self.ways + self.live[set] as usize;
+            self.tags[i] = self.tags[last];
+            self.low[i] = self.low[last];
+        }
     }
 
-    /// Current sharers of a line (diagnostics/tests).
-    pub fn sharers(&self, line: u64) -> CoreSet {
-        self.entries
-            .get(&line)
-            .map_or(CoreSet::EMPTY, |e| e.sharers(&self.high, line))
+    /// The cores whose L2 holds `line` (diagnostics and tests).
+    pub fn holders(&self, line: u64) -> CoreSet {
+        match self.find(line) {
+            (_, _, Some(i)) => self.holders_at(i, line),
+            _ => CoreSet::EMPTY,
+        }
     }
 
-    /// Current owner, if dirty-owned.
-    pub fn owner(&self, line: u64) -> Option<usize> {
-        self.entries.get(&line).and_then(Entry::owner)
+    /// Number of tracked lines.
+    pub fn len(&self) -> usize {
+        self.live.iter().map(|&n| n as usize).sum()
+    }
+
+    /// `true` when no line is tracked.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -347,154 +312,75 @@ mod tests {
     use super::*;
     use crate::rng::XorShift64Star;
 
-    /// The directory before its sharer sets were split: one map entry per
-    /// line holding the full [`CoreSet`]. The differential test drives it
-    /// and [`Directory`] with the same request stream.
-    #[derive(Debug, Default)]
-    struct MapDirectory {
-        entries: HashMap<u64, DirEntry>,
-    }
-
-    #[derive(Debug, Clone, Copy, Default)]
-    struct DirEntry {
-        sharers: CoreSet,
-        owner: Option<u16>,
-    }
-
-    impl MapDirectory {
-        fn read(&mut self, line: u64, core: usize) -> ReadSource {
-            let e = self.entries.entry(line).or_default();
-            let src = if let Some(owner) = e.owner {
-                if usize::from(owner) != core {
-                    e.owner = None;
-                    ReadSource::RemoteOwner(usize::from(owner))
-                } else {
-                    ReadSource::Below
-                }
-            } else if !e.sharers.without(core).is_empty() {
-                ReadSource::SharedClean
-            } else {
-                ReadSource::Below
-            };
-            e.sharers.insert(core);
-            src
-        }
-
-        fn read_keep_owner(&mut self, line: u64, core: usize) -> ReadSource {
-            let e = self.entries.entry(line).or_default();
-            let src = if let Some(owner) = e.owner {
-                if usize::from(owner) != core {
-                    ReadSource::RemoteOwner(usize::from(owner))
-                } else {
-                    ReadSource::Below
-                }
-            } else if !e.sharers.without(core).is_empty() {
-                ReadSource::SharedClean
-            } else {
-                ReadSource::Below
-            };
-            e.sharers.insert(core);
-            src
-        }
-
-        fn write(&mut self, line: u64, core: usize) -> CoreSet {
-            let e = self.entries.entry(line).or_default();
-            let invalidate = e.sharers.without(core);
-            e.sharers = CoreSet::only(core);
-            e.owner = Some(core as u16);
-            invalidate
-        }
-
-        fn write_update(&mut self, line: u64, core: usize) -> (CoreSet, Option<usize>) {
-            let e = self.entries.entry(line).or_default();
-            let prev_owner = e.owner.map(usize::from).filter(|&o| o != core);
-            let peers = e.sharers.without(core);
-            e.sharers.insert(core);
-            e.owner = Some(core as u16);
-            (peers, prev_owner)
-        }
-
-        fn evict(&mut self, line: u64, core: usize) -> bool {
-            let mut was_owner = false;
-            if let Some(e) = self.entries.get_mut(&line) {
-                e.sharers.remove(core);
-                if e.owner == Some(core as u16) {
-                    e.owner = None;
-                    was_owner = true;
-                }
-                if e.sharers.is_empty() {
-                    self.entries.remove(&line);
-                }
-            }
-            was_owner
-        }
-
-        fn sharers(&self, line: u64) -> CoreSet {
-            self.entries
-                .get(&line)
-                .map_or(CoreSet::EMPTY, |e| e.sharers)
-        }
-
-        fn owner(&self, line: u64) -> Option<usize> {
-            self.entries
-                .get(&line)
-                .and_then(|e| e.owner)
-                .map(usize::from)
-        }
+    /// A small directory: 4 sets of 8 entries, so lines 0..32 fill it.
+    fn small() -> Directory {
+        Directory::new(4, 8)
     }
 
     #[test]
-    fn an_entry_is_two_words() {
-        // The table an Issue-timing run presizes holds (line, Entry) buckets:
-        // 24 B each, where a full-CoreSet entry made them 48 B.
-        assert_eq!(std::mem::size_of::<(u64, Entry)>(), 24);
+    fn the_study_directory_fits_in_two_megabytes() {
+        // The paper's 8 cores, each with a 2048-set 8-way L2: 65 entries
+        // of a 4 B tag and an 8 B holder word per set.
+        let d = Directory::new(2048, 8 * 8 + 1);
+        let bytes = std::mem::size_of_val(&d.tags[..])
+            + std::mem::size_of_val(&d.low[..])
+            + std::mem::size_of_val(&d.live[..]);
+        assert_eq!(bytes, 2048 * 65 * 12 + 2048 * 4);
+        assert!(bytes <= 2 << 20, "{bytes} B");
     }
 
     #[test]
     fn split_directory_matches_the_full_set_map() {
+        // The oracle is the directory as a map from line to its full
+        // holder set; every line of the 4 × 8 directory can be live at once.
         const LINES: u64 = 32;
         for (n_cores, seed) in [(8u64, 1u64), (64, 2), (256, 3)] {
             let mut rng = XorShift64Star::new(seed);
-            let mut dir = Directory::new();
-            let mut map = MapDirectory::default();
+            let mut dir = small();
+            let mut map: HashMap<u64, CoreSet> = HashMap::new();
             let (mut spills, mut unspills) = (0, 0);
             for step in 0..50_000 {
                 let line = rng.next_below(LINES);
                 let mut core = rng.next_below(n_cores) as usize;
                 let spilled_before = dir.high.len();
                 let ctx = format!("{n_cores} cores, step {step}, line {line}, core {core}");
-                match rng.next_below(5) {
-                    0 => assert_eq!(dir.read(line, core), map.read(line, core), "{ctx}"),
-                    1 => assert_eq!(
-                        dir.read_keep_owner(line, core),
-                        map.read_keep_owner(line, core),
-                        "{ctx}"
-                    ),
-                    2 => assert_eq!(dir.write(line, core), map.write(line, core), "{ctx}"),
-                    3 => assert_eq!(
-                        dir.write_update(line, core),
-                        map.write_update(line, core),
-                        "{ctx}"
-                    ),
+                let held = map.get(&line).copied().unwrap_or_default();
+                match rng.next_below(4) {
+                    0 | 1 => {
+                        assert_eq!(dir.join(line, core), held.without(core), "{ctx}");
+                        map.entry(line).or_default().insert(core);
+                    }
+                    2 => {
+                        assert_eq!(dir.claim(line, core), held.without(core), "{ctx}");
+                        map.insert(line, CoreSet::only(core));
+                    }
                     _ => {
-                        // Mostly evict a real sharer, so sets drain and
+                        // Mostly a real holder leaves, so sets drain and
                         // entries (and spills) are dropped, not just grown.
-                        let held: Vec<usize> = map.sharers(line).iter().collect();
+                        let held: Vec<usize> = held.iter().collect();
                         if !held.is_empty() && rng.next_below(4) != 0 {
                             core = held[rng.next_below(held.len() as u64) as usize];
                         }
-                        assert_eq!(dir.evict(line, core), map.evict(line, core), "{ctx}");
+                        dir.leave(line, core);
+                        if let Some(set) = map.get_mut(&line) {
+                            set.remove(core);
+                            if set.is_empty() {
+                                map.remove(&line);
+                            }
+                        }
                     }
                 }
-                assert_eq!(dir.sharers(line), map.sharers(line), "{ctx}");
-                assert_eq!(dir.owner(line), map.owner(line), "{ctx}");
-                assert_eq!(dir.len(), map.entries.len(), "{ctx}");
+                assert_eq!(
+                    dir.holders(line),
+                    map.get(&line).copied().unwrap_or_default()
+                );
+                assert_eq!(dir.len(), map.len(), "{ctx}");
                 spills += usize::from(dir.high.len() > spilled_before);
                 unspills += usize::from(dir.high.len() < spilled_before);
             }
             for line in 0..LINES {
-                assert_eq!(dir.sharers(line), map.sharers(line));
-                assert_eq!(dir.owner(line), map.owner(line));
+                let held = map.get(&line).copied().unwrap_or_default();
+                assert_eq!(dir.holders(line), held, "line {line}");
             }
             if n_cores <= 64 {
                 assert_eq!(spills, 0, "cores below 64 never touch the side map");
@@ -508,52 +394,84 @@ mod tests {
     }
 
     #[test]
+    fn a_full_set_fills_to_its_last_entry_and_drains() {
+        // Set 1 of the 4 × 8 directory takes lines 1, 5, ..., 29; each is
+        // held by one low and one spilled core. They leave from the middle
+        // out, so the packing moves the set's last entry into every gap.
+        let mut d = small();
+        let lines: Vec<u64> = (0..8).map(|k| 4 * k + 1).collect();
+        for (k, &line) in lines.iter().enumerate() {
+            assert!(d.join(line, k).is_empty());
+            assert_eq!(d.join(line, 64 + k), CoreSet::only(k));
+        }
+        assert_eq!(d.len(), 8);
+        assert_eq!(d.live[1], 8);
+        let mut left: Vec<usize> = (0..8).collect();
+        for k in [3, 4, 0, 7, 5, 1, 6, 2] {
+            d.leave(lines[k], 64 + k);
+            assert_eq!(d.holders(lines[k]), CoreSet::only(k));
+            d.leave(lines[k], k);
+            left.retain(|&j| j != k);
+            assert!(d.holders(lines[k]).is_empty());
+            for &j in &left {
+                assert_eq!(
+                    d.holders(lines[j]),
+                    CoreSet::of(&[j, 64 + j]),
+                    "line {}",
+                    lines[j]
+                );
+            }
+            assert_eq!(d.len(), left.len());
+        }
+        assert!(d.is_empty() && d.high.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "directory set overflow")]
+    fn a_line_past_a_full_set_is_refused() {
+        let mut d = small();
+        for k in 0..9 {
+            d.join(4 * k, 0);
+        }
+    }
+
+    #[test]
     fn single_writer_invariant() {
-        let mut d = Directory::new();
-        assert_eq!(d.read(10, 0), ReadSource::Below);
-        assert_eq!(d.read(10, 1), ReadSource::SharedClean);
-        // Core 2 writes: both sharers must be invalidated.
-        let inval = d.write(10, 2);
-        assert_eq!(inval, CoreSet::of(&[0, 1]));
-        assert_eq!(d.owner(10), Some(2));
-        assert_eq!(d.sharers(10), CoreSet::only(2));
+        let mut d = small();
+        assert!(d.join(10, 0).is_empty());
+        assert_eq!(d.join(10, 1), CoreSet::only(0));
+        // Core 2 writes: both holders must be invalidated.
+        assert_eq!(d.claim(10, 2), CoreSet::of(&[0, 1]));
+        assert_eq!(d.holders(10), CoreSet::only(2));
     }
 
     #[test]
     fn dirty_owner_services_reads() {
-        let mut d = Directory::new();
-        d.write(42, 3);
-        assert_eq!(d.read(42, 0), ReadSource::RemoteOwner(3));
-        // After the transfer both share it cleanly.
-        assert_eq!(d.owner(42), None);
-        assert_eq!(d.sharers(42), CoreSet::of(&[0, 3]));
+        // The directory keeps no owner: a read after a write gets the
+        // writer as the one holder whose L2 it probes for the dirty copy.
+        let mut d = small();
+        d.claim(42, 3);
+        assert_eq!(d.join(42, 0), CoreSet::only(3));
+        assert_eq!(d.holders(42), CoreSet::of(&[0, 3]));
     }
 
     #[test]
     fn eviction_cleans_up() {
-        let mut d = Directory::new();
-        d.read(7, 0);
-        d.read(7, 1);
-        assert!(!d.evict(7, 0), "clean eviction");
-        assert_eq!(d.sharers(7), CoreSet::only(1));
+        let mut d = small();
+        d.join(7, 0);
+        d.join(7, 1);
+        d.leave(7, 0);
+        assert_eq!(d.holders(7), CoreSet::only(1));
         assert!(!d.is_empty());
-        d.evict(7, 1);
-        assert!(d.is_empty(), "last sharer gone → entry dropped");
-    }
-
-    #[test]
-    fn dirty_eviction_reports_writeback() {
-        let mut d = Directory::new();
-        d.write(9, 5);
-        assert!(d.evict(9, 5));
-        assert!(d.is_empty());
+        d.leave(7, 1);
+        assert!(d.is_empty(), "last holder gone → entry dropped");
     }
 
     #[test]
     fn write_by_sole_sharer_invalidates_nobody() {
-        let mut d = Directory::new();
-        d.read(1, 4);
-        assert!(d.write(1, 4).is_empty());
+        let mut d = small();
+        d.join(1, 4);
+        assert!(d.claim(1, 4).is_empty());
     }
 
     #[test]
@@ -561,48 +479,18 @@ mod tests {
         // Regression guard for the u32 mask this replaced: core ids 32+
         // silently aliased (1u32 << 33 panics or wraps). The widened set
         // must hold the full 0..256 range.
-        let mut d = Directory::new();
+        let mut d = small();
         for core in [0usize, 31, 32, 63, 64, 127, 128, 255] {
-            d.read(99, core);
+            d.join(99, core);
         }
-        assert_eq!(d.sharers(99).count(), 8);
-        let inval = d.write(99, 255);
+        assert_eq!(d.holders(99).count(), 8);
+        let inval = d.claim(99, 255);
         assert_eq!(inval.count(), 7);
         assert!(inval.contains(64) && inval.contains(128) && !inval.contains(255));
         assert_eq!(
             inval.iter().collect::<Vec<_>>(),
             vec![0, 31, 32, 63, 64, 127, 128]
         );
-        assert_eq!(d.owner(99), Some(255));
-    }
-
-    #[test]
-    fn write_update_keeps_sharers_and_transfers_ownership() {
-        let mut d = Directory::new();
-        d.read(5, 0);
-        d.read(5, 1);
-        let (peers, prev) = d.write_update(5, 2);
-        assert_eq!(
-            peers,
-            CoreSet::of(&[0, 1]),
-            "peers get updates, not invalidations"
-        );
-        assert_eq!(prev, None, "no dirty owner yet");
-        assert_eq!(d.sharers(5), CoreSet::of(&[0, 1, 2]));
-        assert_eq!(d.owner(5), Some(2));
-        // A second writer: previous owner sources the data, everyone stays.
-        let (peers, prev) = d.write_update(5, 0);
-        assert_eq!(peers, CoreSet::of(&[1, 2]));
-        assert_eq!(prev, Some(2));
-        assert_eq!(d.sharers(5).count(), 3);
-    }
-
-    #[test]
-    fn read_keep_owner_does_not_downgrade() {
-        let mut d = Directory::new();
-        d.write(6, 3);
-        assert_eq!(d.read_keep_owner(6, 1), ReadSource::RemoteOwner(3));
-        assert_eq!(d.owner(6), Some(3), "owner keeps the dirty line");
-        assert_eq!(d.sharers(6), CoreSet::of(&[1, 3]));
+        assert_eq!(d.holders(99), CoreSet::only(255));
     }
 }

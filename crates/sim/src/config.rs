@@ -26,6 +26,15 @@ pub enum ConfigError {
         /// The offending line size \[bytes\].
         line_bytes: u32,
     },
+    /// The L1 and L2 lines differ in size. The coherence directory tracks
+    /// L2 lines, and an L2 eviction must drop every L1 copy of its line,
+    /// so the two levels share one line size.
+    LineSizeMismatch {
+        /// The L1 line size \[bytes\].
+        l1: u32,
+        /// The L2 line size \[bytes\].
+        l2: u32,
+    },
     /// A cache level has zero ways.
     ZeroAssociativity {
         /// The level: `"L1"`, `"L2"` or `"L3 bank"`.
@@ -69,6 +78,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadLineSize { level, line_bytes } => write!(
                 f,
                 "{level} line size {line_bytes} B must be a power of two of at least 4 B"
+            ),
+            ConfigError::LineSizeMismatch { l1, l2 } => write!(
+                f,
+                "L1 line size {l1} B differs from L2 line size {l2} B; \
+                 the private caches must share one line size"
             ),
             ConfigError::ZeroAssociativity { level } => {
                 write!(f, "{level} associativity must be at least 1")
@@ -321,7 +335,8 @@ impl SystemConfig {
     /// # Errors
     ///
     /// [`ConfigError::UnsupportedCoreCount`],
-    /// [`ConfigError::ZeroThreadsPerCore`], or any [`ConfigError`] from
+    /// [`ConfigError::ZeroThreadsPerCore`],
+    /// [`ConfigError::LineSizeMismatch`], or any [`ConfigError`] from
     /// the configured levels ([`CacheConfig::validate`] for the L1 and L2,
     /// [`L3Config::validate`] for the L3, [`DramConfig::validate`] for
     /// main memory).
@@ -334,6 +349,12 @@ impl SystemConfig {
         }
         self.l1.validate("L1")?;
         self.l2.validate("L2")?;
+        if self.l1.line_bytes != self.l2.line_bytes {
+            return Err(ConfigError::LineSizeMismatch {
+                l1: self.l1.line_bytes,
+                l2: self.l2.line_bytes,
+            });
+        }
         if let Some(l3) = &self.l3 {
             l3.validate()?;
         }
@@ -484,6 +505,8 @@ mod tests {
             line_bytes: 2,
         };
         assert_eq!(c.validate(), Err(err));
+        // Both private levels take the smallest line, 1024 sets each.
+        c.l1.line_bytes = 4;
         c.l2.line_bytes = 4;
         c.l2.capacity_bytes = 4 * 8 * 1024;
         assert_eq!(c.validate(), Ok(()));

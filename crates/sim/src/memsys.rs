@@ -7,19 +7,24 @@
 //! or a barrier arrival. Every function here takes the cycles it needs
 //! as arguments, and the coherence protocol comes from the
 //! configuration.
+//!
+//! The directory records only which L2s hold a line; the MESI state lives
+//! in the L2 tags alone. Between two calls from the engine the directory's
+//! holders of a line are exactly the cores whose L2 holds it, and at most
+//! one of them holds it Modified: that one is the dirty owner. So a read
+//! miss finds the owner by probing the other holders' L2s, a Dragon store
+//! finds the previous owner among the L2s it updates, and an L2 victim
+//! needs a writeback exactly when its own slot (or its L1 copy) is
+//! Modified.
 
 use crate::cache::{LineState, SetAssocCache};
-use crate::coherence::{CoreSet, Directory, ReadSource};
+use crate::coherence::{CoreSet, Directory};
 use crate::config::{CoherenceProtocol, ConfigError, SystemConfig};
 use crate::core::{Thread, ThreadState};
 use crate::dram::DramChannel;
 use crate::l3::L3;
 use crate::stats::{SimStats, StallKind};
 use std::collections::{HashMap, VecDeque};
-
-/// The core count whose whole L2 capacity the coherence directory is
-/// presized for: the paper system's 8 cores.
-const PRESIZED_CORES: u32 = 8;
 
 #[derive(Debug, Default)]
 struct LockState {
@@ -146,7 +151,8 @@ pub(crate) struct MemSystem {
     /// L2 hit latency (L1 + L2 access cycles).
     l2_lat: u64,
     xbar: u64,
-    /// `log2(L1 line bytes)`: byte address → line number.
+    /// `log2(line bytes)`: byte address → line number (the L1 and L2
+    /// lines are one size).
     line_shift: u32,
     /// `channels - 1`: line number → DRAM channel.
     channel_mask: u64,
@@ -174,17 +180,14 @@ impl MemSystem {
                 stats: SimStats::default(),
             })
             .collect();
-        // Every tracked line sits in some L2, so the total L2 line count
-        // bounds the directory. Presized to that bound, the paper's system
-        // never rehashes; a larger one presizes as many lines and grows on
-        // demand, since its full bound holds far more lines than a run
-        // tracks at once.
-        let l2_lines = cfg.l2.capacity_bytes / u64::from(cfg.l2.line_bytes);
-        let presized_cores = cfg.n_cores.min(PRESIZED_CORES);
+        // Every tracked line sits in some L2, so a directory set holds at
+        // most every core's ways of that L2 set, plus the line a miss
+        // records before its fill evicts the victim.
+        let dir_ways = cfg.n_cores as usize * cfg.l2.associativity as usize + 1;
         Ok(MemSystem {
             cores,
             l3: cfg.l3.clone().map(L3::try_new).transpose()?,
-            dir: Directory::with_capacity(presized_cores as usize * l2_lines as usize),
+            dir: Directory::new(cfg.l2.sets(), dir_ways),
             channels: (0..cfg.dram.channels)
                 .map(|_| DramChannel::new(cfg.dram.clone()))
                 .collect(),
@@ -283,22 +286,19 @@ impl MemSystem {
         let Some(ev) = c.l2.insert(addr, state) else {
             return;
         };
-        let was_owner = self.dir.evict(ev.addr >> self.line_shift, core);
+        self.dir.leave(ev.addr >> self.line_shift, core);
         // Inclusion: the L1 copy must go too.
         let l1_state = self.cores[core].l1.invalidate(ev.addr);
-        if ev.state == LineState::Modified || was_owner || l1_state == Some(LineState::Modified) {
+        if ev.state == LineState::Modified || l1_state == Some(LineState::Modified) {
             self.writeback_below(ev.addr, now);
         }
     }
 
-    /// Invalidates `mask` cores' copies (MESI); returns whether one of
-    /// them held the line dirty (cache-to-cache source).
-    fn invalidate_remotes(&mut self, mask: CoreSet, addr: u64, requester: usize) -> bool {
+    /// Invalidates `peers`' copies (MESI); returns whether one of them
+    /// held the line dirty (cache-to-cache source).
+    fn invalidate_remotes(&mut self, peers: CoreSet, addr: u64) -> bool {
         let mut dirty = false;
-        for other in mask.iter() {
-            if other == requester {
-                continue;
-            }
+        for other in peers.iter() {
             self.stats.counts.l2_reads += 1; // probe
             self.invalidations += 1;
             let c = &mut self.cores[other];
@@ -310,19 +310,31 @@ impl MemSystem {
 
     /// Pushes the written line into `peers`' caches in place (Dragon):
     /// their copies stay valid in Shared state instead of being
-    /// invalidated.
-    fn update_remotes(&mut self, peers: CoreSet, addr: u64, requester: usize) {
+    /// invalidated. Returns whether one of them owned the line (held it
+    /// Modified), which then supplies it cache-to-cache.
+    fn update_remotes(&mut self, peers: CoreSet, addr: u64) -> bool {
+        let mut owned = false;
         for other in peers.iter() {
-            if other == requester {
-                continue;
-            }
             self.updates += 1;
             self.stats.counts.l2_writes += 1; // the update lands in the peer's L2
             self.stats.counts.xbar_transfers += 1;
             let c = &mut self.cores[other];
+            owned |= c.l2.probe(addr) == Some(LineState::Modified);
             c.l2.set_state(addr, LineState::Shared);
             c.l1.set_state(addr, LineState::Shared);
         }
+        owned
+    }
+
+    /// The one of `holders` whose L2 holds `addr`'s line Modified.
+    fn dirty_owner(&self, holders: CoreSet, addr: u64) -> Option<usize> {
+        if self.protocol == CoherenceProtocol::Mesi && holders.count() != 1 {
+            // Under MESI a Modified line has no other holder.
+            return None;
+        }
+        holders
+            .iter()
+            .find(|&c| self.cores[c].l2.probe(addr) == Some(LineState::Modified))
     }
 
     /// Downgrades a dirty remote owner to Shared and pushes its data below
@@ -342,13 +354,12 @@ impl MemSystem {
         let line = addr >> self.line_shift;
         match self.protocol {
             CoherenceProtocol::Mesi => {
-                let mask = self.dir.write(line, core);
-                self.invalidate_remotes(mask, addr, core)
+                let peers = self.dir.claim(line, core);
+                self.invalidate_remotes(peers, addr)
             }
             CoherenceProtocol::Dragon => {
-                let (peers, prev) = self.dir.write_update(line, core);
-                self.update_remotes(peers, addr, core);
-                prev.is_some_and(|o| o != core)
+                let peers = self.dir.join(line, core);
+                self.update_remotes(peers, addr)
             }
         }
     }
@@ -368,24 +379,18 @@ impl MemSystem {
         let (from_remote, shared) = if is_store {
             (self.upgrade(core, addr), false)
         } else {
-            let line = addr >> self.line_shift;
-            let src = match self.protocol {
-                CoherenceProtocol::Mesi => self.dir.read(line, core),
-                CoherenceProtocol::Dragon => self.dir.read_keep_owner(line, core),
-            };
-            match src {
-                ReadSource::RemoteOwner(owner) => {
-                    match self.protocol {
-                        CoherenceProtocol::Mesi => self.downgrade_remote(owner, addr, now),
-                        // Dragon: the owner supplies data cache-to-cache
-                        // but keeps ownership — no downgrade, no writeback.
-                        CoherenceProtocol::Dragon => self.stats.counts.l2_reads += 1,
-                    }
-                    (true, true)
-                }
-                ReadSource::SharedClean => (false, true),
-                ReadSource::Below => (false, false),
+            let peers = self.dir.join(addr >> self.line_shift, core);
+            let owner = self.dirty_owner(peers, addr);
+            match (owner, self.protocol) {
+                (Some(owner), CoherenceProtocol::Mesi) => self.downgrade_remote(owner, addr, now),
+                // Dragon: the owner supplies data cache-to-cache but keeps
+                // ownership — no downgrade, no writeback.
+                (Some(_), CoherenceProtocol::Dragon) => self.stats.counts.l2_reads += 1,
+                (None, _) => {}
             }
+            // Any peer makes the fill Shared; only a dirty owner sends
+            // the data itself.
+            (owner.is_some(), !peers.is_empty())
         };
 
         let (l2_lat, xbar) = (self.l2_lat, self.xbar);
@@ -535,5 +540,137 @@ impl MemSystem {
         for c in &mut self.cores {
             c.stats = SimStats::default();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::CoherenceProtocol::{Dragon, Mesi};
+    use crate::rng::XorShift64Star;
+
+    /// `n_cores` cores with no L3, under `protocol`.
+    fn system(n_cores: u32, protocol: CoherenceProtocol) -> MemSystem {
+        let mut cfg = SystemConfig::baseline_no_l3();
+        cfg.n_cores = n_cores;
+        cfg.protocol = protocol;
+        MemSystem::new(&cfg).unwrap()
+    }
+
+    /// One load or store as the engine issues it; returns the level that
+    /// serviced it.
+    fn issue(m: &mut MemSystem, core: usize, addr: u64, is_store: bool) -> StallKind {
+        match m.cores[core].access(addr, is_store) {
+            Some(hit) => {
+                if hit.upgrade {
+                    m.upgrade(core, addr);
+                }
+                hit.kind
+            }
+            None => m.miss(core, addr, is_store, 0).1,
+        }
+    }
+
+    fn l2_state(m: &MemSystem, core: usize, addr: u64) -> Option<LineState> {
+        m.cores[core].l2.probe(addr)
+    }
+
+    #[test]
+    fn the_directory_agrees_with_the_l2_tags() {
+        // Random cores load and store 256 lines that fall in four L2 sets
+        // (64 lines each against 8 ways), so lines are shared, written,
+        // downgraded, invalidated or updated, and evicted all the time.
+        let addr_of = |k: u64| (k / 4) * (128 << 10) + (k % 4) * 64;
+        for (n_cores, protocol) in [(8, Mesi), (8, Dragon), (64, Mesi), (64, Dragon)] {
+            let mut m = system(n_cores, protocol);
+            let mut rng = XorShift64Star::new(u64::from(n_cores));
+            let mut dirty_seen = 0;
+            for round in 0..40 {
+                for _ in 0..300 {
+                    let core = rng.next_below(u64::from(n_cores)) as usize;
+                    let addr = addr_of(rng.next_below(256));
+                    issue(&mut m, core, addr, rng.next_below(3) == 0);
+                }
+                let mut lines = 0;
+                for addr in (0..256).map(addr_of) {
+                    let line = addr >> m.line_shift;
+                    let held: Vec<usize> = (0..m.cores.len())
+                        .filter(|&c| l2_state(&m, c, addr).is_some())
+                        .collect();
+                    let ctx = format!("{n_cores} cores {protocol:?}, round {round}, line {line}");
+                    assert_eq!(m.dir.holders(line), CoreSet::of(&held), "{ctx}");
+                    lines += usize::from(!held.is_empty());
+                    let dirty = held
+                        .iter()
+                        .filter(|&&c| l2_state(&m, c, addr) == Some(LineState::Modified))
+                        .count();
+                    assert!(dirty <= 1, "{ctx}: {dirty} dirty copies");
+                    if protocol == Mesi && dirty == 1 {
+                        assert_eq!(held.len(), 1, "{ctx}: a Modified line is shared");
+                    }
+                    dirty_seen += dirty;
+                }
+                assert_eq!(
+                    m.dir.len(),
+                    lines,
+                    "{n_cores} cores {protocol:?}, round {round}"
+                );
+            }
+            assert!(
+                dirty_seen > 0,
+                "{n_cores} cores {protocol:?}: nothing was dirty"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dirty_victim_is_written_back() {
+        // Core 5 writes a line. Eight lines of its L1 set push the dirty
+        // copy down into the L2, then eight clean lines of its L2 set evict
+        // it: the victim's own Modified slot asks for the writeback.
+        let mut m = system(8, Mesi);
+        issue(&mut m, 5, 0, true);
+        for k in 1..=8 {
+            issue(&mut m, 5, k * (4 << 10), false);
+        }
+        assert_eq!(m.cores[5].l1.probe(0), None);
+        assert_eq!(m.stats.counts.mem_writes, 0);
+        for k in 1..=8 {
+            issue(&mut m, 5, k * (128 << 10), false);
+        }
+        assert_eq!(l2_state(&m, 5, 0), None);
+        assert!(m.dir.holders(0).is_empty());
+        assert_eq!(m.stats.counts.mem_writes, 1);
+    }
+
+    #[test]
+    fn dragon_read_keeps_the_dirty_owner() {
+        let mut m = system(8, Dragon);
+        issue(&mut m, 3, 0x40, true);
+        assert_eq!(issue(&mut m, 1, 0x40, false), StallKind::L2Access);
+        assert_eq!(l2_state(&m, 3, 0x40), Some(LineState::Modified));
+        assert_eq!(l2_state(&m, 1, 0x40), Some(LineState::Shared));
+        assert_eq!(m.stats.counts.mem_writes, 0, "no downgrade, no writeback");
+    }
+
+    #[test]
+    fn dragon_write_updates_peers_and_moves_ownership() {
+        let mut m = system(8, Dragon);
+        issue(&mut m, 0, 0x80, false);
+        issue(&mut m, 1, 0x80, false);
+        // Core 2's write miss updates both readers, which stay holders.
+        issue(&mut m, 2, 0x80, true);
+        assert_eq!(m.updates, 2);
+        assert_eq!(m.dir.holders(2), CoreSet::of(&[0, 1, 2]));
+        assert_eq!(l2_state(&m, 2, 0x80), Some(LineState::Modified));
+        // Core 0 writes next: core 2 hands ownership over and stays.
+        issue(&mut m, 0, 0x80, true);
+        assert_eq!(m.updates, 4);
+        assert_eq!(l2_state(&m, 0, 0x80), Some(LineState::Modified));
+        assert_eq!(l2_state(&m, 2, 0x80), Some(LineState::Shared));
+        assert_eq!(m.dir.holders(2).count(), 3);
+        // A write miss by a fourth core takes the line from its owner.
+        assert_eq!(issue(&mut m, 3, 0x80, true), StallKind::L2Access);
+        assert_eq!(l2_state(&m, 0, 0x80), Some(LineState::Shared));
     }
 }

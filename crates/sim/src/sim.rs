@@ -389,6 +389,15 @@ mod tests {
     }
 
     #[test]
+    fn the_engine_rejects_l1_and_l2_lines_of_different_sizes() {
+        // Regression: a 32 B L1 line under the 64 B L2 line validated and
+        // ran, with the directory tracking L1 lines the L2 evicted whole.
+        let mut cfg = SystemConfig::baseline_no_l3();
+        cfg.l1.line_bytes = 32;
+        rejects(cfg, ConfigError::LineSizeMismatch { l1: 32, l2: 64 });
+    }
+
+    #[test]
     fn both_engines_reject_zero_threads_per_core() {
         // Regression: a zero used to panic with a division by zero in the
         // round-robin `% tpc`.
