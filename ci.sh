@@ -409,12 +409,11 @@ test "$(wc -l < "$SDIR/huge.out")" = 2 &&
 rm -rf "$SDIR"
 
 echo "== many-core sim smoke (determinism, coherence traffic, obs counters)"
-# Two 64-core MESI runs of `llc-study shard` must print the same stats
-# digest line, and the trace sidecar must show the engine stepped its
-# issuing cycles (sim.shard.epochs > 0). At 200 000 instructions ft.B
-# shares lines across cores, so the MESI run must invalidate, the Dragon
-# run must update, and the two protocols' digests must differ; at 20 000
-# neither protocol took a coherence action and both printed one digest.
+# Two 64-core runs of `llc-study shard` must print the same stats digest
+# line, and the trace sidecar must show the engine stepped its issuing
+# cycles (sim.shard.epochs > 0). At 200 000 instructions ft.B shares
+# lines across cores, so the run must invalidate remote copies; at
+# 20 000 it took no coherence action.
 MDIR=$(mktemp -d)
 cargo build --release --quiet -p llc-study --bin llc-study
 LLC=target/release/llc-study
@@ -426,25 +425,12 @@ grep -q 'digest=' "$MDIR/r1.txt" && cmp "$MDIR/r1.txt" "$MDIR/r2.txt" || {
     cat "$MDIR/r1.txt" "$MDIR/r2.txt" >&2
     exit 1
 }
-$LLC shard --cores 64 -n 200000 --dragon --trace "$MDIR/dragon.trace.jsonl" \
-    > "$MDIR/d.txt" 2>/dev/null
-MESI_DIGEST=$(grep -o 'digest=[0-9a-f]*' "$MDIR/r1.txt")
-DRAGON_DIGEST=$(grep -o 'digest=[0-9a-f]*' "$MDIR/d.txt")
-test -n "$DRAGON_DIGEST" && test "$MESI_DIGEST" != "$DRAGON_DIGEST" || {
-    echo "MESI and Dragon runs printed the same digest: no coherence action was exercised" >&2
-    cat "$MDIR/r1.txt" "$MDIR/d.txt" >&2
-    exit 1
-}
 grep -q '"name":"sim.shard.epochs","value":[1-9]' "$MDIR/mesi.trace.jsonl" || {
     echo "trace sidecar lacks a nonzero sim.shard.epochs counter" >&2
     exit 1
 }
 grep -q '"name":"sim.coherence.invalidations","value":[1-9]' "$MDIR/mesi.trace.jsonl" || {
-    echo "the MESI run's trace sidecar lacks a nonzero sim.coherence.invalidations" >&2
-    exit 1
-}
-grep -q '"name":"sim.coherence.updates","value":[1-9]' "$MDIR/dragon.trace.jsonl" || {
-    echo "the Dragon run's trace sidecar lacks a nonzero sim.coherence.updates" >&2
+    echo "the many-core run's trace sidecar lacks a nonzero sim.coherence.invalidations" >&2
     exit 1
 }
 rm -rf "$MDIR"
@@ -507,10 +493,12 @@ rm -rf "$ZDIR"
 
 echo "== llc-study integer flags (bad values exit 2)"
 # A flag with no value, a core count the directory cannot hold, one that
-# overflows u32 and a zero instruction count are usage errors, not a
-# default run, panic, wrap or empty study.
+# overflows u32, a zero instruction count and an argument the command
+# does not take are usage errors, not a default run, panic, wrap or
+# empty study.
 for ARGS in "shard --cores 8 -n" "shard --cores 0" "shard --cores 4294967297" \
-    "all -n 0" "shard --cores 8 -n 0"; do
+    "all -n 0" "shard --cores 8 -n 0" "shard --cores 128" "shard --dragon" \
+    "fig4 --bogus"; do
     if $LLC $ARGS >/dev/null 2>&1; then CODE=0; else CODE=$?; fi
     test "$CODE" = 2 || {
         echo "llc-study $ARGS exited $CODE, not 2" >&2

@@ -7,39 +7,31 @@
 //! before its fill evicts the victim. The live entries of a set are packed
 //! at its front. The table is allocated once and never grows.
 //!
-//! An entry records only which L2s hold the line, as a [`CoreSet`]: the
-//! holders among cores 0–63 sit inline as one word next to the tag, and
-//! cores 64–255 spill to a side map touched only for lines such a core
-//! holds, so the same directory serves the paper's 8-core chip and the
-//! 64–256-core configurations. There is no owner and no line state: the
-//! L2 tags keep those, and the dirty owner of a line is the holder whose
-//! L2 copy is Modified (at most one under either protocol).
+//! An entry records only which L2s hold the line, as a [`CoreSet`]: one
+//! word next to the tag, a bit per core, which bounds the simulator at
+//! [`MAX_CORES`] cores. There is no owner and no line state: the L2 tags
+//! keep those, and the dirty owner of a line is the holder whose L2 copy
+//! is Modified (a Modified line has no other holder).
 //!
-//! Three operations, each one set lookup, serve both protocols:
-//! * [`Directory::join`] — an L2 miss reads the line, or a write-update
-//!   (Dragon) store pushes new data to the other holders;
-//! * [`Directory::claim`] — a write-invalidate (MESI) store makes the
-//!   writer the only holder;
+//! Three operations, each one set lookup:
+//! * [`Directory::join`] — an L2 miss reads the line;
+//! * [`Directory::claim`] — a store makes the writer the only holder;
 //! * [`Directory::leave`] — an L2 evicts the line.
 //!
 //! `join` and `claim` return the other holders: the L2s a read probes for
-//! a dirty copy, or that a store invalidates or updates.
+//! a dirty copy, or that a store invalidates.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+/// Maximum number of cores a sharer set can track: one bit of a `u64`
+/// per core.
+pub const MAX_CORES: usize = 64;
 
-/// Maximum number of cores a sharer set can track.
-pub const MAX_CORES: usize = 256;
-
-/// A set of core ids, fixed 256-bit bitset — wide enough for the
-/// simulator's largest configuration, four words instead of a heap
-/// allocation per directory entry.
+/// A set of core ids below [`MAX_CORES`], one bit each in a `u64`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoreSet([u64; 4]);
+pub struct CoreSet(u64);
 
 impl CoreSet {
     /// The empty set.
-    pub const EMPTY: CoreSet = CoreSet([0; 4]);
+    pub const EMPTY: CoreSet = CoreSet(0);
 
     /// The set containing exactly `core`.
     pub fn only(core: usize) -> CoreSet {
@@ -61,29 +53,40 @@ impl CoreSet {
     ///
     /// # Panics
     ///
-    /// Panics if `core >= MAX_CORES` (debug builds index-check anyway).
+    /// Panics if `core >= MAX_CORES`: a release build masks the shift
+    /// amount, so core 64 would otherwise alias core 0.
     pub fn insert(&mut self, core: usize) {
-        self.0[core / 64] |= 1 << (core % 64);
+        assert!(core < MAX_CORES, "core {core} outside 0..{MAX_CORES}");
+        self.add(core);
+    }
+
+    /// Adds `core`, checked in debug builds only: the directory's hot
+    /// path, whose cores a validated configuration bounds.
+    fn add(&mut self, core: usize) {
+        debug_assert!(core < MAX_CORES);
+        self.0 |= 1 << core;
     }
 
     /// Removes `core`.
     pub fn remove(&mut self, core: usize) {
-        self.0[core / 64] &= !(1 << (core % 64));
+        debug_assert!(core < MAX_CORES);
+        self.0 &= !(1 << core);
     }
 
     /// Membership test.
     pub fn contains(&self, core: usize) -> bool {
-        self.0[core / 64] & (1 << (core % 64)) != 0
+        debug_assert!(core < MAX_CORES);
+        self.0 & (1 << core) != 0
     }
 
     /// `true` when no core is in the set.
     pub fn is_empty(&self) -> bool {
-        self.0 == [0; 4]
+        self.0 == 0
     }
 
     /// Number of cores in the set.
     pub fn count(&self) -> u32 {
-        self.0.iter().map(|w| w.count_ones()).sum()
+        self.0.count_ones()
     }
 
     /// This set minus `core`.
@@ -93,50 +96,18 @@ impl CoreSet {
     }
 
     /// Iterates the member core ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(wi * 64 + b)
-            })
+    pub fn iter(&self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(b)
         })
     }
 }
-
-/// Hashes a line number with one multiply (Fibonacci hashing). The side
-/// map is keyed by simulated line numbers, never by outside input, and is
-/// never iterated, so the hash affects speed only — not results.
-#[derive(Debug, Default, Clone, Copy)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, line: u64) {
-        self.0 = (self.0 ^ line).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        // The product's high bits mix every input bit; rotate them down
-        // to where the table takes its bucket index.
-        self.0.rotate_left(26)
-    }
-}
-
-type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
-
-/// `Directory::tags` bit marking an entry whose line is also held by
-/// some of cores 64–255; the tag itself fits below it.
-const SPILLED: u32 = 1 << 31;
 
 /// The coherence directory: which private L2s hold each line.
 #[derive(Debug)]
@@ -149,14 +120,10 @@ pub struct Directory {
     ways: usize,
     /// Per set: its live entries, packed at the front of the set.
     live: Vec<u32>,
-    /// Per entry: the line's tag, with [`SPILLED`] set when one of cores
-    /// 64–255 holds it.
+    /// Per entry: the line's tag.
     tags: Vec<u32>,
-    /// Per entry: the holders among cores 0–63.
-    low: Vec<u64>,
-    /// Holder bits for cores 64–255 (words 1–3 of the [`CoreSet`]) of the
-    /// lines whose entry is spilled, and of no others.
-    high: LineMap<[u64; 3]>,
+    /// Per entry: the line's holders.
+    holders: Vec<CoreSet>,
 }
 
 impl Directory {
@@ -175,8 +142,7 @@ impl Directory {
             ways,
             live: vec![0; sets as usize],
             tags: vec![0; entries],
-            low: vec![0; entries],
-            high: LineMap::default(),
+            holders: vec![CoreSet::EMPTY; entries],
         }
     }
 
@@ -191,7 +157,7 @@ impl Directory {
         let tag = tag as u32;
         let base = set * self.ways;
         let live = &self.tags[base..base + self.live[set] as usize];
-        let hit = live.iter().position(|&t| t & !SPILLED == tag);
+        let hit = live.iter().position(|&t| t == tag);
         (set, tag, hit.map(|i| base + i))
     }
 
@@ -210,52 +176,27 @@ impl Directory {
         assert!(live < self.ways, "directory set overflow at line {line:#x}");
         let i = set * self.ways + live;
         self.tags[i] = tag;
-        self.low[i] = 0;
+        self.holders[i] = CoreSet::EMPTY;
         self.live[set] += 1;
         i
     }
 
-    /// The holders of entry `i`, which tracks `line`.
-    fn holders_at(&self, i: usize, line: u64) -> CoreSet {
-        let [a, b, c] = if self.tags[i] & SPILLED != 0 {
-            self.high[&line]
-        } else {
-            [0; 3]
-        };
-        CoreSet([self.low[i], a, b, c])
-    }
-
-    fn add(&mut self, i: usize, line: u64, core: usize) {
-        if core < 64 {
-            self.low[i] |= 1 << core;
-        } else {
-            self.high.entry(line).or_default()[core / 64 - 1] |= 1 << (core % 64);
-            self.tags[i] |= SPILLED;
-        }
-    }
-
-    /// Core `core` comes to hold `line`: an L2 miss that reads it, or a
-    /// write-update (Dragon) store. Returns the other holders, whose L2s
-    /// may hold the line dirty or take the update.
+    /// Core `core` comes to hold `line`: an L2 miss that reads it. Returns
+    /// the other holders, whose L2s may hold the line dirty.
     pub fn join(&mut self, line: u64, core: usize) -> CoreSet {
         let i = self.entry(line);
-        let others = self.holders_at(i, line).without(core);
-        self.add(i, line, core);
+        let others = self.holders[i].without(core);
+        self.holders[i].add(core);
         others
     }
 
-    /// Core `core` becomes the only holder of `line`: a write-invalidate
-    /// (MESI) store. Returns the other holders, whose copies must be
-    /// invalidated.
+    /// Core `core` becomes the only holder of `line`: a store. Returns the
+    /// other holders, whose copies must be invalidated.
     pub fn claim(&mut self, line: u64, core: usize) -> CoreSet {
         let i = self.entry(line);
-        let others = self.holders_at(i, line).without(core);
-        if self.tags[i] & SPILLED != 0 {
-            self.high.remove(&line);
-            self.tags[i] &= !SPILLED;
-        }
-        self.low[i] = 0;
-        self.add(i, line, core);
+        let others = self.holders[i].without(core);
+        self.holders[i] = CoreSet::EMPTY;
+        self.holders[i].add(core);
         others
     }
 
@@ -266,32 +207,20 @@ impl Directory {
         let (set, _, Some(i)) = self.find(line) else {
             return;
         };
-        if core < 64 {
-            self.low[i] &= !(1 << core);
-        } else if self.tags[i] & SPILLED != 0 {
-            let words = self
-                .high
-                .get_mut(&line)
-                .unwrap_or_else(|| unreachable!("a spilled line has high holders"));
-            words[core / 64 - 1] &= !(1 << (core % 64));
-            if *words == [0; 3] {
-                self.high.remove(&line);
-                self.tags[i] &= !SPILLED;
-            }
-        }
-        if self.low[i] == 0 && self.tags[i] & SPILLED == 0 {
+        self.holders[i].remove(core);
+        if self.holders[i].is_empty() {
             // Keep the live entries packed: the set's last one fills the gap.
             self.live[set] -= 1;
             let last = set * self.ways + self.live[set] as usize;
             self.tags[i] = self.tags[last];
-            self.low[i] = self.low[last];
+            self.holders[i] = self.holders[last];
         }
     }
 
     /// The cores whose L2 holds `line` (diagnostics and tests).
     pub fn holders(&self, line: u64) -> CoreSet {
         match self.find(line) {
-            (_, _, Some(i)) => self.holders_at(i, line),
+            (_, _, Some(i)) => self.holders[i],
             _ => CoreSet::EMPTY,
         }
     }
@@ -311,6 +240,7 @@ impl Directory {
 mod tests {
     use super::*;
     use crate::rng::XorShift64Star;
+    use std::collections::HashMap;
 
     /// A small directory: 4 sets of 8 entries, so lines 0..32 fill it.
     fn small() -> Directory {
@@ -323,7 +253,7 @@ mod tests {
         // of a 4 B tag and an 8 B holder word per set.
         let d = Directory::new(2048, 8 * 8 + 1);
         let bytes = std::mem::size_of_val(&d.tags[..])
-            + std::mem::size_of_val(&d.low[..])
+            + std::mem::size_of_val(&d.holders[..])
             + std::mem::size_of_val(&d.live[..]);
         assert_eq!(bytes, 2048 * 65 * 12 + 2048 * 4);
         assert!(bytes <= 2 << 20, "{bytes} B");
@@ -334,15 +264,13 @@ mod tests {
         // The oracle is the directory as a map from line to its full
         // holder set; every line of the 4 × 8 directory can be live at once.
         const LINES: u64 = 32;
-        for (n_cores, seed) in [(8u64, 1u64), (64, 2), (256, 3)] {
+        for (n_cores, seed) in [(8u64, 1u64), (64, 2)] {
             let mut rng = XorShift64Star::new(seed);
             let mut dir = small();
             let mut map: HashMap<u64, CoreSet> = HashMap::new();
-            let (mut spills, mut unspills) = (0, 0);
             for step in 0..50_000 {
                 let line = rng.next_below(LINES);
                 let mut core = rng.next_below(n_cores) as usize;
-                let spilled_before = dir.high.len();
                 let ctx = format!("{n_cores} cores, step {step}, line {line}, core {core}");
                 let held = map.get(&line).copied().unwrap_or_default();
                 match rng.next_below(4) {
@@ -356,7 +284,7 @@ mod tests {
                     }
                     _ => {
                         // Mostly a real holder leaves, so sets drain and
-                        // entries (and spills) are dropped, not just grown.
+                        // entries are dropped, not just grown.
                         let held: Vec<usize> = held.iter().collect();
                         if !held.is_empty() && rng.next_below(4) != 0 {
                             core = held[rng.next_below(held.len() as u64) as usize];
@@ -375,40 +303,30 @@ mod tests {
                     map.get(&line).copied().unwrap_or_default()
                 );
                 assert_eq!(dir.len(), map.len(), "{ctx}");
-                spills += usize::from(dir.high.len() > spilled_before);
-                unspills += usize::from(dir.high.len() < spilled_before);
             }
             for line in 0..LINES {
                 let held = map.get(&line).copied().unwrap_or_default();
                 assert_eq!(dir.holders(line), held, "line {line}");
-            }
-            if n_cores <= 64 {
-                assert_eq!(spills, 0, "cores below 64 never touch the side map");
-            } else {
-                assert!(
-                    spills > 100 && unspills > 100,
-                    "{spills} spills, {unspills} unspills"
-                );
             }
         }
     }
 
     #[test]
     fn a_full_set_fills_to_its_last_entry_and_drains() {
-        // Set 1 of the 4 × 8 directory takes lines 1, 5, ..., 29; each is
-        // held by one low and one spilled core. They leave from the middle
-        // out, so the packing moves the set's last entry into every gap.
+        // Set 1 of the 4 × 8 directory takes lines 1, 5, ..., 29; line k
+        // is held by cores k and 63 - k. They leave from the middle out,
+        // so the packing moves the set's last entry into every gap.
         let mut d = small();
         let lines: Vec<u64> = (0..8).map(|k| 4 * k + 1).collect();
         for (k, &line) in lines.iter().enumerate() {
             assert!(d.join(line, k).is_empty());
-            assert_eq!(d.join(line, 64 + k), CoreSet::only(k));
+            assert_eq!(d.join(line, 63 - k), CoreSet::only(k));
         }
         assert_eq!(d.len(), 8);
         assert_eq!(d.live[1], 8);
         let mut left: Vec<usize> = (0..8).collect();
         for k in [3, 4, 0, 7, 5, 1, 6, 2] {
-            d.leave(lines[k], 64 + k);
+            d.leave(lines[k], 63 - k);
             assert_eq!(d.holders(lines[k]), CoreSet::only(k));
             d.leave(lines[k], k);
             left.retain(|&j| j != k);
@@ -416,14 +334,14 @@ mod tests {
             for &j in &left {
                 assert_eq!(
                     d.holders(lines[j]),
-                    CoreSet::of(&[j, 64 + j]),
+                    CoreSet::of(&[j, 63 - j]),
                     "line {}",
                     lines[j]
                 );
             }
             assert_eq!(d.len(), left.len());
         }
-        assert!(d.is_empty() && d.high.is_empty());
+        assert!(d.is_empty());
     }
 
     #[test]
@@ -476,21 +394,26 @@ mod tests {
 
     #[test]
     fn cores_beyond_word_boundaries_are_tracked() {
-        // Regression guard for the u32 mask this replaced: core ids 32+
-        // silently aliased (1u32 << 33 panics or wraps). The widened set
-        // must hold the full 0..256 range.
+        // Regression guard for the u32 mask a u64 replaced: core ids 32+
+        // silently aliased (1u32 << 33 panics or wraps). The set must hold
+        // the full 0..64 range.
         let mut d = small();
-        for core in [0usize, 31, 32, 63, 64, 127, 128, 255] {
+        for core in [0usize, 31, 32, 63] {
             d.join(99, core);
         }
-        assert_eq!(d.holders(99).count(), 8);
-        let inval = d.claim(99, 255);
-        assert_eq!(inval.count(), 7);
-        assert!(inval.contains(64) && inval.contains(128) && !inval.contains(255));
-        assert_eq!(
-            inval.iter().collect::<Vec<_>>(),
-            vec![0, 31, 32, 63, 64, 127, 128]
-        );
-        assert_eq!(d.holders(99), CoreSet::only(255));
+        assert_eq!(d.holders(99).count(), 4);
+        let inval = d.claim(99, 63);
+        assert_eq!(inval.count(), 3);
+        assert!(inval.contains(32) && !inval.contains(63));
+        assert_eq!(inval.iter().collect::<Vec<_>>(), vec![0, 31, 32]);
+        assert_eq!(d.holders(99), CoreSet::only(63));
+    }
+
+    #[test]
+    #[should_panic(expected = "core 64 outside 0..64")]
+    fn a_core_past_the_set_is_refused() {
+        // Unchecked, `1u64 << 64` masks the shift to bit 0 in release
+        // builds, and core 64 would alias core 0.
+        CoreSet::only(MAX_CORES);
     }
 }

@@ -4,6 +4,8 @@
 //! solutions (Table 3); the defaults here correspond to the paper's values
 //! at 2 GHz.
 
+use crate::coherence::MAX_CORES;
+
 /// A structurally invalid [`SystemConfig`], caught at construction instead
 /// of mid-simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -11,8 +13,8 @@ pub enum ConfigError {
     /// The L3 interface is [`L3Interface::PageMode`] but `page_timing` is
     /// `None`, so row hits/misses have no tRCD/CAS/tRP to charge.
     PageModeWithoutTiming,
-    /// `n_cores` is zero or exceeds the 256-core ceiling of the coherence
-    /// directory's sharer sets ([`crate::coherence::MAX_CORES`]).
+    /// `n_cores` is zero or exceeds the core ceiling of the coherence
+    /// directory's sharer sets ([`MAX_CORES`]).
     UnsupportedCoreCount(u32),
     /// A cache level's line size is not a power of two, or is below the
     /// 4 B minimum of the packed `u32` tag slot (`tag << 2 | state`). The
@@ -72,7 +74,7 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::UnsupportedCoreCount(n) => write!(
                 f,
-                "n_cores = {n} is outside the supported 1..=256 range \
+                "n_cores = {n} is outside the supported 1..={MAX_CORES} range \
                  of the coherence directory's sharer sets"
             ),
             ConfigError::BadLineSize { level, line_bytes } => write!(
@@ -290,17 +292,6 @@ impl DramConfig {
     }
 }
 
-/// Cache-coherence protocol run between the private L2s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoherenceProtocol {
-    /// MESI write-invalidate (the paper's system).
-    #[default]
-    Mesi,
-    /// Dragon-style write-update: stores push data to the other sharers
-    /// instead of invalidating them.
-    Dragon,
-}
-
 /// Full system description.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
@@ -320,8 +311,6 @@ pub struct SystemConfig {
     pub dram: DramConfig,
     /// Non-FP instruction latency \[cycles\] (paper: 4).
     pub other_instr_cycles: u64,
-    /// Coherence protocol between the private L2s.
-    pub protocol: CoherenceProtocol,
 }
 
 impl SystemConfig {
@@ -341,7 +330,7 @@ impl SystemConfig {
     /// [`L3Config::validate`] for the L3, [`DramConfig::validate`] for
     /// main memory).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.n_cores == 0 || self.n_cores as usize > crate::coherence::MAX_CORES {
+        if self.n_cores == 0 || self.n_cores as usize > MAX_CORES {
             return Err(ConfigError::UnsupportedCoreCount(self.n_cores));
         }
         if self.threads_per_core == 0 {
@@ -401,7 +390,6 @@ impl SystemConfig {
                 page_policy: PagePolicy::Closed,
             },
             other_instr_cycles: 4,
-            protocol: CoherenceProtocol::Mesi,
         }
     }
 
@@ -429,7 +417,7 @@ impl SystemConfig {
         c
     }
 
-    /// A scaled-up chip for the simulator's 64–256-core studies:
+    /// A scaled-up chip for the simulator's many-core studies:
     /// [`SystemConfig::with_sram_l3`] geometry per core, one L3 bank per
     /// core, crossbar latency growing logarithmically with the core count
     /// (2 cycles at the paper's 8 cores, +2 per doubling), and one DRAM
@@ -438,14 +426,14 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `n_cores` is 0 or above 256 (the directory's sharer-set
-    /// width) — use [`SystemConfig::validate`] for a typed error. A core
-    /// count that is not a power of two builds, but fails
+    /// Panics if `n_cores` is 0 or above [`MAX_CORES`] (the directory's
+    /// sharer-set width) — use [`SystemConfig::validate`] for a typed
+    /// error. A core count that is not a power of two builds, but fails
     /// [`SystemConfig::validate`]: the L3 bank count follows it.
     pub fn many_core(n_cores: u32) -> SystemConfig {
         assert!(
-            n_cores >= 1 && n_cores as usize <= crate::coherence::MAX_CORES,
-            "n_cores = {n_cores} outside 1..=256"
+            n_cores >= 1 && n_cores as usize <= MAX_CORES,
+            "n_cores = {n_cores} outside 1..={MAX_CORES}"
         );
         let mut c = SystemConfig::with_sram_l3();
         c.n_cores = n_cores;
@@ -479,10 +467,12 @@ mod tests {
         assert_eq!(c.validate(), Ok(()));
         c.n_cores = 0;
         assert_eq!(c.validate(), Err(ConfigError::UnsupportedCoreCount(0)));
-        c.n_cores = 257;
-        assert_eq!(c.validate(), Err(ConfigError::UnsupportedCoreCount(257)));
-        c.n_cores = 256;
+        c.n_cores = 64;
         assert_eq!(c.validate(), Ok(()));
+        for n in [65, 128, 256] {
+            c.n_cores = n;
+            assert_eq!(c.validate(), Err(ConfigError::UnsupportedCoreCount(n)));
+        }
     }
 
     #[test]
@@ -553,10 +543,6 @@ mod tests {
         assert_eq!(l3.n_banks, 64);
         assert_eq!(l3.xbar_cycles, 2 + 2 * 3, "three doublings past 8 cores");
         assert_eq!(c.dram.channels, 16);
-        assert_eq!(c.validate(), Ok(()));
-        let c = SystemConfig::many_core(256);
-        assert_eq!(c.l3.as_ref().unwrap().xbar_cycles, 2 + 2 * 5);
-        assert_eq!(c.dram.channels, 64);
         assert_eq!(c.validate(), Ok(()));
     }
 

@@ -9,9 +9,8 @@
 //! 4-wide SIMD FPU per core — an FP instruction can issue every cycle,
 //! other instructions take 4 cycles, at most one memory request per core
 //! per cycle), private SRAM L1 and L2 caches kept coherent with a MESI
-//! (or Dragon write-update) protocol, an optional shared banked L3
-//! reached through an 8×8 crossbar,
-//! and a DDR-style main memory with channels, banks, and
+//! protocol, an optional shared banked L3 reached through an 8×8
+//! crossbar, and a DDR-style main memory with channels, banks, and
 //! tRCD/CL/tRP/tRC/tRRD timing under an open- or closed-page policy.
 //!
 //! Timing is resource-reservation based: a memory request's latency is
@@ -23,7 +22,7 @@
 //! categories of the paper's Figure 4(b).
 //!
 //! One engine, [`Simulator`], runs every simulation, from the paper's
-//! 8-core study to the 64–256-core configurations: it steps only the
+//! 8-core study to the 64-core configurations: it steps only the
 //! cycles where some thread can issue, and lands each memory-side effect
 //! at the cycle its instruction issues. [`ShardedSimulator`] is a thin
 //! wrapper around it that keeps an older constructor.
@@ -54,9 +53,7 @@ pub mod sim;
 pub mod stats;
 pub mod trace;
 
-pub use config::{
-    CacheConfig, CoherenceProtocol, ConfigError, DramConfig, L3Config, PagePolicy, SystemConfig,
-};
+pub use config::{CacheConfig, ConfigError, DramConfig, L3Config, PagePolicy, SystemConfig};
 pub use shard::ShardedSimulator;
 pub use sim::{ShardInfo, Simulator};
 pub use stats::{SimStats, StallKind};

@@ -5,21 +5,19 @@
 //! The engine calls in from the issue stage at the issuing cycle, in
 //! `(cycle, core, issue order)`: for a miss or upgrade, a lock operation
 //! or a barrier arrival. Every function here takes the cycles it needs
-//! as arguments, and the coherence protocol comes from the
-//! configuration.
+//! as arguments.
 //!
 //! The directory records only which L2s hold a line; the MESI state lives
 //! in the L2 tags alone. Between two calls from the engine the directory's
 //! holders of a line are exactly the cores whose L2 holds it, and at most
 //! one of them holds it Modified: that one is the dirty owner. So a read
-//! miss finds the owner by probing the other holders' L2s, a Dragon store
-//! finds the previous owner among the L2s it updates, and an L2 victim
-//! needs a writeback exactly when its own slot (or its L1 copy) is
+//! miss finds the owner by probing the other holder's L2, and an L2
+//! victim needs a writeback exactly when its own slot (or its L1 copy) is
 //! Modified.
 
 use crate::cache::{LineState, SetAssocCache};
 use crate::coherence::{CoreSet, Directory};
-use crate::config::{CoherenceProtocol, ConfigError, SystemConfig};
+use crate::config::{ConfigError, SystemConfig};
 use crate::core::{Thread, ThreadState};
 use crate::dram::DramChannel;
 use crate::l3::L3;
@@ -45,7 +43,7 @@ pub(crate) struct LocalHit {
     /// [`StallKind::Instruction`] for an L1 hit, [`StallKind::L2Access`]
     /// for an L2 hit.
     pub(crate) kind: StallKind,
-    /// The peers' copies must be invalidated or updated through
+    /// The peers' copies must be invalidated through
     /// [`MemSystem::upgrade`]: set for a store that hits a non-Modified
     /// L1 line or hits in the L2.
     pub(crate) upgrade: bool,
@@ -146,7 +144,6 @@ pub(crate) struct MemSystem {
     locks: HashMap<u32, LockState>,
     barrier_count: usize,
     n_threads: usize,
-    protocol: CoherenceProtocol,
     l2_cycles: u64,
     /// L2 hit latency (L1 + L2 access cycles).
     l2_lat: u64,
@@ -156,10 +153,9 @@ pub(crate) struct MemSystem {
     line_shift: u32,
     /// `channels - 1`: line number → DRAM channel.
     channel_mask: u64,
-    /// Remote copies invalidated (MESI) and updated in place (Dragon)
-    /// since the last [`MemSystem::publish_event_counters`].
+    /// Remote copies invalidated since the last
+    /// [`MemSystem::publish_event_counters`].
     invalidations: u64,
-    updates: u64,
     /// What the fabric and the threads' synchronization count.
     pub(crate) stats: SimStats,
 }
@@ -194,14 +190,12 @@ impl MemSystem {
             locks: HashMap::new(),
             barrier_count: 0,
             n_threads: cfg.n_threads(),
-            protocol: cfg.protocol,
             l2_cycles: cfg.l2.access_cycles,
             l2_lat: cfg.l1.access_cycles + cfg.l2.access_cycles,
             xbar: cfg.l3.as_ref().map_or(2, |l| l.xbar_cycles),
             line_shift: cfg.l1.line_bytes.trailing_zeros(),
             channel_mask: u64::from(cfg.dram.channels) - 1,
             invalidations: 0,
-            updates: 0,
             stats: SimStats::default(),
         })
     }
@@ -294,7 +288,7 @@ impl MemSystem {
         }
     }
 
-    /// Invalidates `peers`' copies (MESI); returns whether one of them
+    /// Invalidates `peers`' copies; returns whether one of them
     /// held the line dirty (cache-to-cache source).
     fn invalidate_remotes(&mut self, peers: CoreSet, addr: u64) -> bool {
         let mut dirty = false;
@@ -308,28 +302,10 @@ impl MemSystem {
         dirty
     }
 
-    /// Pushes the written line into `peers`' caches in place (Dragon):
-    /// their copies stay valid in Shared state instead of being
-    /// invalidated. Returns whether one of them owned the line (held it
-    /// Modified), which then supplies it cache-to-cache.
-    fn update_remotes(&mut self, peers: CoreSet, addr: u64) -> bool {
-        let mut owned = false;
-        for other in peers.iter() {
-            self.updates += 1;
-            self.stats.counts.l2_writes += 1; // the update lands in the peer's L2
-            self.stats.counts.xbar_transfers += 1;
-            let c = &mut self.cores[other];
-            owned |= c.l2.probe(addr) == Some(LineState::Modified);
-            c.l2.set_state(addr, LineState::Shared);
-            c.l1.set_state(addr, LineState::Shared);
-        }
-        owned
-    }
-
     /// The one of `holders` whose L2 holds `addr`'s line Modified.
     fn dirty_owner(&self, holders: CoreSet, addr: u64) -> Option<usize> {
-        if self.protocol == CoherenceProtocol::Mesi && holders.count() != 1 {
-            // Under MESI a Modified line has no other holder.
+        if holders.count() != 1 {
+            // A Modified line has no other holder.
             return None;
         }
         holders
@@ -347,21 +323,11 @@ impl MemSystem {
         self.writeback_below(addr, now);
     }
 
-    /// `core` writes `addr`'s line: every peer copy is invalidated (MESI)
-    /// or updated (Dragon). Returns whether a peer supplies the data: it
-    /// held the line dirty (MESI) or owned it (Dragon).
+    /// `core` writes `addr`'s line: every peer copy is invalidated.
+    /// Returns whether a peer supplies the data: it held the line dirty.
     pub(crate) fn upgrade(&mut self, core: usize, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
-        match self.protocol {
-            CoherenceProtocol::Mesi => {
-                let peers = self.dir.claim(line, core);
-                self.invalidate_remotes(peers, addr)
-            }
-            CoherenceProtocol::Dragon => {
-                let peers = self.dir.join(line, core);
-                self.update_remotes(peers, addr)
-            }
-        }
+        let peers = self.dir.claim(addr >> self.line_shift, core);
+        self.invalidate_remotes(peers, addr)
     }
 
     /// Services `core`'s L2 miss on `addr`, issued at `now`: consults the
@@ -381,12 +347,8 @@ impl MemSystem {
         } else {
             let peers = self.dir.join(addr >> self.line_shift, core);
             let owner = self.dirty_owner(peers, addr);
-            match (owner, self.protocol) {
-                (Some(owner), CoherenceProtocol::Mesi) => self.downgrade_remote(owner, addr, now),
-                // Dragon: the owner supplies data cache-to-cache but keeps
-                // ownership — no downgrade, no writeback.
-                (Some(_), CoherenceProtocol::Dragon) => self.stats.counts.l2_reads += 1,
-                (None, _) => {}
+            if let Some(owner) = owner {
+                self.downgrade_remote(owner, addr, now);
             }
             // Any peer makes the fill Shared; only a dirty owner sends
             // the data itself.
@@ -500,18 +462,14 @@ impl MemSystem {
 
     /// Publishes the per-event counts gathered since the last call — one
     /// atomic add per counter instead of one per event — and returns the
-    /// coherence part, `(invalidations, updates)`.
-    pub(crate) fn publish_event_counters(&mut self) -> (u64, u64) {
+    /// remote copies invalidated.
+    pub(crate) fn publish_event_counters(&mut self) -> u64 {
         let invalidations = std::mem::take(&mut self.invalidations);
-        let updates = std::mem::take(&mut self.updates);
         if invalidations > 0 {
             cactid_obs::counter!("sim.coherence.invalidations").add(invalidations);
         }
-        if updates > 0 {
-            cactid_obs::counter!("sim.coherence.updates").add(updates);
-        }
         crate::dram::publish_refresh_stalls(&mut self.channels);
-        (invalidations, updates)
+        invalidations
     }
 
     /// The statistics of the `cycles` since the last
@@ -546,14 +504,12 @@ impl MemSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CoherenceProtocol::{Dragon, Mesi};
     use crate::rng::XorShift64Star;
 
-    /// `n_cores` cores with no L3, under `protocol`.
-    fn system(n_cores: u32, protocol: CoherenceProtocol) -> MemSystem {
+    /// `n_cores` cores with no L3.
+    fn system(n_cores: u32) -> MemSystem {
         let mut cfg = SystemConfig::baseline_no_l3();
         cfg.n_cores = n_cores;
-        cfg.protocol = protocol;
         MemSystem::new(&cfg).unwrap()
     }
 
@@ -579,10 +535,10 @@ mod tests {
     fn the_directory_agrees_with_the_l2_tags() {
         // Random cores load and store 256 lines that fall in four L2 sets
         // (64 lines each against 8 ways), so lines are shared, written,
-        // downgraded, invalidated or updated, and evicted all the time.
+        // downgraded, invalidated and evicted all the time.
         let addr_of = |k: u64| (k / 4) * (128 << 10) + (k % 4) * 64;
-        for (n_cores, protocol) in [(8, Mesi), (8, Dragon), (64, Mesi), (64, Dragon)] {
-            let mut m = system(n_cores, protocol);
+        for n_cores in [8, 64] {
+            let mut m = system(n_cores);
             let mut rng = XorShift64Star::new(u64::from(n_cores));
             let mut dirty_seen = 0;
             for round in 0..40 {
@@ -597,7 +553,7 @@ mod tests {
                     let held: Vec<usize> = (0..m.cores.len())
                         .filter(|&c| l2_state(&m, c, addr).is_some())
                         .collect();
-                    let ctx = format!("{n_cores} cores {protocol:?}, round {round}, line {line}");
+                    let ctx = format!("{n_cores} cores, round {round}, line {line}");
                     assert_eq!(m.dir.holders(line), CoreSet::of(&held), "{ctx}");
                     lines += usize::from(!held.is_empty());
                     let dirty = held
@@ -605,21 +561,14 @@ mod tests {
                         .filter(|&&c| l2_state(&m, c, addr) == Some(LineState::Modified))
                         .count();
                     assert!(dirty <= 1, "{ctx}: {dirty} dirty copies");
-                    if protocol == Mesi && dirty == 1 {
+                    if dirty == 1 {
                         assert_eq!(held.len(), 1, "{ctx}: a Modified line is shared");
                     }
                     dirty_seen += dirty;
                 }
-                assert_eq!(
-                    m.dir.len(),
-                    lines,
-                    "{n_cores} cores {protocol:?}, round {round}"
-                );
+                assert_eq!(m.dir.len(), lines, "{n_cores} cores, round {round}");
             }
-            assert!(
-                dirty_seen > 0,
-                "{n_cores} cores {protocol:?}: nothing was dirty"
-            );
+            assert!(dirty_seen > 0, "{n_cores} cores: nothing was dirty");
         }
     }
 
@@ -628,7 +577,7 @@ mod tests {
         // Core 5 writes a line. Eight lines of its L1 set push the dirty
         // copy down into the L2, then eight clean lines of its L2 set evict
         // it: the victim's own Modified slot asks for the writeback.
-        let mut m = system(8, Mesi);
+        let mut m = system(8);
         issue(&mut m, 5, 0, true);
         for k in 1..=8 {
             issue(&mut m, 5, k * (4 << 10), false);
@@ -641,36 +590,5 @@ mod tests {
         assert_eq!(l2_state(&m, 5, 0), None);
         assert!(m.dir.holders(0).is_empty());
         assert_eq!(m.stats.counts.mem_writes, 1);
-    }
-
-    #[test]
-    fn dragon_read_keeps_the_dirty_owner() {
-        let mut m = system(8, Dragon);
-        issue(&mut m, 3, 0x40, true);
-        assert_eq!(issue(&mut m, 1, 0x40, false), StallKind::L2Access);
-        assert_eq!(l2_state(&m, 3, 0x40), Some(LineState::Modified));
-        assert_eq!(l2_state(&m, 1, 0x40), Some(LineState::Shared));
-        assert_eq!(m.stats.counts.mem_writes, 0, "no downgrade, no writeback");
-    }
-
-    #[test]
-    fn dragon_write_updates_peers_and_moves_ownership() {
-        let mut m = system(8, Dragon);
-        issue(&mut m, 0, 0x80, false);
-        issue(&mut m, 1, 0x80, false);
-        // Core 2's write miss updates both readers, which stay holders.
-        issue(&mut m, 2, 0x80, true);
-        assert_eq!(m.updates, 2);
-        assert_eq!(m.dir.holders(2), CoreSet::of(&[0, 1, 2]));
-        assert_eq!(l2_state(&m, 2, 0x80), Some(LineState::Modified));
-        // Core 0 writes next: core 2 hands ownership over and stays.
-        issue(&mut m, 0, 0x80, true);
-        assert_eq!(m.updates, 4);
-        assert_eq!(l2_state(&m, 0, 0x80), Some(LineState::Modified));
-        assert_eq!(l2_state(&m, 2, 0x80), Some(LineState::Shared));
-        assert_eq!(m.dir.holders(2).count(), 3);
-        // A write miss by a fourth core takes the line from its owner.
-        assert_eq!(issue(&mut m, 3, 0x80, true), StallKind::L2Access);
-        assert_eq!(l2_state(&m, 0, 0x80), Some(LineState::Shared));
     }
 }

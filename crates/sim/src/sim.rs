@@ -56,8 +56,6 @@ pub struct ShardInfo {
     pub stall_cycles: u64,
     /// Remote copies invalidated (MESI write-invalidate).
     pub invalidations: u64,
-    /// Remote copies updated in place (Dragon write-update).
-    pub updates: u64,
     /// Always 0: the engine has no multi-worker path to fall back from.
     /// Kept so existing readers of the field still build.
     pub serial_fallbacks: u64,
@@ -101,8 +99,7 @@ impl<T: TraceSource> Simulator<T> {
     ///
     /// Any [`crate::config::ConfigError`] from
     /// [`SystemConfig::validate`] — e.g. a page-mode L3 without row
-    /// timing, which previously panicked mid-simulation. Both coherence
-    /// protocols (MESI and Dragon) are accepted.
+    /// timing, which previously panicked mid-simulation.
     pub fn try_new(
         cfg: SystemConfig,
         trace: T,
@@ -148,9 +145,7 @@ impl<T: TraceSource> Simulator<T> {
         let _run = cactid_obs::span("sim.shard.run");
         let pre = self.info.clone();
         self.advance(target_instructions);
-        let (invalidations, updates) = self.mem.publish_event_counters();
-        self.info.invalidations += invalidations;
-        self.info.updates += updates;
+        self.info.invalidations += self.mem.publish_event_counters();
         cactid_obs::counter!("sim.shard.epochs").add(self.info.epochs - pre.epochs);
         cactid_obs::counter!("sim.shard.msgs").add(self.info.messages - pre.messages);
         cactid_obs::counter!("sim.shard.stall_cycles")

@@ -11,7 +11,7 @@
 //! llc-study thermal                # extension: stacked-die temperature
 //! llc-study powerdown [-n INSTR]   # extension: DRAM power-down savings
 //! llc-study sweep [-n INSTR]       # L3 capacity-sensitivity curves
-//! llc-study shard [--cores N] [--dragon] [-n INSTR]
+//! llc-study shard [--cores N] [-n INSTR]
 //!                                  # many-core simulator run; prints a
 //!                                  # stats digest for determinism checks
 //! llc-study ablations [-n INSTR]   # the paper's design choices, each
@@ -21,7 +21,8 @@
 //! Every command additionally accepts `--trace FILE`: at exit the process
 //! metrics registry (optimizer, solve-cache, pool, and simulator counters)
 //! is dumped as a JSONL sidecar to FILE and summarized on stderr. The
-//! sidecar is observability-only — the study tables are unaffected.
+//! sidecar is observability-only — the study tables are unaffected. Any
+//! other argument is a usage error (exit 2).
 
 use cactid_tech::TechNode;
 use llc_study::power::MemoryHierarchyPower;
@@ -30,36 +31,52 @@ use llc_study::{
     thermal,
 };
 
-fn parse_flag_u64(args: &[String], flag: &str) -> Option<u64> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            match it.next().map(|v| v.replace('_', "").parse()) {
-                Some(Ok(v)) => return Some(v),
-                _ => {
-                    eprintln!("{flag} expects an integer");
-                    std::process::exit(2)
-                }
-            }
-        }
-    }
-    None
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
 }
 
-fn parse_trace(args: &[String]) -> Option<std::path::PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--trace" {
-            match it.next() {
-                Some(v) => return Some(std::path::PathBuf::from(v)),
-                None => {
-                    eprintln!("--trace expects a file path");
-                    std::process::exit(2)
-                }
+/// The flags after the command. Every command takes `--trace`, the
+/// commands that simulate take `-n`/`--instructions`, and `shard` takes
+/// `--cores`; any other argument is a usage error.
+#[derive(Default)]
+struct Flags {
+    instructions: Option<u64>,
+    cores: Option<u64>,
+    trace: Option<std::path::PathBuf>,
+}
+
+fn parse_flags(cmd: &str, rest: &[String]) -> Flags {
+    let (simulates, shard) = match cmd {
+        "table1" | "table2" | "fig1" | "table3" | "thermal" => (false, false),
+        "fig4" | "fig5" | "all" | "powerdown" | "sweep" | "ablations" => (true, false),
+        "shard" => (true, true),
+        other => usage_error(&format!(
+            "unknown command {other:?}; try table1|table2|table3|fig1|fig4|fig5|thermal|powerdown|sweep|shard|ablations|all"
+        )),
+    };
+    let integer = |flag: &str, value: Option<&String>| -> u64 {
+        match value.map(|v| v.replace('_', "").parse()) {
+            Some(Ok(v)) => v,
+            _ => usage_error(&format!("{flag} expects an integer")),
+        }
+    };
+    let mut flags = Flags::default();
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--trace" => match it.next() {
+                Some(path) => flags.trace = Some(path.into()),
+                None => usage_error("--trace expects a file path"),
+            },
+            flag @ ("-n" | "--instructions") if simulates => {
+                flags.instructions = Some(integer(flag, it.next()));
             }
+            "--cores" if shard => flags.cores = Some(integer("--cores", it.next())),
+            _ => usage_error(&format!("llc-study {cmd}: unexpected argument {arg:?}")),
         }
     }
-    None
+    flags
 }
 
 fn run_figures_4_and_5(instructions: u64, do4: bool, do5: bool) {
@@ -108,14 +125,12 @@ fn run_powerdown(instructions: u64) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map_or("all", String::as_str);
+    let flags = parse_flags(cmd, args.get(1..).unwrap_or_default());
     // Default: enough for the synthetic profiles to reach steady state on
     // the largest L3s while staying minutes-scale.
-    let n = parse_flag_u64(&args, "-n")
-        .or_else(|| parse_flag_u64(&args, "--instructions"))
-        .unwrap_or(5_000_000);
+    let n = flags.instructions.unwrap_or(5_000_000);
     if n == 0 {
-        eprintln!("-n/--instructions expects a positive instruction count");
-        std::process::exit(2)
+        usage_error("-n/--instructions expects a positive instruction count");
     }
     match cmd {
         "table1" => println!("{}", table1::render(TechNode::N32)),
@@ -136,18 +151,14 @@ fn main() {
             );
         }
         "shard" => {
-            use memsim::{CoherenceProtocol, Simulator, SystemConfig};
-            let cores = parse_flag_u64(&args, "--cores").unwrap_or(64);
+            use memsim::{Simulator, SystemConfig};
+            let cores = flags.cores.unwrap_or(64);
             let max = memsim::coherence::MAX_CORES as u64;
             if !(1..=max).contains(&cores) {
-                eprintln!("--cores expects 1..={max}, got {cores}");
-                std::process::exit(2)
+                usage_error(&format!("--cores expects 1..={max}, got {cores}"));
             }
             let cores = cores as u32;
-            let mut cfg = SystemConfig::many_core(cores);
-            if args.iter().any(|a| a == "--dragon") {
-                cfg.protocol = CoherenceProtocol::Dragon;
-            }
+            let cfg = SystemConfig::many_core(cores);
             let trace = npbgen::NpbTrace::new(npbgen::NpbApp::FtB, cfg.n_threads());
             eprintln!("many-core run: {cores} cores, {n} instructions...");
             let mut sim = Simulator::try_new(cfg, trace).unwrap_or_else(|e| {
@@ -173,14 +184,9 @@ fn main() {
             run_figures_4_and_5(n, true, true);
             run_thermal();
         }
-        other => {
-            eprintln!(
-                "unknown command {other:?}; try table1|table2|table3|fig1|fig4|fig5|thermal|powerdown|sweep|shard|ablations|all"
-            );
-            std::process::exit(2);
-        }
+        _ => unreachable!("parse_flags refuses unknown commands"),
     }
-    if let Some(path) = parse_trace(&args) {
+    if let Some(path) = flags.trace {
         if let Err(e) = cactid_obs::write_trace(&path, &format!("llc-study {cmd}")) {
             eprintln!("error: writing trace {}: {e}", path.display());
             std::process::exit(1);
