@@ -63,6 +63,22 @@ for SPEC in "--size 2M --block 64 --assoc 8 --banks 1 --cell sram --node 32" \
         exit 1
     }
 done
+# One verdict at every entry point: a 2 TiB spec needs 41 address bits
+# and the CLI's specs carry 40, so plain cactid refuses it as an invalid
+# spec before any solve (exit 1), and lint reports CD0008 (exit 1).
+BIG="--size 2048G --ram --cell comm-dram --banks 64 --block 64 --node 32"
+RC=0
+ERR=$($CACTID $BIG 2>&1 >/dev/null) || RC=$?
+if [ "$RC" -ne 1 ] || ! echo "$ERR" | grep -q "invalid memory specification"; then
+    echo "cactid $BIG exited $RC without an invalid-spec error: $ERR" >&2
+    exit 1
+fi
+RC=0
+OUT=$($CACTID lint $BIG) || RC=$?
+if [ "$RC" -ne 1 ] || ! echo "$OUT" | grep -q "error\[CD0008\]"; then
+    echo "cactid lint $BIG exited $RC without error[CD0008]: $OUT" >&2
+    exit 1
+fi
 
 echo "== cactid-explore tests + explore smoke run"
 # Belt and braces: the workspace run above covers these, but the explore

@@ -83,10 +83,13 @@ impl Analyzer {
 
     /// Runs the spec-stage rules over a specification.
     ///
-    /// Works on *any* `MemorySpec`, including ones assembled by hand that
-    /// bypass the builder's validation — that is the point: the linter
-    /// names the violated invariant (`CD` code, field, suggested fix)
-    /// where the builder would only return the first error message.
+    /// Works on any `MemorySpec`, including one assembled by hand past the
+    /// builder. Its errors are [`MemorySpec::violations`], the one check
+    /// list whose first entry [`MemorySpec::validate`] returns, so lint
+    /// and every solve entry point agree on which specs are invalid. Each
+    /// error gains its `CD` code and, where one exists, a suggested fix;
+    /// the warnings on legal but suspicious values are lint's own, as is
+    /// CD0006's check of the resolved cell tables.
     pub fn lint_spec(&self, spec: &MemorySpec) -> Report {
         self.run(&LintContext::for_spec(spec), &[Stage::Spec])
     }

@@ -1,310 +1,246 @@
 //! Spec-stage rules `CD0001`–`CD0009`: capacity geometry, Table-1
 //! parameter bounds, cell/node compatibility, and the main-memory
 //! interface invariants.
+//!
+//! Every spec error comes from the core's one check list,
+//! [`MemorySpec::violations`]: each rule reports the violations [`code_of`]
+//! files under its code, adds the suggested fix and its lint-only
+//! warnings, and so rejects exactly the specs [`MemorySpec::validate`]
+//! rejects. CD0006 alone judges the resolved Table-1 cell parameters.
 
 use crate::context::LintContext;
 use crate::lint::{Diagnostic, Location, Report, Severity};
 use crate::rule::{Rule, Stage};
-use cactid_core::MemoryKind;
+use cactid_core::{MemorySpec, SpecViolation};
 use cactid_tech::{CellTechnology, TechNode};
 use cactid_units::{Amperes, Farads, Ohms, Seconds, Volts};
 
 /// All nine spec-stage rules, ordered by code.
 pub fn all() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(CapacityGeometry),
-        Box::new(BlockSize),
-        Box::new(BankCount),
-        Box::new(Associativity),
-        Box::new(CellNodeCompat),
-        Box::new(CellTable1Bounds),
-        Box::new(DramInterface),
-        Box::new(AddressBits),
-        Box::new(OptimizationKnobs),
-    ]
+    let mut rules: Vec<Box<dyn Rule>> = SPEC_RULES
+        .iter()
+        .map(|&r| Box::new(r) as Box<dyn Rule>)
+        .collect();
+    rules.insert(5, Box::new(CellTable1Bounds));
+    rules
 }
 
-/// `CD0001`: capacity decomposes into a power-of-two number of sets, and
-/// divides evenly across banks.
-pub struct CapacityGeometry;
+/// The eight rules over [`MemorySpec::violations`]: code, invariant and
+/// paper reference. CD0006 is [`CellTable1Bounds`].
+const SPEC_RULES: [SpecRule; 8] = [
+    SpecRule {
+        code: "CD0001",
+        summary: "capacity must be a power-of-two number of sets, split evenly across banks",
+        paper_ref: "§2.1",
+    },
+    SpecRule {
+        code: "CD0002",
+        summary: "block size must be a nonzero power of two (16–256 B typical for caches)",
+        paper_ref: "§2.1",
+    },
+    SpecRule {
+        code: "CD0003",
+        summary: "bank count must be a nonzero power of two (≤ 64 plausible)",
+        paper_ref: "§2.1",
+    },
+    SpecRule {
+        code: "CD0004",
+        summary: "associativity must be 1 for RAM/main memory and 1–32 for caches",
+        paper_ref: "§2.1",
+    },
+    SpecRule {
+        code: "CD0005",
+        summary: "main memory requires COMM-DRAM cells; 78 nm is a DRAM-process half node",
+        paper_ref: "Table 1",
+    },
+    SpecRule {
+        code: "CD0007",
+        summary: "prefetch ≥ burst length, and one burst (io·prefetch bits) must fit in the page",
+        paper_ref: "§2.1",
+    },
+    SpecRule {
+        code: "CD0008",
+        summary: "address width must cover the capacity and stay within 64 bits",
+        paper_ref: "§2.1",
+    },
+    SpecRule {
+        code: "CD0009",
+        summary: "objective weights non-negative (one positive), repeater relax ≥ 1, overheads ≥ 0",
+        paper_ref: "§2.4",
+    },
+];
 
-impl Rule for CapacityGeometry {
+/// The spec-stage rule that reports `v`; `None` for the builder's and the
+/// assemblies' misuse errors, which no spec check yields.
+pub fn code_of(v: &SpecViolation) -> Option<&'static str> {
+    use SpecViolation as V;
+    Some(match v {
+        V::CapacityZero
+        | V::NotWholeSets { .. }
+        | V::SetsNotPowerOfTwo { .. }
+        | V::BankSplit { .. } => "CD0001",
+        V::BlockSize(_) => "CD0002",
+        V::BankCount(_) => "CD0003",
+        V::AssociativityZero | V::CacheAssociativity(_) | V::DirectAssociativity(_) => "CD0004",
+        V::MainMemoryCell(_) => "CD0005",
+        V::IoWidth(_)
+        | V::BurstLength(_)
+        | V::Prefetch { .. }
+        | V::PageSize(_)
+        | V::BurstPastPage { .. }
+        | V::PagePastHalfBank { .. } => "CD0007",
+        V::AddressWidth(_) | V::AddressTooNarrow { .. } => "CD0008",
+        V::RepeaterRelax(_) | V::Overhead { .. } | V::Weight { .. } => "CD0009",
+        V::MissingField(_) | V::NotMainMemory(_) | V::ChannelWidth { .. } => return None,
+    })
+}
+
+/// The single-field fix for `v`, where one exists.
+fn suggestion(v: &SpecViolation) -> Option<String> {
+    use SpecViolation as V;
+    let pow2 = |n: u32| n.max(1).checked_next_power_of_two().map(|p| p.to_string());
+    match *v {
+        V::NotWholeSets {
+            capacity_bytes,
+            set_bytes,
+        } => Some(
+            (capacity_bytes / set_bytes * set_bytes)
+                .max(set_bytes)
+                .to_string(),
+        ),
+        V::SetsNotPowerOfTwo { sets, set_bytes } => sets
+            .checked_next_power_of_two()?
+            .checked_mul(set_bytes)
+            .map(|c| c.to_string()),
+        V::BlockSize(n)
+        | V::BankCount(n)
+        | V::Prefetch {
+            burst_length: n, ..
+        } => pow2(n),
+        V::AssociativityZero | V::DirectAssociativity(_) => Some("1".into()),
+        V::CacheAssociativity(_) => Some("32".into()),
+        V::MainMemoryCell(_) => Some("comm-dram".into()),
+        V::AddressTooNarrow { needed, .. } => Some(needed.to_string()),
+        V::RepeaterRelax(_) => Some("1.0".into()),
+        _ => None,
+    }
+}
+
+/// A spec rule: it reports the violations [`code_of`] files under its
+/// code as errors, then its lint-only warnings.
+#[derive(Clone, Copy)]
+struct SpecRule {
+    code: &'static str,
+    summary: &'static str,
+    paper_ref: &'static str,
+}
+
+impl Rule for SpecRule {
     fn code(&self) -> &'static str {
-        "CD0001"
+        self.code
     }
     fn stage(&self) -> Stage {
         Stage::Spec
     }
     fn summary(&self) -> &'static str {
-        "capacity must be a power-of-two number of sets, split evenly across banks"
+        self.summary
     }
     fn paper_ref(&self) -> &'static str {
-        "§2.1"
+        self.paper_ref
     }
     fn default_severity(&self) -> Severity {
         Severity::Error
     }
 
     fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let s = ctx.spec;
-        if s.capacity_bytes == 0 {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::spec("capacity_bytes"),
-                "capacity is zero",
-            ));
-            return;
+        let mut errors = ctx.spec.violations();
+        errors.retain(|v| code_of(v) == Some(self.code));
+        for v in &errors {
+            let at = Location::spec(v.field());
+            let d = Diagnostic::error(self.code, at, v.to_string());
+            report.push(match suggestion(v) {
+                Some(value) => d.with_suggestion(at, value),
+                None => d,
+            });
         }
-        let set_bytes = u64::from(s.block_bytes) * u64::from(s.associativity);
-        if set_bytes == 0 {
-            return; // CD0002 / CD0004 report the zero field.
-        }
-        if !s.capacity_bytes.is_multiple_of(set_bytes) {
-            report.push(
-                Diagnostic::error(
-                    self.code(),
-                    Location::spec("capacity_bytes"),
-                    format!(
-                        "capacity {} B is not a whole number of {set_bytes} B sets",
-                        s.capacity_bytes
-                    ),
-                )
-                .with_suggestion(
-                    Location::spec("capacity_bytes"),
-                    (s.capacity_bytes / set_bytes * set_bytes)
-                        .max(set_bytes)
-                        .to_string(),
-                ),
-            );
-            return;
-        }
-        let sets = s.capacity_bytes / set_bytes;
-        if !sets.is_power_of_two() {
-            report.push(
-                Diagnostic::error(
-                    self.code(),
-                    Location::spec("capacity_bytes"),
-                    format!("capacity implies {sets} sets, which is not a power of two"),
-                )
-                .with_suggestion(
-                    Location::spec("capacity_bytes"),
-                    (sets.next_power_of_two() * set_bytes).to_string(),
-                ),
-            );
-            return;
-        }
-        if s.n_banks == 0 {
-            return; // CD0003 reports it.
-        }
-        if !sets.is_multiple_of(u64::from(s.n_banks))
-            || !(sets / u64::from(s.n_banks)).is_power_of_two()
-        {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::spec("n_banks"),
-                format!(
-                    "{sets} sets do not split into a power of two per bank across {} banks",
-                    s.n_banks
-                ),
-            ));
-        }
-    }
-}
-
-/// `CD0002`: block size is a power of two within the modeled range.
-pub struct BlockSize;
-
-impl Rule for BlockSize {
-    fn code(&self) -> &'static str {
-        "CD0002"
-    }
-    fn stage(&self) -> Stage {
-        Stage::Spec
-    }
-    fn summary(&self) -> &'static str {
-        "block size must be a nonzero power of two (16–256 B typical for caches)"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.1"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let b = ctx.spec.block_bytes;
-        if b == 0 || !b.is_power_of_two() {
-            report.push(
-                Diagnostic::error(
-                    self.code(),
-                    Location::spec("block_bytes"),
-                    format!("block size {b} B is not a nonzero power of two"),
-                )
-                .with_suggestion(
-                    Location::spec("block_bytes"),
-                    b.max(1).next_power_of_two().to_string(),
-                ),
-            );
-        } else if ctx.spec.kind.is_cache() && !(16..=256).contains(&b) {
-            report.push(Diagnostic::warn(
-                self.code(),
-                Location::spec("block_bytes"),
-                format!("cache line of {b} B is outside the typical 16–256 B range"),
-            ));
-        }
-    }
-}
-
-/// `CD0003`: bank count is a power of two and not implausibly large.
-pub struct BankCount;
-
-impl Rule for BankCount {
-    fn code(&self) -> &'static str {
-        "CD0003"
-    }
-    fn stage(&self) -> Stage {
-        Stage::Spec
-    }
-    fn summary(&self) -> &'static str {
-        "bank count must be a nonzero power of two (≤ 64 plausible)"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.1"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let n = ctx.spec.n_banks;
-        if n == 0 || !n.is_power_of_two() {
-            report.push(
-                Diagnostic::error(
-                    self.code(),
-                    Location::spec("n_banks"),
-                    format!("bank count {n} is not a nonzero power of two"),
-                )
-                .with_suggestion(
-                    Location::spec("n_banks"),
-                    n.max(1).next_power_of_two().to_string(),
-                ),
-            );
-        } else if n > 64 {
-            report.push(Diagnostic::warn(
-                self.code(),
-                Location::spec("n_banks"),
-                format!("{n} banks is beyond the bank counts the paper studies (≤ 64)"),
-            ));
-        }
-    }
-}
-
-/// `CD0004`: associativity matches the memory kind (1 for RAM / main
-/// memory, ≤ 32 for caches).
-pub struct Associativity;
-
-impl Rule for Associativity {
-    fn code(&self) -> &'static str {
-        "CD0004"
-    }
-    fn stage(&self) -> Stage {
-        Stage::Spec
-    }
-    fn summary(&self) -> &'static str {
-        "associativity must be 1 for RAM/main memory and 1–32 for caches"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.1"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let a = ctx.spec.associativity;
-        let loc = Location::spec("associativity");
-        if a == 0 {
-            report.push(
-                Diagnostic::error(self.code(), loc, "associativity is zero")
-                    .with_suggestion(loc, "1"),
-            );
-            return;
-        }
-        match ctx.spec.kind {
-            MemoryKind::Cache { .. } => {
-                if a > 32 {
-                    report.push(
-                        Diagnostic::error(
-                            self.code(),
-                            loc,
-                            format!("associativity {a} exceeds the modeled maximum of 32"),
-                        )
-                        .with_suggestion(loc, "32"),
-                    );
-                }
-            }
-            MemoryKind::Ram | MemoryKind::MainMemory { .. } => {
-                if a != 1 {
-                    report.push(
-                        Diagnostic::error(
-                            self.code(),
-                            loc,
-                            format!("non-cache memories are direct-addressed; associativity {a} is meaningless"),
-                        )
-                        .with_suggestion(loc, "1"),
-                    );
-                }
+        // A field gets its error or its warning, never both.
+        for (field, message) in warnings(self.code, ctx.spec) {
+            if !errors.iter().any(|v| v.field() == field) {
+                report.push(Diagnostic::warn(self.code, Location::spec(field), message));
             }
         }
     }
 }
 
-/// `CD0005`: cell technology is compatible with the memory kind and node.
-pub struct CellNodeCompat;
-
-impl Rule for CellNodeCompat {
-    fn code(&self) -> &'static str {
-        "CD0005"
-    }
-    fn stage(&self) -> Stage {
-        Stage::Spec
-    }
-    fn summary(&self) -> &'static str {
-        "main memory requires COMM-DRAM cells; 78 nm is a DRAM-process half node"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Table 1"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let s = ctx.spec;
-        if matches!(s.kind, MemoryKind::MainMemory { .. })
-            && s.cell_tech != CellTechnology::CommDram
-        {
-            report.push(
-                Diagnostic::error(
-                    self.code(),
-                    Location::spec("cell_tech"),
+/// Rule `code`'s lint-only warnings on `s`: legal but suspicious values,
+/// each with the spec field it points at.
+fn warnings(code: &str, s: &MemorySpec) -> Vec<(&'static str, String)> {
+    let (b, n, o) = (s.block_bytes, s.n_banks, &s.opt);
+    let mut out = Vec::new();
+    match code {
+        "CD0002" if s.kind.is_cache() && !(16..=256).contains(&b) => out.push((
+            "block_bytes",
+            format!("cache line of {b} B is outside the typical 16–256 B range"),
+        )),
+        "CD0003" if n > 64 => out.push((
+            "n_banks",
+            format!("{n} banks is beyond the bank counts the paper studies (≤ 64)"),
+        )),
+        "CD0005" if s.node == TechNode::N78 && s.cell_tech == CellTechnology::Sram => out.push((
+            "node",
+            "78 nm is the DRAM-process half node used for Table 2 validation; \
+             SRAM parameters there are interpolated, not ITRS anchors"
+                .into(),
+        )),
+        "CD0008" if s.address_bits > 52 => out.push((
+            "address_bits",
+            format!(
+                "{} address bits exceeds today's physical address spaces (≤ 52); \
+                 tags will be oversized",
+                s.address_bits
+            ),
+        )),
+        "CD0009" => {
+            let weights = [
+                o.weight_dynamic,
+                o.weight_leakage,
+                o.weight_cycle,
+                o.weight_interleave,
+            ];
+            if weights.iter().all(|&w| w == 0.0) {
+                out.push((
+                    "opt.weight_dynamic",
+                    "all objective weights are zero — stage 3 of the §2.4 optimization \
+                     degenerates to an arbitrary pick"
+                        .into(),
+                ));
+            }
+            if o.repeater_relax > 4.0 {
+                out.push((
+                    "opt.repeater_relax",
                     format!(
-                        "a commodity main-memory chip cannot be built from {} cells",
-                        s.cell_tech
+                        "repeater relaxation {} is beyond the knob's useful range (≤ 4): \
+                         wire delay dominates and energy savings saturate",
+                        o.repeater_relax
                     ),
-                )
-                .with_suggestion(Location::spec("cell_tech"), "comm-dram"),
-            );
+                ));
+            }
+            for (field, v) in [
+                ("opt.max_area_overhead", o.max_area_overhead),
+                ("opt.max_access_time_overhead", o.max_access_time_overhead),
+            ] {
+                if v > 10.0 {
+                    let pct = v * 100.0;
+                    out.push((
+                        field,
+                        format!("overhead cap {v} (+{pct:.0}%) effectively disables the filter"),
+                    ));
+                }
+            }
         }
-        if s.node == TechNode::N78 && s.cell_tech == CellTechnology::Sram {
-            report.push(Diagnostic::warn(
-                self.code(),
-                Location::spec("node"),
-                "78 nm is the DRAM-process half node used for Table 2 validation; \
-                 SRAM parameters there are interpolated, not ITRS anchors",
-            ));
-        }
+        _ => {}
     }
+    out
 }
 
 /// `CD0006`: the resolved Table-1 cell parameters are within physical
@@ -408,259 +344,10 @@ impl Rule for CellTable1Bounds {
     }
 }
 
-/// `CD0007`: the main-memory interface timing invariants — the internal
-/// prefetch must be able to sustain the external burst, and a burst must
-/// fit in the sensed page.
-pub struct DramInterface;
-
-impl Rule for DramInterface {
-    fn code(&self) -> &'static str {
-        "CD0007"
-    }
-    fn stage(&self) -> Stage {
-        Stage::Spec
-    }
-    fn summary(&self) -> &'static str {
-        "prefetch ≥ burst length, and one burst (io·prefetch bits) must fit in the page"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.1"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let MemoryKind::MainMemory {
-            io_bits,
-            burst_length,
-            prefetch,
-            page_bits,
-        } = ctx.spec.kind
-        else {
-            return;
-        };
-        if !io_bits.is_power_of_two() || io_bits > 32 {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::spec("kind.io_bits"),
-                format!("io width {io_bits} must be a power of two of at most 32 (x4/x8/x16)"),
-            ));
-        }
-        if !burst_length.is_power_of_two() || burst_length > 16 {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::spec("kind.burst_length"),
-                format!("burst length {burst_length} must be a power of two of at most 16"),
-            ));
-        }
-        if !prefetch.is_power_of_two() || prefetch < burst_length {
-            report.push(
-                Diagnostic::error(
-                    self.code(),
-                    Location::spec("kind.prefetch"),
-                    format!(
-                        "internal prefetch of {prefetch} bits per pin cannot sustain a burst of \
-                         {burst_length} beats — the data pins would starve mid-burst"
-                    ),
-                )
-                .with_suggestion(
-                    Location::spec("kind.prefetch"),
-                    burst_length.max(1).next_power_of_two().to_string(),
-                ),
-            );
-        }
-        if page_bits == 0 || !page_bits.is_power_of_two() {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::spec("kind.page_bits"),
-                format!("page size {page_bits} bits must be a nonzero power of two"),
-            ));
-            return;
-        }
-        let burst_bits = u64::from(io_bits) * u64::from(prefetch);
-        if burst_bits > page_bits {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::spec("kind.page_bits"),
-                format!(
-                    "one access fetches {burst_bits} bits but the open page holds only \
-                     {page_bits} — a burst cannot span pages"
-                ),
-            ));
-        }
-        if ctx.spec.n_banks > 0 && page_bits * 2 > ctx.spec.bank_bytes() * 8 {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::spec("kind.page_bits"),
-                format!(
-                    "page of {page_bits} bits exceeds half a bank ({} bits) — the folded \
-                     bitline array needs at least two pages per bank",
-                    ctx.spec.bank_bytes() * 8
-                ),
-            ));
-        }
-    }
-}
-
-/// `CD0008`: the physical address width covers the capacity.
-pub struct AddressBits;
-
-impl Rule for AddressBits {
-    fn code(&self) -> &'static str {
-        "CD0008"
-    }
-    fn stage(&self) -> Stage {
-        Stage::Spec
-    }
-    fn summary(&self) -> &'static str {
-        "address width must cover the capacity and stay within 64 bits"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.1"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let s = ctx.spec;
-        let loc = Location::spec("address_bits");
-        if s.address_bits == 0 || s.address_bits > 64 {
-            report.push(Diagnostic::error(
-                self.code(),
-                loc,
-                format!("address width {} bits is outside 1–64", s.address_bits),
-            ));
-            return;
-        }
-        let needed = 64
-            - s.capacity_bytes.max(1).leading_zeros()
-            - u32::from(s.capacity_bytes.is_power_of_two());
-        if s.address_bits < needed {
-            report.push(
-                Diagnostic::error(
-                    self.code(),
-                    loc,
-                    format!(
-                        "{} address bits cannot even index the {} B capacity ({needed} bits \
-                         needed) — the tag field underflows",
-                        s.address_bits, s.capacity_bytes
-                    ),
-                )
-                .with_suggestion(loc, needed.to_string()),
-            );
-        } else if s.address_bits > 52 {
-            report.push(Diagnostic::warn(
-                self.code(),
-                loc,
-                format!(
-                    "{} address bits exceeds today's physical address spaces (≤ 52); \
-                     tags will be oversized",
-                    s.address_bits
-                ),
-            ));
-        }
-    }
-}
-
-/// `CD0009`: the §2.4 optimization knobs are self-consistent.
-pub struct OptimizationKnobs;
-
-impl Rule for OptimizationKnobs {
-    fn code(&self) -> &'static str {
-        "CD0009"
-    }
-    fn stage(&self) -> Stage {
-        Stage::Spec
-    }
-    fn summary(&self) -> &'static str {
-        "objective weights non-negative (one positive), repeater relax ≥ 1, overheads ≥ 0"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.4"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let o = &ctx.spec.opt;
-        let weights = [
-            ("opt.weight_dynamic", o.weight_dynamic),
-            ("opt.weight_leakage", o.weight_leakage),
-            ("opt.weight_cycle", o.weight_cycle),
-            ("opt.weight_interleave", o.weight_interleave),
-        ];
-        for (field, w) in weights {
-            if !(w.is_finite() && w >= 0.0) {
-                report.push(Diagnostic::error(
-                    self.code(),
-                    Location::spec(field),
-                    format!("objective weight {w} must be finite and non-negative"),
-                ));
-            }
-        }
-        if weights.iter().all(|&(_, w)| w == 0.0) {
-            report.push(Diagnostic::warn(
-                self.code(),
-                Location::spec("opt.weight_dynamic"),
-                "all objective weights are zero — stage 3 of the §2.4 optimization \
-                 degenerates to an arbitrary pick",
-            ));
-        }
-        if o.repeater_relax.is_nan() || o.repeater_relax < 1.0 {
-            report.push(
-                Diagnostic::error(
-                    self.code(),
-                    Location::spec("opt.repeater_relax"),
-                    format!(
-                        "repeater relaxation {} is below 1.0 — H-tree repeaters cannot be \
-                         faster than delay-optimal",
-                        o.repeater_relax
-                    ),
-                )
-                .with_suggestion(Location::spec("opt.repeater_relax"), "1.0"),
-            );
-        } else if o.repeater_relax > 4.0 {
-            report.push(Diagnostic::warn(
-                self.code(),
-                Location::spec("opt.repeater_relax"),
-                format!(
-                    "repeater relaxation {} is beyond the knob's useful range (≤ 4): \
-                     wire delay dominates and energy savings saturate",
-                    o.repeater_relax
-                ),
-            ));
-        }
-        for (field, v) in [
-            ("opt.max_area_overhead", o.max_area_overhead),
-            ("opt.max_access_time_overhead", o.max_access_time_overhead),
-        ] {
-            if !(v.is_finite() && v >= 0.0) {
-                report.push(Diagnostic::error(
-                    self.code(),
-                    Location::spec(field),
-                    format!("optimization overhead {v} must be finite and non-negative"),
-                ));
-            } else if v > 10.0 {
-                report.push(Diagnostic::warn(
-                    self.code(),
-                    Location::spec(field),
-                    format!(
-                        "overhead cap {v} (+{:.0}%) effectively disables the filter",
-                        v * 100.0
-                    ),
-                ));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactid_core::{AccessMode, MemorySpec, OptimizationOptions};
+    use cactid_core::{AccessMode, MemoryKind, OptimizationOptions};
 
     fn cache_spec() -> MemorySpec {
         MemorySpec::builder()
@@ -694,9 +381,12 @@ mod tests {
             .unwrap()
     }
 
-    fn run(rule: &dyn Rule, spec: &MemorySpec) -> Report {
+    /// The report of the one rule `code` over `spec`.
+    fn run(code: &str, spec: &MemorySpec) -> Report {
         let ctx = LintContext::for_spec(spec);
         let mut report = Report::new();
+        let rules = all();
+        let rule = rules.iter().find(|r| r.code() == code).unwrap();
         rule.check(&ctx, &mut report);
         report
     }
@@ -705,36 +395,36 @@ mod tests {
     fn cd0001_triggers_on_non_pow2_sets_and_passes_valid() {
         let mut bad = cache_spec();
         bad.capacity_bytes = 3 << 19; // 1.5 MB → 3072 sets
-        let r = run(&CapacityGeometry, &bad);
+        let r = run("CD0001", &bad);
         assert!(!r.is_clean());
         let d = r.iter().next().unwrap();
         assert_eq!(d.code, "CD0001");
         assert!(d.suggestion.is_some(), "suggests the next power of two");
-        assert!(run(&CapacityGeometry, &cache_spec()).is_empty());
+        assert!(run("CD0001", &cache_spec()).is_empty());
     }
 
     #[test]
     fn cd0001_triggers_on_bad_bank_split() {
         let mut bad = cache_spec();
         bad.n_banks = 4096; // more banks than the 2048 sets
-        assert!(!run(&CapacityGeometry, &bad).is_clean());
+        assert!(!run("CD0001", &bad).is_clean());
     }
 
     #[test]
     fn cd0002_triggers_on_odd_block_and_passes_valid() {
         let mut bad = cache_spec();
         bad.block_bytes = 48;
-        let r = run(&BlockSize, &bad);
+        let r = run("CD0002", &bad);
         assert_eq!(r.error_count(), 1);
         assert_eq!(
             r.iter().next().unwrap().suggestion.as_ref().unwrap().value,
             "64"
         );
-        assert!(run(&BlockSize, &cache_spec()).is_empty());
+        assert!(run("CD0002", &cache_spec()).is_empty());
         // Tiny cache lines only warn.
         let mut tiny = cache_spec();
         tiny.block_bytes = 8;
-        let r = run(&BlockSize, &tiny);
+        let r = run("CD0002", &tiny);
         assert!(r.is_clean() && r.warn_count() == 1);
     }
 
@@ -742,15 +432,15 @@ mod tests {
     fn cd0003_triggers_on_three_banks_and_passes_valid() {
         let mut bad = cache_spec();
         bad.n_banks = 3;
-        assert_eq!(run(&BankCount, &bad).error_count(), 1);
-        assert!(run(&BankCount, &cache_spec()).is_empty());
+        assert_eq!(run("CD0003", &bad).error_count(), 1);
+        assert!(run("CD0003", &cache_spec()).is_empty());
     }
 
     #[test]
     fn cd0004_triggers_on_associative_ram_and_passes_valid() {
         let mut bad = cache_spec();
         bad.kind = MemoryKind::Ram;
-        let r = run(&Associativity, &bad);
+        let r = run("CD0004", &bad);
         assert_eq!(r.error_count(), 1);
         assert_eq!(
             r.iter().next().unwrap().suggestion.as_ref().unwrap().value,
@@ -758,25 +448,25 @@ mod tests {
         );
         let mut wide = cache_spec();
         wide.associativity = 64;
-        assert_eq!(run(&Associativity, &wide).error_count(), 1);
-        assert!(run(&Associativity, &cache_spec()).is_empty());
+        assert_eq!(run("CD0004", &wide).error_count(), 1);
+        assert!(run("CD0004", &cache_spec()).is_empty());
     }
 
     #[test]
     fn cd0005_triggers_on_sram_main_memory_and_passes_valid() {
         let mut bad = mm_spec();
         bad.cell_tech = CellTechnology::Sram;
-        let r = run(&CellNodeCompat, &bad);
+        let r = run("CD0005", &bad);
         assert!(!r.is_clean());
         assert_eq!(
             r.iter().next().unwrap().suggestion.as_ref().unwrap().value,
             "comm-dram"
         );
-        assert!(run(&CellNodeCompat, &mm_spec()).is_empty());
+        assert!(run("CD0005", &mm_spec()).is_empty());
         // SRAM at the 78 nm half node warns.
         let mut half = cache_spec();
         half.node = TechNode::N78;
-        let r = run(&CellNodeCompat, &half);
+        let r = run("CD0005", &half);
         assert!(r.is_clean() && r.warn_count() == 1);
     }
 
@@ -788,7 +478,7 @@ mod tests {
                 let mut s = cache_spec();
                 s.cell_tech = cell;
                 s.node = node;
-                let r = run(&CellTable1Bounds, &s);
+                let r = run("CD0006", &s);
                 assert!(r.is_empty(), "{cell} at {node:?}: {:?}", r.as_slice());
             }
         }
@@ -810,16 +500,13 @@ mod tests {
             prefetch: 4, // cannot sustain the burst
             page_bits: 8 << 10,
         };
-        let r = run(&DramInterface, &bad);
+        let r = run("CD0007", &bad);
         assert_eq!(r.error_count(), 1);
         let d = r.iter().next().unwrap();
         assert_eq!(d.code, "CD0007");
         assert_eq!(d.suggestion.as_ref().unwrap().value, "8");
-        assert!(run(&DramInterface, &mm_spec()).is_empty());
-        assert!(
-            run(&DramInterface, &cache_spec()).is_empty(),
-            "cache exempt"
-        );
+        assert!(run("CD0007", &mm_spec()).is_empty());
+        assert!(run("CD0007", &cache_spec()).is_empty(), "cache exempt");
     }
 
     #[test]
@@ -831,30 +518,30 @@ mod tests {
             prefetch: 8,
             page_bits: 128, // 256-bit burst > 128-bit page
         };
-        assert!(!run(&DramInterface, &bad).is_clean());
+        assert!(!run("CD0007", &bad).is_clean());
     }
 
     #[test]
     fn cd0008_triggers_on_narrow_address_and_passes_valid() {
         let mut bad = cache_spec();
         bad.address_bits = 16; // 1 MB needs 20
-        let r = run(&AddressBits, &bad);
+        let r = run("CD0008", &bad);
         assert_eq!(r.error_count(), 1);
         assert_eq!(
             r.iter().next().unwrap().suggestion.as_ref().unwrap().value,
             "20"
         );
-        assert!(run(&AddressBits, &cache_spec()).is_empty());
+        assert!(run("CD0008", &cache_spec()).is_empty());
     }
 
     #[test]
     fn cd0009_triggers_on_negative_weight_and_passes_valid() {
         let mut bad = cache_spec();
         bad.opt.weight_leakage = -1.0;
-        assert_eq!(run(&OptimizationKnobs, &bad).error_count(), 1);
+        assert_eq!(run("CD0009", &bad).error_count(), 1);
         let mut tight = cache_spec();
         tight.opt.repeater_relax = 0.5;
-        assert_eq!(run(&OptimizationKnobs, &tight).error_count(), 1);
+        assert_eq!(run("CD0009", &tight).error_count(), 1);
         let mut zeroed = cache_spec();
         zeroed.opt = OptimizationOptions {
             weight_dynamic: 0.0,
@@ -863,8 +550,8 @@ mod tests {
             weight_interleave: 0.0,
             ..OptimizationOptions::default()
         };
-        let r = run(&OptimizationKnobs, &zeroed);
+        let r = run("CD0009", &zeroed);
         assert!(r.is_clean() && r.warn_count() == 1);
-        assert!(run(&OptimizationKnobs, &cache_spec()).is_empty());
+        assert!(run("CD0009", &cache_spec()).is_empty());
     }
 }

@@ -2,11 +2,13 @@
 //! configurations (Table 3 / §3.1) and against the solver's full
 //! solution set.
 
+use cactid_analyze::rules::spec::code_of;
 use cactid_analyze::{Analyzer, Severity};
 use cactid_core::array::{self, PrescreenFailure};
-use cactid_core::{org, AccessMode, MemoryKind, MemorySpec, OptimizationOptions};
+use cactid_core::{org, AccessMode, CactiError, MemoryKind, MemorySpec, OptimizationOptions};
 use cactid_tech::{CellTechnology, TechNode, Technology};
 use llc_study::configs::{c_options, ed_options, main_memory_spec, LlcKind};
+use memsim::rng::XorShift64Star;
 use std::collections::HashSet;
 
 /// Rebuilds the study's cache spec exactly as `llc_study::configs::build`
@@ -166,4 +168,223 @@ fn screen_rules_fire_exactly_where_the_prescreen_rejects() {
             && seen.contains(&PrescreenFailure::WordlineElmore),
         "{seen:?}"
     );
+}
+
+/// A uniform draw from `values`.
+fn pick<T: Copy>(rng: &mut XorShift64Star, values: &[T]) -> T {
+    values[rng.next_below(values.len() as u64) as usize]
+}
+
+/// Valid specs of every kind, for [`literal_specs`] to break.
+fn base_specs() -> [MemorySpec; 4] {
+    let cache = MemorySpec {
+        capacity_bytes: 1 << 20,
+        block_bytes: 64,
+        associativity: 8,
+        n_banks: 1,
+        kind: MemoryKind::Cache {
+            access_mode: AccessMode::Normal,
+        },
+        cell_tech: CellTechnology::Sram,
+        node: TechNode::N32,
+        address_bits: 40,
+        opt: OptimizationOptions::default(),
+    };
+    let main_memory = MemorySpec {
+        capacity_bytes: 1 << 30,
+        block_bytes: 8,
+        associativity: 1,
+        n_banks: 8,
+        kind: MemoryKind::MainMemory {
+            io_bits: 8,
+            burst_length: 8,
+            prefetch: 8,
+            page_bits: 8 << 10,
+        },
+        cell_tech: CellTechnology::CommDram,
+        ..cache.clone()
+    };
+    let ram = MemorySpec {
+        capacity_bytes: 64 << 10,
+        block_bytes: 8,
+        associativity: 1,
+        kind: MemoryKind::Ram,
+        ..cache.clone()
+    };
+    let dram_cache = MemorySpec {
+        capacity_bytes: 48 << 20,
+        associativity: 12,
+        n_banks: 8,
+        kind: MemoryKind::Cache {
+            access_mode: AccessMode::Sequential,
+        },
+        cell_tech: CellTechnology::LpDram,
+        ..cache.clone()
+    };
+    [cache, main_memory, ram, dram_cache]
+}
+
+/// `n` deterministic specs assembled field by field, past the builder:
+/// each a valid base with up to four fields overwritten by values drawn
+/// from valid ones and extremes (zero, non-powers of two, `u32::MAX`,
+/// capacities and pages up to 2⁶³ and past, address widths of 0, 41 and
+/// 65, NaN, ±∞ and negative knobs).
+fn literal_specs(n: usize) -> Vec<MemorySpec> {
+    const CAPACITIES: &[u64] = &[
+        0,
+        1,
+        3,
+        48 << 10,
+        64 << 10,
+        1 << 20,
+        1536 << 10,
+        1 << 30,
+        1 << 40,
+        2 << 40,
+        1 << 62,
+        1 << 63,
+        (1 << 63) + (1 << 62),
+        u64::MAX,
+    ];
+    const SMALL: &[u32] = &[
+        0,
+        1,
+        2,
+        3,
+        4,
+        8,
+        12,
+        16,
+        24,
+        32,
+        48,
+        64,
+        128,
+        4096,
+        1 << 31,
+        u32::MAX,
+    ];
+    const PAGES: &[u64] = &[
+        0,
+        1,
+        3,
+        128,
+        256,
+        8 << 10,
+        1 << 20,
+        1 << 62,
+        1 << 63,
+        u64::MAX,
+    ];
+    const ADDRESS_BITS: &[u32] = &[0, 1, 16, 20, 40, 41, 52, 53, 64, 65, u32::MAX];
+    const KNOBS: &[f64] = &[
+        0.0,
+        -0.0,
+        0.5,
+        1.0,
+        2.0,
+        4.5,
+        11.0,
+        -1.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+    ];
+    let bases = base_specs();
+    let mut rng = XorShift64Star::new(0x5eed);
+    (0..n)
+        .map(|i| {
+            let mut s = bases[i % bases.len()].clone();
+            for _ in 0..rng.next_below(5) {
+                match rng.next_below(16) {
+                    0 => s.capacity_bytes = pick(&mut rng, CAPACITIES),
+                    1 => s.block_bytes = pick(&mut rng, SMALL),
+                    2 => s.associativity = pick(&mut rng, SMALL),
+                    3 => s.n_banks = pick(&mut rng, SMALL),
+                    4 => s.address_bits = pick(&mut rng, ADDRESS_BITS),
+                    5 => s.cell_tech = pick(&mut rng, CellTechnology::ALL),
+                    6 => s.node = pick(&mut rng, TechNode::ALL),
+                    7 => s.opt.repeater_relax = pick(&mut rng, KNOBS),
+                    8 => s.opt.max_area_overhead = pick(&mut rng, KNOBS),
+                    9 => s.opt.max_access_time_overhead = pick(&mut rng, KNOBS),
+                    10 => {
+                        let w = pick(&mut rng, KNOBS);
+                        match rng.next_below(4) {
+                            0 => s.opt.weight_dynamic = w,
+                            1 => s.opt.weight_leakage = w,
+                            2 => s.opt.weight_cycle = w,
+                            _ => s.opt.weight_interleave = w,
+                        }
+                    }
+                    11 => {
+                        s.kind = bases[rng.next_below(bases.len() as u64) as usize].kind;
+                    }
+                    _ => {
+                        if let MemoryKind::MainMemory {
+                            io_bits,
+                            burst_length,
+                            prefetch,
+                            page_bits,
+                        } = &mut s.kind
+                        {
+                            match rng.next_below(4) {
+                                0 => *io_bits = pick(&mut rng, SMALL),
+                                1 => *burst_length = pick(&mut rng, SMALL),
+                                2 => *prefetch = pick(&mut rng, SMALL),
+                                _ => *page_bits = pick(&mut rng, PAGES),
+                            }
+                        }
+                    }
+                }
+            }
+            s
+        })
+        .collect()
+}
+
+/// The spec stage gives every spec one verdict. Over 12 000 literal
+/// specs, in the debug profile where an overflow panics: nothing panics;
+/// `lint_spec` reports a CD0001–CD0009 error exactly when
+/// `MemorySpec::validate` rejects; its errors are `violations()`, code and
+/// message, in code order; and `validate`'s error is the first violation.
+#[test]
+fn spec_rules_fire_exactly_where_validate_rejects() {
+    let analyzer = Analyzer::new();
+    let mut valid = 0;
+    let mut seen = HashSet::new();
+    for spec in literal_specs(12_000) {
+        let violations = spec.violations();
+        let mut want: Vec<(&str, String)> = violations
+            .iter()
+            .map(|v| (code_of(v).expect("every check has a rule"), v.to_string()))
+            .collect();
+        want.sort_by_key(|&(code, _)| code);
+        let got: Vec<(&str, String)> = analyzer
+            .lint_spec(&spec)
+            .into_vec()
+            .into_iter()
+            .filter(|d| d.severity == Severity::Error && d.code <= "CD0009")
+            .map(|d| (d.code, d.message))
+            .collect();
+        assert_eq!(got, want, "{spec:?}");
+        assert_eq!(spec.validate().is_err(), !got.is_empty(), "{spec:?}");
+        assert_eq!(
+            format!("{:?}", spec.validate()),
+            format!(
+                "{:?}",
+                violations
+                    .first()
+                    .map_or(Ok(()), |v| Err(CactiError::InvalidSpec(v.clone())))
+            ),
+        );
+        valid += usize::from(violations.is_empty());
+        seen.extend(violations.iter().map(|v| {
+            let name = format!("{v:?}");
+            name[..name.find([' ', '(']).unwrap_or(name.len())].to_string()
+        }));
+    }
+    // Both verdicts are common, and every one of the 21 checks fired.
+    assert!((1_000..11_000).contains(&valid), "{valid} valid");
+    assert_eq!(seen.len(), 21, "{seen:?}");
 }

@@ -2,7 +2,7 @@
 //! 64-bit channel (paper §3.1: "each channel connected to a single-ranked
 //! 8 GB DIMM made up of 8 Gb DDR4-3200 devices").
 
-use crate::error::CactiError;
+use crate::error::{CactiError, SpecViolation};
 use crate::main_memory::MainMemoryResult;
 use crate::spec::{MemoryKind, MemorySpec};
 use cactid_units::{Joules, Seconds, Watts};
@@ -65,15 +65,15 @@ pub fn assemble(
     dimm: DimmConfig,
 ) -> Result<DimmResult, CactiError> {
     let MemoryKind::MainMemory { io_bits, .. } = spec.kind else {
-        return Err(CactiError::InvalidSpec(
-            "DIMM assembly requires a main-memory spec".to_string(),
-        ));
+        return Err(CactiError::InvalidSpec(SpecViolation::NotMainMemory(
+            "DIMM",
+        )));
     };
     if io_bits == 0 || !dimm.channel_bits.is_multiple_of(io_bits) {
-        return Err(CactiError::InvalidSpec(format!(
-            "chip IO width x{io_bits} must divide the {}-bit channel",
-            dimm.channel_bits
-        )));
+        return Err(CactiError::InvalidSpec(SpecViolation::ChannelWidth {
+            io_bits,
+            channel_bits: dimm.channel_bits,
+        }));
     }
     let chips_per_rank = dimm.channel_bits / io_bits;
     let total_chips = chips_per_rank * dimm.ranks;

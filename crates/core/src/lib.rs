@@ -52,7 +52,7 @@ mod optimizer;
 
 pub use array::{EvalMemo, PrescreenFailure};
 pub use dimm::{DimmConfig, DimmResult};
-pub use error::CactiError;
+pub use error::{CactiError, SpecViolation};
 pub use main_memory::{DramEnergies, DramTiming, MainMemoryResult};
 pub use optimizer::{
     optimize, select, solve_with_stats, solve_with_stats_reference, static_screen, ArraySweep,

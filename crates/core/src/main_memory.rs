@@ -5,7 +5,7 @@
 //! interleave cycle time tRRD.
 
 use crate::array::{ArrayInput, ArrayResult};
-use crate::error::CactiError;
+use crate::error::{CactiError, SpecViolation};
 use crate::spec::{MemoryKind, MemorySpec};
 use cactid_circuit::repeater::RepeatedWire;
 use cactid_tech::{Technology, WireType};
@@ -117,9 +117,9 @@ pub fn assemble(
         ..
     } = spec.kind
     else {
-        return Err(CactiError::InvalidSpec(
-            "main-memory assembly requires a MainMemory spec".to_string(),
-        ));
+        return Err(CactiError::InvalidSpec(SpecViolation::NotMainMemory(
+            "main-memory",
+        )));
     };
     let n_banks = f64::from(spec.n_banks);
     let cell = &input.cell;

@@ -1,7 +1,8 @@
 //! Input specification for a memory to be modeled.
 
-use crate::error::CactiError;
+use crate::error::{CactiError, SpecViolation};
 use cactid_tech::{CellTechnology, TechNode};
+use std::ops::ControlFlow;
 
 /// How a cache accesses its tag and data arrays (paper §3.4 and CACTI 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -238,113 +239,168 @@ impl MemorySpec {
     }
 
     /// Checks every structural invariant [`MemorySpecBuilder::build`]
-    /// enforces, for a spec assembled field by field.
+    /// enforces, for a spec assembled field by field, stopping at the
+    /// first broken one. Allocates nothing on a valid spec.
     ///
     /// # Errors
     ///
-    /// [`CactiError::InvalidSpec`] naming the first invariant broken.
+    /// [`CactiError::InvalidSpec`] carrying the first of
+    /// [`MemorySpec::violations`].
     pub fn validate(&self) -> Result<(), CactiError> {
-        let err = |m: &str| Err(CactiError::InvalidSpec(m.to_string()));
-        if self.capacity_bytes == 0 {
-            return err("capacity must be nonzero");
+        match self.check(&mut ControlFlow::Break) {
+            ControlFlow::Break(v) => Err(CactiError::InvalidSpec(v)),
+            ControlFlow::Continue(()) => Ok(()),
         }
-        if self.block_bytes == 0 || !self.block_bytes.is_power_of_two() {
-            return err("block size must be a nonzero power of two");
+    }
+
+    /// Every invariant this spec breaks, in check order; empty exactly
+    /// when [`MemorySpec::validate`] accepts the spec. The lint rules
+    /// `CD0001`–`CD0009` report these as their errors.
+    pub fn violations(&self) -> Vec<SpecViolation> {
+        let mut all = Vec::new();
+        let _ = self.check(&mut |v| {
+            all.push(v);
+            ControlFlow::<()>::Continue(())
+        });
+        all
+    }
+
+    /// The one spec check list: hands each broken invariant to `found`, in
+    /// order, until `found` breaks. A check whose inputs an earlier
+    /// violation leaves meaningless (the sets of a zero capacity) is
+    /// skipped, and no check can overflow or divide by zero.
+    fn check<B>(&self, found: &mut impl FnMut(SpecViolation) -> ControlFlow<B>) -> ControlFlow<B> {
+        use SpecViolation as V;
+        let (capacity_bytes, block, assoc, banks) = (
+            self.capacity_bytes,
+            self.block_bytes,
+            self.associativity,
+            self.n_banks,
+        );
+        if capacity_bytes == 0 {
+            found(V::CapacityZero)?;
         }
-        if self.associativity == 0 {
-            return err("associativity must be nonzero");
+        if !block.is_power_of_two() {
+            found(V::BlockSize(block))?;
         }
-        let set_bytes = u64::from(self.block_bytes) * u64::from(self.associativity);
-        if !self.capacity_bytes.is_multiple_of(set_bytes) {
-            return err("capacity must be a whole number of sets");
+        if assoc == 0 {
+            found(V::AssociativityZero)?;
         }
-        let sets = self.capacity_bytes / set_bytes;
-        if !sets.is_power_of_two() {
-            return err("the number of sets must be a power of two");
+        let set_bytes = u64::from(block) * u64::from(assoc);
+        let mut sets = None;
+        if capacity_bytes != 0 && set_bytes != 0 {
+            let n = capacity_bytes / set_bytes;
+            if !capacity_bytes.is_multiple_of(set_bytes) {
+                found(V::NotWholeSets {
+                    capacity_bytes,
+                    set_bytes,
+                })?;
+            } else if !n.is_power_of_two() {
+                found(V::SetsNotPowerOfTwo { sets: n, set_bytes })?;
+            } else {
+                sets = Some(n);
+            }
         }
-        if self.n_banks == 0 || !self.n_banks.is_power_of_two() {
-            return err("bank count must be a nonzero power of two");
+        if !banks.is_power_of_two() {
+            found(V::BankCount(banks))?;
         }
-        if self.capacity_bytes < u64::from(self.block_bytes) * u64::from(self.associativity) {
-            return err("capacity smaller than one set");
-        }
-        if self.bank_bytes() * u64::from(self.n_banks) != self.capacity_bytes {
-            return err("capacity must divide evenly across banks");
-        }
-        if self.sets() == 0 {
-            return err("associativity exceeds the number of lines");
-        }
-        if self.sets_per_bank() == 0 || !self.sets_per_bank().is_power_of_two() {
-            return err("sets per bank must be a nonzero power of two");
+        if let Some(sets) = sets.filter(|_| banks != 0) {
+            // A power-of-two set count splits into a power of two per bank
+            // exactly when the bank count is a power of two no larger.
+            if !banks.is_power_of_two() || sets < u64::from(banks) {
+                found(V::BankSplit {
+                    sets,
+                    n_banks: banks,
+                })?;
+            }
         }
         match self.kind {
-            MemoryKind::Cache { .. } => {
-                if self.associativity > 32 {
-                    return err("associativity above 32 is not modeled");
-                }
+            MemoryKind::Cache { .. } if assoc > 32 => found(V::CacheAssociativity(assoc))?,
+            MemoryKind::Ram | MemoryKind::MainMemory { .. } if assoc > 1 => {
+                found(V::DirectAssociativity(assoc))?;
             }
-            MemoryKind::Ram => {
-                if self.associativity != 1 {
-                    return err("plain RAM must have associativity 1");
-                }
+            _ => {}
+        }
+        if let MemoryKind::MainMemory {
+            io_bits,
+            burst_length,
+            prefetch,
+            page_bits,
+        } = self.kind
+        {
+            if self.cell_tech != CellTechnology::CommDram {
+                found(V::MainMemoryCell(self.cell_tech))?;
             }
-            MemoryKind::MainMemory {
-                io_bits,
-                burst_length,
-                prefetch,
-                page_bits,
-            } => {
-                if self.associativity != 1 {
-                    return err("main memory must have associativity 1");
+            if !io_bits.is_power_of_two() || io_bits > 32 {
+                found(V::IoWidth(io_bits))?;
+            }
+            if !burst_length.is_power_of_two() || burst_length > 16 {
+                found(V::BurstLength(burst_length))?;
+            }
+            if !prefetch.is_power_of_two() || prefetch < burst_length {
+                found(V::Prefetch {
+                    prefetch,
+                    burst_length,
+                })?;
+            }
+            if page_bits.is_power_of_two() {
+                let burst_bits = u64::from(io_bits) * u64::from(prefetch);
+                if burst_bits > page_bits {
+                    found(V::BurstPastPage {
+                        burst_bits,
+                        page_bits,
+                    })?;
                 }
-                if self.cell_tech != CellTechnology::CommDram {
-                    return err("main memory must use COMM-DRAM cells");
+                // In 128 bits: a page past 2^62 bits must not wrap to fit.
+                if banks != 0 && u128::from(page_bits) * 2 > u128::from(self.bank_bytes()) * 8 {
+                    found(V::PagePastHalfBank {
+                        page_bits,
+                        bank_bytes: self.bank_bytes(),
+                    })?;
                 }
-                if !io_bits.is_power_of_two() || io_bits > 32 {
-                    return err("io width must be a power of two ≤ 32");
-                }
-                if !burst_length.is_power_of_two() || burst_length > 16 {
-                    return err("burst length must be a power of two ≤ 16");
-                }
-                if !prefetch.is_power_of_two() || prefetch < burst_length {
-                    return err("prefetch must be a power of two ≥ burst length");
-                }
-                if page_bits == 0 || !page_bits.is_power_of_two() {
-                    return err("page size must be a nonzero power of two");
-                }
-                if u64::from(io_bits) * u64::from(prefetch) > page_bits {
-                    return err("one burst (io width × prefetch) must fit in the page");
-                }
-                if page_bits * 2 > self.bank_bytes() * 8 {
-                    return err("page size larger than half a bank");
-                }
+            } else {
+                found(V::PageSize(page_bits))?;
             }
         }
-        // The knob checks mirror lint CD0009's errors and must reject NaN,
-        // which passes every plain `<` test: a NaN knob makes the spec
+        let address_bits = self.address_bits;
+        if address_bits == 0 || address_bits > 64 {
+            found(V::AddressWidth(address_bits))?;
+        } else {
+            let needed = 64 - capacity_bytes.saturating_sub(1).leading_zeros();
+            if address_bits < needed {
+                found(V::AddressTooNarrow {
+                    address_bits,
+                    capacity_bytes,
+                    needed,
+                })?;
+            }
+        }
+        // A NaN knob fails every check below, as it must: it makes the spec
         // unequal to itself, so no memo could ever key on it.
         let o = &self.opt;
         if o.repeater_relax.is_nan() || o.repeater_relax < 1.0 {
-            return err("repeater relaxation must be ≥ 1.0");
+            found(V::RepeaterRelax(o.repeater_relax))?;
         }
-        let finite_non_negative = |v: f64| v.is_finite() && v >= 0.0;
-        if !(finite_non_negative(o.max_area_overhead)
-            && finite_non_negative(o.max_access_time_overhead))
-        {
-            return err("optimization overheads must be finite and non-negative");
+        let bad = |v: f64| !(v.is_finite() && v >= 0.0);
+        for (field, value) in [
+            ("opt.max_area_overhead", o.max_area_overhead),
+            ("opt.max_access_time_overhead", o.max_access_time_overhead),
+        ] {
+            if bad(value) {
+                found(V::Overhead { field, value })?;
+            }
         }
-        if ![
-            o.weight_dynamic,
-            o.weight_leakage,
-            o.weight_cycle,
-            o.weight_interleave,
-        ]
-        .into_iter()
-        .all(finite_non_negative)
-        {
-            return err("objective weights must be finite and non-negative");
+        for (field, value) in [
+            ("opt.weight_dynamic", o.weight_dynamic),
+            ("opt.weight_leakage", o.weight_leakage),
+            ("opt.weight_cycle", o.weight_cycle),
+            ("opt.weight_interleave", o.weight_interleave),
+        ] {
+            if bad(value) {
+                found(V::Weight { field, value })?;
+            }
         }
-        Ok(())
+        ControlFlow::Continue(())
     }
 }
 
@@ -424,7 +480,7 @@ impl MemorySpecBuilder {
     /// Returns [`CactiError::InvalidSpec`] when a required field is missing
     /// or the combination is inconsistent.
     pub fn build(self) -> Result<MemorySpec, CactiError> {
-        let missing = |f: &str| CactiError::InvalidSpec(format!("missing field: {f}"));
+        let missing = |f| CactiError::InvalidSpec(SpecViolation::MissingField(f));
         let spec = MemorySpec {
             capacity_bytes: self
                 .capacity_bytes
@@ -546,7 +602,10 @@ mod tests {
             .kind(MemoryKind::Ram)
             .build()
             .unwrap_err();
-        assert!(e.to_string().contains("associativity 1"));
+        assert_eq!(
+            e,
+            CactiError::InvalidSpec(SpecViolation::DirectAssociativity(2))
+        );
     }
 
     #[test]
@@ -564,7 +623,10 @@ mod tests {
             })
             .build()
             .unwrap_err();
-        assert!(e.to_string().contains("COMM-DRAM"));
+        assert_eq!(
+            e,
+            CactiError::InvalidSpec(SpecViolation::MainMemoryCell(CellTechnology::Sram))
+        );
     }
 
     #[test]
@@ -602,7 +664,13 @@ mod tests {
             })
             .build()
             .unwrap_err();
-        assert!(e.to_string().contains("fit in the page"), "{e}");
+        assert_eq!(
+            e,
+            CactiError::InvalidSpec(SpecViolation::BurstPastPage {
+                burst_bits: 512,
+                page_bits: 256
+            })
+        );
     }
 
     #[test]
@@ -621,7 +689,92 @@ mod tests {
             })
             .build()
             .unwrap_err();
-        assert!(e.to_string().contains("page size"));
+        // A 128 KiB bank is 1 Mbit; half of it is 524 288 bits.
+        assert!(
+            e.to_string()
+                .contains("page of 1048576 bits exceeds half a bank (524288 bits)"),
+            "{e}"
+        );
+    }
+
+    fn main_memory(capacity_bytes: u64, page_bits: u64) -> MemorySpec {
+        MemorySpec {
+            capacity_bytes,
+            block_bytes: 8,
+            associativity: 1,
+            n_banks: 8,
+            kind: MemoryKind::MainMemory {
+                io_bits: 8,
+                burst_length: 8,
+                prefetch: 8,
+                page_bits,
+            },
+            cell_tech: CellTechnology::CommDram,
+            node: TechNode::N32,
+            address_bits: 40,
+            opt: OptimizationOptions::default(),
+        }
+    }
+
+    #[test]
+    fn a_page_of_two_to_the_63_bits_is_past_half_a_bank() {
+        // page_bits * 2 wraps to 0 in 64 bits; the check must not.
+        let spec = main_memory(1 << 30, 1 << 63);
+        assert_eq!(
+            spec.validate(),
+            Err(CactiError::InvalidSpec(SpecViolation::PagePastHalfBank {
+                page_bits: 1 << 63,
+                bank_bytes: 1 << 27
+            }))
+        );
+        assert!(main_memory(1 << 30, 8 << 10).validate().is_ok());
+    }
+
+    #[test]
+    fn the_address_width_must_cover_the_capacity() {
+        let mut ram = main_memory(2 << 40, 8 << 10);
+        ram.kind = MemoryKind::Ram;
+        let narrow = SpecViolation::AddressTooNarrow {
+            address_bits: 40,
+            capacity_bytes: 2 << 40,
+            needed: 41,
+        };
+        assert_eq!(ram.violations(), [narrow]);
+        ram.capacity_bytes = 1 << 40; // exactly 2^40 bytes: 40 bits suffice
+        assert!(ram.validate().is_ok());
+        for bits in [0, 65] {
+            ram.address_bits = bits;
+            assert_eq!(ram.violations(), [SpecViolation::AddressWidth(bits)]);
+        }
+    }
+
+    #[test]
+    fn violations_list_every_broken_invariant_and_validate_the_first() {
+        // 1.5 MB of 48 B x 8 sets is 4096 sets, which 3 banks cannot split.
+        let spec = MemorySpec {
+            capacity_bytes: 1536 << 10,
+            block_bytes: 48,
+            n_banks: 3,
+            ..cache_builder().build().unwrap()
+        };
+        let all = spec.violations();
+        assert_eq!(
+            all,
+            [
+                SpecViolation::BlockSize(48),
+                SpecViolation::BankCount(3),
+                SpecViolation::BankSplit {
+                    sets: 4096,
+                    n_banks: 3
+                },
+            ]
+        );
+        assert_eq!(
+            spec.validate(),
+            Err(CactiError::InvalidSpec(all[0].clone()))
+        );
+        assert_eq!(all[2].field(), "n_banks");
+        assert!(cache_builder().build().unwrap().violations().is_empty());
     }
 
     fn with_opt(edit: impl FnOnce(&mut OptimizationOptions)) -> Result<MemorySpec, CactiError> {
@@ -630,59 +783,71 @@ mod tests {
         cache_builder().optimization(opt).build()
     }
 
-    fn assert_rejected(edit: impl FnOnce(&mut OptimizationOptions), what: &str) {
-        let e = with_opt(edit).unwrap_err();
-        assert!(e.to_string().contains(what), "{e}");
+    /// The edit is rejected, naming the knob `field`.
+    fn assert_rejected(edit: impl FnOnce(&mut OptimizationOptions), field: &str) {
+        match with_opt(edit) {
+            Err(CactiError::InvalidSpec(v)) => assert_eq!(v.field(), field, "{v}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn rejects_nan_repeater_relax() {
-        assert_rejected(|o| o.repeater_relax = f64::NAN, "repeater relaxation");
+        assert_rejected(|o| o.repeater_relax = f64::NAN, "opt.repeater_relax");
     }
 
     #[test]
     fn rejects_repeater_relax_below_one() {
-        assert_rejected(|o| o.repeater_relax = 0.5, "repeater relaxation");
+        assert_rejected(|o| o.repeater_relax = 0.5, "opt.repeater_relax");
     }
 
     #[test]
     fn rejects_nan_area_overhead() {
-        assert_rejected(|o| o.max_area_overhead = f64::NAN, "overheads");
+        assert_rejected(|o| o.max_area_overhead = f64::NAN, "opt.max_area_overhead");
     }
 
     #[test]
     fn rejects_nan_access_time_overhead() {
-        assert_rejected(|o| o.max_access_time_overhead = f64::NAN, "overheads");
+        assert_rejected(
+            |o| o.max_access_time_overhead = f64::NAN,
+            "opt.max_access_time_overhead",
+        );
     }
 
     #[test]
     fn rejects_infinite_overhead() {
-        assert_rejected(|o| o.max_area_overhead = f64::INFINITY, "overheads");
+        assert_rejected(
+            |o| o.max_area_overhead = f64::INFINITY,
+            "opt.max_area_overhead",
+        );
     }
 
     #[test]
     fn rejects_negative_overhead() {
-        assert_rejected(|o| o.max_access_time_overhead = -0.1, "overheads");
+        assert_rejected(
+            |o| o.max_access_time_overhead = -0.1,
+            "opt.max_access_time_overhead",
+        );
     }
 
     #[test]
     fn rejects_nan_weight() {
-        assert_rejected(|o| o.weight_dynamic = f64::NAN, "weights");
+        assert_rejected(|o| o.weight_dynamic = f64::NAN, "opt.weight_dynamic");
     }
 
     #[test]
     fn rejects_infinite_weight() {
-        assert_rejected(|o| o.weight_leakage = f64::INFINITY, "weights");
+        assert_rejected(|o| o.weight_leakage = f64::INFINITY, "opt.weight_leakage");
     }
 
     #[test]
     fn rejects_negative_weight() {
-        assert_rejected(|o| o.weight_cycle = -1.0, "weights");
+        assert_rejected(|o| o.weight_cycle = -1.0, "opt.weight_cycle");
     }
 
     #[test]
     fn rejects_negative_interleave_weight() {
-        assert_rejected(|o| o.weight_interleave = -0.5, "weights");
+        assert_rejected(|o| o.weight_interleave = -0.5, "opt.weight_interleave");
     }
 
     #[test]
@@ -741,5 +906,9 @@ mod tests {
     fn missing_field_is_reported() {
         let e = MemorySpec::builder().build().unwrap_err();
         assert!(e.to_string().contains("missing field"));
+        assert_eq!(
+            e,
+            CactiError::InvalidSpec(SpecViolation::MissingField("capacity_bytes"))
+        );
     }
 }

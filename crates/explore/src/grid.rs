@@ -201,7 +201,9 @@ impl Grid {
                                         })
                                         .optimization(variant.opt.clone())
                                         .build();
-                                    let point = GridPoint {
+                                    // Fingerprinted where it lies: a point built
+                                    // on the stack first is copied twice.
+                                    points.push(GridPoint {
                                         idx: points.len(),
                                         capacity_bytes,
                                         block_bytes,
@@ -212,9 +214,8 @@ impl Grid {
                                         access_mode: self.access_mode,
                                         opt_label: variant.label.clone(),
                                         spec,
-                                    };
-                                    point.write_fingerprint(&mut h);
-                                    points.push(point);
+                                    });
+                                    points[points.len() - 1].write_fingerprint(&mut h);
                                 }
                             }
                         }

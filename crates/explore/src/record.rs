@@ -190,7 +190,7 @@ pub fn line_idx(line: &str) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::grid::Grid;
-    use cactid_core::SolveStats;
+    use cactid_core::{SolveStats, SpecViolation};
 
     fn point() -> GridPoint {
         let mut g = Grid::new();
@@ -259,10 +259,10 @@ mod tests {
     fn invalid_record_comes_from_the_build_error() {
         let line = render_invalid(
             &point(),
-            &CactiError::InvalidSpec("capacity must divide".into()),
+            &CactiError::InvalidSpec(SpecViolation::BankCount(3)),
         );
         assert!(line.contains("\"status\":\"invalid\""));
-        assert!(line.contains("capacity must divide"));
+        assert!(line.contains("bank count 3 is not a nonzero power of two"));
     }
 
     #[test]

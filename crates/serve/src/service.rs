@@ -611,7 +611,21 @@ mod tests {
              \"node\":32,\"main_memory\":{\"io\":32,\"burst\":16,\"prefetch\":16,\"page\":256}}",
         );
         assert!(r[0].contains("\"status\":\"invalid\""), "{}", r[0]);
-        assert!(r[0].contains("fit in the page"), "{}", r[0]);
+        assert!(r[0].contains("a burst cannot span pages"), "{}", r[0]);
+        assert_eq!(svc.solved(), 0);
+        assert!(svc.store().is_empty());
+    }
+
+    #[test]
+    fn a_capacity_past_the_address_width_is_invalid() {
+        // 2 TiB needs 41 address bits; specs carry 40.
+        let svc = store_less();
+        let (r, _) = svc.handle_line(
+            "{\"id\":5,\"op\":\"solve\",\"size\":2199023255552,\"ram\":true,\
+             \"cell\":\"comm-dram\",\"banks\":64,\"block\":64,\"node\":32}",
+        );
+        assert!(r[0].contains("\"status\":\"invalid\""), "{}", r[0]);
+        assert!(r[0].contains("(41 bits needed)"), "{}", r[0]);
         assert_eq!(svc.solved(), 0);
         assert!(svc.store().is_empty());
     }

@@ -83,6 +83,8 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// A byte count with an optional K/M/G suffix; `None` when it is
+/// malformed or does not fit in 64 bits.
 fn parse_size(v: &str) -> Option<u64> {
     let v = v.trim();
     let (num, mult) = match v.chars().last()? {
@@ -91,7 +93,7 @@ fn parse_size(v: &str) -> Option<u64> {
         'G' | 'g' => (&v[..v.len() - 1], 1 << 30),
         _ => (v, 1),
     };
-    num.parse::<u64>().ok().map(|n| n * mult)
+    num.parse::<u64>().ok()?.checked_mul(mult)
 }
 
 /// Splits a comma-separated axis list, applying `parse` per element.
@@ -819,7 +821,16 @@ mod tests {
 
     #[test]
     fn malformed_sizes_are_rejected() {
-        for bad in ["", "K", "12Q", "1.5M", "-4K", "64KB"] {
+        for bad in [
+            "",
+            "K",
+            "12Q",
+            "1.5M",
+            "-4K",
+            "64KB",
+            "17179869184G",
+            "17179869248G",
+        ] {
             assert_eq!(parse_size(bad), None, "{bad:?} should not parse");
         }
     }

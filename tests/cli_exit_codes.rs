@@ -24,6 +24,10 @@ fn stdout(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("stdout is UTF-8")
 }
 
+fn stderr(out: &Output) -> String {
+    String::from_utf8(out.stderr.clone()).expect("stderr is UTF-8")
+}
+
 /// A two-record run, 64 KB then 128 KB on the same axes, with the given
 /// `(access ns, area mm²)` per record.
 fn pair_jsonl(name: &str, small: (f64, f64), big: (f64, f64)) -> PathBuf {
@@ -69,6 +73,87 @@ fn lint_errors_always_exit_nonzero() {
     let out = cactid(&["lint", "--size", "1536K"]);
     assert_eq!(code(&out), 1, "{out:?}");
     assert!(stdout(&out).contains("error[CD0001]"), "{out:?}");
+}
+
+#[test]
+fn a_size_past_64_bits_is_a_usage_error_naming_the_value() {
+    // 2^34 GiB is 2^64 bytes: the product wraps to 0 in 64 bits, and one
+    // more GiB wraps to 64 GiB.
+    for args in [
+        &["--size", "17179869248G", "--assoc", "8"][..],
+        &["--size", "17179869184G"],
+        &["lint", "--size", "17179869184G"],
+        &["explore", "--sizes", "17179869184G"],
+    ] {
+        let out = cactid(args);
+        assert_eq!(code(&out), 2, "{args:?}: {out:?}");
+        let value = args.iter().find(|a| a.ends_with('G')).unwrap();
+        assert!(stderr(&out).contains(value), "{args:?}: {out:?}");
+        assert!(stdout(&out).is_empty(), "{args:?}: {out:?}");
+    }
+}
+
+/// Plain `cactid` refuses `spec` as an invalid memory specification whose
+/// message contains `why`, and `cactid lint` reports it as `error[code]`.
+fn assert_invalid_everywhere(spec: &[&str], why: &str, code_: &str) {
+    let out = cactid(spec);
+    assert_eq!(code(&out), 1, "{out:?}");
+    let err = stderr(&out);
+    assert!(err.contains("error: invalid memory specification"), "{err}");
+    assert!(err.contains(why), "{err}");
+    let lint = cactid(&[&["lint"][..], spec].concat());
+    assert_eq!(code(&lint), 1, "{lint:?}");
+    assert!(
+        stdout(&lint).contains(&format!("error[{code_}]")),
+        "{lint:?}"
+    );
+    assert!(stdout(&lint).contains(why), "{lint:?}");
+}
+
+#[test]
+fn a_capacity_past_the_address_width_is_an_invalid_spec() {
+    // 2 TiB needs 41 address bits; the CLI's specs carry 40.
+    assert_invalid_everywhere(
+        &[
+            "--size",
+            "2048G",
+            "--ram",
+            "--cell",
+            "comm-dram",
+            "--banks",
+            "64",
+            "--block",
+            "64",
+            "--node",
+            "32",
+        ],
+        "40 address bits cannot even index the 2199023255552 B capacity (41 bits needed)",
+        "CD0008",
+    );
+}
+
+#[test]
+fn a_page_of_two_to_the_63_bits_is_an_invalid_spec() {
+    // Twice the page wraps to 0 in 64 bits, which would fit any bank.
+    assert_invalid_everywhere(
+        &[
+            "--size",
+            "1G",
+            "--block",
+            "8",
+            "--banks",
+            "8",
+            "--cell",
+            "comm-dram",
+            "--node",
+            "32",
+            "--main-memory",
+            "--page",
+            "9223372036854775808",
+        ],
+        "page of 9223372036854775808 bits exceeds half a bank",
+        "CD0007",
+    );
 }
 
 #[test]
