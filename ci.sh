@@ -426,7 +426,7 @@ rm -rf "$SDIR"
 
 echo "== many-core sim smoke (determinism, coherence traffic, obs counters)"
 # Two 64-core runs of `llc-study shard` must print the same stats digest
-# line, and the trace sidecar must show the engine stepped its issuing
+# line, the pinned one, and the trace sidecar must show the engine stepped its issuing
 # cycles (sim.shard.epochs > 0). At 200 000 instructions ft.B shares
 # lines across cores, so the run must invalidate remote copies; at
 # 20 000 it took no coherence action.
@@ -439,6 +439,15 @@ $LLC shard --cores 64 -n 200000 --trace "$MDIR/mesi.trace.jsonl" \
 grep -q 'digest=' "$MDIR/r1.txt" && cmp "$MDIR/r1.txt" "$MDIR/r2.txt" || {
     echo "many-core digest lines differ between two runs:" >&2
     cat "$MDIR/r1.txt" "$MDIR/r2.txt" >&2
+    exit 1
+}
+# The digests are pinned by value too, at the paper's 8 cores and at 64:
+# a coherence change that moves any statistic fails here.
+$LLC shard --cores 8 -n 200000 > "$MDIR/r8.txt" 2>/dev/null
+grep -q 'digest=90d1153abf8e557e$' "$MDIR/r8.txt" &&
+    grep -q 'digest=edee0a9cc76663fd$' "$MDIR/r1.txt" || {
+    echo "many-core digests moved from 90d1153abf8e557e (8 cores) and edee0a9cc76663fd (64):" >&2
+    cat "$MDIR/r8.txt" "$MDIR/r1.txt" >&2
     exit 1
 }
 grep -q '"name":"sim.shard.epochs","value":[1-9]' "$MDIR/mesi.trace.jsonl" || {

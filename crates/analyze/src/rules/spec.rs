@@ -55,7 +55,7 @@ const SPEC_RULES: [SpecRule; 8] = [
     },
     SpecRule {
         code: "CD0007",
-        summary: "prefetch ≥ burst length, and one burst (io·prefetch bits) must fit in the page",
+        summary: "prefetch a power of two ≥ burst length, and one burst (io·prefetch bits) must fit in the page",
         paper_ref: "§2.1",
     },
     SpecRule {
@@ -85,7 +85,8 @@ pub fn code_of(v: &SpecViolation) -> Option<&'static str> {
         V::MainMemoryCell(_) => "CD0005",
         V::IoWidth(_)
         | V::BurstLength(_)
-        | V::Prefetch { .. }
+        | V::PrefetchNotPowerOfTwo(_)
+        | V::PrefetchShort { .. }
         | V::PageSize(_)
         | V::BurstPastPage { .. }
         | V::PagePastHalfBank { .. } => "CD0007",
@@ -114,7 +115,8 @@ fn suggestion(v: &SpecViolation) -> Option<String> {
             .map(|c| c.to_string()),
         V::BlockSize(n)
         | V::BankCount(n)
-        | V::Prefetch {
+        | V::PrefetchNotPowerOfTwo(n)
+        | V::PrefetchShort {
             burst_length: n, ..
         } => pow2(n),
         V::AssociativityZero | V::DirectAssociativity(_) => Some("1".into()),
@@ -505,6 +507,15 @@ mod tests {
         let d = r.iter().next().unwrap();
         assert_eq!(d.code, "CD0007");
         assert_eq!(d.suggestion.as_ref().unwrap().value, "8");
+        // A prefetch past the burst that is not a power of two gets the
+        // next one as its fix.
+        if let MemoryKind::MainMemory { prefetch, .. } = &mut bad.kind {
+            *prefetch = 12;
+        }
+        let r = run("CD0007", &bad);
+        let d = r.iter().next().unwrap();
+        assert!(d.message.contains("12 bits per pin is not a power of two"));
+        assert_eq!(d.suggestion.as_ref().unwrap().value, "16");
         assert!(run("CD0007", &mm_spec()).is_empty());
         assert!(run("CD0007", &cache_spec()).is_empty(), "cache exempt");
     }

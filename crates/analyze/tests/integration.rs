@@ -384,7 +384,7 @@ fn spec_rules_fire_exactly_where_validate_rejects() {
             name[..name.find([' ', '(']).unwrap_or(name.len())].to_string()
         }));
     }
-    // Both verdicts are common, and every one of the 21 checks fired.
+    // Both verdicts are common, and every one of the 22 checks fired.
     assert!((1_000..11_000).contains(&valid), "{valid} valid");
-    assert_eq!(seen.len(), 21, "{seen:?}");
+    assert_eq!(seen.len(), 22, "{seen:?}");
 }

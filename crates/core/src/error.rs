@@ -75,8 +75,10 @@ pub enum SpecViolation {
     IoWidth(u32),
     /// The burst length \[beats\] is not a power of two of at most 16.
     BurstLength(u32),
-    /// The prefetch is not a power of two of at least the burst length.
-    Prefetch {
+    /// The prefetch \[bits per pin\] is not a power of two.
+    PrefetchNotPowerOfTwo(u32),
+    /// The prefetch is shorter than the burst length.
+    PrefetchShort {
         /// The prefetch \[bits per pin\].
         prefetch: u32,
         /// The burst length \[beats\].
@@ -157,7 +159,7 @@ impl SpecViolation {
             V::MainMemoryCell(_) => "cell_tech",
             V::IoWidth(_) | V::ChannelWidth { .. } => "kind.io_bits",
             V::BurstLength(_) => "kind.burst_length",
-            V::Prefetch { .. } => "kind.prefetch",
+            V::PrefetchNotPowerOfTwo(_) | V::PrefetchShort { .. } => "kind.prefetch",
             V::PageSize(_) | V::BurstPastPage { .. } | V::PagePastHalfBank { .. } => {
                 "kind.page_bits"
             }
@@ -208,7 +210,13 @@ impl fmt::Display for SpecViolation {
                 "io width {io} must be a power of two of at most 32 (x4/x8/x16)"
             ),
             V::BurstLength(b) => write!(f, "burst length {b} must be a power of two of at most 16"),
-            V::Prefetch {
+            V::PrefetchNotPowerOfTwo(p) => {
+                write!(
+                    f,
+                    "internal prefetch of {p} bits per pin is not a power of two"
+                )
+            }
+            V::PrefetchShort {
                 prefetch,
                 burst_length,
             } => write!(

@@ -337,8 +337,10 @@ impl MemorySpec {
             if !burst_length.is_power_of_two() || burst_length > 16 {
                 found(V::BurstLength(burst_length))?;
             }
-            if !prefetch.is_power_of_two() || prefetch < burst_length {
-                found(V::Prefetch {
+            if !prefetch.is_power_of_two() {
+                found(V::PrefetchNotPowerOfTwo(prefetch))?;
+            } else if prefetch < burst_length {
+                found(V::PrefetchShort {
                     prefetch,
                     burst_length,
                 })?;
@@ -671,6 +673,43 @@ mod tests {
                 page_bits: 256
             })
         );
+    }
+
+    /// A 1 GiB main memory of x8 chips with 8-beat bursts and `prefetch`.
+    fn prefetching(prefetch: u32) -> Result<MemorySpec, CactiError> {
+        MemorySpec::builder()
+            .capacity_bytes(1 << 30)
+            .block_bytes(8)
+            .banks(8)
+            .cell_tech(CellTechnology::CommDram)
+            .node(TechNode::N32)
+            .kind(MemoryKind::MainMemory {
+                io_bits: 8,
+                burst_length: 8,
+                prefetch,
+                page_bits: 8 << 10,
+            })
+            .build()
+    }
+
+    #[test]
+    fn a_prefetch_is_a_power_of_two_at_least_the_burst() {
+        // 12 covers the 8-beat burst: only the power of two is broken.
+        let e = prefetching(12).unwrap_err();
+        let v = SpecViolation::PrefetchNotPowerOfTwo(12);
+        assert_eq!(e, CactiError::InvalidSpec(v.clone()));
+        assert_eq!(
+            v.to_string(),
+            "internal prefetch of 12 bits per pin is not a power of two"
+        );
+        let e = prefetching(4).unwrap_err();
+        let v = SpecViolation::PrefetchShort {
+            prefetch: 4,
+            burst_length: 8,
+        };
+        assert_eq!(e, CactiError::InvalidSpec(v.clone()));
+        assert!(v.to_string().contains("cannot sustain a burst of 8 beats"));
+        assert!(prefetching(8).is_ok() && prefetching(16).is_ok());
     }
 
     #[test]

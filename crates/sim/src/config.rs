@@ -13,12 +13,12 @@ pub enum ConfigError {
     /// The L3 interface is [`L3Interface::PageMode`] but `page_timing` is
     /// `None`, so row hits/misses have no tRCD/CAS/tRP to charge.
     PageModeWithoutTiming,
-    /// `n_cores` is zero or exceeds the core ceiling of the coherence
-    /// directory's sharer sets ([`MAX_CORES`]).
+    /// `n_cores` is zero or exceeds the core ceiling of the sharer sets
+    /// ([`MAX_CORES`]).
     UnsupportedCoreCount(u32),
     /// A cache level's line size is not a power of two, or is below the
-    /// 4 B minimum of the packed `u32` tag slot (`tag << 2 | state`). The
-    /// slot's [`TAG_BITS`](crate::cache::TAG_BITS)-bit tag also bounds the
+    /// 4 B minimum of the packed tag slot (`tag << 2 | state`). The slot's
+    /// [`TAG_BITS`](crate::cache::Slot::TAG_BITS)-bit tag also bounds the
     /// addresses a level holds, to `2^(TAG_BITS + log2 sets + log2 line bytes)`;
     /// validation cannot see trace addresses, so the cache checks that
     /// bound on every access and panics past it.
@@ -28,9 +28,9 @@ pub enum ConfigError {
         /// The offending line size \[bytes\].
         line_bytes: u32,
     },
-    /// The L1 and L2 lines differ in size. The coherence directory tracks
-    /// L2 lines, and an L2 eviction must drop every L1 copy of its line,
-    /// so the two levels share one line size.
+    /// The L1 and L2 lines differ in size. Coherence tracks L2 lines, and
+    /// an L2 eviction must drop every L1 copy of its line, so the two
+    /// levels share one line size.
     LineSizeMismatch {
         /// The L1 line size \[bytes\].
         l1: u32,
@@ -75,7 +75,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::UnsupportedCoreCount(n) => write!(
                 f,
                 "n_cores = {n} is outside the supported 1..={MAX_CORES} range \
-                 of the coherence directory's sharer sets"
+                 of the sharer sets"
             ),
             ConfigError::BadLineSize { level, line_bytes } => write!(
                 f,
@@ -426,8 +426,8 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `n_cores` is 0 or above [`MAX_CORES`] (the directory's
-    /// sharer-set width) — use [`SystemConfig::validate`] for a typed
+    /// Panics if `n_cores` is 0 or above [`MAX_CORES`] (the sharer-set
+    /// width) — use [`SystemConfig::validate`] for a typed
     /// error. A core count that is not a power of two builds, but fails
     /// [`SystemConfig::validate`]: the L3 bank count follows it.
     pub fn many_core(n_cores: u32) -> SystemConfig {

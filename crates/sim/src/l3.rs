@@ -1,7 +1,7 @@
 //! Banked shared L3 with multisubbank-interleaved timing and the cache-set
 //! ↔ DRAM-page mappings of paper Figure 3.
 
-use crate::cache::{Eviction, LineState, SetAssocCache};
+use crate::cache::{Eviction, LineState, SetAssocCache, Slot};
 use crate::config::{ConfigError, L3Config, L3Interface, L3PageTiming, SetMapping};
 
 /// The operational interface with its timing resolved at construction, so
@@ -12,11 +12,37 @@ enum Interface {
     PageMode(L3PageTiming),
 }
 
+/// An L3 bank's tag array. A bank takes 2-byte slots when their reach,
+/// `2^(14 + log2 sets + log2 line bytes + log2 banks)`, covers
+/// [`PHYS_ADDR_BITS`]: every L3 of the study and of
+/// `SystemConfig::many_core(n)` from 4 cores up. Smaller L3s keep 4-byte
+/// slots.
+#[derive(Debug)]
+enum BankTags {
+    Narrow(SetAssocCache<u16>),
+    Wide(SetAssocCache<u32>),
+}
+
+/// Address bits every L3 holds with either slot width: the simulated
+/// 16 GiB of physical memory, which `npbgen`'s layout fills to 15 GiB +
+/// 4 MiB.
+const PHYS_ADDR_BITS: u32 = 34;
+
+/// `$body` on `$tags`'s array, whatever its slot width.
+macro_rules! on_tags {
+    ($tags:expr, $t:ident => $body:expr) => {
+        match $tags {
+            BankTags::Narrow($t) => $body,
+            BankTags::Wide($t) => $body,
+        }
+    };
+}
+
 /// One L3 bank: a tag array plus its timing reservation state.
 #[derive(Debug)]
-pub struct L3Bank {
+struct L3Bank {
     /// Tag/state array of this bank.
-    pub tags: SetAssocCache,
+    tags: BankTags,
     /// Per-subbank next-free cycle (random cycle time granularity).
     subbank_ready: Vec<u64>,
     /// Bank port next-free cycle (interleave cycle granularity).
@@ -81,13 +107,18 @@ impl L3 {
                 Interface::PageMode(cfg.page_timing.ok_or(ConfigError::PageModeWithoutTiming)?)
             }
         };
+        let geo = Geometry::of(&cfg);
+        // The address bits 2-byte slots reach.
+        let reach = u16::TAG_BITS + geo.set_shift + geo.line_shift + geo.bank_shift;
+        let b = &cfg.bank;
+        let (cap, line, ways) = (b.capacity_bytes, b.line_bytes, b.associativity);
         let banks = (0..cfg.n_banks)
             .map(|_| L3Bank {
-                tags: SetAssocCache::new(
-                    cfg.bank.capacity_bytes,
-                    cfg.bank.line_bytes,
-                    cfg.bank.associativity,
-                ),
+                tags: if reach >= PHYS_ADDR_BITS {
+                    BankTags::Narrow(SetAssocCache::new(cap, line, ways, 1))
+                } else {
+                    BankTags::Wide(SetAssocCache::new(cap, line, ways, 1))
+                },
                 subbank_ready: vec![0; cfg.bank.n_subbanks as usize],
                 port_ready: 0,
                 open_row: vec![None; cfg.bank.n_subbanks as usize],
@@ -96,7 +127,7 @@ impl L3 {
         Ok(L3 {
             banks,
             iface,
-            geo: Geometry::of(&cfg),
+            geo,
             cfg,
         })
     }
@@ -135,11 +166,6 @@ impl L3 {
         }
     }
 
-    /// Mutable access to a bank's tags (tests/diagnostics).
-    pub fn bank_tags(&mut self, bank: usize) -> &mut SetAssocCache {
-        &mut self.banks[bank].tags
-    }
-
     /// Bank-local address: lines are interleaved across banks, so each
     /// bank indexes its sets with the line address *divided by* the bank
     /// count (otherwise only 1/n_banks of the sets would ever be used).
@@ -166,7 +192,7 @@ impl L3 {
     pub fn lookup(&mut self, addr: u64) -> Option<LineState> {
         let bank = self.bank_of(addr);
         let local = self.local_addr(addr);
-        self.banks[bank].tags.lookup(local)
+        on_tags!(&mut self.banks[bank].tags, t => t.lookup(0, local))
     }
 
     /// Inserts `addr` in `state`; any eviction is reported with its
@@ -174,20 +200,25 @@ impl L3 {
     pub fn insert(&mut self, addr: u64, state: LineState) -> Option<Eviction> {
         let bank = self.bank_of(addr);
         let local = self.local_addr(addr);
-        self.banks[bank]
-            .tags
-            .insert(local, state)
-            .map(|ev| Eviction {
-                addr: self.global_addr(ev.addr, bank),
-                state: ev.state,
-            })
+        let ev = on_tags!(&mut self.banks[bank].tags, t => t.insert(0, local, state));
+        self.global_eviction(ev, bank)
     }
 
-    /// Invalidates `addr` if present, returning its previous state.
-    pub fn invalidate(&mut self, addr: u64) -> Option<LineState> {
+    /// [`L3::insert`] of a line [`L3::lookup`] has just missed on: its
+    /// set is not searched again.
+    pub fn fill(&mut self, addr: u64, state: LineState) -> Option<Eviction> {
         let bank = self.bank_of(addr);
         let local = self.local_addr(addr);
-        self.banks[bank].tags.invalidate(local)
+        let ev = on_tags!(&mut self.banks[bank].tags, t => t.fill(0, local, state));
+        self.global_eviction(ev, bank)
+    }
+
+    /// `bank`'s eviction, at its global address.
+    fn global_eviction(&self, ev: Option<Eviction>, bank: usize) -> Option<Eviction> {
+        ev.map(|ev| Eviction {
+            addr: self.global_addr(ev.addr, bank),
+            state: ev.state,
+        })
     }
 
     /// Reserves the timing resources for one access to `addr` starting no
@@ -196,7 +227,7 @@ impl L3 {
     pub fn reserve_detailed(&mut self, addr: u64, now: u64) -> (u64, bool) {
         let bank_idx = self.bank_of(addr);
         let local = self.local_addr(addr);
-        let set = self.banks[bank_idx].tags.set_index(local);
+        let set = on_tags!(&self.banks[bank_idx].tags, t => t.set_index(local));
         let sub = self.subbank_of(set);
         match self.iface {
             Interface::SramLike => {
@@ -352,7 +383,7 @@ mod tests {
             l3.insert(i * 64, LineState::Shared);
         }
         for b in 0..8 {
-            let valid = l3.bank_tags(b).valid_lines() as u64;
+            let valid = on_tags!(&l3.banks[b].tags, t => t.valid_lines()) as u64;
             assert_eq!(valid, lines / 8, "bank {b} holds all its share");
         }
         // And every line is still found.

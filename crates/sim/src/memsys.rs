@@ -1,22 +1,22 @@
-//! The memory system the simulator engine drives: each core's private
-//! L1/L2 pair, the shared fabric (L3, coherence directory, DRAM channels,
-//! locks and the barrier) and the L2-miss service between them.
+//! The memory system the simulator engine drives: every core's private
+//! L1/L2 pair, the shared fabric (L3, DRAM channels, locks and the
+//! barrier) and the L2-miss service between them.
 //!
 //! The engine calls in from the issue stage at the issuing cycle, in
-//! `(cycle, core, issue order)`: for a miss or upgrade, a lock operation
-//! or a barrier arrival. Every function here takes the cycles it needs
-//! as arguments.
+//! `(cycle, core, issue order)`: for a load or store, a miss or upgrade,
+//! a lock operation or a barrier arrival. Every function here takes the
+//! cycles it needs as arguments.
 //!
-//! The directory records only which L2s hold a line; the MESI state lives
-//! in the L2 tags alone. Between two calls from the engine the directory's
-//! holders of a line are exactly the cores whose L2 holds it, and at most
-//! one of them holds it Modified: that one is the dirty owner. So a read
-//! miss finds the owner by probing the other holder's L2, and an L2
-//! victim needs a writeback exactly when its own slot (or its L1 copy) is
-//! Modified.
+//! The L2 tags are the coherence directory: every core's L2 lives in one
+//! set-major array, and a line's holders are the cores whose L2 ways of
+//! its set hold it ([`SetAssocCache::holders`]). The MESI state lives in
+//! the same slots, and at most one holder has a line Modified: that one
+//! is the dirty owner, and then the only holder. So a read miss finds the
+//! owner by probing the one other holder's L2, and an L2 victim needs a
+//! writeback exactly when its own slot (or its L1 copy) is Modified.
 
-use crate::cache::{LineState, SetAssocCache};
-use crate::coherence::{CoreSet, Directory};
+use crate::cache::{Eviction, LineState, SetAssocCache};
+use crate::coherence::CoreSet;
 use crate::config::{ConfigError, SystemConfig};
 use crate::core::{Thread, ThreadState};
 use crate::dram::DramChannel;
@@ -49,30 +49,81 @@ pub(crate) struct LocalHit {
     pub(crate) upgrade: bool,
 }
 
-/// One core's private caches; the L2 is inclusive of the L1.
-pub(crate) struct CoreCaches {
+/// The private caches of every core plus the shared fabric.
+pub(crate) struct MemSystem {
+    /// Every core's L1 tags, `[set][core][way]`.
     l1: SetAssocCache,
+    /// Every core's L2 tags, `[set][core][way]`; each L2 is inclusive of
+    /// its core's L1.
     l2: SetAssocCache,
     /// L1 hit latency.
     l1_lat: u64,
     /// L2 hit latency (L1 + L2 access cycles).
     l2_lat: u64,
-    /// What this core's private caches and loads count.
+    l3: Option<L3>,
+    channels: Vec<DramChannel>,
+    locks: HashMap<u32, LockState>,
+    barrier_count: usize,
+    n_threads: usize,
+    l2_cycles: u64,
+    xbar: u64,
+    /// `log2(line bytes)`: byte address → line number (the L1 and L2
+    /// lines are one size).
+    line_shift: u32,
+    /// `channels - 1`: line number → DRAM channel.
+    channel_mask: u64,
+    /// Remote copies invalidated since the last
+    /// [`MemSystem::publish_event_counters`].
+    invalidations: u64,
+    /// What the caches, the fabric and the threads count.
     pub(crate) stats: SimStats,
 }
 
-impl CoreCaches {
-    /// One memory operation against the L1, then the L2. `None` is an L2
-    /// miss, for [`MemSystem::miss`].
-    pub(crate) fn access(&mut self, addr: u64, is_store: bool) -> Option<LocalHit> {
-        self.stats.counts.l1_reads += 1;
-        if let Some(state) = self.l1.lookup(addr) {
+impl MemSystem {
+    /// Builds cold caches and an idle fabric, for a `cfg` that has passed
+    /// [`SystemConfig::validate`].
+    pub(crate) fn new(cfg: &SystemConfig) -> Result<MemSystem, ConfigError> {
+        let cores = |c: &crate::config::CacheConfig| {
+            SetAssocCache::new(
+                c.capacity_bytes,
+                c.line_bytes,
+                c.associativity,
+                cfg.n_cores as usize,
+            )
+        };
+        Ok(MemSystem {
+            l1: cores(&cfg.l1),
+            l2: cores(&cfg.l2),
+            l1_lat: cfg.l1.access_cycles,
+            l2_lat: cfg.l1.access_cycles + cfg.l2.access_cycles,
+            l3: cfg.l3.clone().map(L3::try_new).transpose()?,
+            channels: (0..cfg.dram.channels)
+                .map(|_| DramChannel::new(cfg.dram.clone()))
+                .collect(),
+            locks: HashMap::new(),
+            barrier_count: 0,
+            n_threads: cfg.n_threads(),
+            l2_cycles: cfg.l2.access_cycles,
+            xbar: cfg.l3.as_ref().map_or(2, |l| l.xbar_cycles),
+            line_shift: cfg.l1.line_bytes.trailing_zeros(),
+            channel_mask: u64::from(cfg.dram.channels) - 1,
+            invalidations: 0,
+            stats: SimStats::default(),
+        })
+    }
+
+    /// One memory operation of `core` against its L1, then its L2. `None`
+    /// is an L2 miss, for [`MemSystem::miss`].
+    pub(crate) fn access(&mut self, core: usize, addr: u64, is_store: bool) -> Option<LocalHit> {
+        let counts = &mut self.stats.counts;
+        counts.l1_reads += 1;
+        if let Some(state) = self.l1.lookup(core, addr) {
             let upgrade = is_store && state != LineState::Modified;
             if is_store {
-                self.stats.counts.l1_writes += 1;
+                counts.l1_writes += 1;
                 if upgrade {
-                    self.l1.set_state(addr, LineState::Modified);
-                    self.l2.set_state(addr, LineState::Modified);
+                    self.l1.set_state(core, addr, LineState::Modified);
+                    self.l2.set_state(core, addr, LineState::Modified);
                 }
             }
             return Some(LocalHit {
@@ -81,21 +132,17 @@ impl CoreCaches {
                 upgrade,
             });
         }
-        self.stats.counts.l2_reads += 1;
-        self.l2_hit(addr, is_store)
-    }
-
-    /// The L2 half of [`CoreCaches::access`]: a hit refills the L1.
-    fn l2_hit(&mut self, addr: u64, is_store: bool) -> Option<LocalHit> {
-        let state = self.l2.lookup(addr)?;
+        counts.l2_reads += 1;
+        // An L2 hit refills the L1.
+        let state = self.l2.lookup(core, addr)?;
         let new_state = if is_store {
-            self.stats.counts.l2_writes += 1;
+            counts.l2_writes += 1;
             LineState::Modified
         } else {
             state
         };
-        self.l2.set_state(addr, new_state);
-        self.fill_l1(addr, new_state);
+        self.l2.set_state(core, addr, new_state);
+        self.fill_l1(core, addr, new_state);
         Some(LocalHit {
             latency: self.l2_lat,
             kind: StallKind::L2Access,
@@ -103,13 +150,14 @@ impl CoreCaches {
         })
     }
 
-    fn fill_l1(&mut self, addr: u64, state: LineState) {
+    /// Fills `core`'s L1 after an L1 miss; a dirty victim is written back
+    /// into the (inclusive) L2.
+    fn fill_l1(&mut self, core: usize, addr: u64, state: LineState) {
         self.stats.counts.l1_writes += 1;
-        if let Some(ev) = self.l1.insert(addr, state) {
+        if let Some(ev) = self.l1.fill(core, addr, state) {
             if ev.state == LineState::Modified {
-                // Write the dirty L1 victim back into the (inclusive) L2.
                 self.stats.counts.l2_writes += 1;
-                self.l2.set_state(ev.addr, LineState::Modified);
+                self.l2.set_state(core, ev.addr, LineState::Modified);
             }
         }
     }
@@ -131,73 +179,6 @@ impl CoreCaches {
         if stall > 0 && kind != StallKind::Instruction {
             s.attribute(kind, stall);
         }
-    }
-}
-
-/// The private caches of every core plus the shared fabric.
-pub(crate) struct MemSystem {
-    /// Indexed by core.
-    pub(crate) cores: Vec<CoreCaches>,
-    l3: Option<L3>,
-    dir: Directory,
-    channels: Vec<DramChannel>,
-    locks: HashMap<u32, LockState>,
-    barrier_count: usize,
-    n_threads: usize,
-    l2_cycles: u64,
-    /// L2 hit latency (L1 + L2 access cycles).
-    l2_lat: u64,
-    xbar: u64,
-    /// `log2(line bytes)`: byte address → line number (the L1 and L2
-    /// lines are one size).
-    line_shift: u32,
-    /// `channels - 1`: line number → DRAM channel.
-    channel_mask: u64,
-    /// Remote copies invalidated since the last
-    /// [`MemSystem::publish_event_counters`].
-    invalidations: u64,
-    /// What the fabric and the threads' synchronization count.
-    pub(crate) stats: SimStats,
-}
-
-impl MemSystem {
-    /// Builds cold caches and an idle fabric, for a `cfg` that has passed
-    /// [`SystemConfig::validate`].
-    pub(crate) fn new(cfg: &SystemConfig) -> Result<MemSystem, ConfigError> {
-        let cache = |c: &crate::config::CacheConfig| {
-            SetAssocCache::new(c.capacity_bytes, c.line_bytes, c.associativity)
-        };
-        let cores = (0..cfg.n_cores)
-            .map(|_| CoreCaches {
-                l1: cache(&cfg.l1),
-                l2: cache(&cfg.l2),
-                l1_lat: cfg.l1.access_cycles,
-                l2_lat: cfg.l1.access_cycles + cfg.l2.access_cycles,
-                stats: SimStats::default(),
-            })
-            .collect();
-        // Every tracked line sits in some L2, so a directory set holds at
-        // most every core's ways of that L2 set, plus the line a miss
-        // records before its fill evicts the victim.
-        let dir_ways = cfg.n_cores as usize * cfg.l2.associativity as usize + 1;
-        Ok(MemSystem {
-            cores,
-            l3: cfg.l3.clone().map(L3::try_new).transpose()?,
-            dir: Directory::new(cfg.l2.sets(), dir_ways),
-            channels: (0..cfg.dram.channels)
-                .map(|_| DramChannel::new(cfg.dram.clone()))
-                .collect(),
-            locks: HashMap::new(),
-            barrier_count: 0,
-            n_threads: cfg.n_threads(),
-            l2_cycles: cfg.l2.access_cycles,
-            l2_lat: cfg.l1.access_cycles + cfg.l2.access_cycles,
-            xbar: cfg.l3.as_ref().map_or(2, |l| l.xbar_cycles),
-            line_shift: cfg.l1.line_bytes.trailing_zeros(),
-            channel_mask: u64::from(cfg.dram.channels) - 1,
-            invalidations: 0,
-            stats: SimStats::default(),
-        })
     }
 
     fn channel_of(&self, addr: u64) -> usize {
@@ -231,22 +212,24 @@ impl MemSystem {
 
     /// Writes a (dirty) line into the L3, or to memory when there is none.
     fn writeback_below(&mut self, addr: u64, now: u64) {
-        if self.l3.is_some() {
-            self.stats.counts.xbar_transfers += 1;
-            self.fill_l3(addr, LineState::Modified, now);
-            self.stats.counts.l3_writes += 1;
-        } else {
-            self.dram_write(addr, now);
+        match self.l3.as_mut() {
+            Some(l3) => {
+                self.stats.counts.xbar_transfers += 1;
+                // Counted twice, as an L3 fill and as an L3 write: a
+                // known double count (ROADMAP item 4) whose fix moves
+                // every statistics digest.
+                self.stats.counts.l3_writes += 2;
+                let ev = l3.insert(addr, LineState::Modified);
+                self.evicted_from_l3(ev, now);
+            }
+            None => self.dram_write(addr, now),
         }
     }
 
-    fn fill_l3(&mut self, addr: u64, state: LineState, now: u64) {
-        let Some(l3) = self.l3.as_mut() else { return };
-        self.stats.counts.l3_writes += 1;
-        if let Some(ev) = l3.insert(addr, state) {
-            if ev.state == LineState::Modified {
-                self.dram_write(ev.addr, now);
-            }
+    /// Writes a dirty L3 victim to memory at `now`.
+    fn evicted_from_l3(&mut self, ev: Option<Eviction>, now: u64) {
+        if let Some(ev) = ev.filter(|ev| ev.state == LineState::Modified) {
+            self.dram_write(ev.addr, now);
         }
     }
 
@@ -254,35 +237,39 @@ impl MemSystem {
     /// reserving timing resources from `t_req` onward; a dirty L3 victim
     /// is written to memory at `now`.
     fn fetch_below(&mut self, addr: u64, t_req: u64, now: u64) -> Source {
-        if let Some(l3) = self.l3.as_mut() {
-            self.stats.counts.l3_reads += 1;
-            let hit = l3.lookup(addr).is_some();
-            let (t, page_hit) = l3.reserve_detailed(addr, t_req);
-            self.stats.counts.l3_page_hits += u64::from(page_hit);
-            if hit {
-                return Source::L3 { data_at: t };
-            }
-            // L3 miss: tag check occupied the bank, then go to memory.
-            let done = self.dram_read(addr, t);
-            self.fill_l3(addr, LineState::Shared, now);
-            Source::Memory { data_at: done }
-        } else {
+        let Some(l3) = self.l3.as_mut() else {
             let done = self.dram_read(addr, t_req);
-            Source::Memory { data_at: done }
+            return Source::Memory { data_at: done };
+        };
+        self.stats.counts.l3_reads += 1;
+        let hit = l3.lookup(addr).is_some();
+        let (t, page_hit) = l3.reserve_detailed(addr, t_req);
+        self.stats.counts.l3_page_hits += u64::from(page_hit);
+        if hit {
+            return Source::L3 { data_at: t };
         }
+        // L3 miss: tag check occupied the bank, then go to memory.
+        let done = self.dram_read(addr, t);
+        self.stats.counts.l3_writes += 1;
+        let ev = self
+            .l3
+            .as_mut()
+            .and_then(|l3| l3.fill(addr, LineState::Shared));
+        self.evicted_from_l3(ev, now);
+        Source::Memory { data_at: done }
     }
 
-    /// Inserts into `core`'s L2, handling the victim against the directory
-    /// and the inclusive L1; a dirty victim is written below at `now`.
+    /// Fills `core`'s L2 after an L2 miss, handling the victim against the
+    /// inclusive L1; a dirty victim is written below at `now`. Evicting
+    /// the victim's slot is all it takes to drop the core from the
+    /// victim's holders.
     fn fill_l2(&mut self, core: usize, addr: u64, state: LineState, now: u64) {
-        let c = &mut self.cores[core];
-        c.stats.counts.l2_writes += 1;
-        let Some(ev) = c.l2.insert(addr, state) else {
+        self.stats.counts.l2_writes += 1;
+        let Some(ev) = self.l2.fill(core, addr, state) else {
             return;
         };
-        self.dir.leave(ev.addr >> self.line_shift, core);
         // Inclusion: the L1 copy must go too.
-        let l1_state = self.cores[core].l1.invalidate(ev.addr);
+        let l1_state = self.l1.invalidate(core, ev.addr);
         if ev.state == LineState::Modified || l1_state == Some(LineState::Modified) {
             self.writeback_below(ev.addr, now);
         }
@@ -295,9 +282,8 @@ impl MemSystem {
         for other in peers.iter() {
             self.stats.counts.l2_reads += 1; // probe
             self.invalidations += 1;
-            let c = &mut self.cores[other];
-            dirty |= c.l2.invalidate(addr) == Some(LineState::Modified);
-            dirty |= c.l1.invalidate(addr) == Some(LineState::Modified);
+            dirty |= self.l2.invalidate(other, addr) == Some(LineState::Modified);
+            dirty |= self.l1.invalidate(other, addr) == Some(LineState::Modified);
         }
         dirty
     }
@@ -310,31 +296,30 @@ impl MemSystem {
         }
         holders
             .iter()
-            .find(|&c| self.cores[c].l2.probe(addr) == Some(LineState::Modified))
+            .find(|&c| self.l2.probe(c, addr) == Some(LineState::Modified))
     }
 
     /// Downgrades a dirty remote owner to Shared and pushes its data below
     /// at `now`.
     fn downgrade_remote(&mut self, owner: usize, addr: u64, now: u64) {
         self.stats.counts.l2_reads += 1;
-        let c = &mut self.cores[owner];
-        c.l2.set_state(addr, LineState::Shared);
-        c.l1.set_state(addr, LineState::Shared);
+        self.l2.set_state(owner, addr, LineState::Shared);
+        self.l1.set_state(owner, addr, LineState::Shared);
         self.writeback_below(addr, now);
     }
 
     /// `core` writes `addr`'s line: every peer copy is invalidated.
     /// Returns whether a peer supplies the data: it held the line dirty.
     pub(crate) fn upgrade(&mut self, core: usize, addr: u64) -> bool {
-        let peers = self.dir.claim(addr >> self.line_shift, core);
+        let peers = self.l2.holders(addr).without(core);
         self.invalidate_remotes(peers, addr)
     }
 
-    /// Services `core`'s L2 miss on `addr`, issued at `now`: consults the
-    /// directory, fetches from a remote L2, the L3 or memory, and fills
-    /// the L2 and L1. Returns the load-to-use latency and the level that
-    /// serviced it. Dirty victims and downgraded lines are written below
-    /// at `now`.
+    /// Services `core`'s L2 miss on `addr`, issued at `now`: reads the
+    /// line's holders from the L2 tags, fetches from a remote L2, the L3
+    /// or memory, and fills the L2 and L1. Returns the load-to-use latency
+    /// and the level that serviced it. Dirty victims and downgraded lines
+    /// are written below at `now`.
     pub(crate) fn miss(
         &mut self,
         core: usize,
@@ -345,7 +330,8 @@ impl MemSystem {
         let (from_remote, shared) = if is_store {
             (self.upgrade(core, addr), false)
         } else {
-            let peers = self.dir.join(addr >> self.line_shift, core);
+            // `core` missed, so it is not among the holders.
+            let peers = self.l2.holders(addr);
             let owner = self.dirty_owner(peers, addr);
             if let Some(owner) = owner {
                 self.downgrade_remote(owner, addr, now);
@@ -390,7 +376,7 @@ impl MemSystem {
             LineState::Exclusive
         };
         self.fill_l2(core, addr, fill_state, now);
-        self.cores[core].fill_l1(addr, fill_state);
+        self.fill_l1(core, addr, fill_state);
         if is_store {
             self.stats.counts.l2_writes += 1;
         }
@@ -478,9 +464,6 @@ impl MemSystem {
     /// instructions.
     pub(crate) fn finalize(&self, cycles: u64) -> SimStats {
         let mut s = self.stats.clone();
-        for c in &self.cores {
-            s.merge(&c.stats);
-        }
         s.cycles = cycles;
         let total = cycles * self.n_threads as u64;
         let other: u64 = StallKind::ALL
@@ -492,22 +475,19 @@ impl MemSystem {
         s
     }
 
-    /// Discards every count (cache, directory and DRAM state is kept).
+    /// Discards every count (cache and DRAM state is kept).
     pub(crate) fn reset_stats(&mut self) {
         self.stats = SimStats::default();
-        for c in &mut self.cores {
-            c.stats = SimStats::default();
-        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rng::XorShift64Star;
 
     /// `n_cores` cores with no L3.
-    fn system(n_cores: u32) -> MemSystem {
+    pub(crate) fn system(n_cores: u32) -> MemSystem {
         let mut cfg = SystemConfig::baseline_no_l3();
         cfg.n_cores = n_cores;
         MemSystem::new(&cfg).unwrap()
@@ -515,8 +495,8 @@ mod tests {
 
     /// One load or store as the engine issues it; returns the level that
     /// serviced it.
-    fn issue(m: &mut MemSystem, core: usize, addr: u64, is_store: bool) -> StallKind {
-        match m.cores[core].access(addr, is_store) {
+    pub(crate) fn issue(m: &mut MemSystem, core: usize, addr: u64, is_store: bool) -> StallKind {
+        match m.access(core, addr, is_store) {
             Some(hit) => {
                 if hit.upgrade {
                     m.upgrade(core, addr);
@@ -527,35 +507,40 @@ mod tests {
         }
     }
 
+    /// The cores whose L2 holds `addr`'s line, as the coherence path
+    /// reads them.
+    pub(crate) fn holders(m: &MemSystem, addr: u64) -> CoreSet {
+        m.l2.holders(addr)
+    }
+
     fn l2_state(m: &MemSystem, core: usize, addr: u64) -> Option<LineState> {
-        m.cores[core].l2.probe(addr)
+        m.l2.probe(core, addr)
     }
 
     #[test]
     fn the_directory_agrees_with_the_l2_tags() {
         // Random cores load and store 256 lines that fall in four L2 sets
         // (64 lines each against 8 ways), so lines are shared, written,
-        // downgraded, invalidated and evicted all the time.
+        // downgraded, invalidated and evicted all the time. The holder set
+        // the one-pass scan reads must be the cores whose own L2 a probe
+        // finds the line in.
         let addr_of = |k: u64| (k / 4) * (128 << 10) + (k % 4) * 64;
         for n_cores in [8, 64] {
             let mut m = system(n_cores);
             let mut rng = XorShift64Star::new(u64::from(n_cores));
-            let mut dirty_seen = 0;
+            let (mut dirty_seen, mut shared_seen) = (0, 0);
             for round in 0..40 {
                 for _ in 0..300 {
                     let core = rng.next_below(u64::from(n_cores)) as usize;
                     let addr = addr_of(rng.next_below(256));
                     issue(&mut m, core, addr, rng.next_below(3) == 0);
                 }
-                let mut lines = 0;
                 for addr in (0..256).map(addr_of) {
-                    let line = addr >> m.line_shift;
-                    let held: Vec<usize> = (0..m.cores.len())
+                    let held: Vec<usize> = (0..n_cores as usize)
                         .filter(|&c| l2_state(&m, c, addr).is_some())
                         .collect();
-                    let ctx = format!("{n_cores} cores, round {round}, line {line}");
-                    assert_eq!(m.dir.holders(line), CoreSet::of(&held), "{ctx}");
-                    lines += usize::from(!held.is_empty());
+                    let ctx = format!("{n_cores} cores, round {round}, address {addr:#x}");
+                    assert_eq!(holders(&m, addr), CoreSet::of(&held), "{ctx}");
                     let dirty = held
                         .iter()
                         .filter(|&&c| l2_state(&m, c, addr) == Some(LineState::Modified))
@@ -565,10 +550,11 @@ mod tests {
                         assert_eq!(held.len(), 1, "{ctx}: a Modified line is shared");
                     }
                     dirty_seen += dirty;
+                    shared_seen += usize::from(held.len() > 1);
                 }
-                assert_eq!(m.dir.len(), lines, "{n_cores} cores, round {round}");
             }
             assert!(dirty_seen > 0, "{n_cores} cores: nothing was dirty");
+            assert!(shared_seen > 0, "{n_cores} cores: nothing was shared");
         }
     }
 
@@ -582,13 +568,13 @@ mod tests {
         for k in 1..=8 {
             issue(&mut m, 5, k * (4 << 10), false);
         }
-        assert_eq!(m.cores[5].l1.probe(0), None);
+        assert_eq!(m.l1.probe(5, 0), None);
         assert_eq!(m.stats.counts.mem_writes, 0);
         for k in 1..=8 {
             issue(&mut m, 5, k * (128 << 10), false);
         }
         assert_eq!(l2_state(&m, 5, 0), None);
-        assert!(m.dir.holders(0).is_empty());
+        assert!(holders(&m, 0).is_empty());
         assert_eq!(m.stats.counts.mem_writes, 1);
     }
 }

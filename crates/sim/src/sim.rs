@@ -247,11 +247,11 @@ impl<T: TraceSource> Simulator<T> {
                     other_free = false;
                     mem_free = false;
                     let mem = &mut self.mem;
-                    let (latency, kind) = match mem.cores[core].access(addr, false) {
+                    let (latency, kind) = match mem.access(core, addr, false) {
                         Some(hit) => (hit.latency, hit.kind),
                         None => mem.miss(core, addr, false, cycle),
                     };
-                    mem.cores[core].record_load(latency, kind);
+                    mem.record_load(latency, kind);
                     t.state = ThreadState::StalledUntil(cycle + latency);
                     true
                 }
@@ -259,7 +259,7 @@ impl<T: TraceSource> Simulator<T> {
                     other_free = false;
                     mem_free = false;
                     let mem = &mut self.mem;
-                    match mem.cores[core].access(addr, true) {
+                    match mem.access(core, addr, true) {
                         Some(hit) => {
                             if hit.upgrade {
                                 mem.upgrade(core, addr);
@@ -318,7 +318,7 @@ impl<T: TraceSource> Simulator<T> {
             next_wake = next_wake.min(t.wake());
         }
         self.wakes.core[core] = self.wakes.core[core].min(next_wake);
-        let stats = &mut self.mem.cores[core].stats;
+        let stats = &mut self.mem.stats;
         stats.instructions += issued;
         stats.counts.l1i_reads += issued;
         issued
@@ -386,7 +386,7 @@ mod tests {
     #[test]
     fn the_engine_rejects_l1_and_l2_lines_of_different_sizes() {
         // Regression: a 32 B L1 line under the 64 B L2 line validated and
-        // ran, with the directory tracking L1 lines the L2 evicted whole.
+        // ran, with coherence tracking L1 lines the L2 evicted whole.
         let mut cfg = SystemConfig::baseline_no_l3();
         cfg.l1.line_bytes = 32;
         rejects(cfg, ConfigError::LineSizeMismatch { l1: 32, l2: 64 });
@@ -549,7 +549,7 @@ mod tests {
     #[test]
     fn shared_data_exercises_coherence() {
         // All threads hammer the same small region with stores: the
-        // directory must bounce ownership around without deadlock.
+        // coherence path must bounce ownership around without deadlock.
         struct SharedWrites(u64);
         impl TraceSource for SharedWrites {
             fn next(&mut self, tid: usize) -> Instr {

@@ -165,11 +165,9 @@ impl SimStats {
         }
     }
 
-    /// Accumulates `other` into `self`, field by field — used by the
-    /// engine to combine per-core statistics with the boundary-side
-    /// statistics. `cycles` is *not* summed (it is wall
-    /// simulated time, identical across shards, not additive); the caller
-    /// sets it from the engine clock.
+    /// Accumulates `other` into `self`, field by field — e.g. to total
+    /// the statistics of several runs. `cycles` is *not* summed (it is
+    /// simulated wall time, not additive); the caller sets it.
     pub fn merge(&mut self, other: &SimStats) {
         self.instructions += other.instructions;
         for (a, b) in self.cycle_breakdown.iter_mut().zip(&other.cycle_breakdown) {

@@ -222,7 +222,7 @@ fn many_core_configs_run_at_scale() {
 #[test]
 fn widest_sharer_sets_are_pinned() {
     // 64 cores hammering one small shared region: sharer sets span the
-    // directory's whole holder word, core 63 included.
+    // whole holder word, core 63 included.
     let cfg = SystemConfig::many_core(64);
     let n = cfg.n_threads();
     let mut sim = Simulator::try_new(cfg, SharedTrace::new(n)).unwrap();

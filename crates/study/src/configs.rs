@@ -358,23 +358,36 @@ mod tests {
 
     #[test]
     fn every_cache_holds_the_whole_npbgen_address_layout() {
-        // A tag array panics on an address past its 30-bit tag range, so
-        // the last byte of the traces' highest region must fit the L1, the
-        // L2 and (through the bank interleave) every L3 bank.
+        // A tag array panics on an address past its tag range, so the
+        // last byte of the traces' highest region must fit the L1, the L2
+        // and (through the bank interleave) every L3 bank: of all six
+        // configurations, of the SRAM-L3 baseline, and of every many-core
+        // chip `llc-study shard` builds.
         use memsim::cache::{LineState, SetAssocCache};
         use memsim::l3::L3;
+        use memsim::SystemConfig;
         let last = npbgen::generator::SHARED_BASE + npbgen::profile::SHARED_BYTES - 1;
-        for &kind in LlcKind::ALL {
-            let system = build(kind).system;
+        let systems = LlcKind::ALL
+            .iter()
+            .map(|&kind| (format!("{kind:?}"), build(kind).system))
+            .chain([("with_sram_l3".into(), SystemConfig::with_sram_l3())])
+            .chain((0..=6).map(|k| {
+                (
+                    format!("many_core({})", 1 << k),
+                    SystemConfig::many_core(1 << k),
+                )
+            }));
+        for (name, system) in systems {
             for c in [system.l1, system.l2] {
-                let mut tags = SetAssocCache::new(c.capacity_bytes, c.line_bytes, c.associativity);
-                tags.insert(last, LineState::Shared);
-                assert_eq!(tags.probe(last), Some(LineState::Shared), "{kind:?}");
+                let mut tags: SetAssocCache =
+                    SetAssocCache::new(c.capacity_bytes, c.line_bytes, c.associativity, 1);
+                tags.insert(0, last, LineState::Shared);
+                assert_eq!(tags.probe(0, last), Some(LineState::Shared), "{name}");
             }
             if let Some(l3) = system.l3 {
                 let mut l3 = L3::new(l3);
                 l3.insert(last, LineState::Shared);
-                assert_eq!(l3.lookup(last), Some(LineState::Shared), "{kind:?}");
+                assert_eq!(l3.lookup(last), Some(LineState::Shared), "{name}");
             }
         }
     }

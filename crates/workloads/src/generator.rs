@@ -19,7 +19,11 @@ const LINE: u64 = 64;
 #[derive(Debug, Clone)]
 struct ThreadGen {
     rng: u64,
-    instrs: u64,
+    /// Instructions until the next barrier, and until the next lock
+    /// attempt: each counts down to 1 and reloads its interval (0 for an
+    /// interval of 0, never due).
+    to_barrier: u64,
+    to_lock: u64,
     /// Remaining lines in the current sequential run and its cursor.
     run_left: u32,
     cursor: u64,
@@ -88,7 +92,8 @@ impl NpbTrace {
         let threads = (0..n_threads)
             .map(|t| ThreadGen {
                 rng: memsim::rng::splitmix64(mixed ^ t as u64) | 1,
-                instrs: 0,
+                to_barrier: profile.barrier_interval,
+                to_lock: profile.lock_interval,
                 run_left: 0,
                 cursor: 0,
                 lock_release_in: 0,
@@ -163,6 +168,19 @@ impl NpbTrace {
     }
 }
 
+/// Counts one instruction off `left`: true on every `interval`-th call,
+/// when it reloads `left`. An interval of 0 leaves `left` at 0, never due.
+/// A countdown, not `instructions % interval`: the generator runs once per
+/// simulated instruction, and the two divisions showed in its profile.
+fn due(left: &mut u64, interval: u64) -> bool {
+    if *left == 1 {
+        *left = interval;
+        return true;
+    }
+    *left = left.saturating_sub(1);
+    false
+}
+
 impl TraceSource for NpbTrace {
     fn next(&mut self, tid: usize) -> Instr {
         // A by-value copy, not a borrow: its fields load once, before the
@@ -171,7 +189,10 @@ impl TraceSource for NpbTrace {
         let p = self.profile.clone();
         {
             let t = &mut self.threads[tid];
-            t.instrs += 1;
+            // Every instruction counts toward both cadences, whatever it
+            // turns out to be.
+            let barrier_due = due(&mut t.to_barrier, p.barrier_interval);
+            let lock_due = due(&mut t.to_lock, p.lock_interval);
 
             // Release a held lock when its hold time elapses.
             if let Some(id) = t.held_lock {
@@ -182,14 +203,11 @@ impl TraceSource for NpbTrace {
                 }
             }
             // Barrier cadence.
-            if p.barrier_interval > 0 && t.instrs.is_multiple_of(p.barrier_interval) {
+            if barrier_due {
                 return Instr::Barrier;
             }
             // Lock cadence (only when not already holding one).
-            if p.lock_interval > 0
-                && t.held_lock.is_none()
-                && t.instrs.is_multiple_of(p.lock_interval)
-            {
+            if lock_due && t.held_lock.is_none() {
                 let id = (Self::rng(t) % 16) as u32;
                 t.held_lock = Some(id);
                 t.lock_release_in = p.lock_hold.max(1);

@@ -157,6 +157,41 @@ fn a_page_of_two_to_the_63_bits_is_an_invalid_spec() {
 }
 
 #[test]
+fn each_broken_prefetch_rule_gets_its_own_message() {
+    // The CLI's main memory bursts 8 beats: 12 covers them but is not a
+    // power of two, and 4 is a power of two too short for them.
+    let spec = |prefetch: &'static str| {
+        [
+            "--size",
+            "1G",
+            "--block",
+            "8",
+            "--banks",
+            "8",
+            "--cell",
+            "comm-dram",
+            "--node",
+            "32",
+            "--main-memory",
+            "--prefetch",
+            prefetch,
+        ]
+    };
+    assert_invalid_everywhere(
+        &spec("12"),
+        "internal prefetch of 12 bits per pin is not a power of two",
+        "CD0007",
+    );
+    let lint = cactid(&[&["lint"][..], &spec("12")].concat());
+    assert!(!stdout(&lint).contains("cannot sustain"), "{lint:?}");
+    assert_invalid_everywhere(
+        &spec("4"),
+        "internal prefetch of 4 bits per pin cannot sustain a burst of 8 beats",
+        "CD0007",
+    );
+}
+
+#[test]
 fn lint_clean_specs_exit_zero_even_with_deny_warnings() {
     let clean = &["lint", "--size", "2M", "--cell", "sram", "--node", "32"];
     let out = cactid(clean);

@@ -99,16 +99,16 @@ fn cache_capacity_and_lookup_invariants() {
     let mut rng = XorShift64Star::new(0xCAC7_1D03);
     for _ in 0..CASES {
         let n_ops = rng.next_in_range(1, 299);
-        let mut cache = SetAssocCache::new(4096, 64, 4); // 16 sets x 4 ways
+        let mut cache: SetAssocCache = SetAssocCache::new(4096, 64, 4, 1); // 16 sets x 4 ways
         for _ in 0..n_ops {
             let line = rng.next_below(4096);
             let addr = line * 64;
-            let ev = cache.insert(addr, LineState::Shared);
-            assert!(cache.probe(addr).is_some(), "inserted line present");
+            let ev = cache.insert(0, addr, LineState::Shared);
+            assert!(cache.probe(0, addr).is_some(), "inserted line present");
             if let Some(e) = ev {
                 // The evicted line maps to the same set as the inserted one.
                 assert_eq!(cache.set_index(e.addr), cache.set_index(addr));
-                assert!(cache.probe(e.addr).is_none(), "victim gone");
+                assert!(cache.probe(0, e.addr).is_none(), "victim gone");
             }
             assert!(cache.valid_lines() <= 64);
         }
@@ -171,10 +171,10 @@ fn dram_signal_monotone() {
 fn cache_eviction_is_set_local() {
     // Eviction occurs when a *set* fills, long before the whole cache is
     // full — verify with a direct conflict chain.
-    let mut cache = SetAssocCache::new(4096, 64, 4);
+    let mut cache: SetAssocCache = SetAssocCache::new(4096, 64, 4, 1);
     // 5 lines in the same set (stride = sets × line = 16 × 64).
     for i in 0..5u64 {
-        cache.insert(i * 1024, LineState::Shared);
+        cache.insert(0, i * 1024, LineState::Shared);
     }
     assert_eq!(cache.valid_lines(), 4);
 }
