@@ -117,6 +117,38 @@ cmp "$OUT.ref" "$OUT" || {
     echo "resumed explore JSONL differs from the uninterrupted run's" >&2
     exit 1
 }
+# The run-stage rules (CD0101-CD0105) over the finished Pareto-annotated
+# sweep: the audit is clean (exit 0, no error line), its JSON form is one
+# object per line, a known code is a valid override and an unknown one is
+# a usage error (exit 2).
+AUDIT=$($CACTID audit --jsonl "$OUT") || {
+    echo "cactid audit failed on the explore smoke sweep:" >&2
+    echo "$AUDIT" >&2
+    exit 1
+}
+if echo "$AUDIT" | grep -q 'error\['; then
+    echo "cactid audit reported errors on the explore smoke sweep:" >&2
+    echo "$AUDIT" >&2
+    exit 1
+fi
+$CACTID audit --jsonl "$OUT" --format json > "$OUT.audit" 2>/dev/null || {
+    echo "cactid audit --format json failed on the explore smoke sweep" >&2
+    exit 1
+}
+if grep -vq '^{.*}$' "$OUT.audit"; then
+    echo "cactid audit --format json printed a non-JSONL line" >&2
+    exit 1
+fi
+$CACTID audit --jsonl "$OUT" --deny CD0101 >/dev/null || {
+    echo "cactid audit --deny CD0101 failed on the explore smoke sweep" >&2
+    exit 1
+}
+RC=0
+$CACTID audit --jsonl "$OUT" --allow CD9999 >/dev/null 2>&1 || RC=$?
+test "$RC" -eq 2 || {
+    echo "cactid audit --allow CD9999 exited $RC, expected the usage error 2" >&2
+    exit 1
+}
 rm -rf "$(dirname "$OUT")"
 
 echo "== explore sweep-sharing smoke run (three knob variants)"

@@ -1,14 +1,14 @@
-//! The [`Analyzer`]: the rule registry plus staged lint passes and
-//! severity overrides.
+//! The [`Analyzer`]: staged lint passes over the rule table, reshaped by
+//! `--allow`/`--warn`/`--deny` severity overrides.
 
 use crate::context::LintContext;
-use crate::lint::Report;
-use crate::registry::{RuleRegistry, SeverityOverrides};
-use crate::rule::{Rule, Stage};
+use crate::lint::{Diagnostic, Report, Severity};
+use crate::rules::{rule, Check, Stage, RULES};
 use crate::run::RunContext;
 use cactid_core::{MemorySpec, OrgParams, Solution};
+use std::collections::BTreeMap;
 
-/// The diagnostics engine: a [`RuleRegistry`] plus a set of
+/// The diagnostics engine: the rules of [`RULES`] plus a set of
 /// [`SeverityOverrides`], runnable per stage over specs, organizations,
 /// solutions, and completed batch runs.
 ///
@@ -16,49 +16,25 @@ use cactid_core::{MemorySpec, OrgParams, Solution};
 /// it and the winner after it. Severity overrides apply to every
 /// diagnostic the analyzer emits, so they reshape reports only and never
 /// change which design wins.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Analyzer {
-    registry: RuleRegistry,
     overrides: SeverityOverrides,
 }
 
 impl Analyzer {
-    /// Builds the engine with the full standard registry and no overrides.
+    /// Builds the engine with no overrides.
     pub fn new() -> Self {
-        Analyzer {
-            registry: RuleRegistry::standard(),
-            overrides: SeverityOverrides::new(),
-        }
+        Analyzer::default()
     }
 
-    /// Builds the engine with the standard registry and the given severity
-    /// overrides.
+    /// Builds the engine with the given severity overrides.
     ///
     /// # Errors
     ///
-    /// When an override names a rule code the registry does not contain.
+    /// When an override names a rule code the table does not contain.
     pub fn with_overrides(overrides: SeverityOverrides) -> Result<Self, String> {
-        let registry = RuleRegistry::standard();
-        overrides.validate(&registry)?;
-        Ok(Analyzer {
-            registry,
-            overrides,
-        })
-    }
-
-    /// The underlying registry.
-    pub fn registry(&self) -> &RuleRegistry {
-        &self.registry
-    }
-
-    /// Iterates over the registered object rules in code order.
-    pub fn rules(&self) -> impl Iterator<Item = &dyn Rule> {
-        self.registry.object_rules().iter().map(Box::as_ref)
-    }
-
-    /// Looks an object rule up by its code (`"CD0015"`).
-    pub fn rule(&self, code: &str) -> Option<&dyn Rule> {
-        self.rules().find(|r| r.code() == code)
+        overrides.validate()?;
+        Ok(Analyzer { overrides })
     }
 
     fn apply_overrides(&self, raw: Report) -> Report {
@@ -73,9 +49,13 @@ impl Analyzer {
 
     fn run(&self, ctx: &LintContext<'_>, stages: &[Stage]) -> Report {
         let mut report = Report::new();
-        for rule in self.rules() {
-            if stages.contains(&rule.stage()) {
-                rule.check(ctx, &mut report);
+        for rule in &RULES {
+            if let Check::Spec(check) | Check::Organization(check) | Check::Solution(check) =
+                rule.check
+            {
+                if stages.contains(&rule.stage()) {
+                    check(rule.code, ctx, &mut report);
+                }
             }
         }
         self.apply_overrides(report)
@@ -124,24 +104,91 @@ impl Analyzer {
     /// Runs the `CD01xx` cross-record rules over a completed batch run.
     pub fn lint_run(&self, run: &RunContext) -> Report {
         let mut report = Report::new();
-        for rule in self.registry.run_rules() {
-            rule.check(run, &mut report);
+        for rule in &RULES {
+            if let Check::Run(check) = rule.check {
+                check(rule.code, run, &mut report);
+            }
         }
         self.apply_overrides(report)
     }
 }
 
-impl Default for Analyzer {
-    fn default() -> Self {
-        Analyzer::new()
+/// What a severity override does to a rule's diagnostics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeverityAction {
+    /// Drop the rule's diagnostics entirely.
+    Allow,
+    /// Demote (or promote) the rule's diagnostics to warnings.
+    Warn,
+    /// Promote the rule's diagnostics to errors.
+    Deny,
+}
+
+/// A set of per-rule severity overrides (`--allow`/`--warn`/`--deny`).
+///
+/// Overrides apply to every diagnostic a rule emits, wherever the rule
+/// runs. They reshape reports only: no rule runs inside a solve, so no
+/// override changes which design wins.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SeverityOverrides {
+    actions: BTreeMap<String, SeverityAction>,
+}
+
+impl SeverityOverrides {
+    /// An empty override set.
+    pub fn new() -> SeverityOverrides {
+        SeverityOverrides::default()
+    }
+
+    /// Sets the action for one rule code (last write wins).
+    pub fn set(&mut self, code: impl Into<String>, action: SeverityAction) {
+        self.actions.insert(code.into(), action);
+    }
+
+    /// `true` when no overrides are set.
+    pub fn is_empty(&self) -> bool {
+        self.actions.is_empty()
+    }
+
+    /// The action for a rule code, if overridden.
+    pub fn action(&self, code: &str) -> Option<SeverityAction> {
+        self.actions.get(code).copied()
+    }
+
+    /// Checks every overridden code against the rule table.
+    ///
+    /// # Errors
+    ///
+    /// The first code that names no rule of [`RULES`].
+    pub fn validate(&self) -> Result<(), String> {
+        match self.actions.keys().find(|code| rule(code).is_none()) {
+            Some(code) => Err(format!("unknown rule code {code:?}")),
+            None => Ok(()),
+        }
+    }
+
+    /// Applies the overrides to one diagnostic: `None` when an `Allow`
+    /// drops it, otherwise the (possibly re-severitied) diagnostic.
+    pub fn apply(&self, mut d: Diagnostic) -> Option<Diagnostic> {
+        match self.action(d.code) {
+            Some(SeverityAction::Allow) => None,
+            Some(SeverityAction::Warn) => {
+                d.severity = Severity::Warn;
+                Some(d)
+            }
+            Some(SeverityAction::Deny) => {
+                d.severity = Severity::Error;
+                Some(d)
+            }
+            None => Some(d),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::Severity;
-    use crate::registry::SeverityAction;
+    use crate::lint::Location;
     use cactid_core::{AccessMode, MemoryKind};
     use cactid_tech::{CellTechnology, TechNode};
 
@@ -197,11 +244,10 @@ mod tests {
 
     #[test]
     fn rule_lookup_finds_every_code() {
-        let a = Analyzer::new();
-        for rule in a.rules() {
-            assert!(a.rule(rule.code()).is_some());
+        for row in &RULES {
+            assert!(rule(row.code).is_some_and(|r| std::ptr::eq(r, row)));
         }
-        assert!(a.rule("CD9999").is_none());
+        assert!(rule("CD9999").is_none());
     }
 
     #[test]
@@ -253,5 +299,28 @@ mod tests {
         let report = Analyzer::with_overrides(ov).unwrap().lint_run(&run);
         assert_eq!(report.error_count(), 0);
         assert!(report.warn_count() >= 1);
+    }
+
+    #[test]
+    fn overrides_apply_per_diagnostic() {
+        let mut ov = SeverityOverrides::new();
+        ov.set("CD0001", SeverityAction::Allow);
+        ov.set("CD0002", SeverityAction::Deny);
+        ov.set("CD0003", SeverityAction::Warn);
+        let d = |code| Diagnostic::warn(code, Location::spec("x"), "m");
+        assert_eq!(ov.apply(d("CD0001")), None);
+        assert_eq!(ov.apply(d("CD0002")).unwrap().severity, Severity::Error);
+        assert_eq!(ov.apply(d("CD0003")).unwrap().severity, Severity::Warn);
+        assert_eq!(ov.apply(d("CD0004")).unwrap().severity, Severity::Warn);
+    }
+
+    #[test]
+    fn validate_rejects_unknown_codes() {
+        let mut ov = SeverityOverrides::new();
+        ov.set("CD0016", SeverityAction::Allow);
+        assert!(ov.validate().is_ok());
+        ov.set("CD4242", SeverityAction::Deny);
+        let err = ov.validate().unwrap_err();
+        assert!(err.contains("CD4242"), "{err}");
     }
 }

@@ -4,7 +4,7 @@
 use cactid_core::{MemorySpec, OrgParams, Solution};
 use cactid_tech::{CellParams, Technology};
 
-/// Everything a [`crate::rule::Rule`] may look at.
+/// Everything a rule's [`crate::rules::ObjectCheck`] may look at.
 ///
 /// Spec-stage rules use `spec` and `cell`; organization rules additionally
 /// use `org`; solution rules use `solution` (whose `org` field is also

@@ -14,10 +14,11 @@
 //! metric plausibility windows, and record-set integrity across a whole
 //! run (`CD0101`–`CD0105`).
 //!
-//! Every rule is registered in the central [`RuleRegistry`] with its
-//! metadata (code, stage, default severity, one-line invariant, paper
-//! reference). Severities can be reshaped per rule with
-//! [`SeverityOverrides`] (`--allow`/`--warn`/`--deny` on the CLI).
+//! Every rule is one row of the static table [`RULES`], which holds its
+//! metadata (code, default severity, one-line invariant, paper
+//! reference) and its check, whose variant fixes the stage. Severities
+//! can be reshaped per rule with [`SeverityOverrides`]
+//! (`--allow`/`--warn`/`--deny` on the CLI).
 //!
 //! Findings are structured [`Diagnostic`] records — stable rule code,
 //! [`Severity`], a [`Location`] naming the offending field, a message
@@ -52,22 +53,19 @@
 //! let analyzer = Analyzer::new();
 //! let report = analyzer.lint_spec(&spec);
 //! assert!(!report.is_clean());
-//! assert!(render::render(&analyzer, &report).contains("error[CD0001]"));
+//! assert!(render::render(&report).contains("error[CD0001]"));
 //! ```
 
 pub mod analyzer;
 pub mod context;
 pub mod lint;
-pub mod registry;
 pub mod render;
-pub mod rule;
 pub mod rules;
 pub mod run;
 
-pub use analyzer::Analyzer;
+pub use analyzer::{Analyzer, SeverityAction, SeverityOverrides};
 pub use context::LintContext;
 pub use lint::{Diagnostic, LintObject, Location, Report, Severity, Suggestion};
-pub use registry::{RuleMeta, RuleRegistry, SeverityAction, SeverityOverrides};
 pub use render::{render_json, summary_line};
-pub use rule::{Rule, RunRule, Stage};
+pub use rules::{Check, Rule, Stage, RULES};
 pub use run::{RunContext, RunRecord};

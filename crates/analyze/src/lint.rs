@@ -20,9 +20,6 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Every severity, from least to most serious.
-    pub const ALL: &'static [Severity] = &[Severity::Info, Severity::Warn, Severity::Error];
-
     /// Stable lowercase name used by the renderers and the JSON
     /// diagnostics schema: `"info"`, `"warning"`, `"error"`.
     pub fn as_str(self) -> &'static str {
@@ -31,11 +28,6 @@ impl Severity {
             Severity::Warn => "warning",
             Severity::Error => "error",
         }
-    }
-
-    /// Parses the stable name back; the exact inverse of [`Self::as_str`].
-    pub fn parse_str(s: &str) -> Option<Severity> {
-        Severity::ALL.iter().copied().find(|v| v.as_str() == s)
     }
 }
 
@@ -64,16 +56,6 @@ pub enum LintObject {
 }
 
 impl LintObject {
-    /// Every object kind, in pipeline order.
-    pub const ALL: &'static [LintObject] = &[
-        LintObject::Spec,
-        LintObject::Cell,
-        LintObject::Organization,
-        LintObject::Solution,
-        LintObject::MainMemory,
-        LintObject::Run,
-    ];
-
     /// Stable dotted path prefix used by the renderers and the JSON
     /// diagnostics schema.
     pub fn as_str(self) -> &'static str {
@@ -85,11 +67,6 @@ impl LintObject {
             LintObject::MainMemory => "solution.main_memory",
             LintObject::Run => "run",
         }
-    }
-
-    /// Parses the stable name back; the exact inverse of [`Self::as_str`].
-    pub fn parse_str(s: &str) -> Option<LintObject> {
-        LintObject::ALL.iter().copied().find(|v| v.as_str() == s)
     }
 }
 
@@ -339,16 +316,24 @@ mod tests {
     }
 
     #[test]
-    fn severity_and_object_names_round_trip() {
-        for &sev in Severity::ALL {
-            assert_eq!(Severity::parse_str(sev.as_str()), Some(sev));
+    fn severity_and_object_names_display() {
+        for (sev, name) in [
+            (Severity::Info, "info"),
+            (Severity::Warn, "warning"),
+            (Severity::Error, "error"),
+        ] {
+            assert_eq!((sev.as_str(), sev.to_string()), (name, name.to_string()));
         }
-        assert_eq!(Severity::parse_str("fatal"), None);
-        for &obj in LintObject::ALL {
-            assert_eq!(LintObject::parse_str(obj.as_str()), Some(obj));
-            assert_eq!(obj.to_string(), obj.as_str());
+        for (obj, name) in [
+            (LintObject::Spec, "spec"),
+            (LintObject::Cell, "technology.cell"),
+            (LintObject::Organization, "organization"),
+            (LintObject::Solution, "solution"),
+            (LintObject::MainMemory, "solution.main_memory"),
+            (LintObject::Run, "run"),
+        ] {
+            assert_eq!((obj.as_str(), obj.to_string()), (name, name.to_string()));
         }
-        assert_eq!(LintObject::parse_str("chip"), None);
         assert_eq!(Location::run("access_ns").to_string(), "run.access_ns");
     }
 

@@ -12,24 +12,24 @@
 //! diagnostic, schema documented on the function — for consumption by
 //! scripts and CI gates.
 
-use crate::analyzer::Analyzer;
 use crate::lint::{Diagnostic, Location, Report};
+use crate::rules::rule;
 use cactid_obs::escape;
 use std::fmt::Write as _;
 
 /// Renders a full report in rustc style; rule summaries and paper
-/// references are looked up in `analyzer`'s registry. Ends with a summary
+/// references are looked up in [`crate::RULES`]. Ends with a summary
 /// line; returns an empty string for an empty report.
-pub fn render(analyzer: &Analyzer, report: &Report) -> String {
+pub fn render(report: &Report) -> String {
     let mut out = String::new();
     for d in report {
         let _ = writeln!(out, "{}[{}]: {}", d.severity, d.code, d.message);
         let _ = writeln!(out, "  --> {}", d.location);
-        if let Some(meta) = analyzer.registry().meta(d.code) {
+        if let Some(rule) = rule(d.code) {
             let _ = writeln!(
                 out,
                 "  = note: invariant: {} (paper {})",
-                meta.summary, meta.paper_ref
+                rule.summary, rule.paper_ref
             );
         }
         if let Some(s) = &d.suggestion {
@@ -52,7 +52,7 @@ fn location_json(loc: &Location) -> String {
     )
 }
 
-fn diagnostic_json(analyzer: &Analyzer, d: &Diagnostic) -> String {
+fn diagnostic_json(d: &Diagnostic) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
@@ -73,13 +73,13 @@ fn diagnostic_json(analyzer: &Analyzer, d: &Diagnostic) -> String {
         }
         None => out.push_str(",\"suggestion\":null"),
     }
-    match analyzer.registry().meta(d.code) {
+    match rule(d.code) {
         Some(m) => {
             let _ = write!(
                 out,
                 ",\"rule\":{{\"stage\":\"{}\",\"default_severity\":\"{}\",\
                  \"summary\":\"{}\",\"paper\":\"{}\"}}",
-                m.stage.name(),
+                m.stage().name(),
                 m.default_severity.as_str(),
                 escape(m.summary),
                 escape(m.paper_ref)
@@ -110,11 +110,11 @@ fn diagnostic_json(analyzer: &Analyzer, d: &Diagnostic) -> String {
 /// [`crate::Severity`] names (`info`/`warning`/`error`);
 /// `location.object` the [`crate::lint::LintObject`] names
 /// (`spec`/`organization`/`solution`/`run`); `rule` is `null` only for
-/// diagnostics whose code is absent from the registry.
-pub fn render_json(analyzer: &Analyzer, report: &Report) -> String {
+/// diagnostics whose code names no rule of [`crate::RULES`].
+pub fn render_json(report: &Report) -> String {
     let mut out = String::new();
     for d in report {
-        let _ = writeln!(out, "{}", diagnostic_json(analyzer, d));
+        let _ = writeln!(out, "{}", diagnostic_json(d));
     }
     out
 }
@@ -153,7 +153,6 @@ mod tests {
 
     #[test]
     fn renders_code_location_note_and_help() {
-        let analyzer = Analyzer::new();
         let mut report = Report::new();
         report.push(
             Diagnostic::error(
@@ -163,7 +162,7 @@ mod tests {
             )
             .with_suggestion(Location::spec("kind.prefetch"), "8"),
         );
-        let text = render(&analyzer, &report);
+        let text = render(&report);
         assert!(text.contains("error[CD0007]:"), "{text}");
         assert!(text.contains("--> spec.kind.prefetch"), "{text}");
         assert!(text.contains("= note: invariant:"), "{text}");
@@ -177,21 +176,19 @@ mod tests {
 
     #[test]
     fn run_rule_diagnostics_also_get_notes() {
-        let analyzer = Analyzer::new();
         let mut report = Report::new();
         report.push(Diagnostic::error(
             "CD0105",
             Location::run("idx"),
             "idx 3 appears twice",
         ));
-        let text = render(&analyzer, &report);
+        let text = render(&report);
         assert!(text.contains("= note: invariant:"), "{text}");
         assert!(text.contains("--> run.idx"), "{text}");
     }
 
     #[test]
     fn json_rendering_parses_back_with_full_schema() {
-        let analyzer = Analyzer::new();
         let mut report = Report::new();
         report.push(
             Diagnostic::error(
@@ -202,7 +199,7 @@ mod tests {
             .with_suggestion(Location::spec("kind.prefetch"), "8"),
         );
         report.push(Diagnostic::warn("CD0104", Location::run("access_ns"), "m"));
-        let text = render_json(&analyzer, &report);
+        let text = render_json(&report);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         let v = json::parse(lines[0]).unwrap();
@@ -237,10 +234,9 @@ mod tests {
 
     #[test]
     fn unregistered_codes_render_null_rule() {
-        let analyzer = Analyzer::new();
         let mut report = Report::new();
         report.push(Diagnostic::info("CD9999", Location::spec("x"), "m"));
-        let text = render_json(&analyzer, &report);
+        let text = render_json(&report);
         let v = json::parse(text.trim()).unwrap();
         assert_eq!(v.get("rule"), Some(&json::JsonValue::Null));
         assert_eq!(v.get("severity").unwrap().as_str(), Some("info"));
@@ -267,7 +263,7 @@ mod tests {
 
     #[test]
     fn empty_report_renders_empty() {
-        assert!(render(&Analyzer::new(), &Report::new()).is_empty());
-        assert!(render_json(&Analyzer::new(), &Report::new()).is_empty());
+        assert!(render(&Report::new()).is_empty());
+        assert!(render_json(&Report::new()).is_empty());
     }
 }

@@ -6,23 +6,10 @@
 //! organizations the solver rejects.
 
 use crate::context::LintContext;
-use crate::lint::{Diagnostic, Location, Report, Severity};
-use crate::rule::{Rule, Stage};
+use crate::lint::{Diagnostic, Location, Report};
 use cactid_core::array::{self, PrescreenFailure, WORDLINE_ELMORE_BOUND};
 use cactid_core::org::{MAX_BL_MUX, MAX_COLS, MAX_NDBL, MAX_NDWL, MIN_COLS, MIN_ROWS};
 use cactid_core::{MemoryKind, OrgParams};
-
-/// All six organization-stage rules, ordered by code.
-pub fn all() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(Partitioning),
-        Box::new(CapacityConservation),
-        Box::new(MuxLegality),
-        Box::new(SubarrayDims),
-        Box::new(WordlineRc),
-        Box::new(SenseMargin),
-    ]
-}
 
 /// An organization, its subarray `(rows, cols)` and the solver's screen
 /// verdict on them.
@@ -44,319 +31,239 @@ fn screened<'a>(ctx: &LintContext<'a>) -> Option<Screened<'a>> {
 /// `Nspd` is a positive (power-of-two-ish) stripe scale. The bounds are
 /// the solver's own ([`cactid_core::org`]); exceeding them is a warning,
 /// not an error — the array model itself judges electrical feasibility.
-pub struct Partitioning;
-
-impl Rule for Partitioning {
-    fn code(&self) -> &'static str {
-        "CD0010"
-    }
-    fn stage(&self) -> Stage {
-        Stage::Organization
-    }
-    fn summary(&self) -> &'static str {
-        "Ndwl and Ndbl must be nonzero powers of two; Nspd positive (1.0 for main memory)"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.4"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let Some(org) = ctx.org else { return };
-        for (field, v, cap) in [("ndwl", org.ndwl, MAX_NDWL), ("ndbl", org.ndbl, MAX_NDBL)] {
-            if v == 0 || !v.is_power_of_two() {
-                report.push(
-                    Diagnostic::error(
-                        self.code(),
-                        Location::org(field),
-                        format!("{field} = {v} is not a nonzero power of two"),
-                    )
-                    .with_suggestion(
-                        Location::org(field),
-                        v.max(1).next_power_of_two().to_string(),
-                    ),
-                );
-            } else if v > cap {
-                report.push(Diagnostic::warn(
-                    self.code(),
+pub(crate) fn partitioning(code: &'static str, ctx: &LintContext<'_>, report: &mut Report) {
+    let Some(org) = ctx.org else { return };
+    for (field, v, cap) in [("ndwl", org.ndwl, MAX_NDWL), ("ndbl", org.ndbl, MAX_NDBL)] {
+        if v == 0 || !v.is_power_of_two() {
+            report.push(
+                Diagnostic::error(
+                    code,
                     Location::org(field),
-                    format!("{field} = {v} is beyond the §2.4 sweep bound of {cap}"),
-                ));
-            }
-        }
-        if !(org.nspd.is_finite() && org.nspd > 0.0) {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::org("nspd"),
-                format!("nspd = {} must be positive and finite", org.nspd),
-            ));
-        } else if matches!(ctx.spec.kind, MemoryKind::MainMemory { .. }) && org.nspd != 1.0 {
-            report.push(Diagnostic::warn(
-                self.code(),
-                Location::org("nspd"),
-                format!(
-                    "nspd = {} is meaningless for main memory (the page size fixes the stripe)",
-                    org.nspd
+                    format!("{field} = {v} is not a nonzero power of two"),
+                )
+                .with_suggestion(
+                    Location::org(field),
+                    v.max(1).next_power_of_two().to_string(),
                 ),
+            );
+        } else if v > cap {
+            report.push(Diagnostic::warn(
+                code,
+                Location::org(field),
+                format!("{field} = {v} is beyond the §2.4 sweep bound of {cap}"),
             ));
         }
+    }
+    if !(org.nspd.is_finite() && org.nspd > 0.0) {
+        report.push(Diagnostic::error(
+            code,
+            Location::org("nspd"),
+            format!("nspd = {} must be positive and finite", org.nspd),
+        ));
+    } else if matches!(ctx.spec.kind, MemoryKind::MainMemory { .. }) && org.nspd != 1.0 {
+        report.push(Diagnostic::warn(
+            code,
+            Location::org("nspd"),
+            format!(
+                "nspd = {} is meaningless for main memory (the page size fixes the stripe)",
+                org.nspd
+            ),
+        ));
     }
 }
 
 /// `CD0011`: the organization tiles the bank exactly —
 /// `rows · cols · Ndwl · Ndbl` equals the bank's bit count.
-pub struct CapacityConservation;
-
-impl Rule for CapacityConservation {
-    fn code(&self) -> &'static str {
-        "CD0011"
+pub(crate) fn capacity_conservation(
+    code: &'static str,
+    ctx: &LintContext<'_>,
+    report: &mut Report,
+) {
+    let Some(org) = ctx.org else { return };
+    if org.ndwl == 0 || org.ndbl == 0 || ctx.spec.n_banks == 0 {
+        return; // CD0010 / CD0003 report the zero field.
     }
-    fn stage(&self) -> Stage {
-        Stage::Organization
+    let spec = ctx.spec;
+    let bank_bits = spec.bank_bytes() * 8;
+    let stripe = org.stripe_bits(spec);
+    if stripe == 0 {
+        report.push(Diagnostic::error(
+            code,
+            Location::org("nspd"),
+            "the organization's stripe holds zero bits",
+        ));
+        return;
     }
-    fn summary(&self) -> &'static str {
-        "rows × cols × Ndwl × Ndbl must equal the bank capacity in bits"
+    if stripe % u64::from(org.ndwl) != 0 {
+        report.push(Diagnostic::error(
+            code,
+            Location::org("ndwl"),
+            format!(
+                "stripe of {stripe} bits does not split across ndwl = {} subarrays",
+                org.ndwl
+            ),
+        ));
+        return;
     }
-    fn paper_ref(&self) -> &'static str {
-        "§2.1"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let Some(org) = ctx.org else { return };
-        if org.ndwl == 0 || org.ndbl == 0 || ctx.spec.n_banks == 0 {
-            return; // CD0010 / CD0003 report the zero field.
-        }
-        let spec = ctx.spec;
-        let bank_bits = spec.bank_bytes() * 8;
-        let stripe = org.stripe_bits(spec);
-        if stripe == 0 {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::org("nspd"),
-                "the organization's stripe holds zero bits",
-            ));
-            return;
-        }
-        if stripe % u64::from(org.ndwl) != 0 {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::org("ndwl"),
-                format!(
-                    "stripe of {stripe} bits does not split across ndwl = {} subarrays",
-                    org.ndwl
-                ),
-            ));
-            return;
-        }
-        let rows = org.rows(spec);
-        let cols = org.cols(spec);
-        let tiled = rows * cols * u64::from(org.ndwl) * u64::from(org.ndbl);
-        if tiled != bank_bits {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::org("ndbl"),
-                format!(
-                    "organization tiles {tiled} bits but the bank holds {bank_bits} — \
+    let rows = org.rows(spec);
+    let cols = org.cols(spec);
+    let tiled = rows * cols * u64::from(org.ndwl) * u64::from(org.ndbl);
+    if tiled != bank_bits {
+        report.push(Diagnostic::error(
+            code,
+            Location::org("ndbl"),
+            format!(
+                "organization tiles {tiled} bits but the bank holds {bank_bits} — \
                      capacity is not conserved"
-                ),
-            ));
-        } else if !rows.is_power_of_two() {
-            report.push(Diagnostic::warn(
-                self.code(),
-                Location::org("ndbl"),
-                format!(
-                    "{rows} rows per subarray is not a power of two; the row decoder wastes codes"
-                ),
-            ));
-        }
+            ),
+        ));
+    } else if !rows.is_power_of_two() {
+        report.push(Diagnostic::warn(
+            code,
+            Location::org("ndbl"),
+            format!("{rows} rows per subarray is not a power of two; the row decoder wastes codes"),
+        ));
     }
 }
 
 /// `CD0012`: column multiplexing exactly covers the stripe-to-output
 /// ratio, and DRAM never muxes bitlines (destructive readout).
-pub struct MuxLegality;
-
-impl Rule for MuxLegality {
-    fn code(&self) -> &'static str {
-        "CD0012"
-    }
-    fn stage(&self) -> Stage {
-        Stage::Organization
-    }
-    fn summary(&self) -> &'static str {
-        "bl-mux × sa-mux must equal stripe/output bits; DRAM requires bl-mux = 1"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.3.1"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let Some(org) = ctx.org else { return };
-        let spec = ctx.spec;
-        if spec.cell_tech.is_dram() && org.deg_bl_mux != 1 {
-            report.push(
-                Diagnostic::error(
-                    self.code(),
-                    Location::org("deg_bl_mux"),
-                    format!(
-                        "DRAM readout is destructive: every bitline on the open row must be \
-                         sensed, so deg_bl_mux = {} is physically impossible",
-                        org.deg_bl_mux
-                    ),
-                )
-                .with_suggestion(Location::org("deg_bl_mux"), "1"),
-            );
-        }
-        if org.deg_bl_mux == 0 || org.deg_sa_mux == 0 {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::org("deg_sa_mux"),
-                "mux degrees must be nonzero",
-            ));
-            return;
-        }
-        let output = spec.output_bits();
-        let stripe = org.stripe_bits(spec);
-        if output == 0 || stripe == 0 {
-            return; // spec/stripe rules report the root cause.
-        }
-        if stripe % output != 0 {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::org("nspd"),
-                format!("stripe of {stripe} bits is not a multiple of the {output}-bit output"),
-            ));
-            return;
-        }
-        let needed = stripe / output;
-        if org.mux_factor() != needed {
-            report.push(
-                Diagnostic::error(
-                    self.code(),
-                    Location::org("deg_sa_mux"),
-                    format!(
-                        "mux factor {} ≠ stripe/output = {needed}: the column path selects the \
-                         wrong number of bits",
-                        org.mux_factor()
-                    ),
-                )
-                .with_suggestion(
-                    Location::org("deg_sa_mux"),
-                    (needed / u64::from(org.deg_bl_mux).max(1)).to_string(),
-                ),
-            );
-        }
-        if org.deg_bl_mux > MAX_BL_MUX {
-            report.push(Diagnostic::warn(
-                self.code(),
+pub(crate) fn mux_legality(code: &'static str, ctx: &LintContext<'_>, report: &mut Report) {
+    let Some(org) = ctx.org else { return };
+    let spec = ctx.spec;
+    if spec.cell_tech.is_dram() && org.deg_bl_mux != 1 {
+        report.push(
+            Diagnostic::error(
+                code,
                 Location::org("deg_bl_mux"),
                 format!(
-                    "bitline mux of {} exceeds the modeled maximum of {MAX_BL_MUX}",
+                    "DRAM readout is destructive: every bitline on the open row must be \
+                         sensed, so deg_bl_mux = {} is physically impossible",
                     org.deg_bl_mux
                 ),
-            ));
-        }
+            )
+            .with_suggestion(Location::org("deg_bl_mux"), "1"),
+        );
+    }
+    if org.deg_bl_mux == 0 || org.deg_sa_mux == 0 {
+        report.push(Diagnostic::error(
+            code,
+            Location::org("deg_sa_mux"),
+            "mux degrees must be nonzero",
+        ));
+        return;
+    }
+    let output = spec.output_bits();
+    let stripe = org.stripe_bits(spec);
+    if output == 0 || stripe == 0 {
+        return; // spec/stripe rules report the root cause.
+    }
+    if stripe % output != 0 {
+        report.push(Diagnostic::error(
+            code,
+            Location::org("nspd"),
+            format!("stripe of {stripe} bits is not a multiple of the {output}-bit output"),
+        ));
+        return;
+    }
+    let needed = stripe / output;
+    if org.mux_factor() != needed {
+        report.push(
+            Diagnostic::error(
+                code,
+                Location::org("deg_sa_mux"),
+                format!(
+                    "mux factor {} ≠ stripe/output = {needed}: the column path selects the \
+                         wrong number of bits",
+                    org.mux_factor()
+                ),
+            )
+            .with_suggestion(
+                Location::org("deg_sa_mux"),
+                (needed / u64::from(org.deg_bl_mux).max(1)).to_string(),
+            ),
+        );
+    }
+    if org.deg_bl_mux > MAX_BL_MUX {
+        report.push(Diagnostic::warn(
+            code,
+            Location::org("deg_bl_mux"),
+            format!(
+                "bitline mux of {} exceeds the modeled maximum of {MAX_BL_MUX}",
+                org.deg_bl_mux
+            ),
+        ));
     }
 }
 
 /// `CD0013`: subarray dimensions are physical — rows within the cell
 /// technology's limit, columns in the sweep band, and the subarray's SI
 /// dimensions yield a buildable aspect ratio.
-pub struct SubarrayDims;
-
-impl Rule for SubarrayDims {
-    fn code(&self) -> &'static str {
-        "CD0013"
-    }
-    fn stage(&self) -> Stage {
-        Stage::Organization
-    }
-    fn summary(&self) -> &'static str {
-        "rows ≤ technology limit, cols in sweep band, subarray aspect ratio buildable"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.3.1"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let Some((org, rows, cols, verdict)) = screened(ctx) else {
-            return;
-        };
-        let max_rows = ctx.cell.max_rows_per_subarray as u64;
-        if verdict == Err(PrescreenFailure::SubarrayRows) {
-            let total_rows = rows * u64::from(org.ndbl);
-            report.push(
-                Diagnostic::error(
-                    self.code(),
-                    Location::org("ndbl"),
-                    format!(
-                        "{rows} rows per subarray exceeds the {} limit of {max_rows} \
-                         (signal margin / wordline RC)",
-                        ctx.spec.cell_tech
-                    ),
-                )
-                .with_suggestion(
-                    Location::org("ndbl"),
-                    total_rows
-                        .div_ceil(max_rows)
-                        .next_power_of_two()
-                        .to_string(),
-                ),
-            );
-        } else if rows < MIN_ROWS {
-            report.push(Diagnostic::warn(
-                self.code(),
+pub(crate) fn subarray_dims(code: &'static str, ctx: &LintContext<'_>, report: &mut Report) {
+    let Some((org, rows, cols, verdict)) = screened(ctx) else {
+        return;
+    };
+    let max_rows = ctx.cell.max_rows_per_subarray as u64;
+    if verdict == Err(PrescreenFailure::SubarrayRows) {
+        let total_rows = rows * u64::from(org.ndbl);
+        report.push(
+            Diagnostic::error(
+                code,
                 Location::org("ndbl"),
                 format!(
-                    "{rows} rows per subarray is below the sweep minimum of {MIN_ROWS}; \
-                         decoder and sense-amp strips dominate the area"
+                    "{rows} rows per subarray exceeds the {} limit of {max_rows} \
+                         (signal margin / wordline RC)",
+                    ctx.spec.cell_tech
                 ),
-            ));
-        }
-        if !(MIN_COLS..=MAX_COLS).contains(&cols) {
+            )
+            .with_suggestion(
+                Location::org("ndbl"),
+                total_rows
+                    .div_ceil(max_rows)
+                    .next_power_of_two()
+                    .to_string(),
+            ),
+        );
+    } else if rows < MIN_ROWS {
+        report.push(Diagnostic::warn(
+            code,
+            Location::org("ndbl"),
+            format!(
+                "{rows} rows per subarray is below the sweep minimum of {MIN_ROWS}; \
+                         decoder and sense-amp strips dominate the area"
+            ),
+        ));
+    }
+    if !(MIN_COLS..=MAX_COLS).contains(&cols) {
+        report.push(Diagnostic::warn(
+            code,
+            Location::org("ndwl"),
+            format!("{cols} columns per subarray is outside the {MIN_COLS}–{MAX_COLS} sweep band"),
+        ));
+    }
+    // Dimensional consistency in SI units: the subarray must have
+    // positive physical extent and a buildable aspect ratio.
+    let width_m = (cols as f64 * ctx.cell.width).value();
+    let height_m = (rows as f64 * ctx.cell.height).value();
+    if width_m <= 0.0 || height_m <= 0.0 {
+        report.push(Diagnostic::error(
+            code,
+            Location::org("ndwl"),
+            format!("subarray has non-positive extent ({width_m:.3e} m × {height_m:.3e} m)"),
+        ));
+    } else {
+        let aspect = width_m / height_m;
+        if !(1.0 / 256.0..=256.0).contains(&aspect) {
             report.push(Diagnostic::warn(
-                self.code(),
+                code,
                 Location::org("ndwl"),
                 format!(
-                    "{cols} columns per subarray is outside the {MIN_COLS}–{MAX_COLS} sweep band"
+                    "subarray aspect ratio {aspect:.0} ({:.1} µm × {:.1} µm) is beyond \
+                         anything a floorplan can absorb",
+                    width_m * 1e6,
+                    height_m * 1e6
                 ),
             ));
-        }
-        // Dimensional consistency in SI units: the subarray must have
-        // positive physical extent and a buildable aspect ratio.
-        let width_m = (cols as f64 * ctx.cell.width).value();
-        let height_m = (rows as f64 * ctx.cell.height).value();
-        if width_m <= 0.0 || height_m <= 0.0 {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::org("ndwl"),
-                format!("subarray has non-positive extent ({width_m:.3e} m × {height_m:.3e} m)"),
-            ));
-        } else {
-            let aspect = width_m / height_m;
-            if !(1.0 / 256.0..=256.0).contains(&aspect) {
-                report.push(Diagnostic::warn(
-                    self.code(),
-                    Location::org("ndwl"),
-                    format!(
-                        "subarray aspect ratio {aspect:.0} ({:.1} µm × {:.1} µm) is beyond \
-                         anything a floorplan can absorb",
-                        width_m * 1e6,
-                        height_m * 1e6
-                    ),
-                ));
-            }
         }
     }
 }
@@ -364,105 +271,67 @@ impl Rule for SubarrayDims {
 /// `CD0014`: distributed wordline RC stays within the unrepeatered-wire
 /// budget (wordlines cannot take repeaters — there is no room in the cell
 /// pitch — so their RC delay bounds the subarray width).
-pub struct WordlineRc;
-
-impl Rule for WordlineRc {
-    fn code(&self) -> &'static str {
-        "CD0014"
-    }
-    fn stage(&self) -> Stage {
-        Stage::Organization
-    }
-    fn summary(&self) -> &'static str {
-        "unrepeatered wordline RC (0.38·R·C) must stay under 3 ns"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.3.3"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let Some((org, _, cols, verdict)) = screened(ctx) else {
-            return;
-        };
-        let rc = array::wordline_elmore(&ctx.cell, cols);
-        if verdict == Err(PrescreenFailure::WordlineElmore) {
-            report.push(
-                Diagnostic::error(
-                    self.code(),
-                    Location::org("ndwl"),
-                    format!(
-                        "wordline RC of {:.2} ns over {cols} columns exceeds the {:.0} ns \
-                         unrepeatered-wire budget; unlike the H-tree, a wordline cannot be \
-                         repeatered at the cell pitch",
-                        rc.value() * 1e9,
-                        WORDLINE_ELMORE_BOUND.value() * 1e9
-                    ),
-                )
-                .with_suggestion(Location::org("ndwl"), (org.ndwl.max(1) * 2).to_string()),
-            );
-        } else if rc > 0.8 * WORDLINE_ELMORE_BOUND && rc <= WORDLINE_ELMORE_BOUND {
-            report.push(Diagnostic::warn(
-                self.code(),
+pub(crate) fn wordline_rc(code: &'static str, ctx: &LintContext<'_>, report: &mut Report) {
+    let Some((org, _, cols, verdict)) = screened(ctx) else {
+        return;
+    };
+    let rc = array::wordline_elmore(&ctx.cell, cols);
+    if verdict == Err(PrescreenFailure::WordlineElmore) {
+        report.push(
+            Diagnostic::error(
+                code,
                 Location::org("ndwl"),
                 format!(
-                    "wordline RC of {:.2} ns is within 20% of the {:.0} ns budget",
+                    "wordline RC of {:.2} ns over {cols} columns exceeds the {:.0} ns \
+                         unrepeatered-wire budget; unlike the H-tree, a wordline cannot be \
+                         repeatered at the cell pitch",
                     rc.value() * 1e9,
                     WORDLINE_ELMORE_BOUND.value() * 1e9
                 ),
-            ));
-        }
+            )
+            .with_suggestion(Location::org("ndwl"), (org.ndwl.max(1) * 2).to_string()),
+        );
+    } else if rc > 0.8 * WORDLINE_ELMORE_BOUND && rc <= WORDLINE_ELMORE_BOUND {
+        report.push(Diagnostic::warn(
+            code,
+            Location::org("ndwl"),
+            format!(
+                "wordline RC of {:.2} ns is within 20% of the {:.0} ns budget",
+                rc.value() * 1e9,
+                WORDLINE_ELMORE_BOUND.value() * 1e9
+            ),
+        ));
     }
 }
 
 /// `CD0020`: the sense amplifiers actually get the differential they
 /// need — the signal a DRAM subarray's bitline develops meets the cell's
 /// sense margin.
-pub struct SenseMargin;
-
-impl Rule for SenseMargin {
-    fn code(&self) -> &'static str {
-        "CD0020"
-    }
-    fn stage(&self) -> Stage {
-        Stage::Organization
-    }
-    fn summary(&self) -> &'static str {
-        "developed bitline signal must meet the cell's sense margin"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.3.1"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let Some((_, rows, _, Err(PrescreenFailure::SenseMargin))) = screened(ctx) else {
-            return;
-        };
-        let Some(signal) = ctx.cell.dram_sense_signal(rows as usize) else {
-            unreachable!("only a DRAM cell misses the sense margin");
-        };
-        report.push(Diagnostic::error(
-            self.code(),
-            Location::org("ndbl"),
-            format!(
-                "a bitline of {rows} rows develops {:.0} mV but the {} sense amplifier needs \
+pub(crate) fn sense_margin(code: &'static str, ctx: &LintContext<'_>, report: &mut Report) {
+    let Some((_, rows, _, Err(PrescreenFailure::SenseMargin))) = screened(ctx) else {
+        return;
+    };
+    let Some(signal) = ctx.cell.dram_sense_signal(rows as usize) else {
+        unreachable!("only a DRAM cell misses the sense margin");
+    };
+    report.push(Diagnostic::error(
+        code,
+        Location::org("ndbl"),
+        format!(
+            "a bitline of {rows} rows develops {:.0} mV but the {} sense amplifier needs \
                  {:.0} mV — reads would be nondeterministic",
-                signal.value() * 1e3,
-                ctx.spec.cell_tech,
-                ctx.cell.v_sense_margin.value() * 1e3
-            ),
-        ));
-    }
+            signal.value() * 1e3,
+            ctx.spec.cell_tech,
+            ctx.cell.v_sense_margin.value() * 1e3
+        ),
+    ));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::tests::check;
+    use crate::rules::{Stage, RULES};
     use cactid_core::{AccessMode, MemorySpec};
     use cactid_tech::{CellTechnology, TechNode};
 
@@ -494,19 +363,16 @@ mod tests {
         }
     }
 
-    fn run(rule: &dyn Rule, spec: &MemorySpec, org: &OrgParams) -> Report {
-        let ctx = LintContext::for_spec(spec).with_org(org);
-        let mut report = Report::new();
-        rule.check(&ctx, &mut report);
-        report
+    fn run(code: &str, spec: &MemorySpec, org: &OrgParams) -> Report {
+        check(code, &LintContext::for_spec(spec).with_org(org))
     }
 
     #[test]
     fn good_org_is_clean_under_all_org_rules() {
         let spec = cache_spec(CellTechnology::Sram);
-        for rule in all() {
-            let r = run(rule.as_ref(), &spec, &good_org());
-            assert!(r.is_empty(), "{}: {:?}", rule.code(), r.as_slice());
+        for rule in RULES.iter().filter(|r| r.stage() == Stage::Organization) {
+            let r = run(rule.code, &spec, &good_org());
+            assert!(r.is_empty(), "{}: {:?}", rule.code, r.as_slice());
         }
     }
 
@@ -515,7 +381,7 @@ mod tests {
         let spec = cache_spec(CellTechnology::Sram);
         let mut bad = good_org();
         bad.ndwl = 3;
-        let r = run(&Partitioning, &spec, &bad);
+        let r = run("CD0010", &spec, &bad);
         assert_eq!(r.error_count(), 1);
         assert_eq!(r.iter().next().unwrap().code, "CD0010");
     }
@@ -526,7 +392,7 @@ mod tests {
         let mut bad = good_org();
         bad.ndbl = 512; // 2048 stripes / 512 → 4 rows; 4·4096·... ≠ 8 Mb? still tiles
         bad.nspd = 3.0; // stripe 12288 bits: 8 Mb / 12288 truncates
-        let r = run(&CapacityConservation, &spec, &bad);
+        let r = run("CD0011", &spec, &bad);
         assert!(!r.is_clean(), "{:?}", r.as_slice());
     }
 
@@ -536,7 +402,7 @@ mod tests {
         let mut bad = good_org();
         bad.deg_bl_mux = 2;
         bad.deg_sa_mux = 4;
-        let r = run(&MuxLegality, &spec, &bad);
+        let r = run("CD0012", &spec, &bad);
         assert!(!r.is_clean());
         let d = r.iter().next().unwrap();
         assert_eq!(d.code, "CD0012");
@@ -548,7 +414,7 @@ mod tests {
         let spec = cache_spec(CellTechnology::Sram);
         let mut bad = good_org();
         bad.deg_sa_mux = 8; // mux factor 16 ≠ stripe/output = 8
-        let r = run(&MuxLegality, &spec, &bad);
+        let r = run("CD0012", &spec, &bad);
         assert_eq!(r.error_count(), 1);
         assert_eq!(
             r.iter().next().unwrap().suggestion.as_ref().unwrap().value,
@@ -574,7 +440,7 @@ mod tests {
             deg_bl_mux: 1,
             deg_sa_mux: 2,
         };
-        let r = run(&SubarrayDims, &spec, &tall);
+        let r = run("CD0013", &spec, &tall);
         assert!(!r.is_clean(), "{:?}", r.as_slice());
         assert!(r.iter().next().unwrap().suggestion.is_some());
         let _ = org;
@@ -595,8 +461,7 @@ mod tests {
         };
         let ctx = LintContext::for_spec(&spec).with_org(&wide);
         let rc = array::wordline_elmore(&ctx.cell, wide.cols(&spec));
-        let mut report = Report::new();
-        WordlineRc.check(&ctx, &mut report);
+        let report = check("CD0014", &ctx);
         if rc > WORDLINE_ELMORE_BOUND {
             assert!(!report.is_clean());
         } else {
@@ -622,8 +487,7 @@ mod tests {
         };
         let mut ctx = LintContext::for_spec(&spec).with_org(&tall);
         ctx.cell.max_rows_per_subarray = usize::MAX;
-        let mut report = Report::new();
-        SenseMargin.check(&ctx, &mut report);
+        let report = check("CD0020", &ctx);
         assert_eq!(report.error_count(), 1, "{:?}", report.as_slice());
         assert!(report.iter().next().unwrap().message.contains("mV"));
     }

@@ -7,22 +7,10 @@
 //! `CD0021`/`CD0022` plausibility windows applied over the whole record
 //! set, and the structural integrity of the record set itself.
 
-use crate::lint::{Diagnostic, Location, Report, Severity};
-use crate::rule::RunRule;
+use crate::lint::{Diagnostic, Location, Report};
 use crate::rules::approx_ge;
 use crate::run::{RunContext, RunRecord};
 use std::collections::BTreeMap;
-
-/// All run-stage rules, ordered by code.
-pub fn all() -> Vec<Box<dyn RunRule>> {
-    vec![
-        Box::new(AccessMonotonicity),
-        Box::new(AreaMonotonicity),
-        Box::new(ParetoDominance),
-        Box::new(MetricRangeDrift),
-        Box::new(RecordIntegrity),
-    ]
-}
 
 /// A record's identity in messages: the grid index when present, else the
 /// line number.
@@ -72,92 +60,58 @@ fn families(run: &RunContext) -> Vec<Vec<&RunRecord>> {
 /// `CD0101`: within a capacity-sweep family, access time does not shrink
 /// as capacity grows. Advisory only: under the weighted §2.4 objective a
 /// larger design may legally win with a faster access time.
-pub struct AccessMonotonicity;
-
-impl RunRule for AccessMonotonicity {
-    fn code(&self) -> &'static str {
-        "CD0101"
-    }
-    fn summary(&self) -> &'static str {
-        "access time is monotonically non-decreasing over a capacity sweep \
-         holding every other axis fixed"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.4"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Info
-    }
-    fn check(&self, run: &RunContext, report: &mut Report) {
-        for family in families(run) {
-            for pair in family.windows(2) {
-                let (small, big) = (pair[0], pair[1]);
-                if small.capacity_bytes == big.capacity_bytes {
-                    continue;
-                }
-                let (Some(t_small), Some(t_big)) = (small.access_ns, big.access_ns) else {
-                    continue;
-                };
-                if t_small.is_finite() && t_big.is_finite() && !approx_ge(t_big, t_small) {
-                    report.push(Diagnostic::info(
-                        self.code(),
-                        Location::run("access_ns"),
-                        format!(
-                            "{} ({} B) reports {t_big:.4} ns access, faster than the \
+pub(crate) fn access_monotonicity(code: &'static str, run: &RunContext, report: &mut Report) {
+    for family in families(run) {
+        for pair in family.windows(2) {
+            let (small, big) = (pair[0], pair[1]);
+            if small.capacity_bytes == big.capacity_bytes {
+                continue;
+            }
+            let (Some(t_small), Some(t_big)) = (small.access_ns, big.access_ns) else {
+                continue;
+            };
+            if t_small.is_finite() && t_big.is_finite() && !approx_ge(t_big, t_small) {
+                report.push(Diagnostic::info(
+                    code,
+                    Location::run("access_ns"),
+                    format!(
+                        "{} ({} B) reports {t_big:.4} ns access, faster than the \
                              {t_small:.4} ns of the smaller {} ({} B) on the same axes",
-                            ident(big),
-                            big.capacity_bytes.unwrap_or(0),
-                            ident(small),
-                            small.capacity_bytes.unwrap_or(0),
-                        ),
-                    ));
-                }
+                        ident(big),
+                        big.capacity_bytes.unwrap_or(0),
+                        ident(small),
+                        small.capacity_bytes.unwrap_or(0),
+                    ),
+                ));
             }
         }
     }
 }
 
 /// `CD0102`: within a capacity-sweep family, area must grow with capacity.
-pub struct AreaMonotonicity;
-
-impl RunRule for AreaMonotonicity {
-    fn code(&self) -> &'static str {
-        "CD0102"
-    }
-    fn summary(&self) -> &'static str {
-        "area is monotonically non-decreasing over a capacity sweep holding \
-         every other axis fixed"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.4"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn check(&self, run: &RunContext, report: &mut Report) {
-        for family in families(run) {
-            for pair in family.windows(2) {
-                let (small, big) = (pair[0], pair[1]);
-                if small.capacity_bytes == big.capacity_bytes {
-                    continue;
-                }
-                let (Some(a_small), Some(a_big)) = (small.area_mm2, big.area_mm2) else {
-                    continue;
-                };
-                if a_small.is_finite() && a_big.is_finite() && !approx_ge(a_big, a_small) {
-                    report.push(Diagnostic::warn(
-                        self.code(),
-                        Location::run("area_mm2"),
-                        format!(
-                            "{} ({} B) occupies {a_big:.4} mm², less than the {a_small:.4} mm² \
+pub(crate) fn area_monotonicity(code: &'static str, run: &RunContext, report: &mut Report) {
+    for family in families(run) {
+        for pair in family.windows(2) {
+            let (small, big) = (pair[0], pair[1]);
+            if small.capacity_bytes == big.capacity_bytes {
+                continue;
+            }
+            let (Some(a_small), Some(a_big)) = (small.area_mm2, big.area_mm2) else {
+                continue;
+            };
+            if a_small.is_finite() && a_big.is_finite() && !approx_ge(a_big, a_small) {
+                report.push(Diagnostic::warn(
+                    code,
+                    Location::run("area_mm2"),
+                    format!(
+                        "{} ({} B) occupies {a_big:.4} mm², less than the {a_small:.4} mm² \
                              of the smaller {} ({} B) on the same axes",
-                            ident(big),
-                            big.capacity_bytes.unwrap_or(0),
-                            ident(small),
-                            small.capacity_bytes.unwrap_or(0),
-                        ),
-                    ));
-                }
+                        ident(big),
+                        big.capacity_bytes.unwrap_or(0),
+                        ident(small),
+                        small.capacity_bytes.unwrap_or(0),
+                    ),
+                ));
             }
         }
     }
@@ -183,56 +137,84 @@ fn weakly_dominates(o: &[f64; 4], r: &[f64; 4]) -> bool {
 
 /// `CD0103`: the run's Pareto annotations agree with dominance recomputed
 /// from the record metrics.
-pub struct ParetoDominance;
-
-impl RunRule for ParetoDominance {
-    fn code(&self) -> &'static str {
-        "CD0103"
-    }
-    fn summary(&self) -> &'static str {
-        "pareto annotations are consistent: no frontier member is dominated, \
-         and every non-member is dominated by someone"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.4"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn check(&self, run: &RunContext, report: &mut Report) {
-        let pool: Vec<(&RunRecord, [f64; 4])> = run
-            .ok_records()
-            .filter_map(|r| r.objectives().map(|m| (r, m)))
-            .filter(|(_, m)| m.iter().all(|v| v.is_finite()))
-            .collect();
-        for (r, m) in &pool {
-            let Some(pareto) = r.pareto else { continue };
-            if pareto.frontier {
-                if let Some((o, _)) = pool
-                    .iter()
-                    .find(|(o, om)| o.line_no != r.line_no && clearly_dominates(om, m))
-                {
-                    report.push(Diagnostic::error(
-                        self.code(),
-                        Location::run("pareto.frontier"),
-                        format!(
-                            "{} is annotated as a frontier member but {} dominates it \
-                             on all four objectives",
-                            ident(r),
-                            ident(o),
-                        ),
-                    ));
-                }
-            } else if !pool
+pub(crate) fn pareto_dominance(code: &'static str, run: &RunContext, report: &mut Report) {
+    let pool: Vec<(&RunRecord, [f64; 4])> = run
+        .ok_records()
+        .filter_map(|r| r.objectives().map(|m| (r, m)))
+        .filter(|(_, m)| m.iter().all(|v| v.is_finite()))
+        .collect();
+    for (r, m) in &pool {
+        let Some(pareto) = r.pareto else { continue };
+        if pareto.frontier {
+            if let Some((o, _)) = pool
                 .iter()
-                .any(|(o, om)| o.line_no != r.line_no && weakly_dominates(om, m))
+                .find(|(o, om)| o.line_no != r.line_no && clearly_dominates(om, m))
             {
-                report.push(Diagnostic::warn(
-                    self.code(),
+                report.push(Diagnostic::error(
+                    code,
                     Location::run("pareto.frontier"),
                     format!(
-                        "{} is annotated as dominated but no record in the run \
+                        "{} is annotated as a frontier member but {} dominates it \
+                             on all four objectives",
+                        ident(r),
+                        ident(o),
+                    ),
+                ));
+            }
+        } else if !pool
+            .iter()
+            .any(|(o, om)| o.line_no != r.line_no && weakly_dominates(om, m))
+        {
+            report.push(Diagnostic::warn(
+                code,
+                Location::run("pareto.frontier"),
+                format!(
+                    "{} is annotated as dominated but no record in the run \
                          dominates it",
+                    ident(r),
+                ),
+            ));
+        }
+    }
+}
+
+/// The `CD0021` access-time window, in the records' ns unit.
+const TIME_NS: (f64, f64) = (1e-3, 1e6);
+/// The `CD0022` dynamic-energy window, in the records' nJ unit.
+const ENERGY_NJ: (f64, f64) = (1e-6, 1e3);
+
+/// `CD0104`: the `CD0021`/`CD0022` plausibility windows applied across the
+/// whole record set — times within \[1 ps, 1 ms\], dynamic energies within
+/// \[1 fJ, 1 µJ\], and every metric finite.
+pub(crate) fn metric_range_drift(code: &'static str, run: &RunContext, report: &mut Report) {
+    type Window = (
+        &'static str,
+        fn(&RunRecord) -> Option<f64>,
+        (f64, f64),
+        &'static str,
+    );
+    let windows: [Window; 4] = [
+        ("access_ns", |r| r.access_ns, TIME_NS, "ns"),
+        ("random_cycle_ns", |r| r.random_cycle_ns, TIME_NS, "ns"),
+        ("read_nj", |r| r.read_nj, ENERGY_NJ, "nJ"),
+        ("write_nj", |r| r.write_nj, ENERGY_NJ, "nJ"),
+    ];
+    for r in run.ok_records() {
+        for &(field, get, (lo, hi), unit) in &windows {
+            let Some(v) = get(r) else { continue };
+            if !v.is_finite() {
+                report.push(Diagnostic::warn(
+                    code,
+                    Location::run(field),
+                    format!("{} has a non-finite {field} ({v})", ident(r)),
+                ));
+            } else if v < lo || v > hi {
+                report.push(Diagnostic::warn(
+                    code,
+                    Location::run(field),
+                    format!(
+                        "{} reports {field} = {v:.6} {unit}, outside the plausible \
+                             [{lo:e}, {hi:e}] {unit} window",
                         ident(r),
                     ),
                 ));
@@ -241,139 +223,60 @@ impl RunRule for ParetoDominance {
     }
 }
 
-/// `CD0104`: the `CD0021`/`CD0022` plausibility windows applied across the
-/// whole record set — times within \[1 ps, 1 ms\], dynamic energies within
-/// \[1 fJ, 1 µJ\], and every metric finite.
-pub struct MetricRangeDrift;
-
-/// The `CD0021` access-time window, in the records' ns unit.
-const TIME_NS: (f64, f64) = (1e-3, 1e6);
-/// The `CD0022` dynamic-energy window, in the records' nJ unit.
-const ENERGY_NJ: (f64, f64) = (1e-6, 1e3);
-
-impl RunRule for MetricRangeDrift {
-    fn code(&self) -> &'static str {
-        "CD0104"
+/// `CD0105`: the record set itself is structurally sound.
+pub(crate) fn record_integrity(code: &'static str, run: &RunContext, report: &mut Report) {
+    for (line_no, err) in &run.malformed {
+        report.push(Diagnostic::error(
+            code,
+            Location::run("records"),
+            format!("line {line_no} is not a JSON record: {err}"),
+        ));
     }
-    fn summary(&self) -> &'static str {
-        "every solved record's times sit in [1 ps, 1 ms], its dynamic \
-         energies in [1 fJ, 1 uJ], and all metrics are finite"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Table 3"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn check(&self, run: &RunContext, report: &mut Report) {
-        type Window = (
-            &'static str,
-            fn(&RunRecord) -> Option<f64>,
-            (f64, f64),
-            &'static str,
-        );
-        let windows: [Window; 4] = [
-            ("access_ns", |r| r.access_ns, TIME_NS, "ns"),
-            ("random_cycle_ns", |r| r.random_cycle_ns, TIME_NS, "ns"),
-            ("read_nj", |r| r.read_nj, ENERGY_NJ, "nJ"),
-            ("write_nj", |r| r.write_nj, ENERGY_NJ, "nJ"),
-        ];
-        for r in run.ok_records() {
-            for &(field, get, (lo, hi), unit) in &windows {
-                let Some(v) = get(r) else { continue };
-                if !v.is_finite() {
-                    report.push(Diagnostic::warn(
-                        self.code(),
-                        Location::run(field),
-                        format!("{} has a non-finite {field} ({v})", ident(r)),
-                    ));
-                } else if v < lo || v > hi {
-                    report.push(Diagnostic::warn(
-                        self.code(),
-                        Location::run(field),
+    let mut seen: BTreeMap<u64, usize> = BTreeMap::new();
+    for r in &run.records {
+        match r.idx {
+            None => report.push(Diagnostic::error(
+                code,
+                Location::run("idx"),
+                format!("record at line {} has no idx field", r.line_no),
+            )),
+            Some(idx) => {
+                if let Some(first) = seen.insert(idx, r.line_no) {
+                    report.push(Diagnostic::error(
+                        code,
+                        Location::run("idx"),
                         format!(
-                            "{} reports {field} = {v:.6} {unit}, outside the plausible \
-                             [{lo:e}, {hi:e}] {unit} window",
-                            ident(r),
+                            "idx {idx} appears on line {} and again on line {}",
+                            first, r.line_no
                         ),
                     ));
                 }
             }
         }
-    }
-}
-
-/// `CD0105`: the record set itself is structurally sound.
-pub struct RecordIntegrity;
-
-impl RunRule for RecordIntegrity {
-    fn code(&self) -> &'static str {
-        "CD0105"
-    }
-    fn summary(&self) -> &'static str {
-        "every line parses, indices are present and unique, statuses are \
-         known, and solved records carry their metrics"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§2.4"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn check(&self, run: &RunContext, report: &mut Report) {
-        for (line_no, err) in &run.malformed {
-            report.push(Diagnostic::error(
-                self.code(),
-                Location::run("records"),
-                format!("line {line_no} is not a JSON record: {err}"),
-            ));
-        }
-        let mut seen: BTreeMap<u64, usize> = BTreeMap::new();
-        for r in &run.records {
-            match r.idx {
-                None => report.push(Diagnostic::error(
-                    self.code(),
-                    Location::run("idx"),
-                    format!("record at line {} has no idx field", r.line_no),
-                )),
-                Some(idx) => {
-                    if let Some(first) = seen.insert(idx, r.line_no) {
-                        report.push(Diagnostic::error(
-                            self.code(),
-                            Location::run("idx"),
-                            format!(
-                                "idx {idx} appears on line {} and again on line {}",
-                                first, r.line_no
-                            ),
-                        ));
-                    }
+        match r.status.as_deref() {
+            Some("ok") => {
+                if r.objectives().is_none() {
+                    report.push(Diagnostic::error(
+                        code,
+                        Location::run("status"),
+                        format!(
+                            "{} claims status \"ok\" but is missing solution metrics",
+                            ident(r),
+                        ),
+                    ));
                 }
             }
-            match r.status.as_deref() {
-                Some("ok") => {
-                    if r.objectives().is_none() {
-                        report.push(Diagnostic::error(
-                            self.code(),
-                            Location::run("status"),
-                            format!(
-                                "{} claims status \"ok\" but is missing solution metrics",
-                                ident(r),
-                            ),
-                        ));
-                    }
-                }
-                Some("infeasible" | "invalid") => {}
-                Some(other) => report.push(Diagnostic::error(
-                    self.code(),
-                    Location::run("status"),
-                    format!("{} has unknown status {other:?}", ident(r)),
-                )),
-                None => report.push(Diagnostic::error(
-                    self.code(),
-                    Location::run("status"),
-                    format!("{} has no status field", ident(r)),
-                )),
-            }
+            Some("infeasible" | "invalid") => {}
+            Some(other) => report.push(Diagnostic::error(
+                code,
+                Location::run("status"),
+                format!("{} has unknown status {other:?}", ident(r)),
+            )),
+            None => report.push(Diagnostic::error(
+                code,
+                Location::run("status"),
+                format!("{} has no status field", ident(r)),
+            )),
         }
     }
 }
@@ -381,6 +284,8 @@ impl RunRule for RecordIntegrity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint::Severity;
+    use crate::rules::{Check, RULES};
 
     fn record(idx: u64, capacity: u64, access: f64, area: f64) -> String {
         format!(
@@ -396,8 +301,10 @@ mod tests {
     fn lint(text: &str) -> Report {
         let run = RunContext::parse(text);
         let mut report = Report::new();
-        for rule in all() {
-            rule.check(&run, &mut report);
+        for rule in &RULES {
+            if let Check::Run(check) = rule.check {
+                check(rule.code, &run, &mut report);
+            }
         }
         report
     }
@@ -520,10 +427,10 @@ mod tests {
 
     #[test]
     fn run_rules_document_themselves() {
-        for rule in all() {
-            assert!(rule.code().starts_with("CD01"));
-            assert!(!rule.summary().is_empty());
-            assert!(rule.paper_ref().starts_with('§') || rule.paper_ref().starts_with("Table"));
+        for rule in RULES.iter().filter(|r| matches!(r.check, Check::Run(_))) {
+            assert!(rule.code.starts_with("CD01"));
+            assert!(!rule.summary.is_empty());
+            assert!(rule.paper_ref.starts_with('§') || rule.paper_ref.starts_with("Table"));
         }
     }
 }

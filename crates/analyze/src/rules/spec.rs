@@ -3,72 +3,17 @@
 //! interface invariants.
 //!
 //! Every spec error comes from the core's one check list,
-//! [`MemorySpec::violations`]: each rule reports the violations [`code_of`]
-//! files under its code, adds the suggested fix and its lint-only
-//! warnings, and so rejects exactly the specs [`MemorySpec::validate`]
-//! rejects. CD0006 alone judges the resolved Table-1 cell parameters.
+//! [`MemorySpec::violations`]: each rule but CD0006 reports the
+//! violations [`code_of`] files under its code, adds the suggested fix
+//! and its lint-only warnings, and so rejects exactly the specs
+//! [`MemorySpec::validate`] rejects. CD0006 alone judges the resolved
+//! Table-1 cell parameters.
 
 use crate::context::LintContext;
-use crate::lint::{Diagnostic, Location, Report, Severity};
-use crate::rule::{Rule, Stage};
+use crate::lint::{Diagnostic, Location, Report};
 use cactid_core::{MemorySpec, SpecViolation};
 use cactid_tech::{CellTechnology, TechNode};
 use cactid_units::{Amperes, Farads, Ohms, Seconds, Volts};
-
-/// All nine spec-stage rules, ordered by code.
-pub fn all() -> Vec<Box<dyn Rule>> {
-    let mut rules: Vec<Box<dyn Rule>> = SPEC_RULES
-        .iter()
-        .map(|&r| Box::new(r) as Box<dyn Rule>)
-        .collect();
-    rules.insert(5, Box::new(CellTable1Bounds));
-    rules
-}
-
-/// The eight rules over [`MemorySpec::violations`]: code, invariant and
-/// paper reference. CD0006 is [`CellTable1Bounds`].
-const SPEC_RULES: [SpecRule; 8] = [
-    SpecRule {
-        code: "CD0001",
-        summary: "capacity must be a power-of-two number of sets, split evenly across banks",
-        paper_ref: "§2.1",
-    },
-    SpecRule {
-        code: "CD0002",
-        summary: "block size must be a nonzero power of two (16–256 B typical for caches)",
-        paper_ref: "§2.1",
-    },
-    SpecRule {
-        code: "CD0003",
-        summary: "bank count must be a nonzero power of two (≤ 64 plausible)",
-        paper_ref: "§2.1",
-    },
-    SpecRule {
-        code: "CD0004",
-        summary: "associativity must be 1 for RAM/main memory and 1–32 for caches",
-        paper_ref: "§2.1",
-    },
-    SpecRule {
-        code: "CD0005",
-        summary: "main memory requires COMM-DRAM cells; 78 nm is a DRAM-process half node",
-        paper_ref: "Table 1",
-    },
-    SpecRule {
-        code: "CD0007",
-        summary: "prefetch a power of two ≥ burst length, and one burst (io·prefetch bits) must fit in the page",
-        paper_ref: "§2.1",
-    },
-    SpecRule {
-        code: "CD0008",
-        summary: "address width must cover the capacity and stay within 64 bits",
-        paper_ref: "§2.1",
-    },
-    SpecRule {
-        code: "CD0009",
-        summary: "objective weights non-negative (one positive), repeater relax ≥ 1, overheads ≥ 0",
-        paper_ref: "§2.4",
-    },
-];
 
 /// The spec-stage rule that reports `v`; `None` for the builder's and the
 /// assemblies' misuse errors, which no spec check yields.
@@ -128,48 +73,23 @@ fn suggestion(v: &SpecViolation) -> Option<String> {
     }
 }
 
-/// A spec rule: it reports the violations [`code_of`] files under its
-/// code as errors, then its lint-only warnings.
-#[derive(Clone, Copy)]
-struct SpecRule {
-    code: &'static str,
-    summary: &'static str,
-    paper_ref: &'static str,
-}
-
-impl Rule for SpecRule {
-    fn code(&self) -> &'static str {
-        self.code
+/// A spec rule but CD0006: reports the violations [`code_of`] files
+/// under `code` as errors, then the rule's lint-only warnings.
+pub(crate) fn violations(code: &'static str, ctx: &LintContext<'_>, report: &mut Report) {
+    let mut errors = ctx.spec.violations();
+    errors.retain(|v| code_of(v) == Some(code));
+    for v in &errors {
+        let at = Location::spec(v.field());
+        let d = Diagnostic::error(code, at, v.to_string());
+        report.push(match suggestion(v) {
+            Some(value) => d.with_suggestion(at, value),
+            None => d,
+        });
     }
-    fn stage(&self) -> Stage {
-        Stage::Spec
-    }
-    fn summary(&self) -> &'static str {
-        self.summary
-    }
-    fn paper_ref(&self) -> &'static str {
-        self.paper_ref
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let mut errors = ctx.spec.violations();
-        errors.retain(|v| code_of(v) == Some(self.code));
-        for v in &errors {
-            let at = Location::spec(v.field());
-            let d = Diagnostic::error(self.code, at, v.to_string());
-            report.push(match suggestion(v) {
-                Some(value) => d.with_suggestion(at, value),
-                None => d,
-            });
-        }
-        // A field gets its error or its warning, never both.
-        for (field, message) in warnings(self.code, ctx.spec) {
-            if !errors.iter().any(|v| v.field() == field) {
-                report.push(Diagnostic::warn(self.code, Location::spec(field), message));
-            }
+    // A field gets its error or its warning, never both.
+    for (field, message) in warnings(code, ctx.spec) {
+        if !errors.iter().any(|v| v.field() == field) {
+            report.push(Diagnostic::warn(code, Location::spec(field), message));
         }
     }
 }
@@ -247,101 +167,81 @@ fn warnings(code: &str, s: &MemorySpec) -> Vec<(&'static str, String)> {
 
 /// `CD0006`: the resolved Table-1 cell parameters are within physical
 /// bounds for the technology.
-pub struct CellTable1Bounds;
-
-impl Rule for CellTable1Bounds {
-    fn code(&self) -> &'static str {
-        "CD0006"
+pub(crate) fn cell_table1_bounds(code: &'static str, ctx: &LintContext<'_>, report: &mut Report) {
+    let c = &ctx.cell;
+    if !(0.3..=3.0).contains(&c.vdd_cell.value()) {
+        report.push(Diagnostic::error(
+            code,
+            Location::cell("vdd_cell"),
+            format!(
+                "cell VDD {:.2} V is outside the plausible 0.3–3.0 V band",
+                c.vdd_cell.value()
+            ),
+        ));
     }
-    fn stage(&self) -> Stage {
-        Stage::Spec
+    if c.vpp < c.vdd_cell {
+        report.push(Diagnostic::error(
+            code,
+            Location::cell("vpp"),
+            format!(
+                "boosted wordline voltage {:.2} V is below the cell VDD {:.2} V",
+                c.vpp.value(),
+                c.vdd_cell.value()
+            ),
+        ));
     }
-    fn summary(&self) -> &'static str {
-        "resolved cell parameters must lie in their Table-1 physical bounds"
+    if !(c.v_sense_margin > Volts::ZERO && c.v_sense_margin <= c.vdd_cell / 2.0) {
+        report.push(Diagnostic::error(
+            code,
+            Location::cell("v_sense_margin"),
+            format!(
+                "sense margin {:.0} mV must be positive and at most VDD/2 = {:.0} mV",
+                c.v_sense_margin.value() * 1e3,
+                c.vdd_cell.value() / 2.0 * 1e3
+            ),
+        ));
     }
-    fn paper_ref(&self) -> &'static str {
-        "Table 1"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, ctx: &LintContext<'_>, report: &mut Report) {
-        let c = &ctx.cell;
-        if !(0.3..=3.0).contains(&c.vdd_cell.value()) {
+    if c.technology.is_dram() {
+        if !(c.c_storage > Farads::ZERO
+            && c.retention_time.is_finite()
+            && c.retention_time > Seconds::ZERO)
+        {
             report.push(Diagnostic::error(
-                self.code(),
-                Location::cell("vdd_cell"),
+                code,
+                Location::cell("retention_time"),
+                "a DRAM cell needs a positive storage capacitance and a finite retention time",
+            ));
+        } else if !(5e-15..=100e-15).contains(&c.c_storage.value()) {
+            report.push(Diagnostic::warn(
+                code,
+                Location::cell("c_storage"),
                 format!(
-                    "cell VDD {:.2} V is outside the plausible 0.3–3.0 V band",
-                    c.vdd_cell.value()
+                    "storage capacitance {:.1} fF is outside the 5–100 fF Table-1 band",
+                    c.c_storage.value() * 1e15
                 ),
             ));
         }
-        if c.vpp < c.vdd_cell {
+        if c.r_access_on <= Ohms::ZERO {
             report.push(Diagnostic::error(
-                self.code(),
-                Location::cell("vpp"),
-                format!(
-                    "boosted wordline voltage {:.2} V is below the cell VDD {:.2} V",
-                    c.vpp.value(),
-                    c.vdd_cell.value()
-                ),
+                code,
+                Location::cell("r_access_on"),
+                "DRAM access-transistor on-resistance must be positive",
             ));
         }
-        if !(c.v_sense_margin > Volts::ZERO && c.v_sense_margin <= c.vdd_cell / 2.0) {
+    } else {
+        if c.i_cell_read <= Amperes::ZERO {
             report.push(Diagnostic::error(
-                self.code(),
-                Location::cell("v_sense_margin"),
-                format!(
-                    "sense margin {:.0} mV must be positive and at most VDD/2 = {:.0} mV",
-                    c.v_sense_margin.value() * 1e3,
-                    c.vdd_cell.value() / 2.0 * 1e3
-                ),
+                code,
+                Location::cell("i_cell_read"),
+                "an SRAM cell must sink a positive read current",
             ));
         }
-        if c.technology.is_dram() {
-            if !(c.c_storage > Farads::ZERO
-                && c.retention_time.is_finite()
-                && c.retention_time > Seconds::ZERO)
-            {
-                report.push(Diagnostic::error(
-                    self.code(),
-                    Location::cell("retention_time"),
-                    "a DRAM cell needs a positive storage capacitance and a finite retention time",
-                ));
-            } else if !(5e-15..=100e-15).contains(&c.c_storage.value()) {
-                report.push(Diagnostic::warn(
-                    self.code(),
-                    Location::cell("c_storage"),
-                    format!(
-                        "storage capacitance {:.1} fF is outside the 5–100 fF Table-1 band",
-                        c.c_storage.value() * 1e15
-                    ),
-                ));
-            }
-            if c.r_access_on <= Ohms::ZERO {
-                report.push(Diagnostic::error(
-                    self.code(),
-                    Location::cell("r_access_on"),
-                    "DRAM access-transistor on-resistance must be positive",
-                ));
-            }
-        } else {
-            if c.i_cell_read <= Amperes::ZERO {
-                report.push(Diagnostic::error(
-                    self.code(),
-                    Location::cell("i_cell_read"),
-                    "an SRAM cell must sink a positive read current",
-                ));
-            }
-            if c.retention_time.is_finite() {
-                report.push(Diagnostic::error(
-                    self.code(),
-                    Location::cell("retention_time"),
-                    "SRAM is static: retention time must be infinite (no refresh)",
-                ));
-            }
+        if c.retention_time.is_finite() {
+            report.push(Diagnostic::error(
+                code,
+                Location::cell("retention_time"),
+                "SRAM is static: retention time must be infinite (no refresh)",
+            ));
         }
     }
 }
@@ -349,6 +249,7 @@ impl Rule for CellTable1Bounds {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::tests::check;
     use cactid_core::{AccessMode, MemoryKind, OptimizationOptions};
 
     fn cache_spec() -> MemorySpec {
@@ -385,12 +286,7 @@ mod tests {
 
     /// The report of the one rule `code` over `spec`.
     fn run(code: &str, spec: &MemorySpec) -> Report {
-        let ctx = LintContext::for_spec(spec);
-        let mut report = Report::new();
-        let rules = all();
-        let rule = rules.iter().find(|r| r.code() == code).unwrap();
-        rule.check(&ctx, &mut report);
-        report
+        check(code, &LintContext::for_spec(spec))
     }
 
     #[test]
@@ -488,9 +384,7 @@ mod tests {
         let spec = cache_spec();
         let mut ctx = LintContext::for_spec(&spec);
         ctx.cell.vpp = ctx.cell.vdd_cell - Volts::from_si(0.2);
-        let mut report = Report::new();
-        CellTable1Bounds.check(&ctx, &mut report);
-        assert!(!report.is_clean());
+        assert!(!check("CD0006", &ctx).is_clean());
     }
 
     #[test]

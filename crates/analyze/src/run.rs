@@ -1,6 +1,6 @@
 //! Parsed view of a completed `cactid-explore` run: one [`RunRecord`] per
 //! JSONL line, collected into the [`RunContext`] the cross-record `CD01xx`
-//! rules ([`crate::rule::RunRule`]) analyze.
+//! rules ([`crate::rules::RunCheck`]) analyze.
 //!
 //! Parsing is deliberately forgiving — every field is optional and
 //! malformed lines are collected rather than fatal — because the whole

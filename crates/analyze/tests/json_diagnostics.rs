@@ -29,11 +29,10 @@ fn bad_spec() -> MemorySpec {
 
 #[test]
 fn known_bad_spec_matches_the_golden_jsonl() {
-    let analyzer = Analyzer::new();
-    let report = analyzer.lint_spec(&bad_spec());
+    let report = Analyzer::new().lint_spec(&bad_spec());
     let expected = include_str!("goldens/bad_spec.jsonl");
     assert_eq!(
-        render_json(&analyzer, &report),
+        render_json(&report),
         expected,
         "json emitter output drifted from tests/goldens/bad_spec.jsonl \
          (regenerate it deliberately if the schema changed)"
@@ -54,8 +53,7 @@ fn every_severity_and_location_variant_round_trips() {
     ]
     .into_iter()
     .collect();
-    let analyzer = Analyzer::new();
-    let out = render_json(&analyzer, &report);
+    let out = render_json(&report);
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 4, "one JSON object per diagnostic:\n{out}");
 
@@ -103,6 +101,5 @@ fn every_severity_and_location_variant_round_trips() {
 
 #[test]
 fn empty_reports_emit_nothing() {
-    let analyzer = Analyzer::new();
-    assert_eq!(render_json(&analyzer, &Report::new()), "");
+    assert_eq!(render_json(&Report::new()), "");
 }

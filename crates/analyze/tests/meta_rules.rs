@@ -1,11 +1,11 @@
 //! Meta-lints over the rule set itself: every `CDxxxx` id that appears in
-//! the rule sources must be registered in the `RuleRegistry`, and every
-//! registered rule must be documented in DESIGN.md's rule tables. These
+//! the rule sources must be a row of the `RULES` table, and every row
+//! must be documented in DESIGN.md's rule tables. These
 //! tests read the repository sources at test time, so adding a rule
 //! without registering and documenting it is a test failure, not a
 //! review hazard.
 
-use cactid_analyze::RuleRegistry;
+use cactid_analyze::RULES;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -48,19 +48,14 @@ fn codes_in_sources() -> BTreeSet<String> {
 
 #[test]
 fn every_code_in_the_sources_is_registered_and_vice_versa() {
-    let registry = RuleRegistry::standard();
-    let registered: BTreeSet<String> = registry
-        .metas()
-        .iter()
-        .map(|m| m.code.to_string())
-        .collect();
+    let registered: BTreeSet<String> = RULES.iter().map(|r| r.code.to_string()).collect();
     let in_sources = codes_in_sources();
     assert!(!in_sources.is_empty(), "rule sources mention no CD codes?");
 
     let unregistered: Vec<&String> = in_sources.difference(&registered).collect();
     assert!(
         unregistered.is_empty(),
-        "codes in crates/analyze/src/rules/ missing from RuleRegistry: {unregistered:?}"
+        "codes in crates/analyze/src/rules/ missing from RULES: {unregistered:?}"
     );
     let unwritten: Vec<&String> = registered.difference(&in_sources).collect();
     assert!(
@@ -71,19 +66,12 @@ fn every_code_in_the_sources_is_registered_and_vice_versa() {
 
 #[test]
 fn registered_codes_are_unique() {
-    let registry = RuleRegistry::standard();
-    let metas = registry.metas();
-    let codes: BTreeSet<&str> = metas.iter().map(|m| m.code).collect();
-    assert_eq!(
-        codes.len(),
-        metas.len(),
-        "duplicate rule code in the registry"
-    );
+    let codes: BTreeSet<&str> = RULES.iter().map(|r| r.code).collect();
+    assert_eq!(codes.len(), RULES.len(), "duplicate rule code in RULES");
 }
 
 #[test]
 fn every_registered_rule_is_documented_in_design_md() {
-    let registry = RuleRegistry::standard();
     let doc = design_md();
     // Restrict the scan to table rows so a code mentioned in prose does
     // not count as documentation.
@@ -93,11 +81,11 @@ fn every_registered_rule_is_documented_in_design_md() {
         .collect::<Vec<_>>()
         .join("\n");
     let documented = cd_codes(&table_rows);
-    for meta in registry.metas() {
+    for rule in &RULES {
         assert!(
-            documented.contains(meta.code),
-            "{} is registered but has no DESIGN.md rule-table row",
-            meta.code
+            documented.contains(rule.code),
+            "{} is in RULES but has no DESIGN.md rule-table row",
+            rule.code
         );
     }
 }

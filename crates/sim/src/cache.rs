@@ -179,13 +179,18 @@ impl<S: Slot> SetAssocCache<S> {
         (range, tag, pos)
     }
 
-    /// Looks up `addr` in `cache`; on hit returns its state and makes it
-    /// the MRU line.
-    pub fn lookup(&mut self, cache: usize, addr: u64) -> Option<LineState> {
-        let (range, _, pos) = self.find(cache, addr);
+    /// Looks up `addr` in `cache`; on a hit makes it the MRU line, marks
+    /// it Modified for a `store`, and returns the state it was in. The
+    /// set is scanned once.
+    pub fn lookup(&mut self, cache: usize, addr: u64, store: bool) -> Option<LineState> {
+        let (range, tag, pos) = self.find(cache, addr);
         let ways = &mut self.slots[range];
         to_front(ways, pos?);
-        Some(LineState::of_slot(ways[0].into()))
+        let state = LineState::of_slot(ways[0].into());
+        if store {
+            ways[0] = pack(tag, LineState::Modified);
+        }
+        Some(state)
     }
 
     /// Looks up without touching LRU (probe).
@@ -305,13 +310,13 @@ mod tests {
     #[test]
     fn hit_after_insert() {
         let mut c = small();
-        assert_eq!(c.lookup(0, 0x1000), None);
+        assert_eq!(c.lookup(0, 0x1000, false), None);
         assert_eq!(c.insert(0, 0x1000, LineState::Exclusive), None);
-        assert_eq!(c.lookup(0, 0x1000), Some(LineState::Exclusive));
+        assert_eq!(c.lookup(0, 0x1000, false), Some(LineState::Exclusive));
         // Same line, different byte offset.
-        assert_eq!(c.lookup(0, 0x103F), Some(LineState::Exclusive));
+        assert_eq!(c.lookup(0, 0x103F, false), Some(LineState::Exclusive));
         // Different line.
-        assert_eq!(c.lookup(0, 0x1040), None);
+        assert_eq!(c.lookup(0, 0x1040, false), None);
     }
 
     #[test]
@@ -321,7 +326,7 @@ mod tests {
         let (a, b, d) = (0x0000, 0x0100, 0x0200);
         c.insert(0, a, LineState::Shared);
         c.insert(0, b, LineState::Shared);
-        c.lookup(0, a); // make `b` the LRU
+        c.lookup(0, a, false); // make `b` the LRU
         let ev = c.insert(0, d, LineState::Shared).expect("must evict");
         assert_eq!(ev.addr, b);
         assert_eq!(c.probe(0, a), Some(LineState::Shared));
@@ -504,7 +509,15 @@ mod tests {
             let (c, o) = (&mut c, &mut o);
             let ctx = format!("{cap}/{line}/{ways}/{caches} step {step} cache {k} addr {addr:#x}");
             match rng.next_below(8) {
-                0..=2 => assert_eq!(c.lookup(k, addr), o[k].lookup(addr), "{ctx}"),
+                0..=2 => {
+                    // A store hit marks the line Modified in the same scan.
+                    let store = rng.next_below(2) == 1;
+                    let hit = o[k].lookup(addr);
+                    if store {
+                        o[k].set_state(addr, LineState::Modified);
+                    }
+                    assert_eq!(c.lookup(k, addr, store), hit, "{ctx}");
+                }
                 3 => assert_eq!(c.probe(k, addr), o[k].probe(addr), "{ctx}"),
                 4 | 5 => {
                     let ev = if c.probe(k, addr).is_none() && rng.next_below(4) != 0 {

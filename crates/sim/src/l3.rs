@@ -192,7 +192,7 @@ impl L3 {
     pub fn lookup(&mut self, addr: u64) -> Option<LineState> {
         let bank = self.bank_of(addr);
         let local = self.local_addr(addr);
-        on_tags!(&mut self.banks[bank].tags, t => t.lookup(0, local))
+        on_tags!(&mut self.banks[bank].tags, t => t.lookup(0, local, false))
     }
 
     /// Inserts `addr` in `state`; any eviction is reported with its

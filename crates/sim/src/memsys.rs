@@ -44,8 +44,7 @@ pub(crate) struct LocalHit {
     /// for an L2 hit.
     pub(crate) kind: StallKind,
     /// The peers' copies must be invalidated through
-    /// [`MemSystem::upgrade`]: set for a store that hits a non-Modified
-    /// L1 line or hits in the L2.
+    /// [`MemSystem::upgrade`]: set for a store that hits a Shared line.
     pub(crate) upgrade: bool,
 }
 
@@ -117,36 +116,35 @@ impl MemSystem {
     pub(crate) fn access(&mut self, core: usize, addr: u64, is_store: bool) -> Option<LocalHit> {
         let counts = &mut self.stats.counts;
         counts.l1_reads += 1;
-        if let Some(state) = self.l1.lookup(core, addr) {
-            let upgrade = is_store && state != LineState::Modified;
+        let (state, latency, kind) = if let Some(state) = self.l1.lookup(core, addr, is_store) {
             if is_store {
                 counts.l1_writes += 1;
-                if upgrade {
-                    self.l1.set_state(core, addr, LineState::Modified);
+                if state != LineState::Modified {
                     self.l2.set_state(core, addr, LineState::Modified);
                 }
             }
-            return Some(LocalHit {
-                latency: self.l1_lat,
-                kind: StallKind::Instruction,
-                upgrade,
-            });
-        }
-        counts.l2_reads += 1;
-        // An L2 hit refills the L1.
-        let state = self.l2.lookup(core, addr)?;
-        let new_state = if is_store {
-            counts.l2_writes += 1;
-            LineState::Modified
+            (state, self.l1_lat, StallKind::Instruction)
         } else {
-            state
+            counts.l2_reads += 1;
+            // An L2 hit refills the L1.
+            let state = self.l2.lookup(core, addr, is_store)?;
+            counts.l2_writes += u64::from(is_store);
+            let l1_state = if is_store { LineState::Modified } else { state };
+            self.fill_l1(core, addr, l1_state);
+            (state, self.l2_lat, StallKind::L2Access)
         };
-        self.l2.set_state(core, addr, new_state);
-        self.fill_l1(core, addr, new_state);
+        // A store to a Shared line must invalidate the peers' copies. An
+        // Exclusive or Modified line has none: the store upgrades it
+        // silently.
+        let upgrade = is_store && state == LineState::Shared;
+        debug_assert!(
+            upgrade || !is_store || self.l2.holders(addr).without(core).is_empty(),
+            "core {core} stores to {addr:#x}, held {state:?}, while a peer holds it"
+        );
         Some(LocalHit {
-            latency: self.l2_lat,
-            kind: StallKind::L2Access,
-            upgrade: is_store,
+            latency,
+            kind,
+            upgrade,
         })
     }
 
@@ -288,24 +286,26 @@ impl MemSystem {
         dirty
     }
 
-    /// The one of `holders` whose L2 holds `addr`'s line Modified.
-    fn dirty_owner(&self, holders: CoreSet, addr: u64) -> Option<usize> {
-        if holders.count() != 1 {
-            // A Modified line has no other holder.
-            return None;
+    /// Makes the lone holder among `peers` share `addr`'s line: only a
+    /// sole holder can hold it Modified or Exclusive, so with two or more
+    /// every copy is already Shared. A Modified copy is written below at
+    /// `now`, and its holder sends the data: returns whether it was one.
+    fn downgrade_remote(&mut self, peers: CoreSet, addr: u64, now: u64) -> bool {
+        let Some(peer) = peers.iter().next().filter(|_| peers.count() == 1) else {
+            return false;
+        };
+        let state = self.l2.probe(peer, addr);
+        if !matches!(state, Some(LineState::Modified | LineState::Exclusive)) {
+            return false;
         }
-        holders
-            .iter()
-            .find(|&c| self.l2.probe(c, addr) == Some(LineState::Modified))
-    }
-
-    /// Downgrades a dirty remote owner to Shared and pushes its data below
-    /// at `now`.
-    fn downgrade_remote(&mut self, owner: usize, addr: u64, now: u64) {
-        self.stats.counts.l2_reads += 1;
-        self.l2.set_state(owner, addr, LineState::Shared);
-        self.l1.set_state(owner, addr, LineState::Shared);
-        self.writeback_below(addr, now);
+        self.l2.set_state(peer, addr, LineState::Shared);
+        self.l1.set_state(peer, addr, LineState::Shared);
+        let dirty = state == Some(LineState::Modified);
+        if dirty {
+            self.stats.counts.l2_reads += 1;
+            self.writeback_below(addr, now);
+        }
+        dirty
     }
 
     /// `core` writes `addr`'s line: every peer copy is invalidated.
@@ -330,15 +330,10 @@ impl MemSystem {
         let (from_remote, shared) = if is_store {
             (self.upgrade(core, addr), false)
         } else {
-            // `core` missed, so it is not among the holders.
+            // `core` missed, so it is not among the holders. Any peer
+            // makes the fill Shared.
             let peers = self.l2.holders(addr);
-            let owner = self.dirty_owner(peers, addr);
-            if let Some(owner) = owner {
-                self.downgrade_remote(owner, addr, now);
-            }
-            // Any peer makes the fill Shared; only a dirty owner sends
-            // the data itself.
-            (owner.is_some(), !peers.is_empty())
+            (self.downgrade_remote(peers, addr, now), !peers.is_empty())
         };
 
         let (l2_lat, xbar) = (self.l2_lat, self.xbar);
@@ -549,12 +544,30 @@ pub(crate) mod tests {
                     if dirty == 1 {
                         assert_eq!(held.len(), 1, "{ctx}: a Modified line is shared");
                     }
+                    if held
+                        .iter()
+                        .any(|&c| l2_state(&m, c, addr) == Some(LineState::Exclusive))
+                    {
+                        assert_eq!(held.len(), 1, "{ctx}: an Exclusive line is shared");
+                    }
                     dirty_seen += dirty;
                     shared_seen += usize::from(held.len() > 1);
                 }
             }
             assert!(dirty_seen > 0, "{n_cores} cores: nothing was dirty");
             assert!(shared_seen > 0, "{n_cores} cores: nothing was shared");
+        }
+    }
+
+    #[test]
+    fn a_second_reader_makes_both_copies_shared() {
+        let mut m = system(8);
+        issue(&mut m, 0, 0x4000, false);
+        assert_eq!(l2_state(&m, 0, 0x4000), Some(LineState::Exclusive));
+        issue(&mut m, 1, 0x4000, false);
+        for core in [0, 1] {
+            assert_eq!(l2_state(&m, core, 0x4000), Some(LineState::Shared));
+            assert_eq!(m.l1.probe(core, 0x4000), Some(LineState::Shared));
         }
     }
 

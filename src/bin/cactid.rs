@@ -509,15 +509,10 @@ fn parse_audit_args(argv: &[String]) -> Result<AuditArgs, String> {
 /// Prints a lint report in the requested format and exits with the shared
 /// severity contract: errors always fail; warnings fail only under
 /// `--deny-warnings`; info diagnostics never affect the exit code.
-fn finish_lint(
-    analyzer: &Analyzer,
-    report: &Report,
-    deny_warnings: bool,
-    format: OutputFormat,
-) -> ! {
+fn finish_lint(report: &Report, deny_warnings: bool, format: OutputFormat) -> ! {
     match format {
         OutputFormat::Text => {
-            print!("{}", render::render(analyzer, report));
+            print!("{}", render::render(report));
             if report.is_empty() {
                 println!("{}", render::summary_line(report));
             }
@@ -525,7 +520,7 @@ fn finish_lint(
         OutputFormat::Json => {
             // Machine-readable JSONL on stdout; the human summary goes to
             // stderr so piping stays clean.
-            print!("{}", render::render_json(analyzer, report));
+            print!("{}", render::render_json(report));
             eprintln!("{}", render::summary_line(report));
         }
     }
@@ -553,7 +548,7 @@ fn run_audit(argv: &[String]) -> ! {
     });
     let ctx = RunContext::parse(&text);
     let report = analyzer.lint_run(&ctx);
-    finish_lint(&analyzer, &report, a.deny_warnings, a.format)
+    finish_lint(&report, a.deny_warnings, a.format)
 }
 
 /// Assembles the spec directly from the parsed flags, **bypassing** the
@@ -708,22 +703,21 @@ fn run_lint(a: &Args) -> ! {
         match cactid_core::optimize(&spec) {
             Ok(sol) => analyzer.lint_solution(&spec, &sol),
             Err(e) => {
-                print!("{}", render::render(&analyzer, &spec_report));
+                print!("{}", render::render(&spec_report));
                 eprintln!("error: the spec lints clean but has no feasible solution: {e}");
                 exit(1)
             }
         }
     };
-    finish_lint(&analyzer, &report, a.deny_warnings, a.format)
+    finish_lint(&report, a.deny_warnings, a.format)
 }
 
 /// Prints the winner's organization- and solution-stage diagnostics on
 /// stderr, if it has any.
 fn print_diagnostics(spec: &MemorySpec, sol: &Solution) {
-    let analyzer = Analyzer::new();
-    let report = analyzer.lint_candidate(spec, sol);
+    let report = Analyzer::new().lint_candidate(spec, sol);
     if !report.is_empty() {
-        eprint!("{}", render::render(&analyzer, &report));
+        eprint!("{}", render::render(&report));
     }
 }
 
