@@ -482,6 +482,17 @@ grep -q 'digest=90d1153abf8e557e$' "$MDIR/r8.txt" &&
     cat "$MDIR/r8.txt" "$MDIR/r1.txt" >&2
     exit 1
 }
+# And at 1, 2 and 4 cores: the 1- and 2-core L3s keep 4-byte tag slots,
+# a path the 8- and 64-core runs never reach.
+for PIN in 1:d82bb280f9168a79 2:72a0d158a13ee759 4:9890d4a7579e089d; do
+    CORES=${PIN%%:*}
+    $LLC shard --cores "$CORES" -n 200000 > "$MDIR/small.txt" 2>/dev/null
+    grep -q "digest=${PIN#*:}\$" "$MDIR/small.txt" || {
+        echo "the $CORES-core digest moved from ${PIN#*:}:" >&2
+        cat "$MDIR/small.txt" >&2
+        exit 1
+    }
+done
 grep -q '"name":"sim.shard.epochs","value":[1-9]' "$MDIR/mesi.trace.jsonl" || {
     echo "trace sidecar lacks a nonzero sim.shard.epochs counter" >&2
     exit 1
@@ -544,6 +555,12 @@ cmp "$ZDIR/abl1.txt" "$ZDIR/abl2.txt" || {
 grep -q 'PageMode: .*row-hit rate 0\.0*[1-9]' "$ZDIR/abl1.txt" || {
     echo "the page-mode L3 reported no row hits:" >&2
     cat "$ZDIR/abl1.txt" >&2
+    exit 1
+}
+# At 200 000 instructions per run the output is pinned byte for byte, as
+# the study's tables are above.
+$LLC ablations -n 200000 2>/dev/null | cmp - tests/goldens/llc_study_ablations_200k.txt || {
+    echo "llc-study ablations -n 200000 differs from tests/goldens/llc_study_ablations_200k.txt" >&2
     exit 1
 }
 rm -rf "$ZDIR"

@@ -145,12 +145,21 @@ pub(crate) fn mux_legality(code: &'static str, ctx: &LintContext<'_>, report: &m
             .with_suggestion(Location::org("deg_bl_mux"), "1"),
         );
     }
-    if org.deg_bl_mux == 0 || org.deg_sa_mux == 0 {
-        report.push(Diagnostic::error(
-            code,
-            Location::org("deg_sa_mux"),
-            "mux degrees must be nonzero",
-        ));
+    let mut zero = false;
+    for (field, degree) in [
+        ("deg_bl_mux", org.deg_bl_mux),
+        ("deg_sa_mux", org.deg_sa_mux),
+    ] {
+        if degree == 0 {
+            report.push(Diagnostic::error(
+                code,
+                Location::org(field),
+                "mux degrees must be nonzero",
+            ));
+            zero = true;
+        }
+    }
+    if zero {
         return;
     }
     let output = spec.output_bits();
@@ -277,20 +286,21 @@ pub(crate) fn wordline_rc(code: &'static str, ctx: &LintContext<'_>, report: &mu
     };
     let rc = array::wordline_elmore(&ctx.cell, cols);
     if verdict == Err(PrescreenFailure::WordlineElmore) {
-        report.push(
-            Diagnostic::error(
-                code,
-                Location::org("ndwl"),
-                format!(
-                    "wordline RC of {:.2} ns over {cols} columns exceeds the {:.0} ns \
-                         unrepeatered-wire budget; unlike the H-tree, a wordline cannot be \
-                         repeatered at the cell pitch",
-                    rc.value() * 1e9,
-                    WORDLINE_ELMORE_BOUND.value() * 1e9
-                ),
-            )
-            .with_suggestion(Location::org("ndwl"), (org.ndwl.max(1) * 2).to_string()),
+        let error = Diagnostic::error(
+            code,
+            Location::org("ndwl"),
+            format!(
+                "wordline RC of {:.2} ns over {cols} columns exceeds the {:.0} ns \
+                     unrepeatered-wire budget; unlike the H-tree, a wordline cannot be \
+                     repeatered at the cell pitch",
+                rc.value() * 1e9,
+                WORDLINE_ELMORE_BOUND.value() * 1e9
+            ),
         );
+        report.push(match split_wordline(ctx, org) {
+            Some(ndwl) => error.with_suggestion(Location::org("ndwl"), ndwl.to_string()),
+            None => error,
+        });
     } else if rc > 0.8 * WORDLINE_ELMORE_BOUND && rc <= WORDLINE_ELMORE_BOUND {
         report.push(Diagnostic::warn(
             code,
@@ -302,6 +312,22 @@ pub(crate) fn wordline_rc(code: &'static str, ctx: &LintContext<'_>, report: &mu
             ),
         ));
     }
+}
+
+/// The fewest wordline segments that meet the RC budget: the smallest
+/// power of two above `org.ndwl` (CD0010 takes no other split), within
+/// the sweep bound, whose shorter wordline is within it. `None` when no
+/// such split exists.
+fn split_wordline(ctx: &LintContext<'_>, org: &OrgParams) -> Option<u32> {
+    let mut ndwl = org.ndwl.checked_add(1)?.checked_next_power_of_two()?;
+    while ndwl <= MAX_NDWL {
+        let split = OrgParams { ndwl, ..*org };
+        if array::wordline_elmore(&ctx.cell, split.cols(ctx.spec)) <= WORDLINE_ELMORE_BOUND {
+            return Some(ndwl);
+        }
+        ndwl *= 2;
+    }
+    None
 }
 
 /// `CD0020`: the sense amplifiers actually get the differential they

@@ -7,7 +7,7 @@
 use cactid_analyze::{
     render::render, render_json, Analyzer, Check, LintContext, Report, RunContext,
 };
-use cactid_analyze::{Stage, RULES};
+use cactid_analyze::{Severity, Stage, Suggestion, RULES};
 use cactid_core::{AccessMode, MemoryKind, MemorySpec, OptimizationOptions, OrgParams, Solution};
 use cactid_tech::{CellTechnology, TechNode};
 use cactid_units::{Farads, Joules, Ohms, Seconds, SquareMeters, Volts, Watts};
@@ -134,8 +134,8 @@ fn spec_report() -> Report {
 
 /// CD0010–CD0014 and CD0020: hand-made organizations of a 1 MB cache,
 /// two with corrupted cell parameters to reach the wordline and sense
-/// margin bounds.
-fn org_report() -> Report {
+/// margin bounds, handed to `f` as lint contexts.
+fn with_org_contexts<R>(f: impl FnOnce(&[LintContext<'_>]) -> R) -> R {
     let sram = cache(1 << 20, CellTechnology::Sram);
     let dram = cache(1 << 20, CellTechnology::LpDram);
     let mm = main_memory();
@@ -160,22 +160,23 @@ fn org_report() -> Report {
     near_rc.cell.r_wordline_per_cell *= 60.0;
     let mut margin = LintContext::for_spec(&dram).with_org(&tall);
     margin.cell.max_rows_per_subarray = usize::MAX;
-    stage_report(
-        Stage::Organization,
-        &[
-            LintContext::for_spec(&sram).with_org(&unsplit),
-            LintContext::for_spec(&sram).with_org(&huge),
-            LintContext::for_spec(&sram).with_org(&torn),
-            LintContext::for_spec(&sram).with_org(&muxed),
-            LintContext::for_spec(&dram).with_org(&muxed),
-            LintContext::for_spec(&dram).with_org(&tall),
-            LintContext::for_spec(&sram).with_org(&flat),
-            LintContext::for_spec(&mm).with_org(&striped),
-            rc,
-            near_rc,
-            margin,
-        ],
-    )
+    f(&[
+        LintContext::for_spec(&sram).with_org(&unsplit),
+        LintContext::for_spec(&sram).with_org(&huge),
+        LintContext::for_spec(&sram).with_org(&torn),
+        LintContext::for_spec(&sram).with_org(&muxed),
+        LintContext::for_spec(&dram).with_org(&muxed),
+        LintContext::for_spec(&dram).with_org(&tall),
+        LintContext::for_spec(&sram).with_org(&flat),
+        LintContext::for_spec(&mm).with_org(&striped),
+        rc,
+        near_rc,
+        margin,
+    ])
+}
+
+fn org_report() -> Report {
+    with_org_contexts(|contexts| stage_report(Stage::Organization, contexts))
 }
 
 /// CD0015–CD0019, CD0021 and CD0022: solved designs with corrupted
@@ -301,4 +302,91 @@ fn text_rendering_matches_the_golden() {
 fn json_rendering_matches_the_golden() {
     let json: String = reports().iter().map(render_json).collect();
     assert_eq!(json, include_str!("goldens/every_rule.jsonl"));
+}
+
+/// Sets the organization field `suggestion` names to its value.
+fn apply(org: &mut OrgParams, suggestion: &Suggestion) {
+    let value = &suggestion.value;
+    match suggestion.field.field {
+        "ndwl" => org.ndwl = value.parse().unwrap(),
+        "ndbl" => org.ndbl = value.parse().unwrap(),
+        "nspd" => org.nspd = value.parse().unwrap(),
+        "deg_bl_mux" => org.deg_bl_mux = value.parse().unwrap(),
+        "deg_sa_mux" => org.deg_sa_mux = value.parse().unwrap(),
+        field => panic!("no organization field {field}"),
+    }
+}
+
+/// The errors of `report` as (code, field) pairs.
+fn errors(report: &Report) -> BTreeSet<(&'static str, &'static str)> {
+    report
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .map(|d| (d.code, d.location.field))
+        .collect()
+}
+
+#[test]
+fn the_wordline_suggestion_clears_its_error_and_adds_none() {
+    // CD0014 suggests splitting the wordline further. Its suggestion,
+    // applied to each golden organization it fires on, clears the
+    // CD0014 error and raises no error the organization did not have:
+    // `ndwl = 3` is told 4, not 6, which CD0010 would refuse.
+    let applied = with_org_contexts(|contexts| {
+        let mut applied = Vec::new();
+        for ctx in contexts {
+            let before = stage_report(Stage::Organization, std::slice::from_ref(ctx));
+            for d in before.iter().filter(|d| d.code == "CD0014") {
+                let Some(suggestion) = &d.suggestion else {
+                    continue;
+                };
+                let mut org = *ctx.org.unwrap();
+                apply(&mut org, suggestion);
+                let fixed = LintContext {
+                    org: Some(&org),
+                    ..ctx.clone()
+                };
+                let after = stage_report(Stage::Organization, &[fixed]);
+                let (was, now) = (errors(&before), errors(&after));
+                assert!(
+                    !now.contains(&("CD0014", "ndwl")),
+                    "{suggestion} left CD0014 firing"
+                );
+                assert!(
+                    now.is_subset(&was),
+                    "{suggestion} raised {:?}",
+                    now.difference(&was).collect::<Vec<_>>()
+                );
+                applied.push((ctx.org.unwrap().ndwl, org.ndwl));
+            }
+        }
+        applied
+    });
+    assert!(applied.contains(&(3, 4)), "{applied:?}");
+}
+
+#[test]
+fn a_zero_mux_degree_is_reported_at_its_own_field() {
+    // CD0012 names the degree that is zero, not the other one.
+    let sram = cache(1 << 20, CellTechnology::Sram);
+    let located = |deg_bl_mux, deg_sa_mux| {
+        let org = OrgParams {
+            ndwl: 4,
+            ndbl: 8,
+            nspd: 1.0,
+            deg_bl_mux,
+            deg_sa_mux,
+        };
+        let ctx = LintContext::for_spec(&sram).with_org(&org);
+        let report = stage_report(Stage::Organization, &[ctx]);
+        report
+            .iter()
+            .filter(|d| d.code == "CD0012" && d.message == "mux degrees must be nonzero")
+            .map(|d| d.location.field)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(located(0, 4), ["deg_bl_mux"]);
+    assert_eq!(located(2, 0), ["deg_sa_mux"]);
+    assert_eq!(located(0, 0), ["deg_bl_mux", "deg_sa_mux"]);
+    assert!(located(2, 4).is_empty());
 }

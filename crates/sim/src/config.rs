@@ -6,6 +6,10 @@
 
 use crate::coherence::MAX_CORES;
 
+/// The most hardware threads a core may have: the issue stage keeps a
+/// core's ready threads in one `u64`.
+pub const MAX_THREADS_PER_CORE: u32 = 64;
+
 /// A structurally invalid [`SystemConfig`], caught at construction instead
 /// of mid-simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,6 +56,9 @@ pub enum ConfigError {
     },
     /// `threads_per_core` is zero, so no core has a thread to issue.
     ZeroThreadsPerCore,
+    /// `threads_per_core` exceeds [`MAX_THREADS_PER_CORE`]: the issue
+    /// stage reads a core's ready threads off one 64-bit mask.
+    TooManyThreadsPerCore(u32),
     /// An interleave divisor — DRAM channels, banks or page size, L3 bank
     /// count or subbank count — is zero or not a power of two. The
     /// simulators split addresses with shifts and masks, so each of these
@@ -97,6 +104,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroThreadsPerCore => {
                 write!(f, "threads_per_core must be at least 1")
             }
+            ConfigError::TooManyThreadsPerCore(n) => write!(
+                f,
+                "threads_per_core = {n} exceeds {MAX_THREADS_PER_CORE}, \
+                 the width of a core's ready mask"
+            ),
             ConfigError::InterleaveNotPowerOfTwo { field, value } => write!(
                 f,
                 "{field} = {value} must be a nonzero power of two \
@@ -316,7 +328,7 @@ pub struct SystemConfig {
 impl SystemConfig {
     /// Total hardware threads.
     pub fn n_threads(&self) -> usize {
-        (self.n_cores * self.threads_per_core) as usize
+        self.n_cores as usize * self.threads_per_core as usize
     }
 
     /// Checks the whole system description is self-consistent.
@@ -325,6 +337,7 @@ impl SystemConfig {
     ///
     /// [`ConfigError::UnsupportedCoreCount`],
     /// [`ConfigError::ZeroThreadsPerCore`],
+    /// [`ConfigError::TooManyThreadsPerCore`],
     /// [`ConfigError::LineSizeMismatch`], or any [`ConfigError`] from
     /// the configured levels ([`CacheConfig::validate`] for the L1 and L2,
     /// [`L3Config::validate`] for the L3, [`DramConfig::validate`] for
@@ -335,6 +348,9 @@ impl SystemConfig {
         }
         if self.threads_per_core == 0 {
             return Err(ConfigError::ZeroThreadsPerCore);
+        }
+        if self.threads_per_core > MAX_THREADS_PER_CORE {
+            return Err(ConfigError::TooManyThreadsPerCore(self.threads_per_core));
         }
         self.l1.validate("L1")?;
         self.l2.validate("L2")?;
@@ -473,6 +489,22 @@ mod tests {
             c.n_cores = n;
             assert_eq!(c.validate(), Err(ConfigError::UnsupportedCoreCount(n)));
         }
+    }
+
+    #[test]
+    fn validate_bounds_the_threads_per_core() {
+        // A core's ready threads are one 64-bit mask, so 64 is the
+        // ceiling; 64 cores of 2^26 threads would wrap a `u32` thread
+        // count to 0.
+        let mut c = SystemConfig::many_core(64);
+        c.threads_per_core = 64;
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(c.n_threads(), 4096);
+        for n in [65, 1 << 26, u32::MAX] {
+            c.threads_per_core = n;
+            assert_eq!(c.validate(), Err(ConfigError::TooManyThreadsPerCore(n)));
+        }
+        assert_eq!(c.n_threads(), 64 * u32::MAX as usize, "no wrap");
     }
 
     #[test]

@@ -42,7 +42,7 @@
 pub mod cache;
 pub mod coherence;
 pub mod config;
-pub mod core;
+mod core;
 pub mod dram;
 pub mod l3;
 mod memsys;

@@ -18,7 +18,7 @@
 use crate::cache::{Eviction, LineState, SetAssocCache};
 use crate::coherence::CoreSet;
 use crate::config::{ConfigError, SystemConfig};
-use crate::core::{Thread, ThreadState};
+use crate::core::Threads;
 use crate::dram::DramChannel;
 use crate::l3::L3;
 use crate::stats::{SimStats, StallKind};
@@ -400,15 +400,11 @@ impl MemSystem {
         lock.holder
     }
 
-    /// Lets `t`, which holds a lock it queued for, issue from `at + 1`,
-    /// attributing its wait; returns the cycles waited.
-    pub(crate) fn grant_lock(&mut self, t: &mut Thread, at: u64) -> u64 {
-        let mut wait = 0;
-        if let ThreadState::WaitingLock(_, since) = t.state {
-            wait = at - since;
-            self.stats.attribute(StallKind::Lock, wait);
-        }
-        t.state = ThreadState::StalledUntil(at + 1);
+    /// Lets the parked `tid`, which now holds a lock it queued for, issue
+    /// from `at + 1`, attributing its wait; returns the cycles waited.
+    pub(crate) fn grant_lock(&mut self, threads: &mut Threads, tid: usize, at: u64) -> u64 {
+        let wait = threads.unpark(tid, at);
+        self.stats.attribute(StallKind::Lock, wait);
         wait
     }
 
@@ -423,21 +419,12 @@ impl MemSystem {
         last
     }
 
-    /// Lets every one of `threads` parked at the barrier issue from
-    /// `at + 1`, attributing its wait; returns the cycles waited in all.
-    pub(crate) fn release_barrier<'a>(
-        &mut self,
-        threads: impl IntoIterator<Item = &'a mut Thread>,
-        at: u64,
-    ) -> u64 {
-        let mut waited = 0;
-        for t in threads {
-            if let ThreadState::AtBarrier(since) = t.state {
-                self.stats.attribute(StallKind::Barrier, at - since);
-                waited += at - since;
-                t.state = ThreadState::StalledUntil(at + 1);
-            }
-        }
+    /// Lets every thread, each parked at the barrier once the last one
+    /// arrives, issue from `at + 1`, attributing its wait; returns the
+    /// cycles waited in all.
+    pub(crate) fn release_barrier(&mut self, threads: &mut Threads, at: u64) -> u64 {
+        let waited = (0..self.n_threads).map(|tid| threads.unpark(tid, at)).sum();
+        self.stats.attribute(StallKind::Barrier, waited);
         waited
     }
 

@@ -5,11 +5,11 @@
 //! Fine-grained multithreaded cores drive the coherent memory hierarchy
 //! of `memsys.rs`. At each issuing cycle the engine runs the issue
 //! stage of every core with an issuable thread, in core order, and each
-//! core's threads in round-robin order from one start shared by every
-//! core. An instruction's effects — L1/L2 hits, the L2-miss service
-//! (coherence actions, fills, L3 and DRAM reservations), lock grants and
-//! barrier release — are applied as it issues, so they land in
-//! `(cycle, core, issue order)`. Cycles where no thread can issue are
+//! core's ready threads in round-robin order from one start shared by
+//! every core. An instruction's effects — L1/L2 hits, the L2-miss
+//! service (coherence actions, fills, L3 and DRAM reservations), lock
+//! grants and barrier release — are applied as it issues, so they land
+//! in `(cycle, core, issue order)`. Cycles where no thread can issue are
 //! skipped: each core keeps its exact next wake, and the loop jumps to
 //! the soonest.
 //!
@@ -18,31 +18,10 @@
 //! multi-worker engine and its epoch-edge timing were deleted.
 
 use crate::config::SystemConfig;
-use crate::core::{Thread, ThreadState};
+use crate::core::Threads;
 use crate::memsys::MemSystem;
 use crate::stats::SimStats;
 use crate::trace::{Instr, TraceSource};
-
-/// When each core can next issue.
-struct Wakes {
-    /// Per core: the earliest cycle one of its threads can issue
-    /// ([`Thread::wake`] minimized over the core), `u64::MAX` when all are
-    /// parked. Kept exact, not a lower bound: a visited cycle with no
-    /// issuable thread would still advance the round-robin start.
-    core: Vec<u64>,
-    /// The minimum of `core`, exact between steps. A step folds it in a
-    /// local as it passes each core; a lock grant or barrier release
-    /// lowers it with every thread it wakes.
-    soonest: u64,
-}
-
-impl Wakes {
-    /// A thread of `core` was woken to issue from `at`.
-    fn lower(&mut self, core: usize, at: u64) {
-        self.core[core] = self.core[core].min(at);
-        self.soonest = self.soonest.min(at);
-    }
-}
 
 /// Run counters exposed by [`Simulator::info`] (cumulative since
 /// construction).
@@ -68,17 +47,37 @@ pub struct ShardInfo {
 /// [`TraceSource`], then call [`Simulator::run`].
 pub struct Simulator<T> {
     trace: T,
-    /// Indexed by global thread id: core `c` owns `c * tpc..(c + 1) * tpc`.
-    threads: Vec<Thread>,
+    threads: Threads,
+    /// Threads per core, at most 64: a core's ready set is one word.
     tpc: usize,
     other_cycles: u64,
-    wakes: Wakes,
+    /// Per core: the earliest cycle one of its threads can issue, the
+    /// minimum of their wakes, `u64::MAX` when all are parked. Kept
+    /// exact, not a lower bound: a visited cycle with no issuable thread
+    /// would still advance the round-robin start.
+    core_wake: Vec<u64>,
+    /// The minimum of `core_wake`, folded after each step.
+    soonest: u64,
     /// Round-robin start thread, shared by every core.
     rr: usize,
     mem: MemSystem,
     cycle: u64,
     stats_epoch: u64,
     info: ShardInfo,
+}
+
+/// The minimum of `wakes`, one compare and select per element. Written
+/// as `iter().fold(u64::MAX, u64::min)`, the fold over the core wakes in
+/// `step` becomes an SSE2 sequence that emulates 64-bit unsigned compares
+/// with 32-bit ones.
+fn earliest(wakes: &[u64]) -> u64 {
+    let mut soonest = u64::MAX;
+    for &wake in wakes {
+        if wake < soonest {
+            soonest = wake;
+        }
+    }
+    soonest
 }
 
 impl<T: TraceSource> Simulator<T> {
@@ -107,13 +106,11 @@ impl<T: TraceSource> Simulator<T> {
         cfg.validate()?;
         Ok(Simulator {
             trace,
-            threads: (0..cfg.n_threads()).map(|_| Thread::new()).collect(),
+            threads: Threads::new(cfg.n_threads()),
             tpc: cfg.threads_per_core as usize,
             other_cycles: cfg.other_instr_cycles,
-            wakes: Wakes {
-                core: vec![0; cfg.n_cores as usize],
-                soonest: 0,
-            },
+            core_wake: vec![0; cfg.n_cores as usize],
+            soonest: 0,
             rr: 0,
             mem: MemSystem::new(&cfg)?,
             cycle: 0,
@@ -156,7 +153,7 @@ impl<T: TraceSource> Simulator<T> {
     /// Steps the issuing cycles until `target_instructions` have issued,
     /// the cycle cap is reached or nothing can ever wake.
     fn advance(&mut self, target_instructions: u64) {
-        if target_instructions == 0 || self.wakes.soonest == u64::MAX {
+        if target_instructions == 0 || self.soonest == u64::MAX {
             // Nothing to issue, or a synchronization deadlock.
             return;
         }
@@ -165,12 +162,12 @@ impl<T: TraceSource> Simulator<T> {
             .saturating_add(target_instructions.saturating_mul(1000).max(10_000));
         let mut left = target_instructions;
         // The first step of a run is an issuing cycle too.
-        let mut cycle = self.cycle.max(self.wakes.soonest);
+        let mut cycle = self.cycle.max(self.soonest);
         let mut steps = 0;
         self.cycle = loop {
             left = left.saturating_sub(self.step(cycle));
             steps += 1;
-            let wake = self.wakes.soonest;
+            let wake = self.soonest;
             if left == 0 || cycle + 1 >= cycle_cap || wake == u64::MAX {
                 break cycle + 1;
             }
@@ -180,20 +177,23 @@ impl<T: TraceSource> Simulator<T> {
     }
 
     /// One issuing cycle: every core with an issuable thread runs its
-    /// issue stage. Returns the instructions issued.
+    /// issue stage, in core order. Returns the instructions issued.
+    ///
+    /// A step wakes no thread for its own cycle (grants and releases wake
+    /// from the next one), so the cores that issue are read off one ready
+    /// mask taken before the first of them runs.
     fn step(&mut self, cycle: u64) -> u64 {
-        let mut issued = 0;
-        // Folded in a local; the field collects the wakes of threads that
-        // a lock grant or barrier release woke on an already-folded core.
-        let mut soonest = u64::MAX;
-        self.wakes.soonest = u64::MAX;
-        for core in 0..self.wakes.core.len() {
-            if self.wakes.core[core] <= cycle {
-                issued += self.issue(core, cycle);
-            }
-            soonest = soonest.min(self.wakes.core[core]);
+        let mut ready = 0u64;
+        for (core, &wake) in self.core_wake.iter().enumerate() {
+            ready |= u64::from(wake <= cycle) << core;
         }
-        self.wakes.soonest = self.wakes.soonest.min(soonest);
+        let mut issued = 0;
+        while ready != 0 {
+            let core = ready.trailing_zeros() as usize;
+            ready &= ready - 1;
+            issued += self.issue(core, cycle);
+        }
+        self.soonest = earliest(&self.core_wake);
         self.rr = if self.rr + 1 == self.tpc {
             0
         } else {
@@ -202,126 +202,119 @@ impl<T: TraceSource> Simulator<T> {
         issued
     }
 
-    /// One core's issue stage for one cycle: its threads in round-robin
-    /// order, at most one FP, one other and one memory instruction
-    /// issued, each one's effects applied at `cycle`. Sets the core's
-    /// wake and returns the instructions issued.
+    /// One core's issue stage for one cycle. Its ready threads, in
+    /// round-robin order from `rr`, each fetch their next instruction if
+    /// they have none; the first FP one, the first of any other kind but
+    /// a barrier, and every barrier issue, each one's effects applied at
+    /// `cycle` as it is met. Sets the core's wake and returns the
+    /// instructions issued.
     ///
-    /// A turn changes only its own thread, unless it grants a lock or
-    /// releases the barrier, which lower the woken threads' cores; so
-    /// folding each thread's wake after its turn gives the core's next
-    /// wake without a rescan.
+    /// The core's next wake is the earliest of its threads' wakes after
+    /// the last turn. A later core's grant or release can only lower it,
+    /// and does so itself.
     #[inline(never)]
     fn issue(&mut self, core: usize, cycle: u64) -> u64 {
-        let tpc = self.tpc;
-        self.wakes.core[core] = u64::MAX;
-        let mut next_wake = u64::MAX;
+        let first = core * self.tpc;
+        let ready = self.threads.ready(first, self.tpc, cycle);
+        let rr = self.rr;
         let mut issued = 0;
         let mut fp_free = true;
         let mut other_free = true;
-        let mut mem_free = true;
-        for k in 0..tpc {
-            let mut lt = self.rr + k;
-            if lt >= tpc {
-                lt -= tpc;
-            }
-            let tid = core * tpc + lt;
-            let t = &mut self.threads[tid];
-            let thread_wake = t.wake();
-            if thread_wake > cycle {
-                next_wake = next_wake.min(thread_wake);
-                continue;
-            }
-            let instr = *t.pending.get_or_insert_with(|| self.trace.next(tid));
-            let issues = match instr {
-                Instr::Fp if fp_free => {
-                    fp_free = false;
-                    true
-                }
-                Instr::Other if other_free => {
-                    other_free = false;
-                    t.state = ThreadState::StalledUntil(cycle + self.other_cycles);
-                    true
-                }
-                Instr::Load(addr) if other_free && mem_free => {
-                    other_free = false;
-                    mem_free = false;
-                    let mem = &mut self.mem;
-                    let (latency, kind) = match mem.access(core, addr, false) {
-                        Some(hit) => (hit.latency, hit.kind),
-                        None => mem.miss(core, addr, false, cycle),
-                    };
-                    mem.record_load(latency, kind);
-                    t.state = ThreadState::StalledUntil(cycle + latency);
-                    true
-                }
-                Instr::Store(addr) if other_free && mem_free => {
-                    other_free = false;
-                    mem_free = false;
-                    let mem = &mut self.mem;
-                    match mem.access(core, addr, true) {
-                        Some(hit) => {
-                            if hit.upgrade {
-                                mem.upgrade(core, addr);
-                            }
-                        }
-                        None => {
-                            mem.miss(core, addr, true, cycle);
-                        }
-                    }
-                    // Posted store: the thread continues next cycle.
-                    t.state = ThreadState::StalledUntil(cycle + 1);
-                    true
-                }
-                Instr::Barrier => {
-                    t.state = ThreadState::AtBarrier(cycle);
-                    self.info.messages += 1;
-                    if self.mem.arrive_at_barrier() {
-                        // The last arrival releases every thread.
-                        self.info.stall_cycles +=
-                            self.mem.release_barrier(self.threads.iter_mut(), cycle);
-                        for c in 0..self.wakes.core.len() {
-                            self.wakes.lower(c, cycle + 1);
-                        }
-                    }
-                    true
-                }
-                Instr::Lock(id) if other_free => {
-                    other_free = false;
-                    self.info.messages += 1;
-                    // A free lock is granted at once, with no wait.
-                    t.state = if self.mem.lock(id, tid) {
-                        ThreadState::StalledUntil(cycle + 1)
-                    } else {
-                        ThreadState::WaitingLock(id, cycle)
-                    };
-                    true
-                }
-                Instr::Unlock(id) if other_free => {
-                    other_free = false;
-                    t.state = ThreadState::StalledUntil(cycle + 1);
-                    self.info.messages += 1;
-                    if let Some(next) = self.mem.unlock(id, tid) {
-                        self.info.stall_cycles +=
-                            self.mem.grant_lock(&mut self.threads[next], cycle);
-                        self.wakes.lower(next / tpc, cycle + 1);
-                    }
-                    true
-                }
-                _ => false,
+        // Rotated right by `rr`, the mask lists the threads from `rr` up
+        // in its low bits and those below `rr` in its top `rr` bits
+        // (`rr < tpc <= 64`), so its bits in ascending order are the
+        // round-robin order.
+        let mut turn = ready.rotate_right(rr as u32);
+        while turn != 0 {
+            let tid = first + ((turn.trailing_zeros() as usize + rr) & 63);
+            turn &= turn - 1;
+            let instr = match self.threads.pending[tid] {
+                Some(instr) => instr,
+                None => self.trace.next(tid),
             };
-            let t = &mut self.threads[tid];
+            let issues = match instr {
+                Instr::Fp => std::mem::replace(&mut fp_free, false),
+                Instr::Barrier => true,
+                _ => std::mem::replace(&mut other_free, false),
+            };
             if issues {
-                t.pending = None;
+                self.threads.pending[tid] = None;
+                self.execute(core, tid, instr, cycle);
                 issued += 1;
+            } else {
+                self.threads.pending[tid] = Some(instr);
             }
-            next_wake = next_wake.min(t.wake());
         }
-        self.wakes.core[core] = self.wakes.core[core].min(next_wake);
+        self.core_wake[core] = earliest(&self.threads.wake[first..first + self.tpc]);
         let stats = &mut self.mem.stats;
         stats.instructions += issued;
         stats.counts.l1i_reads += issued;
         issued
+    }
+
+    /// Applies the effects of `tid` (of `core`) issuing `instr` at
+    /// `cycle`.
+    #[inline(always)]
+    fn execute(&mut self, core: usize, tid: usize, instr: Instr, cycle: u64) {
+        let threads = &mut self.threads;
+        let mem = &mut self.mem;
+        match instr {
+            // The FP unit takes one instruction per cycle; the thread
+            // may issue again next cycle.
+            Instr::Fp => {}
+            Instr::Other => threads.wake[tid] = cycle + self.other_cycles,
+            Instr::Load(addr) => {
+                let (latency, kind) = match mem.access(core, addr, false) {
+                    Some(hit) => (hit.latency, hit.kind),
+                    None => mem.miss(core, addr, false, cycle),
+                };
+                mem.record_load(latency, kind);
+                threads.wake[tid] = cycle + latency;
+            }
+            Instr::Store(addr) => {
+                match mem.access(core, addr, true) {
+                    Some(hit) => {
+                        if hit.upgrade {
+                            mem.upgrade(core, addr);
+                        }
+                    }
+                    None => {
+                        mem.miss(core, addr, true, cycle);
+                    }
+                }
+                // Posted store: the thread continues next cycle.
+                threads.wake[tid] = cycle + 1;
+            }
+            Instr::Barrier => {
+                threads.park(tid, cycle);
+                self.info.messages += 1;
+                if mem.arrive_at_barrier() {
+                    // The last arrival releases every thread.
+                    self.info.stall_cycles += mem.release_barrier(threads, cycle);
+                    for wake in &mut self.core_wake {
+                        *wake = (*wake).min(cycle + 1);
+                    }
+                }
+            }
+            Instr::Lock(id) => {
+                self.info.messages += 1;
+                // A free lock is granted at once, with no wait.
+                if mem.lock(id, tid) {
+                    threads.wake[tid] = cycle + 1;
+                } else {
+                    threads.park(tid, cycle);
+                }
+            }
+            Instr::Unlock(id) => {
+                threads.wake[tid] = cycle + 1;
+                self.info.messages += 1;
+                if let Some(next) = mem.unlock(id, tid) {
+                    self.info.stall_cycles += mem.grant_lock(threads, next, cycle);
+                    let woken = &mut self.core_wake[next / self.tpc];
+                    *woken = (*woken).min(cycle + 1);
+                }
+            }
+        }
     }
 
     /// Discards statistics gathered so far (cache/DRAM state is kept), so

@@ -1,5 +1,25 @@
 //! The trace generator: turns a [`Profile`] into per-thread instruction
 //! streams implementing [`memsim::TraceSource`].
+//!
+//! # Draws as integer compares
+//!
+//! Every probability draw compares the top 53 bits of one xorshift64*
+//! output, `k = rng >> 11`, against a threshold computed once per trace:
+//!
+//! ```text
+//! k / 2^53 < p   ⟺   k < p · 2^53   ⟺   k < ⌈p · 2^53⌉
+//! ```
+//!
+//! The float form is what the generator once computed as `unif() < p`.
+//! `k < 2^53` converts to `f64` exactly, and multiplying or dividing by a
+//! power of two is exact, so the first step holds bit for bit; the second
+//! holds because `k` is an integer. The cast of `⌈p · 2^53⌉` to `u64`
+//! saturates, which keeps the edge cases: `p ≥ 1` passes every `k`, and a
+//! negative or NaN `p` none. A cumulative threshold such as `p_hot +
+//! p_warm` is the same `f64` sum the float draw compared against. So the
+//! streams are bit-identical to the float draws'; `tests/streams.rs` pins
+//! them. The region line counts and the run span are precomputed the
+//! same way, once per trace.
 
 use crate::apps::{NpbApp, NpbClass};
 use crate::profile::{Profile, SHARED_BYTES};
@@ -15,6 +35,62 @@ const COLD_BASE: u64 = 8 << 30; // 8 GB
 /// at `SHARED_BASE + SHARED_BYTES` (15 GB + 4 MB).
 pub const SHARED_BASE: u64 = 15 << 30;
 const LINE: u64 = 64;
+
+/// The integer threshold `⌈p · 2^53⌉` of a draw `unif() < p` (module
+/// doc).
+fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// A profile as the generator reads it: draw thresholds, region sizes
+/// in lines and the cadences, all fixed for the trace.
+#[derive(Debug, Clone, Copy)]
+struct Table {
+    /// Instruction mix: memory below `mem`, FP below `mem_fp`.
+    mem: u64,
+    mem_fp: u64,
+    store: u64,
+    /// Region mix: hot below `hot`, warm below `warm`, cold below `cold`,
+    /// shared above.
+    hot: u64,
+    warm: u64,
+    cold: u64,
+    neighbor: u64,
+    hot_lines: u64,
+    /// Bytes and lines of one thread's slice of the warm region.
+    slice_bytes: u64,
+    slice_lines: u64,
+    cold_lines: u64,
+    /// A sequential run continues for `rng % run_span` more lines.
+    run_span: u64,
+    barrier_interval: u64,
+    lock_interval: u64,
+    lock_hold: u64,
+}
+
+impl Table {
+    fn new(p: &Profile, n_threads: usize) -> Table {
+        let slice_bytes = (p.warm_bytes / n_threads as u64).max(LINE * 16);
+        let lines = |bytes: u64| (bytes / LINE).max(1);
+        Table {
+            mem: threshold(p.p_mem),
+            mem_fp: threshold(p.p_mem + p.p_fp),
+            store: threshold(p.store_frac),
+            hot: threshold(p.p_hot),
+            warm: threshold(p.p_hot + p.p_warm),
+            cold: threshold(p.p_hot + p.p_warm + p.p_cold),
+            neighbor: threshold(p.p_neighbor),
+            hot_lines: lines(p.hot_bytes),
+            slice_bytes,
+            slice_lines: lines(slice_bytes),
+            cold_lines: lines(p.cold_bytes),
+            run_span: 2 * u64::from(p.seq_run_lines.max(1)),
+            barrier_interval: p.barrier_interval,
+            lock_interval: p.lock_interval,
+            lock_hold: p.lock_hold.max(1),
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 struct ThreadGen {
@@ -37,6 +113,7 @@ struct ThreadGen {
 #[derive(Debug, Clone)]
 pub struct NpbTrace {
     profile: Profile,
+    table: Table,
     n_threads: usize,
     threads: Vec<ThreadGen>,
 }
@@ -101,6 +178,7 @@ impl NpbTrace {
             })
             .collect();
         NpbTrace {
+            table: Table::new(&profile, n_threads),
             profile,
             n_threads,
             threads,
@@ -119,16 +197,14 @@ impl NpbTrace {
         t.rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Uniform f64 in [0,1).
-    fn unif(t: &mut ThreadGen) -> f64 {
-        (Self::rng(t) >> 11) as f64 / (1u64 << 53) as f64
+    /// A uniform draw on `[0, 2^53)`, compared against a [`threshold`].
+    fn draw(t: &mut ThreadGen) -> u64 {
+        Self::rng(t) >> 11
     }
 
     /// Picks the next memory address for thread `tid`.
     fn address(&mut self, tid: usize) -> u64 {
-        // Its own by-value copy as well: taking `next`'s copy by reference
-        // measured ~4 % slower per generated instruction on x86-64.
-        let p = self.profile.clone();
+        let d = self.table;
         let t = &mut self.threads[tid];
 
         // Continue a sequential run for spatial locality.
@@ -138,31 +214,28 @@ impl NpbTrace {
             return t.cursor;
         }
 
-        let r = Self::unif(t);
-        let (base, size) = if r < p.p_hot {
-            (HOT_BASE + tid as u64 * HOT_STRIDE, p.hot_bytes)
-        } else if r < p.p_hot + p.p_warm {
+        let r = Self::draw(t);
+        let (base, lines) = if r < d.hot {
+            (HOT_BASE + tid as u64 * HOT_STRIDE, d.hot_lines)
+        } else if r < d.warm {
             // Partitioned warm region: mostly own slice, sometimes a
             // neighbour's (halo exchange).
-            let slice = (p.warm_bytes / self.n_threads as u64).max(LINE * 16);
-            let owner = if Self::unif(t) < p.p_neighbor {
+            let owner = if Self::draw(t) < d.neighbor {
                 (tid + 1) % self.n_threads
             } else {
                 tid
             };
-            (WARM_BASE + owner as u64 * slice, slice)
-        } else if r < p.p_hot + p.p_warm + p.p_cold {
-            (COLD_BASE, p.cold_bytes)
+            (WARM_BASE + owner as u64 * d.slice_bytes, d.slice_lines)
+        } else if r < d.cold {
+            (COLD_BASE, d.cold_lines)
         } else {
-            (SHARED_BASE, SHARED_BYTES)
+            (SHARED_BASE, SHARED_BYTES / LINE)
         };
 
-        let lines = (size / LINE).max(1);
         let line = Self::rng(t) % lines;
         let addr = base + line * LINE;
         // Start a sequential run from here.
-        let mean = u64::from(p.seq_run_lines.max(1));
-        t.run_left = (Self::rng(t) % (2 * mean)) as u32;
+        t.run_left = (Self::rng(t) % d.run_span) as u32;
         t.cursor = addr;
         addr
     }
@@ -183,16 +256,15 @@ fn due(left: &mut u64, interval: u64) -> bool {
 
 impl TraceSource for NpbTrace {
     fn next(&mut self, tid: usize) -> Instr {
-        // A by-value copy, not a borrow: its fields load once, before the
-        // writes to the generator state, and a borrow measured ~30 %
-        // slower per instruction on x86-64.
-        let p = self.profile.clone();
+        // A copy, not a borrow: its fields load once, before the writes to
+        // the thread's state (a borrowed profile measured ~30 % slower).
+        let d = self.table;
         {
             let t = &mut self.threads[tid];
             // Every instruction counts toward both cadences, whatever it
             // turns out to be.
-            let barrier_due = due(&mut t.to_barrier, p.barrier_interval);
-            let lock_due = due(&mut t.to_lock, p.lock_interval);
+            let barrier_due = due(&mut t.to_barrier, d.barrier_interval);
+            let lock_due = due(&mut t.to_lock, d.lock_interval);
 
             // Release a held lock when its hold time elapses.
             if let Some(id) = t.held_lock {
@@ -210,21 +282,20 @@ impl TraceSource for NpbTrace {
             if lock_due && t.held_lock.is_none() {
                 let id = (Self::rng(t) % 16) as u32;
                 t.held_lock = Some(id);
-                t.lock_release_in = p.lock_hold.max(1);
+                t.lock_release_in = d.lock_hold;
                 return Instr::Lock(id);
             }
         }
 
-        let r = Self::unif(&mut self.threads[tid]);
-        if r < p.p_mem {
+        let r = Self::draw(&mut self.threads[tid]);
+        if r < d.mem {
             let addr = self.address(tid);
-            let t = &mut self.threads[tid];
-            if Self::unif(t) < p.store_frac {
+            if Self::draw(&mut self.threads[tid]) < d.store {
                 Instr::Store(addr)
             } else {
                 Instr::Load(addr)
             }
-        } else if r < p.p_mem + p.p_fp {
+        } else if r < d.mem_fp {
             Instr::Fp
         } else {
             Instr::Other
