@@ -288,10 +288,10 @@ grep -q '"status":"infeasible"' "$ADIR/grid.jsonl" || {
     echo "the smoke grid has no infeasible records" >&2
     exit 1
 }
-# The static grid audit, the interval prover and the in-solve linter are
-# gone: usage errors.
+# The static grid audit, the interval prover, the in-solve linter and
+# serve's TCP listener are gone: usage errors.
 for ARGS in "audit --grid --sizes 64K" "prove --size 64K" \
-    "explore --sizes 64K --lint"; do
+    "explore --sizes 64K --lint" "serve --listen 127.0.0.1:0"; do
     RC=0
     $CACTID $ARGS >/dev/null 2>&1 || RC=$?
     test "$RC" -eq 2 || {

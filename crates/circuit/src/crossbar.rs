@@ -6,7 +6,7 @@ use crate::driver::BufferChain;
 use crate::repeater::RepeatedWire;
 use crate::BlockResult;
 use cactid_tech::{DeviceParams, WireParams};
-use cactid_units::{energy_cv2, Joules, Meters, Seconds};
+use cactid_units::{energy_cv2, Meters, Seconds};
 
 /// An `n_in × n_out` matrix crossbar carrying `width_bits`-wide flits over
 /// a physical span of `side_length` per dimension.
@@ -77,19 +77,13 @@ impl Crossbar {
             area,
         }
     }
-
-    /// Energy to move `bytes` of payload through the crossbar — scales the
-    /// per-flit evaluation by the number of flits needed.
-    pub fn transfer_energy(&self, dev: &DeviceParams, wire: &WireParams, bytes: usize) -> Joules {
-        let flits = (bytes * 8).div_ceil(self.width_bits);
-        self.evaluate(dev, wire).energy * flits as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cactid_tech::{DeviceType, TechNode, Technology, WireType};
+    use cactid_units::Joules;
 
     fn setup() -> (DeviceParams, WireParams) {
         let t = Technology::new(TechNode::N32);
@@ -117,15 +111,6 @@ mod tests {
         let wide = Crossbar::new(8, 8, 256, Meters::mm(3.0)).evaluate(&d, &w);
         assert!(wide.energy > narrow.energy);
         assert_eq!(wide.delay, narrow.delay);
-    }
-
-    #[test]
-    fn transfer_energy_scales_with_payload() {
-        let (d, w) = setup();
-        let xbar = Crossbar::new(8, 8, 128, Meters::mm(3.0));
-        let e64 = xbar.transfer_energy(&d, &w, 64);
-        let e128 = xbar.transfer_energy(&d, &w, 128);
-        assert!((e128 / e64 - 2.0).abs() < 1e-9);
     }
 
     #[test]

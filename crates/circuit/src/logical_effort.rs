@@ -6,18 +6,6 @@
 
 use cactid_units::Farads;
 
-/// Logical effort of common gates (relative to an inverter's `g = 1`),
-/// assuming a P:N ratio of 2.
-pub fn gate_logical_effort(fanin: usize, is_nand: bool) -> f64 {
-    let n = fanin as f64;
-    if is_nand {
-        (n + 2.0) / 3.0
-    } else {
-        // NOR
-        (2.0 * n + 1.0) / 3.0
-    }
-}
-
 /// A sized chain computed by logical effort.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EffortChain {
@@ -69,17 +57,6 @@ pub fn size_chain(c_in: Farads, c_load: Farads, g_total: f64, min_stages: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nand_and_nor_efforts() {
-        assert!((gate_logical_effort(2, true) - 4.0 / 3.0).abs() < 1e-12);
-        assert!((gate_logical_effort(3, true) - 5.0 / 3.0).abs() < 1e-12);
-        assert!((gate_logical_effort(2, false) - 5.0 / 3.0).abs() < 1e-12);
-        // NOR is always worse than NAND at equal fan-in.
-        for n in 2..6 {
-            assert!(gate_logical_effort(n, false) > gate_logical_effort(n, true));
-        }
-    }
 
     #[test]
     fn chain_effort_near_optimum() {

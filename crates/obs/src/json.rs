@@ -379,9 +379,12 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign (`\u+041`).
                             let hex = self
                                 .text
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             // Surrogate pairs are absent from the engine's
@@ -629,7 +632,17 @@ mod tests {
 
     #[test]
     fn malformed_inputs_error_with_position() {
-        for bad in ["", "{", "{\"a\":}", "[1,]", "{\"a\":1} x", "nul", "\"open"] {
+        for bad in [
+            "",
+            "{",
+            "{\"a\":}",
+            "[1,]",
+            "{\"a\":1} x",
+            "nul",
+            "\"open",
+            "\"\\u+041\"",
+            "\"\\u12\"",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
         assert!(parse("1e999").unwrap().as_f64().unwrap().is_infinite());

@@ -25,10 +25,9 @@
 //!   (`solve`/`grid`/`stats`/`shutdown`), parsed with the workspace's own
 //!   hermetic JSON parser; malformed lines become in-band error
 //!   responses, never crashes.
-//! * **[`mod@service`]** — the [`Service`]: request dispatch over two
-//!   interchangeable transports, a stdin/stdout loop (what tests and
-//!   `ci.sh` drive) and a std-TCP listener, both funneling into one line
-//!   handler.
+//! * **[`mod@service`]** — the [`Service`]: request dispatch and its one
+//!   transport, a JSONL loop over stdin/stdout (or any reader/writer
+//!   pair, which is how tests drive it) feeding one line handler.
 //!
 //! # Quickstart
 //!
@@ -52,5 +51,5 @@ pub mod store;
 
 pub use error::ServeError;
 pub use protocol::{parse_request, Request};
-pub use service::{ServeConfig, ServeOutcome, Service};
+pub use service::{ServeConfig, Service};
 pub use store::{SolutionStore, STORE_MAGIC};

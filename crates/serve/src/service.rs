@@ -1,11 +1,11 @@
-//! The service: request dispatch, the solve path, and the two transports.
+//! The service: request dispatch, the solve path, and the stdio loop.
 //!
 //! One [`Service`] owns one [`SolutionStore`] (a file with `--store`, in
 //! memory without), a [`MemoPool`] of evaluation memos, and a thread
-//! budget for the explore engine's pool. Both transports — a
-//! stdin/stdout JSONL loop and a TCP listener — funnel into the same line
-//! handler, so they are byte-for-byte interchangeable and the stdio loop
-//! (trivially testable, no sockets) pins the protocol behavior for both.
+//! budget for the explore engine's pool. Its one transport is a JSONL
+//! loop over any reader/writer pair ([`Service::run_lines`], with
+//! [`Service::run_stdio`] on stdin/stdout); every line goes through
+//! [`Service::handle_line`]. A socket is one `socat` away.
 //!
 //! # The solve path and byte identity
 //!
@@ -46,9 +46,8 @@ use cactid_explore::{
 };
 use cactid_obs::json::JsonObject;
 use std::io::{BufRead, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// The longest request line the loops read, newline included. A line
@@ -66,16 +65,6 @@ pub struct ServeConfig {
     /// Path of the persistent solution store; `None` keeps the store in
     /// memory for the session.
     pub store: Option<PathBuf>,
-}
-
-/// How a service loop ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeOutcome {
-    /// Requests handled by this loop (empty lines don't count).
-    pub requests: u64,
-    /// `true` when the loop ended on a `shutdown` request rather than
-    /// end-of-input.
-    pub shutdown: bool,
 }
 
 /// A resident solve service. See the module docs for the solve path.
@@ -143,7 +132,8 @@ impl Service {
         &self.store
     }
 
-    /// Requests handled over the service's lifetime (all transports).
+    /// Requests handled over the service's lifetime; blank lines do not
+    /// count.
     pub fn requests_served(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
     }
@@ -321,11 +311,7 @@ impl Service {
         &self,
         mut reader: impl BufRead,
         mut writer: impl Write,
-    ) -> Result<ServeOutcome, ServeError> {
-        let mut outcome = ServeOutcome {
-            requests: 0,
-            shutdown: false,
-        };
+    ) -> Result<(), ServeError> {
         let read = |e: std::io::Error| ServeError::Io(format!("read: {e}"));
         let mut line = Vec::new();
         loop {
@@ -352,9 +338,6 @@ impl Service {
                 cactid_obs::counter!("serve.rejected.not_utf8").inc();
                 self.answer(|| Err((0, "request line is not valid UTF-8".to_string())))
             };
-            if !responses.is_empty() {
-                outcome.requests += 1;
-            }
             for r in &responses {
                 writeln!(writer, "{r}").map_err(|e| ServeError::Io(format!("write: {e}")))?;
             }
@@ -362,82 +345,22 @@ impl Service {
                 .flush()
                 .map_err(|e| ServeError::Io(format!("write: {e}")))?;
             if shutdown {
-                outcome.shutdown = true;
                 break;
             }
         }
-        Ok(outcome)
+        Ok(())
     }
 
-    /// Serves stdin/stdout — the hermetic transport `ci.sh` and tests
-    /// drive, and the natural mode under a process supervisor.
+    /// Serves stdin/stdout, the service's one transport: what `cactid
+    /// serve` runs, and the natural mode under a process supervisor.
     ///
     /// # Errors
     ///
     /// See [`Service::run_lines`].
-    pub fn run_stdio(&self) -> Result<ServeOutcome, ServeError> {
+    pub fn run_stdio(&self) -> Result<(), ServeError> {
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
         self.run_lines(stdin.lock(), stdout.lock())
-    }
-
-    /// Accepts TCP connections until a `shutdown` request arrives on any
-    /// of them, serving each connection on its own scoped thread (they
-    /// all share this service's memo pool and store). Connections open at
-    /// shutdown finish their current request loop when their client
-    /// closes.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] when the listener's local address cannot be
-    /// read. Per-connection failures are reported to stderr and do not
-    /// stop the service.
-    pub fn run_tcp(&self, listener: &TcpListener) -> Result<(), ServeError> {
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ServeError::Io(format!("listener: {e}")))?;
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for conn in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let stream = match conn {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("cactid-serve: accept: {e}");
-                        continue;
-                    }
-                };
-                let stop = &stop;
-                scope.spawn(move || {
-                    if let Err(e) = self.serve_stream(stream, stop, addr) {
-                        eprintln!("cactid-serve: connection: {e}");
-                    }
-                });
-            }
-        });
-        Ok(())
-    }
-
-    fn serve_stream(
-        &self,
-        stream: TcpStream,
-        stop: &AtomicBool,
-        addr: SocketAddr,
-    ) -> Result<(), ServeError> {
-        let reader = std::io::BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| ServeError::Io(format!("socket: {e}")))?,
-        );
-        let outcome = self.run_lines(reader, stream)?;
-        if outcome.shutdown {
-            stop.store(true, Ordering::SeqCst);
-            // Unblock the accept loop so it can observe the stop flag.
-            let _ = TcpStream::connect(addr);
-        }
-        Ok(())
     }
 }
 
@@ -462,9 +385,8 @@ mod tests {
             solve_req(2)
         );
         let mut out = Vec::new();
-        let outcome = svc.run_lines(input.as_bytes(), &mut out).unwrap();
-        assert_eq!(outcome.requests, 4, "blank line is not a request");
-        assert!(outcome.shutdown);
+        svc.run_lines(input.as_bytes(), &mut out).unwrap();
+        assert_eq!(svc.requests_served(), 4, "blank line is not a request");
         let out = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -697,29 +619,5 @@ mod tests {
             "{}",
             lines[1]
         );
-    }
-
-    #[test]
-    fn tcp_round_trip_and_shutdown() {
-        let svc = store_less();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        std::thread::scope(|scope| {
-            let svc = &svc;
-            let handle = scope.spawn(move || svc.run_tcp(&listener));
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-            let mut w = stream;
-            writeln!(w, "{}", solve_req(11)).unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert!(line.starts_with("{\"idx\":11,"), "{line}");
-            writeln!(w, "{{\"id\":12,\"op\":\"shutdown\"}}").unwrap();
-            line.clear();
-            reader.read_line(&mut line).unwrap();
-            assert_eq!(line.trim(), "{\"id\":12,\"ok\":true}");
-            drop(w);
-            handle.join().unwrap().unwrap();
-        });
     }
 }

@@ -46,7 +46,6 @@ mod core;
 pub mod dram;
 pub mod l3;
 mod memsys;
-pub mod record;
 pub mod rng;
 pub mod shard;
 pub mod sim;

@@ -324,8 +324,8 @@ impl<T: TraceSource> Simulator<T> {
         self.stats_epoch = self.cycle;
     }
 
-    /// Consumes the simulator and hands back its trace source (e.g. a
-    /// [`crate::record::Recorder`] whose capture you want).
+    /// Consumes the simulator and hands back its trace source, with
+    /// whatever state it gathered while the simulator polled it.
     pub fn into_trace_source(self) -> T {
         self.trace
     }

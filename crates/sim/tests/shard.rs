@@ -4,7 +4,6 @@
 //! across cores.
 
 use memsim::config::{L3Interface, L3PageTiming};
-use memsim::record::Recorder;
 use memsim::trace::{Instr, StridedSource, TraceSource};
 use memsim::{ShardedSimulator, SimStats, Simulator, StallKind, SystemConfig};
 
@@ -74,16 +73,19 @@ fn every_thread_sees_its_own_stream() {
     let cfg = SystemConfig::many_core(16);
     let n = cfg.n_threads();
     let mk = || StridedSource::with_seed(n, 0.3, 64 << 10, 9);
-    let mut sim = Simulator::try_new(cfg.clone(), Recorder::new(mk(), n)).unwrap();
+    let rec = Recording {
+        inner: mk(),
+        streams: vec![Vec::new(); n],
+    };
+    let mut sim = Simulator::try_new(cfg.clone(), rec).unwrap();
     sim.run(20_000);
     let rec = sim.into_trace_source();
-    let mut replay = rec.clone().into_trace();
     let mut fresh = mk();
     let mut compared = 0usize;
-    for tid in 0..n {
-        for i in 0..rec.recorded(tid) {
+    for (tid, stream) in rec.streams.iter().enumerate() {
+        for (i, &seen) in stream.iter().enumerate() {
             assert_eq!(
-                replay.next(tid),
+                seen,
                 fresh.next(tid),
                 "instruction {i} diverged for tid {tid}"
             );
@@ -91,6 +93,20 @@ fn every_thread_sees_its_own_stream() {
         }
     }
     assert!(compared > 10_000, "compared only {compared} instructions");
+}
+
+/// Passes an inner source through, keeping each thread's stream.
+struct Recording<T> {
+    inner: T,
+    streams: Vec<Vec<Instr>>,
+}
+
+impl<T: TraceSource> TraceSource for Recording<T> {
+    fn next(&mut self, tid: usize) -> Instr {
+        let i = self.inner.next(tid);
+        self.streams[tid].push(i);
+        i
+    }
 }
 
 /// All threads hammer a small shared region — maximal cross-core

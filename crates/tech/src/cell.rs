@@ -141,19 +141,6 @@ impl CellParams {
         let c_bl = self.c_bitline_per_cell * rows as f64;
         Some(self.vdd_cell / 2.0 * self.c_storage / (self.c_storage + c_bl))
     }
-
-    /// Largest power-of-two row count per subarray that still meets the
-    /// sense margin (and the hard `max_rows_per_subarray` cap).
-    pub fn max_feasible_rows(&self) -> usize {
-        let mut rows = self.max_rows_per_subarray;
-        while rows > 16 {
-            match self.dram_sense_signal(rows) {
-                Some(signal) if signal < self.v_sense_margin => rows /= 2,
-                _ => break,
-            }
-        }
-        rows
-    }
 }
 
 /// Raw per-node anchor rows. Order: N90, N65, N45, N32.
@@ -408,21 +395,6 @@ mod tests {
         assert!(s512 >= comm.v_sense_margin, "{s512}");
         let sram = cell_params(TechNode::N32, CellTechnology::Sram);
         assert!(sram.dram_sense_signal(512).is_none());
-    }
-
-    #[test]
-    fn max_feasible_rows_respects_margin() {
-        for &node in TechNode::ALL_WITH_HALF_NODES {
-            for &ty in &[CellTechnology::LpDram, CellTechnology::CommDram] {
-                let c = cell_params(node, ty);
-                let rows = c.max_feasible_rows();
-                assert!(rows >= 16);
-                assert!(
-                    c.dram_sense_signal(rows).unwrap() >= c.v_sense_margin || rows == 16,
-                    "{ty}@{node}: rows={rows}"
-                );
-            }
-        }
     }
 
     #[test]

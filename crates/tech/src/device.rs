@@ -109,11 +109,6 @@ impl DeviceParams {
         self.r_eff_n / w
     }
 
-    /// Effective on-resistance of a PMOS of width `w`.
-    pub fn res_on_p(&self, w: Meters) -> Ohms {
-        self.r_eff_n * self.p_to_n_ratio / w
-    }
-
     /// Subthreshold leakage power of `w` meters of (NMOS-equivalent) width
     /// at this class's VDD. PMOS leakage is folded in by callers via an
     /// effective-width convention.
@@ -331,9 +326,6 @@ mod tests {
         let w = Meters::um(1.0);
         assert!((p.cap_gate(2.0 * w) - 2.0 * p.cap_gate(w)).abs() < Farads::from_si(1e-20));
         assert!((p.res_on_n(2.0 * w) - p.res_on_n(w) / 2.0).abs() < Ohms::from_si(1e-6));
-        // PMOS of p_to_n× width matches NMOS resistance.
-        let wp = p.p_to_n_ratio * w;
-        assert!((p.res_on_p(wp) - p.res_on_n(w)).abs() < Ohms::from_si(1e-9));
     }
 
     #[test]

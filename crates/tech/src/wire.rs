@@ -9,7 +9,7 @@
 //! shows.
 
 use crate::node::TechNode;
-use crate::units::{Farads, FaradsPerMeter, Meters, OhmMeters, Ohms, OhmsPerMeter, Seconds};
+use crate::units::{Farads, FaradsPerMeter, Meters, OhmMeters, Ohms, OhmsPerMeter};
 use std::fmt;
 
 /// An interconnect class.
@@ -67,16 +67,6 @@ pub struct WireParams {
 }
 
 impl WireParams {
-    /// Elmore delay of an unrepeated wire of length `len`, `0.38·R·C·L²`.
-    pub fn elmore_delay(&self, len: Meters) -> Seconds {
-        // Dimensionally (Ω/m)·(F/m)·m² = s, but the intermediate Ω·F/m²
-        // product has no named type; computed raw with the historic
-        // left-to-right association.
-        Seconds::from_si(
-            0.38 * self.r_per_m.value() * self.c_per_m.value() * len.value() * len.value(),
-        )
-    }
-
     /// Total resistance of a wire of length `len`.
     pub fn res(&self, len: Meters) -> Ohms {
         self.r_per_m * len
@@ -161,13 +151,5 @@ mod tests {
         assert!((1.0..15.0).contains(&r_ohm_um), "R = {r_ohm_um} Ω/µm");
         let c_ff_um = semi.c_per_m / FaradsPerMeter::ff_per_um(1.0);
         assert!((0.1..0.3).contains(&c_ff_um));
-    }
-
-    #[test]
-    fn elmore_delay_is_quadratic_in_length() {
-        let w = wire_params(TechNode::N45, WireType::Global);
-        let d1 = w.elmore_delay(Meters::mm(1.0));
-        let d2 = w.elmore_delay(Meters::mm(2.0));
-        assert!((d2 / d1 - 4.0).abs() < 1e-9);
     }
 }

@@ -22,11 +22,10 @@
 //! Pareto-annotated JSONL); its `--trace` sidecar carries the solver's
 //! per-rule prune counters (`core.solve.pruned.*`). The `audit` subcommand
 //! replays the cross-record `CD0101`–`CD0105` rules over a finished run
-//! (`--jsonl FILE`). The `serve` subcommand
-//! keeps a solver resident: a JSONL request loop (stdin/stdout or
-//! `--listen` TCP) answering solve/grid queries in the explore record
-//! schema, with an optional `--store` disk-backed solution store so
-//! restarts answer duplicate specs without re-solving.
+//! (`--jsonl FILE`). The `serve` subcommand keeps a solver resident: a
+//! JSONL request loop over stdin/stdout answering solve/grid queries in
+//! the explore record schema, with an optional `--store` disk-backed
+//! solution store so restarts answer duplicate specs without re-solving.
 //!
 //! The binary lives in the facade crate (not `cactid-core`) because the
 //! `lint` subcommand needs `cactid-analyze`, which depends on the core —
@@ -68,8 +67,7 @@ fn usage() -> ! {
          \x20                          prescreen's rejections per rule\n\
          \x20 serve    resident solve service speaking a JSONL request protocol\n\
          \x20          (solve/grid/stats/shutdown) in the explore record schema:\n\
-         \x20          [--stdio]       serve stdin/stdout (the default)\n\
-         \x20          [--listen ADDR] serve TCP connections on ADDR\n\
+         \x20          [--stdio]       serve stdin/stdout (the only transport)\n\
          \x20          [--store FILE]  disk-backed content-addressed solution\n\
          \x20                          store; restarts answer duplicates without\n\
          \x20                          re-solving, byte-identical to a cold solve\n\
@@ -382,11 +380,9 @@ fn run_explore(argv: &[String]) -> ! {
     }
 }
 
-/// Everything `cactid serve` needs: the transport plus service options.
+/// Everything `cactid serve` needs.
 #[derive(Debug)]
 struct ServeArgs {
-    /// `Some(addr)` for TCP, `None` for the stdin/stdout JSONL loop.
-    listen: Option<String>,
     store: Option<PathBuf>,
     threads: usize,
     trace: Option<PathBuf>,
@@ -394,18 +390,16 @@ struct ServeArgs {
 
 fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
     let mut a = ServeArgs {
-        listen: None,
         store: None,
         threads: 0,
         trace: None,
     };
-    let mut stdio = false;
     let mut i = 0;
     while i < argv.len() {
         let flag = argv[i].as_str();
         match flag {
-            "--stdio" => stdio = true,
-            "--listen" => a.listen = Some(value(argv, &mut i, flag)?.to_string()),
+            // The only transport; accepted so scripts may name it.
+            "--stdio" => {}
             "--store" => a.store = Some(PathBuf::from(value(argv, &mut i, flag)?)),
             "--threads" => a.threads = parse_threads(value(argv, &mut i, flag)?)?,
             "--trace" => a.trace = Some(PathBuf::from(value(argv, &mut i, flag)?)),
@@ -414,16 +408,13 @@ fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
         }
         i += 1;
     }
-    if stdio && a.listen.is_some() {
-        return Err("--stdio and --listen are mutually exclusive".to_string());
-    }
     Ok(a)
 }
 
 /// The `cactid serve` subcommand: a resident solve service. Records go to
-/// stdout (stdio mode) or the socket; diagnostics, the end-of-run metric
-/// summary (request latency p50/p99 included) and the optional trace
-/// sidecar go to stderr/disk, so piping the records stays clean.
+/// stdout; diagnostics, the end-of-run metric summary (request latency
+/// p50/p99 included) and the optional trace sidecar go to stderr/disk,
+/// so piping the records stays clean.
 fn run_serve(argv: &[String]) -> ! {
     let a = parse_serve_args(argv).unwrap_or_else(|e| {
         eprintln!("error: {e}");
@@ -437,18 +428,7 @@ fn run_serve(argv: &[String]) -> ! {
         eprintln!("error: {e}");
         exit(1)
     });
-    let result = match &a.listen {
-        Some(addr) => std::net::TcpListener::bind(addr.as_str())
-            .map_err(|e| format!("binding {addr}: {e}"))
-            .and_then(|listener| {
-                if let Ok(local) = listener.local_addr() {
-                    eprintln!("cactid-serve: listening on {local}");
-                }
-                svc.run_tcp(&listener).map_err(|e| e.to_string())
-            }),
-        None => svc.run_stdio().map(drop).map_err(|e| e.to_string()),
-    };
-    if let Err(e) = result {
+    if let Err(e) = svc.run_stdio() {
         eprintln!("error: {e}");
         exit(1)
     }
@@ -972,7 +952,7 @@ mod tests {
     #[test]
     fn serve_flags_round_trip() {
         let a = parse_serve_args(&args(&[])).unwrap();
-        assert!(a.listen.is_none() && a.store.is_none() && a.trace.is_none());
+        assert!(a.store.is_none() && a.trace.is_none());
         assert_eq!(a.threads, 0);
 
         let a = parse_serve_args(&args(&[
@@ -985,22 +965,16 @@ mod tests {
             "trace.jsonl",
         ]))
         .unwrap();
-        assert!(a.listen.is_none());
         assert_eq!(
             a.store.as_deref(),
             Some(std::path::Path::new("solutions.store"))
         );
         assert_eq!(a.threads, 2);
         assert!(a.trace.is_some());
-
-        let a = parse_serve_args(&args(&["--listen", "127.0.0.1:7878"])).unwrap();
-        assert_eq!(a.listen.as_deref(), Some("127.0.0.1:7878"));
     }
 
     #[test]
     fn serve_parser_rejects_bad_input() {
-        let both = parse_serve_args(&args(&["--stdio", "--listen", "127.0.0.1:0"])).unwrap_err();
-        assert!(both.contains("mutually exclusive"), "{both}");
         let unknown = parse_serve_args(&args(&["--bogus"])).unwrap_err();
         assert!(unknown.contains("unknown flag"), "{unknown}");
         let dangling = parse_serve_args(&args(&["--store"])).unwrap_err();

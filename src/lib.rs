@@ -10,8 +10,10 @@
 //!   sense amps, repeaters, crossbars).
 //! * [`core`] — the CACTI-D array-organization model, DRAM operational
 //!   models, main-memory chip model and the staged solution optimizer.
-//! * [`analyze`] — the diagnostics engine: twenty-two lint rules over specs,
-//!   organizations and solutions (`cactid lint`, `CD0001`–`CD0022`).
+//! * [`analyze`] — the diagnostics engine: twenty-seven rules in one
+//!   table, twenty-two over specs, organizations and solutions (`cactid
+//!   lint`, `CD0001`–`CD0022`) and five over a finished explore run
+//!   (`cactid audit`, `CD0101`–`CD0105`).
 //! * [`sim`] — the cycle-level CMP memory-hierarchy simulator.
 //! * [`workloads`] — synthetic NPB-like workload generators.
 //! * [`study`] — the paper's tables and figures (Tables 1–3, Figures 1,
@@ -20,7 +22,7 @@
 //!   hermetic thread pool, solve memoization, resumable JSONL sweeps and
 //!   Pareto-frontier extraction (`cactid explore`).
 //! * [`serve`] — a resident solve service: JSONL requests over
-//!   stdin/stdout or TCP, answered in the explore record schema and backed
+//!   stdin/stdout, answered in the explore record schema and backed
 //!   by a disk-backed content-addressed solution store, so restarts answer
 //!   duplicates without re-solving (`cactid serve`).
 //! * [`obs`] — zero-dependency observability: process-wide counters,

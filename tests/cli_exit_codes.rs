@@ -286,6 +286,8 @@ fn audit_grid_mode_and_prove_are_usage_errors() {
         &["prove", "--size", "64K"],
         // Lint runs on the spec and the winner, never inside a solve.
         &["explore", "--sizes", "64K", "--lint"],
+        // Serve speaks stdin/stdout only; there is no listener to bind.
+        &["serve", "--listen", "127.0.0.1:0"],
     ] {
         let out = cactid(argv);
         assert_eq!(code(&out), 2, "{argv:?}: {out:?}");
