@@ -7,17 +7,15 @@ echo "== cargo fmt --check"
 cargo fmt --all --check
 
 echo "== cargo clippy --all-targets --all-features -- -D warnings"
-# --all-features lints the feature-gated tests/proptests.rs as well.
+# No crate declares a cargo feature today; --all-features keeps any that
+# one adds under the lints.
 cargo clippy --all-targets --all-features --workspace -- -D warnings
 
 echo "== cargo test"
+# The randomized property proofs in tests/proptests.rs (memo
+# order-independence, the prescreen/evaluate and static-screen/solve
+# agreements, ...) run here with the rest of the suite.
 cargo test --workspace -q
-
-echo "== cargo test --features proptest"
-# The randomized property proofs (memo order-independence, the
-# prescreen/evaluate and static-screen/solve agreements, ...) are
-# feature-gated.
-cargo test --workspace -q --features proptest
 
 echo "== perfbench tests (its own workspace)"
 # perfbench is a separate workspace that times the repository's crates

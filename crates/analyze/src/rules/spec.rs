@@ -37,7 +37,7 @@ pub fn code_of(v: &SpecViolation) -> Option<&'static str> {
         | V::PagePastHalfBank { .. } => "CD0007",
         V::AddressWidth(_) | V::AddressTooNarrow { .. } => "CD0008",
         V::RepeaterRelax(_) | V::Overhead { .. } | V::Weight { .. } => "CD0009",
-        V::MissingField(_) | V::NotMainMemory(_) | V::ChannelWidth { .. } => return None,
+        V::MissingField(_) | V::NotMainMemory => return None,
     })
 }
 

@@ -7,7 +7,7 @@ use cactid_analyze::{Analyzer, Severity};
 use cactid_core::array::{self, PrescreenFailure};
 use cactid_core::{org, AccessMode, CactiError, MemoryKind, MemorySpec, OptimizationOptions};
 use cactid_tech::{CellTechnology, TechNode, Technology};
-use llc_study::configs::{c_options, ed_options, main_memory_spec, LlcKind};
+use llc_study::configs::{main_memory_spec, LlcKind};
 use memsim::rng::XorShift64Star;
 use std::collections::HashSet;
 
@@ -63,7 +63,11 @@ fn table3_specs() -> Vec<(String, MemorySpec)> {
     ];
     for kind in LlcKind::ALL {
         if let Some((cap, assoc, cell, cap_opt)) = kind.l3_shape() {
-            let mut opt = if cap_opt { c_options() } else { ed_options() };
+            let mut opt = if cap_opt {
+                OptimizationOptions::c()
+            } else {
+                OptimizationOptions::ed()
+            };
             opt.sleep_transistors = cell == CellTechnology::Sram;
             specs.push((
                 format!("L3 {}", kind.label()),

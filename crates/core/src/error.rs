@@ -130,16 +130,8 @@ pub enum SpecViolation {
     },
     /// The builder was not given a required field.
     MissingField(&'static str),
-    /// A main-memory or DIMM assembly (named) was handed a spec of
-    /// another kind.
-    NotMainMemory(&'static str),
-    /// The chip io width does not divide the DIMM channel.
-    ChannelWidth {
-        /// The chip io width \[bits\].
-        io_bits: u32,
-        /// The channel width \[bits\].
-        channel_bits: u32,
-    },
+    /// The main-memory assembly was handed a spec of another kind.
+    NotMainMemory,
 }
 
 impl SpecViolation {
@@ -157,7 +149,7 @@ impl SpecViolation {
             }
             V::BankCount(_) | V::BankSplit { .. } => "n_banks",
             V::MainMemoryCell(_) => "cell_tech",
-            V::IoWidth(_) | V::ChannelWidth { .. } => "kind.io_bits",
+            V::IoWidth(_) => "kind.io_bits",
             V::BurstLength(_) => "kind.burst_length",
             V::PrefetchNotPowerOfTwo(_) | V::PrefetchShort { .. } => "kind.prefetch",
             V::PageSize(_) | V::BurstPastPage { .. } | V::PagePastHalfBank { .. } => {
@@ -166,7 +158,7 @@ impl SpecViolation {
             V::AddressWidth(_) | V::AddressTooNarrow { .. } => "address_bits",
             V::RepeaterRelax(_) => "opt.repeater_relax",
             V::Overhead { field, .. } | V::Weight { field, .. } | V::MissingField(field) => field,
-            V::NotMainMemory(_) => "kind",
+            V::NotMainMemory => "kind",
         }
     }
 }
@@ -266,16 +258,7 @@ impl fmt::Display for SpecViolation {
                 "objective weight {value} must be finite and non-negative"
             ),
             V::MissingField(field) => write!(f, "missing field: {field}"),
-            V::NotMainMemory(assembly) => {
-                write!(f, "{assembly} assembly requires a main-memory spec")
-            }
-            V::ChannelWidth {
-                io_bits,
-                channel_bits,
-            } => write!(
-                f,
-                "chip IO width x{io_bits} must divide the {channel_bits}-bit channel"
-            ),
+            V::NotMainMemory => f.write_str("main-memory assembly requires a main-memory spec"),
         }
     }
 }

@@ -40,7 +40,6 @@
 //! ```
 
 pub mod array;
-pub mod dimm;
 pub mod error;
 pub mod main_memory;
 pub mod org;
@@ -51,7 +50,6 @@ pub mod tag;
 mod optimizer;
 
 pub use array::{EvalMemo, PrescreenFailure};
-pub use dimm::{DimmConfig, DimmResult};
 pub use error::{CactiError, SpecViolation};
 pub use main_memory::{DramEnergies, DramTiming, MainMemoryResult};
 pub use optimizer::{

@@ -117,9 +117,7 @@ pub fn assemble(
         ..
     } = spec.kind
     else {
-        return Err(CactiError::InvalidSpec(SpecViolation::NotMainMemory(
-            "main-memory",
-        )));
+        return Err(CactiError::InvalidSpec(SpecViolation::NotMainMemory));
     };
     let n_banks = f64::from(spec.n_banks);
     let cell = &input.cell;

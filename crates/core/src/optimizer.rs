@@ -891,24 +891,8 @@ mod tests {
     fn named_knob_sets() -> [OptimizationOptions; 3] {
         [
             OptimizationOptions::default(),
-            OptimizationOptions {
-                max_area_overhead: 0.60,
-                max_access_time_overhead: 0.15,
-                weight_dynamic: 1.5,
-                weight_leakage: 0.3,
-                weight_cycle: 2.0,
-                weight_interleave: 1.0,
-                ..OptimizationOptions::default()
-            },
-            OptimizationOptions {
-                max_area_overhead: 0.20,
-                max_access_time_overhead: 1.0,
-                weight_dynamic: 0.5,
-                weight_leakage: 1.0,
-                weight_cycle: 0.3,
-                weight_interleave: 0.3,
-                ..OptimizationOptions::default()
-            },
+            OptimizationOptions::ed(),
+            OptimizationOptions::c(),
         ]
     }
 

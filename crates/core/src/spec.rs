@@ -100,6 +100,37 @@ impl Default for OptimizationOptions {
     }
 }
 
+impl OptimizationOptions {
+    /// The paper's §3.1 "config ED" knobs: smaller mats, better energy and
+    /// delay. Only the six select-only knobs differ from the default.
+    pub fn ed() -> Self {
+        OptimizationOptions {
+            max_area_overhead: 0.60,
+            max_access_time_overhead: 0.15,
+            weight_dynamic: 1.5,
+            weight_leakage: 0.3,
+            weight_cycle: 2.0,
+            weight_interleave: 1.0,
+            ..OptimizationOptions::default()
+        }
+    }
+
+    /// The paper's §3.1 "config C" knobs: the best density (a
+    /// high-area-efficiency solution, as commodity DRAM chips are built).
+    /// Only the six select-only knobs differ from the default.
+    pub fn c() -> Self {
+        OptimizationOptions {
+            max_area_overhead: 0.20,
+            max_access_time_overhead: 1.0,
+            weight_dynamic: 0.5,
+            weight_leakage: 1.0,
+            weight_cycle: 0.3,
+            weight_interleave: 0.3,
+            ..OptimizationOptions::default()
+        }
+    }
+}
+
 /// Full input specification for one memory.
 ///
 /// Construct with [`MemorySpec::builder`]; `build` validates the

@@ -492,6 +492,12 @@ fn knob_sets(base: &OptimizationOptions) -> Vec<OptimizationOptions> {
         weight_interleave: weights[3],
         ..base.clone()
     };
+    // A named knob set's six select-only knobs over `base`'s sweep knobs.
+    let select_knobs = |named: OptimizationOptions| OptimizationOptions {
+        repeater_relax: base.repeater_relax,
+        sleep_transistors: base.sleep_transistors,
+        ..named
+    };
     let d = OptimizationOptions::default();
     let default_caps = [d.max_area_overhead, d.max_access_time_overhead];
     let default_weights = [
@@ -501,9 +507,9 @@ fn knob_sets(base: &OptimizationOptions) -> Vec<OptimizationOptions> {
         d.weight_interleave,
     ];
     let mut sets = vec![
-        knobs(default_caps, default_weights),
-        knobs([0.60, 0.15], [1.5, 0.3, 2.0, 1.0]),
-        knobs([0.20, 1.0], [0.5, 1.0, 0.3, 0.3]),
+        select_knobs(OptimizationOptions::default()),
+        select_knobs(OptimizationOptions::ed()),
+        select_knobs(OptimizationOptions::c()),
         knobs([0.0, default_caps[1]], default_weights),
         knobs([default_caps[0], 0.0], default_weights),
         knobs([1.0, 2.0], [0.0; 4]),

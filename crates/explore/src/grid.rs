@@ -31,31 +31,15 @@ impl OptVariant {
     }
 
     /// Looks up a named knob variant: `"default"`, plus the paper's §3.1
-    /// `"ed"` (energy/delay-optimized mats) and `"c"` (capacity-optimized)
-    /// settings. This is the single source of truth for the named variants
-    /// the CLI `--opts` axis and the serve protocol accept; labels outside
-    /// the table return `None`.
+    /// `"ed"` ([`OptimizationOptions::ed`]) and `"c"`
+    /// ([`OptimizationOptions::c`]) settings. This is the one table of the
+    /// variant names the CLI `--opts` axis and the serve protocol accept;
+    /// labels outside the table return `None`.
     pub fn named(label: &str) -> Option<Self> {
         let opt = match label {
             "default" => OptimizationOptions::default(),
-            "ed" => OptimizationOptions {
-                max_area_overhead: 0.60,
-                max_access_time_overhead: 0.15,
-                weight_dynamic: 1.5,
-                weight_leakage: 0.3,
-                weight_cycle: 2.0,
-                weight_interleave: 1.0,
-                ..OptimizationOptions::default()
-            },
-            "c" => OptimizationOptions {
-                max_area_overhead: 0.20,
-                max_access_time_overhead: 1.0,
-                weight_dynamic: 0.5,
-                weight_leakage: 1.0,
-                weight_cycle: 0.3,
-                weight_interleave: 0.3,
-                ..OptimizationOptions::default()
-            },
+            "ed" => OptimizationOptions::ed(),
+            "c" => OptimizationOptions::c(),
             _ => return None,
         };
         Some(OptVariant {

@@ -224,8 +224,6 @@ pub struct L3Config {
     pub n_banks: u32,
     /// One-way crossbar traversal between an L2 and an L3 bank \[cycles\].
     pub xbar_cycles: u64,
-    /// Is this a DRAM L3 (needs refresh accounting and set mapping)?
-    pub is_dram: bool,
     /// Cache-set ↔ DRAM-page mapping (DRAM L3s only).
     pub set_mapping: SetMapping,
     /// Operational interface (DRAM L3s only; SRAM is always SRAM-like).
@@ -425,7 +423,6 @@ impl SystemConfig {
             },
             n_banks: 8,
             xbar_cycles: 2,
-            is_dram: false,
             set_mapping: SetMapping::default(),
             interface: L3Interface::SramLike,
             page_timing: None,

@@ -289,7 +289,6 @@ mod tests {
             },
             n_banks: 8,
             xbar_cycles: 2,
-            is_dram: true,
             set_mapping: mapping,
             interface: L3Interface::SramLike,
             page_timing: None,

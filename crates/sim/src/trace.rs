@@ -42,12 +42,13 @@ pub struct StridedSource {
 
 impl StridedSource {
     /// Creates a source for `n_threads` threads, issuing memory operations
-    /// with probability `mem_fraction` (0–1), striding through
-    /// `region_bytes` per thread.
+    /// with probability `mem_fraction` (0–1), striding in 64-byte lines
+    /// through `region_bytes` per thread.
     ///
     /// # Panics
     ///
-    /// Panics if `mem_fraction` is outside [0, 1] or `region_bytes` is 0.
+    /// Panics if `mem_fraction` is outside [0, 1] or `region_bytes` is
+    /// under one 64-byte line.
     pub fn new(n_threads: usize, mem_fraction: f64, region_bytes: u64) -> StridedSource {
         StridedSource::with_seed(n_threads, mem_fraction, region_bytes, 0)
     }
@@ -61,7 +62,8 @@ impl StridedSource {
     ///
     /// # Panics
     ///
-    /// Panics if `mem_fraction` is outside [0, 1] or `region_bytes` is 0.
+    /// Panics if `mem_fraction` is outside [0, 1] or `region_bytes` is
+    /// under one 64-byte line.
     pub fn with_seed(
         n_threads: usize,
         mem_fraction: f64,
@@ -69,7 +71,10 @@ impl StridedSource {
         seed: u64,
     ) -> StridedSource {
         assert!((0.0..=1.0).contains(&mem_fraction));
-        assert!(region_bytes > 0);
+        assert!(
+            region_bytes >= 64,
+            "a strided region holds at least one 64-byte line, not {region_bytes} bytes"
+        );
         StridedSource {
             mem_fraction_permille: (mem_fraction * 1000.0) as u32,
             region_bytes,
@@ -167,6 +172,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one 64-byte line")]
+    fn a_region_under_one_line_is_refused() {
+        let _ = StridedSource::new(1, 1.0, 63);
     }
 
     #[test]

@@ -28,7 +28,6 @@ fn page_mode_cfg() -> L3Config {
         },
         n_banks: 8,
         xbar_cycles: 2,
-        is_dram: true,
         set_mapping: SetMapping::SetsPerPage,
         interface: L3Interface::PageMode,
         page_timing: Some(L3PageTiming {

@@ -26,6 +26,8 @@ pub const MAX_PIPE_STAGES: u64 = 6;
 pub const XBAR_SIDE_M: Meters = Meters::from_si(3.0e-3);
 /// Crossbar datapath width \[bits\].
 pub const XBAR_WIDTH_BITS: usize = 128;
+/// Banks of every L3, each on its own crossbar port (paper §4.1).
+pub const L3_BANKS: u32 = 8;
 
 /// The six system configurations in the paper's plotting order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,33 +103,6 @@ pub struct StudyConfig {
     pub xbar: BlockResult,
 }
 
-/// The paper's "config ED" optimization knobs: smaller mats, better energy
-/// and delay.
-pub fn ed_options() -> OptimizationOptions {
-    OptimizationOptions {
-        max_area_overhead: 0.60,
-        max_access_time_overhead: 0.15,
-        weight_dynamic: 1.5,
-        weight_leakage: 0.3,
-        weight_cycle: 2.0,
-        weight_interleave: 1.0,
-        ..OptimizationOptions::default()
-    }
-}
-
-/// The paper's "config C" optimization knobs: best density.
-pub fn c_options() -> OptimizationOptions {
-    OptimizationOptions {
-        max_area_overhead: 0.20,
-        max_access_time_overhead: 1.0,
-        weight_dynamic: 0.5,
-        weight_leakage: 1.0,
-        weight_cycle: 0.3,
-        weight_interleave: 0.3,
-        ..OptimizationOptions::default()
-    }
-}
-
 fn cache_spec(
     capacity: u64,
     assoc: u32,
@@ -164,32 +139,35 @@ pub fn main_memory_spec() -> MemorySpec {
             prefetch: 8,
             page_bits: 8 << 10,
         })
-        .optimization(c_options())
+        .optimization(OptimizationOptions::c())
         .build()
         .unwrap_or_else(|e| panic!("the main-memory spec is valid: {e}"))
 }
 
-/// Rounds a time to CPU cycles with the paper's pipeline-depth rule: the
-/// cache runs at `1/ratio` of the CPU clock where `ratio` is the smallest
-/// divisor keeping the pipeline within [`MAX_PIPE_STAGES`]; all its timings
-/// quantize to that granularity.
-fn quantize(t: Seconds) -> u64 {
+/// Rounds a time up to whole CPU cycles (at least one).
+pub(crate) fn quantize(t: Seconds) -> u64 {
     (t.value() * CLOCK_HZ).ceil().max(1.0) as u64
 }
 
+/// The CPU-to-cache clock ratio of a cache solution, by the paper's
+/// pipeline-depth rule: the cache runs at `1/ratio` of the CPU clock,
+/// where `ratio` is the smallest divisor keeping its access within
+/// [`MAX_PIPE_STAGES`] stages; all its timings quantize to that
+/// granularity.
+pub(crate) fn clock_ratio(sol: &Solution) -> u64 {
+    quantize(sol.access_time).div_ceil(MAX_PIPE_STAGES).max(1)
+}
+
 fn cache_config(sol: &Solution, capacity: u64, assoc: u32) -> CacheConfig {
-    let raw_access = quantize(sol.access_time);
-    let ratio = raw_access.div_ceil(MAX_PIPE_STAGES).max(1);
-    let access_cycles = raw_access.div_ceil(ratio) * ratio;
-    let cycle_cycles = quantize(sol.random_cycle).div_ceil(ratio) * ratio;
-    let interleave_cycles = quantize(sol.interleave_cycle).div_ceil(ratio).max(1) * ratio;
+    let ratio = clock_ratio(sol);
+    let cycles = |t: Seconds| quantize(t).div_ceil(ratio) * ratio;
     CacheConfig {
         capacity_bytes: capacity,
         line_bytes: 64,
         associativity: assoc,
-        access_cycles,
-        cycle_cycles,
-        interleave_cycles,
+        access_cycles: cycles(sol.access_time),
+        cycle_cycles: cycles(sol.random_cycle),
+        interleave_cycles: cycles(sol.interleave_cycle),
         n_subbanks: sol.org.ndbl,
     }
 }
@@ -206,12 +184,13 @@ pub fn page_timing_of(sol: &Solution) -> L3PageTiming {
     }
 }
 
-/// Evaluates the L2↔L3 crossbar once (per-flit).
+/// Evaluates the crossbar between the 8 cores' L2s and the L3 banks once
+/// (per-flit).
 pub fn crossbar_eval() -> BlockResult {
     let tech = Technology::new(TechNode::N32);
     let dev = tech.device(DeviceType::Hp);
     let wire = tech.wire(WireType::Global);
-    Crossbar::new(8, 8, XBAR_WIDTH_BITS, XBAR_SIDE_M).evaluate(&dev, &wire)
+    Crossbar::new(8, L3_BANKS as usize, XBAR_WIDTH_BITS, XBAR_SIDE_M).evaluate(&dev, &wire)
 }
 
 /// Builds one study configuration (runs the CACTI-D sweeps; ~a second).
@@ -248,12 +227,19 @@ pub fn build(kind: LlcKind) -> StudyConfig {
     };
 
     let l3_sol = kind.l3_shape().map(|(cap, assoc, cell, cap_opt)| {
-        let mut opt = if cap_opt { c_options() } else { ed_options() };
+        let mut opt = if cap_opt {
+            OptimizationOptions::c()
+        } else {
+            OptimizationOptions::ed()
+        };
         // The paper models an aggressively leakage-controlled SRAM L3
         // (sleep transistors halving idle-mat leakage, like the 65 nm Xeon).
         opt.sleep_transistors = cell == CellTechnology::Sram;
-        optimize_cached_in(SolveCache::global(), &cache_spec(cap, assoc, 8, cell, opt))
-            .unwrap_or_else(|e| panic!("the {} L3 spec solves: {e}", kind.label()))
+        optimize_cached_in(
+            SolveCache::global(),
+            &cache_spec(cap, assoc, L3_BANKS, cell, opt),
+        )
+        .unwrap_or_else(|e| panic!("the {} L3 spec solves: {e}", kind.label()))
     });
 
     let xbar = crossbar_eval();
@@ -288,10 +274,9 @@ pub fn build(kind: LlcKind) -> StudyConfig {
             unreachable!("an L3 solution implies an L3 shape")
         };
         L3Config {
-            bank: cache_config(sol, cap / 8, assoc),
-            n_banks: 8,
+            bank: cache_config(sol, cap / u64::from(L3_BANKS), assoc),
+            n_banks: L3_BANKS,
             xbar_cycles,
-            is_dram: cell.is_dram(),
             set_mapping: SetMapping::SetsPerPage,
             interface: L3Interface::SramLike,
             page_timing: cell.is_dram().then(|| page_timing_of(sol)),
@@ -333,7 +318,9 @@ mod tests {
         assert!(s.bank.cycle_cycles <= c.bank.cycle_cycles);
         assert_eq!(s.bank.capacity_bytes, 3 << 20);
         assert_eq!(c.bank.capacity_bytes, 24 << 20);
-        assert!(!s.is_dram && c.is_dram);
+        let cell = |kind: LlcKind| kind.l3_shape().map(|(_, _, cell, _)| cell);
+        assert_eq!(cell(sram.kind), Some(CellTechnology::Sram));
+        assert_eq!(cell(comm.kind), Some(CellTechnology::CommDram));
     }
 
     #[test]
@@ -351,7 +338,8 @@ mod tests {
     fn quantization_respects_pipeline_rule() {
         let comm = build(LlcKind::CmDramEd96);
         let l3 = comm.system.l3.as_ref().unwrap();
-        let ratio = l3.bank.access_cycles.div_ceil(MAX_PIPE_STAGES).max(1);
+        let ratio = clock_ratio(comm.l3.as_ref().unwrap());
+        assert!(l3.bank.access_cycles <= MAX_PIPE_STAGES * ratio);
         assert_eq!(l3.bank.access_cycles % ratio, 0);
         assert_eq!(l3.bank.cycle_cycles % ratio, 0);
     }

@@ -13,11 +13,13 @@ pub const CORE_POWER_W: f64 = 22.3;
 /// (paper §4.3) — i.e. 2 pJ/bit.
 pub const BUS_J_PER_BIT: f64 = 2.0e-12;
 
-/// DRAM chips accessed in parallel per channel (x8 devices on a 64-bit
-/// channel).
+/// DRAM chips accessed in parallel per channel: x8 devices on a 64-bit
+/// channel (paper §3.1). With [`TOTAL_CHIPS`], the study's one statement
+/// of its DIMM composition.
 pub const CHIPS_PER_RANK: f64 = 8.0;
-/// Total DRAM chips in the system (2 channels × 1 single-ranked DIMM).
-pub const TOTAL_CHIPS: f64 = 16.0;
+/// Total DRAM chips in the system: 2 channels, each with one
+/// single-ranked DIMM of [`CHIPS_PER_RANK`] chips.
+pub const TOTAL_CHIPS: f64 = 2.0 * CHIPS_PER_RANK;
 
 /// Power of the memory hierarchy, broken into the paper's Figure 5(a)
 /// categories \[W\].

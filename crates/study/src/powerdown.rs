@@ -9,7 +9,7 @@
 //! precharge-power-down model to the idle fraction.
 
 use crate::configs::StudyConfig;
-use crate::power::{MemoryHierarchyPower, TOTAL_CHIPS};
+use crate::power::MemoryHierarchyPower;
 use memsim::SimStats;
 
 /// Fraction of standby power drawn in precharge power-down (CKE low):
@@ -108,12 +108,6 @@ pub fn render(rows: &[(String, PowerDownAnalysis, f64)]) -> String {
         ));
     }
     s
-}
-
-/// Convenience: total chips constant re-export sanity (the analysis scales
-/// with the DIMM population).
-pub fn chips() -> f64 {
-    TOTAL_CHIPS
 }
 
 #[cfg(test)]

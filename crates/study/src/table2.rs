@@ -72,16 +72,8 @@ pub fn micron_spec() -> MemorySpec {
             prefetch: 8,
             page_bits: 8 << 10,
         })
-        .optimization(OptimizationOptions {
-            // Paper: pick a high-area-efficiency solution.
-            max_area_overhead: 0.20,
-            max_access_time_overhead: 1.0,
-            weight_dynamic: 0.5,
-            weight_leakage: 1.0,
-            weight_cycle: 0.3,
-            weight_interleave: 0.3,
-            ..OptimizationOptions::default()
-        })
+        // Paper: pick a high-area-efficiency solution.
+        .optimization(OptimizationOptions::c())
         .build()
         .unwrap_or_else(|e| panic!("the Micron spec is valid: {e}"))
 }

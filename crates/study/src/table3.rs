@@ -2,10 +2,11 @@
 //! at 32 nm (paper §4.1) — L1, L2, the five L3 options and the 8 Gb
 //! main-memory chip.
 
-use crate::configs::{self, LlcKind, CLOCK_HZ, MAX_PIPE_STAGES};
+use crate::configs::{self, clock_ratio, quantize, LlcKind};
+use crate::power::CHIPS_PER_RANK;
 use crate::report::format_table;
 use cactid_core::Solution;
-use cactid_units::Seconds;
+use memsim::config::CacheConfig;
 
 /// One column of Table 3.
 #[derive(Debug, Clone)]
@@ -38,35 +39,19 @@ pub struct Table3Column {
     pub read_energy_nj: f64,
 }
 
-fn cycles(t: Seconds) -> u64 {
-    (t.value() * CLOCK_HZ).ceil().max(1.0) as u64
-}
-
-fn column(
-    label: &str,
-    sol: &Solution,
-    capacity: u64,
-    banks: u32,
-    assoc: u32,
-    per_bank_area: bool,
-) -> Table3Column {
-    let access_raw = cycles(sol.access_time);
-    let ratio = access_raw.div_ceil(MAX_PIPE_STAGES).max(1);
-    let area = if per_bank_area {
-        sol.area_mm2() / f64::from(banks)
-    } else {
-        sol.area_mm2()
-    };
+/// One cache column: `banks` instances of `cache` as the simulator runs
+/// them (capacity, geometry and cycles), costed by their solution `sol`.
+fn column(label: String, cache: &CacheConfig, banks: u32, sol: &Solution) -> Table3Column {
     Table3Column {
-        label: label.to_string(),
-        capacity_bytes: capacity,
+        label,
+        capacity_bytes: cache.capacity_bytes * u64::from(banks),
         banks,
-        subbanks: sol.org.ndbl,
-        associativity: assoc,
-        clock_ratio: ratio,
-        access_cycles: access_raw.div_ceil(ratio) * ratio,
-        cycle_cycles: cycles(sol.random_cycle).div_ceil(ratio) * ratio,
-        area_mm2: area,
+        subbanks: cache.n_subbanks,
+        associativity: cache.associativity,
+        clock_ratio: clock_ratio(sol),
+        access_cycles: cache.access_cycles,
+        cycle_cycles: cache.cycle_cycles,
+        area_mm2: sol.area_mm2() / f64::from(banks),
         area_eff_pct: sol.area_efficiency * 100.0,
         leakage_w: sol.leakage_power.value(),
         refresh_w: sol.refresh_power.value(),
@@ -75,51 +60,47 @@ fn column(
 }
 
 /// Computes all Table 3 columns (runs the CACTI-D sweeps; a few seconds).
+/// The cache columns print the cycles the study simulates.
 pub fn table3() -> Vec<Table3Column> {
-    let mut cols = Vec::new();
-    // Build one config per LLC kind; L1/L2/MM are identical across them, so
-    // take them from the first.
+    // L1/L2/MM are identical across the configs, so take them from the
+    // first.
     let base = configs::build(LlcKind::NoL3);
-    cols.push(column("L1", &base.l1, 32 << 10, 1, 8, false));
-    cols.push(column("L2", &base.l2, 1 << 20, 1, 8, false));
-    for &kind in LlcKind::ALL.iter().skip(1) {
+    let mut cols = vec![
+        column("L1".into(), &base.system.l1, 1, &base.l1),
+        column("L2".into(), &base.system.l2, 1, &base.l2),
+    ];
+    for &kind in &LlcKind::ALL[1..] {
         let cfg = configs::build(kind);
-        let Some((cap, assoc, _, _)) = kind.l3_shape() else {
+        let (Some(l3), Some(sol)) = (cfg.system.l3.as_ref(), cfg.l3.as_ref()) else {
             unreachable!("every kind past NoL3 has an L3")
         };
-        let Some(sol) = cfg.l3.as_ref() else {
-            unreachable!("an L3 shape implies an L3 solution")
-        };
         cols.push(column(
-            &format!("L3 {}", kind.label()),
+            format!("L3 {}", kind.label()),
+            &l3.bank,
+            l3.n_banks,
             sol,
-            cap,
-            8,
-            assoc,
-            true,
         ));
     }
     // Main memory chip: access time = tRCD + CL, cycle = tRC.
+    let mm_spec = configs::main_memory_spec();
     let mm_sol = &base.main_memory;
     let Some(mm) = mm_sol.main_memory.as_ref() else {
         unreachable!("a main-memory solution carries chip-level data")
     };
-    let access = cycles(mm.timing.t_rcd + mm.timing.cas_latency);
-    let ratio = 16; // DDR interface clock vs 2 GHz core
     cols.push(Table3Column {
         label: "Main memory chip".into(),
-        capacity_bytes: 1 << 30,
-        banks: 8,
+        capacity_bytes: mm_spec.capacity_bytes,
+        banks: mm_spec.n_banks,
         subbanks: mm_sol.org.ndbl,
         associativity: 0,
-        clock_ratio: ratio,
-        access_cycles: access,
-        cycle_cycles: cycles(mm.timing.t_rc),
+        clock_ratio: 16, // DDR interface clock vs 2 GHz core
+        access_cycles: quantize(mm.timing.t_rcd + mm.timing.cas_latency),
+        cycle_cycles: quantize(mm.timing.t_rc),
         area_mm2: mm.chip_area.value() / 1e-6,
         area_eff_pct: mm.area_efficiency * 100.0,
         leakage_w: mm.energies.standby_power.value(),
         refresh_w: mm.energies.refresh_power.value(),
-        read_energy_nj: (mm.energies.activate + mm.energies.read).value() * 8.0 * 1e9,
+        read_energy_nj: (mm.energies.activate + mm.energies.read).value() * CHIPS_PER_RANK * 1e9,
     });
     cols
 }

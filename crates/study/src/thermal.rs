@@ -35,7 +35,7 @@ pub struct ThermalEstimate {
 /// cycle per bank — the worst case the paper's activity factors bound.
 pub fn estimate(cfg: &StudyConfig) -> Option<ThermalEstimate> {
     let l3 = cfg.l3.as_ref()?;
-    let banks = 8.0;
+    let banks = f64::from(cfg.system.l3.as_ref()?.n_banks);
     let leak_per_bank = ((l3.leakage_power + l3.refresh_power) / banks).value();
     let peak_rate = 1.0 / l3.random_cycle.value().max(1e-12);
     // The paper's workloads keep L3 activity well below peak; use a 10 %

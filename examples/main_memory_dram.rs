@@ -27,15 +27,7 @@ fn chip(
             prefetch: 8,
             page_bits: page_kbit << 10,
         })
-        .optimization(OptimizationOptions {
-            max_area_overhead: 0.20,
-            max_access_time_overhead: 1.0,
-            weight_dynamic: 0.5,
-            weight_leakage: 1.0,
-            weight_cycle: 0.3,
-            weight_interleave: 0.3,
-            ..OptimizationOptions::default()
-        })
+        .optimization(OptimizationOptions::c())
         .build()?)
 }
 

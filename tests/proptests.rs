@@ -1,11 +1,9 @@
 //! Property-based tests on the core data structures and model invariants.
 //!
-//! Enabled with `cargo test --features proptest`. The suite originally used
-//! the `proptest` crate; to keep the workspace build hermetic (no registry
-//! dependencies) it now drives the same properties with the in-tree
-//! deterministic xorshift64* generator (`memsim::rng`), sampling a fixed
-//! number of cases per property from a fixed seed.
-#![cfg(feature = "proptest")]
+//! Each property samples a fixed number of cases from a fixed seed of the
+//! in-tree deterministic xorshift64* generator (`memsim::rng`), so the
+//! build stays hermetic (no registry dependencies). The suite runs with
+//! the rest of `cargo test`.
 
 use cacti_d::core::{solve_with_stats, AccessMode, MemoryKind, MemorySpec};
 use cacti_d::sim::cache::{LineState, SetAssocCache};
@@ -414,24 +412,8 @@ fn one_array_sweep_serves_every_spec_of_its_bank_geometry() {
     use cacti_d::core::{select, solve_with_stats, ArraySweep, EvalMemo, OptimizationOptions};
     let named_knobs = [
         OptimizationOptions::default(),
-        OptimizationOptions {
-            max_area_overhead: 0.60,
-            max_access_time_overhead: 0.15,
-            weight_dynamic: 1.5,
-            weight_leakage: 0.3,
-            weight_cycle: 2.0,
-            weight_interleave: 1.0,
-            ..OptimizationOptions::default()
-        },
-        OptimizationOptions {
-            max_area_overhead: 0.20,
-            max_access_time_overhead: 1.0,
-            weight_dynamic: 0.5,
-            weight_leakage: 1.0,
-            weight_cycle: 0.3,
-            weight_interleave: 0.3,
-            ..OptimizationOptions::default()
-        },
+        OptimizationOptions::ed(),
+        OptimizationOptions::c(),
     ];
     let mut rng = XorShift64Star::new(0xCAC7_1D10);
     let mut memo = EvalMemo::new();
