@@ -229,19 +229,29 @@ grep -q '"name":"core.solve.incremental_reuse","value":[1-9]' \
 # The memo pool must share designs across sweeps: a run must find designs
 # in its memos, and one worker's memo must design fewer circuits for the
 # whole grid than for its two halves run apart (without sharing the two
-# counts are equal).
+# counts are equal). The pool lends one memo per device context, so two
+# workers must write the same bytes and find designs too; both design
+# counts are logged.
 memo_designs() {
-    $CACTID explore --sizes "$1" --banks 1,2 --cells sram,lp-dram --threads 1 \
-        --out "$TDIR/memo.jsonl" --trace "$TDIR/memo.trace.jsonl" 2>/dev/null
+    $CACTID explore --sizes "$1" --banks 1,2 --cells sram,lp-dram --threads "$2" \
+        --out "$TDIR/memo$2.jsonl" --trace "$TDIR/memo$2.trace.jsonl" 2>/dev/null
     grep -o '"name":"core.memo.designs","value":[0-9]*' \
-        "$TDIR/memo.trace.jsonl" | sed 's/.*://'
+        "$TDIR/memo$2.trace.jsonl" | sed 's/.*://'
 }
-WHOLE=$(memo_designs 64K,128K,1M)
-grep -q '"name":"core.memo.design_hits","value":[1-9]' "$TDIR/memo.trace.jsonl" || {
-    echo "core.memo.design_hits did not fire on the memo-pool grid" >&2
+WHOLE=$(memo_designs 64K,128K,1M 1)
+WHOLE2=$(memo_designs 64K,128K,1M 2)
+echo "memo-pool grid: $WHOLE designs at --threads 1, $WHOLE2 at --threads 2"
+for T in 1 2; do
+    grep -q '"name":"core.memo.design_hits","value":[1-9]' "$TDIR/memo$T.trace.jsonl" || {
+        echo "core.memo.design_hits did not fire on the memo-pool grid at --threads $T" >&2
+        exit 1
+    }
+done
+cmp "$TDIR/memo1.jsonl" "$TDIR/memo2.jsonl" || {
+    echo "the memo-pool grid differs between --threads 1 and --threads 2" >&2
     exit 1
 }
-HALVES=$(( $(memo_designs 64K,128K) + $(memo_designs 1M) ))
+HALVES=$(( $(memo_designs 64K,128K 1) + $(memo_designs 1M 1) ))
 test "$WHOLE" -lt "$HALVES" || {
     echo "the memo pool shared no designs: $WHOLE designs whole, $HALVES in halves" >&2
     exit 1

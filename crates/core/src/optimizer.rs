@@ -541,7 +541,8 @@ impl ArraySweep {
 /// full solution set together with the [`SolveStats`] of the sweep. It
 /// never panics on infeasible specs. This is one [`ArraySweep`] used
 /// once, on a fresh [`EvalMemo`]; batch engines share one sweep across the
-/// specs of a bank geometry, and one memo per worker across sweeps.
+/// specs of a bank geometry, and one memo per device context across
+/// sweeps.
 ///
 /// The second parameter takes no value: it stays only so that
 /// perfbench's `solve_with_stats(spec, None)` calls keep compiling, and

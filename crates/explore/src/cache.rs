@@ -1,13 +1,15 @@
 //! Evaluation-memo pooling, and the solve memo the study drivers share.
 //!
-//! A [`MemoPool`] lends [`EvalMemo`]s, one per concurrent solve, and takes
-//! each back afterwards, so every solve through one pool reuses the
-//! circuits and tag designs earlier solves designed in the same
-//! technology. A memo keys each design by everything it reads, so this
-//! changes no output bit. The exploration engine and `cactid-serve` solve
-//! through a pool and keep no answers of their own: the engine folds
-//! duplicate specs before it solves, and the service answers from its one
-//! solution store.
+//! A [`MemoPool`] lends [`EvalMemo`]s by device context — the spec's
+//! technology node and cell technology, which fix every circuit and tag
+//! design a solve of that spec looks up — and takes each back afterwards.
+//! So every solve through one pool reuses the circuits and tag designs
+//! earlier solves designed in its context, and each design lives in one
+//! memo whatever the thread count. A memo keys each design by everything
+//! it reads, so which memo a solve gets changes no output bit. The
+//! exploration engine and `cactid-serve` solve through a pool and keep no
+//! answers of their own: the engine folds duplicate specs before it
+//! solves, and the service answers from its one solution store.
 //!
 //! [`SolveCache`] adds an answer memo on top of a pool for callers that
 //! re-optimize the same specs many times over, as the study's
@@ -21,6 +23,7 @@
 
 use crate::hash::spec_fingerprint;
 use cactid_core::{ArraySweep, CactiError, EvalMemo, MemorySpec, Solution, SolveStats};
+use cactid_tech::{CellTechnology, TechNode};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -34,13 +37,19 @@ pub struct CachedSolve {
     pub stats: SolveStats,
 }
 
-/// A thread-safe pool of idle evaluation memos. See the module docs.
+/// A thread-safe pool of idle evaluation memos, at most one per device
+/// context. See the module docs.
 #[derive(Debug, Default)]
 pub struct MemoPool {
-    /// A solve takes one and puts it back, so the pool holds at most one
-    /// per solve that ever ran concurrently.
-    memos: Mutex<Vec<EvalMemo>>,
+    /// Idle memos by device context. A solve takes its context's memo
+    /// and puts it back; the model's nodes and cells make 15 contexts, so
+    /// a scan finds one.
+    memos: Mutex<Vec<(DeviceContext, EvalMemo)>>,
 }
+
+/// The part of a spec every design its solve looks up is keyed under:
+/// the technology node and the cell technology.
+type DeviceContext = (TechNode, CellTechnology);
 
 impl MemoPool {
     /// An empty pool: its first solve starts from a cold memo.
@@ -48,19 +57,41 @@ impl MemoPool {
         MemoPool::default()
     }
 
-    /// Runs `f` on an idle memo, or a fresh one when all are lent out, and
-    /// takes the memo back afterwards.
-    pub fn with<R>(&self, f: impl FnOnce(&mut EvalMemo) -> R) -> R {
-        let mut memo = lock(&self.memos).pop().unwrap_or_default();
+    /// Runs `f` on the idle memo of `spec`'s device context, or on a
+    /// fresh one when there is none (never used, or lent out to another
+    /// solve right now), and takes the memo back afterwards. When two
+    /// memos of one context come back, the pool keeps the one that
+    /// designed more and drops the other.
+    pub fn with<R>(&self, spec: &MemorySpec, f: impl FnOnce(&mut EvalMemo) -> R) -> R {
+        let context = (spec.node, spec.cell_tech);
+        let idle = {
+            let mut memos = lock(&self.memos);
+            let at = memos.iter().position(|(c, _)| *c == context);
+            at.map(|i| memos.swap_remove(i).1)
+        };
+        let mut memo = idle.unwrap_or_default();
         let out = f(&mut memo);
-        lock(&self.memos).push(memo);
+        // The memo left over is dropped after the lock is released.
+        let _spare = {
+            let mut memos = lock(&self.memos);
+            match memos.iter_mut().find(|(c, _)| *c == context) {
+                None => {
+                    memos.push((context, memo));
+                    None
+                }
+                Some((_, kept)) if memo.designs() > kept.designs() => {
+                    Some(std::mem::replace(kept, memo))
+                }
+                Some(_) => Some(memo),
+            }
+        };
         out
     }
 
     /// Solves `spec` (solve → §2.4 select) with one one-spec
     /// [`ArraySweep::select`] on a pooled memo.
     pub fn solve(&self, spec: &MemorySpec) -> CachedSolve {
-        let winners = self.with(|memo| ArraySweep::new(spec).select(&[spec], memo));
+        let winners = self.with(spec, |memo| ArraySweep::new(spec).select(&[spec], memo));
         let stats = winners.stats;
         CachedSolve {
             result: winners.into_first(),
@@ -250,15 +281,68 @@ mod tests {
         let pool = MemoPool::new();
         let s = spec(64 << 10);
         assert_eq!(pool.solve(&s).result.unwrap(), optimize(&s).unwrap());
-        let designs = pool.with(|memo| memo.designs());
+        let designs = pool.with(&s, |memo| memo.designs());
         assert!(designs > 0);
         // The same memo comes back: a repeat solve designs nothing new.
         pool.solve(&s);
-        assert_eq!(pool.with(|memo| memo.designs()), designs);
+        assert_eq!(pool.with(&s, |memo| memo.designs()), designs);
         // While that memo is lent out, a second borrower gets a cold one.
-        pool.with(|_| pool.with(|inner| assert_eq!(inner.designs(), 0)));
+        pool.with(&s, |_| {
+            pool.with(&s, |inner| assert_eq!(inner.designs(), 0));
+        });
         pool.clear();
-        pool.with(|memo| assert_eq!(memo.designs(), 0));
+        pool.with(&s, |memo| assert_eq!(memo.designs(), 0));
+    }
+
+    /// The idle memos of each device context in `pool`, in any order.
+    fn idle(pool: &MemoPool) -> Vec<DeviceContext> {
+        lock(&pool.memos).iter().map(|(c, _)| *c).collect()
+    }
+
+    #[test]
+    fn memos_are_lent_by_device_context() {
+        let pool = MemoPool::new();
+        let sram = spec(64 << 10);
+        let sram_id = (TechNode::N32, CellTechnology::Sram);
+        // Same context, other capacity and knobs: the memo that holds the
+        // context's designs comes back.
+        let mut sibling = spec(128 << 10);
+        sibling.opt.repeater_relax = 1.5;
+        pool.solve(&sram);
+        let designs = pool.with(&sibling, |memo| memo.designs());
+        assert!(designs > 0);
+        assert_eq!(idle(&pool), [sram_id]);
+
+        // Another node, and another cell, each get a memo of their own;
+        // the first context's memo stays as it was.
+        let mut other_node = sram.clone();
+        other_node.node = TechNode::N45;
+        let mut other_cell = sram.clone();
+        other_cell.cell_tech = CellTechnology::LpDram;
+        for other in [&other_node, &other_cell] {
+            pool.with(other, |memo| assert_eq!(memo.designs(), 0));
+            pool.solve(other);
+        }
+        assert_eq!(pool.with(&sram, |memo| memo.designs()), designs);
+        assert_eq!(idle(&pool).len(), 3);
+
+        // Two borrowers of one context at once: the second gets a fresh
+        // memo and returns it first; when the first comes back the pool
+        // keeps one memo, the one that designed more.
+        pool.with(&sram, |outer| {
+            assert_eq!(outer.designs(), designs);
+            pool.with(&sram, |inner| assert_eq!(inner.designs(), 0));
+            assert_eq!(idle(&pool).len(), 3);
+        });
+        assert_eq!(idle(&pool).len(), 3, "one idle memo per context");
+        assert_eq!(pool.with(&sram, |memo| memo.designs()), designs);
+
+        // `clear` empties every context's memo.
+        pool.clear();
+        assert!(idle(&pool).is_empty());
+        for s in [&sram, &other_node, &other_cell] {
+            pool.with(s, |memo| assert_eq!(memo.designs(), 0));
+        }
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //!    select-only knobs share one solve, and within a sweep group by exact
 //!    spec so duplicates cost nothing. The work-claiming pool
 //!    ([`crate::pool`]) drains one job per bank geometry: one data-array
-//!    sweep, one winners-only [`ArraySweep::select`] per sweep group on a
-//!    pooled evaluation memo ([`MemoPool`]), render. The engine keeps no
-//!    answer memo: the grouping already gives every distinct spec exactly
-//!    one select. Every finished job streams its points to the sidecar
+//!    sweep, one winners-only [`ArraySweep::select`] per sweep group on
+//!    the pooled evaluation memo of the job's device context
+//!    ([`MemoPool`]), render. The engine keeps no answer memo: the
+//!    grouping already gives every distinct spec exactly one select. Every finished job streams its points to the sidecar
 //!    immediately, so an interrupt loses at most the points in flight.
 //! 3. **Finalize** — the Pareto frontier is extracted ([`crate::pareto`]),
 //!    `ok` records are annotated, and the final JSONL is written sorted by
@@ -33,8 +33,8 @@
 
 use crate::cache::{CachedSolve, MemoPool};
 use crate::error::ExploreError;
-use crate::grid::{Expansion, Grid};
-use crate::hash::spec_fingerprint;
+use crate::grid::{Expansion, Grid, GridPoint};
+use crate::hash::{spec_fingerprint, FingerprintMap};
 use crate::log::Log;
 use crate::pareto::{frontier, ParetoMetrics, ParetoPoint};
 use crate::pool;
@@ -96,13 +96,40 @@ pub struct ExploreReport {
     pub stats: EngineStats,
 }
 
+/// The end of an index chain.
+const END: usize = usize::MAX;
+
+/// The first and last entry of an index chain; each entry links to the
+/// next through a field of its own.
+#[derive(Clone, Copy)]
+struct Chain {
+    first: usize,
+    last: usize,
+}
+
+impl Chain {
+    fn of(first: usize) -> Chain {
+        Chain { first, last: first }
+    }
+}
+
+/// The entries of the chain that starts at `first` (`END` for none),
+/// following `next`.
+fn chain(first: usize, next: impl Fn(usize) -> usize) -> impl Iterator<Item = usize> {
+    std::iter::successors((first != END).then_some(first), move |&i| {
+        Some(next(i)).filter(|&n| n != END)
+    })
+}
+
 /// One pool job: the sweep groups of the grid that share one
 /// [`MemorySpec::array_key`], so one data-array sweep answers them all.
 struct ArrayJob {
     /// The shared bank geometry.
     key: MemorySpec,
     /// The sweep groups, in first-point order.
-    groups: Vec<SweepGroup>,
+    groups: Chain,
+    /// The previous job whose key has the same fingerprint.
+    same_fp: usize,
 }
 
 /// The distinct specs of the grid that share one [`MemorySpec::sweep_key`],
@@ -110,9 +137,143 @@ struct ArrayJob {
 struct SweepGroup {
     /// The shared sweep key.
     key: MemorySpec,
-    /// Point indices per distinct spec; each member's first point carries
-    /// the spec, the rest are duplicates of it.
-    members: Vec<Vec<usize>>,
+    /// The distinct specs, in first-point order.
+    members: Chain,
+    /// The next group of the job.
+    next: usize,
+    /// The previous group whose key has the same fingerprint.
+    same_fp: usize,
+}
+
+/// One distinct spec of the grid: the points that carry it.
+struct Member {
+    /// The points, in index order; the first is the member's spec, the
+    /// rest are duplicates of it, chained through [`Grouping::next_dup`].
+    points: Chain,
+    /// The next member of the group.
+    next: usize,
+    /// The previous member whose spec has the same fingerprint.
+    same_fp: usize,
+}
+
+/// The valid points still to solve, grouped three times: by bank geometry
+/// (one pool job per data-array sweep), within a job by sweep key (one
+/// select per group), then within a group by exact spec (duplicates ride
+/// along). Every level is a flat list whose entries chain to their
+/// siblings by index, so grouping a grid allocates a few lists, not one
+/// per entry.
+struct Grouping {
+    jobs: Vec<ArrayJob>,
+    groups: Vec<SweepGroup>,
+    members: Vec<Member>,
+    /// Per point, the next point with the same spec.
+    next_dup: Vec<usize>,
+    /// Per level, the latest entry created under each key fingerprint;
+    /// earlier ones chain through their `same_fp`, so a 64-bit collision
+    /// is resolved by equality.
+    job_of: FingerprintMap<usize>,
+    group_of: FingerprintMap<usize>,
+    member_of: FingerprintMap<usize>,
+}
+
+impl Grouping {
+    fn new(points: usize) -> Grouping {
+        Grouping {
+            jobs: Vec::new(),
+            groups: Vec::new(),
+            members: Vec::new(),
+            next_dup: vec![END; points],
+            job_of: FingerprintMap::default(),
+            group_of: FingerprintMap::default(),
+            member_of: FingerprintMap::default(),
+        }
+    }
+
+    /// Adds point `idx` of `points`, whose spec is `spec` with
+    /// fingerprint `fp`. Points must come in index order, so every level
+    /// keeps first-point order.
+    fn add(&mut self, points: &[GridPoint], idx: usize, spec: &MemorySpec, fp: u64) {
+        let head = |map: &FingerprintMap<usize>, fp| map.get(&fp).copied().unwrap_or(END);
+        let members = &self.members;
+        let same_spec = chain(head(&self.member_of, fp), |m| members[m].same_fp)
+            .find(|&m| spec_of(&points[members[m].points.first]) == spec);
+        if let Some(m) = same_spec {
+            let dups = &mut self.members[m].points;
+            self.next_dup[dups.last] = idx;
+            dups.last = idx;
+            return;
+        }
+        let m = self.members.len();
+        self.members.push(Member {
+            points: Chain::of(idx),
+            next: END,
+            same_fp: self.member_of.insert(fp, m).unwrap_or(END),
+        });
+
+        let key = spec.sweep_key();
+        let key_fp = spec_fingerprint(&key);
+        let groups = &self.groups;
+        let same_key = chain(head(&self.group_of, key_fp), |g| groups[g].same_fp)
+            .find(|&g| groups[g].key == key);
+        if let Some(g) = same_key {
+            let members = &mut self.groups[g].members;
+            self.members[members.last].next = m;
+            members.last = m;
+            return;
+        }
+        let g = self.groups.len();
+        self.groups.push(SweepGroup {
+            key,
+            members: Chain::of(m),
+            next: END,
+            same_fp: self.group_of.insert(key_fp, g).unwrap_or(END),
+        });
+
+        let array_key = spec.array_key();
+        let array_fp = spec_fingerprint(&array_key);
+        let jobs = &self.jobs;
+        let same_bank = chain(head(&self.job_of, array_fp), |j| jobs[j].same_fp)
+            .find(|&j| jobs[j].key == array_key);
+        if let Some(j) = same_bank {
+            let groups = &mut self.jobs[j].groups;
+            self.groups[groups.last].next = g;
+            groups.last = g;
+            return;
+        }
+        let j = self.jobs.len();
+        self.jobs.push(ArrayJob {
+            key: array_key,
+            groups: Chain::of(g),
+            same_fp: self.job_of.insert(array_fp, j).unwrap_or(END),
+        });
+    }
+
+    /// Drops the fingerprint maps once every point is added.
+    fn seal(&mut self) {
+        self.job_of = FingerprintMap::default();
+        self.group_of = FingerprintMap::default();
+        self.member_of = FingerprintMap::default();
+    }
+
+    fn groups<'a>(&'a self, job: &ArrayJob) -> impl Iterator<Item = &'a SweepGroup> + 'a {
+        chain(job.groups.first, |g| self.groups[g].next).map(|g| &self.groups[g])
+    }
+
+    fn members<'a>(&'a self, group: &SweepGroup) -> impl Iterator<Item = &'a Member> + 'a {
+        chain(group.members.first, |m| self.members[m].next).map(|m| &self.members[m])
+    }
+
+    fn points<'a>(&'a self, member: &Member) -> impl Iterator<Item = usize> + 'a {
+        chain(member.points.first, |p| self.next_dup[p])
+    }
+}
+
+/// The spec of a point the grouping holds.
+fn spec_of(point: &GridPoint) -> &MemorySpec {
+    let Ok(spec) = point.spec.as_ref() else {
+        unreachable!("grouped specs are valid")
+    };
+    spec
 }
 
 /// One job member's answer and its records, rendered on the worker.
@@ -189,22 +350,9 @@ pub fn explore_expansion(
     let mut metrics: Vec<Option<ParetoMetrics>> = vec![None; n];
 
     // Place resumed points, render invalid ones, and group the remaining
-    // valid points three times: by bank geometry (one pool job per
-    // data-array sweep), within a job by sweep key (one solve per group),
-    // then within a group by exact spec (duplicates ride along and cost
-    // nothing). Every level resolves 64-bit collisions by equality. Jobs
-    // and groups follow first point index, so their numbering is
-    // deterministic.
-    let spec_at = |idx: usize| -> &MemorySpec {
-        let Ok(spec) = points[idx].spec.as_ref() else {
-            unreachable!("job specs are valid")
-        };
-        spec
-    };
-    let mut jobs: Vec<ArrayJob> = Vec::new();
-    let mut job_of: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut group_of: HashMap<u64, Vec<(usize, usize)>> = HashMap::new();
-    let mut member_of: HashMap<u64, Vec<(usize, usize, usize)>> = HashMap::new();
+    // valid points (see [`Grouping`]). Jobs and groups follow first point
+    // index, so their numbering is deterministic.
+    let mut grouping = Grouping::new(n);
     for point in points {
         let idx = point.idx;
         if let Some(r) = resumed.remove(&idx) {
@@ -221,50 +369,7 @@ pub fn explore_expansion(
             continue;
         }
         match (&point.spec, point.fingerprint()) {
-            (Ok(spec), Some(fp)) => {
-                let members = member_of.entry(fp).or_default();
-                if let Some(&(j, g, m)) = members
-                    .iter()
-                    .find(|&&(j, g, m)| spec_at(jobs[j].groups[g].members[m][0]) == spec)
-                {
-                    jobs[j].groups[g].members[m].push(idx);
-                    continue;
-                }
-                let key = spec.sweep_key();
-                let groups = group_of.entry(spec_fingerprint(&key)).or_default();
-                let found = groups
-                    .iter()
-                    .copied()
-                    .find(|&(j, g)| jobs[j].groups[g].key == key);
-                let (j, g) = found.unwrap_or_else(|| {
-                    let array_key = spec.array_key();
-                    let same_bank = job_of.entry(spec_fingerprint(&array_key)).or_default();
-                    let j = match same_bank
-                        .iter()
-                        .copied()
-                        .find(|&j| jobs[j].key == array_key)
-                    {
-                        Some(j) => j,
-                        None => {
-                            same_bank.push(jobs.len());
-                            jobs.push(ArrayJob {
-                                key: array_key,
-                                groups: Vec::new(),
-                            });
-                            jobs.len() - 1
-                        }
-                    };
-                    jobs[j].groups.push(SweepGroup {
-                        key,
-                        members: Vec::new(),
-                    });
-                    groups.push((j, jobs[j].groups.len() - 1));
-                    (j, jobs[j].groups.len() - 1)
-                });
-                let group = &mut jobs[j].groups[g];
-                members.push((j, g, group.members.len()));
-                group.members.push(vec![idx]);
-            }
+            (Ok(spec), Some(fp)) => grouping.add(points, idx, spec, fp),
             _ => {
                 let err = point.spec.as_ref().expect_err("no fingerprint means Err");
                 let line = record::render_invalid(point, err);
@@ -280,14 +385,9 @@ pub fn explore_expansion(
     if let Some(log) = ckpt.as_mut() {
         log.flush().map_err(|e| ExploreError::Io(e.to_string()))?;
     }
-    drop(member_of);
-    drop(group_of);
-    drop(job_of);
-    stats.unique_specs = jobs
-        .iter()
-        .flat_map(|job| &job.groups)
-        .map(|group| group.members.len())
-        .sum();
+    grouping.seal();
+    stats.unique_specs = grouping.members.len();
+    let jobs = &grouping.jobs;
 
     let private_memos = MemoPool::new();
     let memos = config.memos.unwrap_or(&private_memos);
@@ -299,39 +399,43 @@ pub fn explore_expansion(
         // The worker sweeps, selects and renders; the sink below only
         // places finished lines, so the lock it runs under stays short.
         |j| {
-            let groups = &jobs[j].groups;
-            let sweep = ArraySweep::new(&jobs[j].key);
+            let job = &jobs[j];
+            let sweep = ArraySweep::new(&job.key);
             // Move each group's answers out of its buffer before rendering:
             // records are long-lived, and allocating them while that
             // buffer is still alive leaves its hole unfilled (about 6 %
             // more peak RSS on a 28k-point grid, measured on a 2-CPU Linux
             // host). The data-array sweep is freed first for the same
             // reason.
-            let mut solved: Vec<(Vec<Rendered>, SolveStats)> = groups
-                .iter()
-                .map(|group| {
-                    let specs: Vec<&MemorySpec> =
-                        group.members.iter().map(|m| spec_at(m[0])).collect();
-                    let winners = memos.with(|memo| sweep.select(&specs, memo));
-                    let stats = winners.stats;
-                    let rendered = winners
-                        .results
-                        .into_iter()
-                        .map(|result| Rendered {
-                            entry: CachedSolve { result, stats },
-                            lines: Vec::new(),
-                        })
-                        .collect();
-                    (rendered, stats)
-                })
-                .collect();
+            let mut solved: Vec<(Vec<Rendered>, SolveStats)> = memos.with(&job.key, |memo| {
+                grouping
+                    .groups(job)
+                    .map(|group| {
+                        let specs: Vec<&MemorySpec> = grouping
+                            .members(group)
+                            .map(|m| spec_of(&points[m.points.first]))
+                            .collect();
+                        let winners = sweep.select(&specs, memo);
+                        let stats = winners.stats;
+                        let rendered = winners
+                            .results
+                            .into_iter()
+                            .map(|result| Rendered {
+                                entry: CachedSolve { result, stats },
+                                lines: Vec::new(),
+                            })
+                            .collect();
+                        (rendered, stats)
+                    })
+                    .collect()
+            });
             let array_swept = sweep.has_run();
             drop(sweep);
-            for ((rendered, _), group) in solved.iter_mut().zip(groups) {
-                for (r, member) in rendered.iter_mut().zip(&group.members) {
-                    r.lines = member
-                        .iter()
-                        .map(|&idx| record::render_solved(&points[idx], &r.entry))
+            for ((rendered, _), group) in solved.iter_mut().zip(grouping.groups(job)) {
+                for (r, member) in rendered.iter_mut().zip(grouping.members(group)) {
+                    r.lines = grouping
+                        .points(member)
+                        .map(|idx| record::render_solved(&points[idx], &r.entry))
                         .collect();
                 }
             }
@@ -341,16 +445,16 @@ pub fn explore_expansion(
             if array_swept {
                 stats.array_sweeps += 1;
             }
-            for (group, (rendered, sweep)) in jobs[j].groups.iter().zip(solved) {
+            for (group, (rendered, sweep)) in grouping.groups(&jobs[j]).zip(solved) {
                 stats.sweeps += 1;
                 stats.orgs_enumerated += sweep.orgs_enumerated;
                 stats.bound_pruned += sweep.bound_pruned;
-                for (member, r) in group.members.iter().zip(rendered) {
+                for (member, r) in grouping.members(group).zip(rendered) {
                     let status = record::solved_status(&r.entry);
                     let m = r.entry.result.as_ref().ok().map(record::solution_metrics);
                     stats.solved += 1;
-                    stats.memoized += member.len() - 1;
-                    for (&idx, line) in member.iter().zip(r.lines) {
+                    stats.memoized += r.lines.len() - 1;
+                    for (idx, line) in grouping.points(member).zip(r.lines) {
                         if let Some(log) = ckpt.as_mut() {
                             resume::push(log, idx, &line, status, m.as_ref());
                         }
@@ -548,20 +652,23 @@ mod tests {
         };
         let cold = explore(&grid(), &config).unwrap();
         assert_eq!(cold.stats.solved, 4);
-        let designs = pool.with(|memo| memo.designs());
+        // The grid's points share one device context, so one memo holds
+        // every design of the run.
+        let spec = grid().expand().unwrap().points[0].spec.clone().unwrap();
+        let designs = pool.with(&spec, |memo| memo.designs());
         assert!(designs > 0, "the run handed its memo back to the pool");
         // Second run over the same grid: every point solves again, through
         // the warm memo, which designs nothing new — and the bytes don't
         // move.
         let warm = explore(&grid(), &config).unwrap();
         assert_eq!(warm.stats.solved, 4);
-        assert_eq!(pool.with(|memo| memo.designs()), designs);
+        assert_eq!(pool.with(&spec, |memo| memo.designs()), designs);
         assert_eq!(warm.lines, cold.lines);
         // A default-config run gets a private pool and leaves this one be.
         let private = explore(&grid(), &ExploreConfig::default()).unwrap();
         assert_eq!(private.stats.solved, 4);
         assert_eq!(private.lines, cold.lines);
-        assert_eq!(pool.with(|memo| memo.designs()), designs);
+        assert_eq!(pool.with(&spec, |memo| memo.designs()), designs);
     }
 
     #[test]

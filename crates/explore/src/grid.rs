@@ -5,6 +5,7 @@ use crate::error::ExploreError;
 use crate::hash::{spec_fingerprint, Fnv1a};
 use cactid_core::{AccessMode, CactiError, MemoryKind, MemorySpec, OptimizationOptions};
 use cactid_tech::{CellTechnology, TechNode};
+use std::sync::Arc;
 
 /// The engine refuses grids beyond this many points: at ~1 ms per solve a
 /// million points is already a quarter CPU-hour, and anything bigger is a
@@ -164,6 +165,12 @@ impl Grid {
     pub fn expand(&self) -> Result<Expansion, ExploreError> {
         self.check_axes()?;
         let mut points = Vec::with_capacity(self.len());
+        // One label per variant, which every point of the variant shares.
+        let labels: Vec<Arc<str>> = self
+            .opts
+            .iter()
+            .map(|v| Arc::from(v.label.as_str()))
+            .collect();
         let mut h = Fnv1a::new();
         h.write_u64(self.len() as u64);
         for &capacity_bytes in &self.capacities {
@@ -172,7 +179,7 @@ impl Grid {
                     for &banks in &self.banks {
                         for &node in &self.nodes {
                             for &cell in &self.cells {
-                                for variant in &self.opts {
+                                for (variant, label) in self.opts.iter().zip(&labels) {
                                     let spec = MemorySpec::builder()
                                         .capacity_bytes(capacity_bytes)
                                         .block_bytes(block_bytes)
@@ -196,7 +203,7 @@ impl Grid {
                                         node,
                                         cell,
                                         access_mode: self.access_mode,
-                                        opt_label: variant.label.clone(),
+                                        opt_label: Arc::clone(label),
                                         spec,
                                     });
                                     points[points.len() - 1].write_fingerprint(&mut h);
@@ -234,8 +241,9 @@ pub struct GridPoint {
     pub cell: CellTechnology,
     /// The grid's shared access mode.
     pub access_mode: AccessMode,
-    /// Label of the opt variant this point uses.
-    pub opt_label: String,
+    /// Label of the opt variant this point uses, shared by every point of
+    /// that variant.
+    pub opt_label: Arc<str>,
     /// The validated spec, or why the combination is invalid.
     pub spec: Result<MemorySpec, CactiError>,
 }

@@ -9,6 +9,8 @@
 
 use cactid_core::{AccessMode, MemoryKind, MemorySpec, OptimizationOptions};
 use cactid_tech::CellTechnology;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -59,6 +61,28 @@ impl Fnv1a {
 
     /// Finishes the hash.
     pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by fingerprints. The keys are FNV-1a outputs already, so
+/// the map uses them as their own hash instead of hashing them again.
+pub(crate) type FingerprintMap<V> = HashMap<u64, V, BuildHasherDefault<FingerprintHasher>>;
+
+/// The [`Hasher`] of a [`FingerprintMap`]: it passes its one `u64` through.
+#[derive(Default)]
+pub(crate) struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a fingerprint map hashes only its u64 keys")
+    }
+
+    fn write_u64(&mut self, fingerprint: u64) {
+        self.0 = fingerprint;
+    }
+
+    fn finish(&self) -> u64 {
         self.0
     }
 }

@@ -71,6 +71,9 @@ pub struct ParetoPoint {
 /// exactly, and a member's dominated points all lie after it. That costs
 /// O(n log n + n·f) for f frontier members whatever order the points come
 /// in, so a grid's Pareto step takes the same time for any axis order.
+/// Each point is tested against the member that most recently dominated
+/// one first (move-to-front), so a dominated point usually costs one
+/// test.
 ///
 /// Points with any non-finite objective ([`ParetoMetrics::is_finite`]) take
 /// no part in the computation: they cannot join the frontier, dominate, or
@@ -85,10 +88,12 @@ pub fn frontier(points: &[(usize, ParetoMetrics)]) -> Vec<ParetoPoint> {
             .partial_cmp(&b.axes())
             .unwrap_or_else(|| unreachable!("finite objectives are ordered"))
     });
+    // Move-to-front: the order of the tries changes no verdict.
     let mut members: Vec<usize> = Vec::new();
     for (i, (_, m)) in sorted.iter().enumerate() {
-        if !members.iter().any(|&f| sorted[f].1.dominates(m)) {
-            members.push(i);
+        match members.iter().position(|&f| sorted[f].1.dominates(m)) {
+            Some(k) => members[..=k].rotate_right(1),
+            None => members.push(i),
         }
     }
     let mut out: Vec<ParetoPoint> = members
@@ -242,6 +247,42 @@ mod tests {
                     pts.swap(i, next(i as u64 + 1) as usize);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn frontier_matches_the_definition_on_wide_frontiers() {
+        // Larger sets than above, with many frontier members, so a point's
+        // dominator is often far down the member list: a trade-off curve,
+        // points just behind it, exact copies of earlier points, and axes
+        // that tie or carry a signed zero.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for round in 0..60 {
+            let n = 50 + next(350) as usize;
+            let mut pts: Vec<(usize, ParetoMetrics)> = Vec::with_capacity(n);
+            for i in 0..n {
+                let t = next(64) as f64;
+                let mut v = [t, 64.0 - t, next(4) as f64, next(3) as f64];
+                match next(8) {
+                    // Just behind the curve on one axis.
+                    0 | 1 => v[next(4) as usize] += 0.5,
+                    // An exact copy of an earlier point.
+                    2 if i > 0 => v = pts[next(i as u64) as usize].1.axes(),
+                    // A tie at zero, signed either way.
+                    3 => v[next(4) as usize] = if next(2) == 0 { 0.0 } else { -0.0 },
+                    _ => {}
+                }
+                pts.push((i, m(v[0], v[1], v[2], v[3])));
+            }
+            let front = frontier(&pts);
+            assert_eq!(front, brute_force(&pts), "round {round}");
+            assert!(front.len() > 1, "round {round} has a wide frontier");
         }
     }
 

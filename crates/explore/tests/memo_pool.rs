@@ -1,6 +1,6 @@
 //! The memo-pool contract: a `MemoPool` lends one evaluation memo per
-//! concurrent solve and keeps it for later solves, so designs cross sweeps,
-//! technologies and runs. Every record must still be byte-identical to a
+//! device context (node and cell) and keeps it for later solves, so
+//! designs cross sweeps, knob sets and runs. Every record must still be byte-identical to a
 //! fresh `optimize` + `solve_with_stats` of that point alone, and
 //! `MemoPool::clear` must start the memos over.
 //!
@@ -100,7 +100,8 @@ fn a_pooled_cache_renders_fresh_bytes_and_clear_starts_its_memos_over() {
     assert_eq!(lines, expected);
     assert_eq!(designs, cold_designs, "clear kept a pooled memo");
 
-    // Two workers borrow two memos; the bytes do not change.
+    // Two workers borrow their jobs' memos, a fresh one when both want
+    // one context at once; the bytes do not change.
     pool.clear();
     let (lines, designs, _) = run(&other_knobs, 2);
     assert_eq!(lines, expected_other);

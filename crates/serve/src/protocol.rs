@@ -183,7 +183,7 @@ fn solve_request(id: u64, v: &JsonValue) -> Result<Request, String> {
         node,
         cell,
         access_mode,
-        opt_label: variant.label,
+        opt_label: variant.label.into(),
         spec,
     };
     Ok(Request::Solve {
@@ -259,7 +259,7 @@ mod tests {
         assert_eq!(point.capacity_bytes, 1 << 20);
         assert_eq!(point.block_bytes, 64);
         assert_eq!(point.associativity, 8);
-        assert_eq!(point.opt_label, "default");
+        assert_eq!(&*point.opt_label, "default");
         let spec = point.spec.as_ref().unwrap();
         assert!(matches!(spec.kind, MemoryKind::Cache { .. }));
     }

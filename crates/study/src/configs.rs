@@ -7,6 +7,7 @@
 //! the §2.4 staged optimizer with different knob settings. Cache clock
 //! ratios follow the paper's rule of at most 6 pipeline stages per cache.
 
+use crate::power::{CHANNELS, CHANNEL_TRANSFERS_PER_S, CHIPS_PER_RANK, CHIP_IO_BITS};
 use cactid_circuit::{BlockResult, Crossbar};
 use cactid_core::{AccessMode, MemoryKind, MemorySpec, OptimizationOptions, Solution};
 use cactid_explore::{optimize_cached_in, SolveCache};
@@ -134,7 +135,7 @@ pub fn main_memory_spec() -> MemorySpec {
         .cell_tech(CellTechnology::CommDram)
         .node(TechNode::N32)
         .kind(MemoryKind::MainMemory {
-            io_bits: 8,
+            io_bits: CHIP_IO_BITS,
             burst_length: 8,
             prefetch: 8,
             page_bits: 8 << 10,
@@ -184,13 +185,32 @@ pub fn page_timing_of(sol: &Solution) -> L3PageTiming {
     }
 }
 
-/// Evaluates the crossbar between the 8 cores' L2s and the L3 banks once
-/// (per-flit).
-pub fn crossbar_eval() -> BlockResult {
+/// The crossbar between the cores' L2s and the L3 banks: one input per
+/// simulated core, one output per bank.
+pub fn crossbar(n_cores: u32) -> Crossbar {
+    Crossbar::new(
+        n_cores as usize,
+        L3_BANKS as usize,
+        XBAR_WIDTH_BITS,
+        XBAR_SIDE_M,
+    )
+}
+
+/// Evaluates the [`crossbar`] of `n_cores` cores once (per-flit).
+pub fn crossbar_eval(n_cores: u32) -> BlockResult {
     let tech = Technology::new(TechNode::N32);
     let dev = tech.device(DeviceType::Hp);
     let wire = tech.wire(WireType::Global);
-    Crossbar::new(8, L3_BANKS as usize, XBAR_WIDTH_BITS, XBAR_SIDE_M).evaluate(&dev, &wire)
+    crossbar(n_cores).evaluate(&dev, &wire)
+}
+
+/// CPU cycles one `line_bytes` line holds a memory channel's data bus:
+/// one beat per [`CHIPS_PER_RANK`] × [`CHIP_IO_BITS`] bits of the line,
+/// one transfer per beat at [`CHANNEL_TRANSFERS_PER_S`].
+pub fn line_burst_cycles(line_bytes: u32) -> u64 {
+    let channel_bits = CHIPS_PER_RANK * CHIP_IO_BITS;
+    let beats = u64::from((line_bytes * 8).div_ceil(channel_bits));
+    (beats * CLOCK_HZ as u64).div_ceil(CHANNEL_TRANSFERS_PER_S)
 }
 
 /// Builds one study configuration (runs the CACTI-D sweeps; ~a second).
@@ -242,15 +262,12 @@ pub fn build(kind: LlcKind) -> StudyConfig {
         .unwrap_or_else(|e| panic!("the {} L3 spec solves: {e}", kind.label()))
     });
 
-    let xbar = crossbar_eval();
-    let xbar_cycles = quantize(xbar.delay).max(1);
-
     let mut system = SystemConfig::baseline_no_l3();
     system.clock_hz = CLOCK_HZ;
     system.l1 = cache_config(&l1_sol, 32 << 10, 8);
     system.l2 = cache_config(&l2_sol, 1 << 20, 8);
     system.dram = DramConfig {
-        channels: 2,
+        channels: CHANNELS,
         // DDR4-3200-class devices expose 16 banks (4 bank groups × 4);
         // the model folds bank groups into a flat bank count.
         banks: 16,
@@ -262,13 +279,15 @@ pub fn build(kind: LlcKind) -> StudyConfig {
         // tRRD_S at 3200 MT/s is ~3 ns; the chip-level model's
         // power-delivery bound applies per bank group.
         t_rrd: quantize(mm.timing.t_rrd).min(6),
-        t_burst: 5, // 64 B over a 64-bit DDR4-3200 channel = 2.5 ns
+        t_burst: line_burst_cycles(system.l2.line_bytes),
         // NPB-style streaming hits open rows heavily; the paper (§2.3.4)
         // leaves the policy to the architect — open page is the right
         // choice for these workloads (the closed-page ablation lives in
         // the benches).
         page_policy: PagePolicy::Open,
     };
+    let xbar = crossbar_eval(system.n_cores);
+    let xbar_cycles = quantize(xbar.delay).max(1);
     system.l3 = l3_sol.as_ref().map(|sol| {
         let Some((cap, assoc, cell, _)) = kind.l3_shape() else {
             unreachable!("an L3 solution implies an L3 shape")
@@ -332,6 +351,27 @@ mod tests {
         assert!(ed_l3.random_cycle <= c_l3.random_cycle * 1.05);
         // C is denser (better area efficiency).
         assert!(c_l3.area_efficiency >= ed_l3.area_efficiency * 0.95);
+    }
+
+    #[test]
+    fn the_crossbar_has_one_input_per_simulated_core() {
+        let c = build(LlcKind::Sram24);
+        let n_cores = c.system.n_cores;
+        assert_eq!(crossbar(n_cores).n_in, n_cores as usize);
+        assert_eq!(crossbar(n_cores).n_out, L3_BANKS as usize);
+        assert_eq!(c.xbar, crossbar_eval(n_cores));
+        assert_eq!(crossbar(2 * n_cores).n_in, 2 * n_cores as usize);
+    }
+
+    #[test]
+    fn the_dimm_channel_sets_the_burst_and_the_channel_count() {
+        let dram = build(LlcKind::NoL3).system.dram;
+        // 64 B over a 64-bit DDR4-3200 channel: 8 beats, 2.5 ns, 5 cycles
+        // at 2 GHz.
+        assert_eq!(dram.t_burst, 5);
+        assert_eq!(dram.channels, 2);
+        assert_eq!(line_burst_cycles(128), 10);
+        assert_eq!(crate::power::TOTAL_CHIPS, 16);
     }
 
     #[test]

@@ -13,13 +13,23 @@ pub const CORE_POWER_W: f64 = 22.3;
 /// (paper §4.3) — i.e. 2 pJ/bit.
 pub const BUS_J_PER_BIT: f64 = 2.0e-12;
 
+/// Memory channels, each with one single-ranked DIMM (paper §3.1). With
+/// [`CHIPS_PER_RANK`], [`CHIP_IO_BITS`] and [`CHANNEL_TRANSFERS_PER_S`],
+/// the study's one statement of its DIMM channel: the simulated channel
+/// count, its burst length ([`crate::configs::line_burst_cycles`]) and
+/// the chip counts of the power model all read these.
+pub const CHANNELS: u32 = 2;
 /// DRAM chips accessed in parallel per channel: x8 devices on a 64-bit
-/// channel (paper §3.1). With [`TOTAL_CHIPS`], the study's one statement
-/// of its DIMM composition.
-pub const CHIPS_PER_RANK: f64 = 8.0;
-/// Total DRAM chips in the system: 2 channels, each with one
+/// channel (paper §3.1).
+pub const CHIPS_PER_RANK: u32 = 8;
+/// Data pins per DRAM chip (x8 devices); the main-memory chip spec's
+/// `io_bits`.
+pub const CHIP_IO_BITS: u32 = 8;
+/// Transfers per second on a DDR4-3200 memory channel.
+pub const CHANNEL_TRANSFERS_PER_S: u64 = 3_200_000_000;
+/// Total DRAM chips in the system: [`CHANNELS`] channels, each with one
 /// single-ranked DIMM of [`CHIPS_PER_RANK`] chips.
-pub const TOTAL_CHIPS: f64 = 2.0 * CHIPS_PER_RANK;
+pub const TOTAL_CHIPS: u32 = CHANNELS * CHIPS_PER_RANK;
 
 /// Power of the memory hierarchy, broken into the paper's Figure 5(a)
 /// categories \[W\].
@@ -113,13 +123,13 @@ impl MemoryHierarchyPower {
             unreachable!("a study config carries a chip-level main-memory solution")
         };
         let e = &mm.energies;
-        let mem_dyn = CHIPS_PER_RANK
+        let mem_dyn = f64::from(CHIPS_PER_RANK)
             * (c.mem_activates as f64 * e.activate.value()
                 + c.mem_reads as f64 * e.read.value()
                 + c.mem_writes as f64 * e.write.value())
             * per_s;
-        let mem_standby = TOTAL_CHIPS * e.standby_power.value();
-        let mem_refresh = TOTAL_CHIPS * e.refresh_power.value();
+        let mem_standby = f64::from(TOTAL_CHIPS) * e.standby_power.value();
+        let mem_refresh = f64::from(TOTAL_CHIPS) * e.refresh_power.value();
 
         let bus_bits = (c.mem_reads + c.mem_writes) as f64 * 64.0 * 8.0;
         let bus = bus_bits * BUS_J_PER_BIT * per_s;

@@ -100,7 +100,9 @@ pub fn table3() -> Vec<Table3Column> {
         area_eff_pct: mm.area_efficiency * 100.0,
         leakage_w: mm.energies.standby_power.value(),
         refresh_w: mm.energies.refresh_power.value(),
-        read_energy_nj: (mm.energies.activate + mm.energies.read).value() * CHIPS_PER_RANK * 1e9,
+        read_energy_nj: (mm.energies.activate + mm.energies.read).value()
+            * f64::from(CHIPS_PER_RANK)
+            * 1e9,
     });
     cols
 }
